@@ -140,12 +140,12 @@ const (
 // (*Disk).Stats.
 //
 // Every snapshot is coherent with respect to mutating operations:
-// Stats acquires the disk's read lock while writers hold the write
-// lock, so no commit, flush, clean or recovery is ever observed
-// half-counted. The read-path counters (Reads, CacheHits, CacheMisses)
-// are maintained with atomic increments by concurrent readers; each is
-// read atomically — never torn — and is monotone across snapshots, but
-// may already include reads that started after the Stats call did.
+// Stats takes no lock but returns the counter image frozen into the
+// current epoch when it was published, so no commit, flush, clean or
+// recovery is ever observed half-counted. Reads and Flushes are counted
+// outside the engine lock and overlaid live: each is read atomically —
+// never torn — and is monotone across snapshots, but may already
+// include operations that started after the Stats call did.
 type Stats = core.Stats
 
 // RecoveryReport summarizes what Open reconstructed after a crash.

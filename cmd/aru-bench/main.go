@@ -59,6 +59,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"aru"
@@ -67,8 +69,11 @@ import (
 	"aru/internal/workload"
 )
 
+// experiments are the names -exp accepts.
+var experiments = []string{"all", "table1", "fig5", "fig6", "arulat", "concurrent", "groupcommit", "shard", "recovery", "readscale"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, table1, fig5, fig6, arulat, concurrent, groupcommit, shard, recovery, readscale")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(experiments, ", "))
 	scale := flag.Int("scale", 1, "divide workload sizes by N (1 = paper scale)")
 	verify := flag.Bool("verify", false, "verify payloads during read phases")
 	csv := flag.Bool("csv", false, "emit fig5/fig6 as CSV instead of tables")
@@ -93,6 +98,10 @@ func main() {
 	netOps := flag.Int("net-ops", 1000, "ARUs to run against the remote disk (-connect mode)")
 	traceOut := flag.String("trace-out", "", "write the run's span timeline as Chrome trace JSON to this file")
 	flag.Parse()
+	if !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "aru-bench: unknown experiment %q (valid: %s)\n", *exp, strings.Join(experiments, ", "))
+		os.Exit(2)
+	}
 
 	if *connect != "" {
 		runRemote(*connect, *netOps, *traceOut)

@@ -55,13 +55,13 @@ func (m mode) viewID() ARUID { return m.view }
 // touchBlock applies the commit-timestamp policy of the mode to a
 // committed record just modified at time ts. Shadow records are left
 // alone (their commit timestamp is assigned when they merge).
-func (m mode) touchBlock(cb *altBlock, ts uint64) {
+func (m mode) touchBlock(cb *blockVer, ts uint64) {
 	if m.st != nil {
 		return
 	}
 	if m.tracked != nil {
 		if cb.commitTS != gateOpen {
-			m.tracked.touched = append(m.tracked.touched, cb)
+			m.tracked.touched = append(m.tracked.touched, cb.rec.ID)
 			cb.commitTS = gateOpen
 		}
 		return
@@ -70,13 +70,13 @@ func (m mode) touchBlock(cb *altBlock, ts uint64) {
 }
 
 // touchList is the list analogue of touchBlock.
-func (m mode) touchList(cl *altList, ts uint64) {
+func (m mode) touchList(cl *listVer, ts uint64) {
 	if m.st != nil {
 		return
 	}
 	if m.tracked != nil {
 		if cl.commitTS != gateOpen {
-			m.tracked.touchedLists = append(m.tracked.touchedLists, cl)
+			m.tracked.touchedLists = append(m.tracked.touchedLists, cl.rec.ID)
 			cl.commitTS = gateOpen
 		}
 		return
@@ -99,7 +99,7 @@ func (d *LLD) BeginARU() (ARUID, error) {
 	id := d.nextARU
 	d.nextARU++
 	d.arus[id] = d.getState(id)
-	d.arusDirty = true
+	d.aruTab.create(d.epoch+1, uint64(id)).persist = aruOpen
 	d.stats.ARUsBegun.Add(1)
 	d.obs.Emit(obs.EvARUBegin, uint64(id), 0, 0)
 	return id, nil
@@ -178,9 +178,7 @@ func (d *LLD) endARUOld(aru ARUID, st *aruState, trace, span uint64) error {
 	d.pendingCommits = append(d.pendingCommits, seg.Entry{Kind: seg.KindCommit, ARU: aru, TS: cts})
 	d.stampCommit(aru, trace, span)
 	d.ungate(st, cts)
-	delete(d.arus, aru)
-	d.arusDirty = true
-	d.putState(st)
+	d.closeARU(st)
 	d.stats.ARUsCommitted.Add(1)
 	d.obs.Emit(obs.EvARUCommit, uint64(aru), 0, 0)
 	// The commit is fully applied: maintenance below may publish
@@ -223,14 +221,16 @@ func (d *LLD) endARUNew(aru ARUID, st *aruState, trace, span uint64, silent bool
 	// contents move here. Data still in memory moves buffer-to-buffer
 	// (no log traffic at all); data already materialized hands over its
 	// physical location.
-	for ab := st.shadowBlocks; ab != nil; ab = ab.nextState {
-		if ab.deleted || !ab.hasContent() {
-			continue
+	for i := len(st.shadowBlocks) - 1; i >= 0; i-- {
+		id := st.shadowBlocks[i]
+		sv := pmapGet(d.blockTab.root, uint64(id)).find(aru)
+		if sv.deleted || (sv.data == nil && !sv.rec.HasData) {
+			continue // no contents to merge
 		}
 		if err := d.ensureRoom(1, 1); err != nil {
 			return err
 		}
-		cb, ok := d.writableBlock(ab.id, seg.SimpleARU, nil)
+		cb, ok := d.writableBlock(id, seg.SimpleARU, nil)
 		if !ok {
 			// The block vanished from the committed state (deleted by
 			// a racing client); the paper leaves such races to client
@@ -238,15 +238,19 @@ func (d *LLD) endARUNew(aru ARUID, st *aruState, trace, span uint64, silent bool
 			d.stats.MergeFallbacks.Add(1)
 			continue
 		}
-		if ab.data != nil {
-			buf := ab.data
-			ab.data = nil // shadow buffers are not counted; move directly
+		// The seal and the new committed version may both have moved the
+		// leaf's versions: look the shadow version up again (which
+		// leaves cb in place).
+		sv = d.editBlock(id).find(aru)
+		if sv.data != nil {
+			buf := sv.data
+			sv.data = nil // shadow buffers are not counted; move directly
 			d.setBlockData(cb, buf, aru, true)
 		} else {
 			d.stashPrev(cb) // the inherited location supersedes a pending buffer
-			d.setBlockPhys(cb, ab.rec.Seg, ab.rec.Slot, aru)
+			d.setBlockPhys(cb, sv.rec.Seg, sv.rec.Slot, aru)
 		}
-		cb.rec.TS = ab.rec.TS
+		cb.rec.TS = sv.rec.TS
 		gate.touchBlock(cb, 0)
 	}
 
@@ -290,9 +294,7 @@ func (d *LLD) endARUNew(aru ARUID, st *aruState, trace, span uint64, silent bool
 	d.stampCommit(aru, trace, span)
 	d.ungate(st, cts)
 	d.discardShadow(st)
-	delete(d.arus, aru)
-	d.arusDirty = true
-	d.putState(st)
+	d.closeARU(st)
 	d.stats.ARUsCommitted.Add(1)
 	d.obs.Emit(obs.EvARUCommit, uint64(aru), replayed, 0)
 	d.pubSafe = true
@@ -307,9 +309,13 @@ func (d *LLD) endARUNew(aru ARUID, st *aruState, trace, span uint64, silent bool
 // time, matching what recovery reconstructs (buffered operations apply
 // at the commit record's timestamp).
 func (d *LLD) ungate(st *aruState, cts uint64) {
-	for _, cb := range st.touched {
-		if e, ok := d.blocks[cb.id]; ok {
-			d.snapDirtyBlock(e, cb.id) // rec.TS changes below
+	for _, id := range st.touched {
+		cb := d.editBlock(id).find(seg.SimpleARU)
+		if cb == nil {
+			// A simple operation racing the open sequential-variant ARU
+			// re-stamped the record and a seal promoted it; the paper
+			// leaves such races to client locking.
+			continue
 		}
 		cb.commitTS = cts
 		cb.wtag = seg.SimpleARU // future materialization is committed
@@ -321,54 +327,39 @@ func (d *LLD) ungate(st *aruState, cts uint64) {
 			cb.rec.TS = cts
 		}
 	}
-	for _, cl := range st.touchedLists {
-		if e, ok := d.lists[cl.id]; ok {
-			d.snapDirtyList(e, cl.id)
+	for _, id := range st.touchedLists {
+		if cl := d.editList(id).find(seg.SimpleARU); cl != nil {
+			cl.commitTS = cts
 		}
-		cl.commitTS = cts
 	}
-	// Keep the slice capacity for the state's next life (pool.go);
-	// zero the pointer elements so retired records are not retained.
-	for i := range st.touched {
-		st.touched[i] = nil
-	}
-	for i := range st.touchedLists {
-		st.touchedLists[i] = nil
-	}
+	// Keep the slice capacity for the state's next life (pool.go).
 	st.touched = st.touched[:0]
 	st.touchedLists = st.touchedLists[:0]
 }
 
 // discardShadow drops every shadow record of the ARU, releasing pins
-// and recycling the records (the same-state link is saved before each
-// record is freed).
+// and buffers, newest first.
 func (d *LLD) discardShadow(st *aruState) {
-	for ab := st.shadowBlocks; ab != nil; {
-		next := ab.nextState
-		e := d.blocks[ab.id]
-		d.dropAltBlock(e, ab)
-		if e.empty() {
-			delete(d.blocks, ab.id)
-		}
-		d.freeAltBlock(ab)
-		ab = next
+	for i := len(st.shadowBlocks) - 1; i >= 0; i-- {
+		lf := d.editBlock(st.shadowBlocks[i])
+		d.dropBlockVer(lf, lf.find(st.id))
 	}
-	st.shadowBlocks = nil
-	for al := st.shadowLists; al != nil; {
-		next := al.nextState
-		e := d.lists[al.id]
-		d.dropAltList(e, al)
-		if e.empty() {
-			delete(d.lists, al.id)
-		}
-		d.freeAltList(al)
-		al = next
+	st.shadowBlocks = st.shadowBlocks[:0]
+	for i := len(st.shadowLists) - 1; i >= 0; i-- {
+		d.dropListVer(d.editList(st.shadowLists[i]), st.id)
 	}
-	st.shadowLists = nil
+	st.shadowLists = st.shadowLists[:0]
 	for i := range st.linkLog {
 		st.linkLog[i].members = nil // don't retain snapshots past truncation
 	}
 	st.linkLog = st.linkLog[:0]
+}
+
+// closeARU forgets a committed or aborted ARU and recycles its state.
+func (d *LLD) closeARU(st *aruState) {
+	delete(d.arus, st.id)
+	d.aruTab.drop(uint64(st.id))
+	d.putState(st)
 }
 
 // AbortARU discards an open ARU: its shadow state is dropped and none
@@ -396,9 +387,7 @@ func (d *LLD) AbortARU(aru ARUID) error {
 		return err
 	}
 	d.discardShadow(st)
-	delete(d.arus, aru)
-	d.arusDirty = true
-	d.putState(st)
+	d.closeARU(st)
 	d.stats.ARUsAborted.Add(1)
 	d.obs.Emit(obs.EvARUAbort, uint64(aru), 0, 0)
 	return nil

@@ -35,23 +35,19 @@ func (d *LLD) checkLocked() (int, error) {
 				claimed[op.block] = true
 			}
 		}
-		for ab := st.shadowBlocks; ab != nil; ab = ab.nextState {
-			claimed[ab.id] = true
+		for _, id := range st.shadowBlocks {
+			claimed[id] = true
 		}
 	}
 	var leaked []BlockID
-	for id := range d.blocks {
-		if claimed[id] {
-			continue
-		}
-		rec, ok := d.viewBlock(id, seg.SimpleARU)
-		if !ok {
-			continue // committed deletion pending promotion
-		}
-		if rec.List == NilList {
+	pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
+		// A committed deletion pending promotion does not resolve.
+		rec, ok := lf.view(seg.SimpleARU)
+		if id := BlockID(lf.id); ok && rec.List == NilList && !claimed[id] {
 			leaked = append(leaked, id)
 		}
-	}
+		return true
+	})
 	sort.Slice(leaked, func(i, j int) bool { return leaked[i] < leaked[j] })
 	m := mode{view: seg.SimpleARU, tag: seg.SimpleARU}
 	for _, id := range leaked {
@@ -131,7 +127,7 @@ func (d *LLD) StatBlock(aru ARUID, b BlockID) (BlockInfo, error) {
 	if err != nil {
 		return BlockInfo{}, err
 	}
-	rec, ok := s.viewBlockRec(b, view)
+	rec, ok := viewRec(s.blocks, uint64(b), view)
 	if !ok {
 		return BlockInfo{}, fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
 	}
@@ -144,17 +140,27 @@ func (d *LLD) StatBlock(aru ARUID, b BlockID) (BlockInfo, error) {
 func (d *LLD) VersionCount(b BlockID) int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	e, ok := d.blocks[b]
-	if !ok {
-		return 0
+	if lf := pmapGet(d.blockTab.root, uint64(b)); lf != nil {
+		return lf.versions()
 	}
-	return e.versions()
+	return 0
+}
+
+// verKey names one alternative version for VerifyInternal.
+type verKey struct {
+	list bool // a list version (else a block version)
+	id   uint64
+	aru  ARUID
 }
 
 // VerifyInternal cross-checks in-memory invariants: list chains are
-// acyclic and well-terminated in every state, Last pointers are
-// correct, per-segment live counts match the block map, and pins are
-// non-negative. It is exported for tests and the fsck tool.
+// acyclic and well-terminated in every state and Last pointers are
+// correct; per-segment live and pin counts, the entry counters, the
+// version gauges and the committed-buffer count equal what the tables
+// hold; and the same-state chains name exactly the versions present —
+// every version on exactly one chain, every gated committed version on
+// exactly one open ARU's touched list. It is exported for tests and
+// the fsck tool.
 func (d *LLD) VerifyInternal() error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -164,8 +170,13 @@ func (d *LLD) VerifyInternal() error {
 			views = append(views, id)
 		}
 	}
+	var lists []ListID
+	pmapWalk(d.listTab.root, func(lf *listLeaf) bool {
+		lists = append(lists, ListID(lf.id))
+		return true
+	})
 	for _, v := range views {
-		for id := range d.lists {
+		for _, id := range lists {
 			lrec, ok := d.viewList(id, v)
 			if !ok {
 				continue
@@ -182,7 +193,7 @@ func (d *LLD) VerifyInternal() error {
 				}
 				last = cur
 				cur = crec.Succ
-				if n++; n > len(d.blocks)+1 {
+				if n++; n > d.blockTab.n+1 {
 					return fmt.Errorf("lld: verify: view %d list %d has a cycle", v, id)
 				}
 			}
@@ -191,21 +202,113 @@ func (d *LLD) VerifyInternal() error {
 			}
 		}
 	}
-	live := make([]int32, d.params.Layout.NumSegs)
-	for _, e := range d.blocks {
-		if e.persist != nil && e.persist.HasData {
-			live[e.persist.Seg]++
+
+	// What the same-state chains claim...
+	chained := make(map[verKey]int)
+	gated := make(map[verKey]int)
+	for _, id := range d.commBlocks {
+		chained[verKey{false, uint64(id), seg.SimpleARU}]++
+	}
+	for _, id := range d.commLists {
+		chained[verKey{true, uint64(id), seg.SimpleARU}]++
+	}
+	for _, st := range d.arus {
+		for _, id := range st.shadowBlocks {
+			chained[verKey{false, uint64(id), st.id}]++
 		}
+		for _, id := range st.shadowLists {
+			chained[verKey{true, uint64(id), st.id}]++
+		}
+		for _, id := range st.touched {
+			gated[verKey{false, uint64(id), seg.SimpleARU}]++
+		}
+		for _, id := range st.touchedLists {
+			gated[verKey{true, uint64(id), seg.SimpleARU}]++
+		}
+	}
+	// ...against the versions the tables hold, each ticked off once.
+	// The first inconsistency found is the one reported.
+	var err error
+	fail := func(format string, a ...any) {
+		if err == nil {
+			err = fmt.Errorf("lld: verify: "+format, a...)
+		}
+	}
+	var alts, shadows int64
+	present := func(k verKey, recID, commitTS uint64) {
+		alts++
+		if k.aru != seg.SimpleARU {
+			shadows++
+		}
+		if recID != k.id {
+			fail("version %+v carries record id %d", k, recID)
+		}
+		if chained[k] != 1 {
+			fail("version %+v is on %d same-state chains", k, chained[k])
+		}
+		delete(chained, k)
+		if commitTS == gateOpen {
+			if gated[k] != 1 {
+				fail("gated version %+v is on %d touched lists", k, gated[k])
+			}
+			delete(gated, k)
+		}
+	}
+	live := make([]int32, d.params.Layout.NumSegs)
+	pins := make([]int32, d.params.Layout.NumSegs)
+	nBlocks, nLists, bufs := 0, 0, 0
+	pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
+		nBlocks++
+		if lf.hasPersist && lf.persist.HasData {
+			live[lf.persist.Seg]++
+		}
+		for i := range lf.vers {
+			v := &lf.vers[i]
+			if v.rec.HasData {
+				pins[v.rec.Seg]++
+			}
+			if v.aru == seg.SimpleARU && v.data != nil {
+				bufs++
+			}
+			if v.aru == seg.SimpleARU && v.prevData != nil {
+				bufs++
+			}
+			present(verKey{false, lf.id, v.aru}, uint64(v.rec.ID), v.commitTS)
+		}
+		return err == nil
+	})
+	pmapWalk(d.listTab.root, func(lf *listLeaf) bool {
+		nLists++
+		for i := range lf.vers {
+			v := &lf.vers[i]
+			present(verKey{true, lf.id, v.aru}, uint64(v.rec.ID), v.commitTS)
+		}
+		return err == nil
+	})
+	if len(chained) != 0 {
+		fail("same-state chains name versions that do not exist: %v", chained)
+	}
+	if len(gated) != 0 {
+		fail("touched lists name versions that are not gated: %v", gated)
+	}
+	if nBlocks != d.blockTab.n || nLists != d.listTab.n {
+		fail("entry counters say %d blocks, %d lists; the tries hold %d, %d", d.blockTab.n, d.listTab.n, nBlocks, nLists)
+	}
+	if a, s := d.stats.AltRecords.Load(), d.stats.ShadowRecords.Load(); a != alts || s != shadows {
+		fail("gauges say %d alternative, %d shadow records; the tables hold %d, %d", a, s, alts, shadows)
+	}
+	if bufs != d.commBufBlocks {
+		fail("%d committed buffers counted, the tables hold %d", d.commBufBlocks, bufs)
 	}
 	for s := range live {
 		if live[s] != d.segLive[s] {
-			return fmt.Errorf("lld: verify: segment %d live count %d, block map says %d", s, d.segLive[s], live[s])
+			fail("segment %d live count %d, block map says %d", s, d.segLive[s], live[s])
 		}
-		if d.segPins[s] < 0 {
-			return fmt.Errorf("lld: verify: segment %d has negative pin count %d", s, d.segPins[s])
+		if pins[s] != d.segPins[s] {
+			fail("segment %d pin count %d, %d versions hold data there", s, d.segPins[s], pins[s])
 		}
 	}
-	return nil
+	return err
 }
 
 // SegmentInfo describes one log segment's runtime accounting.

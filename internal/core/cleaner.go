@@ -47,17 +47,19 @@ func (d *LLD) cleanLocked(target int) int {
 	}
 
 	const batch = 8 // victims relocated per flush/checkpoint cycle
+	groups := &d.cleanGroups
 	for d.reusableCount() < target {
 		before := d.reusableCount()
 		visited := make(map[int]bool)
 		relocated := 0
+		groups.built = false
 		for relocated < batch {
-			victim, ok := d.pickVictim(visited)
+			victim, ok := d.pickVictim(visited, groups)
 			if !ok {
 				break
 			}
 			visited[victim] = true
-			if err := d.relocateSegment(victim); err != nil {
+			if err := d.relocateSegment(victim, groups.of(d, victim)); err != nil {
 				return cleaned
 			}
 			relocated++
@@ -93,40 +95,82 @@ func (d *LLD) cleanLocked(target int) int {
 	return cleaned
 }
 
+// segGroups groups the block map by the segment each block's persistent
+// version lies in, so that one walk serves every victim of a relocation
+// batch. It is built on first use — a pass that finds no candidate
+// never walks — and holds until the batch's flush: a candidate is an
+// old, closed segment, so until then it can only lose blocks, and the
+// users of a group skip the blocks that have moved on. The slices are
+// scratch kept across passes (d.cleanGroups).
+type segGroups struct {
+	by    [][]BlockID
+	built bool
+}
+
+func (g *segGroups) of(d *LLD, s int) []BlockID {
+	if !g.built {
+		if g.by == nil {
+			g.by = make([][]BlockID, d.params.Layout.NumSegs)
+		}
+		for i := range g.by {
+			g.by[i] = g.by[i][:0]
+		}
+		pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
+			if lf.hasPersist && lf.persist.HasData {
+				g.by[lf.persist.Seg] = append(g.by[lf.persist.Seg], BlockID(lf.id))
+			}
+			return true
+		})
+		g.built = true
+	}
+	return g.by[s]
+}
+
 // cleanable reports whether segment s is a valid cleaning victim: an
 // old (checkpoint-covered), unpinned, written segment that still holds
-// live blocks, every one of which is relocatable (its persistent record
-// is the block's only version — relocating a block with pending shadow
-// or committed updates could resurrect stale data after a crash).
-func (d *LLD) cleanable(s int) (liveBlocks []BlockID, ok bool) {
+// live blocks — those of group that have not moved on — every one of
+// which is relocatable (its persistent record is the block's only
+// version — relocating a block with pending shadow or committed
+// updates could resurrect stale data after a crash).
+func (d *LLD) cleanable(s int, group []BlockID) bool {
 	if s == d.curSeg || d.segSeq[s] == 0 || d.segSeq[s] > d.ckptSeq {
-		return nil, false
+		return false
 	}
 	if _, sealed := d.sealedBySeg[uint32(s)]; sealed {
 		// Sealed but not yet synced: its blocks live only in memory and
 		// in the pending batch; relocation must wait for the sync. (The
 		// seq > ckptSeq check above already excludes it; this is the
 		// explicit invariant.)
-		return nil, false
+		return false
 	}
 	if d.segPins[s] != 0 || d.segLive[s] == 0 {
-		return nil, false
+		return false
 	}
-	for id, e := range d.blocks {
-		if e.persist == nil || !e.persist.HasData || e.persist.Seg != uint32(s) {
-			continue
+	n := 0
+	for _, id := range group {
+		if lf := d.liveIn(s, id); lf != nil {
+			if len(lf.vers) != 0 {
+				return false
+			}
+			n++
 		}
-		if e.altHead != nil {
-			return nil, false
-		}
-		liveBlocks = append(liveBlocks, id)
 	}
-	return liveBlocks, len(liveBlocks) > 0
+	return n > 0
+}
+
+// liveIn returns block id's entry if its persistent version still
+// holds data in segment s, else nil.
+func (d *LLD) liveIn(s int, id BlockID) *blockLeaf {
+	lf := pmapGet(d.blockTab.root, uint64(id))
+	if lf == nil || !lf.hasPersist || !lf.persist.HasData || lf.persist.Seg != uint32(s) {
+		return nil
+	}
+	return lf
 }
 
 // pickVictim selects the next segment to clean according to the
 // configured policy, skipping segments already relocated this cycle.
-func (d *LLD) pickVictim(exclude map[int]bool) (int, bool) {
+func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
 	type cand struct {
 		s     int
 		live  int32
@@ -158,34 +202,31 @@ func (d *LLD) pickVictim(exclude map[int]bool) (int, bool) {
 	}
 	// Take the best candidate whose blocks are all relocatable.
 	for _, c := range cands {
-		if _, ok := d.cleanable(c.s); ok {
+		if d.cleanable(c.s, groups.of(d, c.s)) {
 			return c.s, true
 		}
 	}
 	return 0, false
 }
 
-// relocateSegment copies every live block of segment s to the head of
-// the log as a fresh committed write. The logical contents of every
-// block and list are unchanged; only physical placement moves.
-func (d *LLD) relocateSegment(s int) error {
-	live, ok := d.cleanable(s)
-	if !ok {
-		return fmt.Errorf("lld: segment %d is not cleanable", s)
-	}
+// relocateSegment copies every block of group still live in segment s
+// to the head of the log as a fresh committed write. The logical
+// contents of every block and list are unchanged; only physical
+// placement moves.
+func (d *LLD) relocateSegment(s int, group []BlockID) error {
 	// Deterministic order keeps runs reproducible.
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+	sort.Slice(group, func(i, j int) bool { return group[i] < group[j] })
 	buf := make([]byte, d.params.Layout.BlockSize)
-	for _, id := range live {
-		e := d.blocks[id]
-		if e.persist == nil || !e.persist.HasData || e.persist.Seg != uint32(s) || e.altHead != nil {
+	for _, id := range group {
+		lf := d.liveIn(s, id)
+		if lf == nil || len(lf.vers) != 0 {
 			continue // changed underneath us by an earlier relocation flush
 		}
-		if err := d.readPhys(e.persist.Seg, e.persist.Slot, buf); err != nil {
+		if err := d.readPhys(lf.persist.Seg, lf.persist.Slot, buf); err != nil {
 			return err
 		}
 		ts := d.tick()
-		segIdx, slot, err := d.appendBlockWrite(seg.SimpleARU, ts, id, e.persist.List, buf)
+		segIdx, slot, err := d.appendBlockWrite(seg.SimpleARU, ts, id, lf.persist.List, buf)
 		if err != nil {
 			return err
 		}

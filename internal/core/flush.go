@@ -173,20 +173,18 @@ func (d *LLD) checkpointLocked() error {
 		// Build the delta from the dirty sets: a dirty identifier still
 		// present in the tables is an upsert, a vanished one a deletion.
 		for id := range d.dirtyBlocks {
-			e, ok := d.blocks[id]
-			if !ok || e.persist == nil {
+			if lf := pmapGet(d.blockTab.root, uint64(id)); lf != nil && lf.hasPersist {
+				rec.Blocks = append(rec.Blocks, lf.persist)
+			} else {
 				rec.DelBlocks = append(rec.DelBlocks, id)
-				continue
 			}
-			rec.Blocks = append(rec.Blocks, *e.persist)
 		}
 		for id := range d.dirtyLists {
-			e, ok := d.lists[id]
-			if !ok || e.persist == nil {
+			if lf := pmapGet(d.listTab.root, uint64(id)); lf != nil && lf.hasPersist {
+				rec.Lists = append(rec.Lists, lf.persist)
+			} else {
 				rec.DelLists = append(rec.DelLists, id)
-				continue
 			}
-			rec.Lists = append(rec.Lists, *e.persist)
 		}
 		if len(rec.Blocks) == 0 && len(rec.Lists) == 0 &&
 			len(rec.DelBlocks) == 0 && len(rec.DelLists) == 0 &&
@@ -208,17 +206,23 @@ func (d *LLD) checkpointLocked() error {
 		rec.Blocks = rec.Blocks[:0]
 		rec.Lists = rec.Lists[:0]
 		rec.DelBlocks, rec.DelLists = nil, nil
-		for id, e := range d.blocks {
-			if e.persist == nil {
-				return fmt.Errorf("lld: internal: block %d has no persistent version at checkpoint", id)
+		var err error
+		pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
+			if !lf.hasPersist {
+				err = fmt.Errorf("lld: internal: block %d has no persistent version at checkpoint", lf.id)
 			}
-			rec.Blocks = append(rec.Blocks, *e.persist)
-		}
-		for id, e := range d.lists {
-			if e.persist == nil {
-				return fmt.Errorf("lld: internal: list %d has no persistent version at checkpoint", id)
+			rec.Blocks = append(rec.Blocks, lf.persist)
+			return err == nil
+		})
+		pmapWalk(d.listTab.root, func(lf *listLeaf) bool {
+			if !lf.hasPersist {
+				err = fmt.Errorf("lld: internal: list %d has no persistent version at checkpoint", lf.id)
 			}
-			rec.Lists = append(rec.Lists, *e.persist)
+			rec.Lists = append(rec.Lists, lf.persist)
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 		sortCkptRec(&rec)
 	}

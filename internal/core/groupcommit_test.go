@@ -297,7 +297,7 @@ func TestGroupCommitSealedSegmentExcluded(t *testing.T) {
 	if d.segReusable(e.idx) {
 		t.Errorf("sealed-but-unsynced segment %d is reusable", e.idx)
 	}
-	if _, ok := d.cleanable(e.idx); ok {
+	if d.cleanable(e.idx, []BlockID{b}) {
 		t.Errorf("sealed-but-unsynced segment %d is cleanable", e.idx)
 	}
 	d.mu.Unlock()

@@ -157,9 +157,8 @@ type Params struct {
 	// (ListBlocks, StatBlock) always resolve through the issuing
 	// stream's own state.
 	ReadSemantics ReadSemantics
-	// AutoCheck disables the automatic post-recovery consistency
-	// sweep (which frees blocks leaked by uncommitted ARUs) when set
-	// to false via NoAutoCheck.
+	// NoAutoCheck skips the automatic post-recovery consistency sweep,
+	// which frees blocks leaked by uncommitted ARUs.
 	NoAutoCheck bool
 	// Tracer attaches an observability sink (event ring + latency
 	// histograms; see aru/internal/obs). nil — the default — disables
@@ -347,12 +346,10 @@ type LLD struct {
 	commitStamps []commitStamp
 
 	// mu guards all engine state below. Mutating operations take the
-	// write lock; read-only operations (Read, ListBlocks, Lists,
-	// StatBlock, Stats, Segments, …) take the read lock and therefore
-	// run in parallel with each other. Under the read lock the only
-	// things a reader may touch that are not immutable-while-shared are
-	// the atomic stats counters and the internally locked block cache.
-	// See DESIGN.md, "Concurrency".
+	// write lock; the hot read-only operations (Read, ListBlocks, Lists,
+	// StatBlock, Stats) take no lock at all — they pin the epoch head —
+	// and the inspection helpers (VerifyInternal, Segments, ActiveARUs,
+	// …) take the read lock. See DESIGN.md §7 and §16.
 	mu sync.RWMutex
 	// Everything below is guarded by mu.
 	closed bool
@@ -363,14 +360,16 @@ type LLD struct {
 	nextLst ListID
 	nextARU ARUID
 
-	// Persistent state (the paper's block-number-map and list-table),
-	// plus the roots of the per-identifier alternative-record chains.
-	blocks map[BlockID]*blockEntry
-	lists  map[ListID]*listEntry
+	// The paper's block-number-map and list-table: per identifier, the
+	// persistent record and every alternative version, in the tries
+	// lock-free readers share through the epoch head (records.go).
+	blockTab table[seg.BlockRec]
+	listTab  table[seg.ListRec]
 
-	// Committed state: the single merged stream's alternative records.
-	commBlocks *altBlock // same-state chain, unordered
-	commLists  *altList
+	// Committed state: the identifiers that have a committed version
+	// (the merged stream's same-state chain), newest last.
+	commBlocks []BlockID
+	commLists  []ListID
 
 	// Active ARUs (shadow states).
 	arus map[ARUID]*aruState
@@ -458,15 +457,12 @@ type LLD struct {
 	// rules). All guarded by d.mu; gcWork is touched only by the single
 	// in-flight batch leader, which extends its use across the device
 	// I/O it performs with d.mu released.
-	freeBlocks  *altBlock // chained via nextState
-	freeLists   *altList
-	nFreeBlocks int
-	nFreeLists  int
 	freeBufs    [][]byte
 	freeStates  []*aruState
 	spareSeals  []*sealedSeg
 	matScratch  []matItem
 	matSort     matSorter
+	cleanGroups segGroups
 	gcWork      []*sealedSeg
 
 	// MVCC epoch state (snapshot.go, DESIGN.md §16). head is the only
@@ -479,19 +475,12 @@ type LLD struct {
 	oldestEpoch atomic.Uint64
 	invalid     atomic.Bool // set by Invalidate (crash simulation)
 	openSnaps   atomic.Int64
-	// Dirty sets: entries touched since the last publish, whose trie
-	// leaves the next publish rebuilds. arusDirty covers the (small)
-	// open-ARU table wholesale.
-	dirtyB    []BlockID
-	dirtyL    []ListID
-	arusDirty bool
-	// Roots of the persistent tries the NEXT publish will expose;
-	// between publishes they may run ahead of head's roots.
-	blocksRoot *pnode
-	listsRoot  *pnode
-	arusRoot   *pnode
-	// ret accumulates everything the current window unshared; it is
-	// attached to the outgoing epoch at publish.
+	// aruTab mirrors d.arus for lock-free readers: which ARUs are open,
+	// and which of them are frozen by PrepareARU.
+	aruTab table[aruMark]
+	// ret accumulates everything the current window unshared (the
+	// tables retire into it, see setRet); it is attached to the
+	// outgoing epoch at publish.
 	ret       *retireSet
 	spareRets []*retireSet
 	// segFreeEpoch[s] is the epoch that must drain before segment s
@@ -499,11 +488,7 @@ type LLD struct {
 	// is dropped, because snapshots up to the next publish may still
 	// read s's old bytes (see segReusable).
 	segFreeEpoch []uint64
-	pubSkip      int  // UnsafeStaleHeadEvery counter
-	pubSafe      bool // mid-maintenance publishes allowed (op-consistent)
-	// Snapshot-machinery pools (drained-epoch recycling).
-	freeNodes  []*pnode
-	freeSnaps  []*snapshot
-	freeBSnaps []*blockSnap
-	freeLSnaps []*listSnap
+	pubSkip      int         // UnsafeStaleHeadEvery counter
+	pubSafe      bool        // mid-maintenance publishes allowed (op-consistent)
+	freeSnaps    []*snapshot // drained-epoch recycling
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -106,20 +107,22 @@ func (d *LLD) appendBlockWrite(aru ARUID, ts uint64, id BlockID, lst ListID, dat
 // timestamp. Capacity is guaranteed by ensureRoom's accounting.
 func (d *LLD) materializeCommitted() {
 	pending := d.matScratch[:0]
-	for ab := d.commBlocks; ab != nil; ab = ab.nextState {
+	for i := len(d.commBlocks) - 1; i >= 0; i-- {
+		id := d.commBlocks[i]
+		ab := pmapGet(d.blockTab.root, uint64(id)).find(seg.SimpleARU)
 		if ab.prevData != nil {
 			// The stashed pre-unit version: the version an open unit
 			// overwrote while its own commit record is still pending.
 			// It is emitted on the merged stream so that, should only
 			// this segment survive, the earlier unit stays complete.
-			pending = append(pending, matItem{ab: ab, data: ab.prevData, ts: ab.prevTS, prev: true})
+			pending = append(pending, matItem{id: id, data: ab.prevData, ts: ab.prevTS, prev: true})
 		}
 		if ab.data != nil {
 			tag := seg.SimpleARU
 			if ab.commitTS == gateOpen {
 				tag = ab.wtag
 			}
-			pending = append(pending, matItem{ab: ab, data: ab.data, ts: ab.rec.TS, tag: tag})
+			pending = append(pending, matItem{id: id, data: ab.data, ts: ab.rec.TS, tag: tag})
 		}
 	}
 	// Write in logical-time order so blocks written together lie
@@ -134,7 +137,7 @@ func (d *LLD) materializeCommitted() {
 			Kind:  seg.KindWrite,
 			ARU:   it.tag,
 			TS:    it.ts,
-			Block: it.ab.id,
+			Block: it.id,
 			Slot:  slot,
 		})
 		d.stats.EntriesLogged.Add(1)
@@ -144,15 +147,16 @@ func (d *LLD) materializeCommitted() {
 			// must not pay a disk access for contents we just wrote.
 			d.cache.put(uint32(d.curSeg), slot, it.data)
 		}
+		ab := d.editBlock(it.id).find(seg.SimpleARU)
 		if it.prev {
 			d.stats.PrevVersionsEmitted.Add(1)
-			d.dropPrevData(it.ab)
+			d.dropPrevData(ab)
 		} else {
-			d.setBlockPhys(it.ab, uint32(d.curSeg), slot, it.tag)
+			d.setBlockPhys(ab, uint32(d.curSeg), slot, it.tag)
 		}
 	}
 	// Keep the scratch capacity for the next seal; zero the elements so
-	// retired records and recycled buffers are not retained through it.
+	// recycled buffers are not retained through it.
 	for i := range pending {
 		pending[i] = matItem{}
 	}
@@ -361,94 +365,78 @@ func (d *LLD) scanReusable() int {
 
 // promote moves every committed record whose commit timestamp is now
 // durable into the persistent state (the committed→persistent
-// transition of paper §3.1, triggered by writes to disk).
+// transition of paper §3.1, triggered by writes to disk). The chains
+// are walked newest first and the survivors end up in reverse order —
+// materialization order among equal timestamps, and so the log's
+// bytes, depend on it.
 func (d *LLD) promote() {
 	w := d.durableTS
-	var keepB *altBlock
-	for ab := d.commBlocks; ab != nil; {
-		next := ab.nextState
-		if ab.commitTS <= w && ab.data == nil {
-			d.promoteBlock(ab)
+	slices.Reverse(d.commBlocks)
+	keepB := d.commBlocks[:0]
+	for _, id := range d.commBlocks {
+		lf := d.editBlock(id)
+		if ab := lf.find(seg.SimpleARU); ab.commitTS <= w && ab.data == nil {
+			d.promoteBlock(lf, ab)
 		} else {
-			ab.nextState = keepB
-			keepB = ab
+			keepB = append(keepB, id)
 		}
-		ab = next
 	}
 	d.commBlocks = keepB
 
-	var keepL *altList
-	for al := d.commLists; al != nil; {
-		next := al.nextState
-		if al.commitTS <= w {
-			d.promoteList(al)
+	slices.Reverse(d.commLists)
+	keepL := d.commLists[:0]
+	for _, id := range d.commLists {
+		lf := d.editList(id)
+		if al := lf.find(seg.SimpleARU); al.commitTS <= w {
+			d.promoteList(lf, al)
 		} else {
-			al.nextState = keepL
-			keepL = al
+			keepL = append(keepL, id)
 		}
-		al = next
 	}
 	d.commLists = keepL
 }
 
 // promoteBlock installs ab as the persistent version of its block (or
-// removes the persistent version if ab is a deletion) and retires ab.
-func (d *LLD) promoteBlock(ab *altBlock) {
+// removes the persistent version if ab is a deletion) and drops ab from
+// the window-owned leaf lf.
+func (d *LLD) promoteBlock(lf *blockLeaf, ab *blockVer) {
 	d.stats.RecordsPromoted.Add(1)
-	d.dirtyBlocks[ab.id] = struct{}{}
-	e := d.blocks[ab.id]
-	if e.persist != nil && e.persist.HasData {
-		d.segLive[e.persist.Seg]--
-		d.segFreeEpoch[e.persist.Seg] = d.epoch + 1
+	d.dirtyBlocks[BlockID(lf.id)] = struct{}{}
+	if lf.hasPersist && lf.persist.HasData {
+		d.segLive[lf.persist.Seg]--
+		d.segFreeEpoch[lf.persist.Seg] = d.epoch + 1
 		if d.sealFrees != nil {
 			// Promotion driven by a broker seal: remember which
 			// segments lost live blocks so they stay quarantined from
 			// reuse until the seal's batch has synced.
-			*d.sealFrees = append(*d.sealFrees, int(e.persist.Seg))
+			*d.sealFrees = append(*d.sealFrees, int(lf.persist.Seg))
 		}
 	}
-	if ab.deleted {
-		e.persist = nil
-	} else {
-		// Reuse the persistent record in place: nothing retains the
-		// pointer across operations (all readers copy the value under
-		// d.mu).
-		if e.persist == nil {
-			e.persist = new(seg.BlockRec)
-		}
-		*e.persist = ab.rec
+	lf.hasPersist = !ab.deleted
+	lf.persist = seg.BlockRec{}
+	if !ab.deleted {
+		lf.persist = ab.rec
 		if ab.rec.HasData {
 			d.segLive[ab.rec.Seg]++
 		}
 	}
-	d.dropAltBlock(e, ab)
-	if e.empty() {
-		delete(d.blocks, ab.id)
-	}
-	d.freeAltBlock(ab)
+	d.dropBlockVer(lf, ab)
 }
 
 // promoteList installs al as the persistent version of its list.
-func (d *LLD) promoteList(al *altList) {
+func (d *LLD) promoteList(lf *listLeaf, al *listVer) {
 	d.stats.RecordsPromoted.Add(1)
-	d.dirtyLists[al.id] = struct{}{}
-	e := d.lists[al.id]
-	if al.deleted {
-		e.persist = nil
-	} else {
-		if e.persist == nil {
-			e.persist = new(seg.ListRec)
-		}
-		*e.persist = al.rec
+	d.dirtyLists[ListID(lf.id)] = struct{}{}
+	lf.hasPersist = !al.deleted
+	lf.persist = seg.ListRec{}
+	if !al.deleted {
+		lf.persist = al.rec
 	}
-	d.dropAltList(e, al)
-	if e.empty() {
-		delete(d.lists, al.id)
-	}
-	d.freeAltList(al)
+	d.dropListVer(lf, seg.SimpleARU)
 }
 
-// readPhys reads the block stored at (segIdx, slot) into dst: from the
+// readPhys reads the block stored at (segIdx, slot) into dst for the
+// cleaner (client reads go through snapshot.readPhys): from the
 // in-memory segment under construction if the location is current,
 // otherwise from disk through the read cache.
 func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
@@ -459,8 +447,6 @@ func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 	if e, ok := d.sealedBySeg[segIdx]; ok {
 		// Sealed by a batch leader, device write/sync still pending (or
 		// failed and awaiting retry): serve from the retained image.
-		// The map is only mutated under the write lock, so this read is
-		// safe under the read lock.
 		bs := d.params.Layout.BlockSize
 		copy(dst, e.img[int(slot)*bs:(int(slot)+1)*bs])
 		return nil

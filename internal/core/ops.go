@@ -51,53 +51,6 @@ func (d *LLD) read(aru ARUID, b BlockID, dst []byte) error {
 	return s.readBlock(view, b, dst)
 }
 
-// readView copies the contents of b, as seen from the given state, into
-// dst: from the version's in-memory buffer, from the log, or all-zero
-// for an allocated-but-unwritten block.
-func (d *LLD) readView(b BlockID, view ARUID, dst []byte) error {
-	e, ok := d.blocks[b]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-	}
-	readAlt := func(ab *altBlock) error {
-		if ab.data != nil {
-			copy(dst, ab.data)
-			return nil
-		}
-		if ab.rec.HasData {
-			return d.readPhys(ab.rec.Seg, ab.rec.Slot, dst)
-		}
-		for i := range dst {
-			dst[i] = 0
-		}
-		return nil
-	}
-	if view != seg.SimpleARU {
-		if ab := e.findAlt(view); ab != nil {
-			if ab.deleted {
-				return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-			}
-			return readAlt(ab)
-		}
-	}
-	if ab := e.findAlt(seg.SimpleARU); ab != nil {
-		if ab.deleted {
-			return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-		}
-		return readAlt(ab)
-	}
-	if p := e.persist; p != nil {
-		if p.HasData {
-			return d.readPhys(p.Seg, p.Slot, dst)
-		}
-		for i := range dst {
-			dst[i] = 0
-		}
-		return nil
-	}
-	return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-}
-
 // Write replaces the contents of block b with data (one block exactly).
 // Inside an ARU the write creates/updates the ARU's shadow version; the
 // data itself is appended to the log immediately (tagged with the ARU),
@@ -202,10 +155,8 @@ func (d *LLD) NewBlock(aru ARUID, lst ListID, pred BlockID) (BlockID, error) {
 	if err := d.appendEntry(seg.Entry{Kind: seg.KindNewBlock, ARU: m.tag, TS: ts, Block: id, List: lst}); err != nil {
 		return NilBlock, err
 	}
-	e := &blockEntry{}
-	d.blocks[id] = e
-	cb := d.newCommBlock(e, id, seg.BlockRec{ID: id, TS: ts})
-	cb.commitTS = ts
+	lf := d.blockTab.create(d.epoch+1, uint64(id))
+	d.newCommBlock(lf, seg.BlockRec{ID: id, TS: ts}).commitTS = ts
 	d.stats.NewBlocks.Add(1)
 
 	if m.st != nil {
@@ -243,10 +194,8 @@ func (d *LLD) NewList(aru ARUID) (ListID, error) {
 	if err := d.appendEntry(seg.Entry{Kind: seg.KindNewList, ARU: m.tag, TS: ts, List: id}); err != nil {
 		return NilList, err
 	}
-	e := &listEntry{}
-	d.lists[id] = e
-	cl := d.newCommList(e, id, seg.ListRec{ID: id})
-	cl.commitTS = ts
+	lf := d.listTab.create(d.epoch+1, uint64(id))
+	d.newCommList(lf, seg.ListRec{ID: id}).commitTS = ts
 	d.stats.NewLists.Add(1)
 	return id, nil
 }
@@ -553,7 +502,7 @@ func (d *LLD) deleteListIn(m mode, lst ListID, strict bool) error {
 // commit record is not yet logged) stashes the previous ungated version
 // first: should only the earlier unit's commit become durable, its data
 // must still be recoverable.
-func (d *LLD) markBlockDeleted(wb *altBlock, gating bool) {
+func (d *LLD) markBlockDeleted(wb *blockVer, gating bool) {
 	if gating {
 		d.stashPrev(wb)
 	}
@@ -562,5 +511,5 @@ func (d *LLD) markBlockDeleted(wb *altBlock, gating bool) {
 		d.unpinSeg(wb.rec.Seg)
 	}
 	wb.deleted = true
-	wb.rec = seg.BlockRec{ID: wb.id}
+	wb.rec = seg.BlockRec{ID: wb.rec.ID}
 }

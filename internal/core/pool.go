@@ -2,99 +2,46 @@ package core
 
 // Free lists for the engine's steady-state churn (DESIGN.md §12).
 //
-// Every structure the hot paths allocate per operation — alternative
-// records, block buffers, ARU states, sealed-segment entries, the
-// materialization scratch — is recycled on a free list owned by the
-// LLD and guarded by d.mu, like everything else it points into.
-// sync.Pool is deliberately not used here: all mutation already
-// happens under the engine write lock (so there is no contention to
-// shard away), and LLD-owned lists are released with the instance
-// instead of lingering in per-P caches.
+// Every structure the hot paths allocate per operation — block
+// buffers, ARU states, sealed-segment entries, the materialization
+// scratch here; table leaves and trie nodes in epochmap.go — is
+// recycled on a free list owned by the LLD and guarded by d.mu, like
+// everything else it points into. sync.Pool is deliberately not used:
+// all mutation already happens under the engine write lock (so there
+// is no contention to shard away), and LLD-owned lists are released
+// with the instance instead of lingering in per-P caches.
 //
-// Ownership rules:
+// One rule covers everything a published epoch can reach — leaves,
+// trie nodes, block buffers, builders, sealed images: it is retired
+// into the current window's retire-set, never freed directly, and
+// recycles only when the epoch that unshared it drains (snapshot.go).
+// On top of that:
 //
 //   - A block buffer ([]byte of Layout.BlockSize) is owned by exactly
-//     one altBlock slot (data or prevData) or by the free list, never
-//     both. Transfers (shadow→committed merge in endARUNew, data→
-//     prevData in stashPrev) move the buffer without recycling it;
-//     every other release goes through putBuf.
-//   - A buffer becomes dead the moment its slot is dropped
-//     (dropBlockData/dropPrevData) or replaced (setBlockData) — but
-//     because published epochs share live buffers with lock-free
-//     readers (snapshot.go), putBuf parks it on the current
-//     retire-set instead of the free list. It recycles into freeBufs
-//     (recycleBuf) only when the epoch that unshared it drains, at
-//     which point no snapshot can reach it.
-//   - An altBlock/altList is recycled only after it is unlinked from
-//     both of its chains: dropAltBlock/dropAltList remove the same-ID
-//     link, and the callers (discardShadow, promote) own the
-//     same-state link. dropAltBlock itself stays unlink-only so
-//     callers can save the nextState pointer first.
+//     one version slot (data or prevData) of the table's current leaf;
+//     older leaves of the same block alias it read-only. Transfers
+//     (shadow→committed merge in endARUNew, data→prevData in
+//     stashPrev) move the buffer without retiring it; every other
+//     release goes through putBuf. A buffer is never written after it
+//     is installed.
+//   - A leaf is mutable only in the window it was born in
+//     (table.edit); once it retires, purge clears its version array so
+//     a pooled leaf pins no buffer.
 //   - An aruState is recycled only after it is deleted from d.arus; its
-//     slices are cleared (pointer elements zeroed) but keep their
-//     capacity across reuse.
+//     slices are cleared but keep their capacity across reuse.
 //   - A sealedSeg is retired in finishBatchLocked/completeSealedLocked
-//     after its quarantines lift, alongside its builder; both recycle
-//     when the retiring epoch drains. The retained image (e.img)
-//     aliases the builder's buffer, which recycleBuilder resets, so a
-//     pooled entry never leaks sealed bytes — and no pooled buffer is
-//     ever reachable from a live snapshot.
+//     after its quarantines lift, alongside its builder. The retained
+//     image (e.img) aliases the builder's buffer, which recycleBuilder
+//     resets, so a pooled entry never leaks sealed bytes.
 
 // Free-list caps: beyond these the garbage collector takes over, so a
 // burst (many concurrent ARUs, a deep commit pipeline) does not pin
 // its high-water mark forever.
 const (
-	maxFreeRecords = 1024
-	maxFreeBufs    = 256
-	maxFreeStates  = 64
-	maxFreeSeals   = 4
+	maxFreeBufs   = 256
+	maxFreeStates = 64
+	maxFreeSeals  = 4
 )
-
-// getAltBlock returns a zeroed alternative block record.
-// Caller holds d.mu.
-func (d *LLD) getAltBlock() *altBlock {
-	if ab := d.freeBlocks; ab != nil {
-		d.freeBlocks = ab.nextState
-		d.nFreeBlocks--
-		ab.nextState = nil
-		return ab
-	}
-	return new(altBlock)
-}
-
-// freeAltBlock recycles ab, which must be unlinked from both chains
-// and hold no buffers. Caller holds d.mu.
-func (d *LLD) freeAltBlock(ab *altBlock) {
-	if d.nFreeBlocks >= maxFreeRecords {
-		return
-	}
-	*ab = altBlock{nextState: d.freeBlocks}
-	d.freeBlocks = ab
-	d.nFreeBlocks++
-}
-
-// getAltList returns a zeroed alternative list record.
-// Caller holds d.mu.
-func (d *LLD) getAltList() *altList {
-	if al := d.freeLists; al != nil {
-		d.freeLists = al.nextState
-		d.nFreeLists--
-		al.nextState = nil
-		return al
-	}
-	return new(altList)
-}
-
-// freeAltList recycles al, which must be unlinked from both chains.
-// Caller holds d.mu.
-func (d *LLD) freeAltList(al *altList) {
-	if d.nFreeLists >= maxFreeRecords {
-		return
-	}
-	*al = altList{nextState: d.freeLists}
-	d.freeLists = al
-	d.nFreeLists++
-}
 
 // getBuf returns a block-sized buffer. Contents are undefined; every
 // caller overwrites the full block.
@@ -142,14 +89,13 @@ func (d *LLD) getState(id ARUID) *aruState {
 }
 
 // putState recycles st after it was deleted from d.arus. Its slices
-// were already cleared to length zero (with pointer elements zeroed)
-// by ungate/discardShadow. Caller holds d.mu.
+// were already cleared to length zero by ungate/discardShadow.
+// Caller holds d.mu.
 func (d *LLD) putState(st *aruState) {
 	if len(d.freeStates) >= maxFreeStates {
 		return
 	}
 	st.id = 0
-	st.shadowBlocks, st.shadowLists = nil, nil
 	st.prepared, st.prepTxn = false, 0
 	d.freeStates = append(d.freeStates, st)
 }
@@ -187,7 +133,7 @@ func (d *LLD) recycleSealed(e *sealedSeg) {
 // matItem is one buffered committed-state version queued for
 // materialization into the open segment (see materializeCommitted).
 type matItem struct {
-	ab   *altBlock
+	id   BlockID
 	data []byte
 	ts   uint64
 	tag  ARUID

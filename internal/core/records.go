@@ -11,17 +11,21 @@ import (
 // state until that ARU commits and assigns the real commit timestamp.
 const gateOpen = uint64(math.MaxUint64)
 
-// altBlock is an alternative block record: one shadow or committed
-// version of a block. Records are members of two perpendicular
-// singly-linked chains (paper §4, Figure 4): the same-state chain (all
-// records of one ARU's shadow state, or of the committed state) and
-// the same-identifier chain rooted at the block's blockEntry.
-type altBlock struct {
-	id  BlockID
+// version is one alternative version of a block or list: the shadow
+// version of one ARU, or the committed version. The fields from data
+// down are used by block versions only; list versions leave them zero.
+type version[R any] struct {
 	aru ARUID // owner state: SimpleARU = committed, else shadow of aru
 
-	rec     seg.BlockRec // the alternative version of the record
-	deleted bool         // block is de-allocated in this version
+	rec     R    // the alternative version of the record
+	deleted bool // the identifier is de-allocated in this version
+
+	// commitTS orders the committed→persistent transition: the record
+	// may be promoted once commitTS <= durableTS. Shadow records have
+	// commitTS 0 (meaningless until merged); records gated by an open
+	// ARU (sequential-variant operations, or a concurrent commit in
+	// progress) use gateOpen.
+	commitTS uint64
 
 	// data holds the version's contents while it lives only in memory
 	// (rec.HasData is false then). Versions written inside the current
@@ -47,53 +51,123 @@ type altBlock struct {
 	// share the next sealed segment) or when the buffer materializes.
 	prevData []byte
 	prevTS   uint64
-
-	// commitTS orders the committed→persistent transition: the record
-	// may be promoted once commitTS <= durableTS. Shadow records have
-	// commitTS 0 (meaningless until merged); records gated by an open
-	// ARU (sequential-variant operations, or a concurrent commit in
-	// progress) use gateOpen.
-	commitTS uint64
-
-	nextState *altBlock // same-state chain
-	nextID    *altBlock // same-identifier chain
 }
 
-// hasContent reports whether the version carries block contents, in
-// memory or in the log.
-func (ab *altBlock) hasContent() bool { return ab.data != nil || ab.rec.HasData }
-
-// altList is the list analogue of altBlock.
-type altList struct {
-	id  ListID
-	aru ARUID
-
-	rec     seg.ListRec
-	deleted bool
-
-	commitTS uint64
-
-	nextState *altList
-	nextID    *altList
+// leaf is one entry of the block-number-map or the list-table, held
+// directly by the table's persistent trie (epochmap.go): the
+// persistent record plus every alternative version of the identifier —
+// the paper's perpendicular lists (§4, Figure 4) with the
+// same-identifier chain held by value. An entry exists while any
+// version exists. (The open-ARU table uses only persist, for the
+// ARU's mark.)
+//
+// A leaf is immutable once an epoch containing it is published: only
+// the window it was born in may mutate it, and only through the edit
+// primitive (table.edit), which clones it on the first touch in any
+// later window.
+type leaf[R any] struct {
+	id         uint64
+	born       uint64 // the epoch this leaf is first published in
+	hasPersist bool
+	persist    R
+	vers       []version[R] // oldest first, at most one per state
 }
 
-// blockEntry roots all versions of one block: the persistent record
-// (from the block-number-map) plus the same-identifier chain of
-// alternative records. An entry exists while any version exists.
-type blockEntry struct {
-	persist *seg.BlockRec // nil if the block has no persistent version
-	altHead *altBlock
-	// snapDirty marks the entry as touched since the last epoch
-	// publish; the publish rebuilds its snapshot-trie leaf and clears
-	// the flag (snapshot.go).
-	snapDirty bool
+type (
+	blockVer  = version[seg.BlockRec]
+	listVer   = version[seg.ListRec]
+	blockLeaf = leaf[seg.BlockRec]
+	listLeaf  = leaf[seg.ListRec]
+)
+
+// find returns the version owned by state aru, or nil (also for a nil
+// leaf, so a table lookup and find chain without a check in between).
+func (lf *leaf[R]) find(aru ARUID) *version[R] {
+	if lf == nil {
+		return nil
+	}
+	for i := range lf.vers {
+		if lf.vers[i].aru == aru {
+			return &lf.vers[i]
+		}
+	}
+	return nil
 }
 
-// listEntry roots all versions of one list.
-type listEntry struct {
-	persist   *seg.ListRec
-	altHead   *altList
-	snapDirty bool
+// resolve is the standardized version search (paper §3.3): the view's
+// own shadow version if one exists, else the committed version, else
+// the persistent one. It returns the alternative version found (nil
+// for the persistent record) and whether the identifier exists in that
+// view at all — false if it was never allocated or is deleted in the
+// nearest version. The engine and the lock-free readers both resolve
+// through it.
+func (lf *leaf[R]) resolve(view ARUID) (*version[R], bool) {
+	if view != seg.SimpleARU {
+		if v := lf.find(view); v != nil {
+			return v, !v.deleted
+		}
+	}
+	if v := lf.find(seg.SimpleARU); v != nil {
+		return v, !v.deleted
+	}
+	return nil, lf.hasPersist
+}
+
+// remove drops the version owned by state aru, keeping the others in
+// order.
+func (lf *leaf[R]) remove(aru ARUID) {
+	for i := range lf.vers {
+		if lf.vers[i].aru == aru {
+			n := copy(lf.vers[i:], lf.vers[i+1:])
+			lf.vers[i+n] = version[R]{}
+			lf.vers = lf.vers[:i+n]
+			return
+		}
+	}
+}
+
+// versions returns the number of live versions (for the n+2 bound).
+func (lf *leaf[R]) versions() int {
+	if lf.hasPersist {
+		return len(lf.vers) + 1
+	}
+	return len(lf.vers)
+}
+
+// view returns the entry's effective record as seen from view; false
+// if the identifier does not exist in that view.
+func (lf *leaf[R]) view(view ARUID) (rec R, ok bool) {
+	v, ok := lf.resolve(view)
+	switch {
+	case !ok:
+		return rec, false
+	case v != nil:
+		return v.rec, true
+	}
+	return lf.persist, true
+}
+
+// viewRec is view for id's entry in the trie under root.
+func viewRec[R any](root *pnode[R], id uint64, view ARUID) (rec R, ok bool) {
+	if lf := pmapGet(root, id); lf != nil {
+		return lf.view(view)
+	}
+	return rec, false
+}
+
+// editBlock and editList return id's entry as a leaf of the current
+// window (see table.edit for the handle's lifetime); nil if none.
+func (d *LLD) editBlock(id BlockID) *blockLeaf { return d.blockTab.edit(d.epoch+1, uint64(id)) }
+func (d *LLD) editList(id ListID) *listLeaf    { return d.listTab.edit(d.epoch+1, uint64(id)) }
+
+// viewBlock and viewList resolve against the engine's own tries.
+// Callers must hold d.mu.
+func (d *LLD) viewBlock(id BlockID, aru ARUID) (seg.BlockRec, bool) {
+	return viewRec(d.blockTab.root, uint64(id), aru)
+}
+
+func (d *LLD) viewList(id ListID, aru ARUID) (seg.ListRec, bool) {
+	return viewRec(d.listTab.root, uint64(id), aru)
 }
 
 // opKind discriminates list-operation log records.
@@ -129,21 +203,24 @@ type listOp struct {
 	members []BlockID
 }
 
-// aruState is the in-memory state of one open ARU: the heads of its
-// shadow-state chains and its list-operation log. For the sequential
+// aruState is the in-memory state of one open ARU: its same-state
+// chains and its list-operation log. A leaf's address does not survive
+// a publish window, so same-state chains — these and the committed
+// state's d.commBlocks/d.commLists — name identifiers, newest last,
+// and re-resolve through the edit primitive. For the sequential
 // variant the shadow chains stay empty and touched/touchedLists gate
 // the committed records the ARU has modified in place.
 type aruState struct {
 	id ARUID
 
-	shadowBlocks *altBlock
-	shadowLists  *altList
+	shadowBlocks []BlockID
+	shadowLists  []ListID
 	linkLog      []listOp
 
 	// Sequential-variant bookkeeping: committed records modified by
 	// this ARU, whose promotion is gated until EndARU.
-	touched      []*altBlock
-	touchedLists []*altList
+	touched      []BlockID
+	touchedLists []ListID
 
 	// Two-phase commit (cross-shard ARUs, internal/shard): a prepared
 	// unit is frozen — its data is materialized and its operations are
@@ -153,288 +230,112 @@ type aruState struct {
 	prepTxn  uint64
 }
 
-// findAlt returns the alternative block record owned by state aru on
-// the same-identifier chain of e, or nil.
-func (e *blockEntry) findAlt(aru ARUID) *altBlock {
-	for ab := e.altHead; ab != nil; ab = ab.nextID {
-		if ab.aru == aru {
-			return ab
-		}
-	}
-	return nil
-}
-
-// findAlt returns the alternative list record owned by state aru.
-func (e *listEntry) findAlt(aru ARUID) *altList {
-	for al := e.altHead; al != nil; al = al.nextID {
-		if al.aru == aru {
-			return al
-		}
-	}
-	return nil
-}
-
-// removeAlt unlinks ab from the same-identifier chain of e.
-func (e *blockEntry) removeAlt(ab *altBlock) {
-	if e.altHead == ab {
-		e.altHead = ab.nextID
-		return
-	}
-	for p := e.altHead; p != nil; p = p.nextID {
-		if p.nextID == ab {
-			p.nextID = ab.nextID
-			return
-		}
-	}
-}
-
-// removeAlt unlinks al from the same-identifier chain of e.
-func (e *listEntry) removeAlt(al *altList) {
-	if e.altHead == al {
-		e.altHead = al.nextID
-		return
-	}
-	for p := e.altHead; p != nil; p = p.nextID {
-		if p.nextID == al {
-			p.nextID = al.nextID
-			return
-		}
-	}
-}
-
-// versions returns the number of live versions of the block (for the
-// n+2 bound invariant).
-func (e *blockEntry) versions() int {
-	n := 0
-	if e.persist != nil {
-		n++
-	}
-	for ab := e.altHead; ab != nil; ab = ab.nextID {
-		n++
-	}
-	return n
-}
-
-// empty reports whether the entry roots no version at all and can be
-// dropped from the table.
-func (e *blockEntry) empty() bool { return e.persist == nil && e.altHead == nil }
-
-func (e *listEntry) empty() bool { return e.persist == nil && e.altHead == nil }
-
-// viewBlock resolves the effective record of a block as seen from the
-// given state: the ARU's shadow version if one exists, else the
-// committed version, else the persistent version (paper §3.3). The
-// second result is false if the block does not exist in that view
-// (never allocated, or deleted in the nearest version).
-//
-// Callers must hold d.mu.
-func (d *LLD) viewBlock(id BlockID, aru ARUID) (seg.BlockRec, bool) {
-	e, ok := d.blocks[id]
-	if !ok {
-		return seg.BlockRec{}, false
-	}
-	if aru != seg.SimpleARU {
-		if ab := e.findAlt(aru); ab != nil {
-			if ab.deleted {
-				return seg.BlockRec{}, false
-			}
-			return ab.rec, true
-		}
-	}
-	if ab := e.findAlt(seg.SimpleARU); ab != nil {
-		if ab.deleted {
-			return seg.BlockRec{}, false
-		}
-		return ab.rec, true
-	}
-	if e.persist != nil {
-		return *e.persist, true
-	}
-	return seg.BlockRec{}, false
-}
-
-// viewList is the list analogue of viewBlock.
-func (d *LLD) viewList(id ListID, aru ARUID) (seg.ListRec, bool) {
-	e, ok := d.lists[id]
-	if !ok {
-		return seg.ListRec{}, false
-	}
-	if aru != seg.SimpleARU {
-		if al := e.findAlt(aru); al != nil {
-			if al.deleted {
-				return seg.ListRec{}, false
-			}
-			return al.rec, true
-		}
-	}
-	if al := e.findAlt(seg.SimpleARU); al != nil {
-		if al.deleted {
-			return seg.ListRec{}, false
-		}
-		return al.rec, true
-	}
-	if e.persist != nil {
-		return *e.persist, true
-	}
-	return seg.ListRec{}, false
-}
-
-// writableBlock returns the alternative block record that operations of
+// writableBlock returns the version of block id that operations of
 // state aru should modify, creating it as a copy of the next version in
 // the search order if needed (the paper's "standardized search": the
 // modified copy of the committed or persistent version becomes the new
 // shadow version). It reports false if the block does not exist in the
-// view. For aru == SimpleARU the returned record belongs to the
+// view. For aru == SimpleARU the returned version belongs to the
 // committed state.
 //
-// Callers must hold d.mu. st is nil for committed-state access.
-func (d *LLD) writableBlock(id BlockID, aru ARUID, st *aruState) (*altBlock, bool) {
-	e, ok := d.blocks[id]
-	if !ok {
+// Callers must hold d.mu; st is nil for committed-state access. The
+// result is an edit handle (see table.edit for how long it stays valid).
+func (d *LLD) writableBlock(id BlockID, aru ARUID, st *aruState) (*blockVer, bool) {
+	lf := d.editBlock(id)
+	if lf == nil {
 		return nil, false
 	}
-	d.snapDirtyBlock(e, id) // caller is about to mutate the returned record
-	if aru != seg.SimpleARU {
-		if ab := e.findAlt(aru); ab != nil {
-			if ab.deleted {
-				return nil, false
-			}
-			return ab, true
-		}
-	}
-	// Fall through to the committed version.
-	if ab := e.findAlt(seg.SimpleARU); ab != nil {
-		if ab.deleted {
-			return nil, false
-		}
-		if aru == seg.SimpleARU {
-			return ab, true
-		}
-		return d.newShadowBlock(e, st, ab.rec, ab.data), true
-	}
-	if e.persist == nil {
+	v, ok := lf.resolve(aru)
+	switch {
+	case !ok:
 		return nil, false
+	case v != nil && v.aru == aru:
+		return v, true
+	case v != nil: // a shadow state copies the committed version up
+		return d.newShadowBlock(lf, st, v.rec, v.data), true
+	case aru == seg.SimpleARU:
+		return d.newCommBlock(lf, lf.persist), true
 	}
-	if aru == seg.SimpleARU {
-		return d.newCommBlock(e, id, *e.persist), true
-	}
-	return d.newShadowBlock(e, st, *e.persist, nil), true
+	return d.newShadowBlock(lf, st, lf.persist, nil), true
 }
 
 // writableList is the list analogue of writableBlock.
-func (d *LLD) writableList(id ListID, aru ARUID, st *aruState) (*altList, bool) {
-	e, ok := d.lists[id]
-	if !ok {
+func (d *LLD) writableList(id ListID, aru ARUID, st *aruState) (*listVer, bool) {
+	lf := d.editList(id)
+	if lf == nil {
 		return nil, false
 	}
-	d.snapDirtyList(e, id)
-	if aru != seg.SimpleARU {
-		if al := e.findAlt(aru); al != nil {
-			if al.deleted {
-				return nil, false
-			}
-			return al, true
-		}
-	}
-	if al := e.findAlt(seg.SimpleARU); al != nil {
-		if al.deleted {
-			return nil, false
-		}
-		if aru == seg.SimpleARU {
-			return al, true
-		}
-		return d.newShadowList(e, st, al.rec), true
-	}
-	if e.persist == nil {
+	v, ok := lf.resolve(aru)
+	switch {
+	case !ok:
 		return nil, false
+	case v != nil && v.aru == aru:
+		return v, true
+	case v != nil:
+		return d.newShadowList(lf, st, v.rec), true
+	case aru == seg.SimpleARU:
+		return d.newCommList(lf, lf.persist), true
 	}
-	if aru == seg.SimpleARU {
-		return d.newCommList(e, id, *e.persist), true
-	}
-	return d.newShadowList(e, st, *e.persist), true
+	return d.newShadowList(lf, st, lf.persist), true
 }
 
-// newShadowBlock creates a shadow copy of the source version — record
+// newShadowBlock adds a shadow copy of the source version — record
 // fields plus, when the source's contents still live in memory, a
 // snapshot of its buffer (a copied record must carry the copied
-// version's *contents*, not just its structure) — and links it into the
-// ARU's same-state chain and the block's same-ID chain.
-func (d *LLD) newShadowBlock(e *blockEntry, st *aruState, rec seg.BlockRec, data []byte) *altBlock {
-	d.snapDirtyBlock(e, rec.ID)
-	ab := d.getAltBlock()
-	ab.id, ab.aru, ab.rec = rec.ID, st.id, rec
+// version's *contents*, not just its structure) — to the window-owned
+// leaf lf and to the ARU's same-state chain.
+func (d *LLD) newShadowBlock(lf *blockLeaf, st *aruState, rec seg.BlockRec, data []byte) *blockVer {
+	lf.vers = append(lf.vers, blockVer{aru: st.id, rec: rec})
+	v := &lf.vers[len(lf.vers)-1]
 	if data != nil {
-		ab.data = d.getBuf()
-		copy(ab.data, data)
+		v.data = d.getBuf()
+		copy(v.data, data)
 	}
 	if rec.HasData {
 		d.pinSeg(rec.Seg)
 	}
-	ab.nextState = st.shadowBlocks
-	st.shadowBlocks = ab
-	ab.nextID = e.altHead
-	e.altHead = ab
+	st.shadowBlocks = append(st.shadowBlocks, BlockID(lf.id))
 	d.stats.ShadowRecords.Add(1)
 	d.stats.AltRecords.Add(1)
 	d.stats.ShadowCreated.Add(1)
-	return ab
+	return v
 }
 
-// newShadowList creates a shadow copy of rec for the ARU st.
-func (d *LLD) newShadowList(e *listEntry, st *aruState, rec seg.ListRec) *altList {
-	d.snapDirtyList(e, rec.ID)
-	al := d.getAltList()
-	al.id, al.aru, al.rec = rec.ID, st.id, rec
-	al.nextState = st.shadowLists
-	st.shadowLists = al
-	al.nextID = e.altHead
-	e.altHead = al
+// newShadowList adds a shadow copy of rec for the ARU st to lf.
+func (d *LLD) newShadowList(lf *listLeaf, st *aruState, rec seg.ListRec) *listVer {
+	lf.vers = append(lf.vers, listVer{aru: st.id, rec: rec})
+	st.shadowLists = append(st.shadowLists, ListID(lf.id))
 	d.stats.ShadowRecords.Add(1)
 	d.stats.AltRecords.Add(1)
 	d.stats.ShadowCreated.Add(1)
-	return al
+	return &lf.vers[len(lf.vers)-1]
 }
 
-// newCommBlock creates a committed alternative record for block id with
-// contents rec and links it into the committed chains.
-func (d *LLD) newCommBlock(e *blockEntry, id BlockID, rec seg.BlockRec) *altBlock {
-	d.snapDirtyBlock(e, id)
-	ab := d.getAltBlock()
-	ab.id, ab.aru, ab.rec = id, seg.SimpleARU, rec
+// newCommBlock adds a committed version with contents rec to the
+// window-owned leaf lf and to the committed state's chain.
+func (d *LLD) newCommBlock(lf *blockLeaf, rec seg.BlockRec) *blockVer {
+	lf.vers = append(lf.vers, blockVer{aru: seg.SimpleARU, rec: rec})
 	if rec.HasData {
 		d.pinSeg(rec.Seg)
 	}
-	ab.nextState = d.commBlocks
-	d.commBlocks = ab
-	ab.nextID = e.altHead
-	e.altHead = ab
+	d.commBlocks = append(d.commBlocks, BlockID(lf.id))
 	d.stats.AltRecords.Add(1)
 	d.stats.CommittedCreated.Add(1)
-	return ab
+	return &lf.vers[len(lf.vers)-1]
 }
 
-// newCommList creates a committed alternative record for list id.
-func (d *LLD) newCommList(e *listEntry, id ListID, rec seg.ListRec) *altList {
-	d.snapDirtyList(e, id)
-	al := d.getAltList()
-	al.id, al.aru, al.rec = id, seg.SimpleARU, rec
-	al.nextState = d.commLists
-	d.commLists = al
-	al.nextID = e.altHead
-	e.altHead = al
+// newCommList adds a committed version with contents rec to lf.
+func (d *LLD) newCommList(lf *listLeaf, rec seg.ListRec) *listVer {
+	lf.vers = append(lf.vers, listVer{aru: seg.SimpleARU, rec: rec})
+	d.commLists = append(d.commLists, ListID(lf.id))
 	d.stats.AltRecords.Add(1)
 	d.stats.CommittedCreated.Add(1)
-	return al
+	return &lf.vers[len(lf.vers)-1]
 }
 
 // setBlockPhys points ab's record at a new physical location, dropping
 // any in-memory buffer and keeping the per-segment pin counts balanced.
-func (d *LLD) setBlockPhys(ab *altBlock, segIdx, slot uint32, tag ARUID) {
-	if e, ok := d.blocks[ab.id]; ok {
-		// Not all callers come through writableBlock (materialization,
-		// the cleaner, 2PC prepare), so mark here too.
-		d.snapDirtyBlock(e, ab.id)
-	}
+func (d *LLD) setBlockPhys(ab *blockVer, segIdx, slot uint32, tag ARUID) {
 	d.dropBlockData(ab)
 	if ab.rec.HasData {
 		d.unpinSeg(ab.rec.Seg)
@@ -456,7 +357,7 @@ func (d *LLD) setBlockPhys(ab *altBlock, segIdx, slot uint32, tag ARUID) {
 //
 // The buffer's capacity slot transfers from data to prevData, so the
 // committed-buffer accounting is unchanged.
-func (d *LLD) stashPrev(ab *altBlock) {
+func (d *LLD) stashPrev(ab *blockVer) {
 	if ab.aru != seg.SimpleARU || ab.data == nil || ab.commitTS == gateOpen {
 		return
 	}
@@ -474,10 +375,7 @@ func (d *LLD) stashPrev(ab *altBlock) {
 // location. Committed-state buffers count against the open segment's
 // capacity (they materialize into it at seal time). With gating true
 // the previous ungated version is stashed first (see stashPrev).
-func (d *LLD) setBlockData(ab *altBlock, buf []byte, tag ARUID, gating bool) {
-	if e, ok := d.blocks[ab.id]; ok {
-		d.snapDirtyBlock(e, ab.id)
-	}
+func (d *LLD) setBlockData(ab *blockVer, buf []byte, tag ARUID, gating bool) {
 	if gating {
 		d.stashPrev(ab)
 	}
@@ -496,10 +394,8 @@ func (d *LLD) setBlockData(ab *altBlock, buf []byte, tag ARUID, gating bool) {
 	ab.wtag = tag
 }
 
-// dropBlockData discards and recycles ab's in-memory buffer, if any.
-// Safe at every call site because all consumers copy the contents
-// (builder, cache, Read) before d.mu is released — see pool.go.
-func (d *LLD) dropBlockData(ab *altBlock) {
+// dropBlockData discards and retires ab's in-memory buffer, if any.
+func (d *LLD) dropBlockData(ab *blockVer) {
 	if ab.data == nil {
 		return
 	}
@@ -510,9 +406,9 @@ func (d *LLD) dropBlockData(ab *altBlock) {
 	}
 }
 
-// dropPrevData discards and recycles ab's stashed pre-unit version, if
+// dropPrevData discards and retires ab's stashed pre-unit version, if
 // any.
-func (d *LLD) dropPrevData(ab *altBlock) {
+func (d *LLD) dropPrevData(ab *blockVer) {
 	if ab.prevData == nil {
 		return
 	}
@@ -523,30 +419,34 @@ func (d *LLD) dropPrevData(ab *altBlock) {
 	}
 }
 
-// dropAltBlock releases ab's buffer and pin and removes it from the
-// same-ID chain of e. The caller is responsible for the same-state
-// chain.
-func (d *LLD) dropAltBlock(e *blockEntry, ab *altBlock) {
-	d.snapDirtyBlock(e, ab.id)
+// dropBlockVer releases ab's buffers and pin and removes it from the
+// window-owned leaf lf, dropping the entry with its last version. The
+// caller is responsible for the same-state chain.
+func (d *LLD) dropBlockVer(lf *blockLeaf, ab *blockVer) {
+	aru := ab.aru
 	d.dropBlockData(ab)
 	d.dropPrevData(ab)
 	if ab.rec.HasData {
 		d.unpinSeg(ab.rec.Seg)
 	}
-	e.removeAlt(ab)
 	d.stats.AltRecords.Add(-1)
-	if ab.aru != seg.SimpleARU {
+	if aru != seg.SimpleARU {
 		d.stats.ShadowRecords.Add(-1)
+	}
+	if lf.remove(aru); lf.versions() == 0 {
+		d.blockTab.drop(lf.id)
 	}
 }
 
-// dropAltList removes al from the same-ID chain of e.
-func (d *LLD) dropAltList(e *listEntry, al *altList) {
-	d.snapDirtyList(e, al.id)
-	e.removeAlt(al)
+// dropListVer removes state aru's version from the window-owned leaf
+// lf.
+func (d *LLD) dropListVer(lf *listLeaf, aru ARUID) {
 	d.stats.AltRecords.Add(-1)
-	if al.aru != seg.SimpleARU {
+	if aru != seg.SimpleARU {
 		d.stats.ShadowRecords.Add(-1)
+	}
+	if lf.remove(aru); lf.versions() == 0 {
+		d.listTab.drop(lf.id)
 	}
 }
 

@@ -121,8 +121,6 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		params:          p,
 		obs:             p.Tracer,
 		dev:             dev,
-		blocks:          make(map[BlockID]*blockEntry),
-		lists:           make(map[ListID]*listEntry),
 		arus:            make(map[ARUID]*aruState),
 		builder:         seg.NewBuilder(layout),
 		segSeq:          make([]uint64, layout.NumSegs),
@@ -133,9 +131,9 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		reuseQuarantine: make(map[int]int),
 		dirtyBlocks:     make(map[BlockID]struct{}),
 		dirtyLists:      make(map[ListID]struct{}),
-		ret:             new(retireSet),
 		segFreeEpoch:    make([]uint64, layout.NumSegs),
 	}
+	d.setRet(new(retireSet))
 	d.gc.cond = sync.NewCond(&d.gc.mu)
 	d.devSh, _ = dev.(sharedReader)
 
@@ -367,20 +365,22 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	d.stats.RecoveredARUs.Store(int64(rpt.ARUsRecovered))
 	d.stats.DroppedARUs.Store(int64(rpt.ARUsDropped))
 
-	// Install reconstructed tables.
+	// Install the reconstructed tables straight into the tries. Every
+	// leaf is born in the first window, so the sweep below edits them in
+	// place, and the one publish at the end exposes them all.
 	for id, rec := range rt.blocks {
-		r := *rec
-		d.blocks[id] = &blockEntry{persist: &r}
-		if r.HasData {
-			d.segLive[r.Seg]++
+		lf := d.blockTab.create(d.epoch+1, uint64(id))
+		lf.hasPersist, lf.persist = true, *rec
+		if rec.HasData {
+			d.segLive[rec.Seg]++
 		}
 		if id >= d.nextBlk {
 			d.nextBlk = id + 1
 		}
 	}
 	for id, rec := range rt.lists {
-		r := *rec
-		d.lists[id] = &listEntry{persist: &r}
+		lf := d.listTab.create(d.epoch+1, uint64(id))
+		lf.hasPersist, lf.persist = true, *rec
 		if id >= d.nextLst {
 			d.nextLst = id + 1
 		}
@@ -447,18 +447,8 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		// exercising the read path observes how mid-replay reads fail.
 		p.RecoveryProbe(d)
 	}
-	// Bootstrap the MVCC read path: freeze every recovered table entry
-	// into the first epoch and publish it, so lock-free readers have a
-	// head before the first client operation. (The consistency sweep
-	// above already marked what it changed; the dedup flags make the
-	// full sweep here cheap and exact.)
-	for id, e := range d.blocks {
-		d.snapDirtyBlock(e, id)
-	}
-	for id, e := range d.lists {
-		d.snapDirtyList(e, id)
-	}
-	d.arusDirty = true
+	// Publish the first epoch, so lock-free readers have a head before
+	// the first client operation.
 	d.publishLocked()
 
 	if d.obs != nil {

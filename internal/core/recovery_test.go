@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"aru/internal/disk"
@@ -558,14 +557,4 @@ func TestTornTailSegmentIgnored(t *testing.T) {
 	if buf[0] != 0x01 {
 		t.Fatalf("torn segment leaked: %#x", buf[0])
 	}
-}
-
-// sortedLists is a helper for deterministic comparison output.
-func sortedLists(m diskState) []ListID {
-	out := make([]ListID, 0, len(m))
-	for l := range m {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

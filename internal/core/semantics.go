@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"aru/internal/seg"
-)
+import "fmt"
 
 // ReadSemantics selects which of the paper's three Read-visibility
 // options (§3.3) the disk system provides. The options differ only in
@@ -40,65 +36,6 @@ func (r ReadSemantics) String() string {
 	default:
 		return fmt.Sprintf("read-semantics(%d)", int(r))
 	}
-}
-
-// readViewFor resolves which state a Read issued under m should see,
-// given the configured semantics. Returns (view, anyShadow): with
-// anyShadow set the caller must scan all shadow versions for the most
-// recent one instead of a single state.
-func (d *LLD) readViewFor(m mode) (ARUID, bool) {
-	switch d.params.ReadSemantics {
-	case ReadAnyShadow:
-		return seg.SimpleARU, true
-	case ReadCommitted:
-		return seg.SimpleARU, false
-	default: // ReadOwnShadow
-		return m.viewID(), false
-	}
-}
-
-// readAnyShadow reads the most recent version of b across every shadow
-// state, falling back to committed and persistent (option 1's "any
-// update is visible to all disk system clients right away").
-func (d *LLD) readAnyShadow(b BlockID, dst []byte) error {
-	e, ok := d.blocks[b]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-	}
-	// Pick the newest live alternative record by write time; shadow
-	// versions of any ARU qualify, as does the committed version.
-	var best *altBlock
-	for ab := e.altHead; ab != nil; ab = ab.nextID {
-		if ab.deleted {
-			continue
-		}
-		if best == nil || ab.rec.TS > best.rec.TS {
-			best = ab
-		}
-	}
-	if best != nil {
-		if best.data != nil {
-			copy(dst, best.data)
-			return nil
-		}
-		if best.rec.HasData {
-			return d.readPhys(best.rec.Seg, best.rec.Slot, dst)
-		}
-		for i := range dst {
-			dst[i] = 0
-		}
-		return nil
-	}
-	if p := e.persist; p != nil {
-		if p.HasData {
-			return d.readPhys(p.Seg, p.Slot, dst)
-		}
-		for i := range dst {
-			dst[i] = 0
-		}
-		return nil
-	}
-	return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
 }
 
 // CommitDurable ends the ARU and flushes, so the unit is not only

@@ -14,16 +14,17 @@ import (
 // Epoch-based MVCC read path (DESIGN.md §16).
 //
 // Every committed mutation publishes a new epoch: an immutable
-// snapshot of the block-map, the list-table and the open-ARU set,
-// built copy-on-write behind a single atomic head pointer. Readers do
-// one atomic load plus a refcount increment and never touch d.mu;
-// writers path-copy the persistent tries (epochmap.go) for the entries
-// they dirtied and swing the head at the durability point of the
+// snapshot of the block-map, the list-table and the open-ARU set
+// behind a single atomic head pointer. Readers do one atomic load plus
+// a refcount increment and never touch d.mu. The tries (epochmap.go)
+// are the engine's only copy of that state: writers clone the leaves
+// they touch on first touch per window (table.edit), path-copy the
+// trie above them, and swing the head at the durability point of the
 // operation. Everything an epoch unshared from its successor — trie
-// nodes, block buffers, per-entry snapshot records, retired segment
-// builders and sealed images — is parked on the epoch's retire-set and
-// recycled into the engine free lists only when the epoch's refcount
-// drains, oldest epoch first. The discipline (atomic head, acquire =
+// nodes and leaves, block buffers, retired segment builders and sealed
+// images — is parked on the epoch's retire-set and recycled into the
+// engine free lists only when the epoch's refcount drains, oldest
+// epoch first. The discipline (atomic head, acquire =
 // load+incref+revalidate, purge-on-drain with a retry counter) follows
 // the bogn snapshot design in bnclabs/gostore.
 //
@@ -51,60 +52,6 @@ type sharedReader interface {
 	ReadAtShared(p []byte, off int64) error
 }
 
-// blockVer is one alternative version of a block frozen into an
-// epoch: the fields of the live altBlock a reader consults, copied by
-// value. The data buffer is shared with the live record — safe because
-// buffers are immutable once installed (Write always installs a fresh
-// buffer) and are recycled only through the retire-set of the epoch
-// that unshared them.
-type blockVer struct {
-	aru     ARUID
-	deleted bool
-	rec     seg.BlockRec
-	data    []byte
-}
-
-// blockSnap is the snapshot image of one blockEntry: the persistent
-// record by value (promote mutates the live one in place) plus the
-// alternative versions in same-identifier chain order, so the first
-// match is the same version findAlt would return.
-type blockSnap struct {
-	hasPersist bool
-	persist    seg.BlockRec
-	vers       []blockVer
-}
-
-func (sn *blockSnap) find(aru ARUID) *blockVer {
-	for i := range sn.vers {
-		if sn.vers[i].aru == aru {
-			return &sn.vers[i]
-		}
-	}
-	return nil
-}
-
-// listVer / listSnap are the list analogues.
-type listVer struct {
-	aru     ARUID
-	deleted bool
-	rec     seg.ListRec
-}
-
-type listSnap struct {
-	hasPersist bool
-	persist    seg.ListRec
-	vers       []listVer
-}
-
-func (sn *listSnap) find(aru ARUID) *listVer {
-	for i := range sn.vers {
-		if sn.vers[i].aru == aru {
-			return &sn.vers[i]
-		}
-	}
-	return nil
-}
-
 // snapSeal pins one sealed-but-unwritten segment image so snapshot
 // readers can serve blocks whose records already point at it.
 type snapSeal struct {
@@ -112,15 +59,14 @@ type snapSeal struct {
 	img []byte
 }
 
-// aruMark is the value type of the open-ARU trie: presence = the ARU
+// aruMark is the record type of the open-ARU table: presence = the ARU
 // exists in this epoch, which mark = whether it is frozen by
-// PrepareARU. (Distinct interface values, not pointers to zero-size
-// objects — those all share one address and would compare equal.)
+// PrepareARU.
 type aruMark int
 
-var (
-	aruOpenVal     any = aruMark(1)
-	aruPreparedVal any = aruMark(2)
+const (
+	aruOpen aruMark = iota
+	aruPrepared
 )
 
 // retireSet collects everything one publish window unshared from the
@@ -128,10 +74,10 @@ var (
 // drained back into the engine free lists when that epoch's refcount
 // reaches zero.
 type retireSet struct {
-	nodes    []*pnode
+	blocks   retired[seg.BlockRec]
+	lists    retired[seg.ListRec]
+	arus     retired[aruMark]
 	bufs     [][]byte
-	bsnaps   []*blockSnap
-	lsnaps   []*listSnap
 	builders []*seg.Builder
 	seals    []*sealedSeg
 }
@@ -149,10 +95,10 @@ type snapshot struct {
 
 	epoch   uint64
 	closed  bool
-	blocks  *pnode // BlockID -> *blockSnap
-	lists   *pnode // ListID  -> *listSnap
-	arus    *pnode // ARUID   -> aruOpenVal | aruPreparedVal
-	nBlocks int    // block-map size at publish (cycle guard bound)
+	blocks  *pnode[seg.BlockRec]
+	lists   *pnode[seg.ListRec]
+	arus    *pnode[aruMark] // the open ARUs
+	nBlocks int             // block-map size at publish (cycle guard bound)
 	variant Variant
 	readSem ReadSemantics
 	bs      int
@@ -207,73 +153,17 @@ func (s *snapshot) release() {
 	}
 }
 
-// snapDirtyBlock marks a block entry as touched since the last
-// publish; its trie leaf is rebuilt at the next publish. The flag
-// dedupes: an id enters the dirty list at most once per window.
-func (d *LLD) snapDirtyBlock(e *blockEntry, id BlockID) {
-	if !e.snapDirty {
-		e.snapDirty = true
-		d.dirtyB = append(d.dirtyB, id)
-	}
-}
-
-// snapDirtyList is the list analogue.
-func (d *LLD) snapDirtyList(e *listEntry, id ListID) {
-	if !e.snapDirty {
-		e.snapDirty = true
-		d.dirtyL = append(d.dirtyL, id)
-	}
-}
-
-// snapGoneBlock records that a block entry was removed from the map.
-// Appends unconditionally (the entry, and its dedup flag, are gone);
-// the publish loop tolerates duplicates.
-func (d *LLD) snapGoneBlock(id BlockID) {
-	d.dirtyB = append(d.dirtyB, id)
-}
-
-// snapGoneList is the list analogue.
-func (d *LLD) snapGoneList(id ListID) {
-	d.dirtyL = append(d.dirtyL, id)
-}
-
-// buildBlockSnap freezes the current state of e into a snapshot
-// record.
-func (d *LLD) buildBlockSnap(e *blockEntry) *blockSnap {
-	sn := d.takeBSnap()
-	if e.persist != nil {
-		sn.hasPersist = true
-		sn.persist = *e.persist
-	}
-	for ab := e.altHead; ab != nil; ab = ab.nextID {
-		sn.vers = append(sn.vers, blockVer{aru: ab.aru, deleted: ab.deleted, rec: ab.rec, data: ab.data})
-	}
-	return sn
-}
-
-func (d *LLD) buildListSnap(e *listEntry) *listSnap {
-	sn := d.takeLSnap()
-	if e.persist != nil {
-		sn.hasPersist = true
-		sn.persist = *e.persist
-	}
-	for al := e.altHead; al != nil; al = al.nextID {
-		sn.vers = append(sn.vers, listVer{aru: al.aru, deleted: al.deleted, rec: al.rec})
-	}
-	return sn
-}
-
-// publishLocked builds and publishes the next epoch from the dirty
-// sets accumulated since the previous publish. Callers hold d.mu and
-// call it only at points where the committed state is op-consistent
-// (operation boundaries, or the maintenance points flagged by
-// d.pubSafe). Publishing is idempotent about staleness: a skipped
-// publish just leaves the dirty sets for the next one.
+// publishLocked publishes the next epoch: the tries already hold every
+// mutation of the window, so publishing is filling the snapshot struct
+// and swinging the head. Callers hold d.mu and call it only at points
+// where the committed state is op-consistent (operation boundaries, or
+// the maintenance points flagged by d.pubSafe).
 func (d *LLD) publishLocked() {
 	if n := d.params.UnsafeStaleHeadEvery; n > 0 && d.head.Load() != nil {
 		// Fault injection for the linearizability harness: silently
 		// drop every n-th publish, serving readers a stale epoch. The
-		// dirty sets survive, so the following publish catches up.
+		// window stays open (d.epoch does not advance), so the
+		// following publish catches up.
 		d.pubSkip++
 		if d.pubSkip%n == 0 {
 			return
@@ -281,69 +171,15 @@ func (d *LLD) publishLocked() {
 	}
 	old := d.head.Load()
 
-	// Rebuild the trie leaves of every entry dirtied this window.
-	for _, id := range d.dirtyB {
-		e, ok := d.blocks[id]
-		if !ok {
-			if v := pmapGet(d.blocksRoot, uint64(id)); v != nil {
-				d.retireBSnap(v.(*blockSnap))
-				d.blocksRoot = d.pmapDelete(d.blocksRoot, uint64(id))
-			}
-			continue
-		}
-		if !e.snapDirty { // duplicate dirty entry, already rebuilt
-			continue
-		}
-		e.snapDirty = false
-		if v := pmapGet(d.blocksRoot, uint64(id)); v != nil {
-			d.retireBSnap(v.(*blockSnap))
-		}
-		d.blocksRoot = d.pmapSet(d.blocksRoot, uint64(id), d.buildBlockSnap(e))
-	}
-	d.dirtyB = d.dirtyB[:0]
-	for _, id := range d.dirtyL {
-		e, ok := d.lists[id]
-		if !ok {
-			if v := pmapGet(d.listsRoot, uint64(id)); v != nil {
-				d.retireLSnap(v.(*listSnap))
-				d.listsRoot = d.pmapDelete(d.listsRoot, uint64(id))
-			}
-			continue
-		}
-		if !e.snapDirty {
-			continue
-		}
-		e.snapDirty = false
-		if v := pmapGet(d.listsRoot, uint64(id)); v != nil {
-			d.retireLSnap(v.(*listSnap))
-		}
-		d.listsRoot = d.pmapSet(d.listsRoot, uint64(id), d.buildListSnap(e))
-	}
-	d.dirtyL = d.dirtyL[:0]
-
-	// The open-ARU set is small; rebuild it wholesale when it changed.
-	if d.arusDirty {
-		d.arusDirty = false
-		d.retireTrie(d.arusRoot)
-		d.arusRoot = nil
-		for id, st := range d.arus {
-			v := aruOpenVal
-			if st.prepared {
-				v = aruPreparedVal
-			}
-			d.arusRoot = d.pmapSet(d.arusRoot, uint64(id), v)
-		}
-	}
-
 	s := d.takeSnap()
 	d.epoch++
 	d.stats.EpochsPublished.Add(1)
 	s.epoch = d.epoch
 	s.closed = d.closed
-	s.blocks = d.blocksRoot
-	s.lists = d.listsRoot
-	s.arus = d.arusRoot
-	s.nBlocks = len(d.blocks)
+	s.blocks = d.blockTab.root
+	s.lists = d.listTab.root
+	s.arus = d.aruTab.root
+	s.nBlocks = d.blockTab.n
 	s.variant = d.params.Variant
 	s.readSem = d.params.ReadSemantics
 	s.bs = d.params.Layout.BlockSize
@@ -388,7 +224,7 @@ func (d *LLD) publishLocked() {
 	// gone.
 	old.ret = d.ret
 	old.next = s
-	d.ret = d.takeRet()
+	d.setRet(d.takeRet())
 	d.purgeLocked()
 }
 
@@ -447,26 +283,14 @@ func (d *LLD) freeSnapshot(s *snapshot) {
 // drainRet recycles every object of a drained retire-set into the
 // engine free lists, emptying the set in place. Caller holds d.mu.
 func (d *LLD) drainRet(r *retireSet) {
-	for i, n := range r.nodes {
-		d.freeNode(n)
-		r.nodes[i] = nil
-	}
-	r.nodes = r.nodes[:0]
+	d.blockTab.drain(&r.blocks)
+	d.listTab.drain(&r.lists)
+	d.aruTab.drain(&r.arus)
 	for i, b := range r.bufs {
 		d.recycleBuf(b)
 		r.bufs[i] = nil
 	}
 	r.bufs = r.bufs[:0]
-	for i, sn := range r.bsnaps {
-		d.recycleBSnap(sn)
-		r.bsnaps[i] = nil
-	}
-	r.bsnaps = r.bsnaps[:0]
-	for i, sn := range r.lsnaps {
-		d.recycleLSnap(sn)
-		r.lsnaps[i] = nil
-	}
-	r.lsnaps = r.lsnaps[:0]
 	for i, b := range r.builders {
 		d.recycleBuilder(b)
 		r.builders[i] = nil
@@ -479,18 +303,10 @@ func (d *LLD) drainRet(r *retireSet) {
 	r.seals = r.seals[:0]
 }
 
-// retireTrie retires every node of a trie (the open-ARU table is
-// rebuilt wholesale rather than path-copied).
-func (d *LLD) retireTrie(n *pnode) {
-	if n == nil {
-		return
-	}
-	if !n.leaf {
-		for _, c := range n.kids {
-			d.retireTrie(c)
-		}
-	}
-	d.retireNode(n)
+// setRet installs r as the retire-set of the current window.
+func (d *LLD) setRet(r *retireSet) {
+	d.ret = r
+	d.blockTab.ret, d.listTab.ret, d.aruTab.ret = &r.blocks, &r.lists, &r.arus
 }
 
 // Retire-set pools. All caller-holds-d.mu.
@@ -521,80 +337,27 @@ func (d *LLD) takeSnap() *snapshot {
 	return new(snapshot)
 }
 
-func (d *LLD) takeBSnap() *blockSnap {
-	if n := len(d.freeBSnaps); n > 0 {
-		sn := d.freeBSnaps[n-1]
-		d.freeBSnaps[n-1] = nil
-		d.freeBSnaps = d.freeBSnaps[:n-1]
-		return sn
-	}
-	return new(blockSnap)
-}
-
-func (d *LLD) retireBSnap(sn *blockSnap) {
-	d.ret.bsnaps = append(d.ret.bsnaps, sn)
-}
-
-func (d *LLD) recycleBSnap(sn *blockSnap) {
-	for i := range sn.vers {
-		sn.vers[i] = blockVer{}
-	}
-	sn.vers = sn.vers[:0]
-	sn.hasPersist = false
-	sn.persist = seg.BlockRec{}
-	if len(d.freeBSnaps) < maxFreeEntrySnaps {
-		d.freeBSnaps = append(d.freeBSnaps, sn)
-	}
-}
-
-func (d *LLD) takeLSnap() *listSnap {
-	if n := len(d.freeLSnaps); n > 0 {
-		sn := d.freeLSnaps[n-1]
-		d.freeLSnaps[n-1] = nil
-		d.freeLSnaps = d.freeLSnaps[:n-1]
-		return sn
-	}
-	return new(listSnap)
-}
-
-func (d *LLD) retireLSnap(sn *listSnap) {
-	d.ret.lsnaps = append(d.ret.lsnaps, sn)
-}
-
-func (d *LLD) recycleLSnap(sn *listSnap) {
-	for i := range sn.vers {
-		sn.vers[i] = listVer{}
-	}
-	sn.vers = sn.vers[:0]
-	sn.hasPersist = false
-	sn.persist = seg.ListRec{}
-	if len(d.freeLSnaps) < maxFreeEntrySnaps {
-		d.freeLSnaps = append(d.freeLSnaps, sn)
-	}
-}
-
 const (
-	maxFreeRets       = 8
-	maxFreeSnaps      = 16
-	maxFreeEntrySnaps = 2048
+	maxFreeRets  = 8
+	maxFreeSnaps = 16
 )
 
 // ---------------------------------------------------------------------
-// Snapshot read paths. These replicate the locked read paths exactly —
-// same search order, same error strings — against the frozen tries.
+// Snapshot read paths: the engine's own version search (leaf.resolve)
+// against the frozen tries.
 // ---------------------------------------------------------------------
 
 // viewFor resolves the state Reads under aru should consult in this
-// epoch, mirroring modeFor + mode.viewID for the read-only case.
+// epoch, mirroring modeFor for the read-only case.
 func (s *snapshot) viewFor(aru ARUID) (ARUID, error) {
 	if aru == seg.SimpleARU {
 		return seg.SimpleARU, nil
 	}
-	v := pmapGet(s.arus, uint64(aru))
-	if v == nil {
+	e := pmapGet(s.arus, uint64(aru))
+	if e == nil {
 		return 0, fmt.Errorf("%w: %d", ErrNoSuchARU, aru)
 	}
-	if v == aruPreparedVal {
+	if e.persist == aruPrepared {
 		return 0, fmt.Errorf("%w: %d", ErrARUPrepared, aru)
 	}
 	if s.variant == VariantOld {
@@ -604,91 +367,45 @@ func (s *snapshot) viewFor(aru ARUID) (ARUID, error) {
 }
 
 // readBlock reads b as seen from view under this epoch's configured
-// read semantics; view must come from viewFor.
+// read semantics (paper §3.3); view must come from viewFor.
 func (s *snapshot) readBlock(view ARUID, b BlockID, dst []byte) error {
+	lf := pmapGet(s.blocks, uint64(b))
+	if lf == nil {
+		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
+	}
+	var v *blockVer // the version to read; nil = the persistent one
+	ok := true
 	switch s.readSem {
 	case ReadAnyShadow:
-		return s.readAny(b, dst)
-	case ReadCommitted:
-		return s.readView(b, seg.SimpleARU, dst)
-	default: // ReadOwnShadow
-		return s.readView(b, view, dst)
-	}
-}
-
-// readView is the snapshot analogue of LLD.readView: shadow version of
-// the view, else committed, else persistent.
-func (s *snapshot) readView(b BlockID, view ARUID, dst []byte) error {
-	v := pmapGet(s.blocks, uint64(b))
-	if v == nil {
-		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-	}
-	sn := v.(*blockSnap)
-	if view != seg.SimpleARU {
-		if ver := sn.find(view); ver != nil {
-			if ver.deleted {
-				return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
+		// Option 1: the newest live alternative by write timestamp
+		// across every state (the youngest version wins a tie), falling
+		// back to persistent.
+		for i := len(lf.vers) - 1; i >= 0; i-- {
+			if c := &lf.vers[i]; !c.deleted && (v == nil || c.rec.TS > v.rec.TS) {
+				v = c
 			}
-			return s.readVer(ver, dst)
 		}
+		ok = v != nil || lf.hasPersist
+	case ReadCommitted:
+		v, ok = lf.resolve(seg.SimpleARU)
+	default: // ReadOwnShadow
+		v, ok = lf.resolve(view)
 	}
-	if ver := sn.find(seg.SimpleARU); ver != nil {
-		if ver.deleted {
-			return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-		}
-		return s.readVer(ver, dst)
-	}
-	if sn.hasPersist {
-		if sn.persist.HasData {
-			return s.readPhys(sn.persist.Seg, sn.persist.Slot, dst)
-		}
-		zeroFill(dst)
-		return nil
-	}
-	return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-}
-
-// readAny is the snapshot analogue of LLD.readAnyShadow: the newest
-// live alternative by write timestamp across every state, falling back
-// to persistent.
-func (s *snapshot) readAny(b BlockID, dst []byte) error {
-	v := pmapGet(s.blocks, uint64(b))
-	if v == nil {
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
 	}
-	sn := v.(*blockSnap)
-	var best *blockVer
-	for i := range sn.vers {
-		ver := &sn.vers[i]
-		if ver.deleted {
-			continue
-		}
-		if best == nil || ver.rec.TS > best.rec.TS {
-			best = ver
-		}
+	rec, data := &lf.persist, []byte(nil)
+	if v != nil {
+		rec, data = &v.rec, v.data
 	}
-	if best != nil {
-		return s.readVer(best, dst)
-	}
-	if sn.hasPersist {
-		if sn.persist.HasData {
-			return s.readPhys(sn.persist.Seg, sn.persist.Slot, dst)
-		}
+	switch {
+	case data != nil:
+		copy(dst, data)
+	case rec.HasData:
+		return s.readPhys(rec.Seg, rec.Slot, dst)
+	default:
 		zeroFill(dst)
-		return nil
 	}
-	return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-}
-
-func (s *snapshot) readVer(ver *blockVer, dst []byte) error {
-	if ver.data != nil {
-		copy(dst, ver.data)
-		return nil
-	}
-	if ver.rec.HasData {
-		return s.readPhys(ver.rec.Seg, ver.rec.Slot, dst)
-	}
-	zeroFill(dst)
 	return nil
 }
 
@@ -737,72 +454,18 @@ func (s *snapshot) readPhys(segIdx, slot uint32, dst []byte) error {
 	return nil
 }
 
-// viewBlockRec / viewListRec are the snapshot analogues of
-// LLD.viewBlock / LLD.viewList.
-func (s *snapshot) viewBlockRec(b BlockID, view ARUID) (seg.BlockRec, bool) {
-	v := pmapGet(s.blocks, uint64(b))
-	if v == nil {
-		return seg.BlockRec{}, false
-	}
-	sn := v.(*blockSnap)
-	if view != seg.SimpleARU {
-		if ver := sn.find(view); ver != nil {
-			if ver.deleted {
-				return seg.BlockRec{}, false
-			}
-			return ver.rec, true
-		}
-	}
-	if ver := sn.find(seg.SimpleARU); ver != nil {
-		if ver.deleted {
-			return seg.BlockRec{}, false
-		}
-		return ver.rec, true
-	}
-	if sn.hasPersist {
-		return sn.persist, true
-	}
-	return seg.BlockRec{}, false
-}
-
-func (s *snapshot) viewListRec(l ListID, view ARUID) (seg.ListRec, bool) {
-	v := pmapGet(s.lists, uint64(l))
-	if v == nil {
-		return seg.ListRec{}, false
-	}
-	sn := v.(*listSnap)
-	if view != seg.SimpleARU {
-		if ver := sn.find(view); ver != nil {
-			if ver.deleted {
-				return seg.ListRec{}, false
-			}
-			return ver.rec, true
-		}
-	}
-	if ver := sn.find(seg.SimpleARU); ver != nil {
-		if ver.deleted {
-			return seg.ListRec{}, false
-		}
-		return ver.rec, true
-	}
-	if sn.hasPersist {
-		return sn.persist, true
-	}
-	return seg.ListRec{}, false
-}
-
-// listBlocks walks lst in view order, with the same chain-break and
-// cycle diagnostics as the locked path (the cycle bound uses the
-// block-map size frozen at publish).
+// listBlocks walks lst in view order, with chain-break and cycle
+// diagnostics (the cycle bound uses the block-map size frozen at
+// publish).
 func (s *snapshot) listBlocks(view ARUID, lst ListID) ([]BlockID, error) {
-	lrec, ok := s.viewListRec(lst, view)
+	lrec, ok := viewRec(s.lists, uint64(lst), view)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchList, lst)
 	}
 	var out []BlockID
 	for cur := lrec.First; cur != NilBlock; {
 		out = append(out, cur)
-		crec, ok := s.viewBlockRec(cur, view)
+		crec, ok := viewRec(s.blocks, uint64(cur), view)
 		if !ok {
 			return nil, fmt.Errorf("lld: list %d chain broken at block %d", lst, cur)
 		}
@@ -817,10 +480,9 @@ func (s *snapshot) listBlocks(view ARUID, lst ListID) ([]BlockID, error) {
 // listIDs returns the lists visible in view, ascending.
 func (s *snapshot) listIDs(view ARUID) []ListID {
 	var out []ListID
-	pmapWalk(s.lists, func(key uint64, _ any) bool {
-		id := ListID(key)
-		if _, ok := s.viewListRec(id, view); ok {
-			out = append(out, id)
+	pmapWalk(s.lists, func(lf *listLeaf) bool {
+		if _, ok := lf.resolve(view); ok {
+			out = append(out, ListID(lf.id))
 		}
 		return true
 	})

@@ -4,11 +4,10 @@ import "sync/atomic"
 
 // lldStats is the engine-internal, atomically updated mirror of Stats.
 //
-// Counters live in sync/atomic cells so that operations holding only
-// the read lock (Read, and the inspection paths of check.go) can count
-// without contending on — or racing with — each other. Writers update
-// them under the write lock, but through the same atomic cells, so a
-// Stats snapshot taken under the read lock never tears.
+// Counters live in sync/atomic cells so that lock-free readers (Read
+// counts Reads and the cache counters) can count without contending on
+// — or racing with — each other. Writers update them under the write
+// lock, but through the same atomic cells, so no load ever tears.
 //
 // Field names match Stats one-for-one; snapshot() is the only
 // conversion point, so adding a counter fails to compile until both

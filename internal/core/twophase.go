@@ -82,15 +82,17 @@ func (d *LLD) PrepareARUTraced(aru ARUID, txn uint64, sc obs.SpanContext) error 
 	// inherits the physical location (the buffer is released). After
 	// this loop the unit's contents live only in the log, exactly where
 	// recovery can find them.
-	for ab := st.shadowBlocks; ab != nil; ab = ab.nextState {
+	for i := len(st.shadowBlocks) - 1; i >= 0; i-- {
+		id := st.shadowBlocks[i]
+		ab := pmapGet(d.blockTab.root, uint64(id)).find(aru)
 		if ab.deleted || ab.data == nil {
 			continue
 		}
-		segIdx, slot, err := d.appendBlockWrite(aru, ab.rec.TS, ab.id, ab.rec.List, ab.data)
+		segIdx, slot, err := d.appendBlockWrite(aru, ab.rec.TS, id, ab.rec.List, ab.data)
 		if err != nil {
 			return err
 		}
-		d.setBlockPhys(ab, segIdx, slot, aru)
+		d.setBlockPhys(d.editBlock(id).find(aru), segIdx, slot, aru)
 	}
 
 	// Pre-log the list-operation log as tagged entries, from the
@@ -150,7 +152,8 @@ func (d *LLD) PrepareARUTraced(aru ARUID, txn uint64, sc obs.SpanContext) error 
 	pts := d.tick()
 	d.pendingCommits = append(d.pendingCommits, seg.Entry{Kind: seg.KindPrepare, ARU: aru, TS: pts, Txn: txn})
 	st.prepared, st.prepTxn = true, txn
-	d.arusDirty = true // the view must start rejecting reads under aru
+	// The view must start rejecting reads under aru.
+	d.aruTab.edit(d.epoch+1, uint64(aru)).persist = aruPrepared
 	d.stats.ARUsPrepared.Add(1)
 	d.obs.Emit(obs.EvARUPrepare, uint64(aru), txn, 0)
 	if spanID != 0 {

@@ -1,0 +1,94 @@
+package core
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestVerifyInternalCatchesCorruption tests the checker itself: with a
+// pinned shadow version and a buffered committed version in the tables,
+// each planted inconsistency — a pin count, a same-state chain, a gauge,
+// an entry counter, the committed-buffer count — must fail
+// VerifyInternal, and undoing it must pass again.
+func TestVerifyInternalCatchesCorruption(t *testing.T) {
+	d, _ := newTestLLD(t, Params{})
+	defer d.Close()
+	lst, _ := d.NewList(0)
+	b1, _ := d.NewBlock(0, lst, NilBlock)
+	b2, _ := d.NewBlock(0, lst, b1)
+	if err := d.Write(0, b1, fill(d, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := d.BeginARU()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unlinking b1 inside the ARU copies its persistent record — data
+	// location included — into a shadow version, which pins the segment.
+	if err := d.MoveBlock(a, b1, lst, b2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(0, b2, fill(d, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	st := d.arus[a]
+	pinned := -1
+	for s, n := range d.segPins {
+		if n > 0 {
+			pinned = s
+		}
+	}
+	if pinned < 0 || len(st.shadowBlocks) == 0 || len(d.commBlocks) == 0 {
+		t.Fatalf("setup has no pin (%d), shadow chain (%v) or committed chain (%v)", pinned, st.shadowBlocks, d.commBlocks)
+	}
+
+	for _, c := range []struct {
+		name, want  string
+		plant, undo func()
+	}{
+		{"leaked pin", "pin count",
+			func() { d.segPins[pinned]++ }, func() { d.segPins[pinned]-- }},
+		{"dropped pin", "pin count",
+			func() { d.segPins[pinned]-- }, func() { d.segPins[pinned]++ }},
+		{"version missing from the committed chain", "same-state chains",
+			func() { d.commBlocks = d.commBlocks[:len(d.commBlocks)-1] },
+			func() { d.commBlocks = d.commBlocks[:len(d.commBlocks)+1] }},
+		{"version twice on the shadow chain", "same-state chains",
+			func() { st.shadowBlocks = append(st.shadowBlocks, st.shadowBlocks[0]) },
+			func() { st.shadowBlocks = st.shadowBlocks[:len(st.shadowBlocks)-1] }},
+		{"chain names a version that does not exist", "do not exist",
+			func() { d.commLists = append(d.commLists, 4000) },
+			func() { d.commLists = d.commLists[:len(d.commLists)-1] }},
+		{"touched list names an ungated version", "not gated",
+			func() { st.touched = append(st.touched, b2) },
+			func() { st.touched = st.touched[:0] }},
+		{"gauge drift", "gauges",
+			func() { d.stats.AltRecords.Add(1) }, func() { d.stats.AltRecords.Add(-1) }},
+		{"entry counter drift", "entry counters",
+			func() { d.blockTab.n++ }, func() { d.blockTab.n-- }},
+		{"committed-buffer drift", "committed buffers",
+			func() { d.commBufBlocks++ }, func() { d.commBufBlocks-- }},
+	} {
+		d.mu.Lock()
+		c.plant()
+		d.mu.Unlock()
+		if err := d.VerifyInternal(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: VerifyInternal = %v, want an error naming %q", c.name, err, c.want)
+		}
+		d.mu.Lock()
+		c.undo()
+		d.mu.Unlock()
+		if err := d.VerifyInternal(); err != nil {
+			t.Fatalf("%s undone: %v", c.name, err)
+		}
+	}
+	if err := d.AbortARU(a); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -336,14 +335,4 @@ func TestMTimeAdvances(t *testing.T) {
 	if m2 := read(); m2 <= m1 {
 		t.Fatalf("remove did not advance mtime: %d -> %d", m1, m2)
 	}
-}
-
-// sortedNames is a helper used by equivalence checks.
-func sortedNames(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

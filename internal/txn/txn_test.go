@@ -29,13 +29,12 @@ func newTestManager(t *testing.T) (*Manager, *core.LLD, *disk.Sim) {
 }
 
 // account helpers: one block per account, balance in the first 8 bytes.
-func putBalance(t *testing.T, tx *Txn, b core.BlockID, v uint64, bsize int) {
-	t.Helper()
+// putBalance returns the write's error — inside Manager.Run it must
+// reach Run, which retries the wait-die aborts.
+func putBalance(tx *Txn, b core.BlockID, v uint64, bsize int) error {
 	buf := make([]byte, bsize)
 	binary.LittleEndian.PutUint64(buf, v)
-	if err := tx.Write(b, buf); err != nil {
-		t.Fatal(err)
-	}
+	return tx.Write(b, buf)
 }
 
 func getBalance(tx *Txn, b core.BlockID, bsize int) (uint64, error) {
@@ -60,8 +59,7 @@ func TestCommitAndRollback(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		putBalance(t, tx, acct, 100, bs)
-		return nil
+		return putBalance(tx, acct, 100, bs)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +70,9 @@ func TestCommitAndRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putBalance(t, tx, acct, 999, bs)
+	if err := putBalance(tx, acct, 999, bs); err != nil {
+		t.Fatal(err)
+	}
 	if v, _ := getBalance(tx, acct, bs); v != 999 {
 		t.Fatalf("transaction does not read its own write: %d", v)
 	}
@@ -117,7 +117,9 @@ func TestBankConservation(t *testing.T) {
 				return err
 			}
 			ids[i] = b
-			putBalance(t, tx, b, perAccount, bs)
+			if err := putBalance(tx, b, perAccount, bs); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
@@ -152,9 +154,10 @@ func TestBankConservation(t *testing.T) {
 					if fv < amount {
 						return nil // insufficient funds: no-op
 					}
-					putBalance(t, tx, from, fv-amount, bs)
-					putBalance(t, tx, to, tv+amount, bs)
-					return nil
+					if err := putBalance(tx, from, fv-amount, bs); err != nil {
+						return err
+					}
+					return putBalance(tx, to, tv+amount, bs)
 				})
 				if err != nil {
 					errCh <- fmt.Errorf("worker %d transfer %d: %w", w, i, err)
@@ -211,8 +214,7 @@ func TestLostUpdatePrevented(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		putBalance(t, tx, ctr, 0, bs)
-		return nil
+		return putBalance(tx, ctr, 0, bs)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +233,7 @@ func TestLostUpdatePrevented(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					putBalance(t, tx, ctr, v+1, bs)
-					return nil
+					return putBalance(tx, ctr, v+1, bs)
 				})
 				if err != nil {
 					t.Error(err)
@@ -269,16 +270,14 @@ func TestDurableCommitSurvivesCrash(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		putBalance(t, tx, acct, 777, bs)
-		return nil
+		return putBalance(tx, acct, 777, bs)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Non-durable follow-up.
 	if err := m.Run(false, func(tx *Txn) error {
-		putBalance(t, tx, acct, 888, bs)
-		return nil
+		return putBalance(tx, acct, 888, bs)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +310,7 @@ func TestWaitDieMakesProgress(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		putBalance(t, tx, hot, 0, bs)
-		return nil
+		return putBalance(tx, hot, 0, bs)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,8 +326,7 @@ func TestWaitDieMakesProgress(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					putBalance(t, tx, hot, v+1, bs)
-					return nil
+					return putBalance(tx, hot, v+1, bs)
 				}); err != nil {
 					t.Error(err)
 					return
@@ -364,8 +361,7 @@ func TestReadSharing(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		putBalance(t, tx, b, 5, bs)
-		return nil
+		return putBalance(tx, b, 5, bs)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -479,8 +475,7 @@ func TestLockUpgrade(t *testing.T) {
 		if _, err := getBalance(tx, b, bs); err != nil { // S lock
 			return err
 		}
-		putBalance(t, tx, b, 7, bs) // upgrade to X
-		return nil
+		return putBalance(tx, b, 7, bs) // upgrade to X
 	}); err != nil {
 		t.Fatal(err)
 	}
