@@ -104,6 +104,55 @@ func TestAllocsARUWriteCommit(t *testing.T) {
 	alloctest.Check(t, "ARU write+commit", 2, 200, op)
 }
 
+// TestAllocsARUCommitAcrossSeals gates the block data path across
+// segment seals. The gates above rewrite the same few blocks, which
+// replace each other in memory and hardly ever reach a segment; here
+// every unit writes three of 1 024 distinct blocks, so every write is
+// materialized, and the measured region spans several seals. In steady
+// state a block's buffer moves free list → version → cache entry →
+// retire-set → free list without a copy into fresh memory (DESIGN.md
+// §12): what is left per unit is the three cache-entry headers and the
+// amortized per-seal bookkeeping — against ≈12 KB per unit when every
+// materialized block was copied into a new cache entry.
+func TestAllocsARUCommitAcrossSeals(t *testing.T) {
+	d := gateDisk(t, 256)
+	lst, _ := d.NewList(aru.Simple)
+	blks := make([]aru.BlockID, 1024)
+	for i := range blks {
+		blks[i], _ = d.NewBlock(aru.Simple, lst, aru.NilBlock)
+	}
+	buf := make([]byte, d.BlockSize())
+	next := 0
+	op := func() {
+		a, err := d.BeginARU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[0]++
+		for k := 0; k < 3; k++ {
+			if err := d.Write(a, blks[next%len(blks)], buf); err != nil {
+				t.Fatal(err)
+			}
+			next += 7 // coprime to the block count: distinct blocks within a segment
+		}
+		if err := d.EndARU(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm up past a full cache (1 024 entries) and a few recycled
+	// builders, so the free lists are at their steady-state size.
+	for i := 0; i < 1500; i++ {
+		op()
+	}
+	const units = 400 // ≈ 9 segments of 127 blocks
+	seals := d.Stats().SegmentsWritten
+	alloctest.Check(t, "ARU commit across seals", 5, units, op)
+	alloctest.CheckBytes(t, "ARU commit across seals", 1024, units, op)
+	if n := d.Stats().SegmentsWritten - seals; n < 4 {
+		t.Fatalf("the measured region sealed %d segments, want at least 4", n)
+	}
+}
+
 // TestAllocsCommitDurable gates the durable commit: begin, one block
 // write, EndARU plus a device sync through the group-commit broker.
 // The sealed-segment bookkeeping, spare builders and commit-stamp

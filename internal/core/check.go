@@ -157,10 +157,12 @@ type verKey struct {
 // acyclic and well-terminated in every state and Last pointers are
 // correct; per-segment live and pin counts, the entry counters, the
 // version gauges and the committed-buffer count equal what the tables
-// hold; and the same-state chains name exactly the versions present —
+// hold; the same-state chains name exactly the versions present —
 // every version on exactly one chain, every gated committed version on
-// exactly one open ARU's touched list. It is exported for tests and
-// the fsck tool.
+// exactly one open ARU's touched list; and every block buffer has one
+// owner — nothing a cache entry holds is also in a version slot, on the
+// free list or on a retire-set. It is exported for tests and the fsck
+// tool.
 func (d *LLD) VerifyInternal() error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -254,6 +256,39 @@ func (d *LLD) VerifyInternal() error {
 			delete(gated, k)
 		}
 	}
+	// The buffers the cache table owns, for the one-owner rule (pool.go).
+	cached := make(map[*byte]physKey)
+	if d.cache != nil {
+		for i := range d.cache.slots {
+			if e := d.cache.slots[i].Load(); e != nil && len(e.data) != 0 {
+				if k, dup := cached[&e.data[0]]; dup {
+					fail("cache entries %+v and %+v share one buffer", k, e.key)
+				}
+				cached[&e.data[0]] = e.key
+			}
+		}
+	}
+	notCached := func(b []byte, where string) {
+		if len(b) != 0 {
+			if k, ok := cached[&b[0]]; ok {
+				fail("the buffer of cache entry %+v is also %s", k, where)
+			}
+		}
+	}
+	for _, b := range d.freeBufs {
+		notCached(b, "on the free list")
+	}
+	for _, b := range d.ret.bufs {
+		notCached(b, "on the current retire-set")
+	}
+	for s := d.snapOldest; s != nil; s = s.next {
+		if s.ret != nil {
+			for _, b := range s.ret.bufs {
+				notCached(b, "on a retired epoch's retire-set")
+			}
+		}
+	}
+
 	live := make([]int32, d.params.Layout.NumSegs)
 	pins := make([]int32, d.params.Layout.NumSegs)
 	nBlocks, nLists, bufs := 0, 0, 0
@@ -273,6 +308,8 @@ func (d *LLD) VerifyInternal() error {
 			if v.aru == seg.SimpleARU && v.prevData != nil {
 				bufs++
 			}
+			notCached(v.data, "a version's data")
+			notCached(v.prevData, "a version's stashed data")
 			present(verKey{false, lf.id, v.aru}, uint64(v.rec.ID), v.commitTS)
 		}
 		return err == nil

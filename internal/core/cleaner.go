@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"aru/internal/obs"
@@ -48,9 +49,10 @@ func (d *LLD) cleanLocked(target int) int {
 
 	const batch = 8 // victims relocated per flush/checkpoint cycle
 	groups := &d.cleanGroups
+	visited := d.cleanVisited
 	for d.reusableCount() < target {
 		before := d.reusableCount()
-		visited := make(map[int]bool)
+		clear(visited)
 		relocated := 0
 		groups.built = false
 		for relocated < batch {
@@ -168,15 +170,18 @@ func (d *LLD) liveIn(s int, id BlockID) *blockLeaf {
 	return lf
 }
 
+// victimCand is one cleaning candidate of pickVictim (scratch kept
+// across passes in d.cleanCands).
+type victimCand struct {
+	s     int
+	live  int32
+	score float64
+}
+
 // pickVictim selects the next segment to clean according to the
 // configured policy, skipping segments already relocated this cycle.
 func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
-	type cand struct {
-		s     int
-		live  int32
-		score float64
-	}
-	var cands []cand
+	cands := d.cleanCands[:0]
 	for s := 0; s < d.params.Layout.NumSegs; s++ {
 		if exclude[s] || s == d.curSeg || d.segSeq[s] == 0 || d.segSeq[s] > d.ckptSeq ||
 			d.segPins[s] != 0 || d.segLive[s] == 0 {
@@ -189,8 +194,9 @@ func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
 		u := float64(d.segLive[s]) / float64(d.params.Layout.BlocksPerSeg())
 		age := float64(d.nextSeq - d.segSeq[s])
 		score := (1 - u) * age / (1 + u)
-		cands = append(cands, cand{s: s, live: d.segLive[s], score: score})
+		cands = append(cands, victimCand{s: s, live: d.segLive[s], score: score})
 	}
+	d.cleanCands = cands
 	if len(cands) == 0 {
 		return 0, false
 	}
@@ -215,21 +221,23 @@ func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
 // placement moves.
 func (d *LLD) relocateSegment(s int, group []BlockID) error {
 	// Deterministic order keeps runs reproducible.
-	sort.Slice(group, func(i, j int) bool { return group[i] < group[j] })
-	buf := make([]byte, d.params.Layout.BlockSize)
+	slices.Sort(group)
 	for _, id := range group {
 		lf := d.liveIn(s, id)
 		if lf == nil || len(lf.vers) != 0 {
 			continue // changed underneath us by an earlier relocation flush
 		}
-		if err := d.readPhys(lf.persist.Seg, lf.persist.Slot, buf); err != nil {
-			return err
-		}
+		rec := lf.persist // lf does not survive the seal ensureRoom may run
 		ts := d.tick()
-		segIdx, slot, err := d.appendBlockWrite(seg.SimpleARU, ts, id, lf.persist.List, buf)
-		if err != nil {
+		if err := d.ensureRoom(1, 1); err != nil {
 			return err
 		}
+		// One copy: the block is read straight into the open builder's
+		// next data slot, which is added only once the read succeeded.
+		if err := d.readPhys(rec.Seg, rec.Slot, d.builder.ReserveBlock()); err != nil {
+			return err
+		}
+		segIdx, slot := d.commitBlockWrite(seg.SimpleARU, ts, id, rec.List)
 		cb, ok := d.writableBlock(id, seg.SimpleARU, nil)
 		if !ok {
 			return fmt.Errorf("%w: %d during relocation", ErrNoSuchBlock, id)

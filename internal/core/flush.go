@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aru/internal/obs"
@@ -283,10 +284,10 @@ func (d *LLD) checkpointLocked() error {
 // sortCkptRec puts a chain record's tables into canonical ID order so
 // encodings are deterministic.
 func sortCkptRec(r *seg.CkptRec) {
-	sort.Slice(r.Blocks, func(i, j int) bool { return r.Blocks[i].ID < r.Blocks[j].ID })
-	sort.Slice(r.Lists, func(i, j int) bool { return r.Lists[i].ID < r.Lists[j].ID })
-	sort.Slice(r.DelBlocks, func(i, j int) bool { return r.DelBlocks[i] < r.DelBlocks[j] })
-	sort.Slice(r.DelLists, func(i, j int) bool { return r.DelLists[i] < r.DelLists[j] })
+	slices.SortFunc(r.Blocks, func(a, b seg.BlockRec) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(r.Lists, func(a, b seg.ListRec) int { return cmp.Compare(a.ID, b.ID) })
+	slices.Sort(r.DelBlocks)
+	slices.Sort(r.DelLists)
 }
 
 // Close flushes, checkpoints if possible (no open ARUs), and marks the

@@ -463,7 +463,11 @@ type LLD struct {
 	matScratch  []matItem
 	matSort     matSorter
 	cleanGroups segGroups
-	gcWork      []*sealedSeg
+	// Cleaner scratch kept across passes: the victims relocated in the
+	// current cycle, and pickVictim's candidate list.
+	cleanVisited map[int]bool
+	cleanCands   []victimCand
+	gcWork       []*sealedSeg
 
 	// MVCC epoch state (snapshot.go, DESIGN.md §16). head is the only
 	// field lock-free readers load; everything else is guarded by mu

@@ -80,13 +80,23 @@ func (d *LLD) appendEntry(e seg.Entry) error {
 
 // appendBlockWrite appends one block of data plus its write entry to
 // the current segment (as a unit, so the entry always describes a slot
-// of the same segment). It returns the physical location. Used by the
-// cleaner; client writes go through in-memory buffers instead.
+// of the same segment). It returns the physical location. Used by
+// PrepareARU; client writes go through in-memory buffers instead, and
+// the cleaner fills the reserved slot itself (relocateSegment).
 func (d *LLD) appendBlockWrite(aru ARUID, ts uint64, id BlockID, lst ListID, data []byte) (segIdx, slot uint32, err error) {
 	if err := d.ensureRoom(1, 1); err != nil {
 		return 0, 0, err
 	}
-	slot = d.builder.AddBlock(data)
+	copy(d.builder.ReserveBlock(), data)
+	segIdx, slot = d.commitBlockWrite(aru, ts, id, lst)
+	return segIdx, slot, nil
+}
+
+// commitBlockWrite adds the data slot the caller reserved in the open
+// builder and filled (after ensureRoom(1, 1)) together with its write
+// entry, and returns the physical location.
+func (d *LLD) commitBlockWrite(aru ARUID, ts uint64, id BlockID, lst ListID) (segIdx, slot uint32) {
+	slot = d.builder.CommitBlock()
 	d.builder.AddEntry(seg.Entry{
 		Kind:  seg.KindWrite,
 		ARU:   aru,
@@ -96,7 +106,7 @@ func (d *LLD) appendBlockWrite(aru ARUID, ts uint64, id BlockID, lst ListID, dat
 		Slot:  slot,
 	})
 	d.stats.EntriesLogged.Add(1)
-	return uint32(d.curSeg), slot, nil
+	return uint32(d.curSeg), slot
 }
 
 // materializeCommitted moves every buffered committed-state version
@@ -142,16 +152,16 @@ func (d *LLD) materializeCommitted() {
 		})
 		d.stats.EntriesLogged.Add(1)
 		d.stats.BlocksMaterialized.Add(1)
-		if d.cache != nil {
-			// The data is in hand; future reads of the new location
-			// must not pay a disk access for contents we just wrote.
-			d.cache.put(uint32(d.curSeg), slot, it.data)
-		}
+		// The version gives its buffer up for the physical location, and
+		// the buffer — the very bytes just written — becomes the cache
+		// entry of that location: future reads of it must not pay a disk
+		// access, and the hand-over must not pay a copy.
 		ab := d.editBlock(it.id).find(seg.SimpleARU)
 		if it.prev {
 			d.stats.PrevVersionsEmitted.Add(1)
-			d.dropPrevData(ab)
+			d.cacheAdopt(uint32(d.curSeg), slot, d.takeBuf(ab, &ab.prevData))
 		} else {
+			d.cacheAdopt(uint32(d.curSeg), slot, d.takeBuf(ab, &ab.data))
 			d.setBlockPhys(ab, uint32(d.curSeg), slot, it.tag)
 		}
 	}
@@ -227,36 +237,55 @@ func (d *LLD) writeCurSeg() error {
 		return err
 	}
 	d.curSeg = next
-	d.freeCache = d.reusableCount()
-	d.maybeMaintain()
-	d.freeCache = d.reusableCount()
+	// One O(NumSegs) scan per segment write, shared with maintenance.
+	free := d.reusableCount()
+	if d.canMaintain() {
+		free = d.maintain(free)
+	}
+	d.freeCache = free
 	return nil
 }
 
-// maybeMaintain runs background maintenance after a segment write:
-// automatic checkpoints and the cleaner. Both are skipped while an ARU
-// is open (a checkpoint taken with an open ARU could strand its earlier
-// log entries outside the replay window) and while the cleaner itself
-// is running.
+// maybeMaintain runs background maintenance, if it may run now, at an
+// operation boundary that did not write a segment. No count of reusable
+// segments is at hand there, and all maintain needs of one is whether it
+// is below the cleaner's low-water mark, so the scan stops at the mark.
 func (d *LLD) maybeMaintain() {
-	if d.inClean || len(d.arus) != 0 {
-		return
+	if d.canMaintain() {
+		d.maintain(d.reusableUpTo(d.params.CleanerLowWater))
 	}
-	if len(d.sealed) != 0 {
-		// Sealed-but-unsynced segments are queued (possibly claimed by
-		// an in-flight batch leader): checkpoint and cleaner must wait
-		// until the batch completes. finishBatchLocked re-runs us with
-		// the queue empty.
-		return
-	}
+}
+
+// canMaintain reports whether background maintenance may run now.
+// Automatic checkpoints and the cleaner are skipped while an ARU is
+// open (a checkpoint taken with an open ARU could strand its earlier
+// log entries outside the replay window), while the cleaner itself is
+// running, and while sealed-but-unsynced segments are queued (possibly
+// claimed by an in-flight batch leader): checkpoint and cleaner must
+// wait until the batch completes, and finishBatchLocked then re-runs
+// maybeMaintain with the queue empty.
+func (d *LLD) canMaintain() bool {
+	return !d.inClean && len(d.arus) == 0 && len(d.sealed) == 0
+}
+
+// maintain runs background maintenance: an automatic checkpoint when
+// one is due, the cleaner when free — the caller's count of reusable
+// segments, exact at least up to the mark — is below the low-water
+// mark. It recounts only after one of the two has run, and returns the
+// count it leaves behind. Callers have checked canMaintain.
+func (d *LLD) maintain(free int) int {
 	if d.params.CheckpointEvery > 0 && d.segsSinceC >= d.params.CheckpointEvery {
-		if err := d.checkpointLocked(); err != nil {
-			return // non-fatal: retried after the next segment write
+		err := d.checkpointLocked()
+		free = d.reusableCount()
+		if err != nil {
+			return free // non-fatal: retried after the next segment write
 		}
 	}
-	if d.reusableCount() < d.params.CleanerLowWater {
+	if free < d.params.CleanerLowWater {
 		d.cleanLocked(d.params.CleanerTargetFree)
+		free = d.reusableCount()
 	}
+	return free
 }
 
 // segFreeable reports whether segment s holds no state the log still
@@ -308,8 +337,14 @@ func (d *LLD) segReusable(s int) bool {
 // growth reserve) must not treat a merely undrained segment as
 // occupied, or they over-clean and refuse growth the disk can absorb.
 func (d *LLD) reusableCount() int {
+	return d.reusableUpTo(d.params.Layout.NumSegs)
+}
+
+// reusableUpTo is reusableCount capped at limit: the scan stops at the
+// limit-th freeable segment, which on a mostly empty log is early.
+func (d *LLD) reusableUpTo(limit int) int {
 	n := 0
-	for s := 0; s < d.params.Layout.NumSegs; s++ {
+	for s := 0; s < d.params.Layout.NumSegs && n < limit; s++ {
 		if d.segFreeable(s) {
 			n++
 		}
@@ -438,7 +473,10 @@ func (d *LLD) promoteList(lf *listLeaf, al *listVer) {
 // readPhys reads the block stored at (segIdx, slot) into dst for the
 // cleaner (client reads go through snapshot.readPhys): from the
 // in-memory segment under construction if the location is current,
-// otherwise from disk through the read cache.
+// otherwise from the read cache or from disk. A miss does not fill the
+// cache: the cleaner reads a block to move it, so the key names a
+// location that dies at the next promote, and an entry under it would
+// only evict one a client can still hit.
 func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 	if int(segIdx) == d.curSeg {
 		copy(dst, d.builder.BlockData(slot))
@@ -462,9 +500,6 @@ func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 	off := d.params.Layout.SegOff(int(segIdx)) + int64(slot)*bs
 	if err := d.dev.ReadAt(dst, off); err != nil {
 		return fmt.Errorf("lld: reading block at seg %d slot %d: %w", segIdx, slot, err)
-	}
-	if d.cache != nil {
-		d.cache.put(segIdx, slot, dst)
 	}
 	return nil
 }
@@ -494,8 +529,11 @@ type physKey struct {
 //
 // Concurrent fills from snapshot readers are safe without further
 // synchronization: entries are immutable, every slot transition is an
-// atomic store or CAS, and a lost race costs at most one cache entry
-// (strictly weaker residency, never a wrong answer). Staleness is
+// atomic swap or CAS, and a lost race costs at most one cache entry
+// (strictly weaker residency, never a wrong answer). An entry owns its
+// buffer: the engine hands materialized buffers over instead of copying
+// them (adopt), and gets each displaced one back exactly once, from the
+// call whose CAS removed the entry (pool.go has the rule). Staleness is
 // ruled out by the epoch discipline — a reader fills (seg, slot) only
 // while its epoch pins that segment against reuse (segFreeEpoch), and
 // purgeSeg runs under d.mu at reuse time, before any record naming
@@ -521,7 +559,7 @@ const (
 
 type cacheEnt struct {
 	key  physKey
-	data []byte // immutable once the entry is published
+	data []byte // owned by the entry, immutable once it is published
 }
 
 // packKey biases the key by one so the ring's zero value means empty
@@ -565,11 +603,16 @@ func (c *blockCache) get(segIdx, slot uint32, dst []byte) bool {
 	return false
 }
 
-func (c *blockCache) put(segIdx, slot uint32, data []byte) {
+// adopt makes buf, which the caller gives up and nobody writes again,
+// the entry for (segIdx, slot). It returns the buffers that left the
+// cache through this call — at most two: the ring victim's, and a
+// replaced entry's of the same key, or buf itself when the fill was
+// dropped. An entry's buffer is returned by the one call whose CAS
+// took the entry out of the table, so no buffer is ever returned
+// twice; what becomes of it is the caller's business (pool.go).
+func (c *blockCache) adopt(segIdx, slot uint32, buf []byte) (out1, out2 []byte) {
 	k := physKey{segIdx, slot}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	ent := &cacheEnt{key: k, data: cp}
+	ent := &cacheEnt{key: k, data: buf}
 
 	// Claim a ring position and evict whatever key it held: residency
 	// never exceeds the ring's capacity (a concurrent duplicate of the
@@ -577,7 +620,7 @@ func (c *blockCache) put(segIdx, slot uint32, data []byte) {
 	// evicts the key sooner, never late).
 	pos := c.cursor.Add(1) - 1
 	if old := c.ring[pos%uint64(len(c.ring))].Swap(packKey(k)); old != 0 && old != packKey(k) {
-		c.drop(unpackKey(old))
+		out1 = c.drop(unpackKey(old))
 	}
 
 	h := cacheHash(k)
@@ -592,33 +635,53 @@ func (c *blockCache) put(segIdx, slot uint32, data []byte) {
 			continue
 		}
 		if e.key == k {
-			p.Store(ent) // refresh in place
-			return
+			if p.CompareAndSwap(e, ent) { // refresh in place
+				return out1, e.data
+			}
+			return out1, buf // raced with an eviction of e: the fill is dropped
 		}
 	}
-	if firstNil >= 0 {
-		// CAS so a racing fill of a different key into the same hole is
-		// not clobbered; on failure the fill is simply dropped.
-		c.slots[(h+uint32(firstNil))&c.mask].CompareAndSwap(nil, ent)
+	// CAS so a racing fill of a different key into the same hole is not
+	// clobbered; on failure the fill is simply dropped.
+	if firstNil >= 0 && c.slots[(h+uint32(firstNil))&c.mask].CompareAndSwap(nil, ent) {
+		return out1, nil
 	}
+	return out1, buf
 }
 
-// drop removes k's table entry (eviction; one CAS attempt — a racing
-// replacement of the same slot may keep it, costing residency only).
-func (c *blockCache) drop(k physKey) {
+// put is the reader-side fill: snapshot readers run outside d.mu, own
+// no pooled buffer and must never touch a retire-set, so they copy the
+// block in and leave whatever the fill displaces to the garbage
+// collector.
+func (c *blockCache) put(segIdx, slot uint32, data []byte) {
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	c.adopt(segIdx, slot, cp)
+}
+
+// drop removes k's table entry and returns its buffer (eviction; one
+// CAS attempt — a racing replacement of the same slot may keep it,
+// costing residency only, and nil is returned then).
+func (c *blockCache) drop(k physKey) []byte {
 	h := cacheHash(k)
 	for i := uint32(0); i < cacheProbe; i++ {
 		p := &c.slots[(h+i)&c.mask]
 		if e := p.Load(); e != nil && e.key == k {
-			p.CompareAndSwap(e, nil)
-			return
+			if p.CompareAndSwap(e, nil) {
+				return e.data
+			}
+			return nil
 		}
 	}
+	return nil
 }
 
 // purgeSeg drops all cached blocks of one segment (called under d.mu
 // when the segment is about to be rewritten with new contents). Stale
-// ring entries for the purged keys remain and later evict nothing.
+// ring entries for the purged keys remain and later evict nothing. The
+// dropped buffers are left to the garbage collector: a purge gives up
+// to a segment's worth back at once with no fill to take them, and on
+// the free list they would only pin that burst.
 func (c *blockCache) purgeSeg(segIdx uint32) {
 	for i := range c.slots {
 		if e := c.slots[i].Load(); e != nil && e.key.seg == segIdx {

@@ -17,13 +17,31 @@ package core
 // recycles only when the epoch that unshared it drains (snapshot.go).
 // On top of that:
 //
-//   - A block buffer ([]byte of Layout.BlockSize) is owned by exactly
-//     one version slot (data or prevData) of the table's current leaf;
-//     older leaves of the same block alias it read-only. Transfers
-//     (shadow→committed merge in endARUNew, data→prevData in
-//     stashPrev) move the buffer without retiring it; every other
-//     release goes through putBuf. A buffer is never written after it
-//     is installed.
+//   - A block buffer ([]byte of Layout.BlockSize) has one owner: a
+//     version slot (data or prevData) of the table's current leaf, or
+//     an entry of the read cache. Older leaves of the same block alias
+//     it read-only, and it is never written after it is installed.
+//     Transfers move the buffer without retiring it: shadow→committed
+//     merge in endARUNew, data→prevData in stashPrev, and version→cache
+//     at materialization (takeBuf + cacheAdopt — the bytes just copied
+//     into the segment image are the cache entry of that location, so
+//     a block moves caller → buffer → image and is never copied into
+//     fresh memory). Every other release goes through putBuf.
+//   - A cache entry's buffer leaves the cache with the entry: a fill
+//     (blockCache.adopt) returns the buffers of the entries it
+//     displaced — the ring victim, a refreshed duplicate key — and only
+//     of those whose removing CAS it won, so nothing is handed back
+//     twice. On the engine's fills, made under d.mu, they go to putBuf
+//     and recycle when the current window's epoch drains — a reader
+//     copying out of the entry is still pinned to an epoch no younger
+//     than that. Buffers thus circulate free list → version → cache →
+//     retire-set → free list. Reader-side fills (snapshot.readPhys →
+//     blockCache.put) run outside d.mu: they allocate the entry's
+//     buffer, since the free list is not theirs to take from, and leave
+//     what they displace to the garbage collector, since d.ret is not
+//     theirs to append to; such a buffer simply joins the cycle if the
+//     engine later displaces it. purgeSeg leaves what it drops to the
+//     collector too (a burst no fill takes up).
 //   - A leaf is mutable only in the window it was born in
 //     (table.edit); once it retires, purge clears its version array so
 //     a pooled leaf pins no buffer.
@@ -31,8 +49,10 @@ package core
 //     slices are cleared but keep their capacity across reuse.
 //   - A sealedSeg is retired in finishBatchLocked/completeSealedLocked
 //     after its quarantines lift, alongside its builder. The retained
-//     image (e.img) aliases the builder's buffer, which recycleBuilder
-//     resets, so a pooled entry never leaks sealed bytes.
+//     image (e.img) aliases the builder's buffer, and recycleSealed
+//     drops the alias. The builder keeps its old bytes when it is
+//     recycled: a clean image is Seal's guarantee, not Reset's
+//     (seg.Builder clears only what the next image leaves stale).
 
 // Free-list caps: beyond these the garbage collector takes over, so a
 // burst (many concurrent ARUs, a deep commit pipeline) does not pin
@@ -64,6 +84,20 @@ func (d *LLD) putBuf(b []byte) {
 		return
 	}
 	d.ret.bufs = append(d.ret.bufs, b)
+}
+
+// cacheAdopt hands buf — a committed version's buffer whose contents
+// were just written to (segIdx, slot) — to the read cache as that
+// location's entry, and retires whatever the fill displaced (buf itself
+// if there is no cache or the fill was dropped). Caller holds d.mu.
+func (d *LLD) cacheAdopt(segIdx, slot uint32, buf []byte) {
+	if d.cache == nil {
+		d.putBuf(buf)
+		return
+	}
+	out1, out2 := d.cache.adopt(segIdx, slot, buf)
+	d.putBuf(out1)
+	d.putBuf(out2)
 }
 
 // recycleBuf returns a drained buffer to the free list (purge path

@@ -394,30 +394,27 @@ func (d *LLD) setBlockData(ab *blockVer, buf []byte, tag ARUID, gating bool) {
 	ab.wtag = tag
 }
 
-// dropBlockData discards and retires ab's in-memory buffer, if any.
-func (d *LLD) dropBlockData(ab *blockVer) {
-	if ab.data == nil {
-		return
+// takeBuf detaches the buffer in *slot — ab's data or prevData — and
+// hands it (nil if there is none) to the caller, who owns it from here
+// on: it either retires it (putBuf) or makes it the cache entry of the
+// location the contents were just written to (cacheAdopt).
+func (d *LLD) takeBuf(ab *blockVer, slot *[]byte) []byte {
+	buf := *slot
+	if buf != nil {
+		*slot = nil
+		if ab.aru == seg.SimpleARU {
+			d.commBufBlocks--
+		}
 	}
-	d.putBuf(ab.data)
-	ab.data = nil
-	if ab.aru == seg.SimpleARU {
-		d.commBufBlocks--
-	}
+	return buf
 }
+
+// dropBlockData discards and retires ab's in-memory buffer, if any.
+func (d *LLD) dropBlockData(ab *blockVer) { d.putBuf(d.takeBuf(ab, &ab.data)) }
 
 // dropPrevData discards and retires ab's stashed pre-unit version, if
 // any.
-func (d *LLD) dropPrevData(ab *blockVer) {
-	if ab.prevData == nil {
-		return
-	}
-	d.putBuf(ab.prevData)
-	ab.prevData = nil
-	if ab.aru == seg.SimpleARU {
-		d.commBufBlocks--
-	}
-}
+func (d *LLD) dropPrevData(ab *blockVer) { d.putBuf(d.takeBuf(ab, &ab.prevData)) }
 
 // dropBlockVer releases ab's buffers and pin and removes it from the
 // window-owned leaf lf, dropping the entry with its last version. The

@@ -129,6 +129,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		cache:           newBlockCache(p.CacheBlocks),
 		sealedBySeg:     make(map[uint32]*sealedSeg),
 		reuseQuarantine: make(map[int]int),
+		cleanVisited:    make(map[int]bool),
 		dirtyBlocks:     make(map[BlockID]struct{}),
 		dirtyLists:      make(map[ListID]struct{}),
 		segFreeEpoch:    make([]uint64, layout.NumSegs),

@@ -284,20 +284,10 @@ func TestSnapshotSurvivesFreeListPoisoning(t *testing.T) {
 	defer h.Release()
 	h1.Release()
 
-	poison := func() int {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		for _, b := range d.freeBufs {
-			for i := range b {
-				b[i] = 0xDB
-			}
-		}
-		return len(d.freeBufs)
-	}
 	maxFree := 0
 	for v := byte(11); v < 40; v++ {
 		commitFill(t, d, blocks, v)
-		if n := poison(); n > maxFree {
+		if n := poisonFreeBufs(d); n > maxFree {
 			maxFree = n
 		}
 		if v == 20 {

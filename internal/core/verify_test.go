@@ -8,8 +8,8 @@ import (
 // TestVerifyInternalCatchesCorruption tests the checker itself: with a
 // pinned shadow version and a buffered committed version in the tables,
 // each planted inconsistency — a pin count, a same-state chain, a gauge,
-// an entry counter, the committed-buffer count — must fail
-// VerifyInternal, and undoing it must pass again.
+// an entry counter, the committed-buffer count, a buffer with two
+// owners — must fail VerifyInternal, and undoing it must pass again.
 func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	d, _ := newTestLLD(t, Params{})
 	defer d.Close()
@@ -47,6 +47,16 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	if pinned < 0 || len(st.shadowBlocks) == 0 || len(d.commBlocks) == 0 {
 		t.Fatalf("setup has no pin (%d), shadow chain (%v) or committed chain (%v)", pinned, st.shadowBlocks, d.commBlocks)
 	}
+	// The flush above handed b1's buffer to the cache.
+	var cachedBuf []byte
+	for i := range d.cache.slots {
+		if e := d.cache.slots[i].Load(); e != nil {
+			cachedBuf = e.data
+		}
+	}
+	if cachedBuf == nil {
+		t.Fatal("setup left no cache entry")
+	}
 
 	for _, c := range []struct {
 		name, want  string
@@ -74,6 +84,9 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 			func() { d.blockTab.n++ }, func() { d.blockTab.n-- }},
 		{"committed-buffer drift", "committed buffers",
 			func() { d.commBufBlocks++ }, func() { d.commBufBlocks-- }},
+		{"cached buffer recycled", "free list",
+			func() { d.freeBufs = append(d.freeBufs, cachedBuf) },
+			func() { d.freeBufs = d.freeBufs[:len(d.freeBufs)-1] }},
 	} {
 		d.mu.Lock()
 		c.plant()

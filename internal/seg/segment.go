@@ -101,30 +101,39 @@ func DecodeEntriesFromSegment(segment []byte, t Trailer) ([]Entry, error) {
 // the front while the summary grows from the back (so a segment can be
 // all data, all summary — the ARU-latency experiment fills segments
 // with nothing but commit records — or any mix).
+//
+// A builder is reused for many images, and Reset does not clear its
+// buffer. Instead the builder remembers which bytes an earlier
+// incarnation may have left non-zero — the data prefix [0, staleLo)
+// and the summary suffix [staleHi, SegBytes) — and Seal clears the part
+// of them the new image does not overwrite. A sealed image is therefore
+// byte for byte what a fresh builder produces from the same blocks and
+// entries; bytes past the added blocks are undefined until then.
 type Builder struct {
 	layout     Layout
 	buf        []byte
 	nblocks    int
 	entries    []Entry
 	entryBytes int
+	staleLo    int // [0, staleLo) may hold bytes of added or reserved blocks
+	staleHi    int // [staleHi, SegBytes) may hold an earlier image's summary
 }
 
 // NewBuilder returns an empty Builder for layout l.
 func NewBuilder(l Layout) *Builder {
 	return &Builder{
-		layout: l,
-		buf:    make([]byte, l.SegBytes),
+		layout:  l,
+		buf:     make([]byte, l.SegBytes),
+		staleHi: l.SegBytes,
 	}
 }
 
-// Reset discards all accumulated contents.
+// Reset discards all accumulated contents. The buffer is not cleared
+// here: Seal guarantees the cleanliness of the image it returns.
 func (b *Builder) Reset() {
 	b.nblocks = 0
 	b.entries = b.entries[:0]
 	b.entryBytes = 0
-	for i := range b.buf {
-		b.buf[i] = 0
-	}
 }
 
 // Empty reports whether the builder holds no blocks and no entries.
@@ -159,13 +168,33 @@ func (b *Builder) AddBlock(data []byte) uint32 {
 	if len(data) != b.layout.BlockSize {
 		panic(fmt.Sprintf("seg: AddBlock got %d bytes, want %d", len(data), b.layout.BlockSize))
 	}
+	copy(b.ReserveBlock(), data)
+	return b.CommitBlock()
+}
+
+// ReserveBlock returns the next data slot for the caller to fill in
+// place — a device read straight into the image, say — without adding
+// it yet: CommitBlock adds it, and a reservation that is never committed
+// (the fill failed) costs nothing, the next ReserveBlock returns the
+// same slot. The caller must have checked Fits(1, ...), and must write
+// all BlockSize bytes before committing.
+func (b *Builder) ReserveBlock() []byte {
 	if !b.Fits(1, 0) {
-		panic("seg: AddBlock on full segment")
+		panic("seg: ReserveBlock on full segment")
 	}
-	slot := uint32(b.nblocks)
-	copy(b.buf[int(slot)*b.layout.BlockSize:], data)
+	off := b.nblocks * b.layout.BlockSize
+	end := off + b.layout.BlockSize
+	if end > b.staleLo {
+		b.staleLo = end
+	}
+	return b.buf[off:end]
+}
+
+// CommitBlock adds the slot the last ReserveBlock returned as the next
+// data block and returns its index.
+func (b *Builder) CommitBlock() uint32 {
 	b.nblocks++
-	return slot
+	return uint32(b.nblocks - 1)
 }
 
 // BlockData returns the in-buffer contents of data slot i. The returned
@@ -188,13 +217,25 @@ func (b *Builder) AddEntry(e Entry) {
 
 // Seal finalizes the segment with log sequence number seq and returns
 // the full segment image. The image aliases the builder's buffer; the
-// caller must copy or write it out before the next Reset.
+// caller must copy or write it out before the builder is reused.
 func (b *Builder) Seal(seq uint64) []byte {
 	off, length := entriesRegion(b.layout.SegBytes, b.entryBytes)
-	region := b.buf[off : off+length]
-	for i := range region {
-		region[i] = 0
+	// The image writes its data blocks, its entry region and the trailer
+	// sector; the gap between the first two must read as zeros, so clear
+	// whatever earlier incarnations left in it.
+	gapLo := b.nblocks * b.layout.BlockSize
+	lo := min(max(b.staleLo, gapLo), off) // stale data reaches up to lo
+	hi := min(max(b.staleHi, gapLo), off) // stale summary starts at hi
+	if lo >= hi {
+		clear(b.buf[gapLo:off])
+	} else {
+		clear(b.buf[gapLo:lo])
+		clear(b.buf[hi:off])
 	}
+	b.staleLo, b.staleHi = gapLo, off
+
+	region := b.buf[off : off+length]
+	clear(region)
 	enc := region[:0]
 	for _, e := range b.entries {
 		enc = AppendEntry(enc, e)

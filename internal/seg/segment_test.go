@@ -204,6 +204,99 @@ func TestBuilderReset(t *testing.T) {
 	}
 }
 
+// TestBuilderReuseEqualsFresh: Reset does not clear the builder's
+// buffer; Seal owes every image the zeros a fresh builder has. Over
+// seeded random histories of one reused builder — full, partial and
+// summary-only images (whose entry region reaches far down into what was
+// data before), images sealed twice with more added in between,
+// contents dropped by a Reset without a Seal, slots reserved and
+// scribbled on but never committed — every sealed image must equal,
+// byte for byte, the image a fresh builder seals from the same blocks
+// and entries.
+func TestBuilderReuseEqualsFresh(t *testing.T) {
+	l := testLayout()
+	kinds := allKinds()
+	for seed := int64(1); seed <= 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reused := NewBuilder(l)
+		var blocks [][]byte // what the current incarnation holds
+		var entries []Entry
+		addBlocks := func(n int) {
+			for ; n > 0 && reused.Fits(1, 1); n-- {
+				data := make([]byte, l.BlockSize)
+				rng.Read(data)
+				e := Entry{Kind: KindWrite, TS: rng.Uint64(), Block: BlockID(rng.Uint32()), Slot: reused.AddBlock(data)}
+				reused.AddEntry(e)
+				blocks, entries = append(blocks, data), append(entries, e)
+			}
+		}
+		addEntries := func(n int) {
+			for ; n > 0 && reused.Fits(0, 1); n-- {
+				e := canonical(Entry{
+					Kind:  kinds[rng.Intn(len(kinds))],
+					ARU:   ARUID(rng.Uint32()),
+					TS:    rng.Uint64(),
+					Block: BlockID(rng.Uint32()),
+					List:  ListID(rng.Uint32()),
+					Pred:  BlockID(rng.Uint32()),
+					Slot:  rng.Uint32(),
+				})
+				reused.AddEntry(e)
+				entries = append(entries, e)
+			}
+		}
+		check := func(step int, what string) {
+			seq := rng.Uint64()
+			fresh := NewBuilder(l)
+			for _, data := range blocks {
+				fresh.AddBlock(data)
+			}
+			for _, e := range entries {
+				fresh.AddEntry(e)
+			}
+			if got, want := reused.Seal(seq), fresh.Seal(seq); !bytes.Equal(got, want) {
+				i := 0
+				for got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("seed %d step %d (%s, %d blocks, %d entries): image differs from a fresh builder's at byte %d: %#x, want %#x",
+					seed, step, what, len(blocks), len(entries), i, got[i], want[i])
+			}
+		}
+		for step := 0; step < 40; step++ {
+			reused.Reset()
+			blocks, entries = blocks[:0], entries[:0]
+			switch rng.Intn(6) {
+			case 0:
+				addBlocks(l.BlocksPerSeg())
+				check(step, "full")
+			case 1:
+				addBlocks(1 + rng.Intn(3))
+				addEntries(rng.Intn(4))
+				check(step, "partial")
+			case 2:
+				addEntries(1 + rng.Intn(400))
+				check(step, "summary only")
+			case 3:
+				addBlocks(1 + rng.Intn(3))
+				check(step, "first seal")
+				addBlocks(rng.Intn(3))
+				addEntries(rng.Intn(40))
+				check(step, "second seal")
+			case 4:
+				addBlocks(rng.Intn(l.BlocksPerSeg()))
+				addEntries(rng.Intn(100)) // dropped by the next Reset, never sealed
+			case 5:
+				addBlocks(rng.Intn(3))
+				if reused.Fits(1, 0) {
+					rng.Read(reused.ReserveBlock()) // a fill that failed: never committed
+				}
+				check(step, "abandoned reservation")
+			}
+		}
+	}
+}
+
 // TestQuickSegmentRoundTrip: random mixes of blocks and entries always
 // round-trip through seal/decode.
 func TestQuickSegmentRoundTrip(t *testing.T) {
