@@ -15,7 +15,7 @@
 // /debug/pprof while the experiments run.
 //
 // -exp groupcommit measures the group-commit broker against the
-// serial-sync Flush path with concurrent committers on a device whose
+// same flushes serialized by the driver, with concurrent committers on a device whose
 // sync costs -gc-syncdelay of wall time. -gc-min-speedup and
 // -gc-min-amort turn the run into a gate: aru-bench exits non-zero
 // unless the -gc-committers row meets both floors.

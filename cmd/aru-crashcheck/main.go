@@ -16,12 +16,14 @@
 // writes are journaled and sub-enumerated, and every double-crash
 // image must re-recover clean. The net workload drives the engine
 // through an ldnet client/server pair, with durability judged by the
-// acks the client received before the crash.
+// acks the client received before the crash. The wrap workload
+// overwrites a pool of simple blocks on a log short enough to wrap many
+// times, with checkpoints as the only durability points.
 //
 // Usage:
 //
 //	aru-crashcheck [-seed N] [-seeds N] [-states N] [-reorder-window N]
-//	               [-workloads mixed,fs,shard,net] [-fs] [-shards N]
+//	               [-workloads mixed,fs,shard,net,wrap] [-fs] [-shards N]
 //	               [-min-states N] [-conc N] [-recover-crash]
 //	               [-inject none|nosync|untagged-replay|ack-early|torn-delta|commit-before-prepare-sync]
 //	               [-replay E<e>K<k>[D...][T...][+RE..K..] | -replay G<g>/E..K../...] [-v]
@@ -36,13 +38,21 @@ import (
 	"aru/internal/crashenum"
 )
 
+// exitOnErr reports a usage or execution error and exits 2.
+func exitOnErr(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "aru-crashcheck:", err)
+		os.Exit(2)
+	}
+}
+
 func main() {
 	var (
 		seed      = flag.Int64("seed", 1, "first workload seed")
 		seeds     = flag.Int("seeds", 24, "number of consecutive seeds to run")
 		states    = flag.Int("states", 0, "max distinct crash states to explore (0 = unlimited)")
 		window    = flag.Int("reorder-window", 3, "reordering window within the crash epoch")
-		workloads = flag.String("workloads", "mixed,fs", "comma-separated workloads: mixed, fs, shard, net")
+		workloads = flag.String("workloads", "mixed,fs", "comma-separated workloads: mixed, fs, shard, net, wrap")
 		fsOnly    = flag.Bool("fs", false, "shorthand for -workloads fs")
 		shards    = flag.Int("shards", 0, "shard count for the sharded 2PC workload; >0 implies -workloads shard")
 		minStates = flag.Int("min-states", 0, "fail unless at least this many distinct states were explored")
@@ -72,21 +82,29 @@ func main() {
 	if *shards > 0 {
 		*workloads = "shard"
 	}
+	// kinds collects the single-device workloads, for -replay.
+	var kinds []string
 	for _, w := range strings.Split(*workloads, ",") {
-		switch strings.TrimSpace(w) {
+		w = strings.TrimSpace(w)
+		switch w {
 		case "mixed":
 			o.Mixed = true
 		case "fs":
 			o.FS = true
 		case "shard":
 			o.Shard = true
+			continue
 		case "net":
 			o.Net = true
+		case "wrap":
+			o.Wrap = true
 		case "":
+			continue
 		default:
 			fmt.Fprintf(os.Stderr, "aru-crashcheck: unknown workload %q\n", w)
 			os.Exit(2)
 		}
+		kinds = append(kinds, w)
 	}
 	if *verbose {
 		o.Logf = func(format string, args ...any) {
@@ -97,15 +115,9 @@ func main() {
 	if *replay != "" {
 		if o.Shard {
 			ms, err := crashenum.ParseMultiState(*replay)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "aru-crashcheck:", err)
-				os.Exit(2)
-			}
+			exitOnErr(err)
 			viols, err := crashenum.ReplayShard(*seed, o, ms)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "aru-crashcheck:", err)
-				os.Exit(2)
-			}
+			exitOnErr(err)
 			if len(viols) == 0 {
 				fmt.Printf("replay shard seed=%d %s: clean\n", *seed, ms)
 				return
@@ -117,36 +129,21 @@ func main() {
 			os.Exit(1)
 		}
 		kind := "mixed"
-		switch {
-		case o.FS && !o.Mixed && !o.Net:
-			kind = "fs"
-		case o.Net && !o.Mixed && !o.FS:
-			kind = "net"
+		if len(kinds) == 1 {
+			kind = kinds[0]
 		}
 		desc, subDesc, isRecover := strings.Cut(*replay, "+R")
 		cs, err := crashenum.ParseState(desc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aru-crashcheck:", err)
-			os.Exit(2)
-		}
+		exitOnErr(err)
 		var viols []string
 		if isRecover {
 			sub, err := crashenum.ParseState(subDesc)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "aru-crashcheck:", err)
-				os.Exit(2)
-			}
+			exitOnErr(err)
 			viols, err = crashenum.ReplayRecoverCrash(kind, *seed, o, cs, sub)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "aru-crashcheck:", err)
-				os.Exit(2)
-			}
+			exitOnErr(err)
 		} else {
 			viols, err = crashenum.Replay(kind, *seed, o, cs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "aru-crashcheck:", err)
-				os.Exit(2)
-			}
+			exitOnErr(err)
 		}
 		if len(viols) == 0 {
 			fmt.Printf("replay %s seed=%d %s: clean\n", kind, *seed, *replay)
@@ -160,10 +157,7 @@ func main() {
 	}
 
 	rpt, err := crashenum.Run(o)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aru-crashcheck:", err)
-		os.Exit(2)
-	}
+	exitOnErr(err)
 	fmt.Printf("explored %d distinct crash states across %d runs: %d violations\n",
 		rpt.States, rpt.Runs, len(rpt.Violations))
 	for _, v := range rpt.Violations {

@@ -207,7 +207,7 @@ func (d *LLD) endARUOld(aru ARUID, st *aruState, trace, span uint64) error {
 // silent replay does live.
 func (d *LLD) endARUNew(aru ARUID, st *aruState, trace, span uint64, silent bool) error {
 	gate := mode{view: seg.SimpleARU, tag: aru, tracked: st, silent: silent}
-	if d.params.UnsafeUntaggedReplay {
+	if d.params.Faults != nil && d.params.Faults.UntaggedReplay {
 		// Fault injection for the crash checker: drop the ARU tag so
 		// recovery replays these entries without waiting for the
 		// commit record.

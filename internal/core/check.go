@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"aru/internal/seg"
@@ -336,6 +337,25 @@ func (d *LLD) VerifyInternal() error {
 	}
 	if bufs != d.commBufBlocks {
 		fail("%d committed buffers counted, the tables hold %d", d.commBufBlocks, bufs)
+	}
+	// The sealed queue (groupcommit.go): consecutive seal order with the
+	// leader's claim a prefix, an entry indexed by segment exactly while
+	// it holds its image, and every reuse quarantine owed to a queued
+	// entry.
+	owed := make(map[int]int)
+	for i, e := range d.sealed {
+		if i > 0 && (e.seq != d.sealed[i-1].seq+1 || e.claimed && !d.sealed[i-1].claimed) {
+			fail("sealed queue out of order at entry %d (seq %d)", i, e.seq)
+		}
+		if (d.sealedBySeg[uint32(e.idx)] == e) != (e.img != nil) {
+			fail("sealed segment %d (seq %d): image and segment index disagree", e.idx, e.seq)
+		}
+		for _, s := range e.frees {
+			owed[s]++
+		}
+	}
+	if len(d.sealedBySeg) > len(d.sealed) || !maps.Equal(owed, d.reuseQuarantine) {
+		fail("reuse quarantine %v and %d indexed images; the %d queued entries account for %v", d.reuseQuarantine, len(d.sealedBySeg), len(d.sealed), owed)
 	}
 	for s := range live {
 		if live[s] != d.segLive[s] {

@@ -69,12 +69,10 @@ func (d *LLD) cleanLocked(target int) int {
 		if relocated == 0 {
 			break
 		}
-		// Flush so the relocations promote (dropping the victims' live
-		// counts), then checkpoint so the victims' old summary entries
-		// leave the replay window and the segments become reusable.
-		if err := d.flushLocked(); err != nil {
-			break
-		}
+		// Checkpoint: its drain promotes the relocations (dropping the
+		// victims' live counts), and the record takes the victims' old
+		// summary entries out of the replay window, so the segments
+		// become reusable.
 		if err := d.checkpointLocked(); err != nil {
 			break
 		}
@@ -139,10 +137,9 @@ func (d *LLD) cleanable(s int, group []BlockID) bool {
 		return false
 	}
 	if _, sealed := d.sealedBySeg[uint32(s)]; sealed {
-		// Sealed but not yet synced: its blocks live only in memory and
-		// in the pending batch; relocation must wait for the sync. (The
-		// seq > ckptSeq check above already excludes it; this is the
-		// explicit invariant.)
+		// Sealed but not yet written: its blocks live only in memory;
+		// relocation must wait. (The seq > ckptSeq check above already
+		// excludes it; this is the explicit invariant.)
 		return false
 	}
 	if d.segPins[s] != 0 || d.segLive[s] == 0 {

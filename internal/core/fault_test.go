@@ -55,6 +55,104 @@ func TestTransientWriteErrorRetry(t *testing.T) {
 	}
 }
 
+// TestTransientWriteErrorRetryInline is the same contract for the
+// inline driver: a device error on the write of a full segment, sealed
+// in the middle of a Write, fails that operation only. The entry stays
+// queued with its image (so reads keep working), the log continues in
+// the next segment, the next durability point writes the segment, and
+// nothing is lost across Close/Open.
+func TestTransientWriteErrorRetryInline(t *testing.T) {
+	p := Params{Layout: testLayout(48)}
+	dev := disk.NewMem(p.Layout.DiskBytes())
+	d, err := Format(dev, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lst, _ := d.NewList(0)
+	var (
+		blocks []BlockID // written, with payload index+1
+		failed BlockID   // allocated by the failing operation, if it got that far
+	)
+	write := func() error {
+		b, err := d.NewBlock(0, lst, NilBlock)
+		if err != nil {
+			return err
+		}
+		if err := d.Write(0, b, fill(d, byte(len(blocks)+1))); err != nil {
+			failed = b
+			return err
+		}
+		blocks = append(blocks, b)
+		return nil
+	}
+
+	// Fail exactly the next device write: the first full-segment seal.
+	dev.SetFaultPlan(disk.FaultPlan{WriteErrorEvery: dev.Stats().Writes + 1})
+	for err = write(); err == nil; err = write() {
+		if len(blocks) > 100 {
+			t.Fatal("no segment filled up")
+		}
+	}
+	if !errors.Is(err, disk.ErrInjected) {
+		t.Fatalf("write with injected fault: %v", err)
+	}
+	dev.SetFaultPlan(disk.FaultPlan{})
+	d.mu.Lock()
+	if len(d.sealed) != 1 || d.sealed[0].written || d.sealed[0].img == nil || len(d.sealedBySeg) != 1 {
+		t.Errorf("after the failed write: queue %v, want one unwritten entry holding its image", d.sealed)
+	}
+	d.mu.Unlock()
+
+	// The log carries on past the failed segment, and the blocks sealed
+	// into it read from the retained image.
+	if failed == NilBlock {
+		if failed, err = d.NewBlock(0, lst, NilBlock); err != nil {
+			t.Fatalf("allocation after the failed seal: %v", err)
+		}
+	}
+	if err := d.Write(0, failed, fill(d, 0xee)); err != nil {
+		t.Fatalf("write after the failed seal: %v", err)
+	}
+	check := func(d *LLD, when string) {
+		t.Helper()
+		buf := make([]byte, d.BlockSize())
+		for i, b := range blocks {
+			if err := d.Read(0, b, buf); err != nil || buf[0] != byte(i+1) {
+				t.Fatalf("%s: block %d: %v %#x, want %#x", when, b, err, buf[0], i+1)
+			}
+		}
+		if err := d.Read(0, failed, buf); err != nil || buf[0] != 0xee {
+			t.Fatalf("%s: block %d: %v %#x, want 0xee", when, failed, err, buf[0])
+		}
+	}
+	check(d, "before the retry")
+
+	writes := dev.Stats().Writes
+	if err := d.Flush(); err != nil {
+		t.Fatalf("flush after transient error: %v", err)
+	}
+	if got := dev.Stats().Writes - writes; got != 2 {
+		t.Errorf("flush wrote %d segments, want 2 (the retried one and the open one)", got)
+	}
+	d.mu.Lock()
+	if len(d.sealed) != 0 || len(d.sealedBySeg) != 0 || len(d.reuseQuarantine) != 0 {
+		t.Errorf("queue not drained by the flush: %d entries, %d images, quarantine %v", len(d.sealed), len(d.sealedBySeg), d.reuseQuarantine)
+	}
+	d.mu.Unlock()
+	check(d, "after the retry")
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(dev, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(d2, "after reopen")
+}
+
 // TestWriteFailureDuringEndARU: if the device dies while EndARU needs a
 // seal, the error surfaces and the engine refuses further use only of
 // the dead device, without corrupting in-memory invariants.

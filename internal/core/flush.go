@@ -16,18 +16,17 @@ import (
 // stays in memory (and in already-written segments, where it is inert
 // until its commit record lands).
 //
-// By default Flush goes through the group-commit broker: concurrent
-// callers share one segment write and one device sync, and the engine
-// lock is not held while the device works (DESIGN.md §11). With
-// Params.NoGroupCommit each call runs the serial path instead.
+// Flush goes through the group-commit broker: concurrent callers share
+// one segment write and one device sync, and the engine lock is not
+// held while the device works (DESIGN.md §11).
 func (d *LLD) Flush() error {
 	return d.FlushTraced(obs.SpanContext{})
 }
 
 // FlushTraced is Flush carrying trace context (DESIGN.md §13): the
-// caller's wait — through the group-commit broker or the serial sync —
-// is recorded as an engine-flush span parented on sc. With spans
-// disabled this is exactly Flush.
+// caller's wait in the group-commit broker is recorded as an
+// engine-flush span parented on sc. With spans disabled this is exactly
+// Flush.
 func (d *LLD) FlushTraced(sc obs.SpanContext) error {
 	d.stats.Flushes.Add(1)
 	var (
@@ -41,26 +40,13 @@ func (d *LLD) FlushTraced(sc obs.SpanContext) error {
 			sc.Trace = d.obs.NextID()
 		}
 	}
-	var err error
-	if d.params.NoGroupCommit {
-		d.mu.Lock()
-		if d.closed {
-			d.mu.Unlock()
-			return ErrClosed
-		}
-		// A flush runs at an operation boundary: maintenance it triggers
-		// may publish intermediate epochs.
-		d.pubSafe = true
-		err = d.flushLocked()
-		d.pubSafe = false
-		d.publishLocked()
-		d.mu.Unlock()
-	} else {
-		if d.obs != nil {
-			g0 := d.obs.Now()
-			defer func() { d.obs.ObserveSince(obs.HistGroupCommitWait, g0) }()
-		}
-		err = d.forceCommit()
+	var g0 time.Duration
+	if d.obs != nil {
+		g0 = d.obs.Now()
+	}
+	err := d.forceCommit()
+	if d.obs != nil {
+		d.obs.ObserveSince(obs.HistGroupCommitWait, g0)
 	}
 	if spanID != 0 {
 		var failed uint64
@@ -74,30 +60,6 @@ func (d *LLD) FlushTraced(sc obs.SpanContext) error {
 		})
 	}
 	return err
-}
-
-// flushLocked is the serial durability path: it drains any segments a
-// batch leader sealed but has not yet completed, writes the current
-// partial segment, and syncs. Callers hold d.mu and must have ensured
-// the broker is idle (lockDrained / maybeMaintain's guard), so no
-// sealed entry is claimed by an in-flight leader.
-func (d *LLD) flushLocked() error {
-	if err := d.writeSealedLocked(); err != nil {
-		return err
-	}
-	if err := d.writeCurSeg(); err != nil {
-		return err
-	}
-	if !d.params.UnsafeNoSyncOnFlush {
-		if err := d.dev.Sync(); err != nil {
-			return fmt.Errorf("lld: sync: %w", err)
-		}
-		d.devDirty = false
-		d.syncSeq++
-	}
-	d.completeSealedLocked()
-	d.commitsDurable()
-	return nil
 }
 
 // Checkpoint flushes and then writes a snapshot of the persistent
@@ -114,9 +76,6 @@ func (d *LLD) Checkpoint() error {
 	}
 	d.pubSafe = true
 	defer func() { d.pubSafe = false }()
-	if err := d.flushLocked(); err != nil {
-		return err
-	}
 	return d.checkpointLocked()
 }
 
@@ -132,34 +91,30 @@ func (d *LLD) Checkpoint() error {
 // whole record or cuts the chain before it — and only after the record
 // is synced does the checkpoint watermark (ckptSeq) advance and unlock
 // segment reuse. That sync is the publish barrier; skipping it is the
-// torn-delta bug (Params.UnsafeTornDeltaPublish).
+// torn-delta bug (FaultHooks.TornDeltaPublish).
+//
+// Callers hold d.mu with the broker idle (lockDrained, canMaintain).
 func (d *LLD) checkpointLocked() error {
-	if len(d.arus) != 0 {
-		return fmt.Errorf("%w: cannot checkpoint with %d open ARUs", ErrARUActive, len(d.arus))
-	}
-	if len(d.sealed) != 0 {
-		// Callers flush first, which drains the sealed queue; a
-		// checkpoint over unsynced sealed segments would claim a
-		// FlushedSeq the device does not yet hold.
-		return fmt.Errorf("lld: internal: checkpoint with %d sealed segments pending", len(d.sealed))
-	}
 	var t0 time.Duration
 	if d.obs != nil {
 		t0 = d.obs.Now()
 	}
-	// The tables must reflect exactly the flushed log: write out any
-	// partial segment and sync before the checkpoint claims FlushedSeq.
-	// With no open ARUs every committed record has then been promoted,
-	// so the persistent tables are the complete state.
-	if err := d.writeCurSeg(); err != nil {
+	// The tables must reflect exactly the flushed log: drain it — seal
+	// any partial segment, write and sync whatever is queued — before
+	// the checkpoint claims FlushedSeq. With no open ARUs every
+	// committed record has then been promoted, so the persistent tables
+	// are the complete state.
+	if err := d.drainLocked(); err != nil {
 		return err
 	}
-	if err := d.dev.Sync(); err != nil {
-		return fmt.Errorf("lld: sync before checkpoint: %w", err)
+	if len(d.arus) != 0 {
+		return fmt.Errorf("%w: cannot checkpoint with %d open ARUs", ErrARUActive, len(d.arus))
 	}
-	d.devDirty = false
-	d.syncSeq++
-	d.commitsDurable()
+	if len(d.sealed) != 0 {
+		// A checkpoint over unsynced sealed segments would claim a
+		// FlushedSeq the device does not yet hold.
+		return fmt.Errorf("lld: internal: checkpoint with %d sealed segments pending", len(d.sealed))
+	}
 
 	rec := seg.CkptRec{
 		CkptTS:     d.ckptTS + 1,
@@ -238,14 +193,10 @@ func (d *LLD) checkpointLocked() error {
 	if err := d.dev.WriteAt(buf, d.params.Layout.CkptOff(region)+off); err != nil {
 		return fmt.Errorf("lld: writing checkpoint: %w", err)
 	}
-	if !d.params.UnsafeTornDeltaPublish {
-		// Publish barrier: the record must be durable before the
-		// watermark advance below lets its replay window be reused.
-		if err := d.dev.Sync(); err != nil {
-			return fmt.Errorf("lld: sync after checkpoint: %w", err)
-		}
-		d.devDirty = false
-		d.syncSeq++
+	// Publish barrier: the record must be durable before the watermark
+	// advance below lets its replay window be reused.
+	if _, err := d.syncDev(syncBarrier); err != nil {
+		return err
 	}
 	oldDepth := d.ckptDepth
 	if base {
@@ -301,13 +252,9 @@ func (d *LLD) Close() error {
 	}
 	var err error
 	if len(d.arus) == 0 {
-		if ferr := d.flushLocked(); ferr != nil {
-			err = ferr
-		} else if cerr := d.checkpointLocked(); cerr != nil {
-			err = cerr
-		}
+		err = d.checkpointLocked()
 	} else {
-		err = d.flushLocked()
+		err = d.drainLocked()
 	}
 	d.closed = true
 	// Publish one final epoch with the closed flag set, so lock-free

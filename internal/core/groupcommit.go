@@ -9,15 +9,26 @@ import (
 	"aru/internal/seg"
 )
 
-// Group commit (DESIGN.md §11): concurrent durability callers — Flush,
-// CommitDurable, and the network server's per-session syncs — enqueue
-// on a commit broker instead of each paying a full device sync under
-// d.mu. One caller per batch becomes the leader: it seals the current
-// partial segment under d.mu, swaps in a fresh segment buffer so
-// writers proceed immediately, then performs the device write and a
-// single dev.Sync() with d.mu released, and finally wakes the whole
-// batch. N concurrent committers thus share one sync, and the device
-// never spins while holding the engine lock.
+// Durability (DESIGN.md §11). A sealed segment lives one life, whoever
+// sealed it: sealed (seal, log.go — the image waits in its builder on
+// d.sealed) → written (writeSealed + releaseImage — the image is on the
+// device, the entry keeps only what a sync will release) → synced
+// (syncDev + retire — reuse quarantines lift, durable acks go out).
+// Three drivers run it and differ only in who holds d.mu while the
+// device works: ensureRoom on a full segment seals and writes under the
+// lock and leaves the sync to whichever driver comes next; drainLocked
+// (Checkpoint, Close, the cleaner) does all of it under the lock; and
+// the group-commit broker below does the device work with the lock
+// released.
+//
+// Group commit: concurrent durability callers — Flush, CommitDurable,
+// and the network server's per-session syncs — enqueue on a commit
+// broker instead of each paying a full device sync under d.mu. One
+// caller per batch becomes the leader: it seals the current partial
+// segment under d.mu, claims everything queued, then performs the
+// device writes and a single sync with d.mu released, and finally
+// wakes the whole batch. N concurrent committers thus share one sync,
+// and the device never spins while holding the engine lock.
 
 // gcBatch is one group-commit batch: the set of durability callers
 // woken together by one leader pass. All fields except syncDur are
@@ -63,21 +74,22 @@ type commitBroker struct {
 // quarter of the last observed sync cost, never more than this.
 const batchWindow = time.Millisecond
 
-// sealedSeg is one segment sealed by a batch leader whose device write
-// and sync are still pending. Until the entry completes, the segment's
-// image stays readable in memory (readPhys), the segment index cannot
-// be reused or cleaned, and the segments its promotion freed stay
-// quarantined from reuse. written survives a failed sync so the retry
-// does not rewrite the data.
+// sealedSeg is one sealed segment no device sync has covered yet.
+// While it holds its image (bld, img) the image stays readable in memory
+// (readPhys) under sealedBySeg; once written it keeps only what the
+// covering sync releases: the commit stamps to acknowledge and the
+// segments its promotion freed, which stay quarantined from reuse until
+// then. written survives a failed sync so the retry does not rewrite
+// the data.
 type sealedSeg struct {
 	idx     int          // segment index on the device
 	seq     uint64       // log sequence number in the trailer
-	bld     *seg.Builder // owns img; reset and reused after completion
+	bld     *seg.Builder // owns img; retires with the epoch once written
 	img     []byte       // sealed image (aliases bld's buffer)
 	off     int64        // device offset of the segment
 	commits int          // commit records sealed into the segment
 	stamps  []commitStamp
-	frees   []int // segments freed by this seal's promotions (quarantined)
+	frees   []int // segments this seal's promotions emptied (quarantined)
 	written bool  // device write completed
 	claimed bool  // the in-flight leader is writing/syncing it
 }
@@ -127,7 +139,7 @@ func (d *LLD) forceCommit() error {
 // batchTrace carries one batch's causal identity across the leader
 // pass: the batch id (assigned under d.mu once the leader claims
 // work), the batch span (root of the batch's own trace; seg-flush and
-// device-sync spans parent on it), and the sync timing measured with
+// device-sync spans parent on it), and the sync's start, taken with
 // d.mu released. Zero span/trace means span recording is off.
 type batchTrace struct {
 	id    uint64        // batch id (d.batchSeq)
@@ -135,11 +147,10 @@ type batchTrace struct {
 	span  uint64        // the SpanCommitBatch id
 	t0    time.Duration // leader start (obs timebase)
 	st0   time.Duration // device-sync start
-	sdur  time.Duration // device-sync duration
 }
 
-// leadBatch runs one batch as its leader: cutoff, seal under d.mu,
-// device I/O outside d.mu, completion under d.mu.
+// leadBatch runs one batch as its leader: cutoff, seal and claim under
+// d.mu, device I/O outside d.mu, retirement under d.mu.
 func (d *LLD) leadBatch(bat *gcBatch) error {
 	var bt batchTrace
 	if d.obs.SpanEnabled() {
@@ -159,250 +170,99 @@ func (d *LLD) leadBatch(bat *gcBatch) error {
 		d.mu.Unlock()
 		return ErrClosed
 	}
-	if err := d.sealBatchLocked(); err != nil {
+	// A full log only fails the next operation that needs log space; the
+	// batch still makes what is sealed durable.
+	_ = d.seal()
+	// Claim the queue: the partial segment just sealed, every segment an
+	// inline seal wrote since the last sync, and whatever a failed batch
+	// left behind. Only one leader runs at a time and the locked drivers
+	// wait for an idle broker, so nothing is claimed yet. Segments sealed
+	// from here on queue behind the claim, and this batch's sync — which
+	// may run before their write — does not retire them. The work slice
+	// is the engine's reusable scratch: only the single in-flight leader
+	// touches it, so it may be carried across the device I/O below with
+	// d.mu released.
+	work := append(d.gcWork[:0], d.sealed...)
+	d.gcWork = work
+	if len(work) == 0 {
+		// Every device write of the log is a queued entry until a sync
+		// covers it: an empty queue means nothing is unsynced.
 		d.publishLocked()
 		d.mu.Unlock()
-		return err
+		return nil
 	}
-	// Claim the queue. Only one leader runs at a time and the serial
-	// drain paths require an idle broker, so every entry is unclaimed
-	// here — including entries a failed batch left behind for retry.
-	// The work slice is the engine's reusable scratch: only the single
-	// in-flight leader touches it, so it may be carried across the
-	// device I/O below with d.mu released.
-	work := d.gcWork[:0]
-	for _, e := range d.sealed {
-		if !e.claimed {
-			e.claimed = true
-			work = append(work, e)
-		}
+	for _, e := range work {
+		e.claimed = true
 	}
-	d.gcWork = work
-	if len(work) > 0 {
-		d.batchSeq++
-		bt.id = d.batchSeq
-		if d.obs.SpanEnabled() {
-			bt.trace = d.obs.NextID()
-			bt.span = d.obs.NextID()
-		}
+	d.batchSeq++
+	bt.id = d.batchSeq
+	if d.obs.SpanEnabled() {
+		bt.trace = d.obs.NextID()
+		bt.span = d.obs.NextID()
 	}
-	needSync := len(work) > 0 || d.devDirty
-	wgen := d.wgen
 	// Publish the sealed state before releasing the lock: readers that
 	// race the batch I/O must already see the sealed images (and the
 	// promoted records the seal produced).
 	d.publishLocked()
 	d.mu.Unlock()
 
-	if !needSync {
-		return nil
-	}
-
 	// Device I/O with d.mu released: writers and readers proceed
 	// against the fresh builder while the device spins.
-	var ioErr error
+	var (
+		ioErr  error
+		synced bool
+	)
 	for _, e := range work {
-		if e.written {
-			continue // a failed sync left it written; only re-sync
-		}
-		var t0 time.Duration
-		if d.obs != nil {
-			t0 = d.obs.Now()
-		}
-		if err := d.dev.WriteAt(e.img, e.off); err != nil {
-			ioErr = fmt.Errorf("lld: writing segment %d: %w", e.idx, err)
+		if ioErr = d.writeSealed(e, &bt); ioErr != nil {
 			break
 		}
-		e.written = true
-		d.stats.SegmentsWritten.Add(1)
-		if d.obs != nil {
-			now := d.obs.Now()
-			d.obs.Observe(obs.HistSegFlush, now-t0)
-			d.obs.Emit(obs.EvSegFlush, 0, uint64(e.idx), e.seq)
-			if bt.span != 0 {
-				d.obs.EmitSpan(obs.Span{
-					Trace: bt.trace, ID: d.obs.NextID(), Parent: bt.span,
-					Kind: obs.SpanSegFlush, Start: t0, Dur: now - t0,
-					Arg1: uint64(e.idx), Arg2: e.seq,
-				})
-			}
-		}
 	}
-	synced := false
-	if ioErr == nil && !d.params.UnsafeNoSyncOnFlush && !d.params.UnsafeAckBeforeSync {
-		t0 := time.Now()
+	if ioErr == nil {
 		if bt.span != 0 {
 			bt.st0 = d.obs.Now()
 		}
-		if err := d.dev.Sync(); err != nil {
-			ioErr = fmt.Errorf("lld: sync: %w", err)
-		} else {
-			synced = true
+		t0 := time.Now()
+		if synced, ioErr = d.syncDev(syncBatch); synced {
 			bat.syncDur = time.Since(t0)
-			bt.sdur = bat.syncDur
 		}
 	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer d.publishLocked()
-	if ioErr != nil {
-		// Leave every entry queued: written segments keep their flag so
-		// the next batch only re-syncs them, and no commit is
-		// acknowledged durable (every waiter of this batch gets the
-		// error). The in-memory image keeps serving reads meanwhile.
-		for _, e := range work {
-			e.claimed = false
-		}
-		return ioErr
-	}
-	d.finishBatchLocked(work, synced, wgen, &bt)
-	for i := range work {
+	for i, e := range work {
+		e.claimed = false
+		d.releaseImage(e)
 		work[i] = nil
 	}
-	d.gcWork = work[:0]
-	return nil
-}
-
-// sealBatchLocked seals the current partial segment into the pending
-// queue without touching the device: buffered committed versions
-// materialize, queued commit records are emitted, the builder's image
-// moves into a sealedSeg entry, and a fresh builder is swapped in so
-// writers never wait on the batch I/O. The durable watermark advances
-// exactly as for a synchronous seal — promotion is an in-memory
-// transition; client-visible durability is only acknowledged when the
-// batch's sync completes. Caller holds d.mu.
-func (d *LLD) sealBatchLocked() error {
-	if d.curSeg < 0 {
-		return nil // mounted read-only so far: nothing buffered
+	if ioErr != nil {
+		// Every entry stays queued — written ones only await a sync, the
+		// others keep serving reads from their image — and no commit is
+		// acknowledged durable (every waiter of this batch gets the
+		// error).
+		return ioErr
 	}
-	d.materializeCommitted()
-	for _, e := range d.pendingCommits {
-		d.builder.AddEntry(e)
-		d.stats.EntriesLogged.Add(1)
+	commits := d.retire(len(work), bt.id, synced)
+	d.lastBatch.Store(bt.id)
+	d.stats.CommitBatches.Add(1)
+	d.stats.BatchedCommits.Add(int64(commits))
+	if d.obs != nil {
+		d.obs.Emit(obs.EvCommitBatch, 0, uint64(commits), uint64(len(work)))
+		d.obs.Observe(obs.HistCommitBatch, time.Duration(commits))
 	}
-	commits := len(d.pendingCommits)
-	d.pendingCommits = d.pendingCommits[:0]
-	if d.builder.Empty() {
-		return nil
-	}
-	e := d.getSealed()
-	e.idx = d.curSeg
-	e.seq = d.nextSeq
-	e.bld = d.builder
-	e.img = d.builder.Seal(d.nextSeq)
-	e.off = d.params.Layout.SegOff(d.curSeg)
-	e.commits = commits
-	e.stamps = d.commitStamps
-	d.commitStamps = nil
-	d.sealed = append(d.sealed, e)
-	d.sealedBySeg[uint32(e.idx)] = e
-	d.segSeq[e.idx] = e.seq
-	d.nextSeq++
-	d.segsSinceC++
-	d.durableTS = d.lastTS()
-	// Promotion may free segments holding versions this seal
-	// supersedes. Until the batch syncs, those segments must not be
-	// rewritten: a crash could keep the rewrite but lose this segment,
-	// destroying data an earlier sync already guaranteed. Record the
-	// frees and quarantine them from reuse.
-	d.sealFrees = &e.frees
-	d.promote()
-	d.sealFrees = nil
-	for _, s := range e.frees {
-		d.reuseQuarantine[s]++
-	}
-	// Double buffering: the sealed image aliases the old builder's
-	// buffer, so hand the builder to the entry and continue on a spare.
-	d.builder = d.takeBuilder()
-	d.curSeg = -1 // no open segment until the pick below succeeds
-	next, err := d.pickSeg()
-	if err != nil {
-		// Out of reusable segments for the *next* seal. The sealed
-		// entry stays queued (the batch still writes it); the open
-		// segment is re-picked lazily by ensureRoom once space frees.
-		return err
-	}
-	d.curSeg = next
-	d.freeCache = d.reusableCount()
-	return nil
-}
-
-// finishBatchLocked completes a successfully written batch: entries
-// leave the queue, their quarantines lift, commit latencies are
-// observed, and builders return to the spare pool. synced reports
-// whether the device sync ran (false only under UnsafeAckBeforeSync);
-// wgen is the leader's pre-I/O snapshot of the write generation, used
-// to clear devDirty only if no unsynced write raced the batch; bt is
-// the leader's batch identity — every durable ack drained here names
-// bt.id and the sync id assigned below. Caller holds d.mu.
-func (d *LLD) finishBatchLocked(work []*sealedSeg, synced bool, wgen uint64, bt *batchTrace) {
-	var syncID uint64
-	if synced {
-		d.syncSeq++
-		syncID = d.syncSeq
-	}
-	if len(work) > 0 {
-		d.lastBatch.Store(bt.id)
-	}
-	commits := 0
-	for _, e := range work {
-		commits += e.commits
-		delete(d.sealedBySeg, uint32(e.idx))
-		for _, s := range e.frees {
-			if d.reuseQuarantine[s]--; d.reuseQuarantine[s] <= 0 {
-				delete(d.reuseQuarantine, s)
-			}
-		}
-		d.emitStampsDurable(e.stamps, bt.id, syncID)
-		d.putBuilder(e.bld)
-		if d.commitStamps == nil && cap(e.stamps) > 0 {
-			// Return the stamp capacity: nothing was stamped since the
-			// cutoff, so the next EndARU appends into the old backing.
-			d.commitStamps = e.stamps[:0]
-		}
-		e.stamps = nil
-		d.putSealed(e)
-	}
-	// Only one leader runs at a time and broker seals are the sole
-	// producer, so the claimed entries are the entire queue.
-	d.sealed = d.sealed[:0]
-	if synced {
-		if d.wgen == wgen {
-			d.devDirty = false
-		}
-		// Note: d.commitStamps is deliberately NOT drained here — any
-		// stamp queued after this batch's cutoff belongs to a commit
-		// record still in pendingCommits, which this sync does not
-		// cover. Each batch observes exactly the stamps its seal moved
-		// into the entry.
-	} else if len(work) > 0 {
-		// UnsafeAckBeforeSync: the batch is acknowledged with its
-		// segments unsynced — the deliberate broker bug the crash
-		// checker must catch.
-		d.devDirty = true
-	}
-	if len(work) > 0 {
-		d.stats.CommitBatches.Add(1)
-		d.stats.BatchedCommits.Add(int64(commits))
-		if d.obs != nil {
-			d.obs.Emit(obs.EvCommitBatch, 0, uint64(commits), uint64(len(work)))
-			d.obs.Observe(obs.HistCommitBatch, time.Duration(commits))
-		}
-		if bt.span != 0 {
-			now := d.obs.Now()
+	if bt.span != 0 {
+		now := d.obs.Now()
+		d.obs.EmitSpan(obs.Span{
+			Trace: bt.trace, ID: bt.span,
+			Kind: obs.SpanCommitBatch, Start: bt.t0, Dur: now - bt.t0,
+			Arg1: bt.id, Arg2: uint64(commits),
+		})
+		if synced {
 			d.obs.EmitSpan(obs.Span{
-				Trace: bt.trace, ID: bt.span,
-				Kind: obs.SpanCommitBatch, Start: bt.t0, Dur: now - bt.t0,
-				Arg1: bt.id, Arg2: uint64(commits),
+				Trace: bt.trace, ID: d.obs.NextID(), Parent: bt.span,
+				Kind: obs.SpanDeviceSync, Start: bt.st0, Dur: bat.syncDur,
+				Arg1: d.syncSeq,
 			})
-			if synced {
-				d.obs.EmitSpan(obs.Span{
-					Trace: bt.trace, ID: d.obs.NextID(), Parent: bt.span,
-					Kind: obs.SpanDeviceSync, Start: bt.st0, Dur: bt.sdur,
-					Arg1: syncID,
-				})
-			}
 		}
 	}
 	// The batch is fully applied: maintenance may publish intermediate
@@ -410,81 +270,182 @@ func (d *LLD) finishBatchLocked(work []*sealedSeg, synced bool, wgen uint64, bt 
 	d.pubSafe = true
 	d.maybeMaintain()
 	d.pubSafe = false
+	return nil
 }
 
-// writeSealedLocked writes every not-yet-written sealed segment to the
-// device, in seal order. Used by the serial drain paths (flushLocked);
-// callers hold d.mu and have verified the broker is idle (gcBusyLocked),
-// so no entry is claimed.
-func (d *LLD) writeSealedLocked() error {
-	for _, e := range d.sealed {
-		if e.written {
-			continue
-		}
-		var t0 time.Duration
-		if d.obs != nil {
-			t0 = d.obs.Now()
-		}
-		if err := d.dev.WriteAt(e.img, e.off); err != nil {
-			return fmt.Errorf("lld: writing segment %d: %w", e.idx, err)
-		}
-		e.written = true
-		d.stats.SegmentsWritten.Add(1)
-		if d.obs != nil {
-			d.obs.ObserveSince(obs.HistSegFlush, t0)
-			d.obs.Emit(obs.EvSegFlush, 0, uint64(e.idx), e.seq)
+// writeSealed puts e's image on the device, unless an earlier attempt
+// already did. It touches only e and the device, so the batch leader
+// runs it with d.mu released on the entries it claimed; everyone else
+// holds d.mu. bt, when its span is set, parents a seg-flush span.
+func (d *LLD) writeSealed(e *sealedSeg, bt *batchTrace) error {
+	if e.written {
+		return nil
+	}
+	var t0 time.Duration
+	if d.obs != nil {
+		t0 = d.obs.Now()
+	}
+	if err := d.dev.WriteAt(e.img, e.off); err != nil {
+		return fmt.Errorf("lld: writing segment %d: %w", e.idx, err)
+	}
+	e.written = true
+	d.stats.SegmentsWritten.Add(1)
+	if d.obs != nil {
+		now := d.obs.Now()
+		d.obs.Observe(obs.HistSegFlush, now-t0)
+		d.obs.Emit(obs.EvSegFlush, 0, uint64(e.idx), e.seq)
+		if bt != nil && bt.span != 0 {
+			d.obs.EmitSpan(obs.Span{
+				Trace: bt.trace, ID: d.obs.NextID(), Parent: bt.span,
+				Kind: obs.SpanSegFlush, Start: t0, Dur: now - t0,
+				Arg1: uint64(e.idx), Arg2: e.seq,
+			})
 		}
 	}
 	return nil
 }
 
-// completeSealedLocked retires every sealed entry after a successful
-// device sync on the serial path. Caller holds d.mu.
-func (d *LLD) completeSealedLocked() {
-	if len(d.sealed) == 0 {
+// releaseImage is the bookkeeping half of sealed → written: a written
+// entry's blocks are read from the device (or the cache) from the next
+// publish on, so it leaves sealedBySeg and gives up its builder.
+// Published snapshots may still read the image, so the builder retires
+// with the current epoch instead of being reset in place. A no-op on an
+// entry not yet written or already released. Caller holds d.mu.
+func (d *LLD) releaseImage(e *sealedSeg) {
+	if !e.written || e.bld == nil {
 		return
 	}
+	delete(d.sealedBySeg, uint32(e.idx))
+	d.putBuilder(e.bld)
+	e.bld, e.img = nil, nil
+}
+
+// writeQueued writes every queued entry that still awaits its device
+// write, in seal order — normally the one just sealed; more after a
+// failed write. Entries an in-flight leader has claimed are the
+// leader's to write. Caller holds d.mu.
+func (d *LLD) writeQueued() error {
 	for _, e := range d.sealed {
-		delete(d.sealedBySeg, uint32(e.idx))
+		if e.claimed {
+			continue
+		}
+		if err := d.writeSealed(e, nil); err != nil {
+			return err
+		}
+		d.releaseImage(e)
+	}
+	return nil
+}
+
+// syncPoint names the durability point syncDev runs for; only the fault
+// hooks tell them apart.
+type syncPoint int
+
+const (
+	syncBatch   syncPoint = iota // a group-commit batch (d.mu released)
+	syncLocked                   // a locked flush of the queue
+	syncBarrier                  // the checkpoint publish barrier
+)
+
+// syncDev is the log's only device sync: it forces every completed
+// write to stable storage and reports whether the sync ran — false
+// without an error only under a fault hook, each of which is exactly one
+// skipped sync. Callers skip the call when nothing is unsynced. It
+// touches only the device, so the batch leader calls it with d.mu
+// released.
+func (d *LLD) syncDev(at syncPoint) (bool, error) {
+	if f := d.params.Faults; f != nil {
+		switch {
+		case f.NoSyncOnFlush && at != syncBarrier,
+			f.AckBeforeSync && at == syncBatch,
+			f.TornDeltaPublish && at == syncBarrier:
+			return false, nil
+		}
+	}
+	if err := d.dev.Sync(); err != nil {
+		return false, fmt.Errorf("lld: sync: %w", err)
+	}
+	return true, nil
+}
+
+// retire ends the life of the first n queued entries — all written —
+// once the sync covering their writes has returned (synced is false
+// only under a fault hook): the segments their promotions emptied may
+// be rewritten, their commits are acknowledged durable under batchID
+// (0 = a locked flush) and the sync's id, and the entries go back to
+// the pool. Entries retire in seal order only: one sealed behind a
+// segment not yet durable would be cut off by recovery at the sequence
+// hole, whatever the device holds of it. It returns the number of
+// commit records retired. Caller holds d.mu.
+func (d *LLD) retire(n int, batchID uint64, synced bool) (commits int) {
+	var syncID uint64
+	if synced {
+		d.syncSeq++
+		syncID = d.syncSeq
+	}
+	for _, e := range d.sealed[:n] {
+		commits += e.commits
 		for _, s := range e.frees {
 			if d.reuseQuarantine[s]--; d.reuseQuarantine[s] <= 0 {
 				delete(d.reuseQuarantine, s)
 			}
 		}
-		d.emitStampsDurable(e.stamps, 0, d.syncSeq)
-		d.putBuilder(e.bld)
-		if d.commitStamps == nil && cap(e.stamps) > 0 {
-			d.commitStamps = e.stamps[:0]
-		}
-		e.stamps = nil
+		d.emitStampsDurable(e.stamps, batchID, syncID)
 		d.putSealed(e)
 	}
-	d.sealed = d.sealed[:0]
+	m := copy(d.sealed, d.sealed[n:])
+	clear(d.sealed[m:])
+	d.sealed = d.sealed[:m]
+	return commits
 }
 
-// gcBusyLocked reports whether a batch leader currently holds claimed
-// entries — i.e. is performing device I/O with d.mu released. The
-// serial flush/checkpoint paths must not run concurrently with it; the
-// public entry points drain the broker first (drainBroker). Caller
-// holds d.mu.
-func (d *LLD) gcBusyLocked() bool {
-	for _, e := range d.sealed {
-		if e.claimed {
-			return true
-		}
+// flushQueue writes, syncs and retires everything queued, under the
+// lock. Caller holds d.mu with the broker idle.
+func (d *LLD) flushQueue() error {
+	if err := d.writeQueued(); err != nil {
+		return err
 	}
-	return false
+	if len(d.sealed) == 0 {
+		return nil // nothing unsynced
+	}
+	synced, err := d.syncDev(syncLocked)
+	if err != nil {
+		return err
+	}
+	d.retire(len(d.sealed), 0, synced)
+	return nil
+}
+
+// drainLocked is the locked driver: it seals the open segment and
+// flushes the queue, so that on return every logged operation is on
+// stable storage. Checkpoint, Close and the cleaner use it; callers
+// hold d.mu with the broker idle (lockDrained, canMaintain).
+func (d *LLD) drainLocked() error {
+	// A full log only fails the next operation that needs log space —
+	// and the checkpoint a drain usually precedes is what frees some.
+	_ = d.seal()
+	return d.flushQueue()
+}
+
+// brokerBusy reports whether a batch leader holds claimed entries —
+// i.e. is performing device I/O with d.mu released. A leader claims the
+// whole queue, and later seals queue behind the claim, so the head
+// entry tells. The locked drivers must not run concurrently with a
+// leader: the public entry points wait it out first (lockDrained), the
+// internal ones skip (canMaintain, pickSeg). Caller holds d.mu.
+func (d *LLD) brokerBusy() bool {
+	return len(d.sealed) > 0 && d.sealed[0].claimed
 }
 
 // lockDrained acquires d.mu with the broker idle: while a leader is
 // mid-flight it joins the broker (waiting the batch out) and retries.
-// Checkpoint, Close and Clean use it so their serial writes and syncs
+// Checkpoint, Close and Clean use it so their locked writes and syncs
 // never interleave with a batch's device I/O. The returned engine
 // state may be closed; callers re-check d.closed.
 func (d *LLD) lockDrained() {
 	for {
 		d.mu.Lock()
-		if !d.gcBusyLocked() {
+		if !d.brokerBusy() {
 			return
 		}
 		d.mu.Unlock()
@@ -506,9 +467,9 @@ func (d *LLD) takeBuilder() *seg.Builder {
 }
 
 // putBuilder retires a builder whose segment was written: published
-// epochs may still read its committed slots (directly, or through a
-// sealed image aliasing its buffer), so the Reset is deferred to
-// recycleBuilder when the retiring epoch drains. Caller holds d.mu.
+// epochs may still read the sealed image aliasing its buffer, so the
+// Reset is deferred to recycleBuilder when the retiring epoch drains.
+// Caller holds d.mu.
 func (d *LLD) putBuilder(b *seg.Builder) {
 	d.ret.builders = append(d.ret.builders, b)
 }

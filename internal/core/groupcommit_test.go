@@ -16,45 +16,69 @@ import (
 // and returns the block id.
 func commitUnit(t *testing.T, d *LLD, payload byte) BlockID {
 	t.Helper()
-	aru, err := d.BeginARU()
+	b, err := runUnit(d, payload)
 	if err != nil {
-		t.Fatalf("BeginARU: %v", err)
-	}
-	lst, err := d.NewList(aru)
-	if err != nil {
-		t.Fatalf("NewList: %v", err)
-	}
-	b, err := d.NewBlock(aru, lst, NilBlock)
-	if err != nil {
-		t.Fatalf("NewBlock: %v", err)
-	}
-	if err := d.Write(aru, b, fill(d, payload)); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := d.EndARU(aru); err != nil {
-		t.Fatalf("EndARU: %v", err)
+		t.Fatal(err)
 	}
 	return b
 }
 
+// runUnit is commitUnit for goroutines other than the test's.
+func runUnit(d *LLD, payload byte) (BlockID, error) {
+	aru, err := d.BeginARU()
+	if err != nil {
+		return 0, fmt.Errorf("BeginARU: %w", err)
+	}
+	lst, err := d.NewList(aru)
+	if err != nil {
+		return 0, fmt.Errorf("NewList: %w", err)
+	}
+	b, err := d.NewBlock(aru, lst, NilBlock)
+	if err != nil {
+		return 0, fmt.Errorf("NewBlock: %w", err)
+	}
+	if err := d.Write(aru, b, fill(d, payload)); err != nil {
+		return 0, fmt.Errorf("Write: %w", err)
+	}
+	if err := d.EndARU(aru); err != nil {
+		return 0, fmt.Errorf("EndARU: %w", err)
+	}
+	return b, nil
+}
+
 // TestGroupCommitAmortization is the headline property: many
-// concurrent committers share very few device syncs, while the serial
-// baseline pays one per Flush.
+// concurrent committers share very few device syncs, while the same
+// committers with their flushes serialized by the driver — one mutex
+// around commit + Flush, so no two ever meet in the broker — pay one
+// sync per durable commit.
 func TestGroupCommitAmortization(t *testing.T) {
 	const committers = 64
 
-	run := func(noGroup bool) int64 {
-		d, dev := newTestLLD(t, Params{NoGroupCommit: noGroup})
-		for i := 0; i < committers; i++ {
-			commitUnit(t, d, byte(i))
+	run := func(serial bool) int64 {
+		d, dev := newTestLLD(t, Params{})
+		if !serial {
+			for i := 0; i < committers; i++ {
+				commitUnit(t, d, byte(i))
+			}
 		}
 		before := dev.Stats().Syncs
-		var wg sync.WaitGroup
+		var (
+			flushMu sync.Mutex
+			wg      sync.WaitGroup
+		)
 		errs := make(chan error, committers)
 		for i := 0; i < committers; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				if serial {
+					flushMu.Lock()
+					defer flushMu.Unlock()
+					if _, err := runUnit(d, byte(i)); err != nil {
+						errs <- err
+						return
+					}
+				}
 				errs <- d.Flush()
 			}()
 		}
@@ -62,7 +86,7 @@ func TestGroupCommitAmortization(t *testing.T) {
 		close(errs)
 		for err := range errs {
 			if err != nil {
-				t.Fatalf("Flush (noGroup=%v): %v", noGroup, err)
+				t.Fatalf("Flush (serial=%v): %v", serial, err)
 			}
 		}
 		return dev.Stats().Syncs - before
@@ -74,7 +98,7 @@ func TestGroupCommitAmortization(t *testing.T) {
 		t.Errorf("group commit: %d concurrent commits took %d syncs, want <= 4", committers, groupSyncs)
 	}
 	if serialSyncs < committers {
-		t.Errorf("serial baseline: %d flushes took only %d syncs, want >= %d", committers, serialSyncs, committers)
+		t.Errorf("serialized flushes: %d durable commits took only %d syncs, want >= %d", committers, serialSyncs, committers)
 	}
 }
 
@@ -325,6 +349,69 @@ func TestGroupCommitSealedSegmentExcluded(t *testing.T) {
 		t.Errorf("reuse quarantine not lifted after batch completion: %v", d.reuseQuarantine)
 	}
 	d.mu.Unlock()
+}
+
+// TestGroupCommitInlineSealBehindClaim: a segment that fills up and is
+// written inline while a batch's sync is in flight queues behind the
+// leader's claim. The leader's sync may have run before that write, so
+// the batch must not retire it: it stays queued, written, until the
+// next durability point syncs again.
+func TestGroupCommitInlineSealBehindClaim(t *testing.T) {
+	d, gd := newGatedLLD(t, Params{})
+	commitUnit(t, d, 0x51)
+
+	started, release := gd.arm()
+	flushDone := make(chan error, 1)
+	go func() { flushDone <- d.Flush() }()
+	<-started // leader in dev.Sync, d.mu free, its entry claimed
+
+	// Fill segments until one is sealed and written under the lock.
+	before := d.stats.SegmentsWritten.Load() // live: Stats() lags a publish
+	lst, err := d.NewList(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; d.stats.SegmentsWritten.Load() == before; i++ {
+		b, err := d.NewBlock(0, lst, NilBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write(0, b, fill(d, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.mu.Lock()
+	if n := len(d.sealed); n != 2 || !d.sealed[0].claimed || d.sealed[1].claimed || !d.sealed[1].written {
+		t.Errorf("while the batch syncs: queue of %d, want the claimed entry and a written, unclaimed one behind it", n)
+	}
+	d.mu.Unlock()
+
+	gd.disarm()
+	close(release)
+	if err := <-flushDone; err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	d.mu.Lock()
+	if n := len(d.sealed); n != 1 || d.sealed[0].claimed || !d.sealed[0].written || d.sealed[0].bld != nil {
+		t.Errorf("after the batch: queue of %d, want only the inline segment, written, its builder released", n)
+	}
+	d.mu.Unlock()
+
+	syncs := gd.Sim.Stats().Syncs
+	if err := d.Flush(); err != nil {
+		t.Fatalf("second Flush: %v", err)
+	}
+	if got := gd.Sim.Stats().Syncs - syncs; got != 1 {
+		t.Errorf("second Flush ran %d syncs, want 1", got)
+	}
+	d.mu.Lock()
+	if len(d.sealed) != 0 || len(d.reuseQuarantine) != 0 {
+		t.Errorf("queue not drained by the second Flush: %d entries, quarantine %v", len(d.sealed), d.reuseQuarantine)
+	}
+	d.mu.Unlock()
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestGroupCommitSyncFailureRetry: a failed dev.Sync must leave the

@@ -179,52 +179,51 @@ type Params struct {
 	// its coordinator log.
 	CommitResolver func(txn uint64) bool
 
-	// UnsafeNoSyncOnFlush makes Flush skip the device sync while
-	// still reporting commits as durable. It exists solely so the
-	// crash-state checker (internal/crashenum) can prove it detects
-	// durability violations; never set it in production.
-	UnsafeNoSyncOnFlush bool
-	// UnsafeUntaggedReplay makes EndARU write the unit's replay
-	// entries without their ARU tag, so recovery applies them
-	// unconditionally instead of gating them on the commit record —
-	// a deliberate atomicity bug for validating the crash checker.
-	UnsafeUntaggedReplay bool
-	// UnsafeAckBeforeSync makes the group-commit leader wake its batch
-	// before the device sync runs — the classic broken-broker bug
-	// (durability acknowledged on unsynced segments). It exists solely
-	// so the crash-state checker can prove it detects the bug; never
-	// set it in production. Serial flushes (NoGroupCommit) are not
-	// affected.
-	UnsafeAckBeforeSync bool
-	// UnsafeStaleHeadEvery, when n > 0, silently drops every n-th
-	// epoch publish, so lock-free readers keep being served the
-	// previous (stale) snapshot past the operation's completion. It
-	// exists solely so the linearizability checker
-	// (internal/linearize) can prove it detects stale-read bugs;
-	// never set it in production.
-	UnsafeStaleHeadEvery int
-	// UnsafeTornDeltaPublish makes the checkpoint writer skip the
-	// publish barrier: the chain record is written but the checkpoint
-	// watermark (which unlocks segment reuse) advances without
-	// waiting for the record to be durable. A crash can then lose the
-	// record after a replay-window segment was already rewritten —
-	// the torn-delta bug the crash-state checker's `-inject
-	// torn-delta` knob must catch. Never set it in production.
-	UnsafeTornDeltaPublish bool
-	// RecoveryProbe is test instrumentation: Open invokes it once per
-	// mount, after the crash image's tables are rebuilt but before the
-	// first epoch publish. The crash-state checker uses it to assert
-	// that reads during replay fail cleanly (the snapshot head does
-	// not exist yet, so AcquireSnapshot must return ErrClosed). The
-	// probe may only call AcquireSnapshot/OpenSnapshots — the engine
-	// is mid-construction and nothing else is safe to touch.
-	RecoveryProbe func(d *LLD)
+	// Faults plants deliberate engine bugs and probes for the checkers'
+	// self-tests (see FaultHooks). nil — the default, and the only value
+	// a production caller can express: the aru facade does not export
+	// the type — leaves the engine as designed.
+	Faults *FaultHooks
+}
 
-	// NoGroupCommit disables the group-commit broker: Flush reverts to
-	// the serial path that holds the engine lock across the device
-	// write and sync. Used as the baseline in benchmarks and available
-	// as an escape hatch.
-	NoGroupCommit bool
+// FaultHooks are the deliberate bugs and probes with which the
+// crash-state checker (internal/crashenum, `aru-crashcheck -inject`)
+// and the linearizability checker (internal/linearize) prove that they
+// catch violations. Never set one in production.
+type FaultHooks struct {
+	// NoSyncOnFlush makes every durability point — a group-commit batch
+	// or a locked drain — skip its device sync while still reporting the
+	// commits it covers as durable (`-inject nosync`).
+	NoSyncOnFlush bool
+	// AckBeforeSync is the classic broken broker: the batch leader wakes
+	// its waiters without the device sync having run (`-inject
+	// ack-early`). Locked drains still sync.
+	AckBeforeSync bool
+	// TornDeltaPublish makes the checkpoint writer skip the publish
+	// barrier: the chain record is written but the checkpoint watermark
+	// (which unlocks segment reuse) advances without waiting for the
+	// record to be durable, so a crash can lose the record after a
+	// replay-window segment was already rewritten (`-inject
+	// torn-delta`).
+	TornDeltaPublish bool
+	// UntaggedReplay makes EndARU write the unit's replay entries
+	// without their ARU tag, so recovery applies them unconditionally
+	// instead of gating them on the commit record (`-inject
+	// untagged-replay`).
+	UntaggedReplay bool
+	// StaleHeadEvery, when n > 0, silently drops every n-th epoch
+	// publish, so lock-free readers keep being served the previous
+	// snapshot past the operation's completion — the stale-read bug
+	// internal/linearize must catch.
+	StaleHeadEvery int
+	// RecoveryProbe is invoked by Open once per mount, after the crash
+	// image's tables are rebuilt but before the first epoch publish. The
+	// crash-state checker uses it to assert that reads during replay
+	// fail cleanly (the snapshot head does not exist yet, so
+	// AcquireSnapshot must return ErrClosed). The probe may only call
+	// AcquireSnapshot/OpenSnapshots — the engine is mid-construction and
+	// nothing else is safe to touch.
+	RecoveryProbe func(d *LLD)
 }
 
 func (p Params) withDefaults() Params {
@@ -340,9 +339,10 @@ type LLD struct {
 	obs *obs.Tracer
 
 	// commitStamps records, for each commit record queued by EndARU,
-	// when it was queued; the stamps are drained into the
-	// EndARU-to-durable histogram by the next successful device sync.
-	// Guarded by mu; only populated when obs is non-nil.
+	// when it was queued; the stamps leave with the seal that emits the
+	// records and are drained into the EndARU-to-durable histogram when
+	// a device sync covers it (retire). Guarded by mu; only populated
+	// when obs is non-nil.
 	commitStamps []commitStamp
 
 	// mu guards all engine state below. Mutating operations take the
@@ -418,40 +418,33 @@ type LLD struct {
 	inClean   bool     // reentrancy guard for the cleaner
 	cache     *blockCache
 
-	// Group commit (DESIGN.md §11). gc has its own internal mutex and
-	// is the only field here touched without d.mu; everything else
-	// below is guarded by d.mu like the rest of the struct.
+	// Durability (DESIGN.md §11). gc has its own internal mutex and is
+	// the only field here touched without d.mu; everything else below is
+	// guarded by d.mu like the rest of the struct.
 	gc commitBroker
-	// sealed queues segments sealed by batch leaders whose device
-	// write/sync is pending, in seal (seq) order; sealedBySeg indexes
-	// the same entries by segment index for the read path.
+	// sealed queues, in seal (seq) order, every sealed segment no device
+	// sync has covered yet: entries awaiting their device write, then
+	// written ones awaiting a sync. sealedBySeg indexes the entries that
+	// still hold their image (unwritten, or written by a leader that has
+	// not taken d.mu back yet) by segment index, for the read path.
 	sealed      []*sealedSeg
 	sealedBySeg map[uint32]*sealedSeg
 	// spareBuilders pools retired segment builders for double
 	// buffering: a seal hands its builder to the sealed entry and
 	// continues on a spare.
 	spareBuilders []*seg.Builder
-	// devDirty records that the device has unsynced writes (set by
-	// segment/data writes, cleared by a covering sync); wgen
-	// increments with every device write so a leader only clears
-	// devDirty if no write raced its sync.
-	devDirty bool
-	wgen     uint64
 	// Batch/sync causality counters (DESIGN.md §13): batchSeq numbers
-	// completed group-commit batches, syncSeq numbers successful device
-	// syncs (both paths — every durable ack names its sync). Guarded by
-	// mu; lastBatch mirrors the newest completed batch id atomically so
+	// group-commit batches, syncSeq the device syncs that retired sealed
+	// segments (every durable ack names its sync). Guarded by mu;
+	// lastBatch mirrors the newest completed batch id atomically so
 	// lock-free readers (the server's slow-op log) can attribute work.
 	batchSeq  uint64
 	syncSeq   uint64
 	lastBatch atomic.Uint64
-	// reuseQuarantine refcounts segments whose live count went to zero
-	// through a broker seal's promotion: they must not be rewritten
-	// until that seal's batch has synced (see sealBatchLocked).
+	// reuseQuarantine refcounts segments whose live count a seal's
+	// promotion took to zero: they must not be rewritten until a device
+	// sync has covered that seal (see seal and retire).
 	reuseQuarantine map[int]int
-	// sealFrees, when non-nil, collects the segment indexes promote()
-	// frees — set only around the promotion inside sealBatchLocked.
-	sealFrees *[]int
 
 	// Free lists for steady-state churn (see pool.go for the ownership
 	// rules). All guarded by d.mu; gcWork is touched only by the single
@@ -492,7 +485,7 @@ type LLD struct {
 	// is dropped, because snapshots up to the next publish may still
 	// read s's old bytes (see segReusable).
 	segFreeEpoch []uint64
-	pubSkip      int         // UnsafeStaleHeadEvery counter
+	pubSkip      int         // FaultHooks.StaleHeadEvery counter
 	pubSafe      bool        // mid-maintenance publishes allowed (op-consistent)
 	freeSnaps    []*snapshot // drained-epoch recycling
 }

@@ -5,9 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
-	"time"
 
-	"aru/internal/obs"
 	"aru/internal/seg"
 )
 
@@ -46,7 +44,24 @@ func (d *LLD) ensureRoom(extraBlocks, extraEntries int) error {
 	if d.builder.FitsBytes(extraBlocks+d.commBufBlocks, entryBytes) {
 		return nil
 	}
-	return d.writeCurSeg()
+	// The inline driver of a sealed segment's life (groupcommit.go):
+	// seal and write under the lock, and leave the sync — and with it
+	// the durable acks and the reuse of what the seal freed — to the
+	// next batch, drain or full log. A failed write keeps the entry
+	// queued with its image for the next durability point to retry.
+	err := d.seal()
+	if werr := d.writeQueued(); werr != nil {
+		return werr
+	}
+	if err != nil {
+		return err
+	}
+	if d.canMaintain() {
+		// seal left the count of reusable segments in freeCache: one
+		// O(NumSegs) scan per segment write, shared with maintenance.
+		d.freeCache = d.maintain(d.freeCache)
+	}
+	return nil
 }
 
 // growthAllowed reports whether growth operations may proceed: at least
@@ -183,13 +198,32 @@ func (d *LLD) lastTS() uint64 {
 	return d.ts - 1
 }
 
-// writeCurSeg seals the current segment, writes it to disk, promotes
-// committed state covered by the new durable watermark, and opens the
-// next segment. A no-op when the builder is empty.
-func (d *LLD) writeCurSeg() error {
+// seal closes the open segment without touching the device — the one
+// committed→persistent transition of paper §3.1, for every driver:
+// buffered committed versions materialize, queued commit records are
+// emitted, the image moves (still inside its builder) into an entry at
+// the tail of d.sealed, the durable watermark advances and committed
+// state covered by it is promoted, and a spare builder opens the next
+// segment so writers never wait on the device. Promotion is an
+// in-memory transition; durability is only acknowledged when a sync has
+// covered the entry (retire). A no-op when nothing is buffered.
+//
+// Promotion may empty segments holding versions this seal supersedes.
+// Until a sync covers the seal's write those segments must not be
+// rewritten: a crash could keep the rewrite but lose this segment,
+// destroying data an earlier sync already guaranteed, and recovery —
+// which rightly stops at the sequence hole — cannot put it back. The
+// entry records them and they stay quarantined from reuse until it
+// retires.
+//
+// The error, if any, is pickSeg's: no segment could be opened for the
+// *next* seal. The sealed entry is queued regardless, and the open
+// segment is re-picked lazily by ensureRoom once space frees. Caller
+// holds d.mu.
+func (d *LLD) seal() error {
 	if d.curSeg < 0 {
 		// Nothing is ever buffered while no segment is open (ensureRoom
-		// picks one before any append), so there is nothing to write.
+		// picks one before any append), so there is nothing to seal.
 		return nil
 	}
 	d.materializeCommitted()
@@ -197,52 +231,42 @@ func (d *LLD) writeCurSeg() error {
 		d.builder.AddEntry(e)
 		d.stats.EntriesLogged.Add(1)
 	}
+	commits := len(d.pendingCommits)
 	d.pendingCommits = d.pendingCommits[:0]
 	if d.builder.Empty() {
 		return nil
 	}
-	var t0 time.Duration
-	if d.obs != nil {
-		t0 = d.obs.Now()
-	}
-	img := d.builder.Seal(d.nextSeq)
-	if err := d.dev.WriteAt(img, d.params.Layout.SegOff(d.curSeg)); err != nil {
-		return fmt.Errorf("lld: writing segment %d: %w", d.curSeg, err)
-	}
-	d.devDirty = true
-	d.wgen++
-	if d.obs != nil {
-		d.obs.ObserveSince(obs.HistSegFlush, t0)
-		d.obs.Emit(obs.EvSegFlush, 0, uint64(d.curSeg), d.nextSeq)
-	}
-	d.segSeq[d.curSeg] = d.nextSeq
+	e := d.getSealed()
+	e.idx = d.curSeg
+	e.seq = d.nextSeq
+	e.bld = d.builder
+	e.img = d.builder.Seal(d.nextSeq)
+	e.off = d.params.Layout.SegOff(d.curSeg)
+	e.commits = commits
+	// The entry takes the stamps of the commits it carries and leaves
+	// its own (pooled) backing array for the next ones.
+	e.stamps, d.commitStamps = d.commitStamps, e.stamps
+	d.sealed = append(d.sealed, e)
+	d.sealedBySeg[uint32(e.idx)] = e
+	d.segSeq[e.idx] = e.seq
 	d.nextSeq++
-	d.stats.SegmentsWritten.Add(1)
 	d.segsSinceC++
 	d.durableTS = d.lastTS()
-	d.promote()
-	// Published snapshots may still serve reads from this builder's
-	// buffer (snapshot.readPhys via curBld), so it retires with the
-	// current epoch instead of being reset in place; recycleBuilder
-	// resets it once no snapshot can reach it.
-	d.putBuilder(d.builder)
+	d.promote(e)
+	// Double buffering: the sealed image aliases the old builder's
+	// buffer, so the builder stays with the entry and the log continues
+	// on a spare.
 	d.builder = d.takeBuilder()
-	// No open segment until the next pick succeeds: the one just
-	// written lives on the device now, and a publish from pickSeg's
+	// No open segment until the pick succeeds: a publish from pickSeg's
 	// retry path must not pin the empty replacement builder under the
-	// written segment's index.
+	// sealed segment's index.
 	d.curSeg = -1
 	next, err := d.pickSeg()
 	if err != nil {
 		return err
 	}
 	d.curSeg = next
-	// One O(NumSegs) scan per segment write, shared with maintenance.
-	free := d.reusableCount()
-	if d.canMaintain() {
-		free = d.maintain(free)
-	}
-	d.freeCache = free
+	d.freeCache = d.reusableCount()
 	return nil
 }
 
@@ -260,12 +284,13 @@ func (d *LLD) maybeMaintain() {
 // Automatic checkpoints and the cleaner are skipped while an ARU is
 // open (a checkpoint taken with an open ARU could strand its earlier
 // log entries outside the replay window), while the cleaner itself is
-// running, and while sealed-but-unsynced segments are queued (possibly
-// claimed by an in-flight batch leader): checkpoint and cleaner must
-// wait until the batch completes, and finishBatchLocked then re-runs
-// maybeMaintain with the queue empty.
+// running, and while a batch leader is working the device with d.mu
+// released: checkpoint and cleaner drain the queue the leader has
+// claimed, so they wait until the batch completes, and leadBatch then
+// re-runs maybeMaintain. Segments merely written and awaiting a sync do
+// not hold maintenance up — its drain syncs them.
 func (d *LLD) canMaintain() bool {
-	return !d.inClean && len(d.arus) == 0 && len(d.sealed) == 0
+	return !d.inClean && len(d.arus) == 0 && !d.brokerBusy()
 }
 
 // maintain runs background maintenance: an automatic checkpoint when
@@ -301,13 +326,6 @@ func (d *LLD) segFreeable(s int) bool {
 	if d.segPins[s] != 0 || d.segLive[s] != 0 {
 		return false
 	}
-	if d.reuseQuarantine[s] > 0 {
-		// The segment's last live blocks were superseded by a sealed
-		// segment whose batch has not synced yet: rewriting it now
-		// could leave a crash state where the rewrite survives but the
-		// superseding segment does not (DESIGN.md §11).
-		return false
-	}
 	if _, sealed := d.sealedBySeg[uint32(s)]; sealed {
 		return false // defensive: seq > ckptSeq already excludes it
 	}
@@ -315,9 +333,17 @@ func (d *LLD) segFreeable(s int) bool {
 }
 
 // segReusable reports whether segment s may be (re)written right now:
-// freeable, and drained of snapshot readers.
+// freeable, released by the device sync covering the seal that emptied
+// it, and drained of snapshot readers.
 func (d *LLD) segReusable(s int) bool {
 	if !d.segFreeable(s) {
+		return false
+	}
+	if d.reuseQuarantine[s] > 0 {
+		// The segment's last live blocks were superseded by a sealed
+		// segment no sync has covered yet: rewriting it now could leave
+		// a crash state where the rewrite survives but the superseding
+		// segment does not (see seal).
 		return false
 	}
 	if d.oldestEpoch.Load() < d.segFreeEpoch[s] {
@@ -331,11 +357,13 @@ func (d *LLD) segReusable(s int) bool {
 }
 
 // reusableCount counts freeable segments — the space-accounting view.
-// A segment gated only by the snapshot epoch (segReusable) still
-// counts: the gate lifts at the next op boundary's publish without any
-// new I/O, so policy decisions (cleaner low-water and progress, the
-// growth reserve) must not treat a merely undrained segment as
-// occupied, or they over-clean and refuse growth the disk can absorb.
+// A segment gated only by the snapshot epoch or the reuse quarantine
+// (segReusable) still counts: the one gate lifts at the next op
+// boundary's publish, the other at the next device sync (which pickSeg
+// forces when nothing else is left), neither needing any new write, so
+// policy decisions (cleaner low-water and progress, the growth reserve)
+// must not treat such a segment as occupied, or they over-clean and
+// refuse growth the disk can absorb.
 func (d *LLD) reusableCount() int {
 	return d.reusableUpTo(d.params.Layout.NumSegs)
 }
@@ -356,7 +384,10 @@ func (d *LLD) reusableUpTo(limit int) int {
 // first, then the oldest reusable one. Reusing a previously written
 // segment drops any cached blocks of its old contents. If nothing is
 // reusable, drained snapshot epochs are purged (releasing their
-// segment pins) and the scan retried once before reporting ErrNoSpace.
+// segment pins) and the scan retried; if still nothing is, and sealed
+// segments are queued, the queue is flushed — the sync lifts the reuse
+// quarantine of everything they freed — and the scan retried once more
+// before reporting ErrNoSpace.
 func (d *LLD) pickSeg() (int, error) {
 	best := d.scanReusable()
 	if best == -2 {
@@ -369,6 +400,9 @@ func (d *LLD) pickSeg() (int, error) {
 		} else {
 			d.purgeLocked()
 		}
+		best = d.scanReusable()
+	}
+	if best == -2 && len(d.sealed) > 0 && !d.brokerBusy() && d.flushQueue() == nil {
 		best = d.scanReusable()
 	}
 	if best < 0 {
@@ -403,15 +437,16 @@ func (d *LLD) scanReusable() int {
 // transition of paper §3.1, triggered by writes to disk). The chains
 // are walked newest first and the survivors end up in reverse order —
 // materialization order among equal timestamps, and so the log's
-// bytes, depend on it.
-func (d *LLD) promote() {
+// bytes, depend on it. e is the entry of the seal that advanced the
+// watermark; it records the segments the promotion empties.
+func (d *LLD) promote(e *sealedSeg) {
 	w := d.durableTS
 	slices.Reverse(d.commBlocks)
 	keepB := d.commBlocks[:0]
 	for _, id := range d.commBlocks {
 		lf := d.editBlock(id)
 		if ab := lf.find(seg.SimpleARU); ab.commitTS <= w && ab.data == nil {
-			d.promoteBlock(lf, ab)
+			d.promoteBlock(lf, ab, e)
 		} else {
 			keepB = append(keepB, id)
 		}
@@ -433,18 +468,17 @@ func (d *LLD) promote() {
 
 // promoteBlock installs ab as the persistent version of its block (or
 // removes the persistent version if ab is a deletion) and drops ab from
-// the window-owned leaf lf.
-func (d *LLD) promoteBlock(lf *blockLeaf, ab *blockVer) {
+// the window-owned leaf lf. A segment that loses its last live block
+// here is quarantined from reuse until e retires.
+func (d *LLD) promoteBlock(lf *blockLeaf, ab *blockVer, e *sealedSeg) {
 	d.stats.RecordsPromoted.Add(1)
 	d.dirtyBlocks[BlockID(lf.id)] = struct{}{}
 	if lf.hasPersist && lf.persist.HasData {
-		d.segLive[lf.persist.Seg]--
-		d.segFreeEpoch[lf.persist.Seg] = d.epoch + 1
-		if d.sealFrees != nil {
-			// Promotion driven by a broker seal: remember which
-			// segments lost live blocks so they stay quarantined from
-			// reuse until the seal's batch has synced.
-			*d.sealFrees = append(*d.sealFrees, int(lf.persist.Seg))
+		s := int(lf.persist.Seg)
+		d.segFreeEpoch[s] = d.epoch + 1
+		if d.segLive[s]--; d.segLive[s] == 0 {
+			e.frees = append(e.frees, s)
+			d.reuseQuarantine[s]++
 		}
 	}
 	lf.hasPersist = !ab.deleted
@@ -483,8 +517,8 @@ func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 		return nil
 	}
 	if e, ok := d.sealedBySeg[segIdx]; ok {
-		// Sealed by a batch leader, device write/sync still pending (or
-		// failed and awaiting retry): serve from the retained image.
+		// Sealed, device write still pending (or failed and awaiting
+		// retry): serve from the retained image.
 		bs := d.params.Layout.BlockSize
 		copy(dst, e.img[int(slot)*bs:(int(slot)+1)*bs])
 		return nil

@@ -36,7 +36,7 @@ func (d *LLD) Metrics() []obs.HistSnapshot { return d.obs.Histograms() }
 func (d *LLD) TraceEvents() []obs.Event { return d.obs.Events() }
 
 // LastBatch returns the id of the most recently completed group-commit
-// batch (0 before the first batch, or on the serial path). Maintained
+// batch (0 before the first batch). Maintained
 // atomically so callers — e.g. the network server's slow-op log — can
 // read it without taking the engine lock.
 func (d *LLD) LastBatch() uint64 { return d.lastBatch.Load() }
@@ -53,7 +53,7 @@ func (d *LLD) stampCommit(aru ARUID, trace, span uint64) {
 
 // emitStampsDurable observes EndARU-to-durable latency for a drained
 // set of commit stamps and emits their commit-durable spans, naming
-// the batch (0 = serial path) and device sync that made each durable.
+// the batch (0 = a locked flush) and device sync that made each durable.
 // Caller holds d.mu.
 func (d *LLD) emitStampsDurable(stamps []commitStamp, batchID, syncID uint64) {
 	if d.obs == nil || len(stamps) == 0 {
@@ -70,16 +70,5 @@ func (d *LLD) emitStampsDurable(stamps []commitStamp, batchID, syncID uint64) {
 				ARU: uint64(cs.aru), Arg1: batchID, Arg2: syncID,
 			})
 		}
-	}
-}
-
-// commitsDurable drains every commit record queued since the previous
-// successful sync — the serial-path counterpart of the broker's
-// per-batch emitStampsDurable. Called right after d.dev.Sync()
-// succeeds; caller holds d.mu.
-func (d *LLD) commitsDurable() {
-	d.emitStampsDurable(d.commitStamps, 0, d.syncSeq)
-	if d.obs != nil {
-		d.commitStamps = d.commitStamps[:0]
 	}
 }

@@ -47,12 +47,14 @@ package core
 //     a pooled leaf pins no buffer.
 //   - An aruState is recycled only after it is deleted from d.arus; its
 //     slices are cleared but keep their capacity across reuse.
-//   - A sealedSeg is retired in finishBatchLocked/completeSealedLocked
-//     after its quarantines lift, alongside its builder. The retained
-//     image (e.img) aliases the builder's buffer, and recycleSealed
-//     drops the alias. The builder keeps its old bytes when it is
-//     recycled: a clean image is Seal's guarantee, not Reset's
-//     (seg.Builder clears only what the next image leaves stale).
+//   - A sealedSeg is reachable only from the engine (d.sealed,
+//     d.sealedBySeg, the leader's work list) — snapshots copy the image
+//     slice, not the entry — so retire pools it directly. Its image
+//     (e.img) aliases its builder's buffer; both leave the entry in
+//     releaseImage, where the builder joins the retire-set. The builder
+//     keeps its old bytes when it is recycled: a clean image is Seal's
+//     guarantee, not Reset's (seg.Builder clears only what the next
+//     image leaves stale).
 
 // Free-list caps: beyond these the garbage collector takes over, so a
 // burst (many concurrent ARUs, a deep commit pipeline) does not pin
@@ -146,21 +148,12 @@ func (d *LLD) getSealed() *sealedSeg {
 	return new(sealedSeg)
 }
 
-// putSealed retires a completed sealed-segment entry: published
-// epochs may still serve reads from its image, so it parks on the
-// current retire-set and recycles (recycleSealed) when that epoch
-// drains. Caller holds d.mu.
+// putSealed pools a retired sealed-segment entry. Caller holds d.mu.
 func (d *LLD) putSealed(e *sealedSeg) {
-	d.ret.seals = append(d.ret.seals, e)
-}
-
-// recycleSealed pools a drained sealed-segment entry (purge path
-// only). Caller holds d.mu.
-func (d *LLD) recycleSealed(e *sealedSeg) {
 	if len(d.spareSeals) >= maxFreeSeals {
 		return
 	}
-	*e = sealedSeg{frees: e.frees[:0]}
+	*e = sealedSeg{frees: e.frees[:0], stamps: e.stamps[:0]}
 	d.spareSeals = append(d.spareSeals, e)
 }
 

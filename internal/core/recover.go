@@ -443,10 +443,10 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 			rpt.LeakedFreed = freed
 		}
 	}
-	if p.RecoveryProbe != nil {
+	if p.Faults != nil && p.Faults.RecoveryProbe != nil {
 		// Test instrumentation: the head is still nil here, so a probe
 		// exercising the read path observes how mid-replay reads fail.
-		p.RecoveryProbe(d)
+		p.Faults.RecoveryProbe(d)
 	}
 	// Publish the first epoch, so lock-free readers have a head before
 	// the first client operation.

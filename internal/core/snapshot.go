@@ -79,7 +79,6 @@ type retireSet struct {
 	arus     retired[aruMark]
 	bufs     [][]byte
 	builders []*seg.Builder
-	seals    []*sealedSeg
 }
 
 // snapshot is one published epoch. All fields except ref are written
@@ -159,13 +158,13 @@ func (s *snapshot) release() {
 // where the committed state is op-consistent (operation boundaries, or
 // the maintenance points flagged by d.pubSafe).
 func (d *LLD) publishLocked() {
-	if n := d.params.UnsafeStaleHeadEvery; n > 0 && d.head.Load() != nil {
+	if f := d.params.Faults; f != nil && f.StaleHeadEvery > 0 && d.head.Load() != nil {
 		// Fault injection for the linearizability harness: silently
 		// drop every n-th publish, serving readers a stale epoch. The
 		// window stays open (d.epoch does not advance), so the
 		// following publish catches up.
 		d.pubSkip++
-		if d.pubSkip%n == 0 {
+		if d.pubSkip%f.StaleHeadEvery == 0 {
 			return
 		}
 	}
@@ -296,11 +295,6 @@ func (d *LLD) drainRet(r *retireSet) {
 		r.builders[i] = nil
 	}
 	r.builders = r.builders[:0]
-	for i, e := range r.seals {
-		d.recycleSealed(e)
-		r.seals[i] = nil
-	}
-	r.seals = r.seals[:0]
 }
 
 // setRet installs r as the retire-set of the current window.

@@ -17,7 +17,9 @@ func TestSoakMultiGenerationCrashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping soak test in -short mode")
 	}
-	layout := testLayout(128)
+	// The workload only ever allocates: 25 generations leave some 900
+	// durable blocks, which must not fill the disk (7 blocks a segment).
+	layout := testLayout(192)
 	rng := rand.New(rand.NewSource(19960527))
 
 	img := func() []byte {

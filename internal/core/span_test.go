@@ -106,11 +106,12 @@ func TestSpanBatchCausality(t *testing.T) {
 	}
 }
 
-// TestSpanSerialPathNamesSync: on the serial (NoGroupCommit) path the
-// durable ack must still name a sync — batch 0, sync nonzero.
-func TestSpanSerialPathNamesSync(t *testing.T) {
+// TestSpanLockedDrainNamesSync: a commit made durable by the locked
+// drain (Checkpoint) rather than a broker batch must still name a sync —
+// batch 0, sync nonzero.
+func TestSpanLockedDrainNamesSync(t *testing.T) {
 	tr := obs.New(obs.Config{})
-	d, _ := newTestLLD(t, Params{Tracer: tr, NoGroupCommit: true})
+	d, _ := newTestLLD(t, Params{Tracer: tr})
 	defer d.Close()
 
 	aruID, err := d.BeginARU()
@@ -125,15 +126,15 @@ func TestSpanSerialPathNamesSync(t *testing.T) {
 	if err := d.EndARU(aruID); err != nil {
 		t.Fatalf("EndARU: %v", err)
 	}
-	if err := d.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	durables := spansByKind(tr.Spans())[obs.SpanCommitDurable]
 	if len(durables) != 1 {
 		t.Fatalf("got %d commit-durable spans, want 1", len(durables))
 	}
 	if durables[0].Arg1 != 0 || durables[0].Arg2 == 0 {
-		t.Fatalf("serial durable ack: batch=%d sync=%d, want batch 0 and a nonzero sync", durables[0].Arg1, durables[0].Arg2)
+		t.Fatalf("drained durable ack: batch=%d sync=%d, want batch 0 and a nonzero sync", durables[0].Arg1, durables[0].Arg2)
 	}
 	// Untraced EndARU with spans enabled roots its own trace.
 	if durables[0].Trace == 0 || durables[0].Parent == 0 {

@@ -9,7 +9,8 @@ import (
 // pinned shadow version and a buffered committed version in the tables,
 // each planted inconsistency — a pin count, a same-state chain, a gauge,
 // an entry counter, the committed-buffer count, a buffer with two
-// owners — must fail VerifyInternal, and undoing it must pass again.
+// owners, a leaked reuse quarantine — must fail VerifyInternal, and
+// undoing it must pass again.
 func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	d, _ := newTestLLD(t, Params{})
 	defer d.Close()
@@ -87,6 +88,8 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 		{"cached buffer recycled", "free list",
 			func() { d.freeBufs = append(d.freeBufs, cachedBuf) },
 			func() { d.freeBufs = d.freeBufs[:len(d.freeBufs)-1] }},
+		{"reuse quarantine no queued seal accounts for", "reuse quarantine",
+			func() { d.reuseQuarantine[pinned]++ }, func() { delete(d.reuseQuarantine, pinned) }},
 	} {
 		d.mu.Lock()
 		c.plant()

@@ -94,6 +94,28 @@ func TestCleanEngine(t *testing.T) {
 	}
 }
 
+// TestWrapWorkloadClean explores the wrapped-log workload — the one
+// whose crash states include a reused segment's rewrite overtaking the
+// seal that emptied it — and expects zero violations. (An engine that
+// lets a seal's frees be reused before a sync covers the seal fails it
+// on every seed.)
+func TestWrapWorkloadClean(t *testing.T) {
+	o := Options{Seed: 1, Seeds: 2, Wrap: true}
+	if testing.Short() {
+		o.Seeds = 1
+	}
+	rpt, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rpt.Violations {
+		t.Errorf("%s seed=%d state=%s shrunk=%s: %v", v.Workload, v.Seed, v.State, v.Shrunk, v.Desc)
+	}
+	if rpt.States < 200*o.Seeds {
+		t.Fatalf("explored only %d states", rpt.States)
+	}
+}
+
 // TestInjectionsCaught validates the oracle end to end: each
 // deliberately broken engine build must produce violations, and every
 // artifact must reproduce under Replay.
@@ -207,7 +229,7 @@ func TestRecoverCrashClean(t *testing.T) {
 }
 
 // TestTornDeltaCaught validates the oracle against the broken
-// checkpoint publish barrier (Params.UnsafeTornDeltaPublish): an
+// checkpoint publish barrier (FaultHooks.TornDeltaPublish): an
 // incremental delta record that advances the segment-reuse watermark
 // without being synced first. The enumerator must find a crash state
 // where the record is lost while a reused segment overwrite survived,

@@ -44,14 +44,14 @@ func checkerParams(inject string) (core.Params, error) {
 	switch inject {
 	case "", "none":
 	case "nosync":
-		p.UnsafeNoSyncOnFlush = true
+		p.Faults = &core.FaultHooks{NoSyncOnFlush: true}
 	case "untagged-replay":
-		p.UnsafeUntaggedReplay = true
+		p.Faults = &core.FaultHooks{UntaggedReplay: true}
 	case "ack-early":
 		// The broken group-commit broker: batch waiters are woken
-		// before dev.Sync runs, so Flush acknowledges durability on
-		// unsynced segments.
-		p.UnsafeAckBeforeSync = true
+		// without the device sync having run, so Flush acknowledges
+		// durability on unsynced segments.
+		p.Faults = &core.FaultHooks{AckBeforeSync: true}
 	case "torn-delta":
 		// The broken publish barrier: a checkpoint record advances the
 		// segment-reuse watermark without being synced first, so a
@@ -59,7 +59,7 @@ func checkerParams(inject string) (core.Params, error) {
 		// replay window needs have already been overwritten. A smaller
 		// log makes the wrap-around reuse that exposes the bug happen
 		// within the workload.
-		p.UnsafeTornDeltaPublish = true
+		p.Faults = &core.FaultHooks{TornDeltaPublish: true}
 		p.Layout.NumSegs = 18
 	default:
 		return core.Params{}, fmt.Errorf("crashenum: unknown injection %q", inject)
@@ -110,6 +110,25 @@ type runResult struct {
 	units      []*unitFact
 	pool       []*poolFact
 	poolList   core.ListID
+	window     int // reorder window of its own (0 = Options.ReorderWindow)
+}
+
+// markDurable records, at the return of a Flush or Checkpoint, the epoch
+// from which everything committed so far is guaranteed durable.
+func (res *runResult) markDurable() {
+	e := res.rec.Epoch()
+	for _, u := range res.units {
+		if u.committed && u.durableEpoch < 0 {
+			u.durableEpoch = e
+		}
+	}
+	for _, pb := range res.pool {
+		for i := range pb.gens {
+			if pb.gens[i].durableEpoch < 0 {
+				pb.gens[i].durableEpoch = e
+			}
+		}
+	}
 }
 
 func unitPayload(bsize, unit, serial int) []byte {
@@ -178,24 +197,6 @@ func runMixed(seed int64, wp workload.MixedParams, inject string) (*runResult, e
 	res.startEpoch = rec.Epoch()
 	for _, pb := range res.pool {
 		pb.gens = []genFact{{gen: 1, durableEpoch: res.startEpoch}}
-	}
-
-	// markDurable records, at a Flush/Checkpoint return, the epoch at
-	// which everything committed so far became guaranteed durable.
-	markDurable := func() {
-		e := rec.Epoch()
-		for _, u := range res.units {
-			if u.committed && u.durableEpoch < 0 {
-				u.durableEpoch = e
-			}
-		}
-		for _, pb := range res.pool {
-			for i := range pb.gens {
-				if pb.gens[i].durableEpoch < 0 {
-					pb.gens[i].durableEpoch = e
-				}
-			}
-		}
 	}
 
 	type liveUnit struct {
@@ -283,7 +284,7 @@ func runMixed(seed int64, wp workload.MixedParams, inject string) (*runResult, e
 			}
 		case workload.MixedFlush:
 			if err = d.Flush(); err == nil {
-				markDurable()
+				res.markDurable()
 			}
 		case workload.MixedConcFlush:
 			// A group-commit phase: op.Arg goroutines call Flush at
@@ -304,11 +305,11 @@ func runMixed(seed int64, wp workload.MixedParams, inject string) (*runResult, e
 				}
 			}
 			if err == nil {
-				markDurable()
+				res.markDurable()
 			}
 		case workload.MixedCheckpoint:
 			if err = d.Checkpoint(); err == nil {
-				markDurable()
+				res.markDurable()
 			}
 		}
 		if err != nil {

@@ -84,23 +84,6 @@ func runNet(seed int64, wp workload.MixedParams, inject string) (*runResult, err
 	}
 	defer cl.Close()
 
-	// markDurable: an acked Flush covers everything committed before it.
-	markDurable := func() {
-		e := rec.Epoch()
-		for _, u := range res.units {
-			if u.committed && u.durableEpoch < 0 {
-				u.durableEpoch = e
-			}
-		}
-		for _, pb := range res.pool {
-			for i := range pb.gens {
-				if pb.gens[i].durableEpoch < 0 {
-					pb.gens[i].durableEpoch = e
-				}
-			}
-		}
-	}
-
 	snapshot := func(fact *unitFact) error {
 		for _, id := range fact.allLists {
 			members, err := cl.ListBlocks(seg.SimpleARU, id)
@@ -203,7 +186,7 @@ func runNet(seed int64, wp workload.MixedParams, inject string) (*runResult, err
 			if err := cl.Flush(); err != nil {
 				return nil, fmt.Errorf("crashenum: net flush: %w", err)
 			}
-			markDurable()
+			res.markDurable() // an acked Flush covers everything committed before it
 		}
 	}
 	return res, nil

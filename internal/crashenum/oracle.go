@@ -95,7 +95,12 @@ func (res *runResult) checkImage(cs CrashState, img []byte) (viols []string) {
 	// attempt must fail cleanly with ErrClosed — never answer from a
 	// half-rebuilt table.
 	params := res.params
-	params.RecoveryProbe = func(rd *core.LLD) {
+	var hooks core.FaultHooks
+	if params.Faults != nil {
+		hooks = *params.Faults // recovery runs on the same (possibly broken) build
+	}
+	params.Faults = &hooks
+	hooks.RecoveryProbe = func(rd *core.LLD) {
 		if h, err := rd.AcquireSnapshot(); err == nil {
 			h.Release()
 			viols = append(viols, "read path published before recovery completed")

@@ -22,12 +22,15 @@ type Options struct {
 	// Mixed runs the mixed-ARU workload; FS runs the file-system
 	// workload; Shard runs the sharded cross-shard 2PC workload; Net
 	// runs the mixed-style workload through an ldnet client/server
-	// pair, with durability judged by client-received acks.
+	// pair, with durability judged by client-received acks; Wrap runs
+	// simple overwrites on a log short enough to wrap many times, with
+	// checkpoints as the only durability points (runWrap).
 	// Default is Mixed only.
 	Mixed bool
 	FS    bool
 	Shard bool
 	Net   bool
+	Wrap  bool
 	// RecoverCrash additionally crashes recovery itself: for a sampled
 	// subset of clean single-device crash states, the first recovery's
 	// own device writes are journaled and sub-enumerated, and every
@@ -95,7 +98,7 @@ func Run(o Options) (Report, error) {
 	if o.MaxRecoverStates <= 0 {
 		o.MaxRecoverStates = 48
 	}
-	if !o.Mixed && !o.FS && !o.Shard && !o.Net {
+	if !o.Mixed && !o.FS && !o.Shard && !o.Net && !o.Wrap {
 		o.Mixed = true
 	}
 	logf := o.Logf
@@ -126,6 +129,11 @@ func Run(o Options) (Report, error) {
 				return rpt, err
 			}
 		}
+		if o.Wrap {
+			if err := runOne(&rpt, o, "wrap", seed, logf, budgetLeft); err != nil {
+				return rpt, err
+			}
+		}
 		if o.Shard {
 			if err := runShardOne(&rpt, o, seed, logf, budgetLeft); err != nil {
 				return rpt, err
@@ -146,6 +154,12 @@ type workloadRun struct {
 	startEpoch int
 	params     core.Params
 	check      func(cs CrashState, img []byte) []string
+	window     int // reorder window of its own (0 = Options.ReorderWindow)
+}
+
+// workload packages an engine-level execution for enumeration.
+func (res *runResult) workload() workloadRun {
+	return workloadRun{res.rec.Journal(), res.rec.Size(), res.startEpoch, res.params, res.checkImage, res.window}
 }
 
 // workloadJournal executes one single-device workload instance and
@@ -157,19 +171,25 @@ func workloadJournal(kind string, seed int64, o Options) (workloadRun, error) {
 		if err != nil {
 			return workloadRun{}, fmt.Errorf("crashenum: mixed workload seed %d: %w", seed, err)
 		}
-		return workloadRun{res.rec.Journal(), res.rec.Size(), res.startEpoch, res.params, res.checkImage}, nil
+		return res.workload(), nil
 	case "fs":
 		res, err := runFS(seed, o.Inject)
 		if err != nil {
 			return workloadRun{}, fmt.Errorf("crashenum: fs workload seed %d: %w", seed, err)
 		}
-		return workloadRun{res.rec.Journal(), res.rec.Size(), res.startEpoch, res.params, res.checkImage}, nil
+		return workloadRun{res.rec.Journal(), res.rec.Size(), res.startEpoch, res.params, res.checkImage, 0}, nil
 	case "net":
 		res, err := runNet(seed, o.MixedParams, o.Inject)
 		if err != nil {
 			return workloadRun{}, fmt.Errorf("crashenum: net workload seed %d: %w", seed, err)
 		}
-		return workloadRun{res.rec.Journal(), res.rec.Size(), res.startEpoch, res.params, res.checkImage}, nil
+		return res.workload(), nil
+	case "wrap":
+		res, err := runWrap(seed, o.Inject)
+		if err != nil {
+			return workloadRun{}, fmt.Errorf("crashenum: wrap workload seed %d: %w", seed, err)
+		}
+		return res.workload(), nil
 	default:
 		return workloadRun{}, fmt.Errorf("crashenum: unknown workload %q", kind)
 	}
@@ -182,10 +202,14 @@ func runOne(rpt *Report, o Options, kind string, seed int64, logf func(string, .
 		return err
 	}
 	journal, size, check := w.journal, w.size, w.check
+	window := o.ReorderWindow
+	if w.window > 0 {
+		window = w.window
+	}
 	rpt.Runs++
 	violations := 0
 	var recErr error
-	ForEachState(journal, size, w.startEpoch, o.ReorderWindow, seed, func(cs CrashState, img []byte) bool {
+	ForEachState(journal, size, w.startEpoch, window, seed, func(cs CrashState, img []byte) bool {
 		rpt.States++
 		viols := check(cs, img)
 		if len(viols) > 0 {

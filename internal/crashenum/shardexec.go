@@ -46,7 +46,7 @@ func shardCheckerOptions(inject string) (shard.Options, error) {
 	case "commit-before-prepare-sync":
 		o.UnsafeCommitBeforePrepareSync = true
 	case "nosync":
-		o.Params.UnsafeNoSyncOnFlush = true
+		o.Params.Faults = &core.FaultHooks{NoSyncOnFlush: true}
 	default:
 		return shard.Options{}, fmt.Errorf("crashenum: unknown shard injection %q", inject)
 	}

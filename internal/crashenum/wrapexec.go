@@ -1,0 +1,108 @@
+package crashenum
+
+import (
+	"fmt"
+	"math/rand"
+
+	"aru/internal/core"
+	"aru/internal/seg"
+)
+
+// The wrap workload's geometry: a pool of simple blocks several
+// segments large, overwritten in cyclic order on a log so short that a
+// clean run wraps it many times.
+const (
+	wrapSegs  = 14
+	wrapPool  = 30
+	wrapSteps = 64
+	// wrapCkptSegs forces a checkpoint once this many segments were
+	// written since the last one. A checkpoint makes every dead segment
+	// reusable; the log head first consumes those (wrapSegs minus the
+	// pool's five live segments and the open one), then the segments
+	// that died since — the reuse this workload is after — and then the
+	// log is full of segments past the checkpoint watermark.
+	wrapCkptSegs = wrapSegs - 3
+)
+
+// runWrap executes the wrapped-log workload: runs of one to eight
+// simple overwrites cycle through the pool, and the only durability
+// points are Checkpoints (now and then, and before the log fills) — no
+// Flush. Every segment is therefore sealed by a full builder, sits
+// unsynced on the device for several seals, and is rewritten a
+// checkpoint or two later, so the enumerated drop states cover what the
+// stock scripts' 96-segment log never reaches: a reused segment whose
+// rewrite overtakes the seal that emptied it (DESIGN.md §11). The
+// oracle is the pool clause of runMixed's: every block reads one of its
+// own generations, never older than its durable floor.
+func runWrap(seed int64, inject string) (*runResult, error) {
+	params, err := checkerParams(inject)
+	if err != nil {
+		return nil, err
+	}
+	params.Layout.NumSegs = wrapSegs
+	// The script owns the checkpoints, and cyclic overwrites leave
+	// nothing for the cleaner to do.
+	params.CheckpointEvery = -1
+	params.CleanerLowWater = -1
+	rec := NewRecorder(params.Layout.DiskBytes())
+	d, err := core.Format(rec, params)
+	if err != nil {
+		return nil, fmt.Errorf("crashenum: format: %w", err)
+	}
+	bsize := params.Layout.BlockSize
+	// A rewrite overtakes the seal that emptied the segment from up to a
+	// log's length of writes behind it: reorder across the whole log.
+	res := &runResult{rec: rec, params: params, window: wrapSegs}
+	if res.poolList, err = d.NewList(seg.SimpleARU); err != nil {
+		return nil, err
+	}
+	write := func(i int) error {
+		pb := res.pool[i]
+		gen := len(pb.gens) + 1
+		if err := d.Write(seg.SimpleARU, pb.id, poolPayload(bsize, i, gen)); err != nil {
+			return err
+		}
+		pb.gens = append(pb.gens, genFact{gen: gen, durableEpoch: -1})
+		return nil
+	}
+	var ckptSegs int64 // segments written up to the last checkpoint
+	checkpoint := func() error {
+		if err := d.Checkpoint(); err != nil {
+			return err
+		}
+		ckptSegs = d.Stats().SegmentsWritten
+		res.markDurable()
+		return nil
+	}
+	for i := 0; i < wrapPool; i++ {
+		b, err := d.NewBlock(seg.SimpleARU, res.poolList, core.NilBlock)
+		if err != nil {
+			return nil, err
+		}
+		res.pool = append(res.pool, &poolFact{id: b})
+		if err := write(i); err != nil {
+			return nil, err
+		}
+	}
+	if err := checkpoint(); err != nil {
+		return nil, err
+	}
+	res.startEpoch = rec.Epoch()
+
+	rng := rand.New(rand.NewSource(seed))
+	next := 0
+	for step := 0; step < wrapSteps; step++ {
+		if rng.Intn(24) == 0 || d.Stats().SegmentsWritten-ckptSegs >= wrapCkptSegs {
+			if err := checkpoint(); err != nil {
+				return nil, fmt.Errorf("crashenum: wrap step %d: %w", step, err)
+			}
+			continue
+		}
+		for n := 1 + rng.Intn(8); n > 0; n, next = n-1, (next+1)%wrapPool {
+			if err := write(next); err != nil {
+				return nil, fmt.Errorf("crashenum: wrap step %d: %w", step, err)
+			}
+		}
+	}
+	return res, nil
+}

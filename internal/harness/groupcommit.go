@@ -12,8 +12,8 @@ import (
 )
 
 // GroupCommitResult holds one group-commit measurement: the same
-// multi-committer workload run once against the serial-sync Flush path
-// and once through the group-commit broker, on a device with a real
+// multi-committer workload run once with its flushes serialized by the
+// driver and once meeting in the group-commit broker, on a device with a real
 // (wall-clock) sync latency. The interesting numbers are the speedup
 // (commits per wall second) and the sync amortization (device syncs
 // per commit).
@@ -22,7 +22,7 @@ type GroupCommitResult struct {
 	CommitsEach int
 	SyncDelay   time.Duration
 
-	SerialElapsed time.Duration // wall clock, serial Flush path
+	SerialElapsed time.Duration // wall clock, flushes serialized by the driver
 	GroupElapsed  time.Duration // wall clock, group-commit broker
 	SerialSyncs   int64
 	GroupSyncs    int64
@@ -76,22 +76,35 @@ func groupCommitLayout() seg.Layout {
 	}
 }
 
+// endAndFlush durably commits one unit: end, then flush. With serial
+// it does both under the engine's mu — the "flushes serialized by the
+// driver" baseline: no two durability calls of one engine ever meet in
+// its broker, so each unit pays a device sync of its own.
+func endAndFlush(serial bool, mu *sync.Mutex, end, flush func() error) error {
+	if serial {
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	if err := end(); err != nil {
+		return err
+	}
+	return flush()
+}
+
 // runGroupCommitSide runs committers goroutines, each looping
 // commitsEach times over (BeginARU, NewList, NewBlock+Write, EndARU,
 // Flush), against a fresh disk whose Sync sleeps for syncDelay of wall
-// time. It returns the wall time and device sync count of the commit
-// phase, plus the engine for further inspection.
-func runGroupCommitSide(committers, commitsEach int, syncDelay time.Duration, noGroup bool, tr *obs.Tracer) (time.Duration, int64, *core.LLD, error) {
+// time; serial makes the driver serialize the flushes (endAndFlush). It
+// returns the wall time and device sync count of the commit phase, plus
+// the engine for further inspection.
+func runGroupCommitSide(committers, commitsEach int, syncDelay time.Duration, serial bool, tr *obs.Tracer) (time.Duration, int64, *core.LLD, error) {
 	layout := groupCommitLayout()
 	dev := disk.NewMem(layout.DiskBytes())
-	ld, err := core.Format(dev, core.Params{
-		Layout:        layout,
-		NoGroupCommit: noGroup,
-		Tracer:        tr,
-	})
+	ld, err := core.Format(dev, core.Params{Layout: layout, Tracer: tr})
 	if err != nil {
 		return 0, 0, nil, err
 	}
+	var flushMu sync.Mutex
 	// The delay is armed after Format so setup syncs are free.
 	dev.SetSyncDelay(syncDelay)
 	syncs0 := dev.Stats().Syncs
@@ -125,13 +138,9 @@ func runGroupCommitSide(committers, commitsEach int, syncDelay time.Duration, no
 					errCh <- err
 					return
 				}
-				if err := ld.EndARU(a); err != nil {
-					errCh <- err
-					return
-				}
 				// The durable commit: each committer waits for its own
 				// covering sync, exactly what the broker coalesces.
-				if err := ld.Flush(); err != nil {
+				if err := endAndFlush(serial, &flushMu, func() error { return ld.EndARU(a) }, ld.Flush); err != nil {
 					errCh <- err
 					return
 				}
@@ -153,7 +162,7 @@ func runGroupCommitSide(committers, commitsEach int, syncDelay time.Duration, no
 }
 
 // RunGroupCommit measures the group-commit broker against the
-// serial-sync baseline: committers concurrent clients each durably
+// serialized-flush baseline: committers concurrent clients each durably
 // commit commitsEach small units on a device whose sync costs
 // syncDelay of wall time.
 func RunGroupCommit(committers, commitsEach int, syncDelay time.Duration) (GroupCommitResult, error) {

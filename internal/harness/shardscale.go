@@ -16,10 +16,10 @@ import (
 // ShardScaleResult holds one point of the shard-scaling sweep: the same
 // total committer population, pinned round-robin to shards, each
 // durably committing shard-local units with per-shard flushes — run
-// once on the serial-sync durability path and once through each
-// shard's group-commit broker.
+// once with each engine's flushes serialized by the driver and once
+// meeting in each shard's group-commit broker.
 //
-// The two paths scale for different reasons. On the serial path every
+// The two sides scale for different reasons. Serialized, every
 // durable commit costs its shard one device sync, so the device is the
 // bottleneck and N shards run N sync pipelines in parallel —
 // near-linear aggregate scaling. The broker already coalesces an
@@ -32,7 +32,7 @@ type ShardScaleResult struct {
 	CommitsEach int
 	SyncDelay   time.Duration
 
-	SerialElapsed time.Duration // serial-sync Flush path
+	SerialElapsed time.Duration // flushes serialized by the driver, per engine
 	GroupElapsed  time.Duration // per-shard group-commit brokers
 	SerialSyncs   int64         // device syncs across every shard, commit phase only
 	GroupSyncs    int64
@@ -41,7 +41,7 @@ type ShardScaleResult struct {
 }
 
 // SerialPerSec returns aggregate durably-committed ARUs per wall
-// second on the serial-sync path.
+// second with flushes serialized by the driver.
 func (r ShardScaleResult) SerialPerSec() float64 {
 	if r.SerialElapsed <= 0 {
 		return 0
@@ -85,7 +85,7 @@ func (r ShardFastPathResult) Overhead() float64 {
 const shardScaleCoordRecords = 256
 
 // shardScaleLayout widens the group-commit geometry's segment count:
-// the serial-sync side seals a partial segment per durable commit, so
+// the serialized side seals a partial segment per durable commit, so
 // a full sweep burns a segment per flush and needs the headroom.
 func shardScaleLayout() seg.Layout {
 	l := groupCommitLayout()
@@ -96,7 +96,7 @@ func shardScaleLayout() seg.Layout {
 // newShardScaleDisk formats a fresh sharded disk over in-memory
 // devices, one engine per shard, and returns the devices for sync
 // accounting.
-func newShardScaleDisk(shards int, noGroup bool) ([]*disk.Sim, *disk.Sim, *shard.Disk, error) {
+func newShardScaleDisk(shards int) ([]*disk.Sim, *disk.Sim, *shard.Disk, error) {
 	layout := shardScaleLayout()
 	devs := make([]*disk.Sim, shards)
 	ifaces := make([]disk.Disk, shards)
@@ -106,7 +106,7 @@ func newShardScaleDisk(shards int, noGroup bool) ([]*disk.Sim, *disk.Sim, *shard
 	}
 	coord := disk.NewMem(shard.CoordBytes(shardScaleCoordRecords))
 	d, err := shard.Format(ifaces, coord, shard.Options{
-		Params: core.Params{Layout: layout, NoGroupCommit: noGroup},
+		Params: core.Params{Layout: layout},
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -140,9 +140,10 @@ func pinnedLists(d *shard.Disk, shards int) ([]core.ListID, error) {
 // single-block units on its own shard (BeginARU, NewBlock on the
 // shard's list, Write, EndARU, then a per-shard Flush). Flushing only
 // the unit's own engine is what lets shards pipeline independently —
-// the global Flush would fan out to every device.
-func runShardScaleSide(shards, committers, commitsEach int, syncDelay time.Duration, noGroup bool) (time.Duration, int64, shard.Stats, error) {
-	devs, _, d, err := newShardScaleDisk(shards, noGroup)
+// the global Flush would fan out to every device. serial makes the
+// driver serialize each engine's flushes (endAndFlush).
+func runShardScaleSide(shards, committers, commitsEach int, syncDelay time.Duration, serial bool) (time.Duration, int64, shard.Stats, error) {
+	devs, _, d, err := newShardScaleDisk(shards)
 	if err != nil {
 		return 0, 0, shard.Stats{}, err
 	}
@@ -162,6 +163,7 @@ func runShardScaleSide(shards, committers, commitsEach int, syncDelay time.Durat
 		syncs0 += dev.Stats().Syncs
 	}
 
+	flushMus := make([]sync.Mutex, shards)
 	var wg sync.WaitGroup
 	errCh := make(chan error, committers)
 	t0 := time.Now()
@@ -188,11 +190,7 @@ func runShardScaleSide(shards, committers, commitsEach int, syncDelay time.Durat
 					errCh <- err
 					return
 				}
-				if err := d.EndARU(a); err != nil {
-					errCh <- err
-					return
-				}
-				if err := eng.Flush(); err != nil {
+				if err := endAndFlush(serial, &flushMus[s], func() error { return d.EndARU(a) }, eng.Flush); err != nil {
 					errCh <- err
 					return
 				}
@@ -216,7 +214,7 @@ func runShardScaleSide(shards, committers, commitsEach int, syncDelay time.Durat
 	return elapsed, syncs - syncs0, d.ShardStats(), nil
 }
 
-// RunShardScale measures one shard count on both durability paths.
+// RunShardScale measures one shard count on both sides.
 func RunShardScale(shards, committers, commitsEach int, syncDelay time.Duration) (ShardScaleResult, error) {
 	res := ShardScaleResult{
 		Shards:      shards,
@@ -301,7 +299,7 @@ func RunShardFastPath(committers, commitsEach int, syncDelay time.Duration) (Sha
 
 	// Sharded side: one shard, so every unit commits on the fast path
 	// and the per-shard flush is the whole disk.
-	devs, _, d, err := newShardScaleDisk(1, false)
+	devs, _, d, err := newShardScaleDisk(1)
 	if err != nil {
 		return res, err
 	}
@@ -463,7 +461,7 @@ func RunShardSkew(shards, committers int, z workload.Skew, placement SkewPlaceme
 		Placement:  placement,
 		SyncDelay:  syncDelay,
 	}
-	devs, _, d, err := newShardScaleDisk(shards, false)
+	devs, _, d, err := newShardScaleDisk(shards)
 	if err != nil {
 		return res, err
 	}
@@ -587,10 +585,10 @@ func FormatShardScale(results []ShardScaleResult, fp ShardFastPathResult) string
 	}
 	out += fmt.Sprintf("\n  fast path overhead vs bare engine: unsharded %v, 1-shard %v (%+.1f%%)\n",
 		fp.Unsharded.Round(time.Millisecond), fp.Sharded.Round(time.Millisecond), fp.Overhead()*100)
-	out += "\n  (serial path: every durable commit costs its shard one device sync,\n" +
-		"   so N shards run N sync pipelines in parallel — near-linear scaling;\n" +
-		"   group path: each shard's broker already coalesces its committers'\n" +
-		"   syncs, so committers are bound by commit latency, not the device)\n"
+	out += "\n  (serial side, flushes serialized by the driver: every durable commit costs\n" +
+		"   its shard one device sync, so N shards run N sync pipelines in parallel —\n" +
+		"   near-linear scaling; group side: each shard's broker already coalesces its\n" +
+		"   committers' syncs, so committers are bound by commit latency, not the device)\n"
 	return out
 }
 

@@ -71,7 +71,7 @@ type historyConfig struct {
 	maxReads             int // per-reader recording cap
 	blocks               int
 	commitPause          time.Duration // post-commit dwell, widens read overlap
-	staleHeadEvery       int           // Params.UnsafeStaleHeadEvery passthrough
+	staleHeadEvery       int           // FaultHooks.StaleHeadEvery passthrough
 }
 
 // runHistory executes one seeded concurrent history against a fresh
@@ -86,7 +86,7 @@ type historyConfig struct {
 func runHistory(t *testing.T, seed int64, cfg historyConfig) []linearize.Op {
 	t.Helper()
 	lay := historyLayout()
-	p := core.Params{Layout: lay, UnsafeStaleHeadEvery: cfg.staleHeadEvery}
+	p := core.Params{Layout: lay, Faults: &core.FaultHooks{StaleHeadEvery: cfg.staleHeadEvery}}
 	d, err := core.Format(disk.NewMem(lay.DiskBytes()), p)
 	if err != nil {
 		t.Fatalf("seed %d: format: %v", seed, err)
@@ -246,7 +246,7 @@ func TestLinearizableReads(t *testing.T) {
 }
 
 // TestStaleHeadBugCaught validates the checker against a deliberately
-// broken engine: UnsafeStaleHeadEvery drops every 2nd epoch publish,
+// broken engine: FaultHooks.StaleHeadEvery drops every 2nd epoch publish,
 // so committed state lingers invisible and a reader can return a value
 // that a completed commit already overwrote. The checker must find the
 // violation within a bounded number of seeded histories and shrink it
