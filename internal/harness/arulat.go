@@ -3,9 +3,6 @@ package harness
 import (
 	"fmt"
 	"time"
-
-	"aru/internal/core"
-	"aru/internal/disk"
 )
 
 // ARULatencyResult holds the §5.3 latency experiment: N empty
@@ -30,13 +27,7 @@ func RunARULatency(spec VariantSpec, n int, o Options) (ARULatencyResult, error)
 			n = 1
 		}
 	}
-	dev := disk.NewSim(o.Layout.DiskBytes(), o.Geometry)
-	ld, err := core.Format(dev, core.Params{
-		Layout:      o.Layout,
-		Variant:     spec.Variant,
-		CacheBlocks: o.CacheBlocks,
-		Tracer:      o.Tracer,
-	})
+	dev, ld, err := formatSim(spec, o)
 	if err != nil {
 		return ARULatencyResult{}, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"aru/internal/core"
 	"aru/internal/disk"
-	"aru/internal/obs"
 	"aru/internal/seg"
 )
 
@@ -18,19 +17,10 @@ import (
 // (commits per wall second) and the sync amortization (device syncs
 // per commit).
 type GroupCommitResult struct {
-	Committers  int
-	CommitsEach int
-	SyncDelay   time.Duration
-
 	SerialElapsed time.Duration // wall clock, flushes serialized by the driver
 	GroupElapsed  time.Duration // wall clock, group-commit broker
 	SerialSyncs   int64
 	GroupSyncs    int64
-
-	Batches        int64 // group-commit batches that wrote segments
-	BatchedCommits int64 // commit records those batches made durable
-	WaitP50        time.Duration
-	WaitP99        time.Duration
 }
 
 // Speedup is serial wall time over group-commit wall time.
@@ -48,19 +38,6 @@ func (r GroupCommitResult) Amortization() float64 {
 		return 0
 	}
 	return float64(r.SerialSyncs) / float64(r.GroupSyncs)
-}
-
-// PerSec returns serial and group commit throughput in commits per
-// wall second.
-func (r GroupCommitResult) PerSec() (serial, group float64) {
-	total := float64(r.Committers * r.CommitsEach)
-	if r.SerialElapsed > 0 {
-		serial = total / r.SerialElapsed.Seconds()
-	}
-	if r.GroupElapsed > 0 {
-		group = total / r.GroupElapsed.Seconds()
-	}
-	return serial, group
 }
 
 // groupCommitLayout is a small dedicated geometry: segments fill
@@ -95,15 +72,15 @@ func endAndFlush(serial bool, mu *sync.Mutex, end, flush func() error) error {
 // commitsEach times over (BeginARU, NewList, NewBlock+Write, EndARU,
 // Flush), against a fresh disk whose Sync sleeps for syncDelay of wall
 // time; serial makes the driver serialize the flushes (endAndFlush). It
-// returns the wall time and device sync count of the commit phase, plus
-// the engine for further inspection.
-func runGroupCommitSide(committers, commitsEach int, syncDelay time.Duration, serial bool, tr *obs.Tracer) (time.Duration, int64, *core.LLD, error) {
+// returns the wall time and device sync count of the commit phase.
+func runGroupCommitSide(committers, commitsEach int, syncDelay time.Duration, serial bool) (time.Duration, int64, error) {
 	layout := groupCommitLayout()
 	dev := disk.NewMem(layout.DiskBytes())
-	ld, err := core.Format(dev, core.Params{Layout: layout, Tracer: tr})
+	ld, err := core.Format(dev, core.Params{Layout: layout})
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, err
 	}
+	defer ld.Close()
 	var flushMu sync.Mutex
 	// The delay is armed after Format so setup syncs are free.
 	dev.SetSyncDelay(syncDelay)
@@ -153,12 +130,12 @@ func runGroupCommitSide(committers, commitsEach int, syncDelay time.Duration, se
 	close(errCh)
 	for err := range errCh {
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, 0, err
 		}
 	}
 	syncs := dev.Stats().Syncs - syncs0
 	dev.SetSyncDelay(0) // Close's flush+checkpoint outside the timing
-	return elapsed, syncs, ld, nil
+	return elapsed, syncs, nil
 }
 
 // RunGroupCommit measures the group-commit broker against the
@@ -166,72 +143,13 @@ func runGroupCommitSide(committers, commitsEach int, syncDelay time.Duration, se
 // commit commitsEach small units on a device whose sync costs
 // syncDelay of wall time.
 func RunGroupCommit(committers, commitsEach int, syncDelay time.Duration) (GroupCommitResult, error) {
-	res := GroupCommitResult{
-		Committers:  committers,
-		CommitsEach: commitsEach,
-		SyncDelay:   syncDelay,
-	}
-
-	serialElapsed, serialSyncs, ldS, err := runGroupCommitSide(committers, commitsEach, syncDelay, true, nil)
-	if err != nil {
+	var res GroupCommitResult
+	var err error
+	if res.SerialElapsed, res.SerialSyncs, err = runGroupCommitSide(committers, commitsEach, syncDelay, true); err != nil {
 		return res, fmt.Errorf("harness: group commit serial side: %w", err)
 	}
-	defer ldS.Close()
-	res.SerialElapsed, res.SerialSyncs = serialElapsed, serialSyncs
-
-	tr := obs.New(obs.Config{RingSize: -1}) // histograms only
-	groupElapsed, groupSyncs, ldG, err := runGroupCommitSide(committers, commitsEach, syncDelay, false, tr)
-	if err != nil {
+	if res.GroupElapsed, res.GroupSyncs, err = runGroupCommitSide(committers, commitsEach, syncDelay, false); err != nil {
 		return res, fmt.Errorf("harness: group commit broker side: %w", err)
 	}
-	defer ldG.Close()
-	res.GroupElapsed, res.GroupSyncs = groupElapsed, groupSyncs
-
-	st := ldG.Stats()
-	res.Batches = st.CommitBatches
-	res.BatchedCommits = st.BatchedCommits
-	wait := tr.Histogram(obs.HistGroupCommitWait)
-	res.WaitP50 = wait.Quantile(0.50)
-	res.WaitP99 = wait.Quantile(0.99)
 	return res, nil
-}
-
-// RunGroupCommitSweep runs RunGroupCommit for each committer count.
-func RunGroupCommitSweep(committerCounts []int, commitsEach int, syncDelay time.Duration) ([]GroupCommitResult, error) {
-	out := make([]GroupCommitResult, 0, len(committerCounts))
-	for _, n := range committerCounts {
-		r, err := RunGroupCommit(n, commitsEach, syncDelay)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// FormatGroupCommit renders a sweep as the experiment table.
-func FormatGroupCommit(results []GroupCommitResult) string {
-	if len(results) == 0 {
-		return ""
-	}
-	r0 := results[0]
-	out := fmt.Sprintf("Group commit: coalesced durability, sync delay %v, %d commits/committer\n\n",
-		r0.SyncDelay, r0.CommitsEach)
-	out += fmt.Sprintf("  %-10s %12s %12s %8s %7s %7s %7s %9s %12s %12s\n",
-		"committers", "serial c/s", "group c/s", "speedup", "syncs", "syncs", "amort", "batchsize", "wait p50", "wait p99")
-	out += fmt.Sprintf("  %-10s %12s %12s %8s %7s %7s %7s %9s %12s %12s\n",
-		"", "", "", "", "serial", "group", "", "", "", "")
-	for _, r := range results {
-		serial, group := r.PerSec()
-		batchSize := 0.0
-		if r.Batches > 0 {
-			batchSize = float64(r.BatchedCommits) / float64(r.Batches)
-		}
-		out += fmt.Sprintf("  %-10d %12.0f %12.0f %7.1fx %7d %7d %6.1fx %9.1f %12v %12v\n",
-			r.Committers, serial, group, r.Speedup(), r.SerialSyncs, r.GroupSyncs,
-			r.Amortization(), batchSize, r.WaitP50.Round(time.Microsecond), r.WaitP99.Round(time.Microsecond))
-	}
-	out += "\n  (extension: the paper's Flush is one serial log force; this is the\n" +
-		"   classic batched group commit on the same committed→persistent path)\n"
-	return out
 }

@@ -10,9 +10,20 @@
 // C3010's service-time model and charges CPU time through an explicit
 // cost model calibrated to the paper's CPU (see CPUModel): measured
 // phase time = simulated disk time + modeled CPU time. That keeps runs
-// deterministic while preserving the *shape* of the results — which
-// build wins, by roughly what factor, and where the overhead of
-// concurrent ARUs shows up.
+// deterministic — TestModeledGolden compares every phase with a
+// recorded run to the nanosecond — while preserving the *shape* of the
+// results: which build wins, by roughly what factor, and where the
+// overhead of concurrent ARUs shows up.
+//
+// # Wall-clock gates
+//
+// Four measurements that are ratios of wall-clock times on in-memory
+// devices live here too, because CI gates on them (the TestGate*
+// tests): group commit against driver-serialized flushes
+// (RunGroupCommit), shard scaling and the single-shard fast path
+// (RunShardScale, RunShardFastPath), the recovery curve
+// (RunRecoveryPoint) and read-path contention (RunReadScale). Every
+// other wall-clock question belongs to the benchmark/ package.
 package harness
 
 import (
@@ -22,7 +33,6 @@ import (
 	"aru/internal/core"
 	"aru/internal/disk"
 	"aru/internal/minixfs"
-	"aru/internal/obs"
 	"aru/internal/seg"
 )
 
@@ -122,10 +132,6 @@ type Options struct {
 	NumInodes int
 	// Verify re-reads and checks payloads during read phases.
 	Verify bool
-	// Tracer, when non-nil, is attached to every LLD the experiments
-	// build, accumulating latency histograms and trace events across
-	// all runs (see aru/internal/obs).
-	Tracer *obs.Tracer
 }
 
 func (o Options) withDefaults() Options {
@@ -149,6 +155,14 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// bestOf is how many times a wall-clock gate measurement is repeated,
+// keeping the minimum. The gates run beside other packages' tests on
+// small hosts, where one descheduled goroutine costs more than the
+// margin being gated: with three repetitions the fast-path and recovery
+// gates failed 3 runs in 40 beside two competing test binaries on two
+// CPUs, with nine 1 in 60 (and none beside `go test ./...`).
+const bestOf = 9
 
 // Phase is one measured benchmark phase.
 type Phase struct {
@@ -250,17 +264,31 @@ func subStats(a, b core.Stats) core.Stats {
 	}
 }
 
-// setup builds a simulated disk, LLD and Minix file system for spec.
-func setup(spec VariantSpec, o Options) (*disk.Sim, *core.LLD, *minixfs.FS, error) {
+// formatSim formats a fresh simulated disk for spec. Format ends in a
+// mount whose trailer scan reads on RecoveryWorkers goroutines, and
+// each read moves the simulated actuator: with more than one worker
+// the head parks wherever the last read to *complete* was, and the
+// first measured seek starts from a scheduling-dependent cylinder. One
+// worker keeps modeled time a function of the workload alone.
+func formatSim(spec VariantSpec, o Options) (*disk.Sim, *core.LLD, error) {
 	dev := disk.NewSim(o.Layout.DiskBytes(), o.Geometry)
 	ld, err := core.Format(dev, core.Params{
-		Layout:      o.Layout,
-		Variant:     spec.Variant,
-		CacheBlocks: o.CacheBlocks,
-		Tracer:      o.Tracer,
+		Layout:          o.Layout,
+		Variant:         spec.Variant,
+		CacheBlocks:     o.CacheBlocks,
+		RecoveryWorkers: 1,
 	})
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("harness: format: %w", err)
+		return nil, nil, fmt.Errorf("harness: format: %w", err)
+	}
+	return dev, ld, nil
+}
+
+// setup builds a simulated disk, LLD and Minix file system for spec.
+func setup(spec VariantSpec, o Options) (*disk.Sim, *core.LLD, *minixfs.FS, error) {
+	dev, ld, err := formatSim(spec, o)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	fs, err := minixfs.Mkfs(ld, minixfs.Config{NumInodes: o.NumInodes, Policy: spec.Policy})
 	if err != nil {

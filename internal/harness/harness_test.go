@@ -161,27 +161,6 @@ func TestPctOverhead(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentClients(t *testing.T) {
-	res, err := RunConcurrentClients(Table1()[1], []int{1, 4}, 4000, Options{Scale: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerSec) != 2 || res.Commits[0] != res.Commits[1] {
-		t.Fatalf("result shape: %+v", res)
-	}
-	for i, v := range res.PerSec {
-		if v <= 0 {
-			t.Fatalf("clients=%d: throughput %v", res.Clients[i], v)
-		}
-	}
-	out := FormatConcurrent(res)
-	for _, want := range []string{"concurrent clients", "ARUs/s", "not in the paper"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("FormatConcurrent missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestCSVRenderers(t *testing.T) {
 	fig5, err := RunFig5(tinyOptions())
 	if err != nil {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,57 +11,42 @@ import (
 	"aru/internal/seg"
 )
 
-// The read-scaling experiment (DESIGN.md §16). Unlike the paper-shape
-// experiments, this one measures real wall-clock time on an in-memory
-// device: the object under test is the epoch-based MVCC read path's
-// locking discipline, not the disk model. N reader goroutines hammer
-// committed-state reads while a committer continuously runs small
-// durable ARUs — exactly the schedule where a read path that touched
-// the engine mutex would contend — and the run doubles as a mechanical
-// proof of the zero-mutex-acquisition claim: the whole sweep executes
-// under a full-rate runtime contention profile
+// The read-path contention experiment (DESIGN.md §16). Unlike the
+// paper-shape experiments, this one measures real wall-clock time on an
+// in-memory device: the object under test is the epoch-based MVCC read
+// path's locking discipline, not the disk model. N reader goroutines
+// hammer committed-state reads while a committer continuously runs
+// small durable ARUs — exactly the schedule where a read path that
+// touched the engine mutex would contend — and the run is a mechanical
+// proof of the zero-mutex-acquisition claim: it executes under a
+// full-rate runtime contention profile
 // (runtime.SetBlockProfileRate(1), which attributes every blocking
 // event to the stack of the goroutine that blocked), and any profile
-// record carrying a read-path frame fails the experiment.
+// record carrying a read-path frame is reported.
 
-// ReadScalePoint is one measured reader count.
-type ReadScalePoint struct {
-	Readers int
+// ReadScaleResult is one measured run plus the contention verdict.
+type ReadScaleResult struct {
 	Ops     int64         // committed-state reads completed
-	Bytes   int64         // payload bytes read
 	Elapsed time.Duration // wall time of the read phase
 	Commits int64         // ARUs the background committer landed meanwhile
-}
-
-// PerSec returns aggregate reads per second of wall time.
-func (p ReadScalePoint) PerSec() float64 {
-	if p.Elapsed <= 0 {
-		return 0
-	}
-	return float64(p.Ops) / p.Elapsed.Seconds()
-}
-
-// NsPerOp returns wall nanoseconds per read across all readers.
-func (p ReadScalePoint) NsPerOp() float64 {
-	if p.Ops == 0 {
-		return 0
-	}
-	return float64(p.Elapsed.Nanoseconds()) / float64(p.Ops)
-}
-
-// ReadScaleResult is the full sweep plus the contention verdict.
-type ReadScaleResult struct {
-	Points []ReadScalePoint
 	// ContendedFrames lists read-path functions that appeared in the
 	// contention profile. Must be empty: any entry means a reader
-	// blocked on a lock, and the mvcc-gate CI job fails on it.
+	// blocked on a lock.
 	ContendedFrames []string
 	// ProfileEvents counts all contention-profile records captured
-	// during the sweep, read path or not. Must be positive — the
+	// during the run, read path or not. Must be positive — the
 	// committer's durable commits always block somewhere (group-commit
 	// waits at minimum), so zero means the profile never ran and the
 	// empty ContendedFrames would be vacuous.
 	ProfileEvents int
+}
+
+// PerSec returns aggregate reads per second of wall time.
+func (r ReadScaleResult) PerSec() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.Ops) / r.Elapsed.Seconds()
 }
 
 // readPathSymbols are the committed-read entry points and the snapshot
@@ -79,23 +63,13 @@ var readPathSymbols = []string{
 	"core.(*Snapshot)",
 }
 
-// RunReadScale measures committed-read throughput at each reader
-// count against a continuously committing writer, then scans the
-// contention profile for read-path frames.
-func RunReadScale(readerCounts []int, opsPerReader int, o Options) (ReadScaleResult, error) {
-	o = o.withDefaults()
-	if o.Scale > 1 {
-		opsPerReader /= o.Scale
-	}
-	if opsPerReader < 1000 {
-		opsPerReader = 1000
-	}
+// RunReadScale measures committed-read throughput of `readers`
+// goroutines, opsPerReader reads each, against a continuously
+// committing writer, then scans the contention profile for read-path
+// frames.
+func RunReadScale(readers, opsPerReader int) (ReadScaleResult, error) {
 	var res ReadScaleResult
 
-	// Deliberately no Tracer: this engine runs under a full-rate block
-	// profile with every core saturated by readers, so its flush and
-	// group-commit latencies would fatten the shared histogram tails
-	// that the bench trajectory tracks for the modeled workloads.
 	l := seg.DefaultLayout(64) // 32 MB in-memory format
 	d, err := core.Format(disk.NewMem(l.DiskBytes()), core.Params{Layout: l})
 	if err != nil {
@@ -124,91 +98,84 @@ func RunReadScale(readerCounts []int, opsPerReader int, o Options) (ReadScaleRes
 		return res, err
 	}
 
-	// Full-rate contention profile for the whole sweep. The rate is
+	// Full-rate contention profile for the whole run. The rate is
 	// process-global; switch it back off on the way out.
 	runtime.SetBlockProfileRate(1)
 	defer runtime.SetBlockProfileRate(0)
 
-	for _, n := range readerCounts {
-		pt := ReadScalePoint{Readers: n}
-
-		// The committer keeps the write lock hot: small ARUs against a
-		// private list, committed durably so epochs publish at both the
-		// commit and the flush boundary.
-		stop := make(chan struct{})
-		var commits int64
-		var cwg sync.WaitGroup
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			clst, err := d.NewList(seg.SimpleARU)
+	// The committer keeps the write lock hot: small ARUs against a
+	// private list, committed durably so epochs publish at both the
+	// commit and the flush boundary.
+	stop := make(chan struct{})
+	var commits int64
+	var cwg sync.WaitGroup
+	cwg.Add(1)
+	go func() {
+		defer cwg.Done()
+		clst, err := d.NewList(seg.SimpleARU)
+		if err != nil {
+			return
+		}
+		cbuf := make([]byte, d.BlockSize())
+		var cblk core.BlockID
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a, err := d.BeginARU()
 			if err != nil {
 				return
 			}
-			cbuf := make([]byte, d.BlockSize())
-			var cblk core.BlockID
-			for {
-				select {
-				case <-stop:
+			if cblk == core.NilBlock {
+				if cblk, err = d.NewBlock(a, clst, core.NilBlock); err != nil {
 					return
-				default:
-				}
-				a, err := d.BeginARU()
-				if err != nil {
-					return
-				}
-				if cblk == core.NilBlock {
-					if cblk, err = d.NewBlock(a, clst, core.NilBlock); err != nil {
-						return
-					}
-				}
-				cbuf[0] = byte(commits)
-				if err := d.Write(a, cblk, cbuf); err != nil {
-					return
-				}
-				if err := d.EndARU(a); err != nil {
-					return
-				}
-				commits++
-				if commits%16 == 0 {
-					if err := d.Flush(); err != nil {
-						return
-					}
 				}
 			}
-		}()
-
-		var rwg sync.WaitGroup
-		errCh := make(chan error, n)
-		start := time.Now()
-		for r := 0; r < n; r++ {
-			rwg.Add(1)
-			go func(r int) {
-				defer rwg.Done()
-				dst := make([]byte, d.BlockSize())
-				for i := 0; i < opsPerReader; i++ {
-					if err := d.Read(seg.SimpleARU, blocks[(r+i)%nBlocks], dst); err != nil {
-						errCh <- err
-						return
-					}
+			cbuf[0] = byte(commits)
+			if err := d.Write(a, cblk, cbuf); err != nil {
+				return
+			}
+			if err := d.EndARU(a); err != nil {
+				return
+			}
+			commits++
+			if commits%16 == 0 {
+				if err := d.Flush(); err != nil {
+					return
 				}
-			}(r)
+			}
 		}
-		rwg.Wait()
-		pt.Elapsed = time.Since(start)
-		close(stop)
-		cwg.Wait()
-		select {
-		case err := <-errCh:
-			return res, err
-		default:
-		}
-		pt.Ops = int64(n) * int64(opsPerReader)
-		pt.Bytes = pt.Ops * int64(d.BlockSize())
-		pt.Commits = commits
-		res.Points = append(res.Points, pt)
-	}
+	}()
 
+	var rwg sync.WaitGroup
+	errCh := make(chan error, readers)
+	start := time.Now()
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(r int) {
+			defer rwg.Done()
+			dst := make([]byte, d.BlockSize())
+			for i := 0; i < opsPerReader; i++ {
+				if err := d.Read(seg.SimpleARU, blocks[(r+i)%nBlocks], dst); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}(r)
+	}
+	rwg.Wait()
+	res.Elapsed = time.Since(start)
+	close(stop)
+	cwg.Wait()
+	select {
+	case err := <-errCh:
+		return res, err
+	default:
+	}
+	res.Ops = int64(readers) * int64(opsPerReader)
+	res.Commits = commits
 	res.ContendedFrames, res.ProfileEvents = contendedReadPathFrames()
 	return res, nil
 }
@@ -255,35 +222,4 @@ func matchReadPath(fn string) bool {
 		}
 	}
 	return false
-}
-
-// FormatReadScale renders the sweep.
-func FormatReadScale(res ReadScaleResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "MVCC read scaling (wall clock, committer running; GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%8s %12s %14s %12s %10s\n", "readers", "reads", "ns/op", "reads/s", "commits")
-	for _, p := range res.Points {
-		fmt.Fprintf(&b, "%8d %12d %14.1f %12.0f %10d\n",
-			p.Readers, p.Ops, p.NsPerOp(), p.PerSec(), p.Commits)
-	}
-	if len(res.ContendedFrames) == 0 {
-		fmt.Fprintf(&b, "read-path contention: none in %d profiled blocking events (zero mutex acquisitions on the read path)",
-			res.ProfileEvents)
-	} else {
-		fmt.Fprintf(&b, "read-path contention: %s", strings.Join(res.ContendedFrames, ", "))
-	}
-	return b.String()
-}
-
-// ReadScaleGate fails the run if any read-path frame contended, or if
-// the contention profile captured nothing at all (a vacuous pass).
-func ReadScaleGate(res ReadScaleResult) error {
-	if len(res.ContendedFrames) > 0 {
-		return fmt.Errorf("read path contended on a lock: %s",
-			strings.Join(res.ContendedFrames, ", "))
-	}
-	if res.ProfileEvents == 0 {
-		return fmt.Errorf("contention profile captured no events: the zero-contention verdict would be vacuous")
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"fmt"
-	"runtime"
-	"strings"
 	"time"
 
 	"aru/internal/core"
@@ -12,23 +9,13 @@ import (
 )
 
 // RecoveryPoint is one point of the recovery-time-versus-delta curve:
-// an image whose log tail beyond the newest checkpoint covers
-// DeltaFrac of the history, mounted with the parallel scan and with a
-// single worker.
+// an image whose log tail beyond the newest checkpoint covers a given
+// fraction of the history, mounted with the default worker pool.
 type RecoveryPoint struct {
-	DeltaFrac        float64       // fraction of history beyond the newest checkpoint
 	ChainDepth       int           // delta records on the mounted chain
 	SegmentsReplayed int           // segments scanned beyond the checkpoint
 	EntriesReplayed  int           // summary entries replayed
-	Recover          time.Duration // wall time, parallel worker pool
-	RecoverSerial    time.Duration // wall time, RecoveryWorkers=1
-}
-
-// RecoveryResult is the full sweep.
-type RecoveryResult struct {
-	Units   int // history size in committed units
-	Workers int // pool size used for the parallel rows
-	Points  []RecoveryPoint
+	Recover          time.Duration // wall time, best of bestOf mounts
 }
 
 // recoveryLayout is a mid-sized format: big enough that a full-log
@@ -38,57 +25,37 @@ func recoveryLayout() seg.Layout {
 	return seg.Layout{BlockSize: 4096, SegBytes: 1 << 17, NumSegs: 512, MaxBlocks: 1 << 16, MaxLists: 4096}
 }
 
-// RunRecoverySweep builds images holding the same committed history
-// but checkpointed at different points — the log tail beyond the
-// newest checkpoint ranges from the whole history (no checkpoint, the
-// full-scan baseline) down to a few percent — and measures the wall
-// time of mounting each. Checkpoints before the cut land every
-// Units/8 committed units with a bounded chain (CkptCompactEvery 4),
-// so the mounted image carries a realistic base+delta chain, not a
-// fresh base. With O(delta) recovery the curve must fall roughly
-// linearly with the tail fraction; RecoveryGate enforces the floor.
-func RunRecoverySweep(o Options) (RecoveryResult, error) {
-	o = o.withDefaults()
-	units := 2800
-	if o.Scale > 1 {
-		units /= o.Scale
+// RunRecoveryPoint builds an image holding a committed history of
+// `units` overwrite units whose log tail beyond the newest checkpoint
+// is deltaFrac of it — 1.0 is no checkpoint, the full-scan baseline —
+// and measures the wall time of mounting it. Checkpoints before the
+// cut land every units/8 committed units with a bounded chain
+// (CkptCompactEvery 4), so the mounted image carries a realistic
+// base+delta chain, not a fresh base. With O(delta) recovery the mount
+// time must fall roughly linearly with the tail fraction.
+func RunRecoveryPoint(units int, deltaFrac float64) (RecoveryPoint, error) {
+	var pt RecoveryPoint
+	img, err := buildRecoveryImage(units, deltaFrac)
+	if err != nil {
+		return pt, err
 	}
-	if units < 80 {
-		units = 80
-	}
-	workers := runtime.GOMAXPROCS(0) // default pool size, as core caps it
-	if workers > 8 {
-		workers = 8
-	}
-	res := RecoveryResult{Units: units, Workers: workers}
-	for _, frac := range []float64{1.0, 0.5, 0.25, 0.10} {
-		img, err := buildRecoveryImage(units, frac)
+	p := core.Params{CheckpointEvery: -1, CkptCompactEvery: 4}
+	for rep := 0; rep < bestOf; rep++ {
+		dev := disk.FromImage(img, disk.Geometry{}) // the image copy is outside the clock
+		start := time.Now()
+		_, rpt, err := core.OpenReport(dev, p)
+		elapsed := time.Since(start)
 		if err != nil {
-			return res, err
+			return pt, err
 		}
-		pt := RecoveryPoint{DeltaFrac: frac}
-		for rep := 0; rep < 3; rep++ {
-			par, rpt, err := timeRecovery(img, 0)
-			if err != nil {
-				return res, err
-			}
-			ser, _, err := timeRecovery(img, 1)
-			if err != nil {
-				return res, err
-			}
-			if rep == 0 || par < pt.Recover {
-				pt.Recover = par
-			}
-			if rep == 0 || ser < pt.RecoverSerial {
-				pt.RecoverSerial = ser
-			}
-			pt.ChainDepth = rpt.DeltaChainDepth
-			pt.SegmentsReplayed = rpt.SegmentsReplayed
-			pt.EntriesReplayed = rpt.EntriesReplayed
+		if rep == 0 || elapsed < pt.Recover {
+			pt.Recover = elapsed
 		}
-		res.Points = append(res.Points, pt)
+		pt.ChainDepth = rpt.DeltaChainDepth
+		pt.SegmentsReplayed = rpt.SegmentsReplayed
+		pt.EntriesReplayed = rpt.EntriesReplayed
 	}
-	return res, nil
+	return pt, nil
 }
 
 // buildRecoveryImage builds a fixed working set (so the checkpoint
@@ -166,77 +133,4 @@ func buildRecoveryImage(units int, deltaFrac float64) ([]byte, error) {
 		return nil, err
 	}
 	return dev.Image(), nil
-}
-
-// timeRecovery mounts a fresh copy of img and returns the wall time of
-// recovery alone (the image copy is outside the clock). workers 0
-// keeps the default pool size.
-func timeRecovery(img []byte, workers int) (time.Duration, core.RecoveryReport, error) {
-	p := core.Params{CheckpointEvery: -1, CkptCompactEvery: 4, RecoveryWorkers: workers}
-	dev := disk.FromImage(img, disk.Geometry{})
-	start := time.Now()
-	_, rpt, err := core.OpenReport(dev, p)
-	elapsed := time.Since(start)
-	if err != nil {
-		return 0, rpt, err
-	}
-	return elapsed, rpt, nil
-}
-
-// RecoveryGate checks the O(delta) property: the smallest-delta point
-// must recover in at most maxRatio of the full-scan baseline (the
-// DeltaFrac 1.0 point), both measured with the parallel pool.
-func RecoveryGate(res RecoveryResult, maxRatio float64) error {
-	if len(res.Points) < 2 {
-		return fmt.Errorf("recovery sweep has %d points", len(res.Points))
-	}
-	full := res.Points[0]
-	small := res.Points[len(res.Points)-1]
-	if full.DeltaFrac != 1.0 {
-		return fmt.Errorf("first sweep point is not the full-scan baseline (frac %.2f)", full.DeltaFrac)
-	}
-	if full.Recover <= 0 {
-		return fmt.Errorf("full-scan baseline measured no time")
-	}
-	ratio := float64(small.Recover) / float64(full.Recover)
-	if ratio > maxRatio {
-		return fmt.Errorf("recovery of the %.0f%% tail took %v, %.2fx the full scan's %v (ceiling %.2fx)",
-			small.DeltaFrac*100, small.Recover, ratio, full.Recover, maxRatio)
-	}
-	return nil
-}
-
-// FormatRecovery renders the sweep as a table.
-func FormatRecovery(res RecoveryResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Recovery time vs log tail beyond the checkpoint (%d units, %d workers)\n", res.Units, res.Workers)
-	fmt.Fprintf(&b, "%8s %8s %8s %8s %12s %12s %8s\n",
-		"tail", "depth", "segs", "entries", "parallel", "1 worker", "speedup")
-	for _, p := range res.Points {
-		speedup := 0.0
-		if p.Recover > 0 {
-			speedup = float64(p.RecoverSerial) / float64(p.Recover)
-		}
-		fmt.Fprintf(&b, "%7.0f%% %8d %8d %8d %12v %12v %7.2fx\n",
-			p.DeltaFrac*100, p.ChainDepth, p.SegmentsReplayed, p.EntriesReplayed,
-			p.Recover.Round(10*time.Microsecond), p.RecoverSerial.Round(10*time.Microsecond), speedup)
-	}
-	return b.String()
-}
-
-// AddRecovery appends the recovery sweep to the report: one result per
-// curve point, with the parallel and single-worker mounts as phases
-// (ops = entries replayed).
-func (r *Report) AddRecovery(res RecoveryResult) {
-	for _, p := range res.Points {
-		r.Results = append(r.Results, BenchResult{
-			Experiment: "recovery",
-			Build:      "new",
-			Label:      fmt.Sprintf("tail=%.0f%%", p.DeltaFrac*100),
-			Phases: []BenchPhase{
-				jsonPhase(Phase{Name: "recover", Ops: int64(p.EntriesReplayed), Elapsed: p.Recover}),
-				jsonPhase(Phase{Name: "recover-serial", Ops: int64(p.EntriesReplayed), Elapsed: p.RecoverSerial}),
-			},
-		})
-	}
 }

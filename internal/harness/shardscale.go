@@ -3,59 +3,37 @@ package harness
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aru/internal/core"
 	"aru/internal/disk"
 	"aru/internal/seg"
 	"aru/internal/shard"
-	"aru/internal/workload"
 )
 
-// ShardScaleResult holds one point of the shard-scaling sweep: the same
-// total committer population, pinned round-robin to shards, each
-// durably committing shard-local units with per-shard flushes — run
-// once with each engine's flushes serialized by the driver and once
-// meeting in each shard's group-commit broker.
-//
-// The two sides scale for different reasons. Serialized, every
-// durable commit costs its shard one device sync, so the device is the
-// bottleneck and N shards run N sync pipelines in parallel —
-// near-linear aggregate scaling. The broker already coalesces an
-// entire population's commits into few syncs on one device, so its
-// curve is flatter: committers are bound by their own commit latency
-// (about two sync periods), which sharding does not shorten.
+// ShardScaleResult holds one point of the shard-scaling measurement:
+// a committer population, pinned round-robin to shards, each durably
+// committing shard-local units with per-shard flushes serialized by
+// the driver. Serialized, every durable commit costs its shard one
+// device sync, so the device is the bottleneck and N shards run N sync
+// pipelines in parallel — near-linear aggregate scaling.
 type ShardScaleResult struct {
 	Shards      int
 	Committers  int // total, across all shards
 	CommitsEach int
-	SyncDelay   time.Duration
 
-	SerialElapsed time.Duration // flushes serialized by the driver, per engine
-	GroupElapsed  time.Duration // per-shard group-commit brokers
-	SerialSyncs   int64         // device syncs across every shard, commit phase only
-	GroupSyncs    int64
-	FastPath      int64 // fast-path commits, group run (= Committers*CommitsEach)
-	Cross         int64 // cross-shard commits, group run (= 0 — pinned workload)
+	Elapsed  time.Duration
+	Syncs    int64 // device syncs across every shard, commit phase only
+	FastPath int64 // fast-path commits (= Committers*CommitsEach)
+	Cross    int64 // cross-shard commits (= 0 — pinned workload)
 }
 
-// SerialPerSec returns aggregate durably-committed ARUs per wall
-// second with flushes serialized by the driver.
-func (r ShardScaleResult) SerialPerSec() float64 {
-	if r.SerialElapsed <= 0 {
+// PerSec returns aggregate durably-committed ARUs per wall second.
+func (r ShardScaleResult) PerSec() float64 {
+	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Committers*r.CommitsEach) / r.SerialElapsed.Seconds()
-}
-
-// GroupPerSec returns aggregate durably-committed ARUs per wall second
-// through the group-commit brokers.
-func (r ShardScaleResult) GroupPerSec() float64 {
-	if r.GroupElapsed <= 0 {
-		return 0
-	}
-	return float64(r.Committers*r.CommitsEach) / r.GroupElapsed.Seconds()
+	return float64(r.Committers*r.CommitsEach) / r.Elapsed.Seconds()
 }
 
 // ShardFastPathResult compares the single-shard sharded disk against
@@ -63,10 +41,6 @@ func (r ShardScaleResult) GroupPerSec() float64 {
 // and 2PC bookkeeping the sharded composition adds must cost nearly
 // nothing when every unit stays on one shard.
 type ShardFastPathResult struct {
-	Committers  int
-	CommitsEach int
-	SyncDelay   time.Duration
-
 	Unsharded time.Duration
 	Sharded   time.Duration
 }
@@ -86,7 +60,7 @@ const shardScaleCoordRecords = 256
 
 // shardScaleLayout widens the group-commit geometry's segment count:
 // the serialized side seals a partial segment per durable commit, so
-// a full sweep burns a segment per flush and needs the headroom.
+// a run burns a segment per flush and needs the headroom.
 func shardScaleLayout() seg.Layout {
 	l := groupCommitLayout()
 	l.NumSegs = 1024
@@ -96,7 +70,7 @@ func shardScaleLayout() seg.Layout {
 // newShardScaleDisk formats a fresh sharded disk over in-memory
 // devices, one engine per shard, and returns the devices for sync
 // accounting.
-func newShardScaleDisk(shards int) ([]*disk.Sim, *disk.Sim, *shard.Disk, error) {
+func newShardScaleDisk(shards int) ([]*disk.Sim, *shard.Disk, error) {
 	layout := shardScaleLayout()
 	devs := make([]*disk.Sim, shards)
 	ifaces := make([]disk.Disk, shards)
@@ -109,9 +83,9 @@ func newShardScaleDisk(shards int) ([]*disk.Sim, *disk.Sim, *shard.Disk, error) 
 		Params: core.Params{Layout: layout},
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return devs, coord, d, nil
+	return devs, d, nil
 }
 
 // pinnedLists creates one committed list per shard (retrying the
@@ -134,26 +108,27 @@ func pinnedLists(d *shard.Disk, shards int) ([]core.ListID, error) {
 	return lists, nil
 }
 
-// runShardScaleSide builds a fresh sharded disk and runs the pinned
+// RunShardScale builds a fresh sharded disk and runs the pinned
 // committer population once: committers goroutines, pinned
 // committer→shard round-robin, each durably committing commitsEach
 // single-block units on its own shard (BeginARU, NewBlock on the
-// shard's list, Write, EndARU, then a per-shard Flush). Flushing only
-// the unit's own engine is what lets shards pipeline independently —
-// the global Flush would fan out to every device. serial makes the
-// driver serialize each engine's flushes (endAndFlush).
-func runShardScaleSide(shards, committers, commitsEach int, syncDelay time.Duration, serial bool) (time.Duration, int64, shard.Stats, error) {
-	devs, _, d, err := newShardScaleDisk(shards)
+// shard's list, Write, EndARU, then a per-shard Flush), the driver
+// serializing each engine's flushes (endAndFlush). Flushing only the
+// unit's own engine is what lets shards pipeline independently — the
+// global Flush would fan out to every device.
+func RunShardScale(shards, committers, commitsEach int, syncDelay time.Duration) (ShardScaleResult, error) {
+	res := ShardScaleResult{Shards: shards, Committers: committers, CommitsEach: commitsEach}
+	devs, d, err := newShardScaleDisk(shards)
 	if err != nil {
-		return 0, 0, shard.Stats{}, err
+		return res, err
 	}
 	defer d.Close()
 	lists, err := pinnedLists(d, shards)
 	if err != nil {
-		return 0, 0, shard.Stats{}, err
+		return res, err
 	}
 	if err := d.Flush(); err != nil {
-		return 0, 0, shard.Stats{}, err
+		return res, err
 	}
 	// Arm the sync latency only after setup, as everywhere in the
 	// harness: the measurement is the commit phase.
@@ -190,7 +165,7 @@ func runShardScaleSide(shards, committers, commitsEach int, syncDelay time.Durat
 					errCh <- err
 					return
 				}
-				if err := endAndFlush(serial, &flushMus[s], func() error { return d.EndARU(a) }, eng.Flush); err != nil {
+				if err := endAndFlush(true, &flushMus[s], func() error { return d.EndARU(a) }, eng.Flush); err != nil {
 					errCh <- err
 					return
 				}
@@ -199,69 +174,48 @@ func runShardScaleSide(shards, committers, commitsEach int, syncDelay time.Durat
 		}(c)
 	}
 	wg.Wait()
-	elapsed := time.Since(t0)
+	res.Elapsed = time.Since(t0)
 	close(errCh)
 	for err := range errCh {
 		if err != nil {
-			return 0, 0, shard.Stats{}, err
+			return res, fmt.Errorf("harness: shard scale %d: %w", shards, err)
 		}
 	}
-	var syncs int64
 	for _, dev := range devs {
-		syncs += dev.Stats().Syncs
+		res.Syncs += dev.Stats().Syncs
 		dev.SetSyncDelay(0) // Close's flush+checkpoint outside the timing
 	}
-	return elapsed, syncs - syncs0, d.ShardStats(), nil
-}
-
-// RunShardScale measures one shard count on both sides.
-func RunShardScale(shards, committers, commitsEach int, syncDelay time.Duration) (ShardScaleResult, error) {
-	res := ShardScaleResult{
-		Shards:      shards,
-		Committers:  committers,
-		CommitsEach: commitsEach,
-		SyncDelay:   syncDelay,
-	}
-	elapsed, syncs, _, err := runShardScaleSide(shards, committers, commitsEach, syncDelay, true)
-	if err != nil {
-		return res, fmt.Errorf("serial side: %w", err)
-	}
-	res.SerialElapsed, res.SerialSyncs = elapsed, syncs
-	elapsed, syncs, st, err := runShardScaleSide(shards, committers, commitsEach, syncDelay, false)
-	if err != nil {
-		return res, fmt.Errorf("group side: %w", err)
-	}
-	res.GroupElapsed, res.GroupSyncs = elapsed, syncs
+	res.Syncs -= syncs0
+	st := d.ShardStats()
 	res.FastPath, res.Cross = st.FastPathCommits, st.CrossShardCommits
 	return res, nil
-}
-
-// RunShardScaleSweep runs RunShardScale for each shard count with the
-// same total committer population and per-committer commit count, so
-// the rows are directly comparable aggregate throughputs.
-func RunShardScaleSweep(shardCounts []int, committers, commitsEach int, syncDelay time.Duration) ([]ShardScaleResult, error) {
-	out := make([]ShardScaleResult, 0, len(shardCounts))
-	for _, n := range shardCounts {
-		r, err := RunShardScale(n, committers, commitsEach, syncDelay)
-		if err != nil {
-			return out, fmt.Errorf("harness: shard scale %d: %w", n, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // RunShardFastPath times the identical durable-commit workload on a
 // bare engine and on a 1-shard sharded disk: the difference is the
 // composition's fast-path overhead (routing, unit tracking, the ARU id
 // indirection) — everything except 2PC, which a single-shard unit never
-// enters.
+// enters. Each side is the best of bestOf runs: the two wall times
+// differ by a few percent at most.
 func RunShardFastPath(committers, commitsEach int, syncDelay time.Duration) (ShardFastPathResult, error) {
-	res := ShardFastPathResult{
-		Committers:  committers,
-		CommitsEach: commitsEach,
-		SyncDelay:   syncDelay,
+	var best ShardFastPathResult
+	for rep := 0; rep < bestOf; rep++ {
+		r, err := runShardFastPathOnce(committers, commitsEach, syncDelay)
+		if err != nil {
+			return best, err
+		}
+		if rep == 0 || r.Unsharded < best.Unsharded {
+			best.Unsharded = r.Unsharded
+		}
+		if rep == 0 || r.Sharded < best.Sharded {
+			best.Sharded = r.Sharded
+		}
 	}
+	return best, nil
+}
+
+func runShardFastPathOnce(committers, commitsEach int, syncDelay time.Duration) (ShardFastPathResult, error) {
+	var res ShardFastPathResult
 
 	// Bare engine side: same loop shape, global Flush (it is the only
 	// engine).
@@ -299,7 +253,7 @@ func RunShardFastPath(committers, commitsEach int, syncDelay time.Duration) (Sha
 
 	// Sharded side: one shard, so every unit commits on the fast path
 	// and the per-shard flush is the whole disk.
-	devs, _, d, err := newShardScaleDisk(1)
+	devs, d, err := newShardScaleDisk(1)
 	if err != nil {
 		return res, err
 	}
@@ -389,230 +343,4 @@ func runFastPathSide(committers, commitsEach, blockSize int, fns func(c int) com
 		}
 	}
 	return elapsed, nil
-}
-
-// SkewPlacement chooses how the hot-key workload's keys map to shards.
-type SkewPlacement string
-
-const (
-	// PlaceRR creates key lists with the disk's round-robin allocator:
-	// adjacent keys land on adjacent shards, so the Zipf head spreads
-	// and shard load stays nearly even despite the key skew.
-	PlaceRR SkewPlacement = "rr"
-	// PlaceRange co-locates contiguous key ranges: key k lands on shard
-	// k*shards/keys, putting the entire Zipf head on shard 0 — the hot
-	// shard becomes the aggregate bottleneck.
-	PlaceRange SkewPlacement = "range"
-)
-
-// ShardSkewResult holds one hot-key workload run: ops route to shards
-// through the Zipf key→list mapping, so the per-shard counters expose
-// how load concentrates and what that does to aggregate throughput.
-type ShardSkewResult struct {
-	Shards     int
-	Committers int
-	Workload   workload.Skew
-	Placement  SkewPlacement
-	SyncDelay  time.Duration
-
-	Elapsed     time.Duration
-	PerShardOps []int64 // durably committed units per shard
-	HotKeyOps   int     // ops on the single hottest key
-}
-
-// PerSec returns aggregate committed units per wall second.
-func (r ShardSkewResult) PerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	var total int64
-	for _, n := range r.PerShardOps {
-		total += n
-	}
-	return float64(total) / r.Elapsed.Seconds()
-}
-
-// Imbalance is the hottest shard's op count over the mean (1.0 =
-// perfectly even).
-func (r ShardSkewResult) Imbalance() float64 {
-	var total, hot int64
-	for _, n := range r.PerShardOps {
-		total += n
-		if n > hot {
-			hot = n
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(r.PerShardOps))
-	return float64(hot) / mean
-}
-
-// RunShardSkew runs the Zipf hot-key workload against a sharded disk:
-// every key is one list holding one block, ops overwrite the block of a
-// Zipf-drawn key inside an ARU and flush that key's shard. Committers
-// partition the deterministic schedule round-robin.
-func RunShardSkew(shards, committers int, z workload.Skew, placement SkewPlacement, syncDelay time.Duration) (ShardSkewResult, error) {
-	res := ShardSkewResult{
-		Shards:     shards,
-		Committers: committers,
-		Workload:   z,
-		Placement:  placement,
-		SyncDelay:  syncDelay,
-	}
-	devs, _, d, err := newShardScaleDisk(shards)
-	if err != nil {
-		return res, err
-	}
-	defer d.Close()
-
-	// One list + block per key, committed before the clock starts. For
-	// range placement the round-robin allocator is retried until the
-	// list lands on the key's target shard (misses are deleted).
-	blocks := make([]core.BlockID, z.Keys)
-	shardOf := make([]int, z.Keys)
-	for k := 0; k < z.Keys; k++ {
-		var l core.ListID
-		for {
-			if l, err = d.NewList(0); err != nil {
-				return res, err
-			}
-			if placement != PlaceRange || d.ShardOfList(l) == k*shards/z.Keys {
-				break
-			}
-			if err := d.DeleteList(0, l); err != nil {
-				return res, err
-			}
-		}
-		if blocks[k], err = d.NewBlock(0, l, core.NilBlock); err != nil {
-			return res, err
-		}
-		shardOf[k] = d.ShardOfList(l)
-	}
-	if err := d.Flush(); err != nil {
-		return res, err
-	}
-	for _, dev := range devs {
-		dev.SetSyncDelay(syncDelay)
-	}
-
-	sched := z.Schedule()
-	counts := z.KeyCounts(sched)
-	for _, n := range counts {
-		if n > res.HotKeyOps {
-			res.HotKeyOps = n
-		}
-	}
-	perShard := make([]atomic.Int64, shards)
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, committers)
-	t0 := time.Now()
-	for c := 0; c < committers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			buf := make([]byte, d.BlockSize())
-			for i := c; i < len(sched); i += committers {
-				k := sched[i]
-				a, err := d.BeginARU()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				buf[0], buf[1] = byte(k), byte(i)
-				if err := d.Write(a, blocks[k], buf); err != nil {
-					errCh <- err
-					return
-				}
-				if err := d.EndARU(a); err != nil {
-					errCh <- err
-					return
-				}
-				if err := d.Shard(shardOf[k]).Flush(); err != nil {
-					errCh <- err
-					return
-				}
-				perShard[shardOf[k]].Add(1)
-			}
-			errCh <- nil
-		}(c)
-	}
-	wg.Wait()
-	res.Elapsed = time.Since(t0)
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return res, err
-		}
-	}
-	for _, dev := range devs {
-		dev.SetSyncDelay(0)
-	}
-	res.PerShardOps = make([]int64, shards)
-	for i := range perShard {
-		res.PerShardOps[i] = perShard[i].Load()
-	}
-	return res, nil
-}
-
-// FormatShardScale renders the scaling sweep plus the fast-path
-// comparison as the experiment table.
-func FormatShardScale(results []ShardScaleResult, fp ShardFastPathResult) string {
-	if len(results) == 0 {
-		return ""
-	}
-	r0 := results[0]
-	out := fmt.Sprintf("Sharded disk: scaling of durable commits, %d committers pinned round-robin, sync delay %v, %d commits/committer\n\n",
-		r0.Committers, r0.SyncDelay, r0.CommitsEach)
-	out += fmt.Sprintf("  %-7s %12s %8s %12s %8s %7s %7s %10s %6s\n",
-		"shards", "serial c/s", "scale", "group c/s", "scale", "syncs", "syncs", "fast path", "cross")
-	out += fmt.Sprintf("  %-7s %12s %8s %12s %8s %7s %7s %10s %6s\n",
-		"", "", "", "", "", "serial", "group", "", "")
-	serialBase, groupBase := results[0].SerialPerSec(), results[0].GroupPerSec()
-	for _, r := range results {
-		serialScale, groupScale := 0.0, 0.0
-		if serialBase > 0 {
-			serialScale = r.SerialPerSec() / serialBase
-		}
-		if groupBase > 0 {
-			groupScale = r.GroupPerSec() / groupBase
-		}
-		out += fmt.Sprintf("  %-7d %12.0f %7.2fx %12.0f %7.2fx %7d %7d %10d %6d\n",
-			r.Shards, r.SerialPerSec(), serialScale, r.GroupPerSec(), groupScale,
-			r.SerialSyncs, r.GroupSyncs, r.FastPath, r.Cross)
-	}
-	out += fmt.Sprintf("\n  fast path overhead vs bare engine: unsharded %v, 1-shard %v (%+.1f%%)\n",
-		fp.Unsharded.Round(time.Millisecond), fp.Sharded.Round(time.Millisecond), fp.Overhead()*100)
-	out += "\n  (serial side, flushes serialized by the driver: every durable commit costs\n" +
-		"   its shard one device sync, so N shards run N sync pipelines in parallel —\n" +
-		"   near-linear scaling; group side: each shard's broker already coalesces its\n" +
-		"   committers' syncs, so committers are bound by commit latency, not the device)\n"
-	return out
-}
-
-// FormatShardSkew renders the hot-key run with its per-shard split.
-func FormatShardSkew(r ShardSkewResult) string {
-	out := fmt.Sprintf("Sharded disk: Zipf hot-key workload (%s placement), %d keys s=%.2f, %d ops, %d committers, %d shards, sync delay %v\n\n",
-		r.Placement, r.Workload.Keys, r.Workload.S, r.Workload.Ops, r.Committers, r.Shards, r.SyncDelay)
-	out += fmt.Sprintf("  aggregate %0.f commits/s, hottest key %d/%d ops, shard imbalance %.2fx\n\n",
-		r.PerSec(), r.HotKeyOps, r.Workload.Ops, r.Imbalance())
-	out += fmt.Sprintf("  %-7s %10s %12s %7s\n", "shard", "ops", "ops/s", "share")
-	var total int64
-	for _, n := range r.PerShardOps {
-		total += n
-	}
-	for s, n := range r.PerShardOps {
-		share := 0.0
-		if total > 0 {
-			share = float64(n) / float64(total) * 100
-		}
-		persec := 0.0
-		if r.Elapsed > 0 {
-			persec = float64(n) / r.Elapsed.Seconds()
-		}
-		out += fmt.Sprintf("  %-7d %10d %12.0f %6.1f%%\n", s, n, persec, share)
-	}
-	return out
 }
