@@ -78,8 +78,22 @@ func main() {
 		if err != nil {
 			continue // never written or torn
 		}
-		fmt.Printf("  seg %4d: seq %6d, %4d data blocks, %5d entries (%d B)\n",
-			s, tr.Seq, tr.DataBlocks, tr.EntryCount, tr.EntryBytes)
+		// Where the image lies in its segment is read off the trailer:
+		// tail-packed images end at the last sector, front-packed ones
+		// (older images) start at the first byte.
+		format := "tail"
+		if tr.FrontPacked {
+			format = "front"
+		}
+		dataOff, err := tr.DataOff(layout)
+		if err != nil {
+			fmt.Printf("  seg %4d: seq %6d, %v\n", s, tr.Seq, err)
+			continue
+		}
+		image := tr.ImageBytes(layout)
+		fmt.Printf("  seg %4d: seq %6d, %4d data blocks, %5d entries (%d B), %s-packed, data at +%d, image %d B (%.1f%% of the segment)\n",
+			s, tr.Seq, tr.DataBlocks, tr.EntryCount, tr.EntryBytes,
+			format, dataOff, image, 100*float64(image)/float64(layout.SegBytes))
 		if s != *segIdx {
 			continue
 		}

@@ -162,8 +162,10 @@ type verKey struct {
 // every version on exactly one chain, every gated committed version on
 // exactly one open ARU's touched list; and every block buffer has one
 // owner — nothing a cache entry holds is also in a version slot, on the
-// free list or on a retire-set. It is exported for tests and the fsck
-// tool.
+// free list or on a retire-set. One check leaves memory: every segment
+// whose blocks are read from the device has a recorded data offset (and
+// sequence number) equal to what its trailer on the device says. It is
+// exported for tests and the fsck tool.
 func (d *LLD) VerifyInternal() error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -292,6 +294,7 @@ func (d *LLD) VerifyInternal() error {
 
 	live := make([]int32, d.params.Layout.NumSegs)
 	pins := make([]int32, d.params.Layout.NumSegs)
+	sector := make([]byte, seg.SectorSize)
 	nBlocks, nLists, bufs := 0, 0, 0
 	pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
 		nBlocks++
@@ -363,6 +366,29 @@ func (d *LLD) VerifyInternal() error {
 		}
 		if pins[s] != d.segPins[s] {
 			fail("segment %d pin count %d, %d versions hold data there", s, d.segPins[s], pins[s])
+		}
+		// A segment whose blocks are read from the device is read at the
+		// data offset recorded for it, which must be the one the trailer
+		// on the device gives.
+		_, held := d.sealedBySeg[uint32(s)]
+		if live[s]+pins[s] == 0 || s == d.curSeg || held {
+			continue
+		}
+		l := d.params.Layout
+		if rerr := d.dev.ReadAt(sector, l.SegOff(s)+int64(l.SegBytes-seg.SectorSize)); rerr != nil {
+			fail("segment %d: reading the trailer: %v", s, rerr)
+			continue
+		}
+		tr, terr := seg.DecodeTrailer(sector)
+		if terr == nil {
+			var off int
+			if off, terr = tr.DataOff(l); terr == nil && (tr.Seq != d.segSeq[s] || uint32(off) != d.segDataOff[s].Load()) {
+				terr = fmt.Errorf("it holds seq %d with data at offset %d", tr.Seq, off)
+			}
+		}
+		if terr != nil {
+			fail("segment %d is read as seq %d with data at offset %d, its trailer on the device disagrees: %v",
+				s, d.segSeq[s], d.segDataOff[s].Load(), terr)
 		}
 	}
 	return err

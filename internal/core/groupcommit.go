@@ -290,6 +290,7 @@ func (d *LLD) writeSealed(e *sealedSeg, bt *batchTrace) error {
 	}
 	e.written = true
 	d.stats.SegmentsWritten.Add(1)
+	d.stats.SegmentBytesWritten.Add(int64(len(e.img)))
 	if d.obs != nil {
 		now := d.obs.Now()
 		d.obs.Observe(obs.HistSegFlush, now-t0)

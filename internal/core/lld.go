@@ -299,6 +299,7 @@ type Stats struct {
 	ARUsAborted                int64
 	ARUsPrepared               int64 // PrepareARU calls (2PC participants)
 	SegmentsWritten            int64 // segments written to disk
+	SegmentBytesWritten        int64 // bytes of segment images written to disk
 	SegmentsCleaned            int64 // segments reclaimed by the cleaner
 	BlocksRelocated            int64 // live blocks copied by the cleaner
 	Checkpoints                int64
@@ -417,6 +418,13 @@ type LLD struct {
 	freeCache int      // reusable-segment count, refreshed at seals
 	inClean   bool     // reentrancy guard for the cleaner
 	cache     *blockCache
+	// segDataOff is where in its segment each image's data slot 0 lies
+	// (seg.Trailer.DataOff): derived from the image at seal and from the
+	// trailer at mount, never stored on its own. Atomic because snapshot
+	// readers turn (seg, slot) into a device offset without d.mu; segment
+	// reuse is epoch-gated, so an offset cannot change under an address a
+	// reader holds.
+	segDataOff []atomic.Uint32
 
 	// Durability (DESIGN.md §11). gc has its own internal mutex and is
 	// the only field here touched without d.mu; everything else below is

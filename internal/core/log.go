@@ -241,7 +241,11 @@ func (d *LLD) seal() error {
 	e.seq = d.nextSeq
 	e.bld = d.builder
 	e.img = d.builder.Seal(d.nextSeq)
-	e.off = d.params.Layout.SegOff(d.curSeg)
+	// The image is one extent that ends at the segment's last sector, so
+	// the one write that carries it ends in the trailer whatever it holds.
+	dataOff := d.params.Layout.SegBytes - len(e.img)
+	e.off = d.params.Layout.SegOff(d.curSeg) + int64(dataOff)
+	d.segDataOff[e.idx].Store(uint32(dataOff))
 	e.commits = commits
 	// The entry takes the stamps of the commits it carries and leaves
 	// its own (pooled) backing array for the next ones.
@@ -530,12 +534,16 @@ func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 		}
 		d.stats.CacheMisses.Add(1)
 	}
-	bs := int64(d.params.Layout.BlockSize)
-	off := d.params.Layout.SegOff(int(segIdx)) + int64(slot)*bs
-	if err := d.dev.ReadAt(dst, off); err != nil {
+	if err := d.dev.ReadAt(dst, slotOff(d.params.Layout, d.segDataOff, segIdx, slot)); err != nil {
 		return fmt.Errorf("lld: reading block at seg %d slot %d: %w", segIdx, slot, err)
 	}
 	return nil
+}
+
+// slotOff returns the device offset of data slot slot of segment segIdx,
+// whose image's data area starts dataOff[segIdx] into the segment.
+func slotOff(l seg.Layout, dataOff []atomic.Uint32, segIdx, slot uint32) int64 {
+	return l.SegOff(int(segIdx)) + int64(dataOff[segIdx].Load()) + int64(slot)*int64(l.BlockSize)
 }
 
 // physKey identifies a cached block by physical location.

@@ -124,6 +124,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		arus:            make(map[ARUID]*aruState),
 		builder:         seg.NewBuilder(layout),
 		segSeq:          make([]uint64, layout.NumSegs),
+		segDataOff:      make([]atomic.Uint32, layout.NumSegs),
 		segLive:         make([]int32, layout.NumSegs),
 		segPins:         make([]int32, layout.NumSegs),
 		cache:           newBlockCache(p.CacheBlocks),
@@ -206,6 +207,11 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 				if err != nil {
 					continue // never written, wiped, or torn: not part of the log
 				}
+				dataOff, err := tr.DataOff(layout)
+				if err != nil {
+					continue // an image no segment of this layout can hold: not ours
+				}
+				d.segDataOff[s].Store(uint32(dataOff))
 				trailers[s], trValid[s] = tr, true
 			}
 		}()
@@ -250,9 +256,10 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		expect++
 	}
 
-	// Read + decode every window segment through the pool; apply in
-	// sequence order, pipelined — segment k applies while k+1… are
-	// still being read. The happens-before edge is the per-slot
+	// Read + decode the summary of every window segment through the pool
+	// — the entry region and the trailer below it, not the data above;
+	// apply in sequence order, pipelined — segment k applies while k+1…
+	// are still being read. The happens-before edge is the per-slot
 	// channel close.
 	type segScan struct {
 		entries []seg.Entry
@@ -264,25 +271,30 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	for i := range ready {
 		ready[i] = make(chan struct{})
 	}
+	maxSummary := 0
+	for _, ls := range replay {
+		maxSummary = max(maxSummary, ls.tr.SummaryBytes())
+	}
 	var nextSeg atomic.Int64
 	var wgSeg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wgSeg.Add(1)
 		go func() {
 			defer wgSeg.Done()
-			buf := make([]byte, layout.SegBytes)
+			buf := make([]byte, maxSummary)
 			for {
 				i := int(nextSeg.Add(1)) - 1
 				if i >= len(replay) {
 					return
 				}
 				ls := replay[i]
-				if err := dev.ReadAt(buf, layout.SegOff(ls.idx)); err != nil {
+				summary := buf[:ls.tr.SummaryBytes()]
+				if err := dev.ReadAt(summary, layout.SegOff(ls.idx)+int64(layout.SegBytes-len(summary))); err != nil {
 					scans[i].readErr = fmt.Errorf("lld: reading segment %d: %w", ls.idx, err)
 					close(ready[i])
 					continue
 				}
-				entries, err := seg.DecodeEntriesFromSegment(buf, ls.tr)
+				entries, err := seg.DecodeEntriesFromSegment(summary, ls.tr)
 				if err != nil {
 					// A valid trailer with a corrupt entry region means
 					// the medium failed underneath us (a torn write

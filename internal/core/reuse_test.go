@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"aru/internal/disk"
+	"aru/internal/seg"
 )
 
 // syncRecorder is a disk.Disk that remembers the contents as of the
@@ -68,19 +70,56 @@ func (r *syncRecorder) unsynced() int {
 	return len(r.pending)
 }
 
+// sectors returns the length of the i-th unsynced write in sectors.
+func (r *syncRecorder) sectors(i int) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.pending[i].data) / disk.SectorSize
+}
+
 // crashImage returns the image of a crash in which every unsynced write
-// reached the medium except the drop-th.
-func (r *syncRecorder) crashImage(drop int) []byte {
+// reached the medium except the torn-th, of which only the first keep
+// sectors did (0 = the write is lost).
+func (r *syncRecorder) crashImage(torn, keep int) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	img := append([]byte(nil), r.stable...)
 	for i, w := range r.pending {
-		if i != drop {
+		if i == torn {
+			copy(img[w.off:], w.data[:keep*disk.SectorSize])
+		} else {
 			copy(img[w.off:], w.data)
 		}
 	}
 	return img
 }
+
+// splitSegWrites is the device a seal writing two extents would drive:
+// every segment image reaches the recorder as its data part and then its
+// summary part (entry region and trailer), two writes a crash keeps or
+// loses independently. Everything else passes through.
+type splitSegWrites struct {
+	*syncRecorder
+	logOff int64 // start of the log area
+}
+
+func (s splitSegWrites) WriteAt(p []byte, off int64) error {
+	if off >= s.logOff {
+		if tr, err := seg.DecodeTrailer(p); err == nil {
+			if data := len(p) - tr.SummaryBytes(); data > 0 {
+				if err := s.syncRecorder.WriteAt(p[:data], off); err != nil {
+					return err
+				}
+				return s.syncRecorder.WriteAt(p[data:], off+int64(data))
+			}
+		}
+	}
+	return s.syncRecorder.WriteAt(p, off)
+}
+
+// errReuseOracle marks a crash image that recovered to wrong data — as
+// opposed to one that did not recover, or a failure of the run itself.
+var errReuseOracle = errors.New("durability oracle violated")
 
 // reusePayload is a block whose every byte depends on (id, ver), with
 // both readable from the header.
@@ -105,29 +144,85 @@ func reusePayload(bs int, id BlockID, ver uint32) []byte {
 // after recovery every block must read its own id at a version between
 // the one its last checkpoint guaranteed and the newest written.
 func TestGroupCommitReuseWaitsForSync(t *testing.T) {
-	const (
-		seeds  = 60
-		blocks = 30
-	)
-	steps := 200
-	if testing.Short() {
-		steps = 60
-	}
-	for seed := int64(1); seed <= seeds; seed++ {
-		if err := reuseRun(seed, blocks, steps); err != nil {
+	for seed := int64(1); seed <= reuseSeeds; seed++ {
+		if err := reuseRun(seed, reuseSteps(), false, nil); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-func reuseRun(seed int64, blocks, steps int) error {
+const (
+	reuseSeeds  = 60
+	reuseBlocks = 30
+)
+
+func reuseSteps() int {
+	if testing.Short() {
+		return 60
+	}
+	return 200
+}
+
+// TestSegmentWriteTornToPrefix runs the same oracle with each unsynced
+// write kept only up to a sector boundary, over a sampled set of
+// boundaries. A sealed image is as long as what it holds and ends at the
+// segment's last sector, so successive incarnations of one segment start
+// at different offsets: a prefix of the new one lies over the middle of
+// the old one, and the old trailer — or, for a checkpoint record, the
+// old chain — is what recovery must then find or reject.
+func TestSegmentWriteTornToPrefix(t *testing.T) {
+	seeds := int64(reuseSeeds / 5)
+	if testing.Short() {
+		seeds /= 2
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		if err := reuseRun(seed, reuseSteps(), true, nil); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestSplitSegmentWriteBreaksOracle proves that the seal's one extent is
+// necessary, and that the oracle above would notice its absence: with
+// every segment image written as a data extent and a summary extent, a
+// crash that keeps the summary and loses the data leaves a valid trailer
+// over the segment's previous contents, recovery replays it, and a block
+// reads bytes that were never its own. The engine is the same; only the
+// device wrapper differs from TestGroupCommitReuseWaitsForSync.
+func TestSplitSegmentWriteBreaksOracle(t *testing.T) {
+	split := func(r *syncRecorder, l seg.Layout) disk.Disk {
+		return splitSegWrites{syncRecorder: r, logOff: l.SegOff(0)}
+	}
+	for seed := int64(1); seed <= reuseSeeds; seed++ {
+		err := reuseRun(seed, reuseSteps(), false, split)
+		if errors.Is(err, errReuseOracle) {
+			t.Logf("seed %d: %v", seed, err)
+			return
+		}
+		if err != nil {
+			t.Fatalf("seed %d: the split device failed otherwise than by the oracle: %v", seed, err)
+		}
+	}
+	t.Fatalf("%d seeds of segment writes split in two passed the oracle: it cannot see a trailer over stale data", reuseSeeds)
+}
+
+// reuseRun drives one seeded history and judges every crash image of it:
+// each unsynced write lost in turn and, with tears, kept to sampled
+// sector prefixes. wrap, if set, puts a device between the engine and the
+// recorder.
+func reuseRun(seed int64, steps int, tears bool, wrap func(*syncRecorder, seg.Layout) disk.Disk) error {
+	const blocks = reuseBlocks
 	// Twelve segments of seven blocks; small tables keep the checkpoint
 	// regions, and so every crash image, small.
 	layout := testLayout(12)
 	layout.MaxBlocks, layout.MaxLists = 2*blocks, 4
 	p := Params{Layout: layout, CheckpointEvery: -1, CleanerLowWater: -1, CacheBlocks: -1}
 	dev := newSyncRecorder(p.Layout.DiskBytes())
-	d, err := Format(dev, p)
+	var engineDev disk.Disk = dev
+	if wrap != nil {
+		engineDev = wrap(dev, layout)
+	}
+	d, err := Format(engineDev, p)
 	if err != nil {
 		return err
 	}
@@ -160,6 +255,7 @@ func reuseRun(seed int64, blocks, steps int) error {
 	}
 
 	rng := rand.New(rand.NewSource(seed))
+	tearRng := rand.New(rand.NewSource(seed)) // its own stream: tears judge the same history
 	buf := make([]byte, bs)
 	next := 0 // the pool is overwritten in cyclic order, so the log wraps cleanly with no cleaner
 	for step := 1; step <= steps; step++ {
@@ -186,26 +282,46 @@ func reuseRun(seed int64, blocks, steps int) error {
 				newest[next]++
 			}
 		}
-		for drop := 0; drop < dev.unsynced(); drop++ {
-			r, err := Open(disk.FromImage(dev.crashImage(drop), disk.Geometry{}), Params{CacheBlocks: -1})
-			if err != nil {
-				return fmt.Errorf("step %d, unsynced write %d lost: recovery: %w", step, drop, err)
+		for w := 0; w < dev.unsynced(); w++ {
+			keeps := []int{0}
+			if n := dev.sectors(w); tears && n > 1 {
+				// The boundaries around both ends and two in between; all
+				// of them when the write is short.
+				keeps = append(keeps, 1, n-1, 1+tearRng.Intn(n-1), 1+tearRng.Intn(n-1))
+				slices.Sort(keeps)
+				keeps = slices.Compact(keeps)
 			}
-			for i, id := range ids {
-				if err := r.Read(0, id, buf); err != nil {
-					return fmt.Errorf("step %d, unsynced write %d lost: block %d: %w", step, drop, id, err)
-				}
-				gotID := BlockID(binary.LittleEndian.Uint32(buf[0:]))
-				ver := binary.LittleEndian.Uint32(buf[4:])
-				if gotID != id || string(buf) != string(reusePayload(bs, id, ver)) {
-					return fmt.Errorf("step %d, unsynced write %d lost: block %d reads block %d v%d (checkpointed v%d, newest v%d)",
-						step, drop, id, gotID, ver, floor[i], newest[i])
-				}
-				if ver < floor[i] || ver > newest[i] {
-					return fmt.Errorf("step %d, unsynced write %d lost: block %d reads v%d, outside [checkpointed v%d, newest v%d]",
-						step, drop, id, ver, floor[i], newest[i])
+			for _, keep := range keeps {
+				if err := reuseJudge(dev.crashImage(w, keep), ids, floor, newest, buf); err != nil {
+					return fmt.Errorf("step %d, unsynced write %d cut to %d of %d sectors: %w", step, w, keep, dev.sectors(w), err)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// reuseJudge recovers one crash image and checks every block against the
+// oracle: its own id, at a version between the checkpointed one and the
+// newest.
+func reuseJudge(img []byte, ids []BlockID, floor, newest []uint32, buf []byte) error {
+	r, err := Open(disk.FromImage(img, disk.Geometry{}), Params{CacheBlocks: -1})
+	if err != nil {
+		return fmt.Errorf("recovery: %w", err)
+	}
+	for i, id := range ids {
+		if err := r.Read(0, id, buf); err != nil {
+			return fmt.Errorf("block %d: %w", id, err)
+		}
+		gotID := BlockID(binary.LittleEndian.Uint32(buf[0:]))
+		ver := binary.LittleEndian.Uint32(buf[4:])
+		if gotID != id || string(buf) != string(reusePayload(len(buf), id, ver)) {
+			return fmt.Errorf("%w: block %d reads block %d v%d (checkpointed v%d, newest v%d)",
+				errReuseOracle, id, gotID, ver, floor[i], newest[i])
+		}
+		if ver < floor[i] || ver > newest[i] {
+			return fmt.Errorf("%w: block %d reads v%d, outside [checkpointed v%d, newest v%d]",
+				errReuseOracle, id, ver, floor[i], newest[i])
 		}
 	}
 	return nil

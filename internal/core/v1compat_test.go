@@ -136,6 +136,108 @@ func buildV1Image(t *testing.T) []byte {
 	return img
 }
 
+// loadV1Fixture returns the checked-in old-format image.
+func loadV1Fixture(t *testing.T) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.FromSlash(v1FixturePath))
+	if err != nil {
+		t.Fatalf("fixture missing (regenerate with -update-fixtures): %v", err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// segmentLayouts counts the valid segments of img by where their image
+// lies: at the segment's start (old trailer magic) or at its end.
+func segmentLayouts(t *testing.T, l seg.Layout, img []byte) (front, tail int) {
+	t.Helper()
+	for s := 0; s < l.NumSegs; s++ {
+		tr, err := seg.DecodeTrailer(img[l.SegOff(s):l.SegOff(s+1)])
+		switch {
+		case err != nil:
+		case tr.FrontPacked:
+			front++
+		default:
+			tail++
+		}
+	}
+	return front, tail
+}
+
+// TestMixedSegmentLayouts: where a segment's data lies is read off its
+// own trailer, so an image the older engine wrote keeps working segment
+// by segment as this one writes on. The front-packed fixture is mounted,
+// written to, crashed and remounted: front- and tail-packed segments side
+// by side pass VerifyInternal (whose trailer check reads both kinds) and
+// read back exactly what the same history leaves on a fresh disk.
+func TestMixedSegmentLayouts(t *testing.T) {
+	p := v1FixtureParams()
+	more := func(d *LLD) {
+		lst, err := d.NewList(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ { // three segments' worth
+			b, err := d.NewBlock(0, lst, NilBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Write(0, b, fill(d, byte(0x60+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev := disk.FromImage(loadV1Fixture(t), disk.Geometry{})
+	d, err := Open(dev, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	more(d)
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+	if front, tail := segmentLayouts(t, p.Layout, dev.Image()); front == 0 || tail == 0 {
+		t.Fatalf("image holds %d front-packed and %d tail-packed segments, want both", front, tail)
+	}
+
+	dev2 := disk.NewMem(p.Layout.DiskBytes())
+	fresh, err := Format(dev2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1FixtureHistory(t, fresh)
+	more(fresh)
+	want := logicalState(t, fresh)
+	if got := logicalState(t, d); !reflect.DeepEqual(got, want) {
+		t.Fatal("mixed image reads differently from the same history on a fresh disk")
+	}
+
+	dev.Crash()
+	r, rpt, err := OpenReport(dev.Recycle(), p)
+	if err != nil {
+		t.Fatalf("mixed image does not remount: %v", err)
+	}
+	if err := r.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+	if rpt.SegmentsReplayed == 0 {
+		t.Fatal("remount replayed no segments: both layouts should be in the window")
+	}
+	if got := logicalState(t, r); !reflect.DeepEqual(got, want) {
+		t.Fatal("mixed image reads differently after a crash and remount")
+	}
+}
+
 // TestV1ImageCompat mounts the checked-in old-format fixture image —
 // legacy v1 checkpoint snapshots plus a log tail — and verifies the
 // current engine recovers it to exactly the state the same history
@@ -162,22 +264,17 @@ func TestV1ImageCompat(t *testing.T) {
 		}
 		t.Logf("wrote %s (%d bytes, %d raw)", v1FixturePath, gz.Len(), len(img))
 	}
-	raw, err := os.ReadFile(filepath.FromSlash(v1FixturePath))
-	if err != nil {
-		t.Fatalf("fixture missing (regenerate with -update-fixtures): %v", err)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := loadV1Fixture(t)
 
 	// The fixture really is old-format: every valid region decodes as a
-	// legacy single-record chain.
+	// legacy single-record chain, and every segment is front-packed under
+	// the old trailer magic. (A fixture regenerated by this engine would
+	// hold tail-packed segments and fail here: the checked-in image is
+	// the front-packed one, keep it.)
 	l := p.Layout
+	if front, tail := segmentLayouts(t, l, img); front == 0 || tail != 0 {
+		t.Fatalf("fixture holds %d front-packed and %d tail-packed segments, want only front-packed", front, tail)
+	}
 	legacy := 0
 	for i := 0; i < 2; i++ {
 		off := l.CkptOff(i)

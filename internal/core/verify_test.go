@@ -9,8 +9,9 @@ import (
 // pinned shadow version and a buffered committed version in the tables,
 // each planted inconsistency — a pin count, a same-state chain, a gauge,
 // an entry counter, the committed-buffer count, a buffer with two
-// owners, a leaked reuse quarantine — must fail VerifyInternal, and
-// undoing it must pass again.
+// owners, a leaked reuse quarantine, a data offset other than the one the
+// segment's trailer gives — must fail VerifyInternal, and undoing it must
+// pass again.
 func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	d, _ := newTestLLD(t, Params{})
 	defer d.Close()
@@ -90,6 +91,8 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 			func() { d.freeBufs = d.freeBufs[:len(d.freeBufs)-1] }},
 		{"reuse quarantine no queued seal accounts for", "reuse quarantine",
 			func() { d.reuseQuarantine[pinned]++ }, func() { delete(d.reuseQuarantine, pinned) }},
+		{"data offset drift", "trailer on the device disagrees",
+			func() { d.segDataOff[pinned].Add(512) }, func() { d.segDataOff[pinned].Add(^uint32(511)) }},
 	} {
 		d.mu.Lock()
 		c.plant()

@@ -12,11 +12,13 @@ import (
 // segment write can never produce a valid trailer over partial data.
 const SectorSize = 512
 
-// Magic numbers for the on-disk structures.
+// Magic numbers for the on-disk structures. The trailer has two: the
+// magic says where in its segment the image lies (Trailer.FrontPacked).
 const (
-	superMagic   = 0x4c4c4453 // "LLDS"
-	trailerMagic = 0x4c4c4454 // "LLDT"
-	ckptMagic    = 0x4c4c4443 // "LLDC"
+	superMagic        = 0x4c4c4453 // "LLDS"
+	trailerMagicFront = 0x4c4c4454 // "LLDT": image at the segment's start, read only
+	trailerMagic      = 0x4c4c4455 // "LLDU": image at the segment's end
+	ckptMagic         = 0x4c4c4443 // "LLDC"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

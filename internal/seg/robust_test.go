@@ -39,9 +39,7 @@ func TestBitFlippedSegmentNeverDecodesSilently(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			b.AddEntry(Entry{Kind: KindCommit, ARU: ARUID(i + 1), TS: uint64(i + 1)})
 		}
-		img := make([]byte, l.SegBytes)
-		copy(img, b.Seal(5))
-		return img
+		return placeImage(l, nil, b.Seal(5))
 	}
 	pristine := build()
 	tr, err := DecodeTrailer(pristine)

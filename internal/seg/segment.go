@@ -9,7 +9,9 @@ import (
 
 // Trailer is the per-segment metadata stored in the segment's final
 // sector. A segment on disk is valid iff its trailer decodes and both
-// checksums match; because the trailer sits at the very end, a torn
+// checksums match. A segment image is data blocks · entry region ·
+// trailer with no gap, written as one extent that ends at the segment's
+// last sector: the trailer is the last sector of the one write, so a torn
 // segment write cannot yield a valid trailer over partial contents.
 type Trailer struct {
 	// Seq is the position of this segment in the logical log. Seq is
@@ -23,6 +25,11 @@ type Trailer struct {
 	// EntryBytes is the encoded size of the entry region (entries are
 	// variable-length).
 	EntryBytes uint32
+	// FrontPacked marks the older layout, told by the trailer magic: the
+	// data area starts at the segment's first byte and a gap separates it
+	// from the entry region. Nothing writes it any more; images that hold
+	// such segments read unchanged.
+	FrontPacked bool
 	// entriesCRC protects the encoded entry region.
 	entriesCRC uint32
 }
@@ -35,14 +42,13 @@ var ErrBadSegment = errors.New("seg: bad segment")
 // the trailer CRC itself.
 const trailerBytes = 4 + 8 + 4 + 4 + 4 + 4 + 4
 
-// encodeTrailer writes t into the final sector of buf (len(buf) must be
-// the full segment size).
-func encodeTrailer(buf []byte, t Trailer) {
-	sec := buf[len(buf)-SectorSize:]
-	for i := range sec {
-		sec[i] = 0
+// encodeTrailer writes t into sec, one sector.
+func encodeTrailer(sec []byte, t Trailer) {
+	magic := uint32(trailerMagic)
+	if t.FrontPacked {
+		magic = trailerMagicFront
 	}
-	binary.LittleEndian.PutUint32(sec[0:], trailerMagic)
+	binary.LittleEndian.PutUint32(sec[0:], magic)
 	binary.LittleEndian.PutUint64(sec[4:], t.Seq)
 	binary.LittleEndian.PutUint32(sec[12:], t.DataBlocks)
 	binary.LittleEndian.PutUint32(sec[16:], t.EntryCount)
@@ -50,28 +56,63 @@ func encodeTrailer(buf []byte, t Trailer) {
 	binary.LittleEndian.PutUint32(sec[24:], t.entriesCRC)
 	crc := crc32.Checksum(sec[:28], crcTable)
 	binary.LittleEndian.PutUint32(sec[28:], crc)
+	clear(sec[trailerBytes:SectorSize])
 }
 
 // DecodeTrailer decodes the trailer from the final sector of a segment
-// image (buf may be the full segment or just its last sector).
+// image (buf may be the full segment, a sealed image or just the last
+// sector). Whether the extent the trailer describes fits a segment is
+// DataOff's to say: it takes the layout.
 func DecodeTrailer(buf []byte) (Trailer, error) {
 	if len(buf) < SectorSize {
 		return Trailer{}, fmt.Errorf("%w: short trailer buffer", ErrBadSegment)
 	}
 	sec := buf[len(buf)-SectorSize:]
-	if binary.LittleEndian.Uint32(sec[0:]) != trailerMagic {
+	magic := binary.LittleEndian.Uint32(sec[0:])
+	if magic != trailerMagic && magic != trailerMagicFront {
 		return Trailer{}, fmt.Errorf("%w: bad trailer magic", ErrBadSegment)
 	}
 	if got, want := binary.LittleEndian.Uint32(sec[28:]), crc32.Checksum(sec[:28], crcTable); got != want {
 		return Trailer{}, fmt.Errorf("%w: bad trailer checksum", ErrBadSegment)
 	}
 	return Trailer{
-		Seq:        binary.LittleEndian.Uint64(sec[4:]),
-		DataBlocks: binary.LittleEndian.Uint32(sec[12:]),
-		EntryCount: binary.LittleEndian.Uint32(sec[16:]),
-		EntryBytes: binary.LittleEndian.Uint32(sec[20:]),
-		entriesCRC: binary.LittleEndian.Uint32(sec[24:]),
+		Seq:         binary.LittleEndian.Uint64(sec[4:]),
+		DataBlocks:  binary.LittleEndian.Uint32(sec[12:]),
+		EntryCount:  binary.LittleEndian.Uint32(sec[16:]),
+		EntryBytes:  binary.LittleEndian.Uint32(sec[20:]),
+		FrontPacked: magic == trailerMagicFront,
+		entriesCRC:  binary.LittleEndian.Uint32(sec[24:]),
 	}, nil
+}
+
+// SummaryBytes returns the size of the segment's summary: the
+// sector-aligned entry region and the trailer sector, which in either
+// layout are the segment's last bytes.
+func (t Trailer) SummaryBytes() int {
+	return int(roundUp(int64(t.EntryBytes), SectorSize)) + SectorSize
+}
+
+// ImageBytes returns the size of the segment image t describes: data
+// blocks and summary.
+func (t Trailer) ImageBytes(l Layout) int64 {
+	return int64(t.DataBlocks)*int64(l.BlockSize) + int64(t.SummaryBytes())
+}
+
+// DataOff returns the offset of data slot 0 from the start of the
+// segment. It is derived, not stored: a tail-packed image ends at the
+// segment's last sector, a front-packed one starts at its first byte. A
+// trailer whose image does not fit a segment of l — nothing this program
+// writes; the medium failed or the bytes are not ours — is a bad segment.
+func (t Trailer) DataOff(l Layout) (int, error) {
+	n := t.ImageBytes(l)
+	if int(t.DataBlocks) > l.BlocksPerSeg() || n > int64(l.SegBytes) {
+		return 0, fmt.Errorf("%w: %d data blocks and %d entry bytes do not fit a %d-byte segment",
+			ErrBadSegment, t.DataBlocks, t.EntryBytes, l.SegBytes)
+	}
+	if t.FrontPacked {
+		return 0, nil
+	}
+	return l.SegBytes - int(n), nil
 }
 
 // entriesRegion returns the offset and length of the sector-aligned
@@ -82,8 +123,10 @@ func entriesRegion(segBytes, entryBytes int) (off, length int) {
 	return off, length
 }
 
-// DecodeEntriesFromSegment extracts the summary entries of a full
-// segment image whose trailer is t.
+// DecodeEntriesFromSegment extracts the summary entries of the segment
+// whose trailer is t. In either layout the entry region lies directly
+// below the trailer sector, so segment may be the full segment or any
+// suffix of it that holds both (a sealed image is one).
 func DecodeEntriesFromSegment(segment []byte, t Trailer) ([]Entry, error) {
 	off, length := entriesRegion(len(segment), int(t.EntryBytes))
 	if off < 0 {
@@ -97,39 +140,33 @@ func DecodeEntriesFromSegment(segment []byte, t Trailer) ([]Entry, error) {
 }
 
 // Builder accumulates data blocks and summary entries for one segment
-// and seals them into a full segment image. The data area grows from
-// the front while the summary grows from the back (so a segment can be
-// all data, all summary — the ARU-latency experiment fills segments
-// with nothing but commit records — or any mix).
+// and seals them into a segment image: the data blocks from the front of
+// its buffer, then — placed by Seal directly after the last block — the
+// entry region and the trailer sector (so a segment can be all data, all
+// summary — the ARU-latency experiment fills segments with nothing but
+// commit records — or any mix, and the image is as long as what it
+// holds).
 //
 // A builder is reused for many images, and Reset does not clear its
-// buffer. Instead the builder remembers which bytes an earlier
-// incarnation may have left non-zero — the data prefix [0, staleLo)
-// and the summary suffix [staleHi, SegBytes) — and Seal clears the part
-// of them the new image does not overwrite. A sealed image is therefore
-// byte for byte what a fresh builder produces from the same blocks and
-// entries; bytes past the added blocks are undefined until then.
+// buffer: an image has no gap, Seal writes every byte of it, and bytes
+// past the added blocks are undefined until then. A sealed image is
+// therefore byte for byte what a fresh builder produces from the same
+// blocks and entries.
 type Builder struct {
 	layout     Layout
 	buf        []byte
 	nblocks    int
 	entries    []Entry
 	entryBytes int
-	staleLo    int // [0, staleLo) may hold bytes of added or reserved blocks
-	staleHi    int // [staleHi, SegBytes) may hold an earlier image's summary
 }
 
 // NewBuilder returns an empty Builder for layout l.
 func NewBuilder(l Layout) *Builder {
-	return &Builder{
-		layout:  l,
-		buf:     make([]byte, l.SegBytes),
-		staleHi: l.SegBytes,
-	}
+	return &Builder{layout: l, buf: make([]byte, l.SegBytes)}
 }
 
-// Reset discards all accumulated contents. The buffer is not cleared
-// here: Seal guarantees the cleanliness of the image it returns.
+// Reset discards all accumulated contents. The buffer is not cleared:
+// Seal writes every byte of the image it returns.
 func (b *Builder) Reset() {
 	b.nblocks = 0
 	b.entries = b.entries[:0]
@@ -183,11 +220,7 @@ func (b *Builder) ReserveBlock() []byte {
 		panic("seg: ReserveBlock on full segment")
 	}
 	off := b.nblocks * b.layout.BlockSize
-	end := off + b.layout.BlockSize
-	if end > b.staleLo {
-		b.staleLo = end
-	}
-	return b.buf[off:end]
+	return b.buf[off : off+b.layout.BlockSize]
 }
 
 // CommitBlock adds the slot the last ReserveBlock returned as the next
@@ -216,37 +249,26 @@ func (b *Builder) AddEntry(e Entry) {
 }
 
 // Seal finalizes the segment with log sequence number seq and returns
-// the full segment image. The image aliases the builder's buffer; the
+// its image — data blocks, entry region, trailer sector, nothing else —
+// which belongs at the end of the segment: its last sector is the
+// segment's last sector. The image aliases the builder's buffer; the
 // caller must copy or write it out before the builder is reused.
 func (b *Builder) Seal(seq uint64) []byte {
-	off, length := entriesRegion(b.layout.SegBytes, b.entryBytes)
-	// The image writes its data blocks, its entry region and the trailer
-	// sector; the gap between the first two must read as zeros, so clear
-	// whatever earlier incarnations left in it.
-	gapLo := b.nblocks * b.layout.BlockSize
-	lo := min(max(b.staleLo, gapLo), off) // stale data reaches up to lo
-	hi := min(max(b.staleHi, gapLo), off) // stale summary starts at hi
-	if lo >= hi {
-		clear(b.buf[gapLo:off])
-	} else {
-		clear(b.buf[gapLo:lo])
-		clear(b.buf[hi:off])
-	}
-	b.staleLo, b.staleHi = gapLo, off
-
+	off := b.nblocks * b.layout.BlockSize
+	_, length := entriesRegion(b.layout.SegBytes, b.entryBytes)
 	region := b.buf[off : off+length]
-	clear(region)
 	enc := region[:0]
 	for _, e := range b.entries {
 		enc = AppendEntry(enc, e)
 	}
-	t := Trailer{
+	clear(region[len(enc):])
+	end := off + length + SectorSize
+	encodeTrailer(b.buf[off+length:end], Trailer{
 		Seq:        seq,
 		DataBlocks: uint32(b.nblocks),
 		EntryCount: uint32(len(b.entries)),
 		EntryBytes: uint32(b.entryBytes),
 		entriesCRC: crc32.Checksum(region, crcTable),
-	}
-	encodeTrailer(b.buf, t)
-	return b.buf
+	})
+	return b.buf[:end]
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,15 +95,20 @@ func TestBuilderSealParseRoundTrip(t *testing.T) {
 		b.AddEntry(e)
 	}
 	img := b.Seal(42)
-	if len(img) != l.SegBytes {
-		t.Fatalf("sealed image is %d bytes, want %d", len(img), l.SegBytes)
+	// The image is what it holds: two blocks, one sector of entries, the
+	// trailer sector.
+	if want := 2*l.BlockSize + 2*SectorSize; len(img) != want {
+		t.Fatalf("sealed image is %d bytes, want %d", len(img), want)
 	}
 	tr, err := DecodeTrailer(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Seq != 42 || tr.DataBlocks != 2 || tr.EntryCount != 4 {
+	if tr.Seq != 42 || tr.DataBlocks != 2 || tr.EntryCount != 4 || tr.FrontPacked {
 		t.Fatalf("trailer: %+v", tr)
+	}
+	if n := tr.ImageBytes(l); n != int64(len(img)) {
+		t.Fatalf("trailer describes a %d-byte image, Seal returned %d", n, len(img))
 	}
 	got, err := DecodeEntriesFromSegment(img, tr)
 	if err != nil {
@@ -119,6 +125,33 @@ func TestBuilderSealParseRoundTrip(t *testing.T) {
 	if !bytes.Equal(b.BlockData(s2), data2) {
 		t.Fatal("BlockData does not alias slot 1")
 	}
+
+	// On the device the image ends at the segment's last sector: the
+	// trailer and the entries are found from the full segment exactly as
+	// from the image, and DataOff says where slot 0 landed.
+	segment := placeImage(l, nil, img)
+	if tr2, err := DecodeTrailer(segment); err != nil || tr2 != tr {
+		t.Fatalf("trailer read from the segment: %+v, %v", tr2, err)
+	}
+	if got2, err := DecodeEntriesFromSegment(segment, tr); err != nil || !slices.Equal(got2, got) {
+		t.Fatalf("entries read from the segment: %v, %v", got2, err)
+	}
+	off, err := tr.DataOff(l)
+	if err != nil || off != l.SegBytes-len(img) {
+		t.Fatalf("DataOff = %d, %v; the image starts at %d", off, err, l.SegBytes-len(img))
+	}
+	if !bytes.Equal(segment[off+l.BlockSize:off+2*l.BlockSize], data2) {
+		t.Fatal("data slot 1 is not at DataOff + BlockSize")
+	}
+}
+
+// placeImage returns a copy of segment prev (nil = never written) with
+// img laid where a seal puts it: ending at the segment's last sector.
+func placeImage(l Layout, prev, img []byte) []byte {
+	segment := make([]byte, l.SegBytes)
+	copy(segment, prev)
+	copy(segment[l.SegBytes-len(img):], img)
+	return segment
 }
 
 func TestTornSegmentInvalid(t *testing.T) {
@@ -143,7 +176,7 @@ func TestTornSegmentInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, _ := entriesRegion(l.SegBytes, int(tr.EntryBytes))
+	off, _ := entriesRegion(len(img), int(tr.EntryBytes))
 	img[off] ^= 0xff
 	if _, err := DecodeEntriesFromSegment(img, tr); !errors.Is(err, ErrBadSegment) {
 		t.Fatalf("corrupt entry region accepted: %v", err)
@@ -196,19 +229,24 @@ func TestBuilderReset(t *testing.T) {
 	if !b.Empty() || b.DataBlocks() != 0 || b.EntryCount() != 0 {
 		t.Fatal("reset builder not empty")
 	}
+	// Nothing of the dropped contents reaches the next image: it is the
+	// trailer sector of an empty segment and no more.
 	img := b.Seal(9)
-	for _, x := range img[:l.BlockSize] {
-		if x != 0 {
-			t.Fatal("stale data survived Reset")
-		}
+	tr, err := DecodeTrailer(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img) != SectorSize || tr.DataBlocks != 0 || tr.EntryCount != 0 {
+		t.Fatalf("stale contents survived Reset: %d-byte image, trailer %+v", len(img), tr)
 	}
 }
 
 // TestBuilderReuseEqualsFresh: Reset does not clear the builder's
-// buffer; Seal owes every image the zeros a fresh builder has. Over
-// seeded random histories of one reused builder — full, partial and
-// summary-only images (whose entry region reaches far down into what was
-// data before), images sealed twice with more added in between,
+// buffer; an image has no gap, so Seal owes it only the zeros of its own
+// sector padding. Over seeded random histories of one reused builder —
+// full, partial and summary-only images (whose entry region starts where
+// data was before), images sealed twice with more added in between (the
+// blocks land on the first seal's summary),
 // contents dropped by a Reset without a Seal, slots reserved and
 // scribbled on but never committed — every sealed image must equal,
 // byte for byte, the image a fresh builder seals from the same blocks
@@ -254,7 +292,12 @@ func TestBuilderReuseEqualsFresh(t *testing.T) {
 			for _, e := range entries {
 				fresh.AddEntry(e)
 			}
-			if got, want := reused.Seal(seq), fresh.Seal(seq); !bytes.Equal(got, want) {
+			got, want := reused.Seal(seq), fresh.Seal(seq)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d (%s, %d blocks, %d entries): image is %d bytes, a fresh builder's %d",
+					seed, step, what, len(blocks), len(entries), len(got), len(want))
+			}
+			if !bytes.Equal(got, want) {
 				i := 0
 				for got[i] == want[i] {
 					i++
