@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"aru/internal/obs"
 	"aru/internal/seg"
@@ -197,11 +197,17 @@ func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
 	if len(cands) == 0 {
 		return 0, false
 	}
+	// Both orders are total — equal candidates go by segment index — so
+	// the victim does not depend on how the sort treats ties.
 	switch d.params.CleanerPolicy {
 	case CleanCostBenefit:
-		sort.Slice(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
+		slices.SortFunc(cands, func(a, b victimCand) int {
+			return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.s, b.s))
+		})
 	default: // CleanGreedy
-		sort.Slice(cands, func(i, j int) bool { return cands[i].live < cands[j].live })
+		slices.SortFunc(cands, func(a, b victimCand) int {
+			return cmp.Or(cmp.Compare(a.live, b.live), cmp.Compare(a.s, b.s))
+		})
 	}
 	// Take the best candidate whose blocks are all relocatable.
 	for _, c := range cands {
