@@ -374,17 +374,9 @@ func (d *LLD) VerifyInternal() error {
 		if live[s]+pins[s] == 0 || s == d.curSeg || held {
 			continue
 		}
-		l := d.params.Layout
-		if rerr := d.dev.ReadAt(sector, l.SegOff(s)+int64(l.SegBytes-seg.SectorSize)); rerr != nil {
-			fail("segment %d: reading the trailer: %v", s, rerr)
-			continue
-		}
-		tr, terr := seg.DecodeTrailer(sector)
-		if terr == nil {
-			var off int
-			if off, terr = tr.DataOff(l); terr == nil && (tr.Seq != d.segSeq[s] || uint32(off) != d.segDataOff[s].Load()) {
-				terr = fmt.Errorf("it holds seq %d with data at offset %d", tr.Seq, off)
-			}
+		tr, off, terr := readTrailer(d.dev, d.params.Layout, s, sector)
+		if terr == nil && (tr.Seq != d.segSeq[s] || uint32(off) != d.segDataOff[s].Load()) {
+			terr = fmt.Errorf("it holds seq %d with data at offset %d", tr.Seq, off)
 		}
 		if terr != nil {
 			fail("segment %d is read as seq %d with data at offset %d, its trailer on the device disagrees: %v",

@@ -86,7 +86,7 @@ type sealedSeg struct {
 	seq     uint64       // log sequence number in the trailer
 	bld     *seg.Builder // owns img; retires with the epoch once written
 	img     []byte       // sealed image (aliases bld's buffer)
-	off     int64        // device offset of the segment
+	off     int64        // device offset of img: it ends at the segment's last sector
 	commits int          // commit records sealed into the segment
 	stamps  []commitStamp
 	frees   []int // segments this seal's promotions emptied (quarantined)

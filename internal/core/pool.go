@@ -52,9 +52,8 @@ package core
 //     slice, not the entry — so retire pools it directly. Its image
 //     (e.img) aliases its builder's buffer; both leave the entry in
 //     releaseImage, where the builder joins the retire-set. The builder
-//     keeps its old bytes when it is recycled: a clean image is Seal's
-//     guarantee, not Reset's (seg.Builder clears only what the next
-//     image leaves stale).
+//     keeps its old bytes when it is recycled: an image has no gap, and
+//     Seal writes every byte of the one it returns.
 
 // Free-list caps: beyond these the garbage collector takes over, so a
 // burst (many concurrent ARUs, a deep commit pipeline) does not pin

@@ -198,18 +198,15 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 				if s >= layout.NumSegs {
 					return
 				}
-				off := layout.SegOff(s) + int64(layout.SegBytes) - seg.SectorSize
-				if err := dev.ReadAt(buf, off); err != nil {
-					trErrs[s] = fmt.Errorf("lld: reading trailer of segment %d: %w", s, err)
+				tr, dataOff, err := readTrailer(dev, layout, s, buf)
+				if errors.Is(err, seg.ErrBadSegment) {
+					// Never written, wiped or torn — or an image no segment
+					// of this layout can hold: not part of the log.
 					continue
 				}
-				tr, err := seg.DecodeTrailer(buf)
 				if err != nil {
-					continue // never written, wiped, or torn: not part of the log
-				}
-				dataOff, err := tr.DataOff(layout)
-				if err != nil {
-					continue // an image no segment of this layout can hold: not ours
+					trErrs[s] = err
+					continue
 				}
 				d.segDataOff[s].Store(uint32(dataOff))
 				trailers[s], trValid[s] = tr, true
@@ -476,6 +473,22 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		}
 	}
 	return d, rpt, nil
+}
+
+// readTrailer reads segment s's trailer sector into sector and returns
+// the trailer and the offset of the segment's data area it implies. An
+// error wrapping seg.ErrBadSegment means the device holds no valid
+// segment there; any other is the device's.
+func readTrailer(dev disk.Disk, l seg.Layout, s int, sector []byte) (seg.Trailer, int, error) {
+	if err := dev.ReadAt(sector, l.SegOff(s)+int64(l.SegBytes-seg.SectorSize)); err != nil {
+		return seg.Trailer{}, 0, fmt.Errorf("lld: reading trailer of segment %d: %w", s, err)
+	}
+	tr, err := seg.DecodeTrailer(sector)
+	if err != nil {
+		return seg.Trailer{}, 0, err
+	}
+	dataOff, err := tr.DataOff(l)
+	return tr, dataOff, err
 }
 
 // loadNewestChain decodes both checkpoint regions as incremental

@@ -42,13 +42,10 @@ var ErrBadSegment = errors.New("seg: bad segment")
 // the trailer CRC itself.
 const trailerBytes = 4 + 8 + 4 + 4 + 4 + 4 + 4
 
-// encodeTrailer writes t into sec, one sector.
+// encodeTrailer writes t into sec, one sector, under the tail-packed
+// magic: nothing encodes the front-packed layout any more.
 func encodeTrailer(sec []byte, t Trailer) {
-	magic := uint32(trailerMagic)
-	if t.FrontPacked {
-		magic = trailerMagicFront
-	}
-	binary.LittleEndian.PutUint32(sec[0:], magic)
+	binary.LittleEndian.PutUint32(sec[0:], trailerMagic)
 	binary.LittleEndian.PutUint64(sec[4:], t.Seq)
 	binary.LittleEndian.PutUint32(sec[12:], t.DataBlocks)
 	binary.LittleEndian.PutUint32(sec[16:], t.EntryCount)
@@ -219,8 +216,7 @@ func (b *Builder) ReserveBlock() []byte {
 	if !b.Fits(1, 0) {
 		panic("seg: ReserveBlock on full segment")
 	}
-	off := b.nblocks * b.layout.BlockSize
-	return b.buf[off : off+b.layout.BlockSize]
+	return b.BlockData(uint32(b.nblocks))
 }
 
 // CommitBlock adds the slot the last ReserveBlock returned as the next

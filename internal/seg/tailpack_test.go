@@ -2,7 +2,9 @@ package seg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"slices"
 	"testing"
@@ -47,8 +49,9 @@ func frontPacked(l Layout, img []byte) []byte {
 	segment := make([]byte, l.SegBytes)
 	copy(segment, img[:data])
 	copy(segment[l.SegBytes-tr.SummaryBytes():], img[data:])
-	tr.FrontPacked = true
-	encodeTrailer(segment[l.SegBytes-SectorSize:], tr)
+	sec := segment[l.SegBytes-SectorSize:]
+	binary.LittleEndian.PutUint32(sec[0:], trailerMagicFront)
+	binary.LittleEndian.PutUint32(sec[28:], crc32.Checksum(sec[:28], crcTable))
 	return segment
 }
 
