@@ -253,10 +253,9 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		expect++
 	}
 
-	// Read + decode the summary of every window segment through the pool
-	// — the entry region and the trailer below it, not the data above;
-	// apply in sequence order, pipelined — segment k applies while k+1…
-	// are still being read. The happens-before edge is the per-slot
+	// Read + decode every window segment through the pool; apply in
+	// sequence order, pipelined — segment k applies while k+1… are
+	// still being read. The happens-before edge is the per-slot
 	// channel close.
 	type segScan struct {
 		entries []seg.Entry
@@ -268,34 +267,34 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	for i := range ready {
 		ready[i] = make(chan struct{})
 	}
-	maxSummary := 0
-	for _, ls := range replay {
-		maxSummary = max(maxSummary, ls.tr.SummaryBytes())
-	}
 	var nextSeg atomic.Int64
 	var wgSeg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wgSeg.Add(1)
 		go func() {
 			defer wgSeg.Done()
-			buf := make([]byte, maxSummary)
+			buf := make([]byte, layout.SegBytes)
 			for {
 				i := int(nextSeg.Add(1)) - 1
 				if i >= len(replay) {
 					return
 				}
 				ls := replay[i]
-				summary := buf[:ls.tr.SummaryBytes()]
-				if err := dev.ReadAt(summary, layout.SegOff(ls.idx)+int64(layout.SegBytes-len(summary))); err != nil {
+				if err := dev.ReadAt(buf, layout.SegOff(ls.idx)); err != nil {
 					scans[i].readErr = fmt.Errorf("lld: reading segment %d: %w", ls.idx, err)
 					close(ready[i])
 					continue
 				}
-				entries, err := seg.DecodeEntriesFromSegment(summary, ls.tr)
+				entries, err := seg.DecodeEntriesFromSegment(buf, ls.tr)
 				if err != nil {
-					// A valid trailer with a corrupt entry region means
-					// the medium failed underneath us (a torn write
-					// cannot produce this).
+					// A valid trailer over a corrupt entry region. A torn
+					// rewrite does leave that behind — the new image's
+					// prefix over the old entries, the old trailer intact
+					// — but only at or below FlushedSeq, outside this
+					// window: a segment is reused only once a durable
+					// checkpoint covers it (segFreeable; pinned by
+					// rewriteAboveWatermark in reuse_test.go). Inside the
+					// window it means the medium failed underneath us.
 					scans[i].corrupt = true
 				} else {
 					// A sealed segment groups its entries by region —

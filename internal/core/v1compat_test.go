@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,8 +12,6 @@ import (
 	"aru/internal/disk"
 	"aru/internal/seg"
 )
-
-var updateFixtures = flag.Bool("update-fixtures", false, "regenerate checked-in testdata fixtures")
 
 const v1FixturePath = "testdata/v1_image.bin.gz"
 
@@ -101,47 +98,15 @@ func v1FixtureParams() Params {
 	return Params{Layout: testLayout(64), CheckpointEvery: -1, CkptCompactEvery: -1}
 }
 
-// buildV1Image produces the byte image an old (pre-chain) engine would
-// leave: it runs the fixture history on the current engine with full
-// checkpoints only, then rewrites each checkpoint region as a legacy
-// v1 snapshot of the materialized tables — byte-for-byte the old
-// single-record format.
-func buildV1Image(t *testing.T) []byte {
-	t.Helper()
-	p := v1FixtureParams()
-	dev := disk.NewMem(p.Layout.DiskBytes())
-	d, err := Format(dev, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1FixtureHistory(t, d)
-	img := dev.Image()
-	l := p.Layout
-	for i := 0; i < 2; i++ {
-		off := l.CkptOff(i)
-		region := img[off : off+l.CkptRegionBytes()]
-		ch, err := seg.DecodeCkptChain(region)
-		if err != nil {
-			continue
-		}
-		buf, err := seg.EncodeCheckpoint(l, ch.Materialize())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range region {
-			region[j] = 0
-		}
-		copy(region, buf)
-	}
-	return img
-}
-
-// loadV1Fixture returns the checked-in old-format image.
+// loadV1Fixture returns the checked-in old-format image: the fixture
+// history as an engine from before checkpoint chains and tail-packed
+// segments left it. No engine in this tree writes that format any more,
+// so the file is its only source.
 func loadV1Fixture(t *testing.T) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.FromSlash(v1FixturePath))
 	if err != nil {
-		t.Fatalf("fixture missing (regenerate with -update-fixtures): %v", err)
+		t.Fatalf("fixture missing: %v", err)
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(raw))
 	if err != nil {
@@ -242,35 +207,14 @@ func TestMixedSegmentLayouts(t *testing.T) {
 // legacy v1 checkpoint snapshots plus a log tail — and verifies the
 // current engine recovers it to exactly the state the same history
 // produces on a fresh disk, then upgrades the region to a v2 chain on
-// the first checkpoint. Run with -update-fixtures to regenerate the
-// fixture.
+// the first checkpoint.
 func TestV1ImageCompat(t *testing.T) {
 	p := v1FixtureParams()
-	if *updateFixtures {
-		img := buildV1Image(t)
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		var gz bytes.Buffer
-		w := gzip.NewWriter(&gz)
-		if _, err := w.Write(img); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.FromSlash(v1FixturePath), gz.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes, %d raw)", v1FixturePath, gz.Len(), len(img))
-	}
 	img := loadV1Fixture(t)
 
 	// The fixture really is old-format: every valid region decodes as a
 	// legacy single-record chain, and every segment is front-packed under
-	// the old trailer magic. (A fixture regenerated by this engine would
-	// hold tail-packed segments and fail here: the checked-in image is
-	// the front-packed one, keep it.)
+	// the old trailer magic.
 	l := p.Layout
 	if front, tail := segmentLayouts(t, l, img); front == 0 || tail != 0 {
 		t.Fatalf("fixture holds %d front-packed and %d tail-packed segments, want only front-packed", front, tail)

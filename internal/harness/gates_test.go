@@ -39,14 +39,13 @@ const (
 	shardMinScale        = 2.0
 	shardMaxFastOverhead = 0.10
 
-	// Recovery: the same 9,600-unit history with its newest checkpoint
+	// Recovery: the same 2,800-unit history with its newest checkpoint
 	// at 90%, against none at all. O(delta) recovery must mount the 10%
 	// tail in at most half the full scan's time (typically a third; the
-	// checkpoint load and the trailer scan both ends pay are why not a
-	// tenth). The ratio is meaningless on a shorter history, where that
-	// fixed cost dominates both ends: 38,400 entries replay in about two
-	// milliseconds.
-	recoveryUnits    = 9600
+	// O(live-state) checkpoint load both ends pay is why not a tenth).
+	// The ratio is meaningless on a shorter history, where that fixed
+	// cost dominates both ends.
+	recoveryUnits    = 2800
 	recoveryTailFrac = 0.10
 	recoveryMaxRatio = 0.5
 

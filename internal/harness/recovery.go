@@ -20,12 +20,9 @@ type RecoveryPoint struct {
 
 // recoveryLayout is a mid-sized format: big enough that a full-log
 // scan costs measurable decode work, small enough to rebuild per
-// point, ~65 MB. Replay reads a segment's summary, not the segment, so
-// what it costs is entries decoded and applied, not bytes of data: the
-// blocks are small, to fit a long history, and so are the checkpoint
-// regions, which every mount loads whole whatever its tail.
+// point. ~34 MB.
 func recoveryLayout() seg.Layout {
-	return seg.Layout{BlockSize: 1024, SegBytes: 1 << 17, NumSegs: 512, MaxBlocks: 1 << 13, MaxLists: 512}
+	return seg.Layout{BlockSize: 4096, SegBytes: 1 << 17, NumSegs: 512, MaxBlocks: 1 << 16, MaxLists: 4096}
 }
 
 // RunRecoveryPoint builds an image holding a committed history of

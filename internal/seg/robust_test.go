@@ -52,7 +52,7 @@ func TestBitFlippedSegmentNeverDecodesSilently(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(1996))
-	entOff, entLen := entriesRegion(l.SegBytes, int(tr.EntryBytes))
+	entOff, entLen := l.SegBytes-tr.SummaryBytes(), tr.SummaryBytes()-SectorSize
 	for trial := 0; trial < 500; trial++ {
 		img := build()
 		bit := rng.Intn(len(img) * 8)

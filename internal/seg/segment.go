@@ -86,7 +86,7 @@ func DecodeTrailer(buf []byte) (Trailer, error) {
 // sector-aligned entry region and the trailer sector, which in either
 // layout are the segment's last bytes.
 func (t Trailer) SummaryBytes() int {
-	return int(roundUp(int64(t.EntryBytes), SectorSize)) + SectorSize
+	return entryRegionBytes(int(t.EntryBytes)) + SectorSize
 }
 
 // ImageBytes returns the size of the segment image t describes: data
@@ -112,12 +112,10 @@ func (t Trailer) DataOff(l Layout) (int, error) {
 	return l.SegBytes - int(n), nil
 }
 
-// entriesRegion returns the offset and length of the sector-aligned
-// entry region for a segment whose encoded entries take entryBytes.
-func entriesRegion(segBytes, entryBytes int) (off, length int) {
-	length = int(roundUp(int64(entryBytes), SectorSize))
-	off = segBytes - SectorSize - length
-	return off, length
+// entryRegionBytes returns the length of the sector-aligned entry region
+// of a segment whose encoded entries take entryBytes.
+func entryRegionBytes(entryBytes int) int {
+	return int(roundUp(int64(entryBytes), SectorSize))
 }
 
 // DecodeEntriesFromSegment extracts the summary entries of the segment
@@ -125,7 +123,8 @@ func entriesRegion(segBytes, entryBytes int) (off, length int) {
 // below the trailer sector, so segment may be the full segment or any
 // suffix of it that holds both (a sealed image is one).
 func DecodeEntriesFromSegment(segment []byte, t Trailer) ([]Entry, error) {
-	off, length := entriesRegion(len(segment), int(t.EntryBytes))
+	length := entryRegionBytes(int(t.EntryBytes))
+	off := len(segment) - SectorSize - length
 	if off < 0 {
 		return nil, fmt.Errorf("%w: entry region does not fit (%d bytes)", ErrBadSegment, t.EntryBytes)
 	}
@@ -192,8 +191,7 @@ func (b *Builder) Fits(extraBlocks, extraEntries int) bool {
 // know the exact entry sizes avoid the worst-case padding of Fits.
 func (b *Builder) FitsBytes(extraBlocks, extraEntryBytes int) bool {
 	dataBytes := (b.nblocks + extraBlocks) * b.layout.BlockSize
-	_, entryLen := entriesRegion(b.layout.SegBytes, b.entryBytes+extraEntryBytes)
-	return dataBytes+entryLen+SectorSize <= b.layout.SegBytes
+	return dataBytes+entryRegionBytes(b.entryBytes+extraEntryBytes)+SectorSize <= b.layout.SegBytes
 }
 
 // AddBlock copies one logical block of data into the next data slot and
@@ -251,7 +249,7 @@ func (b *Builder) AddEntry(e Entry) {
 // caller must copy or write it out before the builder is reused.
 func (b *Builder) Seal(seq uint64) []byte {
 	off := b.nblocks * b.layout.BlockSize
-	_, length := entriesRegion(b.layout.SegBytes, b.entryBytes)
+	length := entryRegionBytes(b.entryBytes)
 	region := b.buf[off : off+length]
 	enc := region[:0]
 	for _, e := range b.entries {

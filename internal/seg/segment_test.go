@@ -176,8 +176,7 @@ func TestTornSegmentInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, _ := entriesRegion(len(img), int(tr.EntryBytes))
-	img[off] ^= 0xff
+	img[len(img)-tr.SummaryBytes()] ^= 0xff
 	if _, err := DecodeEntriesFromSegment(img, tr); !errors.Is(err, ErrBadSegment) {
 		t.Fatalf("corrupt entry region accepted: %v", err)
 	}

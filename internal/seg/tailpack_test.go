@@ -205,7 +205,9 @@ func TestTornRewriteDecodesOldOrNew(t *testing.T) {
 // FuzzTrailerDecode feeds arbitrary sectors — seeded from real trailers
 // of both layouts and corruptions of them — to DecodeTrailer and DataOff:
 // neither may panic, and the extent of a trailer both accept lies inside
-// the segment, data below the summary.
+// the segment, data below the summary. Each input is judged as it is and
+// again with its checksum made good, so that a mutated count reaches
+// DataOff instead of dying at the CRC.
 func FuzzTrailerDecode(f *testing.F) {
 	l := fuzzLayout()
 	rng := rand.New(rand.NewSource(1))
@@ -221,7 +223,7 @@ func FuzzTrailerDecode(f *testing.F) {
 			f.Add(sec[:40])
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	judge := func(t *testing.T, data []byte) {
 		tr, err := DecodeTrailer(data)
 		if err != nil {
 			return
@@ -237,6 +239,14 @@ func FuzzTrailerDecode(f *testing.F) {
 		}
 		if !tr.FrontPacked && end != int64(l.SegBytes-tr.SummaryBytes()) {
 			t.Fatalf("accepted tail-packed trailer %+v leaves a gap: data ends at %d", tr, end)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		judge(t, data)
+		if len(data) >= SectorSize {
+			sec := append([]byte(nil), data[len(data)-SectorSize:]...)
+			binary.LittleEndian.PutUint32(sec[28:], crc32.Checksum(sec[:28], crcTable))
+			judge(t, sec)
 		}
 	})
 }
