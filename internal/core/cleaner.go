@@ -194,26 +194,31 @@ func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
 		cands = append(cands, victimCand{s: s, live: d.segLive[s], score: score})
 	}
 	d.cleanCands = cands
-	if len(cands) == 0 {
-		return 0, false
-	}
 	// Both orders are total — equal candidates go by segment index — so
-	// the victim does not depend on how the sort treats ties.
-	switch d.params.CleanerPolicy {
-	case CleanCostBenefit:
-		slices.SortFunc(cands, func(a, b victimCand) int {
-			return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.s, b.s))
-		})
-	default: // CleanGreedy
-		slices.SortFunc(cands, func(a, b victimCand) int {
-			return cmp.Or(cmp.Compare(a.live, b.live), cmp.Compare(a.s, b.s))
-		})
+	// the best candidate is one pass away and sorting the rest is wasted:
+	// nearly always the first one is cleanable.
+	before := func(a, b victimCand) bool {
+		return cmp.Or(cmp.Compare(a.live, b.live), cmp.Compare(a.s, b.s)) < 0
 	}
-	// Take the best candidate whose blocks are all relocatable.
-	for _, c := range cands {
-		if d.cleanable(c.s, groups.of(d, c.s)) {
-			return c.s, true
+	if d.params.CleanerPolicy == CleanCostBenefit {
+		before = func(a, b victimCand) bool {
+			return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.s, b.s)) < 0
 		}
+	}
+	// Take the best candidate whose blocks are all relocatable, selecting
+	// again past one that is not.
+	for len(cands) > 0 {
+		best := 0
+		for i := 1; i < len(cands); i++ {
+			if before(cands[i], cands[best]) {
+				best = i
+			}
+		}
+		if s := cands[best].s; d.cleanable(s, groups.of(d, s)) {
+			return s, true
+		}
+		cands[best] = cands[len(cands)-1]
+		cands = cands[:len(cands)-1]
 	}
 	return 0, false
 }
