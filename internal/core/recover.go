@@ -493,6 +493,7 @@ func readTrailer(dev disk.Disk, l seg.Layout, s int, sector []byte) (seg.Trailer
 // loadNewestChain decodes both checkpoint regions as incremental
 // chains (a legacy v1 snapshot decodes as a one-record chain) and
 // returns the one whose head record is newest, with its region index.
+// It reads the records a chain holds, not the region reserved for them.
 // A region whose chain is torn still contributes its valid prefix: a
 // shorter chain only means more segments to replay, never corruption.
 func loadNewestChain(dev disk.Disk, layout seg.Layout) (seg.CkptChain, int, error) {
@@ -500,17 +501,15 @@ func loadNewestChain(dev disk.Disk, layout seg.Layout) (seg.CkptChain, int, erro
 		best       seg.CkptChain
 		bestRegion = -1
 	)
-	buf := make([]byte, layout.CkptRegionBytes())
 	for i := 0; i < 2; i++ {
-		if err := dev.ReadAt(buf, layout.CkptOff(i)); err != nil {
-			return seg.CkptChain{}, 0, fmt.Errorf("lld: reading checkpoint region %d: %w", i, err)
-		}
-		c, err := seg.DecodeCkptChain(buf)
+		c, err := seg.ReadCkptChain(layout.CkptRegionBytes(), func(p []byte, off int64) error {
+			return dev.ReadAt(p, layout.CkptOff(i)+off)
+		})
 		if err != nil {
 			if errors.Is(err, seg.ErrBadCheckpoint) {
 				continue
 			}
-			return seg.CkptChain{}, 0, err
+			return seg.CkptChain{}, 0, fmt.Errorf("lld: reading checkpoint region %d: %w", i, err)
 		}
 		if bestRegion < 0 || c.Head().CkptTS > best.Head().CkptTS {
 			best, bestRegion = c, i

@@ -158,30 +158,44 @@ func EncodeCkptRec(l Layout, r CkptRec) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeCkptRec decodes and validates one chain record at the start of
-// buf, returning the record and its sector-rounded wire length (the
-// offset of the next record in the chain).
-func DecodeCkptRec(buf []byte) (CkptRec, int64, error) {
+// ckptRecSpan validates the chain-record header at the start of buf and
+// returns the unrounded length of the record it heads, header and payload.
+func ckptRecSpan(buf []byte) (int64, error) {
 	if len(buf) < ckptRecHeaderBytes {
-		return CkptRec{}, 0, fmt.Errorf("%w: short buffer", ErrBadCheckpoint)
+		return 0, fmt.Errorf("%w: short buffer", ErrBadCheckpoint)
 	}
 	h := buf[:ckptRecHeaderBytes]
 	if binary.LittleEndian.Uint32(h[0:]) != ckptChainMagic {
-		return CkptRec{}, 0, fmt.Errorf("%w: bad chain magic", ErrBadCheckpoint)
+		return 0, fmt.Errorf("%w: bad chain magic", ErrBadCheckpoint)
 	}
 	if got, want := binary.LittleEndian.Uint32(h[84:]), crc32.Checksum(h[:84], crcTable); got != want {
-		return CkptRec{}, 0, fmt.Errorf("%w: bad chain header checksum", ErrBadCheckpoint)
+		return 0, fmt.Errorf("%w: bad chain header checksum", ErrBadCheckpoint)
 	}
 	nb := int64(binary.LittleEndian.Uint32(h[64:]))
 	nl := int64(binary.LittleEndian.Uint32(h[68:]))
 	ndb := int64(binary.LittleEndian.Uint32(h[72:]))
 	ndl := int64(binary.LittleEndian.Uint32(h[76:]))
-	payloadLen := nb*ckptBlockRecBytes + nl*ckptListRecV2Bytes + (ndb+ndl)*8
-	if int64(ckptRecHeaderBytes)+payloadLen > int64(len(buf)) {
+	return ckptRecHeaderBytes + nb*ckptBlockRecBytes + nl*ckptListRecV2Bytes + (ndb+ndl)*8, nil
+}
+
+// DecodeCkptRec decodes and validates one chain record at the start of
+// buf, returning the record and its sector-rounded wire length (the
+// offset of the next record in the chain).
+func DecodeCkptRec(buf []byte) (CkptRec, int64, error) {
+	span, err := ckptRecSpan(buf)
+	if err != nil {
+		return CkptRec{}, 0, err
+	}
+	h := buf[:ckptRecHeaderBytes]
+	nb := int64(binary.LittleEndian.Uint32(h[64:]))
+	nl := int64(binary.LittleEndian.Uint32(h[68:]))
+	ndb := int64(binary.LittleEndian.Uint32(h[72:]))
+	ndl := int64(binary.LittleEndian.Uint32(h[76:]))
+	if span > int64(len(buf)) {
 		return CkptRec{}, 0, fmt.Errorf("%w: chain payload does not fit (%d blocks, %d lists, %d+%d deletions)",
 			ErrBadCheckpoint, nb, nl, ndb, ndl)
 	}
-	p := buf[ckptRecHeaderBytes : int64(ckptRecHeaderBytes)+payloadLen]
+	p := buf[ckptRecHeaderBytes:span]
 	if got, want := binary.LittleEndian.Uint32(h[80:]), crc32.Checksum(p, crcTable); got != want {
 		return CkptRec{}, 0, fmt.Errorf("%w: bad chain payload checksum", ErrBadCheckpoint)
 	}
@@ -226,7 +240,7 @@ func DecodeCkptRec(buf []byte) (CkptRec, int64, error) {
 		r.DelLists = append(r.DelLists, ListID(binary.LittleEndian.Uint64(p[off:])))
 		off += 8
 	}
-	return r, roundUp(int64(ckptRecHeaderBytes)+payloadLen, SectorSize), nil
+	return r, roundUp(span, SectorSize), nil
 }
 
 // CkptChain is the decoded contents of one checkpoint region: the
@@ -258,11 +272,31 @@ func (c CkptChain) Depth() int {
 // stale record simply ends the chain; it never invalidates the prefix
 // before it.
 func DecodeCkptChain(region []byte) (CkptChain, error) {
-	base, n, err := DecodeCkptRec(region)
-	if err != nil {
-		// Not a v2 chain: try the legacy single-snapshot format.
-		ck, v1err := DecodeCheckpoint(region)
-		if v1err != nil {
+	return ReadCkptChain(int64(len(region)), func(p []byte, off int64) error {
+		copy(p, region[off:])
+		return nil
+	})
+}
+
+// ReadCkptChain is DecodeCkptChain for a region of size bytes that read
+// fetches piece by piece (it fills p from region offset off): the sector
+// a record's header is in, then the rest of that record, following the
+// chain — a region is sized for the largest tables the layout allows and
+// a chain fills a fraction of it. Only a region under the v1 magic is
+// fetched whole. An error that is not ErrBadCheckpoint is read's.
+func ReadCkptChain(size int64, read func(p []byte, off int64) error) (CkptChain, error) {
+	first := make([]byte, min(size, SectorSize))
+	if err := read(first, 0); err != nil {
+		return CkptChain{}, err
+	}
+	if len(first) >= 4 && binary.LittleEndian.Uint32(first) == ckptMagic {
+		// The legacy single-snapshot format.
+		region := make([]byte, size)
+		if err := read(region, 0); err != nil {
+			return CkptChain{}, err
+		}
+		ck, err := DecodeCheckpoint(region)
+		if err != nil {
 			return CkptChain{}, err
 		}
 		return CkptChain{Recs: []CkptRec{{
@@ -277,15 +311,22 @@ func DecodeCkptChain(region []byte) (CkptChain, error) {
 			Lists:      ck.Lists,
 		}}, Legacy: true}, nil
 	}
+	base, n, err := readCkptRec(size, 0, first, read)
+	if err != nil {
+		return CkptChain{}, err
+	}
 	if !base.Base {
 		// A delta at offset 0 is a remnant of an older layout or a
 		// mis-write; without its base it is unusable.
 		return CkptChain{}, fmt.Errorf("%w: chain starts with a delta record", ErrBadCheckpoint)
 	}
 	c := CkptChain{Recs: []CkptRec{base}, NextOff: n}
-	for c.NextOff+ckptRecHeaderBytes <= int64(len(region)) {
-		rec, n, err := DecodeCkptRec(region[c.NextOff:])
+	for c.NextOff+ckptRecHeaderBytes <= size {
+		rec, n, err := readCkptRec(size, c.NextOff, nil, read)
 		if err != nil {
+			if !errors.Is(err, ErrBadCheckpoint) {
+				return CkptChain{}, err
+			}
 			break // torn, unwritten, or stale tail: chain ends here
 		}
 		prev := c.Head()
@@ -300,6 +341,32 @@ func DecodeCkptChain(region []byte) (CkptChain, error) {
 		c.NextOff += n
 	}
 	return c, nil
+}
+
+// readCkptRec fetches and decodes the chain record at region offset off
+// and returns it with its sector-rounded wire length. buf, if not nil,
+// is the already fetched sector at off.
+func readCkptRec(size, off int64, buf []byte, read func(p []byte, off int64) error) (CkptRec, int64, error) {
+	if buf == nil {
+		buf = make([]byte, min(size-off, SectorSize))
+		if err := read(buf, off); err != nil {
+			return CkptRec{}, 0, err
+		}
+	}
+	span, err := ckptRecSpan(buf)
+	if err != nil {
+		return CkptRec{}, 0, err
+	}
+	if span > size-off {
+		return CkptRec{}, 0, fmt.Errorf("%w: chain record of %d bytes does not fit its region", ErrBadCheckpoint, span)
+	}
+	if have := int64(len(buf)); span > have {
+		buf = append(buf, make([]byte, min(roundUp(span, SectorSize), size-off)-have)...)
+		if err := read(buf[have:], off+have); err != nil {
+			return CkptRec{}, 0, err
+		}
+	}
+	return DecodeCkptRec(buf)
 }
 
 // Materialize folds the chain into one full Checkpoint: the base

@@ -195,3 +195,76 @@ func TestCkptChainDeltaAtOffsetZero(t *testing.T) {
 		t.Fatalf("delta at offset 0 must be rejected, got %v", err)
 	}
 }
+
+// TestReadCkptChainFetchesOnlyTheChain: the piecewise reader returns the
+// chain DecodeCkptChain returns and fetches the records it holds — header
+// sector first, then the rest of each record, plus the one sector that
+// ends the chain — not the region; a v1 region is fetched whole, a region
+// under neither magic costs its first sector, and a read error is passed
+// through as it is.
+func TestReadCkptChainFetchesOnlyTheChain(t *testing.T) {
+	l := chainLayout()
+	base := testBase()
+	for i := 3; i < 40; i++ { // several sectors of payload
+		base.Blocks = append(base.Blocks, BlockRec{ID: BlockID(i), Seg: 1, Slot: uint32(i), List: 1, TS: 70, HasData: true})
+	}
+	d1 := CkptRec{CkptTS: 11, PrevTS: 10, FlushedSeq: 5, DelBlocks: []BlockID{2}}
+	stale := CkptRec{CkptTS: 9, PrevTS: 8, FlushedSeq: 2} // an older lifetime's delta past the chain's end
+	region := buildChain(t, l, base, d1, stale)
+	want, err := DecodeCkptChain(region)
+	if err != nil || want.Depth() != 1 {
+		t.Fatalf("DecodeCkptChain: depth %d, %v", want.Depth(), err)
+	}
+	fetch := func(region []byte, fetched *int64) func(p []byte, off int64) error {
+		return func(p []byte, off int64) error {
+			if off%SectorSize != 0 || len(p)%SectorSize != 0 {
+				t.Fatalf("unaligned fetch: %d bytes at %d", len(p), off)
+			}
+			*fetched += int64(len(p))
+			copy(p, region[off:off+int64(len(p))])
+			return nil
+		}
+	}
+	var fetched int64
+	got, err := ReadCkptChain(int64(len(region)), fetch(region, &fetched))
+	if err != nil || got.NextOff != want.NextOff || got.Depth() != want.Depth() || got.Head().CkptTS != want.Head().CkptTS ||
+		len(got.Materialize().Blocks) != len(want.Materialize().Blocks) {
+		t.Fatalf("ReadCkptChain: %+v, %v; want the chain DecodeCkptChain finds", got, err)
+	}
+	if limit := want.NextOff + stale.WireBytes(); fetched > limit || fetched >= int64(len(region)) {
+		t.Fatalf("fetched %d bytes of a %d-byte region for a %d-byte chain", fetched, len(region), want.NextOff)
+	}
+
+	legacy, err := EncodeCheckpoint(l, Checkpoint{CkptTS: 4, FlushedSeq: 1, NextTS: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := make([]byte, l.CkptRegionBytes())
+	copy(v1, legacy)
+	fetched = 0
+	if c, err := ReadCkptChain(int64(len(v1)), fetch(v1, &fetched)); err != nil || !c.Legacy || c.Head().CkptTS != 4 {
+		t.Fatalf("v1 region: %+v, %v", c, err)
+	}
+	if fetched < int64(len(v1)) {
+		t.Fatalf("v1 region fetched %d of %d bytes", fetched, len(v1))
+	}
+
+	empty := make([]byte, l.CkptRegionBytes())
+	fetched = 0
+	if _, err := ReadCkptChain(int64(len(empty)), fetch(empty, &fetched)); !errors.Is(err, ErrBadCheckpoint) || fetched != SectorSize {
+		t.Fatalf("empty region: %v after %d bytes", err, fetched)
+	}
+
+	boom := errors.New("boom")
+	calls := 0
+	_, err = ReadCkptChain(int64(len(region)), func(p []byte, off int64) error {
+		if calls++; calls == 2 {
+			return boom
+		}
+		copy(p, region[off:])
+		return nil
+	})
+	if !errors.Is(err, boom) || errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("read error came back as %v", err)
+	}
+}
