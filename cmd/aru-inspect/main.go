@@ -1,6 +1,6 @@
 // Command aru-inspect dumps the on-disk structures of a logical-disk
-// image: superblock, checkpoint regions, segment trailers, and — with
-// -seg — the summary entries of one segment.
+// image: superblock, checkpoint regions, the chunks of every segment, and
+// — with -seg — the summary entries of one segment, chunk by chunk.
 //
 // Usage:
 //
@@ -74,41 +74,42 @@ func main() {
 			fatal(fmt.Errorf("image truncated before segment %d", s))
 		}
 		body := img[off : off+int64(layout.SegBytes)]
-		tr, err := seg.DecodeTrailer(body)
+		// A segment is a stack of chunks, walked from its trailer down; an
+		// image in an older format (tail- or front-packed) is one chunk.
+		chunks, err := seg.Walk(layout, body)
 		if err != nil {
+			if tr, terr := seg.DecodeTrailer(body); terr == nil {
+				fmt.Printf("  seg %4d: seq %6d, %v\n", s, tr.Seq, err)
+			}
 			continue // never written or torn
 		}
-		// Where the image lies in its segment is read off the trailer:
-		// tail-packed images end at the last sector, front-packed ones
-		// (older images) start at the first byte.
-		format := "tail"
-		if tr.FrontPacked {
-			format = "front"
+		var blocks, entries uint32
+		var used int64
+		for _, c := range chunks {
+			blocks, entries, used = blocks+c.DataBlocks, entries+c.EntryCount, used+c.ImageBytes(layout)
 		}
-		dataOff, err := tr.DataOff(layout)
-		if err != nil {
-			fmt.Printf("  seg %4d: seq %6d, %v\n", s, tr.Seq, err)
-			continue
-		}
-		image := tr.ImageBytes(layout)
-		fmt.Printf("  seg %4d: seq %6d, %4d data blocks, %5d entries (%d B), %s-packed, data at +%d, image %d B (%.1f%% of the segment)\n",
-			s, tr.Seq, tr.DataBlocks, tr.EntryCount, tr.EntryBytes,
-			format, dataOff, image, 100*float64(image)/float64(layout.SegBytes))
+		first, last := chunks[0], chunks[len(chunks)-1]
+		fmt.Printf("  seg %4d: %-7s %3d chunks, seq %6d-%-6d %4d data blocks, %5d entries, %7d B used (%.1f%% of the segment)\n",
+			s, first.Format, len(chunks), first.Seq, last.Seq, blocks, entries, used, 100*float64(used)/float64(layout.SegBytes))
 		if s != *segIdx {
 			continue
 		}
-		entries, err := seg.DecodeEntriesFromSegment(body, tr)
-		if err != nil {
-			fmt.Printf("    entry region corrupt: %v\n", err)
-			continue
-		}
-		for i, e := range entries {
-			if i >= *maxEnt {
-				fmt.Printf("    … %d more\n", len(entries)-i)
-				break
+		for k, c := range chunks {
+			fmt.Printf("    chunk %d: seq %d at +%d..+%d, %d data blocks at +%d, %d entries (%d B)\n",
+				k+1, c.Seq, c.Start, c.End, c.DataBlocks, c.DataOff, c.EntryCount, c.EntryBytes)
+			entries, err := seg.DecodeEntriesFromSegment(body[:c.End], c.Trailer)
+			if err != nil {
+				fmt.Printf("    entry region corrupt: %v\n", err)
+				continue
 			}
-			fmt.Printf("    %5d: %-12s aru=%-6d ts=%-8d block=%-6d list=%-6d pred=%-6d slot=%d\n",
-				i, e.Kind, e.ARU, e.TS, e.Block, e.List, e.Pred, e.Slot)
+			for i, e := range entries {
+				if i >= *maxEnt {
+					fmt.Printf("    … %d more\n", len(entries)-i)
+					break
+				}
+				fmt.Printf("    %5d: %-12s aru=%-6d ts=%-8d block=%-6d list=%-6d pred=%-6d slot=%s\n",
+					i, e.Kind, e.ARU, e.TS, e.Block, e.List, e.Pred, slotString(layout, e))
+			}
 		}
 	}
 	if *tables {
@@ -117,6 +118,15 @@ func main() {
 	if *stats {
 		printStats(img)
 	}
+}
+
+// slotString prints a write entry's slot: a flagged one is a place in
+// the segment, an older format's counts blocks of the data area.
+func slotString(l seg.Layout, e seg.Entry) string {
+	if e.Slot&seg.SlotSector != 0 {
+		return fmt.Sprintf("+%d", l.SlotOff(e.Slot, 0))
+	}
+	return fmt.Sprint(e.Slot)
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"aru/internal/seg"
 	"bytes"
 	"sync"
 	"sync/atomic"
@@ -165,6 +166,7 @@ func TestSnapshotOutlivesCacheEviction(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	retireOpenSegment(t, d) // or the reads below are served from its builder
 	rec, ok := d.viewBlock(target, 0)
 	if !ok || !rec.HasData {
 		t.Fatalf("target not materialized: %+v", rec)
@@ -246,7 +248,7 @@ func TestPrevVersionAdoption(t *testing.T) {
 	if err := d.VerifyInternal(); err != nil {
 		t.Fatalf("before the seal: %v", err)
 	}
-	segIdx := uint32(d.curSeg)
+	segIdx, top := uint32(d.curSeg), d.builder.Top()
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +261,13 @@ func TestPrevVersionAdoption(t *testing.T) {
 	if err := d.VerifyInternal(); err != nil {
 		t.Fatalf("after the seal: %v", err)
 	}
-	// Materialization is in timestamp order: the stash, then the unit's
-	// version. Each location's entry is the buffer that was written there.
-	for slot, v := range []byte{1, 2} {
-		if got := cachedBuf(d, segIdx, uint32(slot)); !bytes.Equal(got, fill(d, v)) {
-			t.Fatalf("cache entry of slot %d does not hold pattern %d", slot, v)
+	// Materialization is in timestamp order on the device: the stash, then
+	// the unit's version directly below the chunk's header sector. Each
+	// location's entry is the buffer that was written there.
+	for i, v := range []byte{2, 1} {
+		slot := seg.SlotSector | uint32((top-seg.SectorSize-(i+1)*d.BlockSize())/seg.SectorSize)
+		if got := cachedBuf(d, segIdx, slot); !bytes.Equal(got, fill(d, v)) {
+			t.Fatalf("cache entry of slot %#x does not hold pattern %d", slot, v)
 		}
 	}
 	if err := d.EndARU(a); err != nil {

@@ -162,9 +162,8 @@ type verKey struct {
 // every version on exactly one chain, every gated committed version on
 // exactly one open ARU's touched list; and every block buffer has one
 // owner — nothing a cache entry holds is also in a version slot, on the
-// free list or on a retire-set. One check leaves memory: every segment
-// whose blocks are read from the device has a recorded data offset (and
-// sequence number) equal to what its trailer on the device says. It is
+// free list or on a retire-set. One check leaves memory (verifyOnDevice):
+// the chunks of every segment whose blocks are read from the device. It is
 // exported for tests and the fsck tool.
 func (d *LLD) VerifyInternal() error {
 	d.mu.RLock()
@@ -294,7 +293,6 @@ func (d *LLD) VerifyInternal() error {
 
 	live := make([]int32, d.params.Layout.NumSegs)
 	pins := make([]int32, d.params.Layout.NumSegs)
-	sector := make([]byte, seg.SectorSize)
 	nBlocks, nLists, bufs := 0, 0, 0
 	pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
 		nBlocks++
@@ -341,24 +339,40 @@ func (d *LLD) VerifyInternal() error {
 	if bufs != d.commBufBlocks {
 		fail("%d committed buffers counted, the tables hold %d", d.commBufBlocks, bufs)
 	}
+	if d.curSeg < 0 && (d.commBufBlocks != 0 || len(d.pendingCommits) != 0) {
+		// Only a seal of the open segment makes them durable (sealChunk).
+		fail("%d committed buffers and %d commit records wait with no segment open", d.commBufBlocks, len(d.pendingCommits))
+	}
 	// The sealed queue (groupcommit.go): consecutive seal order with the
-	// leader's claim a prefix, an entry indexed by segment exactly while
-	// it holds its image, and every reuse quarantine owed to a queued
-	// entry.
+	// leader's claim a prefix, every entry that still holds its image
+	// counted by its builder — the open one, or a retired one indexed by
+	// segment — and every reuse quarantine owed to a queued entry.
 	owed := make(map[int]int)
+	pending := make(map[*seg.Builder]int)
 	for i, e := range d.sealed {
 		if i > 0 && (e.seq != d.sealed[i-1].seq+1 || e.claimed && !d.sealed[i-1].claimed) {
 			fail("sealed queue out of order at entry %d (seq %d)", i, e.seq)
 		}
-		if (d.sealedBySeg[uint32(e.idx)] == e) != (e.img != nil) {
-			fail("sealed segment %d (seq %d): image and segment index disagree", e.idx, e.seq)
+		if (e.img != nil) != (e.bld != nil) || e.img != nil && e.bld != d.builder && d.sealedBySeg[uint32(e.idx)].bld != e.bld {
+			fail("sealed chunk of segment %d (seq %d): image and builder disagree", e.idx, e.seq)
+		}
+		if e.img != nil {
+			pending[e.bld]++
 		}
 		for _, s := range e.frees {
 			owed[s]++
 		}
 	}
-	if len(d.sealedBySeg) > len(d.sealed) || !maps.Equal(owed, d.reuseQuarantine) {
-		fail("reuse quarantine %v and %d indexed images; the %d queued entries account for %v", d.reuseQuarantine, len(d.sealedBySeg), len(d.sealed), owed)
+	if pending[d.builder] != d.openPending {
+		fail("the open segment counts %d chunks awaiting their write, the queue holds %d", d.openPending, pending[d.builder])
+	}
+	for s, h := range d.sealedBySeg {
+		if h.pending == 0 || h.pending != pending[h.bld] || h.bld == d.builder {
+			fail("retired segment %d keeps its builder for %d unwritten chunks, the queue holds %d", s, h.pending, pending[h.bld])
+		}
+	}
+	if !maps.Equal(owed, d.reuseQuarantine) {
+		fail("reuse quarantine %v; the %d queued entries account for %v", d.reuseQuarantine, len(d.sealed), owed)
 	}
 	for s := range live {
 		if live[s] != d.segLive[s] {
@@ -367,22 +381,74 @@ func (d *LLD) VerifyInternal() error {
 		if pins[s] != d.segPins[s] {
 			fail("segment %d pin count %d, %d versions hold data there", s, d.segPins[s], pins[s])
 		}
-		// A segment whose blocks are read from the device is read at the
-		// data offset recorded for it, which must be the one the trailer
-		// on the device gives.
+	}
+	if err == nil {
+		err = d.verifyOnDevice()
+	}
+	return err
+}
+
+// verifyOnDevice is the one check of VerifyInternal that leaves memory:
+// every segment whose blocks are read from the device is walked there,
+// header by header. The newest chunk it holds must be the one segSeq
+// records — or, for a segment a mount found outside its replay window and
+// took chunk 1's number for, must like chunk 1 lie at or below the
+// checkpoint — and every block the tables place in the segment must lie in
+// the data area of one of its chunks, on a block boundary of it; a slot
+// that counts blocks (an older format's) is resolved through the recorded
+// data offset, which must be the one the trailer gives.
+func (d *LLD) verifyOnDevice() error {
+	l := d.params.Layout
+	type span struct{ off, end int }
+	areas := make([][]span, l.NumSegs)
+	sector := make([]byte, seg.SectorSize)
+	var err error
+	place := func(rec *seg.BlockRec) {
+		if err != nil || !rec.HasData || areas[rec.Seg] == nil {
+			return
+		}
+		off := l.SlotOff(rec.Slot, int(d.segDataOff[rec.Seg].Load()))
+		for _, a := range areas[rec.Seg] {
+			if off >= a.off && off+l.BlockSize <= a.end && (off-a.off)%l.BlockSize == 0 {
+				return
+			}
+		}
+		err = fmt.Errorf("lld: verify: block %d is read at segment %d slot %#x, byte %d, which is no data slot of the chunks on the device (data areas %v)",
+			rec.ID, rec.Seg, rec.Slot, off, areas[rec.Seg])
+	}
+	for s := 0; s < l.NumSegs; s++ {
 		_, held := d.sealedBySeg[uint32(s)]
-		if live[s]+pins[s] == 0 || s == d.curSeg || held {
+		if d.segLive[s]+d.segPins[s] == 0 || s == d.curSeg || held {
 			continue
 		}
-		tr, off, terr := readTrailer(d.dev, d.params.Layout, s, sector)
-		if terr == nil && (tr.Seq != d.segSeq[s] || uint32(off) != d.segDataOff[s].Load()) {
-			terr = fmt.Errorf("it holds seq %d with data at offset %d", tr.Seq, off)
+		base := l.SegOff(s)
+		chunks, werr := seg.WalkSectors(l, func(off int) ([]byte, error) {
+			return sector, d.dev.ReadAt(sector, base+int64(off))
+		})
+		if werr != nil {
+			return fmt.Errorf("lld: verify: segment %d is read as seq %d, its chunks on the device disagree: %v", s, d.segSeq[s], werr)
 		}
-		if terr != nil {
-			fail("segment %d is read as seq %d with data at offset %d, its trailer on the device disagrees: %v",
-				s, d.segSeq[s], d.segDataOff[s].Load(), terr)
+		first, last := chunks[0], chunks[len(chunks)-1]
+		if d.segSeq[s] != last.Seq && (d.segSeq[s] != first.Seq || last.Seq > d.ckptSeq) {
+			return fmt.Errorf("lld: verify: segment %d is read as seq %d, on the device it holds chunks %d to %d (checkpoint at %d)",
+				s, d.segSeq[s], first.Seq, last.Seq, d.ckptSeq)
+		}
+		if off := int(d.segDataOff[s].Load()); first.Format != seg.Chunked && off != first.DataOff {
+			return fmt.Errorf("lld: verify: segment %d is read with data at offset %d, its trailer on the device gives %d", s, off, first.DataOff)
+		}
+		for _, c := range chunks {
+			areas[s] = append(areas[s], span{c.DataOff, c.DataOff + int(c.DataBlocks)*l.BlockSize})
 		}
 	}
+	pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
+		if lf.hasPersist {
+			place(&lf.persist)
+		}
+		for i := range lf.vers {
+			place(&lf.vers[i].rec)
+		}
+		return err == nil
+	})
 	return err
 }
 

@@ -228,9 +228,12 @@ func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
 // contents of every block and list are unchanged; only physical
 // placement moves.
 func (d *LLD) relocateSegment(s int, group []BlockID) error {
-	// Deterministic order keeps runs reproducible.
+	// Deterministic order keeps runs reproducible. Data slots are taken
+	// downward, so going down the identifiers lays the blocks out in
+	// ascending order on the device, the order they were allocated in.
 	slices.Sort(group)
-	for _, id := range group {
+	for i := len(group) - 1; i >= 0; i-- {
+		id := group[i]
 		lf := d.liveIn(s, id)
 		if lf == nil || len(lf.vers) != 0 {
 			continue // changed underneath us by an earlier relocation flush

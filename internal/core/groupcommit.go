@@ -9,17 +9,20 @@ import (
 	"aru/internal/seg"
 )
 
-// Durability (DESIGN.md §11). A sealed segment lives one life, whoever
-// sealed it: sealed (seal, log.go — the image waits in its builder on
-// d.sealed) → written (writeSealed + releaseImage — the image is on the
-// device, the entry keeps only what a sync will release) → synced
-// (syncDev + retire — reuse quarantines lift, durable acks go out).
-// Three drivers run it and differ only in who holds d.mu while the
-// device works: ensureRoom on a full segment seals and writes under the
-// lock and leaves the sync to whichever driver comes next; drainLocked
-// (Checkpoint, Close, the cleaner) does all of it under the lock; and
-// the group-commit broker below does the device work with the lock
-// released.
+// Durability (DESIGN.md §11). "Sealed" means chunk sealed: a durability
+// point seals what the open segment holds as its next chunk and leaves the
+// segment open; only a full segment is retired. A sealed chunk lives one
+// life, whoever sealed it: sealed (sealChunk, log.go — the chunk waits in
+// its segment's builder, on d.sealed) → written (writeSealed +
+// releaseImage — the chunk is on the device, the entry keeps only what a
+// sync will release) → synced (syncDev + retire — reuse quarantines lift,
+// durable acks go out). Three drivers run it and differ only in who holds
+// d.mu while the device works: ensureRoom on a full segment seals and
+// writes under the lock and leaves the sync to whichever driver comes
+// next; drainLocked (Checkpoint, Close, the cleaner) does all of it under
+// the lock; and the group-commit broker below does the device work with
+// the lock released — writing chunk k out of the builder while writers
+// fill chunk k+1 below it in the same buffer, which are disjoint bytes.
 //
 // Group commit: concurrent durability callers — Flush, CommitDurable,
 // and the network server's per-session syncs — enqueue on a commit
@@ -74,24 +77,34 @@ type commitBroker struct {
 // quarter of the last observed sync cost, never more than this.
 const batchWindow = time.Millisecond
 
-// sealedSeg is one sealed segment no device sync has covered yet.
-// While it holds its image (bld, img) the image stays readable in memory
-// (readPhys) under sealedBySeg; once written it keeps only what the
+// sealedSeg is one sealed chunk no device sync has covered yet. Until it
+// is written its image (img) waits in its segment's builder (bld), which
+// therefore cannot be recycled; once written it keeps only what the
 // covering sync releases: the commit stamps to acknowledge and the
 // segments its promotion freed, which stay quarantined from reuse until
 // then. written survives a failed sync so the retry does not rewrite
 // the data.
 type sealedSeg struct {
 	idx     int          // segment index on the device
-	seq     uint64       // log sequence number in the trailer
-	bld     *seg.Builder // owns img; retires with the epoch once written
-	img     []byte       // sealed image (aliases bld's buffer)
-	off     int64        // device offset of img: it ends at the segment's last sector
-	commits int          // commit records sealed into the segment
+	seq     uint64       // log sequence number in the chunk header
+	bld     *seg.Builder // the segment's builder, which owns img
+	img     []byte       // sealed chunk (aliases bld's buffer); nil once released
+	off     int64        // device offset of img: it ends where the chunk above begins
+	first   bool         // chunk 1 of its segment
+	commits int          // commit records sealed into the chunk
 	stamps  []commitStamp
 	frees   []int // segments this seal's promotions emptied (quarantined)
 	written bool  // device write completed
 	claimed bool  // the in-flight leader is writing/syncing it
+}
+
+// heldSeg is a retired segment's builder, kept reachable by segment index
+// (d.sealedBySeg) while pending of its chunks still await their device
+// write: until then the records that point into the segment are read from
+// the builder.
+type heldSeg struct {
+	bld     *seg.Builder
+	pending int
 }
 
 // forceCommit makes everything committed so far durable through the
@@ -173,9 +186,8 @@ func (d *LLD) leadBatch(bat *gcBatch) error {
 	// A full log only fails the next operation that needs log space; the
 	// batch still makes what is sealed durable.
 	_ = d.seal()
-	// Claim the queue: the partial segment just sealed, every segment an
-	// inline seal wrote since the last sync, and whatever a failed batch
-	// left behind. Only one leader runs at a time and the locked drivers
+	// Claim the queue: the chunk just sealed, every chunk an inline seal
+	// wrote since the last sync, and whatever a failed batch left behind. Only one leader runs at a time and the locked drivers
 	// wait for an idle broker, so nothing is claimed yet. Segments sealed
 	// from here on queue behind the claim, and this batch's sync — which
 	// may run before their write — does not retire them. The work slice
@@ -206,8 +218,9 @@ func (d *LLD) leadBatch(bat *gcBatch) error {
 	d.publishLocked()
 	d.mu.Unlock()
 
-	// Device I/O with d.mu released: writers and readers proceed
-	// against the fresh builder while the device spins.
+	// Device I/O with d.mu released: writers go on filling the open
+	// segment below the claimed chunks, and readers proceed, while the
+	// device spins.
 	var (
 		ioErr  error
 		synced bool
@@ -273,10 +286,11 @@ func (d *LLD) leadBatch(bat *gcBatch) error {
 	return nil
 }
 
-// writeSealed puts e's image on the device, unless an earlier attempt
-// already did. It touches only e and the device, so the batch leader
-// runs it with d.mu released on the entries it claimed; everyone else
-// holds d.mu. bt, when its span is set, parents a seg-flush span.
+// writeSealed puts e's chunk on the device, unless an earlier attempt
+// already did: the log's only segment write. It touches only e and the
+// device, so the batch leader runs it with d.mu released on the entries
+// it claimed; everyone else holds d.mu. bt, when its span is set, parents
+// a seg-flush span.
 func (d *LLD) writeSealed(e *sealedSeg, bt *batchTrace) error {
 	if e.written {
 		return nil
@@ -289,7 +303,10 @@ func (d *LLD) writeSealed(e *sealedSeg, bt *batchTrace) error {
 		return fmt.Errorf("lld: writing segment %d: %w", e.idx, err)
 	}
 	e.written = true
-	d.stats.SegmentsWritten.Add(1)
+	if e.first {
+		d.stats.SegmentsWritten.Add(1)
+	}
+	d.stats.ChunksWritten.Add(1)
 	d.stats.SegmentBytesWritten.Add(int64(len(e.img)))
 	if d.obs != nil {
 		now := d.obs.Now()
@@ -307,17 +324,26 @@ func (d *LLD) writeSealed(e *sealedSeg, bt *batchTrace) error {
 }
 
 // releaseImage is the bookkeeping half of sealed → written: a written
-// entry's blocks are read from the device (or the cache) from the next
-// publish on, so it leaves sealedBySeg and gives up its builder.
-// Published snapshots may still read the image, so the builder retires
-// with the current epoch instead of being reset in place. A no-op on an
-// entry not yet written or already released. Caller holds d.mu.
+// entry gives up its claim on its segment's builder. While the segment is
+// open that only counts; once it is retired, the builder leaves with the
+// last such claim — the segment's blocks are read from the device (or the
+// cache) from the next publish on. Published snapshots may still read the
+// builder, so it retires with the current epoch instead of being reset in
+// place. A no-op on an entry not yet written or already released. Caller
+// holds d.mu.
 func (d *LLD) releaseImage(e *sealedSeg) {
-	if !e.written || e.bld == nil {
+	if !e.written || e.img == nil {
 		return
 	}
-	delete(d.sealedBySeg, uint32(e.idx))
-	d.putBuilder(e.bld)
+	if e.bld == d.builder {
+		d.openPending--
+	} else if h := d.sealedBySeg[uint32(e.idx)]; h.pending > 1 {
+		h.pending--
+		d.sealedBySeg[uint32(e.idx)] = h
+	} else {
+		delete(d.sealedBySeg, uint32(e.idx))
+		d.putBuilder(e.bld)
+	}
 	e.bld, e.img = nil, nil
 }
 
@@ -467,16 +493,16 @@ func (d *LLD) takeBuilder() *seg.Builder {
 	return seg.NewBuilder(d.params.Layout)
 }
 
-// putBuilder retires a builder whose segment was written: published
-// epochs may still read the sealed image aliasing its buffer, so the
-// Reset is deferred to recycleBuilder when the retiring epoch drains.
+// putBuilder retires the builder of a retired segment whose chunks are
+// all written: published epochs may still read its buffer, so the Reset
+// is deferred to recycleBuilder when the retiring epoch drains.
 // Caller holds d.mu.
 func (d *LLD) putBuilder(b *seg.Builder) {
 	d.ret.builders = append(d.ret.builders, b)
 }
 
 // recycleBuilder resets a drained builder and pools it for the next
-// seal (purge path only). Caller holds d.mu.
+// segment (purge path only). Caller holds d.mu.
 func (d *LLD) recycleBuilder(b *seg.Builder) {
 	if len(d.spareBuilders) >= 4 {
 		return // cap the pool; the steady state needs at most a couple

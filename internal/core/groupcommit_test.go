@@ -365,13 +365,13 @@ func TestGroupCommitInlineSealBehindClaim(t *testing.T) {
 	go func() { flushDone <- d.Flush() }()
 	<-started // leader in dev.Sync, d.mu free, its entry claimed
 
-	// Fill segments until one is sealed and written under the lock.
-	before := d.stats.SegmentsWritten.Load() // live: Stats() lags a publish
+	// Fill the segment until it is sealed and written under the lock.
+	before := d.stats.ChunksWritten.Load() // live: Stats() lags a publish
 	lst, err := d.NewList(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; d.stats.SegmentsWritten.Load() == before; i++ {
+	for i := 0; d.stats.ChunksWritten.Load() == before; i++ {
 		b, err := d.NewBlock(0, lst, NilBlock)
 		if err != nil {
 			t.Fatal(err)

@@ -119,8 +119,8 @@ type Params struct {
 	// sequential-ARU baseline.
 	Variant Variant
 	// CheckpointEvery writes a table checkpoint after this many
-	// segment writes (default 32; negative disables automatic
-	// checkpoints).
+	// segments were filled and retired (default 32; negative disables
+	// automatic checkpoints).
 	CheckpointEvery int
 	// CkptCompactEvery bounds the incremental checkpoint chain: once
 	// this many delta records sit on top of the base, the next
@@ -298,8 +298,9 @@ type Stats struct {
 	ARUsBegun, ARUsCommitted   int64
 	ARUsAborted                int64
 	ARUsPrepared               int64 // PrepareARU calls (2PC participants)
-	SegmentsWritten            int64 // segments written to disk
-	SegmentBytesWritten        int64 // bytes of segment images written to disk
+	SegmentsWritten            int64 // segments written to disk (counted at their first chunk)
+	ChunksWritten              int64 // chunks written to disk: the log's device writes
+	SegmentBytesWritten        int64 // bytes of chunks written to disk
 	SegmentsCleaned            int64 // segments reclaimed by the cleaner
 	BlocksRelocated            int64 // live blocks copied by the cleaner
 	Checkpoints                int64
@@ -375,8 +376,13 @@ type LLD struct {
 	// Active ARUs (shadow states).
 	arus map[ARUID]*aruState
 
-	// Log state.
-	builder *seg.Builder
+	// Log state. builder holds the open segment: the chunks sealed into it
+	// so far and the open chunk below them. openPending counts those of
+	// its sealed chunks that still wait in the queue for their device
+	// write (sealedSeg.img): the builder can leave for the retire-set only
+	// when the segment is retired and that count is zero.
+	builder     *seg.Builder
+	openPending int
 	// commBufBlocks counts committed-state versions whose contents are
 	// still in memory; they materialize into the open segment at seal
 	// time and therefore reserve capacity in it.
@@ -388,12 +394,12 @@ type LLD struct {
 	// segment window persist as a group, which is exactly the
 	// granularity at which anything persists.
 	pendingCommits []seg.Entry
-	curSeg         int    // segment index the builder will be written to
-	nextSeq        uint64 // seq for the next sealed segment
+	curSeg         int    // segment index the builder's chunks are written to
+	nextSeq        uint64 // seq for the next sealed chunk
 	durableTS      uint64 // all entries with TS <= durableTS are on disk
 	ckptSeq        uint64 // FlushedSeq of the newest durable checkpoint
 	ckptTS         uint64 // CkptTS of the newest durable checkpoint
-	segsSinceC     int    // segments written since the last checkpoint
+	segsSinceC     int    // segments retired since the last checkpoint
 
 	// Incremental checkpoint chain state (DESIGN.md §15). The current
 	// chain (one base + ckptDepth deltas) lives in region ckptRegion;
@@ -412,34 +418,39 @@ type LLD struct {
 	dirtyLists  map[ListID]struct{}
 
 	// Per-segment accounting.
-	segSeq    []uint64 // trailer seq per segment (0 = never written)
-	segLive   []int32  // live persistent blocks per segment
-	segPins   []int32  // alternative records holding data in the segment
-	freeCache int      // reusable-segment count, refreshed at seals
-	inClean   bool     // reentrancy guard for the cleaner
+	// segSeq is the seq of each segment's newest chunk (0 = never
+	// written). A mount learns it from the chunks it walks; for a segment
+	// outside the replay window it takes chunk 1's, which is on the same
+	// side of every checkpoint watermark this incarnation can have.
+	segSeq    []uint64
+	segLive   []int32 // live persistent blocks per segment
+	segPins   []int32 // alternative records holding data in the segment
+	freeCache int     // reusable-segment count, refreshed at seals
+	inClean   bool    // reentrancy guard for the cleaner
 	cache     *blockCache
-	// segDataOff is where in its segment each image's data slot 0 lies
-	// (seg.Trailer.DataOff): derived from the image at seal and from the
-	// trailer at mount, never stored on its own. Atomic because snapshot
-	// readers turn (seg, slot) into a device offset without d.mu; segment
-	// reuse is epoch-gated, so an offset cannot change under an address a
-	// reader holds.
+	// segDataOff is where the data area of a segment in an older format
+	// starts, for the slot numbers of such a segment, which count blocks
+	// from there (seg.Layout.SlotOff). The mount scan fills it from the
+	// trailers and nothing else writes it: a slot this engine hands out
+	// says where its block lies by itself. Atomic because snapshot readers
+	// turn (seg, slot) into a device offset without d.mu.
 	segDataOff []atomic.Uint32
 
 	// Durability (DESIGN.md §11). gc has its own internal mutex and is
 	// the only field here touched without d.mu; everything else below is
 	// guarded by d.mu like the rest of the struct.
 	gc commitBroker
-	// sealed queues, in seal (seq) order, every sealed segment no device
+	// sealed queues, in seal (seq) order, every sealed chunk no device
 	// sync has covered yet: entries awaiting their device write, then
-	// written ones awaiting a sync. sealedBySeg indexes the entries that
-	// still hold their image (unwritten, or written by a leader that has
-	// not taken d.mu back yet) by segment index, for the read path.
+	// written ones awaiting a sync. sealedBySeg holds the builders of
+	// retired segments some of whose chunks still await their write (or
+	// were written by a leader that has not taken d.mu back yet), by
+	// segment index, for the read path.
 	sealed      []*sealedSeg
-	sealedBySeg map[uint32]*sealedSeg
+	sealedBySeg map[uint32]heldSeg
 	// spareBuilders pools retired segment builders for double
-	// buffering: a seal hands its builder to the sealed entry and
-	// continues on a spare.
+	// buffering: a retired segment keeps its builder until its chunks are
+	// written and the log continues on a spare.
 	spareBuilders []*seg.Builder
 	// Batch/sync causality counters (DESIGN.md §13): batchSeq numbers
 	// group-commit batches, syncSeq the device syncs that retired sealed

@@ -23,45 +23,57 @@ func (d *LLD) tick() uint64 {
 // data blocks and extraEntries summary entries on top of everything
 // already accumulated — including the committed-state buffers that will
 // materialize into it at seal time (one block and one entry each).
-// When the segment cannot, it is sealed and written out.
+// When the segment cannot, its open chunk is sealed and written out and
+// the segment is retired: what little a chunk's exact size may have left
+// of it is not worth a write of its own.
 func (d *LLD) ensureRoom(extraBlocks, extraEntries int) error {
-	if d.curSeg < 0 {
-		// Mounted on a full disk: the open segment is picked lazily,
-		// so a disk that only needs reading mounts fine.
-		next, err := d.pickSeg()
+	for maintained := false; ; {
+		if d.curSeg < 0 {
+			// Mounted on a full disk, or the last retirement found no
+			// segment to open: the open segment is picked lazily, so a
+			// disk that only needs reading mounts fine.
+			next, err := d.pickSeg()
+			if err != nil {
+				return err
+			}
+			d.curSeg = next
+			d.freeCache = d.reusableCount()
+		}
+		// pendingCommits holds commit and (larger) prepare records; size
+		// for the larger kind so a queued prepare can never overflow the
+		// seal.
+		entryBytes := extraEntries*seg.MaxEntrySize +
+			d.commBufBlocks*seg.EncodedSize(seg.KindWrite) +
+			len(d.pendingCommits)*seg.EncodedSize(seg.KindPrepare)
+		if d.builder.FitsBytes(extraBlocks+d.commBufBlocks, entryBytes) {
+			return nil
+		}
+		// The inline driver of a sealed chunk's life (groupcommit.go): seal
+		// and write under the lock, and leave the sync — and with it the
+		// durable acks and the reuse of what the seal freed — to the next
+		// batch, drain or full log. A failed write keeps the entry queued
+		// with its image for the next durability point to retry.
+		d.sealChunk()
+		err := d.retireSeg()
+		if werr := d.writeQueued(); werr != nil {
+			return werr
+		}
 		if err != nil {
 			return err
 		}
-		d.curSeg = next
-		d.freeCache = d.reusableCount()
+		if !maintained && d.canMaintain() {
+			// retireSeg left the count of reusable segments in freeCache:
+			// one O(NumSegs) scan per segment retired, shared with
+			// maintenance.
+			d.freeCache = d.maintain(d.freeCache)
+			maintained = true
+		}
+		// Maintenance logs too: the cleaner relocates into the open
+		// segment, and can leave it part full or — on a log it could not
+		// make room in — leave none open. The caller is about to buffer
+		// state that only a seal of the open segment makes durable, so
+		// look again.
 	}
-	// pendingCommits holds commit and (larger) prepare records; size
-	// for the larger kind so a queued prepare can never overflow the
-	// seal.
-	entryBytes := extraEntries*seg.MaxEntrySize +
-		d.commBufBlocks*seg.EncodedSize(seg.KindWrite) +
-		len(d.pendingCommits)*seg.EncodedSize(seg.KindPrepare)
-	if d.builder.FitsBytes(extraBlocks+d.commBufBlocks, entryBytes) {
-		return nil
-	}
-	// The inline driver of a sealed segment's life (groupcommit.go):
-	// seal and write under the lock, and leave the sync — and with it
-	// the durable acks and the reuse of what the seal freed — to the
-	// next batch, drain or full log. A failed write keeps the entry
-	// queued with its image for the next durability point to retry.
-	err := d.seal()
-	if werr := d.writeQueued(); werr != nil {
-		return werr
-	}
-	if err != nil {
-		return err
-	}
-	if d.canMaintain() {
-		// seal left the count of reusable segments in freeCache: one
-		// O(NumSegs) scan per segment write, shared with maintenance.
-		d.freeCache = d.maintain(d.freeCache)
-	}
-	return nil
 }
 
 // growthAllowed reports whether growth operations may proceed: at least
@@ -152,11 +164,13 @@ func (d *LLD) materializeCommitted() {
 	}
 	// Write in logical-time order so blocks written together lie
 	// together on disk — the stream of blocks is order-preserving
-	// (paper §3.1), and sequential re-reads stay sequential.
+	// (paper §3.1), and sequential re-reads stay sequential. A chunk's
+	// data slots are taken downward, so the latest block goes in first.
 	d.matSort.items = pending
 	sort.Sort(&d.matSort)
 	d.matSort.items = nil
-	for _, it := range pending {
+	for i := len(pending) - 1; i >= 0; i-- {
+		it := pending[i]
 		slot := d.builder.AddBlock(it.data)
 		d.builder.AddEntry(seg.Entry{
 			Kind:  seg.KindWrite,
@@ -198,33 +212,30 @@ func (d *LLD) lastTS() uint64 {
 	return d.ts - 1
 }
 
-// seal closes the open segment without touching the device — the one
+// sealChunk seals what the open segment has accumulated since its last
+// seal as the segment's next chunk, without touching the device — the one
 // committed→persistent transition of paper §3.1, for every driver:
 // buffered committed versions materialize, queued commit records are
-// emitted, the image moves (still inside its builder) into an entry at
-// the tail of d.sealed, the durable watermark advances and committed
-// state covered by it is promoted, and a spare builder opens the next
-// segment so writers never wait on the device. Promotion is an
+// emitted, the chunk (still inside the segment's builder, directly below
+// the chunk sealed before it) goes into an entry at the tail of d.sealed,
+// the durable watermark advances and committed state covered by it is
+// promoted. The segment stays open: writers go on adding below the chunk,
+// in the same builder, so they never wait on the device. Promotion is an
 // in-memory transition; durability is only acknowledged when a sync has
 // covered the entry (retire). A no-op when nothing is buffered.
 //
 // Promotion may empty segments holding versions this seal supersedes.
 // Until a sync covers the seal's write those segments must not be
-// rewritten: a crash could keep the rewrite but lose this segment,
+// rewritten: a crash could keep the rewrite but lose this chunk,
 // destroying data an earlier sync already guaranteed, and recovery —
 // which rightly stops at the sequence hole — cannot put it back. The
 // entry records them and they stay quarantined from reuse until it
-// retires.
-//
-// The error, if any, is pickSeg's: no segment could be opened for the
-// *next* seal. The sealed entry is queued regardless, and the open
-// segment is re-picked lazily by ensureRoom once space frees. Caller
-// holds d.mu.
-func (d *LLD) seal() error {
+// retires. Caller holds d.mu.
+func (d *LLD) sealChunk() {
 	if d.curSeg < 0 {
 		// Nothing is ever buffered while no segment is open (ensureRoom
 		// picks one before any append), so there is nothing to seal.
-		return nil
+		return
 	}
 	d.materializeCommitted()
 	for _, e := range d.pendingCommits {
@@ -234,36 +245,66 @@ func (d *LLD) seal() error {
 	commits := len(d.pendingCommits)
 	d.pendingCommits = d.pendingCommits[:0]
 	if d.builder.Empty() {
-		return nil
+		return
 	}
 	e := d.getSealed()
 	e.idx = d.curSeg
 	e.seq = d.nextSeq
 	e.bld = d.builder
+	// The chunk is one extent that ends in its header sector and lies
+	// directly below the chunk sealed before it — the first at the
+	// segment's end — so the one write that carries it ends in the header
+	// whatever it holds, and overwrites nothing an earlier write put
+	// there.
 	e.img = d.builder.Seal(d.nextSeq)
-	// The image is one extent that ends at the segment's last sector, so
-	// the one write that carries it ends in the trailer whatever it holds.
-	dataOff := d.params.Layout.SegBytes - len(e.img)
-	e.off = d.params.Layout.SegOff(d.curSeg) + int64(dataOff)
-	d.segDataOff[e.idx].Store(uint32(dataOff))
+	e.off = d.params.Layout.SegOff(d.curSeg) + int64(d.builder.Top())
+	e.first = d.builder.Chunks() == 1
 	e.commits = commits
 	// The entry takes the stamps of the commits it carries and leaves
 	// its own (pooled) backing array for the next ones.
 	e.stamps, d.commitStamps = d.commitStamps, e.stamps
 	d.sealed = append(d.sealed, e)
-	d.sealedBySeg[uint32(e.idx)] = e
+	d.openPending++
 	d.segSeq[e.idx] = e.seq
 	d.nextSeq++
-	d.segsSinceC++
 	d.durableTS = d.lastTS()
 	d.promote(e)
-	// Double buffering: the sealed image aliases the old builder's
-	// buffer, so the builder stays with the entry and the log continues
-	// on a spare.
+}
+
+// seal is sealChunk at a durability point: the segment is retired only
+// if the chunk filled it — it can no longer take one block and one entry.
+// The error, if any, is retireSeg's. Caller holds d.mu.
+func (d *LLD) seal() error {
+	d.sealChunk()
+	if d.curSeg >= 0 && !d.builder.Fits(1, 1) {
+		return d.retireSeg()
+	}
+	return nil
+}
+
+// retireSeg closes the open segment, if it holds a chunk, and opens the
+// next one on a spare builder. The retired builder stays reachable by
+// segment index while chunks of it await their device write, and joins
+// the retire-set when the last of them is released (releaseImage).
+//
+// The error is pickSeg's: no segment could be opened. The log then has no
+// open segment, and ensureRoom re-picks lazily once space frees. Caller
+// holds d.mu.
+func (d *LLD) retireSeg() error {
+	if d.curSeg < 0 || d.builder.Chunks() == 0 {
+		return nil
+	}
+	d.segsSinceC++
+	if d.openPending > 0 {
+		d.sealedBySeg[uint32(d.curSeg)] = heldSeg{bld: d.builder, pending: d.openPending}
+		d.openPending = 0
+	} else {
+		d.putBuilder(d.builder)
+	}
 	d.builder = d.takeBuilder()
 	// No open segment until the pick succeeds: a publish from pickSeg's
 	// retry path must not pin the empty replacement builder under the
-	// sealed segment's index.
+	// retired segment's index.
 	d.curSeg = -1
 	next, err := d.pickSeg()
 	if err != nil {
@@ -510,8 +551,8 @@ func (d *LLD) promoteList(lf *listLeaf, al *listVer) {
 
 // readPhys reads the block stored at (segIdx, slot) into dst for the
 // cleaner (client reads go through snapshot.readPhys): from the
-// in-memory segment under construction if the location is current,
-// otherwise from the read cache or from disk. A miss does not fill the
+// in-memory segment under construction if the location is in it — in its
+// open chunk or a sealed one — otherwise from the read cache or from disk. A miss does not fill the
 // cache: the cleaner reads a block to move it, so the key names a
 // location that dies at the next promote, and an entry under it would
 // only evict one a client can still hit.
@@ -520,11 +561,10 @@ func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 		copy(dst, d.builder.BlockData(slot))
 		return nil
 	}
-	if e, ok := d.sealedBySeg[segIdx]; ok {
-		// Sealed, device write still pending (or failed and awaiting
-		// retry): serve from the retained image.
-		bs := d.params.Layout.BlockSize
-		copy(dst, e.img[int(slot)*bs:(int(slot)+1)*bs])
+	if h, ok := d.sealedBySeg[segIdx]; ok {
+		// Retired with a device write still pending (or failed and
+		// awaiting retry): serve from the retained builder.
+		copy(dst, h.bld.BlockData(slot))
 		return nil
 	}
 	if d.cache != nil {
@@ -540,10 +580,11 @@ func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 	return nil
 }
 
-// slotOff returns the device offset of data slot slot of segment segIdx,
-// whose image's data area starts dataOff[segIdx] into the segment.
+// slotOff returns the device offset of data slot slot of segment segIdx:
+// the slot says where in the segment by itself, unless the segment is in
+// an older format, whose data area starts dataOff[segIdx] into it.
 func slotOff(l seg.Layout, dataOff []atomic.Uint32, segIdx, slot uint32) int64 {
-	return l.SegOff(int(segIdx)) + int64(dataOff[segIdx].Load()) + int64(slot)*int64(l.BlockSize)
+	return l.SegOff(int(segIdx)) + int64(l.SlotOff(slot, int(dataOff[segIdx].Load())))
 }
 
 // physKey identifies a cached block by physical location.

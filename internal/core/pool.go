@@ -47,13 +47,13 @@ package core
 //     a pooled leaf pins no buffer.
 //   - An aruState is recycled only after it is deleted from d.arus; its
 //     slices are cleared but keep their capacity across reuse.
-//   - A sealedSeg is reachable only from the engine (d.sealed,
-//     d.sealedBySeg, the leader's work list) — snapshots copy the image
-//     slice, not the entry — so retire pools it directly. Its image
-//     (e.img) aliases its builder's buffer; both leave the entry in
-//     releaseImage, where the builder joins the retire-set. The builder
-//     keeps its old bytes when it is recycled: an image has no gap, and
-//     Seal writes every byte of the one it returns.
+//   - A sealedSeg is reachable only from the engine (d.sealed, the
+//     leader's work list) — snapshots pin the builder, not the entry — so
+//     retire pools it directly. Its image (e.img) aliases its segment's
+//     builder, which it gives up in releaseImage; the builder joins the
+//     retire-set when its segment is retired and the last such claim is
+//     gone. The builder keeps its old bytes when it is recycled: a chunk
+//     has no gap, and Seal writes every byte of the one it returns.
 
 // Free-list caps: beyond these the garbage collector takes over, so a
 // burst (many concurrent ARUs, a deep commit pipeline) does not pin

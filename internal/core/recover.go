@@ -41,14 +41,30 @@ func Format(dev disk.Disk, p Params) (*LLD, error) {
 	if err := dev.WriteAt(empty, p.Layout.CkptOff(1)); err != nil {
 		return nil, fmt.Errorf("lld: clearing checkpoint region: %w", err)
 	}
-	// Wipe every segment trailer so images reused across formats do not
-	// carry valid-looking segments from a previous lifetime into the
-	// replay window.
+	// Wipe every chunk header so images reused across formats do not
+	// carry valid-looking chunks from a previous lifetime into the replay
+	// window: the trailer of every segment, and below a trailer that heads
+	// a stack of chunks, the header of each — a new lifetime repeats the
+	// old one's sequence numbers, and a workload repeated with them repeats
+	// its headers, under which the old chunks further down would chain.
 	wipe := make([]byte, seg.SectorSize)
+	sector := make([]byte, seg.SectorSize)
 	for s := 0; s < p.Layout.NumSegs; s++ {
-		off := p.Layout.SegOff(s) + int64(p.Layout.SegBytes) - seg.SectorSize
-		if err := dev.WriteAt(wipe, off); err != nil {
-			return nil, fmt.Errorf("lld: wiping segment %d trailer: %w", s, err)
+		base := p.Layout.SegOff(s)
+		chunks, err := seg.WalkSectors(p.Layout, func(off int) ([]byte, error) {
+			return sector, dev.ReadAt(sector, base+int64(off))
+		})
+		if err != nil && !errors.Is(err, seg.ErrBadSegment) {
+			return nil, fmt.Errorf("lld: reading the chunk headers of segment %d: %w", s, err)
+		}
+		ends := []int{p.Layout.SegBytes}
+		for _, c := range chunks[min(1, len(chunks)):] {
+			ends = append(ends, c.End)
+		}
+		for _, end := range ends {
+			if err := dev.WriteAt(wipe, base+int64(end-seg.SectorSize)); err != nil {
+				return nil, fmt.Errorf("lld: wiping segment %d trailer: %w", s, err)
+			}
 		}
 	}
 	if err := dev.Sync(); err != nil {
@@ -60,7 +76,7 @@ func Format(dev disk.Disk, p Params) (*LLD, error) {
 // RecoveryReport summarizes what Open reconstructed.
 type RecoveryReport struct {
 	CheckpointTS     uint64 // CkptTS of the checkpoint recovery started from
-	SegmentsReplayed int    // valid segments beyond the checkpoint
+	SegmentsReplayed int    // segments holding replayed chunks (chunks beyond the checkpoint)
 	EntriesReplayed  int
 	ARUsRecovered    int // ARUs whose commit record was durable
 	ARUsDropped      int // uncommitted/aborted ARUs discarded
@@ -128,7 +144,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		segLive:         make([]int32, layout.NumSegs),
 		segPins:         make([]int32, layout.NumSegs),
 		cache:           newBlockCache(p.CacheBlocks),
-		sealedBySeg:     make(map[uint32]*sealedSeg),
+		sealedBySeg:     make(map[uint32]heldSeg),
 		reuseQuarantine: make(map[int]int),
 		cleanVisited:    make(map[int]bool),
 		dirtyBlocks:     make(map[BlockID]struct{}),
@@ -200,7 +216,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 				}
 				tr, dataOff, err := readTrailer(dev, layout, s, buf)
 				if errors.Is(err, seg.ErrBadSegment) {
-					// Never written, wiped or torn — or an image no segment
+					// Never written, wiped or torn — or a chunk no segment
 					// of this layout can hold: not part of the log.
 					continue
 				}
@@ -208,15 +224,24 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 					trErrs[s] = err
 					continue
 				}
-				d.segDataOff[s].Store(uint32(dataOff))
+				if tr.Format != seg.Chunked {
+					d.segDataOff[s].Store(uint32(dataOff))
+				}
 				trailers[s], trValid[s] = tr, true
 			}
 		}()
 	}
 	wgTr.Wait()
 
+	// The replay window. A segment holds a consecutive run of chunk
+	// sequence numbers from its trailer's down, and the next run starts in
+	// another segment, so the chunks above FlushedSeq lie in the segments
+	// whose chunk 1 is above it — and in the one that straddles it: the
+	// segment with the largest chunk 1 at or below FlushedSeq, which was
+	// open when the checkpoint was taken and went on taking chunks.
 	var replay []liveSeg
 	maxSeq := ck.FlushedSeq
+	straddler := -1
 	for s := 0; s < layout.NumSegs; s++ {
 		if trErrs[s] != nil {
 			return nil, RecoveryReport{}, trErrs[s]
@@ -231,36 +256,28 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		}
 		if tr.Seq > ck.FlushedSeq {
 			replay = append(replay, liveSeg{idx: s, tr: tr})
+		} else if straddler < 0 || tr.Seq > trailers[straddler].Seq {
+			straddler = s
 		}
+	}
+	if straddler >= 0 && trailers[straddler].Format == seg.Chunked {
+		replay = append(replay, liveSeg{idx: straddler, tr: trailers[straddler]})
 	}
 	sort.Slice(replay, func(i, j int) bool { return replay[i].tr.Seq < replay[j].tr.Seq })
 
-	// Segments are sealed with consecutive seqs, so the replay window
-	// must be a contiguous run starting right after the checkpoint. A
-	// hole means the device lost or reordered an un-synced segment
-	// write: everything past the hole was never acknowledged durable (a
-	// completed Sync would have made the missing segment whole) and may
-	// causally depend on it — replaying it could surface a partial ARU.
-	// Cut there. (Found by the crash-state enumerator, internal/crashenum.)
-	droppedTail := false
-	expect := ck.FlushedSeq + 1
-	for i, ls := range replay {
-		if ls.tr.Seq != expect {
-			droppedTail = true
-			replay = replay[:i]
-			break
-		}
-		expect++
-	}
-
-	// Read + decode every window segment through the pool; apply in
+	// Read + walk + decode every window segment through the pool; apply in
 	// sequence order, pipelined — segment k applies while k+1… are
 	// still being read. The happens-before edge is the per-slot
 	// channel close.
-	type segScan struct {
+	type chunkScan struct {
+		seq     uint64
 		entries []seg.Entry
-		readErr error
 		corrupt bool
+	}
+	type segScan struct {
+		chunks  []chunkScan // the segment's chunks above FlushedSeq
+		lastSeq uint64      // seq of its newest chunk
+		readErr error
 	}
 	scans := make([]segScan, len(replay))
 	ready := make([]chan struct{}, len(replay))
@@ -279,25 +296,40 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 				if i >= len(replay) {
 					return
 				}
-				ls := replay[i]
+				sc, ls := &scans[i], replay[i]
+				sc.lastSeq = ls.tr.Seq
 				if err := dev.ReadAt(buf, layout.SegOff(ls.idx)); err != nil {
-					scans[i].readErr = fmt.Errorf("lld: reading segment %d: %w", ls.idx, err)
+					sc.readErr = fmt.Errorf("lld: reading segment %d: %w", ls.idx, err)
 					close(ready[i])
 					continue
 				}
-				entries, err := seg.DecodeEntriesFromSegment(buf, ls.tr)
+				// The trailer scan accepted chunk 1, so the walk finds at
+				// least that (unless the medium changed underneath us, which
+				// leaves the trailer's word: one chunk, corrupt).
+				chunks, err := seg.Walk(layout, buf)
 				if err != nil {
-					// A valid trailer over a corrupt entry region. A torn
-					// rewrite does leave that behind — the new image's
-					// prefix over the old entries, the old trailer intact
-					// — but only at or below FlushedSeq, outside this
-					// window: a segment is reused only once a durable
-					// checkpoint covers it (segFreeable; pinned by
-					// rewriteAboveWatermark in reuse_test.go). Inside the
-					// window it means the medium failed underneath us.
-					scans[i].corrupt = true
-				} else {
-					// A sealed segment groups its entries by region —
+					chunks = []seg.Chunk{{Trailer: ls.tr, End: layout.SegBytes}}
+				}
+				for _, c := range chunks {
+					sc.lastSeq = c.Seq
+					if c.Seq <= ck.FlushedSeq {
+						continue // the checkpoint covers it
+					}
+					entries, err := seg.DecodeEntriesFromSegment(buf[:c.End], c.Trailer)
+					if err != nil {
+						// A valid header over a corrupt entry region. A torn
+						// rewrite does leave that behind — the new chunk's
+						// prefix over the old entries, the old header intact
+						// — but only at or below FlushedSeq, outside this
+						// window: a segment is reused only once a durable
+						// checkpoint covers its newest chunk (segFreeable;
+						// pinned by rewriteAboveWatermark in reuse_test.go).
+						// Inside the window it means the medium failed
+						// underneath us.
+						sc.chunks = append(sc.chunks, chunkScan{seq: c.Seq, corrupt: true})
+						continue
+					}
+					// A sealed chunk groups its entries by region —
 					// operations, then writes, then commit records —
 					// not by time. Replay must see them in timestamp
 					// order, the order the live engine produced the
@@ -311,41 +343,68 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 					sort.SliceStable(entries, func(a, b int) bool {
 						return entries[a].TS < entries[b].TS
 					})
-					scans[i].entries = entries
+					sc.chunks = append(sc.chunks, chunkScan{seq: c.Seq, entries: entries})
 				}
 				close(ready[i])
 			}
 		}()
 	}
-	applied := len(replay)
+	// Chunks are sealed with consecutive seqs, so the chunks above the
+	// checkpoint must be a contiguous run starting right after it. A hole
+	// means the device lost or reordered an un-synced chunk write:
+	// everything past the hole was never acknowledged durable (a completed
+	// Sync would have made the missing chunk whole) and may causally
+	// depend on it — replaying it could surface a partial ARU. Cut there,
+	// and at a chunk whose entries do not decode. (Found by the
+	// crash-state enumerator, internal/crashenum.) The segments past the
+	// cut are still walked: their chunks' sequence numbers must not be
+	// handed out again.
+	droppedTail := false
+	expect := ck.FlushedSeq + 1
+	segsReplayed := 0
 	var scanErr error
 	for i, ls := range replay {
 		<-ready[i]
-		if scans[i].readErr != nil {
-			scanErr = scans[i].readErr
+		sc := &scans[i]
+		if sc.readErr != nil {
+			scanErr = sc.readErr
 			break
 		}
-		if scans[i].corrupt {
-			// Stop replaying here; later segments would be causally
-			// disconnected.
-			droppedTail = true
-			applied = i
-			break
+		d.segSeq[ls.idx] = sc.lastSeq
+		if sc.lastSeq > maxSeq {
+			maxSeq = sc.lastSeq
 		}
 		var st0 time.Duration
 		if rspan != 0 {
 			st0 = d.obs.Now()
 		}
-		for _, e := range scans[i].entries {
-			rt.apply(e, uint32(ls.idx))
-			rpt.EntriesReplayed++
+		entries, chunks := 0, 0
+		for _, c := range sc.chunks {
+			if droppedTail {
+				break
+			}
+			if c.seq != expect || c.corrupt {
+				droppedTail = true
+				break
+			}
+			expect++
+			for _, e := range c.entries {
+				rt.apply(e, uint32(ls.idx))
+			}
+			entries += len(c.entries)
+			chunks++
 		}
-		d.obs.Emit(obs.EvRecoverySeg, 0, uint64(ls.idx), uint64(len(scans[i].entries)))
+		if chunks == 0 {
+			continue
+		}
+		segsReplayed++
+		rpt.EntriesReplayed += entries
+		d.obs.Emit(obs.EvRecoverySeg, 0, uint64(ls.idx), uint64(entries))
 		if rspan != 0 {
 			d.obs.EmitSpan(obs.Span{
 				Trace: rtrace, ID: d.obs.NextID(), Parent: rspan,
 				Kind: obs.SpanRecoverySeg, Start: st0, Dur: d.obs.Now() - st0,
-				Arg1: uint64(ls.idx), Arg2: uint64(len(scans[i].entries)),
+				Arg1: uint64(ls.idx), Arg2: uint64(entries),
 			})
 		}
 	}
@@ -353,21 +412,20 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	if scanErr != nil {
 		return nil, RecoveryReport{}, scanErr
 	}
-	replay = replay[:applied]
 	if d.obs != nil {
 		d.obs.ObserveSince(obs.HistRecoveryScan, sc0)
-		d.obs.Emit(obs.EvRecoveryScan, 0, uint64(workers), uint64(len(replay)))
+		d.obs.Emit(obs.EvRecoveryScan, 0, uint64(workers), uint64(segsReplayed))
 		if rspan != 0 {
 			d.obs.EmitSpan(obs.Span{
 				Trace: rtrace, ID: d.obs.NextID(), Parent: rspan,
 				Kind: obs.SpanRecoveryScan, Start: sc0, Dur: d.obs.Now() - sc0,
-				Arg1: uint64(workers), Arg2: uint64(len(replay)),
+				Arg1: uint64(workers), Arg2: uint64(segsReplayed),
 			})
 		}
 	}
 	rt.resolveInDoubt(p.CommitResolver, &rpt)
 	rpt.RedoSkipped = rt.skipped
-	rpt.SegmentsReplayed = len(replay)
+	rpt.SegmentsReplayed = segsReplayed
 	rpt.ARUsRecovered = rt.committed
 	rpt.ARUsDropped = len(rt.pending)
 	d.stats.RecoveredEntries.Store(int64(rpt.EntriesReplayed))

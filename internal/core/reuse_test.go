@@ -79,14 +79,20 @@ func (r *syncRecorder) sectors(i int) int {
 
 // crashImage returns the image of a crash in which every unsynced write
 // reached the medium except the torn-th, of which only the first keep
-// sectors did (0 = the write is lost).
-func (r *syncRecorder) crashImage(torn, keep int) []byte {
+// sectors did (0 = the write is lost). The sectors the torn write did not
+// reach keep what they held — or, with destroy set, come back zeroed: the
+// harsher device on which an interrupted write ruins what it was about to
+// replace.
+func (r *syncRecorder) crashImage(torn, keep int, destroy bool) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	img := append([]byte(nil), r.stable...)
 	for i, w := range r.pending {
 		if i == torn {
 			copy(img[w.off:], w.data[:keep*disk.SectorSize])
+			if destroy {
+				clear(img[w.off+int64(keep*disk.SectorSize) : w.off+int64(len(w.data))])
+			}
 		} else {
 			copy(img[w.off:], w.data)
 		}
@@ -94,11 +100,14 @@ func (r *syncRecorder) crashImage(torn, keep int) []byte {
 	return img
 }
 
-// rewriteAboveWatermark names an unsynced write that lands on a segment
-// whose durable trailer is still inside the replay window of the durable
-// checkpoint, or returns nil. Segment reuse is checkpoint-gated
-// (segFreeable), and that is what makes a torn rewrite harmless: the old
-// trailer it can leave valid over new bytes is one recovery never replays.
+// rewriteAboveWatermark names an unsynced write that starts a new
+// incarnation of a segment — it ends at the segment's last sector, where
+// chunk 1 does — while the newest durable chunk of the old one is still
+// inside the replay window of the durable checkpoint, or returns nil.
+// Segment reuse is checkpoint-gated (segFreeable), and that is what makes
+// a torn rewrite harmless: the old headers it can leave valid over new
+// bytes are ones recovery never replays. (A write that ends lower is a
+// continuation: it lands below every chunk of its segment, durable or not.)
 func (r *syncRecorder) rewriteAboveWatermark(l seg.Layout) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -114,18 +123,36 @@ func (r *syncRecorder) rewriteAboveWatermark(l seg.Layout) error {
 			continue
 		}
 		s := int((w.off - l.SegOff(0)) / int64(l.SegBytes))
-		old, err := seg.DecodeTrailer(r.stable[l.SegOff(s+1)-seg.SectorSize : l.SegOff(s+1)])
-		if err == nil && old.Seq > flushed {
-			return fmt.Errorf("segment %d rewritten while its durable trailer (seq %d) is above the durable checkpoint's watermark (%d)", s, old.Seq, flushed)
+		if w.off+int64(len(w.data)) != l.SegOff(s+1) {
+			continue
+		}
+		old, err := seg.Walk(l, r.stable[l.SegOff(s):l.SegOff(s+1)])
+		if err == nil && old[len(old)-1].Seq > flushed {
+			return fmt.Errorf("segment %d rewritten while its newest durable chunk (seq %d) is above the durable checkpoint's watermark (%d)", s, old[len(old)-1].Seq, flushed)
 		}
 	}
 	return nil
 }
 
-// splitSegWrites is the device a seal writing two extents would drive:
-// every segment image reaches the recorder as its data part and then its
-// summary part (entry region and trailer), two writes a crash keeps or
-// loses independently. Everything else passes through.
+// mostChunks returns the largest number of chunks a segment of the current
+// contents holds.
+func (r *syncRecorder) mostChunks(l seg.Layout) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	most := 0
+	for s := 0; s < l.NumSegs; s++ {
+		if chunks, err := seg.Walk(l, r.cur[l.SegOff(s):l.SegOff(s+1)]); err == nil {
+			most = max(most, len(chunks))
+		}
+	}
+	return most
+}
+
+// splitSegWrites is the device a seal writing its data apart from its
+// summary would drive: every chunk reaches the recorder as its data area
+// and, in writes of their own, the entry region below it and the header
+// sector above it — writes a crash keeps or loses independently.
+// Everything else passes through.
 type splitSegWrites struct {
 	*syncRecorder
 	logOff int64 // start of the log area
@@ -133,16 +160,42 @@ type splitSegWrites struct {
 
 func (s splitSegWrites) WriteAt(p []byte, off int64) error {
 	if off >= s.logOff {
-		if tr, err := seg.DecodeTrailer(p); err == nil {
-			if data := len(p) - tr.SummaryBytes(); data > 0 {
-				if err := s.syncRecorder.WriteAt(p[:data], off); err != nil {
+		if tr, err := seg.DecodeTrailer(p); err == nil && tr.DataBlocks > 0 {
+			entries, hdr := tr.SummaryBytes()-seg.SectorSize, len(p)-seg.SectorSize
+			for _, part := range [][2]int{{entries, hdr}, {0, entries}, {hdr, len(p)}} {
+				if err := s.syncRecorder.WriteAt(p[part[0]:part[1]], off+int64(part[0])); err != nil {
 					return err
 				}
-				return s.syncRecorder.WriteAt(p[data:], off+int64(data))
 			}
+			return nil
 		}
 	}
 	return s.syncRecorder.WriteAt(p, off)
+}
+
+// widenedChunkWrites is the device of an engine that, at a durability
+// point inside a segment, writes the segment from the new chunk's start to
+// its end — the new chunk and, again, every chunk above it, acknowledged
+// ones included — instead of the new chunk alone. Chunk 1 and everything
+// outside the log pass through.
+type widenedChunkWrites struct {
+	*syncRecorder
+	l seg.Layout
+}
+
+func (w widenedChunkWrites) WriteAt(p []byte, off int64) error {
+	if off >= w.l.SegOff(0) {
+		s := int((off - w.l.SegOff(0)) / int64(w.l.SegBytes))
+		if above := w.l.SegOff(s+1) - (off + int64(len(p))); above > 0 {
+			wide := make([]byte, int64(len(p))+above)
+			copy(wide, p)
+			if err := w.syncRecorder.ReadAt(wide[len(p):], off+int64(len(p))); err != nil {
+				return err
+			}
+			p = wide
+		}
+	}
+	return w.syncRecorder.WriteAt(p, off)
 }
 
 // errReuseOracle marks a crash image that recovered to wrong data — as
@@ -165,25 +218,40 @@ func reusePayload(bs int, id BlockID, ver uint32) []byte {
 // rule (DESIGN.md §11): a segment whose last live blocks were
 // superseded by a seal may not be rewritten before a device sync covers
 // that seal, whichever driver sealed it. A small log of simple
-// overwrites wraps many times with only Checkpoints as durability
-// points; after every step the device is crashed with each single
-// unsynced write lost in turn (the first one lost is the reordering
+// overwrites wraps many times, with Checkpoints and Flushes as durability
+// points — so segments take several chunks, one per durability point that
+// falls inside them; after every step the device is crashed with each
+// single unsynced write lost in turn (the first one lost is the reordering
 // that exposes a rewrite overtaking the seal that justified it) and
 // torn to a sampled set of sector prefixes, and after recovery every
 // block must read its own id at a version between the one its last
-// checkpoint guaranteed and the newest written.
+// durability point guaranteed and the newest written.
 //
-// The tears matter because a sealed image is as long as what it holds
-// and ends at the segment's last sector, so successive incarnations of
-// one segment start at different offsets: a prefix of the new one lies
-// over the middle of the old one, and the old trailer — or, for a
-// checkpoint record, the old chain — is what recovery must then find or
-// reject.
+// The tears matter because a chunk is as long as what it holds: chunk 1
+// ends at the segment's last sector and each later one where the one
+// before begins, so successive incarnations of one segment put their
+// chunks at different offsets: a prefix of a new one lies over the middle
+// of the old ones, and the old headers — or, for a checkpoint record, the
+// old chain — are what recovery must then find or reject.
+//
+// Each tear is judged twice: leaving the sectors it did not reach as they
+// were, and destroying them. The log survives the second, harsher device
+// too, because it never overwrites a byte it still needs: a chunk lands
+// below every chunk of its segment, a rewrite on a segment the durable
+// checkpoint has made dead, a checkpoint record past the chain's end or in
+// the other region (TestWidenedChunkWriteBreaksOracle is the
+// counter-example).
 func TestGroupCommitReuseWaitsForSync(t *testing.T) {
+	most := 0
 	for seed := int64(1); seed <= reuseSeeds; seed++ {
-		if err := reuseRun(seed, reuseSteps(), nil); err != nil {
+		chunks, err := reuseRun(seed, reuseSteps(), reuseDevice{destroy: true})
+		if err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
+		most = max(most, chunks)
+	}
+	if most < 3 {
+		t.Errorf("no segment of any run held more than %d chunks: durability points inside a segment went untested", most)
 	}
 }
 
@@ -199,34 +267,82 @@ func reuseSteps() int {
 	return 200
 }
 
+// reuseDevice is what reuseRun puts under the engine and how it tears it.
+type reuseDevice struct {
+	// wrap, if set, puts a device between the engine and the recorder.
+	wrap func(*syncRecorder, seg.Layout) disk.Disk
+	// destroy judges every tear a second time with the sectors it did not
+	// reach destroyed instead of left as they were (crashImage).
+	destroy bool
+	// rewrites lets the device rewrite what it likes: the recorder's check
+	// that no segment is rewritten above the watermark judges the engine's
+	// writes, and a wrapper that widens them issues others.
+	rewrites bool
+}
+
 // TestSplitSegmentWriteBreaksOracle proves that the seal's one extent is
 // necessary, and that the oracle above would notice its absence: with
-// every segment image written as a data extent and a summary extent, a
-// crash that keeps the summary and loses the data leaves a valid trailer
-// over the segment's previous contents, recovery replays it, and a block
+// every chunk's data written apart from its summary, a crash that keeps
+// the summary and loses the data leaves a valid header and valid entries
+// over the segment's previous contents, recovery replays them, and a block
 // reads bytes that were never its own. The engine is the same; only the
-// device wrapper differs from TestGroupCommitReuseWaitsForSync.
+// device wrapper differs from TestGroupCommitReuseWaitsForSync. (Cut in
+// two contiguous extents anywhere, a chunk is safe: each holds one of its
+// checksummed ends. It is the unchecksummed middle, on its own, that
+// cannot be told from what lay there before.)
 func TestSplitSegmentWriteBreaksOracle(t *testing.T) {
 	split := func(r *syncRecorder, l seg.Layout) disk.Disk {
 		return splitSegWrites{syncRecorder: r, logOff: l.SegOff(0)}
 	}
+	reuseMustBreak(t, reuseDevice{wrap: split}, "chunk writes split in three")
+}
+
+// TestWidenedChunkWriteBreaksOracle proves what "write only the new chunk"
+// buys. An engine that wrote, at each durability point inside a segment,
+// everything from the new chunk's start to the segment's end would write
+// the same bytes over the acknowledged chunks above it. On a device whose
+// interrupted write leaves the sectors it did not reach as they were that
+// loses nothing, whatever sectors it reaches: the oracle passes. On one
+// whose interrupted write ruins them, it loses chunks a sync had
+// acknowledged, and the oracle must say so — while the engine, which never
+// writes over a byte it still needs, passes on that device too
+// (TestGroupCommitReuseWaitsForSync). The atomic-sector assumption is all
+// the engine asks of a device; rewrite-in-place safety is what the widened
+// write would add to it.
+func TestWidenedChunkWriteBreaksOracle(t *testing.T) {
+	widen := func(r *syncRecorder, l seg.Layout) disk.Disk {
+		return widenedChunkWrites{syncRecorder: r, l: l}
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		if _, err := reuseRun(seed, reuseSteps(), reuseDevice{wrap: widen, rewrites: true}); err != nil {
+			t.Fatalf("seed %d: widened chunk writes fail under tears that leave what they did not reach: %v", seed, err)
+		}
+	}
+	reuseMustBreak(t, reuseDevice{wrap: widen, rewrites: true, destroy: true}, "widened chunk writes under destroying tears")
+}
+
+// reuseMustBreak runs the seeds on dev until one fails the oracle, and
+// fails the test if none does or a run fails otherwise.
+func reuseMustBreak(t *testing.T, dev reuseDevice, what string) {
+	t.Helper()
 	for seed := int64(1); seed <= reuseSeeds; seed++ {
-		err := reuseRun(seed, reuseSteps(), split)
+		_, err := reuseRun(seed, reuseSteps(), dev)
 		if errors.Is(err, errReuseOracle) {
 			t.Logf("seed %d: %v", seed, err)
 			return
 		}
 		if err != nil {
-			t.Fatalf("seed %d: the split device failed otherwise than by the oracle: %v", seed, err)
+			t.Fatalf("seed %d: %s failed otherwise than by the oracle: %v", seed, what, err)
 		}
 	}
-	t.Fatalf("%d seeds of segment writes split in two passed the oracle: it cannot see a trailer over stale data", reuseSeeds)
+	t.Fatalf("%d seeds of %s passed the oracle: it has no teeth there", reuseSeeds, what)
 }
 
-// reuseRun drives one seeded history and judges every crash image of it:
-// each unsynced write lost in turn and kept to sampled sector prefixes.
-// wrap, if set, puts a device between the engine and the recorder.
-func reuseRun(seed int64, steps int, wrap func(*syncRecorder, seg.Layout) disk.Disk) error {
+// reuseRun drives one seeded history on rd and judges every crash image of
+// it: each unsynced write lost in turn and kept to sampled sector
+// prefixes. It returns the largest number of chunks a segment held at the
+// end.
+func reuseRun(seed int64, steps int, rd reuseDevice) (int, error) {
 	const blocks = reuseBlocks
 	// Twelve segments of seven blocks; small tables keep the checkpoint
 	// regions, and so every crash image, small.
@@ -235,39 +351,39 @@ func reuseRun(seed int64, steps int, wrap func(*syncRecorder, seg.Layout) disk.D
 	p := Params{Layout: layout, CheckpointEvery: -1, CleanerLowWater: -1, CacheBlocks: -1}
 	dev := newSyncRecorder(p.Layout.DiskBytes())
 	var engineDev disk.Disk = dev
-	if wrap != nil {
-		engineDev = wrap(dev, layout)
+	if rd.wrap != nil {
+		engineDev = rd.wrap(dev, layout)
 	}
 	d, err := Format(engineDev, p)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	bs := d.BlockSize()
 	lst, err := d.NewList(0)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	ids := make([]BlockID, blocks)
 	newest := make([]uint32, blocks) // newest version written
-	floor := make([]uint32, blocks)  // version the last checkpoint guaranteed
+	floor := make([]uint32, blocks)  // version the last durability point guaranteed
 	for i := range ids {
 		if ids[i], err = d.NewBlock(0, lst, NilBlock); err != nil {
-			return err
+			return 0, err
 		}
 		newest[i] = 1
 		if err := d.Write(0, ids[i], reusePayload(bs, ids[i], 1)); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	checkpoint := func() error {
-		if err := d.Checkpoint(); err != nil {
+	durable := func(point func() error) error {
+		if err := point(); err != nil {
 			return err
 		}
 		copy(floor, newest)
 		return nil
 	}
-	if err := checkpoint(); err != nil {
-		return err
+	if err := durable(d.Checkpoint); err != nil {
+		return 0, err
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -275,31 +391,39 @@ func reuseRun(seed int64, steps int, wrap func(*syncRecorder, seg.Layout) disk.D
 	buf := make([]byte, bs)
 	next := 0 // the pool is overwritten in cyclic order, so the log wraps cleanly with no cleaner
 	for step := 1; step <= steps; step++ {
-		if rng.Intn(12) == 0 {
-			if err := checkpoint(); err != nil {
-				return fmt.Errorf("step %d: checkpoint: %w", step, err)
+		switch r := rng.Intn(12); {
+		case r == 0:
+			if err := durable(d.Checkpoint); err != nil {
+				return 0, fmt.Errorf("step %d: checkpoint: %w", step, err)
 			}
-		} else {
-			for n := 1 + rng.Intn(8); n > 0; n, next = n-1, (next+1)%blocks {
+		case r <= 3:
+			// A durability point inside the segment: one more chunk of it.
+			if err := durable(d.Flush); err != nil {
+				return 0, fmt.Errorf("step %d: flush: %w", step, err)
+			}
+		default:
+			for n := 1 + rng.Intn(4); n > 0; n, next = n-1, (next+1)%blocks {
 				data := reusePayload(bs, ids[next], newest[next]+1)
 				err := d.Write(0, ids[next], data)
 				if errors.Is(err, ErrNoSpace) {
 					// No cleaner runs, and dead segments past the
 					// checkpoint watermark are not reusable: a log that
 					// wrapped since the last checkpoint needs the next.
-					if err := checkpoint(); err != nil {
-						return fmt.Errorf("step %d: checkpoint on a full log: %w", step, err)
+					if err := durable(d.Checkpoint); err != nil {
+						return 0, fmt.Errorf("step %d: checkpoint on a full log: %w", step, err)
 					}
 					err = d.Write(0, ids[next], data)
 				}
 				if err != nil {
-					return fmt.Errorf("step %d: write: %w", step, err)
+					return 0, fmt.Errorf("step %d: write: %w", step, err)
 				}
 				newest[next]++
 			}
 		}
-		if err := dev.rewriteAboveWatermark(layout); err != nil {
-			return fmt.Errorf("step %d: %w", step, err)
+		if !rd.rewrites {
+			if err := dev.rewriteAboveWatermark(layout); err != nil {
+				return 0, fmt.Errorf("step %d: %w", step, err)
+			}
 		}
 		for w := 0; w < dev.unsynced(); w++ {
 			keeps := []int{0}
@@ -314,13 +438,22 @@ func reuseRun(seed int64, steps int, wrap func(*syncRecorder, seg.Layout) disk.D
 				keeps = slices.Compact(keeps)
 			}
 			for _, keep := range keeps {
-				if err := reuseJudge(dev.crashImage(w, keep), ids, floor, newest, buf); err != nil {
-					return fmt.Errorf("step %d, unsynced write %d cut to %d of %d sectors: %w", step, w, keep, dev.sectors(w), err)
+				for _, destroy := range []bool{false, true}[:1+btoi(rd.destroy)] {
+					if err := reuseJudge(dev.crashImage(w, keep, destroy), ids, floor, newest, buf); err != nil {
+						return 0, fmt.Errorf("step %d, unsynced write %d cut to %d of %d sectors (rest destroyed: %v): %w", step, w, keep, dev.sectors(w), destroy, err)
+					}
 				}
 			}
 		}
 	}
-	return nil
+	return dev.mostChunks(layout), nil
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // reuseJudge recovers one crash image and checks every block against the

@@ -35,6 +35,20 @@ func newTestLLD(t *testing.T, p Params) (*LLD, *disk.Sim) {
 	return d, dev
 }
 
+// retireOpenSegment retires d's open segment as a full one would be: a
+// durability point leaves the segment open for more chunks, and while it
+// is open its blocks are read from its builder, not from the cache or the
+// device.
+func retireOpenSegment(t *testing.T, d *LLD) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.retireSeg(); err != nil {
+		t.Fatalf("retiring the open segment: %v", err)
+	}
+	d.publishLocked()
+}
+
 // fill returns a block-sized buffer filled with b.
 func fill(d *LLD, b byte) []byte {
 	buf := make([]byte, d.BlockSize())

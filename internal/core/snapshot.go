@@ -52,11 +52,12 @@ type sharedReader interface {
 	ReadAtShared(p []byte, off int64) error
 }
 
-// snapSeal pins one sealed-but-unwritten segment image so snapshot
-// readers can serve blocks whose records already point at it.
+// snapSeal pins the builder of one retired segment with chunks still
+// unwritten, so snapshot readers can serve blocks whose records already
+// point into it.
 type snapSeal struct {
 	idx uint32
-	img []byte
+	bld *seg.Builder
 }
 
 // aruMark is the record type of the open-ARU table: presence = the ARU
@@ -103,11 +104,12 @@ type snapshot struct {
 	bs      int
 
 	// Physical-read plumbing: the open segment under construction, the
-	// sealed-but-unwritten images, and the device. The builder's
-	// committed slots are immutable (AddBlock only appends, Seal's
-	// entry region never overlaps data slots) and the builder is
-	// recycled only through a retire-set, so lock-free BlockData reads
-	// are safe for the slots this epoch's records reference.
+	// retired segments with unwritten chunks, and the device. A builder's
+	// committed slots are immutable (a block is added below everything
+	// added before, a chunk's entry region and header never overlap data
+	// slots) and the builder is recycled only through a retire-set, so
+	// lock-free BlockData reads are safe for the slots this epoch's
+	// records reference.
 	curIdx  uint32
 	curBld  *seg.Builder
 	sealed  []snapSeal
@@ -197,8 +199,8 @@ func (d *LLD) publishLocked() {
 		s.curBld = nil
 	}
 	s.sealed = s.sealed[:0]
-	for idx, e := range d.sealedBySeg {
-		s.sealed = append(s.sealed, snapSeal{idx: idx, img: e.img})
+	for idx, h := range d.sealedBySeg {
+		s.sealed = append(s.sealed, snapSeal{idx: idx, bld: h.bld})
 	}
 	s.stats = d.stats.snapshot()
 	s.next = nil
@@ -407,7 +409,7 @@ func (s *snapshot) readBlock(view ARUID, b BlockID, dst []byte) error {
 }
 
 // readPhys serves (segIdx, slot) lock-free: from the epoch's pinned
-// open-segment builder, from a pinned sealed image, from the shared
+// open-segment builder, from a pinned retired one, from the shared
 // lock-free block cache, or from the device through the shared-read
 // interface. Every step is mutex-free — the cache probe is one atomic
 // load, the fill one atomic store of an immutable entry — so the path
@@ -423,8 +425,7 @@ func (s *snapshot) readPhys(segIdx, slot uint32, dst []byte) error {
 	}
 	for i := range s.sealed {
 		if s.sealed[i].idx == segIdx {
-			off := int(slot) * s.bs
-			copy(dst, s.sealed[i].img[off:off+s.bs])
+			copy(dst, s.sealed[i].bld.BlockData(slot))
 			return nil
 		}
 	}

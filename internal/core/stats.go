@@ -21,6 +21,7 @@ type lldStats struct {
 	ARUsAborted                atomic.Int64
 	ARUsPrepared               atomic.Int64
 	SegmentsWritten            atomic.Int64
+	ChunksWritten              atomic.Int64
 	SegmentBytesWritten        atomic.Int64
 	SegmentsCleaned            atomic.Int64
 	BlocksRelocated            atomic.Int64
@@ -66,6 +67,7 @@ func (s *lldStats) snapshot() Stats {
 		ARUsAborted:            s.ARUsAborted.Load(),
 		ARUsPrepared:           s.ARUsPrepared.Load(),
 		SegmentsWritten:        s.SegmentsWritten.Load(),
+		ChunksWritten:          s.ChunksWritten.Load(),
 		SegmentBytesWritten:    s.SegmentBytesWritten.Load(),
 		SegmentsCleaned:        s.SegmentsCleaned.Load(),
 		BlocksRelocated:        s.BlocksRelocated.Load(),

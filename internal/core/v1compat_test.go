@@ -13,7 +13,10 @@ import (
 	"aru/internal/seg"
 )
 
-const v1FixturePath = "testdata/v1_image.bin.gz"
+const (
+	v1FixturePath   = "testdata/v1_image.bin.gz"
+	pr18FixturePath = "testdata/pr18_image.bin.gz"
+)
 
 // v1FixtureHistory is the deterministic history baked into the v1
 // fixture image: committed units, an abort, a deletion, an overwrite,
@@ -104,7 +107,13 @@ func v1FixtureParams() Params {
 // so the file is its only source.
 func loadV1Fixture(t *testing.T) []byte {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.FromSlash(v1FixturePath))
+	return loadFixture(t, v1FixturePath)
+}
+
+// loadFixture returns the checked-in image at path, unpacked.
+func loadFixture(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.FromSlash(path))
 	if err != nil {
 		t.Fatalf("fixture missing: %v", err)
 	}
@@ -119,29 +128,26 @@ func loadV1Fixture(t *testing.T) []byte {
 	return img
 }
 
-// segmentLayouts counts the valid segments of img by where their image
-// lies: at the segment's start (old trailer magic) or at its end.
-func segmentLayouts(t *testing.T, l seg.Layout, img []byte) (front, tail int) {
+// segmentLayouts counts the valid segments of img by format: one image
+// at the segment's start (the oldest trailer magic), one at its end, or a
+// stack of chunks.
+func segmentLayouts(t *testing.T, l seg.Layout, img []byte) (n [3]int) {
 	t.Helper()
 	for s := 0; s < l.NumSegs; s++ {
-		tr, err := seg.DecodeTrailer(img[l.SegOff(s):l.SegOff(s+1)])
-		switch {
-		case err != nil:
-		case tr.FrontPacked:
-			front++
-		default:
-			tail++
+		if tr, err := seg.DecodeTrailer(img[l.SegOff(s):l.SegOff(s+1)]); err == nil {
+			n[tr.Format]++
 		}
 	}
-	return front, tail
+	return n
 }
 
 // TestMixedSegmentLayouts: where a segment's data lies is read off its
-// own trailer, so an image the older engine wrote keeps working segment
-// by segment as this one writes on. The front-packed fixture is mounted,
-// written to, crashed and remounted: front- and tail-packed segments side
-// by side pass VerifyInternal (whose trailer check reads both kinds) and
-// read back exactly what the same history leaves on a fresh disk.
+// own trailer and the slot numbers that point into it, so an image the
+// older engine wrote keeps working segment by segment as this one writes
+// on. The front-packed fixture is mounted, written to, crashed and
+// remounted: front-packed and chunked segments side by side pass
+// VerifyInternal (whose device check walks both kinds) and read back
+// exactly what the same history leaves on a fresh disk.
 func TestMixedSegmentLayouts(t *testing.T) {
 	p := v1FixtureParams()
 	more := func(d *LLD) {
@@ -171,8 +177,8 @@ func TestMixedSegmentLayouts(t *testing.T) {
 	if err := d.VerifyInternal(); err != nil {
 		t.Fatal(err)
 	}
-	if front, tail := segmentLayouts(t, p.Layout, dev.Image()); front == 0 || tail == 0 {
-		t.Fatalf("image holds %d front-packed and %d tail-packed segments, want both", front, tail)
+	if n := segmentLayouts(t, p.Layout, dev.Image()); n[seg.FrontPacked] == 0 || n[seg.Chunked] == 0 {
+		t.Fatalf("image holds %d front-packed and %d chunked segments, want both", n[seg.FrontPacked], n[seg.Chunked])
 	}
 
 	dev2 := disk.NewMem(p.Layout.DiskBytes())
@@ -216,8 +222,8 @@ func TestV1ImageCompat(t *testing.T) {
 	// legacy single-record chain, and every segment is front-packed under
 	// the old trailer magic.
 	l := p.Layout
-	if front, tail := segmentLayouts(t, l, img); front == 0 || tail != 0 {
-		t.Fatalf("fixture holds %d front-packed and %d tail-packed segments, want only front-packed", front, tail)
+	if n := segmentLayouts(t, l, img); n[seg.FrontPacked] == 0 || n[seg.TailPacked]+n[seg.Chunked] != 0 {
+		t.Fatalf("fixture holds segments %v by format, want only front-packed ones", n)
 	}
 	legacy := 0
 	for i := 0; i < 2; i++ {
@@ -292,5 +298,144 @@ func TestV1ImageCompat(t *testing.T) {
 	}
 	if got2 := logicalState(t, d2); !reflect.DeepEqual(got2, got) {
 		t.Fatal("state changed across the v1-to-v2 upgrade")
+	}
+}
+
+// TestTailPackedImageCompat mounts the image the engine before segment
+// continuation left of the fixture history — every segment one tail-packed
+// image, and a checkpoint chain whose records give slots as block counts
+// from the image's start — and carries on in it: the mount reads what the
+// same history leaves on a fresh disk; more units with durability points
+// between them stack chunks beside the old images; and after a crash the
+// remount, whose replay window holds both formats, passes VerifyInternal
+// and reads every block back. No engine in this tree writes that format
+// any more, so the file is its only source.
+func TestTailPackedImageCompat(t *testing.T) {
+	p := Params{Layout: testLayout(64), CheckpointEvery: -1}
+	img := loadFixture(t, pr18FixturePath)
+	l := p.Layout
+	if n := segmentLayouts(t, l, img); n[seg.TailPacked] == 0 || n[seg.FrontPacked]+n[seg.Chunked] != 0 {
+		t.Fatalf("fixture holds segments %v by format, want only tail-packed ones", n)
+	}
+	counted := 0
+	for i := 0; i < 2; i++ {
+		off := l.CkptOff(i)
+		ch, err := seg.DecodeCkptChain(img[off : off+l.CkptRegionBytes()])
+		if err != nil {
+			continue
+		}
+		if ch.Legacy {
+			t.Fatalf("fixture region %d is a v1 snapshot, want a chain", i)
+		}
+		for _, b := range ch.Materialize().Blocks {
+			if b.HasData && b.Slot&seg.SlotSector != 0 {
+				t.Fatalf("fixture checkpoint places block %d at slot %#x, want a block count", b.ID, b.Slot)
+			}
+			if b.HasData {
+				counted++
+			}
+		}
+	}
+	if counted == 0 {
+		t.Fatal("fixture checkpoints place no block")
+	}
+
+	more := func(d *LLD) {
+		for u := 0; u < 6; u++ {
+			aru, err := d.BeginARU()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lst, err := d.NewList(aru)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i <= u%3; i++ {
+				b, err := d.NewBlock(aru, lst, NilBlock)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Write(aru, b, fill(d, byte(0x70+4*u+i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A durability point per unit: a chunk each.
+			if u%2 == 0 {
+				err = d.CommitDurable(aru)
+			} else if err = d.EndARU(aru); err == nil {
+				err = d.Flush()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fresh, err := Format(disk.NewMem(l.DiskBytes()), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1FixtureHistory(t, fresh)
+
+	dev := disk.FromImage(img, disk.Geometry{})
+	d, rpt, err := OpenReport(dev, p)
+	if err != nil {
+		t.Fatalf("tail-packed image does not mount: %v", err)
+	}
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+	if rpt.SegmentsReplayed == 0 {
+		t.Fatal("mount replayed no segments (log tail lost?)")
+	}
+	if got, want := logicalState(t, d), logicalState(t, fresh); !reflect.DeepEqual(got, want) {
+		t.Fatal("tail-packed image reads differently from the same history on a fresh disk")
+	}
+
+	more(d)
+	more(fresh)
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+	want := logicalState(t, fresh)
+	if got := logicalState(t, d); !reflect.DeepEqual(got, want) {
+		t.Fatal("mixed image reads differently from the same history on a fresh disk")
+	}
+	n := segmentLayouts(t, l, dev.Image())
+	if n[seg.TailPacked] == 0 || n[seg.Chunked] == 0 {
+		t.Fatalf("image holds segments %v by format, want tail-packed and chunked ones", n)
+	}
+	most := 0
+	for s := 0; s < l.NumSegs; s++ {
+		if chunks, err := seg.Walk(l, dev.Image()[l.SegOff(s):l.SegOff(s+1)]); err == nil {
+			most = max(most, len(chunks))
+		}
+	}
+	if most < 3 {
+		t.Fatalf("no segment took more than %d chunks from six durability points", most)
+	}
+
+	dev.Crash()
+	r, rpt, err := OpenReport(dev.Recycle(), p)
+	if err != nil {
+		t.Fatalf("mixed image does not remount: %v", err)
+	}
+	if err := r.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+	if rpt.SegmentsReplayed < 2 {
+		t.Fatalf("remount replayed %d segments: both formats should be in the window", rpt.SegmentsReplayed)
+	}
+	if got := logicalState(t, r); !reflect.DeepEqual(got, want) {
+		t.Fatal("mixed image reads differently after a crash and remount")
+	}
+	// The cleaner moves blocks out of the old images like any others.
+	if _, err := r.Clean(l.NumSegs); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.VerifyInternal(); err != nil {
+		t.Fatalf("after cleaning: %v", err)
+	}
+	if got := logicalState(t, r); !reflect.DeepEqual(got, want) {
+		t.Fatal("mixed image reads differently after cleaning")
 	}
 }

@@ -9,9 +9,10 @@ import (
 // pinned shadow version and a buffered committed version in the tables,
 // each planted inconsistency — a pin count, a same-state chain, a gauge,
 // an entry counter, the committed-buffer count, a buffer with two
-// owners, a leaked reuse quarantine, a data offset other than the one the
-// segment's trailer gives — must fail VerifyInternal, and undoing it must
-// pass again.
+// owners, a leaked reuse quarantine, a segment read as another sequence
+// number than its newest chunk on the device carries, a block read from a
+// place that is no data slot of its segment's chunks — must fail
+// VerifyInternal, and undoing it must pass again.
 func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	d, _ := newTestLLD(t, Params{})
 	defer d.Close()
@@ -24,6 +25,9 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	// The flush left the segment open for more chunks; retire it, so that
+	// b1 is read from the device and the device check covers it.
+	retireOpenSegment(t, d)
 	a, err := d.BeginARU()
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +95,11 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 			func() { d.freeBufs = d.freeBufs[:len(d.freeBufs)-1] }},
 		{"reuse quarantine no queued seal accounts for", "reuse quarantine",
 			func() { d.reuseQuarantine[pinned]++ }, func() { delete(d.reuseQuarantine, pinned) }},
-		{"data offset drift", "trailer on the device disagrees",
-			func() { d.segDataOff[pinned].Add(512) }, func() { d.segDataOff[pinned].Add(^uint32(511)) }},
+		{"sequence number drift", "on the device it holds chunks",
+			func() { d.segSeq[pinned]++ }, func() { d.segSeq[pinned]-- }},
+		{"slot drift", "no data slot",
+			func() { pmapGet(d.blockTab.root, uint64(b1)).persist.Slot++ },
+			func() { pmapGet(d.blockTab.root, uint64(b1)).persist.Slot-- }},
 	} {
 		d.mu.Lock()
 		c.plant()

@@ -57,8 +57,11 @@ func checkerParams(inject string) (core.Params, error) {
 		// segment-reuse watermark without being synced first, so a
 		// crash can lose the record while segments its predecessor's
 		// replay window needs have already been overwritten. A smaller
-		// log makes the wrap-around reuse that exposes the bug happen
-		// within the workload.
+		// log brings the wrap-around reuse that exposes the bug nearer;
+		// the workload that reaches it is the wrapped log (runWrap, which
+		// sets its own size): a segment is retired only when full, and
+		// the scripted workloads sync long before a rewrite can follow
+		// the record that allowed it.
 		p.Faults = &core.FaultHooks{TornDeltaPublish: true}
 		p.Layout.NumSegs = 18
 	default:

@@ -8,16 +8,19 @@ import (
 )
 
 // SectorSize mirrors the atomic transfer unit of the disk substrate.
-// The segment trailer occupies exactly one sector so that a torn
-// segment write can never produce a valid trailer over partial data.
+// A chunk header occupies exactly one sector, the last of the one write
+// that carries its chunk, so that a torn write can never produce a valid
+// header over partial data.
 const SectorSize = 512
 
-// Magic numbers for the on-disk structures. The trailer has two: the
-// magic says where in its segment the image lies (Trailer.FrontPacked).
+// Magic numbers for the on-disk structures. A segment header has three:
+// the magic says how the bytes it vouches for are laid out (Format), and
+// only the chunk layout is still written.
 const (
 	superMagic        = 0x4c4c4453 // "LLDS"
-	trailerMagicFront = 0x4c4c4454 // "LLDT": image at the segment's start, read only
-	trailerMagic      = 0x4c4c4455 // "LLDU": image at the segment's end
+	trailerMagicFront = 0x4c4c4454 // "LLDT": one image at the segment's start, read only
+	trailerMagicTail  = 0x4c4c4455 // "LLDU": one image at the segment's end, read only
+	trailerMagicChunk = 0x4c4c4456 // "LLDV": a chunk, entries below its data
 	ckptMagic         = 0x4c4c4443 // "LLDC"
 )
 

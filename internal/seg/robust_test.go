@@ -52,7 +52,7 @@ func TestBitFlippedSegmentNeverDecodesSilently(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(1996))
-	entOff, entLen := l.SegBytes-tr.SummaryBytes(), tr.SummaryBytes()-SectorSize
+	entOff, entLen := l.SegBytes-int(tr.ImageBytes(l)), tr.SummaryBytes()-SectorSize
 	for trial := 0; trial < 500; trial++ {
 		img := build()
 		bit := rng.Intn(len(img) * 8)
@@ -74,7 +74,7 @@ func TestBitFlippedSegmentNeverDecodesSilently(t *testing.T) {
 		}
 		// Only the encoded trailer fields are protected; the rest of
 		// the trailer sector is padding.
-		if ts := len(img) - SectorSize; pos >= ts && pos < ts+trailerBytes {
+		if ts := len(img) - SectorSize; pos >= ts && pos < ts+chunkHeaderBytes {
 			t.Fatalf("trial %d: flip inside trailer decoded silently", trial)
 		}
 		if len(got) != len(want) {

@@ -95,20 +95,23 @@ func TestBuilderSealParseRoundTrip(t *testing.T) {
 		b.AddEntry(e)
 	}
 	img := b.Seal(42)
-	// The image is what it holds: two blocks, one sector of entries, the
-	// trailer sector.
+	// The chunk is what it holds: one sector of entries, two blocks, the
+	// header sector.
 	if want := 2*l.BlockSize + 2*SectorSize; len(img) != want {
-		t.Fatalf("sealed image is %d bytes, want %d", len(img), want)
+		t.Fatalf("sealed chunk is %d bytes, want %d", len(img), want)
+	}
+	if b.Top() != l.SegBytes-len(img) || b.Chunks() != 1 || !b.Empty() {
+		t.Fatalf("after the seal: top %d, %d chunks, empty %v", b.Top(), b.Chunks(), b.Empty())
 	}
 	tr, err := DecodeTrailer(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Seq != 42 || tr.DataBlocks != 2 || tr.EntryCount != 4 || tr.FrontPacked {
+	if tr.Seq != 42 || tr.DataBlocks != 2 || tr.EntryCount != 4 || tr.Format != Chunked {
 		t.Fatalf("trailer: %+v", tr)
 	}
 	if n := tr.ImageBytes(l); n != int64(len(img)) {
-		t.Fatalf("trailer describes a %d-byte image, Seal returned %d", n, len(img))
+		t.Fatalf("trailer describes a %d-byte chunk, Seal returned %d", n, len(img))
 	}
 	got, err := DecodeEntriesFromSegment(img, tr)
 	if err != nil {
@@ -119,16 +122,21 @@ func TestBuilderSealParseRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d: %+v != %+v", i, got[i], entries[i])
 		}
 	}
-	if !bytes.Equal(img[:l.BlockSize], data1) {
-		t.Fatal("data slot 0 corrupted")
+	// Slots are taken downward from the header and say where: the first
+	// block lies directly below it, the second below the first.
+	if s1&SlotSector == 0 || l.SlotOff(s1, 0) != l.SegBytes-SectorSize-l.BlockSize || l.SlotOff(s2, 0) != l.SlotOff(s1, 0)-l.BlockSize {
+		t.Fatalf("slots %#x, %#x", s1, s2)
 	}
-	if !bytes.Equal(b.BlockData(s2), data2) {
-		t.Fatal("BlockData does not alias slot 1")
+	if !bytes.Equal(img[len(img)-SectorSize-l.BlockSize:len(img)-SectorSize], data1) {
+		t.Fatal("the first block is not directly below the header")
+	}
+	if !bytes.Equal(b.BlockData(s2), data2) || !bytes.Equal(b.BlockData(s1), data1) {
+		t.Fatal("BlockData does not alias the slots of a sealed chunk")
 	}
 
-	// On the device the image ends at the segment's last sector: the
-	// trailer and the entries are found from the full segment exactly as
-	// from the image, and DataOff says where slot 0 landed.
+	// On the device chunk 1 ends at the segment's last sector: the header
+	// and the entries are found from the full segment exactly as from the
+	// chunk, and DataOff says where its data area starts.
 	segment := placeImage(l, nil, img)
 	if tr2, err := DecodeTrailer(segment); err != nil || tr2 != tr {
 		t.Fatalf("trailer read from the segment: %+v, %v", tr2, err)
@@ -137,11 +145,28 @@ func TestBuilderSealParseRoundTrip(t *testing.T) {
 		t.Fatalf("entries read from the segment: %v, %v", got2, err)
 	}
 	off, err := tr.DataOff(l)
-	if err != nil || off != l.SegBytes-len(img) {
-		t.Fatalf("DataOff = %d, %v; the image starts at %d", off, err, l.SegBytes-len(img))
+	if err != nil || off != l.SlotOff(s2, 0) {
+		t.Fatalf("DataOff = %d, %v; the lowest block is at %d", off, err, l.SlotOff(s2, 0))
 	}
-	if !bytes.Equal(segment[off+l.BlockSize:off+2*l.BlockSize], data2) {
-		t.Fatal("data slot 1 is not at DataOff + BlockSize")
+	if !bytes.Equal(segment[l.SlotOff(s2, 0):][:l.BlockSize], data2) {
+		t.Fatal("the second block is not at its slot")
+	}
+
+	// A second chunk goes directly below the first, and both are found.
+	s3 := b.AddBlock(data2)
+	b.AddEntry(Entry{Kind: KindWrite, TS: 14, Block: 7, Slot: s3})
+	img2 := b.Seal(43)
+	if l.SlotOff(s3, 0) != l.SegBytes-len(img)-SectorSize-l.BlockSize || b.Top() != l.SegBytes-len(img)-len(img2) {
+		t.Fatalf("second chunk: slot at %d, top %d", l.SlotOff(s3, 0), b.Top())
+	}
+	copy(segment[b.Top():], img2)
+	chunks, err := Walk(l, segment)
+	if err != nil || len(chunks) != 2 || chunks[0].Trailer != tr || chunks[1].Seq != 43 ||
+		chunks[1].End != chunks[0].Start || chunks[1].Start != b.Top() || chunks[1].DataOff != l.SlotOff(s3, 0) {
+		t.Fatalf("Walk: %+v, %v", chunks, err)
+	}
+	if got, err := DecodeEntriesFromSegment(segment[:chunks[1].End], chunks[1].Trailer); err != nil || len(got) != 1 || got[0].Slot != s3 {
+		t.Fatalf("entries of the second chunk: %v, %v", got, err)
 	}
 }
 
@@ -241,99 +266,71 @@ func TestBuilderReset(t *testing.T) {
 }
 
 // TestBuilderReuseEqualsFresh: Reset does not clear the builder's
-// buffer; an image has no gap, so Seal owes it only the zeros of its own
+// buffer; a chunk has no gap, so Seal owes it only the zeros of its own
 // sector padding. Over seeded random histories of one reused builder —
-// full, partial and summary-only images (whose entry region starts where
-// data was before), images sealed twice with more added in between (the
-// blocks land on the first seal's summary),
+// segments of one full chunk, of a partial one, of summary only (whose
+// entry region lies where data was before), of several chunks stacked,
 // contents dropped by a Reset without a Seal, slots reserved and
-// scribbled on but never committed — every sealed image must equal,
-// byte for byte, the image a fresh builder seals from the same blocks
-// and entries.
+// scribbled on but never committed — the bytes of the segment from the
+// last chunk up must equal, byte for byte, what a fresh builder produces
+// from the same blocks, entries and seals.
 func TestBuilderReuseEqualsFresh(t *testing.T) {
 	l := testLayout()
-	kinds := allKinds()
 	for seed := int64(1); seed <= 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		reused := NewBuilder(l)
-		var blocks [][]byte // what the current incarnation holds
-		var entries []Entry
-		addBlocks := func(n int) {
-			for ; n > 0 && reused.Fits(1, 1); n-- {
-				data := make([]byte, l.BlockSize)
-				rng.Read(data)
-				e := Entry{Kind: KindWrite, TS: rng.Uint64(), Block: BlockID(rng.Uint32()), Slot: reused.AddBlock(data)}
-				reused.AddEntry(e)
-				blocks, entries = append(blocks, data), append(entries, e)
-			}
-		}
-		addEntries := func(n int) {
-			for ; n > 0 && reused.Fits(0, 1); n-- {
-				e := canonical(Entry{
-					Kind:  kinds[rng.Intn(len(kinds))],
-					ARU:   ARUID(rng.Uint32()),
-					TS:    rng.Uint64(),
-					Block: BlockID(rng.Uint32()),
-					List:  ListID(rng.Uint32()),
-					Pred:  BlockID(rng.Uint32()),
-					Slot:  rng.Uint32(),
-				})
-				reused.AddEntry(e)
-				entries = append(entries, e)
-			}
-		}
-		check := func(step int, what string) {
-			seq := rng.Uint64()
+		var sealed []built // the chunks of the current segment
+		check := func(step int, what string, c built) {
+			sealed = append(sealed, sealBuilt(reused, c, rng.Uint64()))
 			fresh := NewBuilder(l)
-			for _, data := range blocks {
-				fresh.AddBlock(data)
+			for _, c := range sealed {
+				for i, data := range c.blocks {
+					if slot := fresh.AddBlock(data); slot != c.slots[i] {
+						t.Fatalf("seed %d step %d (%s): a fresh builder puts block %d at slot %#x, the reused one at %#x", seed, step, what, i, slot, c.slots[i])
+					}
+				}
+				for _, e := range c.entries {
+					fresh.AddEntry(e)
+				}
+				fresh.Seal(c.seq)
 			}
-			for _, e := range entries {
-				fresh.AddEntry(e)
+			if fresh.Top() != reused.Top() {
+				t.Fatalf("seed %d step %d (%s, %d chunks): chunks start at %d, a fresh builder's at %d",
+					seed, step, what, len(sealed), reused.Top(), fresh.Top())
 			}
-			got, want := reused.Seal(seq), fresh.Seal(seq)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d step %d (%s, %d blocks, %d entries): image is %d bytes, a fresh builder's %d",
-					seed, step, what, len(blocks), len(entries), len(got), len(want))
-			}
+			got, want := reused.buf[reused.Top():], fresh.buf[fresh.Top():]
 			if !bytes.Equal(got, want) {
 				i := 0
 				for got[i] == want[i] {
 					i++
 				}
-				t.Fatalf("seed %d step %d (%s, %d blocks, %d entries): image differs from a fresh builder's at byte %d: %#x, want %#x",
-					seed, step, what, len(blocks), len(entries), i, got[i], want[i])
+				t.Fatalf("seed %d step %d (%s, %d chunks): segment differs from a fresh builder's at byte %d: %#x, want %#x",
+					seed, step, what, len(sealed), reused.Top()+i, got[i], want[i])
 			}
 		}
 		for step := 0; step < 40; step++ {
 			reused.Reset()
-			blocks, entries = blocks[:0], entries[:0]
+			sealed = sealed[:0]
 			switch rng.Intn(6) {
 			case 0:
-				addBlocks(l.BlocksPerSeg())
-				check(step, "full")
+				check(step, "full", addRandom(rng, reused, l.BlocksPerSeg(), 0))
 			case 1:
-				addBlocks(1 + rng.Intn(3))
-				addEntries(rng.Intn(4))
-				check(step, "partial")
+				check(step, "partial", addRandom(rng, reused, 1+rng.Intn(3), rng.Intn(4)))
 			case 2:
-				addEntries(1 + rng.Intn(400))
-				check(step, "summary only")
+				check(step, "summary only", addRandom(rng, reused, 0, 1+rng.Intn(400)))
 			case 3:
-				addBlocks(1 + rng.Intn(3))
-				check(step, "first seal")
-				addBlocks(rng.Intn(3))
-				addEntries(rng.Intn(40))
-				check(step, "second seal")
+				for n := 1 + rng.Intn(5); n > 0 && reused.Fits(0, 1); n-- {
+					check(step, "stacked", addRandom(rng, reused, rng.Intn(3), 1+rng.Intn(40)))
+				}
 			case 4:
-				addBlocks(rng.Intn(l.BlocksPerSeg()))
-				addEntries(rng.Intn(100)) // dropped by the next Reset, never sealed
+				addRandom(rng, reused, rng.Intn(l.BlocksPerSeg()), rng.Intn(100)) // dropped by the next Reset, never sealed
 			case 5:
-				addBlocks(rng.Intn(3))
+				check(step, "before the abandoned reservation", addRandom(rng, reused, rng.Intn(3), 1))
+				c := addRandom(rng, reused, rng.Intn(2), 0)
 				if reused.Fits(1, 0) {
 					rng.Read(reused.ReserveBlock()) // a fill that failed: never committed
 				}
-				check(step, "abandoned reservation")
+				check(step, "abandoned reservation", c)
 			}
 		}
 	}

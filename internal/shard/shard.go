@@ -718,6 +718,7 @@ func addStats(dst *core.Stats, src core.Stats) {
 	dst.ARUsAborted += src.ARUsAborted
 	dst.ARUsPrepared += src.ARUsPrepared
 	dst.SegmentsWritten += src.SegmentsWritten
+	dst.ChunksWritten += src.ChunksWritten
 	dst.SegmentBytesWritten += src.SegmentBytesWritten
 	dst.SegmentsCleaned += src.SegmentsCleaned
 	dst.BlocksRelocated += src.BlocksRelocated

@@ -140,6 +140,9 @@ func TestServeMetricsFacade(t *testing.T) {
 		"aru_reads_total",
 		"aru_writes_total",
 		"aru_arus_committed_total",
+		"aru_segments_written_total",
+		"aru_chunks_written_total",
+		"aru_segment_bytes_written_total",
 		"aru_read_seconds_bucket",
 		"aru_write_seconds_bucket",
 		"aru_commit_durable_seconds_bucket",
