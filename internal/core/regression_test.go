@@ -6,6 +6,8 @@ package core
 // random sweeps change.
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 
 	"aru/internal/disk"
@@ -245,5 +247,83 @@ func TestRegressionRecoveryAppliesWritesByTimestamp(t *testing.T) {
 	}
 	if buf[0] != 0xD2 {
 		t.Fatalf("recovery resurrected the older write: %#x, want 0xD2", buf[0])
+	}
+}
+
+// TestFlushOnNearlyFullLogIsNeverVacuous: the cleaner runs inside
+// ensureRoom, before the caller buffers its write, and on a log it cannot
+// make room in it can leave no segment open — or the open one part full of
+// relocations. ensureRoom must look again: a write buffered with no open
+// segment is one no seal can reach, and the Flush after it would succeed
+// without having written it. (Found by aru-crashcheck on a 14-segment log
+// once durability points stopped retiring segments and the scripted
+// workloads could run a log that full.) Blocks are overwritten at random
+// on logs of a few segments, each write followed by a Flush; whatever a
+// Flush acknowledged must be what a crash right after it recovers.
+func TestFlushOnNearlyFullLogIsNeverVacuous(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := Params{Layout: testLayout(6 + int(seed%4)), CheckpointEvery: 4, CleanerLowWater: 2, CacheBlocks: -1}
+		dev := disk.NewMem(p.Layout.DiskBytes())
+		d, err := Format(dev, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lst, _ := d.NewList(0)
+		var ids []BlockID
+		vers := map[BlockID]byte{}
+		// Up to two thirds of the log's blocks live, fewer if the log says
+		// it is full before: the cleaner always has work and little room
+		// to do it in.
+		for n := p.Layout.NumSegs * p.Layout.BlocksPerSeg() * 2 / 3; n > 0; n-- {
+			b, err := d.NewBlock(0, lst, NilBlock)
+			if err == nil {
+				err = d.Write(0, b, fill(d, 1))
+			}
+			if errors.Is(err, ErrNoSpace) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("seed %d: populating: %v", seed, err)
+			}
+			ids, vers[b] = append(ids, b), 1
+		}
+		if err := d.VerifyInternal(); err != nil {
+			t.Fatalf("seed %d: after populating: %v", seed, err)
+		}
+		noSpace := 0
+		for step := 0; step < 300; step++ {
+			b := ids[rng.Intn(len(ids))]
+			v := vers[b] + 1
+			if err := d.Write(0, b, fill(d, v)); errors.Is(err, ErrNoSpace) {
+				noSpace++
+				continue
+			} else if err != nil {
+				t.Fatalf("seed %d step %d: write: %v", seed, step, err)
+			}
+			if err := d.VerifyInternal(); err != nil {
+				t.Fatalf("seed %d step %d: after the write: %v", seed, step, err)
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatalf("seed %d step %d: flush: %v", seed, step, err)
+			}
+			vers[b] = v
+			if step%10 != 0 {
+				continue
+			}
+			r, err := Open(disk.FromImage(dev.Image(), disk.Geometry{}), Params{CacheBlocks: -1})
+			if err != nil {
+				t.Fatalf("seed %d step %d: recovery: %v", seed, step, err)
+			}
+			buf := make([]byte, d.BlockSize())
+			for _, id := range ids {
+				if err := r.Read(0, id, buf); err != nil || buf[0] != vers[id] || buf[len(buf)-1] != vers[id] {
+					t.Fatalf("seed %d step %d: block %d recovers as %#x (%v), its flush acknowledged %#x", seed, step, id, buf[0], err, vers[id])
+				}
+			}
+		}
+		if noSpace == 300 {
+			t.Fatalf("seed %d: every write found the log full", seed)
+		}
 	}
 }
