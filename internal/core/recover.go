@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -340,8 +342,8 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 					// surgery for surgery already redone. The stable
 					// sort keeps region order for equal stamps, which
 					// is per-unit issue order.
-					sort.SliceStable(entries, func(a, b int) bool {
-						return entries[a].TS < entries[b].TS
+					slices.SortStableFunc(entries, func(a, b seg.Entry) int {
+						return cmp.Compare(a.TS, b.TS)
 					})
 					sc.chunks = append(sc.chunks, chunkScan{seq: c.Seq, entries: entries})
 				}

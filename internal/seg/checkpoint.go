@@ -1,11 +1,12 @@
 package seg
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 )
 
 // BlockRec is the persistent-state record of one logical block, as
@@ -184,6 +185,6 @@ func DecodeCheckpoint(buf []byte) (Checkpoint, error) {
 // SortTables puts the checkpoint tables into canonical (ID) order so
 // that encodings are deterministic.
 func (c *Checkpoint) SortTables() {
-	sort.Slice(c.Blocks, func(i, j int) bool { return c.Blocks[i].ID < c.Blocks[j].ID })
-	sort.Slice(c.Lists, func(i, j int) bool { return c.Lists[i].ID < c.Lists[j].ID })
+	slices.SortFunc(c.Blocks, func(a, b BlockRec) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(c.Lists, func(a, b ListRec) int { return cmp.Compare(a.ID, b.ID) })
 }
