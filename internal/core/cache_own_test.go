@@ -150,6 +150,7 @@ func TestSnapshotOutlivesCacheEviction(t *testing.T) {
 	defer d.Close()
 	lst, _ := d.NewList(0)
 	target, _ := d.NewBlock(0, lst, NilBlock)
+	readOnce(t, d, target)
 	others := make([]BlockID, 6)
 	for i := range others {
 		others[i], _ = d.NewBlock(0, lst, NilBlock)
@@ -230,6 +231,7 @@ func TestPrevVersionAdoption(t *testing.T) {
 	defer d.Close()
 	lst, _ := d.NewList(0)
 	b, _ := d.NewBlock(0, lst, NilBlock)
+	readOnce(t, d, b)
 	if err := d.Write(0, b, fill(d, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -276,5 +278,52 @@ func TestPrevVersionAdoption(t *testing.T) {
 	got := make([]byte, d.BlockSize())
 	if err := d.Read(0, b, got); err != nil || !bytes.Equal(got, fill(d, 2)) {
 		t.Fatalf("read after commit: %v, %#x", err, got[0])
+	}
+}
+
+// TestWriteAllocationFollowsDemand: an engine that has never served a read
+// keeps nothing of what it writes in the cache — the buffers go back to
+// the pool — and from its first read on every materialized buffer becomes
+// the cache entry of its location, as before.
+func TestWriteAllocationFollowsDemand(t *testing.T) {
+	d, _ := newTestLLD(t, Params{})
+	defer d.Close()
+	cached := func() (n int) {
+		for i := range d.cache.slots {
+			if d.cache.slots[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	lst, _ := d.NewList(0)
+	var blocks []BlockID
+	for i := 0; i < 20; i++ { // three segments' worth
+		b, _ := d.NewBlock(0, lst, NilBlock)
+		if err := d.Write(0, b, fill(d, byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := cached(); n != 0 {
+		t.Fatalf("%d cache entries on an engine nobody has read from", n)
+	}
+	readOnce(t, d, blocks[0])
+	for i, b := range blocks {
+		if err := d.Write(0, b, fill(d, byte(0x80+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := cached(); n < len(blocks) {
+		t.Fatalf("%d cache entries after %d blocks were rewritten and flushed on an engine that reads", n, len(blocks))
+	}
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -90,9 +90,17 @@ func (d *LLD) putBuf(b []byte) {
 // cacheAdopt hands buf — a committed version's buffer whose contents
 // were just written to (segIdx, slot) — to the read cache as that
 // location's entry, and retires whatever the fill displaced (buf itself
-// if there is no cache or the fill was dropped). Caller holds d.mu.
+// if there is no cache or the fill was dropped).
+//
+// Write-allocation follows demand: until the engine has served its first
+// read, buf goes back to the pool instead. The cache exists to spare reads
+// a device access; a client that only ever writes — a participant behind a
+// write-only stream, a log target — gets nothing from a cache of what it
+// wrote but the memory (a capacity's worth per engine, which nothing
+// purges now that segments are not retired and reused by the thousand)
+// and the cost of the fills. Caller holds d.mu.
 func (d *LLD) cacheAdopt(segIdx, slot uint32, buf []byte) {
-	if d.cache == nil {
+	if d.cache == nil || d.stats.Reads.Load() == 0 {
 		d.putBuf(buf)
 		return
 	}

@@ -56,15 +56,13 @@ func Format(dev disk.Disk, p Params) (*LLD, error) {
 		chunks, err := seg.WalkSectors(p.Layout, func(off int) ([]byte, error) {
 			return sector, dev.ReadAt(sector, base+int64(off))
 		})
-		if err != nil && !errors.Is(err, seg.ErrBadSegment) {
+		if errors.Is(err, seg.ErrBadSegment) {
+			chunks = []seg.Chunk{{End: p.Layout.SegBytes}} // the trailer is wiped whatever it holds
+		} else if err != nil {
 			return nil, fmt.Errorf("lld: reading the chunk headers of segment %d: %w", s, err)
 		}
-		ends := []int{p.Layout.SegBytes}
-		for _, c := range chunks[min(1, len(chunks)):] {
-			ends = append(ends, c.End)
-		}
-		for _, end := range ends {
-			if err := dev.WriteAt(wipe, base+int64(end-seg.SectorSize)); err != nil {
+		for _, c := range chunks {
+			if err := dev.WriteAt(wipe, base+int64(c.End-seg.SectorSize)); err != nil {
 				return nil, fmt.Errorf("lld: wiping segment %d trailer: %w", s, err)
 			}
 		}

@@ -558,3 +558,77 @@ func TestTornTailSegmentIgnored(t *testing.T) {
 		t.Fatalf("torn segment leaked: %#x", buf[0])
 	}
 }
+
+// TestFormatWipesEveryChunkHeader: a new lifetime restarts the sequence
+// numbers, so a workload repeated on a re-formatted image writes a chunk 1
+// identical to the old one — same numbers, same bytes, same header CRC —
+// and the old lifetime's chunk 2, directly below, would chain under it.
+// Format therefore wipes the header of every chunk it can walk to, not
+// only the trailers.
+func TestFormatWipesEveryChunkHeader(t *testing.T) {
+	p := Params{Layout: testLayout(8), CheckpointEvery: -1}
+	dev := disk.NewMem(p.Layout.DiskBytes())
+	first := func(d *LLD) (ListID, BlockID) {
+		lst, err := d.NewList(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := d.NewBlock(0, lst, NilBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write(0, b, fill(d, 0xA1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return lst, b
+	}
+	d, err := Format(dev, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lst, _ := first(d)
+	b2, err := d.NewBlock(0, lst, NilBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(0, b2, fill(d, 0xB2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	old, open := dev.Image(), d.curSeg
+	seg0 := func(img []byte) []byte { return img[p.Layout.SegOff(open):p.Layout.SegOff(open+1)] }
+	if chunks, err := seg.Walk(p.Layout, seg0(old)); err != nil || len(chunks) != 2 {
+		t.Fatalf("first lifetime: %d chunks in segment %d, %v; want 2", len(chunks), open, err)
+	}
+
+	// The second lifetime, on the same device, gets as far as chunk 1.
+	d, err = Format(dev, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lst, b1 := first(d)
+	img := dev.Image()
+	chunks, err := seg.Walk(p.Layout, seg0(img))
+	if err != nil || len(chunks) != 1 || d.curSeg != open {
+		t.Fatalf("second lifetime: %d chunks in segment %d (open: %d), %v; want 1", len(chunks), open, d.curSeg, err)
+	}
+	if oldChunks, _ := seg.Walk(p.Layout, seg0(old)); oldChunks[0].Trailer != chunks[0].Trailer {
+		t.Fatalf("the repeated workload did not repeat chunk 1: %+v then %+v — the test has no teeth", oldChunks[0].Trailer, chunks[0].Trailer)
+	}
+	dev.Crash()
+	r, err := Open(dev.Recycle(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.ListBlocks(0, lst); err != nil || len(got) != 1 || got[0] != b1 {
+		t.Fatalf("recovered list holds %v (%v), want only block %d: the old lifetime's chunk 2 was replayed", got, err, b1)
+	}
+	if err := r.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+}

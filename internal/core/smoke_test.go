@@ -49,6 +49,15 @@ func retireOpenSegment(t *testing.T, d *LLD) {
 	d.publishLocked()
 }
 
+// readOnce serves one read on d: write-allocation into the cache starts
+// with the engine's first read (cacheAdopt).
+func readOnce(t *testing.T, d *LLD, b BlockID) {
+	t.Helper()
+	if err := d.Read(0, b, make([]byte, d.BlockSize())); err != nil {
+		t.Fatalf("priming read of block %d: %v", b, err)
+	}
+}
+
 // fill returns a block-sized buffer filled with b.
 func fill(d *LLD, b byte) []byte {
 	buf := make([]byte, d.BlockSize())

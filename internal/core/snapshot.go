@@ -587,6 +587,7 @@ func (h *Snapshot) Read(aru ARUID, b BlockID, dst []byte) error {
 	if err != nil {
 		return err
 	}
+	h.d.stats.Reads.Add(1)
 	return h.s.readBlock(view, b, dst)
 }
 

@@ -18,6 +18,7 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	defer d.Close()
 	lst, _ := d.NewList(0)
 	b1, _ := d.NewBlock(0, lst, NilBlock)
+	readOnce(t, d, b1)
 	b2, _ := d.NewBlock(0, lst, b1)
 	if err := d.Write(0, b1, fill(d, 1)); err != nil {
 		t.Fatal(err)
