@@ -187,13 +187,13 @@ func (d *LLD) leadBatch(bat *gcBatch) error {
 	// batch still makes what is sealed durable.
 	_ = d.seal()
 	// Claim the queue: the chunk just sealed, every chunk an inline seal
-	// wrote since the last sync, and whatever a failed batch left behind. Only one leader runs at a time and the locked drivers
-	// wait for an idle broker, so nothing is claimed yet. Segments sealed
-	// from here on queue behind the claim, and this batch's sync — which
-	// may run before their write — does not retire them. The work slice
-	// is the engine's reusable scratch: only the single in-flight leader
-	// touches it, so it may be carried across the device I/O below with
-	// d.mu released.
+	// wrote since the last sync, and whatever a failed batch left behind.
+	// Only one leader runs at a time and the locked drivers wait for an
+	// idle broker, so nothing is claimed yet. Chunks sealed from here on
+	// queue behind the claim, and this batch's sync — which may run before
+	// their write — does not retire them. The work slice is the engine's
+	// reusable scratch: only the single in-flight leader touches it, so it
+	// may be carried across the device I/O below with d.mu released.
 	work := append(d.gcWork[:0], d.sealed...)
 	d.gcWork = work
 	if len(work) == 0 {

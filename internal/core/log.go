@@ -552,10 +552,10 @@ func (d *LLD) promoteList(lf *listLeaf, al *listVer) {
 // readPhys reads the block stored at (segIdx, slot) into dst for the
 // cleaner (client reads go through snapshot.readPhys): from the
 // in-memory segment under construction if the location is in it — in its
-// open chunk or a sealed one — otherwise from the read cache or from disk. A miss does not fill the
-// cache: the cleaner reads a block to move it, so the key names a
-// location that dies at the next promote, and an entry under it would
-// only evict one a client can still hit.
+// open chunk or a sealed one — otherwise from the read cache or from
+// disk. A miss does not fill the cache: the cleaner reads a block to move
+// it, so the key names a location that dies at the next promote, and an
+// entry under it would only evict one a client can still hit.
 func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 	if int(segIdx) == d.curSeg {
 		copy(dst, d.builder.BlockData(slot))
