@@ -421,10 +421,7 @@ func (d *LLD) verifyOnDevice() error {
 		if d.segLive[s]+d.segPins[s] == 0 || s == d.curSeg || held {
 			continue
 		}
-		base := l.SegOff(s)
-		chunks, werr := seg.WalkSectors(l, func(off int) ([]byte, error) {
-			return sector, d.dev.ReadAt(sector, base+int64(off))
-		})
+		chunks, werr := walkOnDevice(d.dev, l, s, sector)
 		if werr != nil {
 			return fmt.Errorf("lld: verify: segment %d is read as seq %d, its chunks on the device disagree: %v", s, d.segSeq[s], werr)
 		}

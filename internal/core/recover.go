@@ -53,9 +53,7 @@ func Format(dev disk.Disk, p Params) (*LLD, error) {
 	sector := make([]byte, seg.SectorSize)
 	for s := 0; s < p.Layout.NumSegs; s++ {
 		base := p.Layout.SegOff(s)
-		chunks, err := seg.WalkSectors(p.Layout, func(off int) ([]byte, error) {
-			return sector, dev.ReadAt(sector, base+int64(off))
-		})
+		chunks, err := walkOnDevice(dev, p.Layout, s, sector)
 		if errors.Is(err, seg.ErrBadSegment) {
 			chunks = []seg.Chunk{{End: p.Layout.SegBytes}} // the trailer is wiped whatever it holds
 		} else if err != nil {
@@ -546,6 +544,17 @@ func readTrailer(dev disk.Disk, l seg.Layout, s int, sector []byte) (seg.Trailer
 	}
 	dataOff, err := tr.DataOff(l)
 	return tr, dataOff, err
+}
+
+// walkOnDevice walks the chunks of segment s on the device, fetching one
+// header sector at a time into sector. An error wrapping seg.ErrBadSegment
+// means the device holds no valid segment there; any other is the
+// device's.
+func walkOnDevice(dev disk.Disk, l seg.Layout, s int, sector []byte) ([]seg.Chunk, error) {
+	base := l.SegOff(s)
+	return seg.WalkSectors(l, func(off int) ([]byte, error) {
+		return sector, dev.ReadAt(sector, base+int64(off))
+	})
 }
 
 // loadNewestChain decodes both checkpoint regions as incremental

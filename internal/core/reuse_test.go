@@ -134,14 +134,11 @@ func (r *syncRecorder) rewriteAboveWatermark(l seg.Layout) error {
 	return nil
 }
 
-// mostChunks returns the largest number of chunks a segment of the current
-// contents holds.
-func (r *syncRecorder) mostChunks(l seg.Layout) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// mostChunks returns the largest number of chunks a segment of img holds.
+func mostChunks(l seg.Layout, img []byte) int {
 	most := 0
 	for s := 0; s < l.NumSegs; s++ {
-		if chunks, err := seg.Walk(l, r.cur[l.SegOff(s):l.SegOff(s+1)]); err == nil {
+		if chunks, err := seg.Walk(l, img[l.SegOff(s):l.SegOff(s+1)]); err == nil {
 			most = max(most, len(chunks))
 		}
 	}
@@ -386,6 +383,10 @@ func reuseRun(seed int64, steps int, rd reuseDevice) (int, error) {
 		return 0, err
 	}
 
+	tears := []bool{false} // whether a tear destroys the sectors it did not reach
+	if rd.destroy {
+		tears = append(tears, true)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	tearRng := rand.New(rand.NewSource(seed)) // its own stream: tears judge the same history
 	buf := make([]byte, bs)
@@ -438,7 +439,7 @@ func reuseRun(seed int64, steps int, rd reuseDevice) (int, error) {
 				keeps = slices.Compact(keeps)
 			}
 			for _, keep := range keeps {
-				for _, destroy := range []bool{false, true}[:1+btoi(rd.destroy)] {
+				for _, destroy := range tears {
 					if err := reuseJudge(dev.crashImage(w, keep, destroy), ids, floor, newest, buf); err != nil {
 						return 0, fmt.Errorf("step %d, unsynced write %d cut to %d of %d sectors (rest destroyed: %v): %w", step, w, keep, dev.sectors(w), destroy, err)
 					}
@@ -446,14 +447,7 @@ func reuseRun(seed int64, steps int, rd reuseDevice) (int, error) {
 			}
 		}
 	}
-	return dev.mostChunks(layout), nil
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	return mostChunks(layout, dev.crashImage(-1, 0, false)), nil
 }
 
 // reuseJudge recovers one crash image and checks every block against the

@@ -404,13 +404,7 @@ func TestTailPackedImageCompat(t *testing.T) {
 	if n[seg.TailPacked] == 0 || n[seg.Chunked] == 0 {
 		t.Fatalf("image holds segments %v by format, want tail-packed and chunked ones", n)
 	}
-	most := 0
-	for s := 0; s < l.NumSegs; s++ {
-		if chunks, err := seg.Walk(l, dev.Image()[l.SegOff(s):l.SegOff(s+1)]); err == nil {
-			most = max(most, len(chunks))
-		}
-	}
-	if most < 3 {
+	if most := mostChunks(l, dev.Image()); most < 3 {
 		t.Fatalf("no segment took more than %d chunks from six durability points", most)
 	}
 

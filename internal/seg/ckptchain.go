@@ -159,38 +159,36 @@ func EncodeCkptRec(l Layout, r CkptRec) ([]byte, error) {
 }
 
 // ckptRecSpan validates the chain-record header at the start of buf and
-// returns the unrounded length of the record it heads, header and payload.
-func ckptRecSpan(buf []byte) (int64, error) {
+// returns the table sizes it gives — block and list upserts, block and
+// list deletions — and the unrounded length of the record it heads,
+// header and payload.
+func ckptRecSpan(buf []byte) (n [4]int64, span int64, err error) {
 	if len(buf) < ckptRecHeaderBytes {
-		return 0, fmt.Errorf("%w: short buffer", ErrBadCheckpoint)
+		return n, 0, fmt.Errorf("%w: short buffer", ErrBadCheckpoint)
 	}
 	h := buf[:ckptRecHeaderBytes]
 	if binary.LittleEndian.Uint32(h[0:]) != ckptChainMagic {
-		return 0, fmt.Errorf("%w: bad chain magic", ErrBadCheckpoint)
+		return n, 0, fmt.Errorf("%w: bad chain magic", ErrBadCheckpoint)
 	}
 	if got, want := binary.LittleEndian.Uint32(h[84:]), crc32.Checksum(h[:84], crcTable); got != want {
-		return 0, fmt.Errorf("%w: bad chain header checksum", ErrBadCheckpoint)
+		return n, 0, fmt.Errorf("%w: bad chain header checksum", ErrBadCheckpoint)
 	}
-	nb := int64(binary.LittleEndian.Uint32(h[64:]))
-	nl := int64(binary.LittleEndian.Uint32(h[68:]))
-	ndb := int64(binary.LittleEndian.Uint32(h[72:]))
-	ndl := int64(binary.LittleEndian.Uint32(h[76:]))
-	return ckptRecHeaderBytes + nb*ckptBlockRecBytes + nl*ckptListRecV2Bytes + (ndb+ndl)*8, nil
+	for i := range n {
+		n[i] = int64(binary.LittleEndian.Uint32(h[64+4*i:]))
+	}
+	return n, ckptRecHeaderBytes + n[0]*ckptBlockRecBytes + n[1]*ckptListRecV2Bytes + (n[2]+n[3])*8, nil
 }
 
 // DecodeCkptRec decodes and validates one chain record at the start of
 // buf, returning the record and its sector-rounded wire length (the
 // offset of the next record in the chain).
 func DecodeCkptRec(buf []byte) (CkptRec, int64, error) {
-	span, err := ckptRecSpan(buf)
+	n, span, err := ckptRecSpan(buf)
 	if err != nil {
 		return CkptRec{}, 0, err
 	}
 	h := buf[:ckptRecHeaderBytes]
-	nb := int64(binary.LittleEndian.Uint32(h[64:]))
-	nl := int64(binary.LittleEndian.Uint32(h[68:]))
-	ndb := int64(binary.LittleEndian.Uint32(h[72:]))
-	ndl := int64(binary.LittleEndian.Uint32(h[76:]))
+	nb, nl, ndb, ndl := n[0], n[1], n[2], n[3]
 	if span > int64(len(buf)) {
 		return CkptRec{}, 0, fmt.Errorf("%w: chain payload does not fit (%d blocks, %d lists, %d+%d deletions)",
 			ErrBadCheckpoint, nb, nl, ndb, ndl)
@@ -353,7 +351,7 @@ func readCkptRec(size, off int64, buf []byte, read func(p []byte, off int64) err
 			return CkptRec{}, 0, err
 		}
 	}
-	span, err := ckptRecSpan(buf)
+	_, span, err := ckptRecSpan(buf)
 	if err != nil {
 		return CkptRec{}, 0, err
 	}

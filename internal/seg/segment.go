@@ -185,20 +185,18 @@ func (t Trailer) ImageBytes(l Layout) int64 {
 func (t Trailer) extent(l Layout, top int) (start, dataOff int, err error) {
 	n := t.ImageBytes(l)
 	fits := int(t.DataBlocks) <= l.BlocksPerSeg() && n <= int64(top)
-	switch t.Format {
-	case Chunked:
+	if t.Format == Chunked {
 		fits = fits && int64(t.dataBytes) == int64(t.DataBlocks)*int64(l.BlockSize)
-	default:
+	} else {
 		fits = fits && top == l.SegBytes
 	}
-	if !fits {
+	switch {
+	case !fits:
 		return 0, 0, fmt.Errorf("%w: %d data blocks and %d entry bytes do not fit the %d bytes below their header",
 			ErrBadSegment, t.DataBlocks, t.EntryBytes, top-SectorSize)
-	}
-	switch t.Format {
-	case Chunked:
+	case t.Format == Chunked:
 		return top - int(n), top - SectorSize - int(t.dataBytes), nil
-	case TailPacked:
+	case t.Format == TailPacked:
 		return top - int(n), top - int(n), nil
 	default:
 		return 0, 0, nil
