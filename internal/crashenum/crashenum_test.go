@@ -2,6 +2,9 @@ package crashenum
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"aru/internal/workload"
@@ -71,6 +74,65 @@ func TestEnumerationDeterminism(t *testing.T) {
 		}
 		return cs.Epoch < res.startEpoch+2
 	})
+
+	// The whole enumeration, pinned: distinct states and a SHA-256 over
+	// their descriptors in the order they are yielded. The values were
+	// generated before the executors were folded into one and must not
+	// move by one state; there is no tolerance and no update flag — when
+	// a change is meant to move them, paste the rows this prints.
+	var fresh []string
+	for _, g := range enumerationGolden {
+		h := sha256.New()
+		n := 0
+		if g.kind == "shard" {
+			sres, err := runShard(g.seed, 2, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			journals, syncsG, sizes := sres.journals()
+			ForEachMultiState(journals, syncsG, sizes, sres.startG, 0, g.seed, func(ms MultiState, _ [][]byte) bool {
+				n++
+				fmt.Fprintln(h, ms)
+				return true
+			})
+		} else {
+			w, err := workloadJournal(g.kind, g.seed, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ForEachState(w.journal, w.size, w.startEpoch, w.window, g.seed, func(cs CrashState, _ []byte) bool {
+				n++
+				fmt.Fprintln(h, cs)
+				return true
+			})
+		}
+		row := fmt.Sprintf("{%q, %d, %d, \"%x\"},", g.kind, g.seed, n, h.Sum(nil))
+		fresh = append(fresh, row)
+		if n != g.states || fmt.Sprintf("%x", h.Sum(nil)) != g.sha {
+			t.Errorf("%s seed %d: enumeration moved: got %s", g.kind, g.seed, row)
+		}
+	}
+	if t.Failed() {
+		t.Logf("fresh table:\n%s", strings.Join(fresh, "\n"))
+	}
+}
+
+// enumerationGolden is TestEnumerationDeterminism's pinned table.
+var enumerationGolden = []struct {
+	kind   string
+	seed   int64
+	states int
+	sha    string
+}{
+	{"mixed", 1, 223, "05fd2afef3c84ca819bd20e15f279e39406c2d8fba7cd9f73e67bd41a53d0b7e"},
+	{"mixed", 2, 224, "7b805fdb215ecef37a8422b44fe91150dcbd5b2a9445022b9df9440c60bd84bf"},
+	{"fs", 1, 116, "dd2b9e0847a0c9ad0fbc52a8377d13013d809422a5de13ea2748e9e9f68ccd63"},
+	{"fs", 2, 104, "b07f8a9940c080cacf671ab4dd21eac278c8bcf509e51527629433048dc570e6"},
+	{"net", 1, 103, "564202b12d1afc1a87742ad7db3602e48231f6c4aad25035f1a32269185fdccc"},
+	{"net", 2, 96, "9761f7d21f4846b6a99ae26597216cab701c8d9699734e5e0e768392c19d62eb"},
+	{"wrap", 1, 522, "cd376900819476402d687390fae68fa739ae26c4cf29a5077016500f7213887c"},
+	{"wrap", 2, 435, "7ed9a4f28843f3d4d57e9efd37c44cad2c7954a9ad0b0a56591c3271ed499c1e"},
+	{"shard", 1, 278, "cf74377e4c811bb6cf84f01c37c9f04e2b76c09a5a4f24e9aea0bb8c9ad097cb"},
 }
 
 // TestCleanEngine explores crash states of both workloads against the
