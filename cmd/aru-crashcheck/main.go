@@ -30,15 +30,78 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"aru/internal/crashenum"
 )
 
-// exitOnErr reports a usage or execution error and exits 2.
+// config is a parsed command line.
+type config struct {
+	o         crashenum.Options
+	replay    string // crash state descriptor to replay instead of enumerating
+	minStates int
+}
+
+// parseArgs parses the command line (without the program name). Usage
+// errors are reported on stderr and returned.
+func parseArgs(args []string, stderr io.Writer) (config, error) {
+	var injections []string
+	for _, inj := range crashenum.Injections {
+		injections = append(injections, fmt.Sprintf("%s (%s)", inj.Name, inj.Needs))
+	}
+	var c config
+	fs := flag.NewFlagSet("aru-crashcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Int64Var(&c.o.Seed, "seed", 1, "first workload seed")
+	fs.IntVar(&c.o.Seeds, "seeds", 24, "number of consecutive seeds to run")
+	fs.IntVar(&c.o.MaxStates, "states", 0, "max distinct crash states to explore (0 = unlimited)")
+	fs.IntVar(&c.o.ReorderWindow, "reorder-window", 3, "reordering window within the crash epoch")
+	workloads := fs.String("workloads", "mixed,fs", "comma-separated workloads: mixed, fs, shard, net, wrap")
+	fsOnly := fs.Bool("fs", false, "shorthand for -workloads fs")
+	fs.IntVar(&c.o.Shards, "shards", 0, "shard count for the sharded 2PC workload; >0 implies -workloads shard")
+	fs.IntVar(&c.minStates, "min-states", 0, "fail unless at least this many distinct states were explored")
+	fs.IntVar(&c.o.MixedParams.ConcFlushers, "conc", 0, "mixed-workload concurrent committers per group-commit phase (0 = sequential scripts)")
+	fs.StringVar(&c.o.Inject, "inject", "none", "deliberate bug to validate the oracle — the run must fail — with the workloads whose crash states expose it: none, "+strings.Join(injections, ", "))
+	fs.BoolVar(&c.o.RecoverCrash, "recover-crash", false, "also crash recovery itself on a sampled subset of clean states and re-check")
+	fs.IntVar(&c.o.RecoverSample, "recover-sample", 0, "reciprocal sampling rate for -recover-crash (default 16)")
+	fs.StringVar(&c.replay, "replay", "", "replay one crash state descriptor (requires a single workload and seed); outer+RE..K.. replays a recovery re-crash")
+	verbose := fs.Bool("v", false, "log per-run progress")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	if *fsOnly {
+		*workloads = "fs"
+	}
+	if c.o.Shards > 0 {
+		*workloads = "shard"
+	}
+	for _, w := range strings.Split(*workloads, ",") {
+		if w = strings.TrimSpace(w); w != "" {
+			c.o.Workloads = append(c.o.Workloads, w)
+		}
+	}
+	if *verbose {
+		c.o.Logf = func(format string, args ...any) {
+			fmt.Fprintf(stderr, format+"\n", args...)
+		}
+	}
+	var err error
+	if c.replay != "" && len(c.o.Workloads) != 1 {
+		// A descriptor indexes one workload's journal; every printed
+		// artifact names its workload.
+		err = fmt.Errorf("-replay needs exactly one workload, -workloads names %d (%s)",
+			len(c.o.Workloads), strings.Join(c.o.Workloads, ","))
+		fmt.Fprintln(stderr, "aru-crashcheck:", err)
+	}
+	return c, err
+}
+
+// exitOnErr reports an execution error and exits 2.
 func exitOnErr(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aru-crashcheck:", err)
@@ -47,125 +110,33 @@ func exitOnErr(err error) {
 }
 
 func main() {
-	var (
-		seed      = flag.Int64("seed", 1, "first workload seed")
-		seeds     = flag.Int("seeds", 24, "number of consecutive seeds to run")
-		states    = flag.Int("states", 0, "max distinct crash states to explore (0 = unlimited)")
-		window    = flag.Int("reorder-window", 3, "reordering window within the crash epoch")
-		workloads = flag.String("workloads", "mixed,fs", "comma-separated workloads: mixed, fs, shard, net, wrap")
-		fsOnly    = flag.Bool("fs", false, "shorthand for -workloads fs")
-		shards    = flag.Int("shards", 0, "shard count for the sharded 2PC workload; >0 implies -workloads shard")
-		minStates = flag.Int("min-states", 0, "fail unless at least this many distinct states were explored")
-		conc      = flag.Int("conc", 0, "mixed-workload concurrent committers per group-commit phase (0 = sequential scripts)")
-		inject    = flag.String("inject", "none", "deliberate engine bug to validate the oracle: none, nosync, untagged-replay, ack-early, torn-delta, commit-before-prepare-sync (shard workload)")
-		recCrash  = flag.Bool("recover-crash", false, "also crash recovery itself on a sampled subset of clean states and re-check")
-		recSample = flag.Int("recover-sample", 0, "reciprocal sampling rate for -recover-crash (default 16)")
-		replay    = flag.String("replay", "", "replay one crash state descriptor (requires a single workload and seed); outer+RE..K.. replays a recovery re-crash")
-		verbose   = flag.Bool("v", false, "log per-run progress")
-	)
-	flag.Parse()
-
-	o := crashenum.Options{
-		Seed:          *seed,
-		Seeds:         *seeds,
-		MaxStates:     *states,
-		ReorderWindow: *window,
-		Inject:        *inject,
-		Shards:        *shards,
-		RecoverCrash:  *recCrash,
-		RecoverSample: *recSample,
+	c, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(2)
 	}
-	o.MixedParams.ConcFlushers = *conc
-	if *fsOnly {
-		*workloads = "fs"
-	}
-	if *shards > 0 {
-		*workloads = "shard"
-	}
-	// kinds collects the single-device workloads, for -replay.
-	var kinds []string
-	for _, w := range strings.Split(*workloads, ",") {
-		w = strings.TrimSpace(w)
-		switch w {
-		case "mixed":
-			o.Mixed = true
-		case "fs":
-			o.FS = true
-		case "shard":
-			o.Shard = true
-			continue
-		case "net":
-			o.Net = true
-		case "wrap":
-			o.Wrap = true
-		case "":
-			continue
-		default:
-			fmt.Fprintf(os.Stderr, "aru-crashcheck: unknown workload %q\n", w)
-			os.Exit(2)
-		}
-		kinds = append(kinds, w)
-	}
-	if *verbose {
-		o.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-
-	if *replay != "" {
-		if o.Shard {
-			ms, err := crashenum.ParseMultiState(*replay)
-			exitOnErr(err)
-			viols, err := crashenum.ReplayShard(*seed, o, ms)
-			exitOnErr(err)
-			if len(viols) == 0 {
-				fmt.Printf("replay shard seed=%d %s: clean\n", *seed, ms)
-				return
-			}
-			fmt.Printf("replay shard seed=%d %s: %d violations\n", *seed, ms, len(viols))
-			for _, v := range viols {
-				fmt.Println("  ", v)
-			}
-			os.Exit(1)
-		}
-		kind := "mixed"
-		if len(kinds) == 1 {
-			kind = kinds[0]
-		}
-		desc, subDesc, isRecover := strings.Cut(*replay, "+R")
-		cs, err := crashenum.ParseState(desc)
+	if c.replay != "" {
+		kind := c.o.Workloads[0]
+		viols, err := crashenum.Replay(kind, c.o.Seed, c.o, c.replay)
 		exitOnErr(err)
-		var viols []string
-		if isRecover {
-			sub, err := crashenum.ParseState(subDesc)
-			exitOnErr(err)
-			viols, err = crashenum.ReplayRecoverCrash(kind, *seed, o, cs, sub)
-			exitOnErr(err)
-		} else {
-			viols, err = crashenum.Replay(kind, *seed, o, cs)
-			exitOnErr(err)
-		}
 		if len(viols) == 0 {
-			fmt.Printf("replay %s seed=%d %s: clean\n", kind, *seed, *replay)
+			fmt.Printf("replay %s seed=%d %s: clean\n", kind, c.o.Seed, c.replay)
 			return
 		}
-		fmt.Printf("replay %s seed=%d %s: %d violations\n", kind, *seed, *replay, len(viols))
+		fmt.Printf("replay %s seed=%d %s: %d violations\n", kind, c.o.Seed, c.replay, len(viols))
 		for _, v := range viols {
 			fmt.Println("  ", v)
 		}
 		os.Exit(1)
 	}
 
-	rpt, err := crashenum.Run(o)
+	rpt, err := crashenum.Run(c.o)
 	exitOnErr(err)
 	fmt.Printf("explored %d distinct crash states across %d runs: %d violations\n",
 		rpt.States, rpt.Runs, len(rpt.Violations))
 	for _, v := range rpt.Violations {
-		if v.MultiState != "" {
-			fmt.Printf("VIOLATION %s seed=%d state=%s shrunk=%s\n", v.Workload, v.Seed, v.MultiState, v.MultiShrunk)
-		} else {
-			fmt.Printf("VIOLATION %s seed=%d state=%s shrunk=%s\n", v.Workload, v.Seed, v.State, v.Shrunk)
-		}
+		fmt.Printf("VIOLATION %s seed=%d state=%s shrunk=%s\n", v.Workload, v.Seed, v.State, v.Shrunk)
 		for _, d := range v.Desc {
 			fmt.Println("  ", d)
 		}
@@ -174,8 +145,8 @@ func main() {
 	if len(rpt.Violations) > 0 {
 		os.Exit(1)
 	}
-	if *minStates > 0 && rpt.States < *minStates {
-		fmt.Fprintf(os.Stderr, "aru-crashcheck: explored %d states, below the floor of %d\n", rpt.States, *minStates)
+	if c.minStates > 0 && rpt.States < c.minStates {
+		fmt.Fprintf(os.Stderr, "aru-crashcheck: explored %d states, below the floor of %d\n", rpt.States, c.minStates)
 		os.Exit(1)
 	}
 }

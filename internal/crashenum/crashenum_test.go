@@ -38,22 +38,22 @@ func TestParseStateRoundTrip(t *testing.T) {
 
 // TestEnumerationDeterminism checks that the same journal and seed
 // always produce the same sequence of crash states, and that
-// MaterializeState reconstructs exactly the image ForEachState handed
+// materialize reconstructs exactly the image forEach handed
 // out — the property replay and shrinking depend on.
 func TestEnumerationDeterminism(t *testing.T) {
-	res, err := runMixed(1, workload.MixedParams{Units: 12}, "")
+	x, err := runMixed(1, Options{MixedParams: workload.MixedParams{Units: 12}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, size := res.rec.Journal(), res.rec.Size()
+	j := journalsOf(x.recs)
 	type rec struct {
-		cs  CrashState
+		st  State
 		sum []byte
 	}
 	collect := func() []rec {
 		var out []rec
-		ForEachState(journal, size, res.startEpoch, 3, 1, func(cs CrashState, img []byte) bool {
-			out = append(out, rec{cs, append([]byte(nil), img[:256]...)})
+		j.forEach(x.start, 3, 1, func(st State, imgs [][]byte) bool {
+			out = append(out, rec{st, append([]byte(nil), imgs[0][:256]...)})
 			return len(out) < 60
 		})
 		return out
@@ -63,16 +63,16 @@ func TestEnumerationDeterminism(t *testing.T) {
 		t.Fatalf("non-deterministic state counts: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].cs.String() != b[i].cs.String() || !bytes.Equal(a[i].sum, b[i].sum) {
-			t.Fatalf("state %d differs between runs: %s vs %s", i, a[i].cs, b[i].cs)
+		if a[i].st.String() != b[i].st.String() || !bytes.Equal(a[i].sum, b[i].sum) {
+			t.Fatalf("state %d differs between runs: %s vs %s", i, a[i].st, b[i].st)
 		}
 	}
-	// Spot-check MaterializeState against the streamed images.
-	ForEachState(journal, size, res.startEpoch, 3, 1, func(cs CrashState, img []byte) bool {
-		if !bytes.Equal(MaterializeState(journal, size, cs), img) {
-			t.Fatalf("MaterializeState(%s) differs from enumerated image", cs)
+	// Spot-check materialize against the streamed images.
+	j.forEach(x.start, 3, 1, func(st State, imgs [][]byte) bool {
+		if !bytes.Equal(j.materialize(st)[0], imgs[0]) {
+			t.Fatalf("materialize(%s) differs from enumerated image", st)
 		}
-		return cs.Epoch < res.startEpoch+2
+		return st.at() < x.start+2
 	})
 
 	// The whole enumeration, pinned: distinct states and a SHA-256 over
@@ -84,28 +84,15 @@ func TestEnumerationDeterminism(t *testing.T) {
 	for _, g := range enumerationGolden {
 		h := sha256.New()
 		n := 0
-		if g.kind == "shard" {
-			sres, err := runShard(g.seed, 2, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			journals, syncsG, sizes := sres.journals()
-			ForEachMultiState(journals, syncsG, sizes, sres.startG, 0, g.seed, func(ms MultiState, _ [][]byte) bool {
-				n++
-				fmt.Fprintln(h, ms)
-				return true
-			})
-		} else {
-			w, err := workloadJournal(g.kind, g.seed, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ForEachState(w.journal, w.size, w.startEpoch, w.window, g.seed, func(cs CrashState, _ []byte) bool {
-				n++
-				fmt.Fprintln(h, cs)
-				return true
-			})
+		gx, err := execute(g.kind, g.seed, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		journalsOf(gx.recs).forEach(gx.start, gx.window, g.seed, func(st State, _ [][]byte) bool {
+			n++
+			fmt.Fprintln(h, st)
+			return true
+		})
 		row := fmt.Sprintf("{%q, %d, %d, \"%x\"},", g.kind, g.seed, n, h.Sum(nil))
 		fresh = append(fresh, row)
 		if n != g.states || fmt.Sprintf("%x", h.Sum(nil)) != g.sha {
@@ -138,7 +125,7 @@ var enumerationGolden = []struct {
 // TestCleanEngine explores crash states of both workloads against the
 // real engine and expects zero violations.
 func TestCleanEngine(t *testing.T) {
-	o := Options{Seed: 1, Seeds: 1, Mixed: true, FS: true, MaxStates: 250}
+	o := Options{Seed: 1, Seeds: 1, Workloads: []string{"mixed", "fs"}, MaxStates: 250}
 	if testing.Short() {
 		o.MaxStates = 80
 	}
@@ -162,7 +149,7 @@ func TestCleanEngine(t *testing.T) {
 // lets a seal's frees be reused before a sync covers the seal fails it
 // on every seed.)
 func TestWrapWorkloadClean(t *testing.T) {
-	o := Options{Seed: 1, Seeds: 2, Wrap: true}
+	o := Options{Seed: 1, Seeds: 2, Workloads: []string{"wrap"}}
 	if testing.Short() {
 		o.Seeds = 1
 	}
@@ -187,7 +174,7 @@ func TestInjectionsCaught(t *testing.T) {
 			// Four seeds: with segment continuation the first script in
 			// which a seal splits a unit from its commit record — what
 			// untagged-replay needs — is mixed seed 4.
-			o := Options{Seed: 1, Seeds: 4, Mixed: true, FS: true, Inject: inject,
+			o := Options{Seed: 1, Seeds: 4, Workloads: []string{"mixed", "fs"}, Inject: inject,
 				MaxStates: 4000, MaxViolationsPerRun: 1}
 			rpt, err := Run(o)
 			if err != nil {
@@ -199,9 +186,17 @@ func TestInjectionsCaught(t *testing.T) {
 			v := rpt.Violations[0]
 			// The shrunk state must still fail, and must not be larger
 			// than the original.
-			if v.Shrunk.Epoch > v.State.Epoch ||
-				(v.Shrunk.Epoch == v.State.Epoch && v.Shrunk.Keep > v.State.Keep) ||
-				len(v.Shrunk.Drop) > len(v.State.Drop) {
+			found, err := ParseState(v.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shrunk, err := ParseState(v.Shrunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shrunk.Epoch > found.Epoch ||
+				(shrunk.Epoch == found.Epoch && shrunk.Keep > found.Keep) ||
+				len(shrunk.Drop) > len(found.Drop) {
 				t.Errorf("shrunk state %s larger than original %s", v.Shrunk, v.State)
 			}
 			viols, err := Replay(v.Workload, v.Seed, o, v.Shrunk)
@@ -230,7 +225,7 @@ func TestInjectionsCaught(t *testing.T) {
 // by plain EndARU must be all-or-nothing, and units whose effects were
 // mid-flight may vanish but never tear.
 func TestNetClean(t *testing.T) {
-	o := Options{Seed: 1, Seeds: 3, Net: true, MaxStates: 250,
+	o := Options{Seed: 1, Seeds: 3, Workloads: []string{"net"}, MaxStates: 250,
 		MixedParams: workload.MixedParams{Units: 24}}
 	if testing.Short() {
 		o.Seeds, o.MaxStates = 1, 80
@@ -251,15 +246,22 @@ func TestNetClean(t *testing.T) {
 // deterministically across runs (one synchronous client, sequential
 // server), or replay artifacts would not reproduce.
 func TestNetJournalDeterministic(t *testing.T) {
-	a, err := runNet(3, workload.MixedParams{}, "")
+	sameJournal(t, func() (*execution, error) { return runNet(3, Options{}) })
+}
+
+// sameJournal runs a workload twice and requires both runs to journal
+// the same non-empty sequence of writes in the same epochs.
+func sameJournal(t *testing.T, run func() (*execution, error)) {
+	t.Helper()
+	a, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runNet(3, workload.MixedParams{}, "")
+	b, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, jb := a.rec.Journal(), b.rec.Journal()
+	ja, jb := a.recs[0].Journal(), b.recs[0].Journal()
 	if len(ja) != len(jb) || len(ja) == 0 {
 		t.Fatalf("journal lengths differ across runs: %d vs %d", len(ja), len(jb))
 	}
@@ -269,6 +271,9 @@ func TestNetJournalDeterministic(t *testing.T) {
 				i, ja[i].Off, jb[i].Off, ja[i].Epoch, jb[i].Epoch)
 		}
 	}
+	if a.recs[0].Epoch() != b.recs[0].Epoch() {
+		t.Fatalf("final epochs differ: %d vs %d", a.recs[0].Epoch(), b.recs[0].Epoch())
+	}
 }
 
 // TestRecoverCrashClean crashes recovery itself: sampled clean crash
@@ -276,7 +281,7 @@ func TestNetJournalDeterministic(t *testing.T) {
 // every double-crash image must re-recover clean — the REDO-only
 // idempotence argument of DESIGN.md §15, checked mechanically.
 func TestRecoverCrashClean(t *testing.T) {
-	o := Options{Seed: 1, Seeds: 2, Mixed: true, MaxStates: 400,
+	o := Options{Seed: 1, Seeds: 2, Workloads: []string{"mixed"}, MaxStates: 400,
 		RecoverCrash: true, RecoverSample: 1}
 	if testing.Short() {
 		o.MaxStates = 120
@@ -304,7 +309,7 @@ func TestRecoverCrashClean(t *testing.T) {
 // operations, no longer rewrite a segment in the epoch of the record that
 // freed it.
 func TestTornDeltaCaught(t *testing.T) {
-	o := Options{Seed: 1, Seeds: 8, Wrap: true, Inject: "torn-delta",
+	o := Options{Seed: 1, Seeds: 8, Workloads: []string{"wrap"}, Inject: "torn-delta",
 		MaxViolationsPerRun: 1}
 	rpt, err := Run(o)
 	if err != nil {
@@ -336,7 +341,7 @@ func TestTornDeltaCaught(t *testing.T) {
 // violations — one device sync covering many logical commits must
 // still honor the Recorder's sync-epoch barrier model.
 func TestConcFlushClean(t *testing.T) {
-	o := Options{Seed: 1, Seeds: 2, Mixed: true, MaxStates: 250,
+	o := Options{Seed: 1, Seeds: 2, Workloads: []string{"mixed"}, MaxStates: 250,
 		MixedParams: workload.MixedParams{ConcFlushers: 4}}
 	if testing.Short() {
 		o.Seeds, o.MaxStates = 1, 80
@@ -358,28 +363,8 @@ func TestConcFlushClean(t *testing.T) {
 // leads the first batch seals everything buffered, and later batches
 // find nothing to do. Replay and shrinking depend on this.
 func TestConcFlushJournalDeterministic(t *testing.T) {
-	wp := workload.MixedParams{Units: 12, ConcFlushers: 4}
-	a, err := runMixed(1, wp, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runMixed(1, wp, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ja, jb := a.rec.Journal(), b.rec.Journal()
-	if len(ja) != len(jb) {
-		t.Fatalf("journal lengths differ across runs: %d vs %d", len(ja), len(jb))
-	}
-	for i := range ja {
-		if ja[i].Off != jb[i].Off || ja[i].Epoch != jb[i].Epoch || !bytes.Equal(ja[i].Data, jb[i].Data) {
-			t.Fatalf("journal op %d differs: off %d/%d epoch %d/%d",
-				i, ja[i].Off, jb[i].Off, ja[i].Epoch, jb[i].Epoch)
-		}
-	}
-	if a.rec.Epoch() != b.rec.Epoch() {
-		t.Fatalf("final epochs differ: %d vs %d", a.rec.Epoch(), b.rec.Epoch())
-	}
+	o := Options{MixedParams: workload.MixedParams{Units: 12, ConcFlushers: 4}}
+	sameJournal(t, func() (*execution, error) { return runMixed(1, o) })
 }
 
 // TestShrink checks the minimizer on a synthetic failure predicate.

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"aru/internal/core"
-	"aru/internal/disk"
 	"aru/internal/minixfs"
 )
 
@@ -25,21 +24,18 @@ type fsSnap struct {
 	content   map[string]string // file path -> "size:hash"
 }
 
-// fsResult is a completed file-system workload execution: the journal,
-// the canonical state snapshot taken after every operation, and the
-// durable floors observed at each sync.
-type fsResult struct {
-	rec        *Recorder
-	params     core.Params
-	startEpoch int
-	snaps      []fsSnap // state after op i (snaps[0] = initial)
+// fsFacts is what the file-system workload recorded: the canonical
+// state snapshot taken after every operation, and the durable floors
+// observed at each sync.
+type fsFacts struct {
+	snaps []fsSnap // state after op i (snaps[0] = initial)
 	// floors maps sync events to (epoch after the sync, snapshot index
 	// guaranteed durable from that epoch on).
 	floors []fsFloor
 }
 
 type fsFloor struct {
-	epoch   int
+	epoch   uint64
 	snapIdx int
 }
 
@@ -95,16 +91,12 @@ func walkFS(fs *minixfs.FS) (fsSnap, error) {
 // truncates, renames, removals, mkdirs, syncs) on minixfs over the
 // recording disk, and captures the canonical FS state after each
 // operation.
-func runFS(seed int64, inject string) (*fsResult, error) {
-	params, err := checkerParams(inject)
+func runFS(seed int64, o Options) (*execution, error) {
+	e, err := formatEngine(o.Inject, nil)
 	if err != nil {
 		return nil, err
 	}
-	rec := NewRecorder(params.Layout.DiskBytes())
-	d, err := core.Format(rec, params)
-	if err != nil {
-		return nil, fmt.Errorf("crashenum: format: %w", err)
-	}
+	d, now := e.d, e.now
 	fs, err := minixfs.Mkfs(d, minixfs.Config{NumInodes: 64})
 	if err != nil {
 		return nil, fmt.Errorf("crashenum: mkfs: %w", err)
@@ -116,7 +108,8 @@ func runFS(seed int64, inject string) (*fsResult, error) {
 		return nil, err
 	}
 
-	res := &fsResult{rec: rec, params: params, startEpoch: rec.Epoch()}
+	start := now()
+	res := &fsFacts{}
 	snap := func() error {
 		s, err := walkFS(fs)
 		if err != nil {
@@ -128,7 +121,7 @@ func runFS(seed int64, inject string) (*fsResult, error) {
 	if err := snap(); err != nil {
 		return nil, err
 	}
-	res.floors = []fsFloor{{epoch: res.startEpoch, snapIdx: 0}}
+	res.floors = []fsFloor{{epoch: start, snapIdx: 0}}
 
 	rng := rand.New(rand.NewSource(seed ^ 0x51c0ffee))
 	var files, dirs []string
@@ -188,7 +181,7 @@ func runFS(seed int64, inject string) (*fsResult, error) {
 			}
 		default: // sync: everything so far becomes durable
 			if err = fs.Sync(); err == nil {
-				res.floors = append(res.floors, fsFloor{epoch: rec.Epoch(), snapIdx: len(res.snaps) - 1})
+				res.floors = append(res.floors, fsFloor{epoch: now(), snapIdx: len(res.snaps) - 1})
 			}
 		}
 		if err != nil {
@@ -201,14 +194,13 @@ func runFS(seed int64, inject string) (*fsResult, error) {
 	if err := fs.Sync(); err != nil {
 		return nil, err
 	}
-	res.floors = append(res.floors, fsFloor{epoch: rec.Epoch(), snapIdx: len(res.snaps) - 1})
-	return res, nil
+	res.floors = append(res.floors, fsFloor{epoch: now(), snapIdx: len(res.snaps) - 1})
+	return e.execution("fs", start, res.judge), nil
 }
 
-// checkImage mounts one crash image of a file-system run and checks
-// the oracle:
+// judge checks the tree recovered from a crash in epoch at:
 //
-//   - recovery and fsck must succeed;
+//   - mount and fsck must succeed;
 //   - the recovered tree STRUCTURE must be exactly one of the states
 //     the workload passed through (every namespace operation is one
 //     ARU, so no in-between structure can exist), and at least as new
@@ -217,34 +209,24 @@ func runFS(seed int64, inject string) (*fsResult, error) {
 //     the end of the run must be recovered with exactly that content
 //     (file writes after the floor are simple operations and may
 //     legitimately be partially applied).
-func (res *fsResult) checkImage(cs CrashState, img []byte) (viols []string) {
-	defer func() {
-		if p := recover(); p != nil {
-			viols = append(viols, fmt.Sprintf("panic during recovery/check: %v", p))
-		}
-	}()
-	dev := disk.FromImage(img, disk.Geometry{})
-	d, _, err := core.OpenReport(dev, res.params)
+func (res *fsFacts) judge(d recovered, at uint64, viols *[]string) {
+	// minixfs mounts on the engine itself, not on the operation set.
+	fs, err := minixfs.Mount(d.recoveredDisk.(*core.LLD), minixfs.DeleteBlocksFirst)
 	if err != nil {
-		return []string{fmt.Sprintf("recovery failed: %v", err)}
-	}
-	if err := d.VerifyInternal(); err != nil {
-		viols = append(viols, fmt.Sprintf("internal verification: %v", err))
-	}
-	fs, err := minixfs.Mount(d, minixfs.DeleteBlocksFirst)
-	if err != nil {
-		return append(viols, fmt.Sprintf("mount failed: %v", err))
+		addf(viols, "mount failed: %v", err)
+		return
 	}
 	if _, err := fs.Fsck(); err != nil {
-		viols = append(viols, fmt.Sprintf("fsck: %v", err))
+		addf(viols, "fsck: %v", err)
 	}
 	got, err := walkFS(fs)
 	if err != nil {
-		return append(viols, fmt.Sprintf("walking recovered tree: %v", err))
+		addf(viols, "walking recovered tree: %v", err)
+		return
 	}
 	floor := 0
 	for _, f := range res.floors {
-		if f.epoch <= cs.Epoch && f.snapIdx > floor {
+		if f.epoch <= at && f.snapIdx > floor {
 			floor = f.snapIdx
 		}
 	}
@@ -260,11 +242,10 @@ func (res *fsResult) checkImage(cs CrashState, img []byte) (viols []string) {
 	}
 	switch {
 	case match < 0:
-		viols = append(viols, "recovered tree structure matches no state the workload passed through")
+		addf(viols, "recovered tree structure matches no state the workload passed through")
 	case match < floor:
-		viols = append(viols, fmt.Sprintf(
-			"recovered tree regressed to state %d, but state %d was durable before crash epoch %d",
-			match, floor, cs.Epoch))
+		addf(viols, "recovered tree regressed to state %d, but state %d was durable before crash epoch %d",
+			match, floor, at)
 	}
 	// Durable-content check: a file untouched from the floor snapshot
 	// to the end of the run has no in-flight writes, so its synced
@@ -281,15 +262,8 @@ func (res *fsResult) checkImage(cs CrashState, img []byte) (viols []string) {
 			continue
 		}
 		if got.content[path] != want {
-			viols = append(viols, fmt.Sprintf(
-				"file %s: durable content %s lost after crash epoch %d (recovered %q)",
-				path, want, cs.Epoch, got.content[path]))
+			addf(viols, "file %s: durable content %s lost after crash epoch %d (recovered %q)",
+				path, want, at, got.content[path])
 		}
 	}
-	if n, err := d.CheckDisk(); err != nil {
-		viols = append(viols, fmt.Sprintf("post-recovery sweep: %v", err))
-	} else if n != 0 {
-		viols = append(viols, fmt.Sprintf("second consistency sweep freed %d blocks", n))
-	}
-	return viols
 }

@@ -5,10 +5,7 @@ import (
 	"math/rand"
 	"net"
 
-	"aru/internal/core"
 	"aru/internal/ldnet"
-	"aru/internal/seg"
-	"aru/internal/workload"
 )
 
 // runNet executes a seeded workload through an ldnet client/server
@@ -25,52 +22,24 @@ import (
 //
 // The client issues calls synchronously from one goroutine, so the
 // server's device journal is deterministic and states replay.
-func runNet(seed int64, wp workload.MixedParams, inject string) (*runResult, error) {
-	params, err := checkerParams(inject)
+func runNet(seed int64, o Options) (*execution, error) {
+	e, err := formatEngine(o.Inject, nil)
 	if err != nil {
 		return nil, err
 	}
-	rec := NewRecorder(params.Layout.DiskBytes())
-	d, err := core.Format(rec, params)
-	if err != nil {
-		return nil, fmt.Errorf("crashenum: format: %w", err)
-	}
-	bsize := params.Layout.BlockSize
-	res := &runResult{rec: rec, params: params}
-
 	// The pool is created directly on the engine and checkpointed, as
-	// in runMixed: enumeration starts from a durable base.
-	poolList, err := d.NewList(seg.SimpleARU)
-	if err != nil {
-		return nil, err
-	}
-	res.poolList = poolList
-	nPool := wp.PoolBlocks
+	// in runMixed.
+	f := newFacts(e.d, e.now)
+	nPool := o.MixedParams.PoolBlocks
 	if nPool == 0 {
 		nPool = 4
 	}
-	for i := 0; i < nPool; i++ {
-		b, err := d.NewBlock(seg.SimpleARU, poolList, core.NilBlock)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Write(seg.SimpleARU, b, poolPayload(bsize, i, 1)); err != nil {
-			return nil, err
-		}
-		res.pool = append(res.pool, &poolFact{id: b})
-	}
-	if err := d.Flush(); err != nil {
+	start, err := f.seedPool(nPool, e.flushAndCheckpoint)
+	if err != nil {
 		return nil, err
-	}
-	if err := d.Checkpoint(); err != nil {
-		return nil, err
-	}
-	res.startEpoch = rec.Epoch()
-	for _, pb := range res.pool {
-		pb.gens = []genFact{{gen: 1, durableEpoch: res.startEpoch}}
 	}
 
-	srv := ldnet.NewServer(d, ldnet.ServerOptions{})
+	srv := ldnet.NewServer(e.d, ldnet.ServerOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("crashenum: net listen: %w", err)
@@ -83,111 +52,69 @@ func runNet(seed int64, wp workload.MixedParams, inject string) (*runResult, err
 		return nil, fmt.Errorf("crashenum: net dial: %w", err)
 	}
 	defer cl.Close()
+	f.d = cl // from here on every operation, and every snapshot, is the client's
 
-	snapshot := func(fact *unitFact) error {
-		for _, id := range fact.allLists {
-			members, err := cl.ListBlocks(seg.SimpleARU, id)
-			if err != nil {
-				return fmt.Errorf("crashenum: net snapshot list %d: %w", id, err)
-			}
-			lf := listFact{id: id, members: members, content: make(map[core.BlockID][]byte)}
-			for _, b := range members {
-				buf := make([]byte, bsize)
-				if err := cl.Read(seg.SimpleARU, b, buf); err != nil {
-					return fmt.Errorf("crashenum: net snapshot block %d: %w", b, err)
-				}
-				lf.content[b] = buf
-			}
-			fact.lists = append(fact.lists, lf)
-		}
-		return nil
-	}
-
-	nUnits := wp.Units
+	nUnits := o.MixedParams.Units
 	if nUnits == 0 {
 		nUnits = 16
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x6e657464))
-	for u := 0; u < nUnits; u++ {
-		fact := &unitFact{idx: u, durableEpoch: -1}
-		res.units = append(res.units, fact)
-		aru, err := cl.BeginARU()
+	unit := func(idx int) error {
+		u, err := f.begin(idx)
 		if err != nil {
-			return nil, fmt.Errorf("crashenum: net unit %d: %w", u, err)
+			return err
 		}
-		lst, err := cl.NewList(aru)
+		lst, err := u.newList()
 		if err != nil {
-			return nil, fmt.Errorf("crashenum: net unit %d: %w", u, err)
+			return err
 		}
-		fact.allLists = append(fact.allLists, lst)
-		var live []core.BlockID
-		serial := 0
 		for n := 2 + rng.Intn(3); n > 0; n-- {
-			b, err := cl.NewBlock(aru, lst, core.NilBlock)
-			if err != nil {
-				return nil, fmt.Errorf("crashenum: net unit %d: %w", u, err)
-			}
-			fact.allBlocks = append(fact.allBlocks, b)
-			live = append(live, b)
-			serial++
-			if err := cl.Write(aru, b, unitPayload(bsize, u, serial)); err != nil {
-				return nil, fmt.Errorf("crashenum: net unit %d: %w", u, err)
+			if err := u.newBlock(lst); err != nil {
+				return err
 			}
 		}
 		if rng.Intn(2) == 0 {
-			serial++
-			if err := cl.Write(aru, live[rng.Intn(len(live))], unitPayload(bsize, u, serial)); err != nil {
-				return nil, fmt.Errorf("crashenum: net unit %d: %w", u, err)
+			if err := u.rewrite(rng.Intn(len(u.live))); err != nil {
+				return err
 			}
 		}
-		if len(live) > 1 && rng.Intn(3) == 0 {
-			j := rng.Intn(len(live))
-			if err := cl.DeleteBlock(aru, live[j]); err != nil {
-				return nil, fmt.Errorf("crashenum: net unit %d: %w", u, err)
+		if len(u.live) > 1 && rng.Intn(3) == 0 {
+			if err := u.delete(rng.Intn(len(u.live))); err != nil {
+				return err
 			}
 		}
 		switch rng.Intn(10) {
 		case 0, 1:
-			if err := cl.AbortARU(aru); err != nil {
-				return nil, fmt.Errorf("crashenum: net unit %d abort: %w", u, err)
-			}
+			err = u.abort()
 		case 2, 3, 4:
 			// Commit without a durability ack: survival is not owed
 			// until a later acked Flush covers it.
-			if err := cl.EndARU(aru); err != nil {
-				return nil, fmt.Errorf("crashenum: net unit %d commit: %w", u, err)
-			}
-			fact.committed = true
-			if err := snapshot(fact); err != nil {
-				return nil, err
-			}
+			err = u.end(cl.EndARU, false)
 		default:
 			// Commit-and-flush in one round trip: once the client holds
 			// the ack, the unit must survive any later crash.
-			if err := cl.CommitDurable(aru); err != nil {
-				return nil, fmt.Errorf("crashenum: net unit %d commit-durable: %w", u, err)
-			}
-			fact.committed = true
-			fact.durableEpoch = rec.Epoch()
-			if err := snapshot(fact); err != nil {
-				return nil, err
-			}
+			err = u.end(cl.CommitDurable, true)
+		}
+		if err != nil {
+			return err
 		}
 		if rng.Intn(3) == 0 {
-			j := rng.Intn(len(res.pool))
-			pb := res.pool[j]
-			gen := len(pb.gens) + 1
-			if err := cl.Write(seg.SimpleARU, pb.id, poolPayload(bsize, j, gen)); err != nil {
-				return nil, fmt.Errorf("crashenum: net pool write: %w", err)
+			if err := f.poolWrite(rng.Intn(len(f.pool))); err != nil {
+				return err
 			}
-			pb.gens = append(pb.gens, genFact{gen: gen, durableEpoch: -1})
 		}
 		if rng.Intn(4) == 0 {
 			if err := cl.Flush(); err != nil {
-				return nil, fmt.Errorf("crashenum: net flush: %w", err)
+				return err
 			}
-			res.markDurable() // an acked Flush covers everything committed before it
+			f.markDurable() // an acked Flush covers everything committed before it
+		}
+		return nil
+	}
+	for idx := 0; idx < nUnits; idx++ {
+		if err := unit(idx); err != nil {
+			return nil, fmt.Errorf("crashenum: net unit %d: %w", idx, err)
 		}
 	}
-	return res, nil
+	return e.execution("net", start, f.judge), nil
 }

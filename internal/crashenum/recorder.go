@@ -65,14 +65,12 @@ type Recorder struct {
 var _ disk.Disk = (*Recorder)(nil)
 
 // NewRecorder returns a Recorder over a fresh zeroed in-memory disk of
-// the given capacity, with a private clock.
-func NewRecorder(capacity int64) *Recorder {
-	return &Recorder{dev: disk.NewMem(capacity), clock: &Clock{}}
-}
-
-// NewRecorderShared is NewRecorder drawing event ticks from a shared
-// clock, for multi-device executions.
-func NewRecorderShared(capacity int64, c *Clock) *Recorder {
+// the given capacity. It draws its event ticks from c, the clock the
+// devices of a multi-device execution share; nil gives it its own.
+func NewRecorder(capacity int64, c *Clock) *Recorder {
+	if c == nil {
+		c = &Clock{}
+	}
 	return &Recorder{dev: disk.NewMem(capacity), clock: c}
 }
 
@@ -127,13 +125,6 @@ func (r *Recorder) Epoch() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.epoch
-}
-
-// Pos returns the current journal length, usable as a position marker.
-func (r *Recorder) Pos() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.ops)
 }
 
 // Journal returns the journaled writes. The slice (not the payloads)

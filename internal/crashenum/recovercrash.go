@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"aru/internal/core"
+	"aru/internal/disk"
 )
 
 // recoverThenCrash crashes *recovery itself*: it re-runs recovery over
@@ -22,78 +22,56 @@ import (
 // fn receives each sub-state and its oracle findings; returning false
 // stops the sub-enumeration. maxSub bounds the sub-states explored
 // (<=0: unlimited).
-func recoverThenCrash(outer CrashState, img []byte, params core.Params,
-	check func(CrashState, []byte) []string, window int, seed int64, maxSub int,
-	fn func(sub CrashState, viols []string) bool) error {
-	journal, size, start, err := recoverJournal(outer, img, params)
+func (x *execution) recoverThenCrash(outer State, img []byte, window int, seed int64, maxSub int,
+	fn func(sub State, viols []string) bool) error {
+	rj, start, err := x.recoverJournal(outer, img)
 	if err != nil {
 		return err
 	}
 	n := 0
-	ForEachState(journal, size, start, window, seed^0x7ec0425, func(sub CrashState, img2 []byte) bool {
+	rj.forEach(start, window, seed^0x7ec0425, func(sub State, imgs [][]byte) bool {
 		n++
-		viols := check(CrashState{Epoch: outer.Epoch, TearOp: -1}, img2)
-		if !fn(sub, viols) {
-			return false
-		}
-		return maxSub <= 0 || n < maxSub
+		return fn(sub, x.check(outer.at(), imgs)) && (maxSub <= 0 || n < maxSub)
 	})
 	if n == 0 {
 		// Recovery wrote nothing (no cut tail to seal, no leaks to
 		// sweep), so there is exactly one double-crash image: the outer
 		// image itself. Still check it — the second recovery must
 		// converge to the same oracle-clean state as the first.
-		fn(CrashState{Epoch: start, TearOp: -1},
-			check(CrashState{Epoch: outer.Epoch, TearOp: -1}, img))
+		fn(oneDevice(CrashState{Epoch: int(start), TearOp: -1}), x.check(outer.at(), [][]byte{img}))
 	}
 	return nil
 }
 
 // recoverJournal runs one recovery over img with its device writes
-// journaled, returning the journal, device size, and the first epoch
-// holding recovery's own writes. The whole outer crash image is seeded
-// as epoch 0 and sealed, so materialized sub-states start from exactly
+// journaled, returning the journal and the first epoch holding
+// recovery's own writes. The whole outer crash image is seeded as
+// epoch 0 and sealed, so materialized sub-states start from exactly
 // that image and only recovery's writes are subject to loss.
-func recoverJournal(outer CrashState, img []byte, params core.Params) ([]WriteOp, int64, int, error) {
-	rec := NewRecorder(int64(len(img)))
-	if err := rec.WriteAt(append([]byte(nil), img...), 0); err != nil {
-		return nil, 0, 0, err
+func (x *execution) recoverJournal(outer State, img []byte) (journals, uint64, error) {
+	rec := NewRecorder(int64(len(img)), nil)
+	if err := rec.WriteAt(img, 0); err != nil {
+		return journals{}, 0, err
 	}
 	if err := rec.Sync(); err != nil {
-		return nil, 0, 0, err
+		return journals{}, 0, err
 	}
-	start := rec.Epoch()
-	if _, _, err := core.OpenReport(rec, params); err != nil {
-		return nil, 0, 0, fmt.Errorf("crashenum: journaled recovery of state %s failed: %w", outer, err)
+	start := uint64(rec.Epoch())
+	var probed []string // the mid-replay probe's findings belong to check, not to journaling
+	if _, err := x.mount([]disk.Disk{rec}, &probed); err != nil {
+		return journals{}, 0, fmt.Errorf("crashenum: journaled recovery of state %s failed: %w", outer, err)
 	}
-	return rec.Journal(), rec.Size(), start, nil
-}
-
-// ReplayRecoverCrash reproduces one recover-then-crash violation: it
-// materializes the outer crash state of the workload, journals the
-// first recovery over it, materializes the sub-state of that journal,
-// and returns the oracle's findings on the double-crash image.
-func ReplayRecoverCrash(kind string, seed int64, o Options, outer, sub CrashState) ([]string, error) {
-	w, err := workloadJournal(kind, seed, o)
-	if err != nil {
-		return nil, err
-	}
-	img := MaterializeState(w.journal, w.size, outer)
-	rj, rsize, _, err := recoverJournal(outer, img, w.params)
-	if err != nil {
-		return nil, err
-	}
-	return w.check(CrashState{Epoch: outer.Epoch, TearOp: -1}, MaterializeState(rj, rsize, sub)), nil
+	return journalsOf([]*Recorder{rec}), start, nil
 }
 
 // sampleRecoverCrash deterministically picks which clean crash states
 // get the recover-then-crash treatment: roughly one in rate, by hash
 // of the seed and state descriptor. rate <= 1 samples every state.
-func sampleRecoverCrash(cs CrashState, seed int64, rate int) bool {
+func sampleRecoverCrash(st State, seed int64, rate int) bool {
 	if rate <= 1 {
 		return true
 	}
 	h := fnv.New32a()
-	fmt.Fprintf(h, "%d/%s", seed, cs)
+	fmt.Fprintf(h, "%d/%s", seed, st)
 	return h.Sum32()%uint32(rate) == 0
 }

@@ -11,7 +11,7 @@ func TestParseMultiStateRoundTrip(t *testing.T) {
 		"G1/E0K0/E0K0",
 		"G900/E3K7D5,6/E1K0/E2K2",
 	} {
-		ms, err := ParseMultiState(s)
+		ms, err := ParseDescriptor(s)
 		if err != nil {
 			t.Fatalf("parse %q: %v", s, err)
 		}
@@ -20,7 +20,7 @@ func TestParseMultiStateRoundTrip(t *testing.T) {
 		}
 	}
 	for _, s := range []string{"", "G5", "E0K0/E0K0", "Gx/E0K0", "G5/bogus"} {
-		if _, err := ParseMultiState(s); err == nil {
+		if _, err := ParseDescriptor(s); err == nil {
 			t.Errorf("parse %q: expected error", s)
 		}
 	}
@@ -31,7 +31,7 @@ func TestParseMultiStateRoundTrip(t *testing.T) {
 // all-or-nothing across shards through every reachable combination of
 // per-device crash states.
 func TestShardClean(t *testing.T) {
-	o := Options{Seed: 1, Seeds: 2, Shard: true, Shards: 2, MaxStates: 350}
+	o := Options{Seed: 1, Seeds: 2, Workloads: []string{"shard"}, Shards: 2, MaxStates: 350}
 	if testing.Short() {
 		o.Seeds, o.MaxStates = 1, 150
 	}
@@ -40,7 +40,7 @@ func TestShardClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range rpt.Violations {
-		t.Errorf("shard seed=%d state=%s shrunk=%s: %v", v.Seed, v.MultiState, v.MultiShrunk, v.Desc)
+		t.Errorf("shard seed=%d state=%s shrunk=%s: %v", v.Seed, v.State, v.Shrunk, v.Desc)
 	}
 	if rpt.States < o.MaxStates {
 		t.Fatalf("explored only %d states, wanted %d", rpt.States, o.MaxStates)
@@ -54,13 +54,13 @@ func TestShardCleanThreeShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	o := Options{Seed: 3, Seeds: 1, Shard: true, Shards: 3, MaxStates: 150}
+	o := Options{Seed: 3, Seeds: 1, Workloads: []string{"shard"}, Shards: 3, MaxStates: 150}
 	rpt, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range rpt.Violations {
-		t.Errorf("shard seed=%d state=%s: %v", v.Seed, v.MultiShrunk, v.Desc)
+		t.Errorf("shard seed=%d state=%s: %v", v.Seed, v.Shrunk, v.Desc)
 	}
 	if rpt.States < o.MaxStates {
 		t.Fatalf("explored only %d states, wanted %d", rpt.States, o.MaxStates)
@@ -75,41 +75,40 @@ func TestShardCleanThreeShards(t *testing.T) {
 // proves the descriptors replay.
 func TestShardInDoubtReplay(t *testing.T) {
 	o := Options{Shards: 2}
-	res, err := runShard(1, 2, "")
+	x, err := runShard(1, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	journals, syncsG, _ := res.journals()
-	ndev := len(journals)
+	j := journalsOf(x.recs)
+	ndev := len(j.ops)
 
 	// Find a crash instant at the coordinator's commit sync for a
 	// cross-shard unit: a coordinator sync G where both shards have
 	// sealed epochs covering their prepares (their last sync before G).
 	coord := ndev - 1
 	var hit int
-	for _, G := range syncsG[coord] {
-		if G <= res.startG {
+	for _, G := range j.syncs[coord] {
+		if G <= x.start {
 			continue
 		}
-		ms := MultiState{G: G, Dev: make([]CrashState, ndev)}
+		st := State{G: G, Dev: make([]CrashState, ndev)}
 		for i := 0; i < ndev; i++ {
-			e, m := devAt(journals[i], syncsG[i], G)
+			e, inflight := devAt(j.ops[i], j.syncs[i], G)
 			// Shards at full (everything issued by G landed), so the
 			// prepares are present; coordinator at floor (epoch sealed
 			// by this very sync not yet durable) — the in-doubt window.
 			if i == coord {
-				ms.Dev[i] = CrashState{Epoch: e, Keep: 0, TearOp: -1}
+				st.Dev[i] = CrashState{Epoch: e, Keep: 0, TearOp: -1}
 			} else {
-				ms.Dev[i] = CrashState{Epoch: e, Keep: m, TearOp: -1}
+				st.Dev[i] = CrashState{Epoch: e, Keep: len(inflight), TearOp: -1}
 			}
 		}
 		hit++
-		desc := ms.String()
-		parsed, err := ParseMultiState(desc)
-		if err != nil {
-			t.Fatalf("descriptor %q does not parse: %v", desc, err)
+		desc := st.String()
+		if parsed, err := ParseDescriptor(desc); err != nil || parsed.String() != desc {
+			t.Fatalf("descriptor %q does not parse back: %v", desc, err)
 		}
-		if viols, err := ReplayShard(1, o, parsed); err != nil {
+		if viols, err := Replay("shard", 1, o, desc); err != nil {
 			t.Fatalf("replay %q: %v", desc, err)
 		} else if len(viols) != 0 {
 			t.Errorf("in-doubt state %s (decision lost): %v", desc, viols)
@@ -117,12 +116,12 @@ func TestShardInDoubtReplay(t *testing.T) {
 
 		// Same instant with the coordinator fully landed: the decision
 		// is durable, recovery must redo the prepares.
-		e, m := devAt(journals[coord], syncsG[coord], G)
-		ms.Dev[coord] = CrashState{Epoch: e, Keep: m, TearOp: -1}
-		if viols, err := ReplayShard(1, o, ms); err != nil {
-			t.Fatalf("replay %q: %v", ms, err)
+		e, inflight := devAt(j.ops[coord], j.syncs[coord], G)
+		st.Dev[coord] = CrashState{Epoch: e, Keep: len(inflight), TearOp: -1}
+		if viols, err := Replay("shard", 1, o, st.String()); err != nil {
+			t.Fatalf("replay %q: %v", st, err)
 		} else if len(viols) != 0 {
-			t.Errorf("in-doubt state %s (decision durable): %v", ms, viols)
+			t.Errorf("in-doubt state %s (decision durable): %v", st, viols)
 		}
 	}
 	if hit == 0 {
@@ -137,7 +136,7 @@ func TestShardInDoubtReplay(t *testing.T) {
 // cross-shard commit. The artifact must reproduce, and the same state
 // must be clean on the correct protocol.
 func TestShardInjectionCaught(t *testing.T) {
-	o := Options{Seed: 1, Seeds: 3, Shard: true, Shards: 2,
+	o := Options{Seed: 1, Seeds: 3, Workloads: []string{"shard"}, Shards: 2,
 		Inject:    "commit-before-prepare-sync",
 		MaxStates: 6000, MaxViolationsPerRun: 1}
 	rpt, err := Run(o)
@@ -148,17 +147,15 @@ func TestShardInjectionCaught(t *testing.T) {
 		t.Fatalf("commit-before-prepare-sync not caught in %d states", rpt.States)
 	}
 	v := rpt.Violations[0]
-	if v.MultiState == "" || v.MultiShrunk == "" {
-		t.Fatalf("shard violation missing multi-state descriptors: %+v", v)
-	}
 	if !strings.Contains(v.Artifact, "-workloads shard") || !strings.Contains(v.Artifact, "-replay G") {
 		t.Errorf("artifact %q not replayable", v.Artifact)
 	}
-	ms, err := ParseMultiState(v.MultiShrunk)
-	if err != nil {
-		t.Fatalf("shrunk descriptor %q does not parse: %v", v.MultiShrunk, err)
+	for _, desc := range []string{v.State, v.Shrunk} {
+		if st, err := ParseDescriptor(desc); err != nil || len(st.Dev) != 3 {
+			t.Fatalf("shard violation descriptor %q is not a three-device state: %v", desc, err)
+		}
 	}
-	viols, err := ReplayShard(v.Seed, o, ms)
+	viols, err := Replay(v.Workload, v.Seed, o, v.Shrunk)
 	if err != nil {
 		t.Fatal(err)
 	}

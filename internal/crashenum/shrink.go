@@ -1,5 +1,7 @@
 package crashenum
 
+import "slices"
+
 // Shrink greedily minimizes a failing crash state: it tries to remove
 // the torn write, then each reorder-drop, then to cut the write prefix
 // to the shortest one that still fails, repeating until no single
@@ -49,6 +51,32 @@ func Shrink(cs CrashState, fails func(CrashState) bool) CrashState {
 
 		if !improved {
 			return cs
+		}
+	}
+}
+
+// shrinkState minimizes a failing state of an execution: each device's
+// component is shrunk with Shrink while the others stay fixed,
+// repeating until no device improves.
+func shrinkState(st State, fails func(State) bool) State {
+	st.Dev = slices.Clone(st.Dev) // the caller keeps the state as found
+	for {
+		improved := false
+		for i := range st.Dev {
+			shrunk := Shrink(st.Dev[i], func(cand CrashState) bool {
+				trial := State{G: st.G, Dev: slices.Clone(st.Dev)}
+				trial.Dev[i] = cand
+				return fails(trial)
+			})
+			// Shrink only ever moves downward and only returns failing
+			// states, so any change is an improvement.
+			if shrunk.String() != st.Dev[i].String() {
+				st.Dev[i] = shrunk
+				improved = true
+			}
+		}
+		if !improved {
+			return st
 		}
 	}
 }

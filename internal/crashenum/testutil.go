@@ -13,8 +13,3 @@ import (
 func Recover(dev *disk.Sim, p core.Params) (*core.LLD, error) {
 	return core.Open(dev.Recycle(), p)
 }
-
-// RecoverReport is Recover plus the report of what recovery did.
-func RecoverReport(dev *disk.Sim, p core.Params) (*core.LLD, core.RecoveryReport, error) {
-	return core.OpenReport(dev.Recycle(), p)
-}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"aru/internal/core"
-	"aru/internal/seg"
 )
 
 // The wrap workload's geometry: a pool of simple blocks several
@@ -32,62 +31,33 @@ const (
 // checkpoint or two later, so the enumerated drop states cover what the
 // stock scripts' 96-segment log never reaches: a reused segment whose
 // rewrite overtakes the seal that emptied it (DESIGN.md §11). The
-// oracle is the pool clause of runMixed's: every block reads one of its
-// own generations, never older than its durable floor.
-func runWrap(seed int64, inject string) (*runResult, error) {
-	params, err := checkerParams(inject)
+// oracle is the pool clause alone: every block reads one of its own
+// generations, never older than its durable floor.
+func runWrap(seed int64, o Options) (*execution, error) {
+	e, err := formatEngine(o.Inject, func(p *core.Params) {
+		p.Layout.NumSegs = wrapSegs
+		// The script owns the checkpoints, and cyclic overwrites leave
+		// nothing for the cleaner to do.
+		p.CheckpointEvery = -1
+		p.CleanerLowWater = -1
+	})
 	if err != nil {
 		return nil, err
 	}
-	params.Layout.NumSegs = wrapSegs
-	// The script owns the checkpoints, and cyclic overwrites leave
-	// nothing for the cleaner to do.
-	params.CheckpointEvery = -1
-	params.CleanerLowWater = -1
-	rec := NewRecorder(params.Layout.DiskBytes())
-	d, err := core.Format(rec, params)
-	if err != nil {
-		return nil, fmt.Errorf("crashenum: format: %w", err)
-	}
-	bsize := params.Layout.BlockSize
-	// A rewrite overtakes the seal that emptied the segment from up to a
-	// log's length of writes behind it: reorder across the whole log.
-	res := &runResult{rec: rec, params: params, window: wrapSegs}
-	if res.poolList, err = d.NewList(seg.SimpleARU); err != nil {
-		return nil, err
-	}
-	write := func(i int) error {
-		pb := res.pool[i]
-		gen := len(pb.gens) + 1
-		if err := d.Write(seg.SimpleARU, pb.id, poolPayload(bsize, i, gen)); err != nil {
-			return err
-		}
-		pb.gens = append(pb.gens, genFact{gen: gen, durableEpoch: -1})
-		return nil
-	}
+	d, f := e.d, newFacts(e.d, e.now)
 	var ckptSegs int64 // segments written up to the last checkpoint
 	checkpoint := func() error {
 		if err := d.Checkpoint(); err != nil {
 			return err
 		}
 		ckptSegs = d.Stats().SegmentsWritten
-		res.markDurable()
+		f.markDurable()
 		return nil
 	}
-	for i := 0; i < wrapPool; i++ {
-		b, err := d.NewBlock(seg.SimpleARU, res.poolList, core.NilBlock)
-		if err != nil {
-			return nil, err
-		}
-		res.pool = append(res.pool, &poolFact{id: b})
-		if err := write(i); err != nil {
-			return nil, err
-		}
-	}
-	if err := checkpoint(); err != nil {
+	start, err := f.seedPool(wrapPool, checkpoint)
+	if err != nil {
 		return nil, err
 	}
-	res.startEpoch = rec.Epoch()
 
 	rng := rand.New(rand.NewSource(seed))
 	next := 0
@@ -99,10 +69,14 @@ func runWrap(seed int64, inject string) (*runResult, error) {
 			continue
 		}
 		for n := 1 + rng.Intn(8); n > 0; n, next = n-1, (next+1)%wrapPool {
-			if err := write(next); err != nil {
+			if err := f.poolWrite(next); err != nil {
 				return nil, fmt.Errorf("crashenum: wrap step %d: %w", step, err)
 			}
 		}
 	}
-	return res, nil
+	x := e.execution("wrap", start, f.judge)
+	// A rewrite overtakes the seal that emptied the segment from up to a
+	// log's length of writes behind it: reorder across the whole log.
+	x.window = wrapSegs
+	return x, nil
 }
