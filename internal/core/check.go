@@ -14,9 +14,8 @@ import (
 // list; the check frees them. It returns the number of blocks freed.
 //
 // Blocks that an *open* ARU has allocated but not yet committed onto a
-// list are skipped, so CheckDisk is safe to run at any time. Open on a
-// recovered disk runs it automatically unless Params.NoAutoCheck is
-// set.
+// list are skipped, so CheckDisk is safe to run at any time. Open runs
+// it automatically at the end of every recovery.
 func (d *LLD) CheckDisk() (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -145,21 +145,12 @@ type Params struct {
 	// CacheBlocks is the read-cache capacity in blocks (default 1024;
 	// negative disables the cache).
 	CacheBlocks int
-	// GrowthReserve refuses growth operations (Write, NewBlock,
-	// NewList) with ErrNoSpace while fewer than this many reusable
-	// segments remain beyond the open one (default 1; negative
-	// disables). The reserve guarantees de-allocations can still log —
-	// and therefore free space — on an otherwise full disk.
-	GrowthReserve int
 	// ReadSemantics selects which of the paper's three Read-visibility
 	// options (§3.3) Read provides (default ReadOwnShadow, the
 	// prototype's choice). It affects Read only; structure lookups
 	// (ListBlocks, StatBlock) always resolve through the issuing
 	// stream's own state.
 	ReadSemantics ReadSemantics
-	// NoAutoCheck skips the automatic post-recovery consistency sweep,
-	// which frees blocks leaked by uncommitted ARUs.
-	NoAutoCheck bool
 	// Tracer attaches an observability sink (event ring + latency
 	// histograms; see aru/internal/obs). nil — the default — disables
 	// all instrumentation: hot paths then pay a single nil-check. One
@@ -247,9 +238,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.CacheBlocks == 0 {
 		p.CacheBlocks = 1024
-	}
-	if p.GrowthReserve == 0 {
-		p.GrowthReserve = 1
 	}
 	return p
 }

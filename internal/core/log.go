@@ -76,14 +76,16 @@ func (d *LLD) ensureRoom(extraBlocks, extraEntries int) error {
 	}
 }
 
-// growthAllowed reports whether growth operations may proceed: at least
-// GrowthReserve reusable segments must remain beyond the open one, so
-// de-allocations always have log space left to free the disk with.
+// growthReserve is how many reusable segments must remain beyond the
+// open one for a growth operation (Write, NewBlock, NewList) to
+// proceed; below it they are refused with ErrNoSpace, so
+// de-allocations can still log — and therefore free space — on an
+// otherwise full disk.
+const growthReserve = 1
+
+// growthAllowed reports whether growth operations may proceed.
 func (d *LLD) growthAllowed() bool {
-	if d.params.GrowthReserve < 0 {
-		return true
-	}
-	if d.freeCache >= d.params.GrowthReserve {
+	if d.freeCache >= growthReserve {
 		return true
 	}
 	// The cache was computed at the last segment write, possibly while
@@ -91,7 +93,7 @@ func (d *LLD) growthAllowed() bool {
 	// publish since then may have unlocked them, so rescan before
 	// refusing growth.
 	d.freeCache = d.reusableCount()
-	return d.freeCache >= d.params.GrowthReserve
+	return d.freeCache >= growthReserve
 }
 
 // appendEntry appends one summary entry to the current segment, writing

@@ -494,18 +494,16 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		}
 	}
 
-	if !p.NoAutoCheck {
-		freed, err := d.checkLocked()
-		if err != nil {
-			// The sweep is best-effort: on a full disk there may be no
-			// log space to record the frees; the blocks stay leaked
-			// until space exists and CheckDisk is run again.
-			if !errors.Is(err, ErrNoSpace) {
-				return nil, RecoveryReport{}, err
-			}
-		} else {
-			rpt.LeakedFreed = freed
+	freed, err := d.checkLocked()
+	if err != nil {
+		// The sweep is best-effort: on a full disk there may be no
+		// log space to record the frees; the blocks stay leaked
+		// until space exists and CheckDisk is run again.
+		if !errors.Is(err, ErrNoSpace) {
+			return nil, RecoveryReport{}, err
 		}
+	} else {
+		rpt.LeakedFreed = freed
 	}
 	if p.Faults != nil && p.Faults.RecoveryProbe != nil {
 		// Test instrumentation: the head is still nil here, so a probe
