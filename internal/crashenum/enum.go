@@ -187,6 +187,13 @@ func splitEpochs(journal []WriteOp) [][]WriteOp {
 	return out
 }
 
+// applyOps applies whole writes onto img, in order.
+func applyOps(img []byte, ops []WriteOp) {
+	for _, op := range ops {
+		copy(img[op.Off:], op.Data)
+	}
+}
+
 // applyState applies the crash-epoch portion of cs onto img (which
 // must already hold every earlier epoch).
 func applyState(img []byte, epochOps []WriteOp, cs CrashState) {
@@ -215,9 +222,7 @@ func (j journals) materialize(st State) [][]byte {
 		img := make([]byte, j.sizes[i])
 		epochs := splitEpochs(j.ops[i])
 		for e := 0; e < cs.Epoch && e < len(epochs); e++ {
-			for _, op := range epochs[e] {
-				copy(img[op.Off:], op.Data)
-			}
+			applyOps(img, epochs[e])
 		}
 		if cs.Epoch < len(epochs) {
 			applyState(img, epochs[cs.Epoch], cs)
@@ -343,13 +348,8 @@ func (j journals) forEach(start uint64, window int, seed int64, fn func(st State
 func (j journals) forEachEpoch(startEpoch, window int, seed int64, emit func(State, [][]byte) bool) {
 	epochs := splitEpochs(j.ops[0])
 	base := make([]byte, j.sizes[0])
-	apply := func(ops []WriteOp) {
-		for _, op := range ops {
-			copy(base[op.Off:], op.Data)
-		}
-	}
 	for e := 0; e < startEpoch && e < len(epochs); e++ {
-		apply(epochs[e])
+		applyOps(base, epochs[e])
 	}
 	img := make([]byte, len(base))
 	rng := rand.New(rand.NewSource(seed ^ 0x633d9acb))
@@ -362,7 +362,7 @@ func (j journals) forEachEpoch(startEpoch, window int, seed int64, emit func(Sta
 		}) {
 			return
 		}
-		apply(ops)
+		applyOps(base, ops)
 	}
 }
 

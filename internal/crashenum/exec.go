@@ -46,7 +46,7 @@ var Injections = []Injection{
 	// The broken group-commit broker: batch waiters are woken without
 	// the device sync having run, so Flush acknowledges durability on
 	// unsynced segments.
-	{"ack-early", "mixed, fs or net", func(o *shard.Options) {
+	{"ack-early", "mixed, fs, net or shard", func(o *shard.Options) {
 		o.Params.Faults = &core.FaultHooks{AckBeforeSync: true}
 	}},
 	// The broken publish barrier: a checkpoint record advances the

@@ -154,14 +154,14 @@ func runOne(rpt *Report, o Options, kind string, seed int64) error {
 	// more records one checked state and its findings, and reports
 	// whether the run goes on: not past its violation limit, nor past the
 	// state budget.
-	more := func(kind, state, shrunk string, viols []string) bool {
+	more := func(label, state, shrunk string, viols []string) bool {
 		rpt.States++
 		if len(viols) > 0 {
 			violations++
-			v := Violation{Workload: kind, Seed: seed, State: state, Shrunk: shrunk, Desc: viols,
+			v := Violation{Workload: label, Seed: seed, State: state, Shrunk: shrunk, Desc: viols,
 				Artifact: fmt.Sprintf("%s -seed %d -replay %s", x.flags, seed, shrunk)}
 			rpt.Violations = append(rpt.Violations, v)
-			o.Logf("VIOLATION %s seed=%d state=%s shrunk=%s: %v", kind, seed, state, shrunk, viols)
+			o.Logf("VIOLATION %s seed=%d state=%s shrunk=%s: %v", label, seed, state, shrunk, viols)
 		}
 		return violations < o.MaxViolationsPerRun && (o.MaxStates == 0 || rpt.States < o.MaxStates)
 	}
