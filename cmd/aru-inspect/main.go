@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"aru"
 	"aru/internal/seg"
@@ -234,6 +235,7 @@ func inspectShardDir(dir string, tables, stats bool) {
 				fatal(fmt.Errorf("shard %d: %w", i, err))
 			}
 			fmt.Printf("shard %d recovery report: %+v\n", i, rpt)
+			fmt.Printf("shard %d %s\n", i, recoveryPhases(rpt))
 			evs := d.TraceEvents()
 			fmt.Printf("shard %d recovery timeline: %d events\n", i, len(evs))
 			for _, e := range evs {
@@ -333,6 +335,15 @@ func printTables(img []byte) {
 	}
 }
 
+// recoveryPhases says where a mount's time went: the three phases of the
+// report, which add up to the whole mount.
+func recoveryPhases(rpt aru.RecoveryReport) string {
+	total := rpt.CkptLoad + rpt.Scan + rpt.Sweep
+	pct := func(d time.Duration) float64 { return 100 * float64(d) / float64(max(total, 1)) }
+	return fmt.Sprintf("recovery phases: checkpoint load %v (%.0f%%), scan + replay %v (%.0f%%, %d entries of %d segments), sweep + publish %v (%.0f%%), mount %v",
+		rpt.CkptLoad, pct(rpt.CkptLoad), rpt.Scan, pct(rpt.Scan), rpt.EntriesReplayed, rpt.SegmentsReplayed, rpt.Sweep, pct(rpt.Sweep), total)
+}
+
 // printStats recovers the image in memory with a tracer attached and
 // prints the recovery report, the counter snapshot and the recovery
 // timeline the tracer captured.
@@ -344,6 +355,7 @@ func printStats(img []byte) {
 		fatal(err)
 	}
 	fmt.Printf("recovery report: %+v\n", rpt)
+	fmt.Println(recoveryPhases(rpt))
 	fmt.Println("stats:")
 	for _, c := range aru.StatsCounters(d.Stats()) {
 		fmt.Printf("  %-28s %d\n", c.Name, c.Value)

@@ -23,10 +23,13 @@ func (d *LLD) CheckDisk() (int, error) {
 	if d.closed {
 		return 0, ErrClosed
 	}
-	return d.checkLocked()
+	return d.freeLeaked(d.leakedBlocks(nil))
 }
 
-func (d *LLD) checkLocked() (int, error) {
+// leakedBlocks walks the block map and returns, in ascending order, the
+// blocks the sweep frees. visit, if not nil, is shown every entry on the
+// way: mount takes its per-segment counts from this walk too.
+func (d *LLD) leakedBlocks(visit func(lf *blockLeaf)) []BlockID {
 	// Blocks an open ARU intends to insert are not leaked.
 	claimed := make(map[BlockID]bool)
 	for _, st := range d.arus {
@@ -41,6 +44,9 @@ func (d *LLD) checkLocked() (int, error) {
 	}
 	var leaked []BlockID
 	pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
+		if visit != nil {
+			visit(lf)
+		}
 		// A committed deletion pending promotion does not resolve.
 		rec, ok := lf.view(seg.SimpleARU)
 		if id := BlockID(lf.id); ok && rec.List == NilList && !claimed[id] {
@@ -49,6 +55,11 @@ func (d *LLD) checkLocked() (int, error) {
 		return true
 	})
 	sort.Slice(leaked, func(i, j int) bool { return leaked[i] < leaked[j] })
+	return leaked
+}
+
+// freeLeaked de-allocates the blocks leakedBlocks found.
+func (d *LLD) freeLeaked(leaked []BlockID) (int, error) {
 	m := mode{view: seg.SimpleARU, tag: seg.SimpleARU}
 	for _, id := range leaked {
 		if err := d.deleteBlockIn(m, id, true); err != nil {

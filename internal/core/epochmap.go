@@ -22,10 +22,16 @@ package core
 // snapshot keep a consistent trie, and recycle through the table's
 // pools once the old epoch's refcount drains. Readers never mutate a
 // node or an entry; writers mutate only nodes they allocated in the
-// same call and entries born in the current window (edit).
+// same call and entries born in the current window (edit) — except
+// before the first publish (mount), when there is no reader and no
+// previous epoch to share with, and every node is edited where it is.
 type table[R any] struct {
 	root *pnode[R]
 	n    int // entries under root
+
+	// published says that an epoch has been published, so a node under
+	// root may be one a reader holds (set by the first publishLocked).
+	published bool
 
 	ret        *retired[R] // the current window's retire lists (d.ret)
 	freeNodes  []*pnode[R]
@@ -116,6 +122,23 @@ func (t *table[R]) create(win, id uint64) *leaf[R] {
 	return lf
 }
 
+// upsert returns id's entry, binding id first if it is unbound (mount:
+// every entry is born in the window that folds the checkpoint and
+// replays the log, so the result may be edited in place).
+func (t *table[R]) upsert(win, id uint64) *leaf[R] {
+	if lf := pmapGet(t.root, id); lf != nil {
+		return lf
+	}
+	return t.create(win, id)
+}
+
+// remove unbinds id if it is bound.
+func (t *table[R]) remove(id uint64) {
+	if pmapGet(t.root, id) != nil {
+		t.drop(id)
+	}
+}
+
 // drop unbinds id, which must be bound.
 func (t *table[R]) drop(id uint64) {
 	t.root = t.del(t.root, id, 0)
@@ -176,9 +199,13 @@ func (t *table[R]) del(n *pnode[R], id uint64, shift uint) *pnode[R] {
 	return nn
 }
 
-// own returns a private copy of n (an empty node for nil) and retires
-// n.
+// own returns a node the caller may edit in n's place (an empty node for
+// nil): a private copy, with n retired for the readers of the epochs that
+// hold it — or, while nothing is published, n itself.
 func (t *table[R]) own(n *pnode[R]) *pnode[R] {
+	if n != nil && !t.published {
+		return n
+	}
 	c := pop(&t.freeNodes)
 	if n != nil {
 		*c = *n

@@ -39,8 +39,8 @@ func Format(dev disk.Disk, p Params) (*LLD, error) {
 	}
 	// Invalidate region 1 so a stale checkpoint from a previous format
 	// cannot win.
-	empty := make([]byte, seg.SectorSize)
-	if err := dev.WriteAt(empty, p.Layout.CkptOff(1)); err != nil {
+	wipe := make([]byte, seg.SectorSize)
+	if err := dev.WriteAt(wipe, p.Layout.CkptOff(1)); err != nil {
 		return nil, fmt.Errorf("lld: clearing checkpoint region: %w", err)
 	}
 	// Wipe every chunk header so images reused across formats do not
@@ -49,7 +49,6 @@ func Format(dev disk.Disk, p Params) (*LLD, error) {
 	// a stack of chunks, the header of each — a new lifetime repeats the
 	// old one's sequence numbers, and a workload repeated with them repeats
 	// its headers, under which the old chunks further down would chain.
-	wipe := make([]byte, seg.SectorSize)
 	sector := make([]byte, seg.SectorSize)
 	for s := 0; s < p.Layout.NumSegs; s++ {
 		base := p.Layout.SegOff(s)
@@ -82,7 +81,7 @@ type RecoveryReport struct {
 
 	// Incremental-checkpoint chain and parallel-scan metrics
 	// (DESIGN.md §15).
-	ScanWorkers        int // worker-pool size used for the summary scan
+	ScanWorkers        int // worker-pool bound of the summary scan (Params.RecoveryWorkers, clamped)
 	DeltaChainDepth    int // delta records on top of the chain base
 	DeltaPagesReplayed int // table records materialized from delta records
 	RedoSkipped        int // replay entries skipped by the version-bound guards
@@ -94,6 +93,12 @@ type RecoveryReport struct {
 	InDoubtCommitted int    // in-doubt units the resolver redid
 	InDoubtAborted   int    // in-doubt units erased (presumed abort)
 	MaxPrepareTxn    uint64 // highest coordinator txn id seen in any prepare record
+
+	// Where the mount's time went; the three add up to all of it. Scan is
+	// the part the checkpoint bounds, and what HistRecoveryScan observes.
+	CkptLoad time.Duration // superblock, checkpoint chain read and folded into the tables
+	Scan     time.Duration // trailer scan, then the window's summaries read, decoded and replayed
+	Sweep    time.Duration // in-doubt resolution, segment accounting, leak sweep, first publish
 }
 
 // Open mounts an LLD-formatted device, running crash recovery: it loads
@@ -109,17 +114,26 @@ func Open(dev disk.Disk, p Params) (*LLD, error) {
 // OpenReport is Open plus a report of what recovery did.
 func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	p = p.withDefaults()
-	var t0 time.Duration
-	if p.Tracer != nil {
-		t0 = p.Tracer.Now()
-	}
-	// Recovery roots its own trace: each replayed segment becomes a
-	// child span, so a slow recovery shows *which* segment cost the
-	// time (DESIGN.md §13).
+	// One clock for the report's phases, the histograms and the spans:
+	// the tracer's timebase when there is one.
+	t0, begin := p.Tracer.Now(), time.Now()
+	now := func() time.Duration { return t0 + time.Since(begin) }
+	// Recovery roots its own trace: the three phases and each replayed
+	// segment become child spans, so a slow recovery shows *which* phase
+	// and which segment cost the time (DESIGN.md §13).
 	var rtrace, rspan uint64
 	if p.Tracer.SpanEnabled() {
 		rtrace = p.Tracer.NextID()
 		rspan = p.Tracer.NextID()
+	}
+	span := func(id, parent uint64, kind obs.SpanKind, start time.Duration, arg1, arg2 uint64) {
+		if rspan != 0 {
+			p.Tracer.EmitSpan(obs.Span{Trace: rtrace, ID: id, Parent: parent,
+				Kind: kind, Start: start, Dur: now() - start, Arg1: arg1, Arg2: arg2})
+		}
+	}
+	child := func(kind obs.SpanKind, start time.Duration, arg1, arg2 uint64) {
+		span(p.Tracer.NextID(), rspan, kind, start, arg1, arg2)
 	}
 	sb := make([]byte, seg.SectorSize)
 	if err := dev.ReadAt(sb, 0); err != nil {
@@ -153,11 +167,14 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	d.gc.cond = sync.NewCond(&d.gc.mu)
 	d.devSh, _ = dev.(sharedReader)
 
+	// The checkpoint chain folds straight into the tables: until the
+	// first publish below nobody can read them, so the fold, the replay
+	// and the sweep all edit the one representation in place.
 	chain, region, err := loadNewestChain(dev, layout)
 	if err != nil {
 		return nil, RecoveryReport{}, err
 	}
-	ck := chain.Materialize()
+	ck := chain.Head()
 	d.ckptTS = ck.CkptTS
 	d.ckptSeq = ck.FlushedSeq
 	d.ckptRegion = region
@@ -168,68 +185,54 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	d.nextBlk = ck.NextBlock
 	d.nextLst = ck.NextList
 	d.nextARU = ck.NextARU
-
-	rt := newRecoveryTables(ck)
 	rpt := RecoveryReport{CheckpointTS: ck.CkptTS, DeltaChainDepth: chain.Depth()}
-	for _, r := range chain.Recs[1:] {
-		rpt.DeltaPagesReplayed += len(r.Blocks) + len(r.Lists) + len(r.DelBlocks) + len(r.DelLists)
-	}
+	rpt.DeltaPagesReplayed = d.foldChain(chain)
+	rt := &recoveryTables{d: d, pending: make(map[ARUID][]pendingOp), prepared: make(map[ARUID]prepRec)}
+	sc0 := now()
+	rpt.CkptLoad = sc0 - t0
+	child(obs.SpanRecoveryCkptLoad, t0, uint64(chain.Depth()), uint64(d.blockTab.n))
 
-	// The summary scan: segment trailers — and then the replay-window
-	// segments themselves — are read and decoded by a worker pool;
-	// replay *application* stays strictly ordered by segment sequence
-	// (DESIGN.md §15: ARU commit gating and list-chain surgery are
-	// order-sensitive across segments, reads and CRC checks are not).
-	workers := p.RecoveryWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > layout.NumSegs {
-		workers = layout.NumSegs
-	}
+	// The summary scan: segment trailers — and then the summaries of the
+	// replay window — are read and decoded by a worker pool; replay
+	// *application* stays strictly ordered by chunk sequence (DESIGN.md
+	// §15: ARU commit gating and list-chain surgery are order-sensitive
+	// across segments, reads and CRC checks are not).
+	workers := min(max(p.RecoveryWorkers, 1), layout.NumSegs)
 	rpt.ScanWorkers = workers
-	var sc0 time.Duration
-	if d.obs != nil {
-		sc0 = d.obs.Now()
-	}
 
-	type liveSeg struct {
+	type chunkScan struct {
+		seq     uint64
+		entries []seg.Entry
+		corrupt bool
+	}
+	type liveSeg struct { // a segment of the replay window
 		idx int
 		tr  seg.Trailer
+		// What its scan found, the worker's to write until ready is closed.
+		chunks  []chunkScan // the segment's chunks above FlushedSeq
+		lastSeq uint64      // seq of its newest chunk
+		readErr error
+		ready   chan struct{}
 	}
 	trailers := make([]seg.Trailer, layout.NumSegs)
 	trValid := make([]bool, layout.NumSegs)
 	trErrs := make([]error, layout.NumSegs)
-	var nextTr atomic.Int64
-	var wgTr sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wgTr.Add(1)
-		go func() {
-			defer wgTr.Done()
-			buf := make([]byte, seg.SectorSize)
-			for {
-				s := int(nextTr.Add(1)) - 1
-				if s >= layout.NumSegs {
-					return
-				}
-				tr, dataOff, err := readTrailer(dev, layout, s, buf)
-				if errors.Is(err, seg.ErrBadSegment) {
-					// Never written, wiped or torn — or a chunk no segment
-					// of this layout can hold: not part of the log.
-					continue
-				}
-				if err != nil {
-					trErrs[s] = err
-					continue
-				}
-				if tr.Format != seg.Chunked {
-					d.segDataOff[s].Store(uint32(dataOff))
-				}
-				trailers[s], trValid[s] = tr, true
-			}
-		}()
-	}
-	wgTr.Wait()
+	scanPool(workers, layout.NumSegs, func(s int, sector []byte, _ *[]byte) {
+		tr, dataOff, err := readTrailer(dev, layout, s, sector)
+		if errors.Is(err, seg.ErrBadSegment) {
+			// Never written, wiped or torn — or a chunk no segment of this
+			// layout can hold: not part of the log.
+			return
+		}
+		if err != nil {
+			trErrs[s] = err
+			return
+		}
+		if tr.Format != seg.Chunked {
+			d.segDataOff[s].Store(uint32(dataOff))
+		}
+		trailers[s], trValid[s] = tr, true
+	}).Wait()
 
 	// The replay window. A segment holds a consecutive run of chunk
 	// sequence numbers from its trailer's down, and the next run starts in
@@ -249,9 +252,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		}
 		tr := trailers[s]
 		d.segSeq[s] = tr.Seq
-		if tr.Seq > maxSeq {
-			maxSeq = tr.Seq
-		}
+		maxSeq = max(maxSeq, tr.Seq)
 		if tr.Seq > ck.FlushedSeq {
 			replay = append(replay, liveSeg{idx: s, tr: tr})
 		} else if straddler < 0 || tr.Seq > trailers[straddler].Seq {
@@ -263,90 +264,64 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	}
 	sort.Slice(replay, func(i, j int) bool { return replay[i].tr.Seq < replay[j].tr.Seq })
 
-	// Read + walk + decode every window segment through the pool; apply in
-	// sequence order, pipelined — segment k applies while k+1… are
-	// still being read. The happens-before edge is the per-slot
-	// channel close.
-	type chunkScan struct {
-		seq     uint64
-		entries []seg.Entry
-		corrupt bool
+	// Walk + read + decode every window segment through the pool; apply in
+	// sequence order, pipelined — segment k applies while k+1… are still
+	// being read. A worker reads what replay decodes and nothing else: the
+	// header sector of every chunk (the walk), and of the chunks above
+	// FlushedSeq the entry region; it shares nothing with the others but
+	// its slot of replay, and the happens-before edge to the applier is the
+	// per-slot channel close.
+	for i := range replay {
+		replay[i].lastSeq, replay[i].ready = replay[i].tr.Seq, make(chan struct{})
 	}
-	type segScan struct {
-		chunks  []chunkScan // the segment's chunks above FlushedSeq
-		lastSeq uint64      // seq of its newest chunk
-		readErr error
-	}
-	scans := make([]segScan, len(replay))
-	ready := make([]chan struct{}, len(replay))
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	var nextSeg atomic.Int64
-	var wgSeg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wgSeg.Add(1)
-		go func() {
-			defer wgSeg.Done()
-			buf := make([]byte, layout.SegBytes)
-			for {
-				i := int(nextSeg.Add(1)) - 1
-				if i >= len(replay) {
-					return
-				}
-				sc, ls := &scans[i], replay[i]
-				sc.lastSeq = ls.tr.Seq
-				if err := dev.ReadAt(buf, layout.SegOff(ls.idx)); err != nil {
-					sc.readErr = fmt.Errorf("lld: reading segment %d: %w", ls.idx, err)
-					close(ready[i])
-					continue
-				}
-				// The trailer scan accepted chunk 1, so the walk finds at
-				// least that (unless the medium changed underneath us, which
-				// leaves the trailer's word: one chunk, corrupt).
-				chunks, err := seg.Walk(layout, buf)
-				if err != nil {
-					chunks = []seg.Chunk{{Trailer: ls.tr, End: layout.SegBytes}}
-				}
-				for _, c := range chunks {
-					sc.lastSeq = c.Seq
-					if c.Seq <= ck.FlushedSeq {
-						continue // the checkpoint covers it
-					}
-					entries, err := seg.DecodeEntriesFromSegment(buf[:c.End], c.Trailer)
-					if err != nil {
-						// A valid header over a corrupt entry region. A torn
-						// rewrite does leave that behind — the new chunk's
-						// prefix over the old entries, the old header intact
-						// — but only at or below FlushedSeq, outside this
-						// window: a segment is reused only once a durable
-						// checkpoint covers its newest chunk (segFreeable;
-						// pinned by rewriteAboveWatermark in reuse_test.go).
-						// Inside the window it means the medium failed
-						// underneath us.
-						sc.chunks = append(sc.chunks, chunkScan{seq: c.Seq, corrupt: true})
-						continue
-					}
-					// A sealed chunk groups its entries by region —
-					// operations, then writes, then commit records —
-					// not by time. Replay must see them in timestamp
-					// order, the order the live engine produced the
-					// effects: otherwise a commit record's buffered
-					// operations would apply after inline operations
-					// issued later than the commit, and the redo
-					// version bounds would mistake that late-arriving
-					// surgery for surgery already redone. The stable
-					// sort keeps region order for equal stamps, which
-					// is per-unit issue order.
-					slices.SortStableFunc(entries, func(a, b seg.Entry) int {
-						return cmp.Compare(a.TS, b.TS)
-					})
-					sc.chunks = append(sc.chunks, chunkScan{seq: c.Seq, entries: entries})
-				}
-				close(ready[i])
+	wgSeg := scanPool(workers, len(replay), func(i int, sector []byte, region *[]byte) {
+		ls := &replay[i]
+		defer close(ls.ready)
+		// The trailer scan accepted chunk 1, so the walk finds at least
+		// that (unless the medium changed underneath us, which leaves the
+		// trailer's word: one chunk, and its entry region decides).
+		chunks, err := walkOnDevice(dev, layout, ls.idx, sector)
+		if errors.Is(err, seg.ErrBadSegment) {
+			chunks, err = []seg.Chunk{{Trailer: ls.tr, End: layout.SegBytes}}, nil
+		}
+		for _, c := range chunks { // none if the device failed the walk
+			ls.lastSeq = c.Seq
+			if c.Seq <= ck.FlushedSeq {
+				continue // the checkpoint covers it: its header is all it cost
 			}
-		}()
-	}
+			entries, ok, rerr := readEntries(dev, layout, ls.idx, c, region)
+			if err = rerr; err != nil {
+				break
+			}
+			if !ok {
+				// A valid header over a corrupt entry region. A torn rewrite
+				// does leave that behind — the new chunk's prefix over the old
+				// entries, the old header intact — but only at or below
+				// FlushedSeq, outside this window: a segment is reused only
+				// once a durable checkpoint covers its newest chunk
+				// (segFreeable; pinned by rewriteAboveWatermark in
+				// reuse_test.go). Inside the window it means the medium
+				// failed underneath us.
+				ls.chunks = append(ls.chunks, chunkScan{seq: c.Seq, corrupt: true})
+				continue
+			}
+			// A sealed chunk groups its entries by region — operations, then
+			// writes, then commit records — not by time. Replay must see them
+			// in timestamp order, the order the live engine produced the
+			// effects: otherwise a commit record's buffered operations would
+			// apply after inline operations issued later than the commit, and
+			// the redo version bounds would mistake that late-arriving
+			// surgery for surgery already redone. The stable sort keeps
+			// region order for equal stamps, which is per-unit issue order.
+			slices.SortStableFunc(entries, func(a, b seg.Entry) int {
+				return cmp.Compare(a.TS, b.TS)
+			})
+			ls.chunks = append(ls.chunks, chunkScan{seq: c.Seq, entries: entries})
+		}
+		if err != nil {
+			ls.readErr = fmt.Errorf("lld: reading segment %d: %w", ls.idx, err)
+		}
+	})
 	// Chunks are sealed with consecutive seqs, so the chunks above the
 	// checkpoint must be a contiguous run starting right after it. A hole
 	// means the device lost or reordered an un-synced chunk write:
@@ -359,30 +334,19 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	// handed out again.
 	droppedTail := false
 	expect := ck.FlushedSeq + 1
-	segsReplayed := 0
 	var scanErr error
-	for i, ls := range replay {
-		<-ready[i]
-		sc := &scans[i]
-		if sc.readErr != nil {
-			scanErr = sc.readErr
+	for i := range replay {
+		ls := &replay[i]
+		<-ls.ready
+		if scanErr = ls.readErr; scanErr != nil {
 			break
 		}
-		d.segSeq[ls.idx] = sc.lastSeq
-		if sc.lastSeq > maxSeq {
-			maxSeq = sc.lastSeq
-		}
-		var st0 time.Duration
-		if rspan != 0 {
-			st0 = d.obs.Now()
-		}
+		d.segSeq[ls.idx] = ls.lastSeq
+		maxSeq = max(maxSeq, ls.lastSeq)
+		st0 := now()
 		entries, chunks := 0, 0
-		for _, c := range sc.chunks {
-			if droppedTail {
-				break
-			}
-			if c.seq != expect || c.corrupt {
-				droppedTail = true
+		for _, c := range ls.chunks {
+			if droppedTail = droppedTail || c.seq != expect || c.corrupt; droppedTail {
 				break
 			}
 			expect++
@@ -395,77 +359,43 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		if chunks == 0 {
 			continue
 		}
-		segsReplayed++
+		rpt.SegmentsReplayed++
 		rpt.EntriesReplayed += entries
 		d.obs.Emit(obs.EvRecoverySeg, 0, uint64(ls.idx), uint64(entries))
-		if rspan != 0 {
-			d.obs.EmitSpan(obs.Span{
-				Trace: rtrace, ID: d.obs.NextID(), Parent: rspan,
-				Kind: obs.SpanRecoverySeg, Start: st0, Dur: d.obs.Now() - st0,
-				Arg1: uint64(ls.idx), Arg2: uint64(entries),
-			})
-		}
+		child(obs.SpanRecoverySeg, st0, uint64(ls.idx), uint64(entries))
 	}
 	wgSeg.Wait()
 	if scanErr != nil {
 		return nil, RecoveryReport{}, scanErr
 	}
-	if d.obs != nil {
-		d.obs.ObserveSince(obs.HistRecoveryScan, sc0)
-		d.obs.Emit(obs.EvRecoveryScan, 0, uint64(workers), uint64(segsReplayed))
-		if rspan != 0 {
-			d.obs.EmitSpan(obs.Span{
-				Trace: rtrace, ID: d.obs.NextID(), Parent: rspan,
-				Kind: obs.SpanRecoveryScan, Start: sc0, Dur: d.obs.Now() - sc0,
-				Arg1: uint64(workers), Arg2: uint64(segsReplayed),
-			})
-		}
-	}
+	sw0 := now()
+	rpt.Scan = sw0 - sc0
+	d.obs.Observe(obs.HistRecoveryScan, rpt.Scan)
+	d.obs.Emit(obs.EvRecoveryScan, 0, uint64(workers), uint64(rpt.SegmentsReplayed))
+	child(obs.SpanRecoveryScan, sc0, uint64(workers), uint64(rpt.SegmentsReplayed))
 	rt.resolveInDoubt(p.CommitResolver, &rpt)
 	rpt.RedoSkipped = rt.skipped
-	rpt.SegmentsReplayed = segsReplayed
 	rpt.ARUsRecovered = rt.committed
 	rpt.ARUsDropped = len(rt.pending)
 	d.stats.RecoveredEntries.Store(int64(rpt.EntriesReplayed))
 	d.stats.RecoveredARUs.Store(int64(rpt.ARUsRecovered))
 	d.stats.DroppedARUs.Store(int64(rpt.ARUsDropped))
 
-	// Install the reconstructed tables straight into the tries. Every
-	// leaf is born in the first window, so the sweep below edits them in
-	// place, and the one publish at the end exposes them all.
-	for id, rec := range rt.blocks {
-		lf := d.blockTab.create(d.epoch+1, uint64(id))
-		lf.hasPersist, lf.persist = true, *rec
-		if rec.HasData {
-			d.segLive[rec.Seg]++
+	// One walk of the recovered block map gives the sweep its leaked
+	// blocks and the engine its per-segment live counts and next
+	// identifiers (those of the surviving entries, as ever).
+	leaked := d.leakedBlocks(func(lf *blockLeaf) {
+		if lf.persist.HasData {
+			d.segLive[lf.persist.Seg]++
 		}
-		if id >= d.nextBlk {
-			d.nextBlk = id + 1
-		}
-	}
-	for id, rec := range rt.lists {
-		lf := d.listTab.create(d.epoch+1, uint64(id))
-		lf.hasPersist, lf.persist = true, *rec
-		if id >= d.nextLst {
-			d.nextLst = id + 1
-		}
-	}
-	// Every identifier the replay touched differs (or may differ) from
-	// what the on-disk chain head covers: it must ride in the next
-	// delta record, or an incremental checkpoint taken after recovery
-	// would silently drop the replayed effects.
-	for id := range rt.touchedB {
-		d.dirtyBlocks[id] = struct{}{}
-	}
-	for id := range rt.touchedL {
-		d.dirtyLists[id] = struct{}{}
-	}
-	if rt.maxTS >= d.ts {
-		d.ts = rt.maxTS + 1
-	}
-	if rt.maxARU >= d.nextARU {
-		d.nextARU = rt.maxARU + 1
-	}
+		d.nextBlk = max(d.nextBlk, BlockID(lf.id)+1)
+	})
+	pmapWalk(d.listTab.root, func(lf *listLeaf) bool {
+		d.nextLst = max(d.nextLst, ListID(lf.id)+1)
+		return true
+	})
+	d.ts = max(d.ts, rt.maxTS+1)
+	d.nextARU = max(d.nextARU, rt.maxARU+1)
 	d.nextSeq = maxSeq + 1
 	d.durableTS = d.ts - 1
 
@@ -494,7 +424,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		}
 	}
 
-	freed, err := d.checkLocked()
+	freed, err := d.freeLeaked(leaked)
 	if err != nil {
 		// The sweep is best-effort: on a full disk there may be no
 		// log space to record the frees; the blocks stay leaked
@@ -511,21 +441,40 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		p.Faults.RecoveryProbe(d)
 	}
 	// Publish the first epoch, so lock-free readers have a head before
-	// the first client operation.
+	// the first client operation. From here on the tables copy on write.
 	d.publishLocked()
 
-	if d.obs != nil {
-		d.obs.ObserveSince(obs.HistRecovery, t0)
-		d.obs.Emit(obs.EvRecoveryDone, 0, uint64(rpt.EntriesReplayed), uint64(rpt.ARUsRecovered))
-		if rspan != 0 {
-			d.obs.EmitSpan(obs.Span{
-				Trace: rtrace, ID: rspan,
-				Kind: obs.SpanRecovery, Start: t0, Dur: d.obs.Now() - t0,
-				Arg1: uint64(rpt.EntriesReplayed), Arg2: uint64(rpt.ARUsRecovered),
-			})
-		}
-	}
+	rpt.Sweep = now() - sw0
+	child(obs.SpanRecoverySweep, sw0, uint64(rpt.LeakedFreed), uint64(rpt.InDoubt))
+	d.obs.Observe(obs.HistRecovery, now()-t0)
+	d.obs.Emit(obs.EvRecoveryDone, 0, uint64(rpt.EntriesReplayed), uint64(rpt.ARUsRecovered))
+	span(rspan, 0, obs.SpanRecovery, t0, uint64(rpt.EntriesReplayed), uint64(rpt.ARUsRecovered))
 	return d, rpt, nil
+}
+
+// scanPool starts at most workers goroutines, no more than there is work,
+// that claim i = 0 … n-1 in turn and run work(i, sector, region); the
+// caller waits on the result. The buffers are the goroutine's own and come
+// with its first claim — a mount with nothing to scan allocates none: one
+// sector for headers, and for entry regions a buffer that work grows to
+// the largest it meets.
+func scanPool(workers, n int, work func(i int, sector []byte, region *[]byte)) *sync.WaitGroup {
+	var next atomic.Int64
+	wg := new(sync.WaitGroup)
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sector, region []byte
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if sector == nil {
+					sector = make([]byte, seg.SectorSize)
+				}
+				work(i, sector, &region)
+			}
+		}()
+	}
+	return wg
 }
 
 // readTrailer reads segment s's trailer sector into sector and returns
@@ -553,6 +502,26 @@ func walkOnDevice(dev disk.Disk, l seg.Layout, s int, sector []byte) ([]seg.Chun
 	return seg.WalkSectors(l, func(off int) ([]byte, error) {
 		return sector, dev.ReadAt(sector, base+int64(off))
 	})
+}
+
+// readEntries fetches the entry region of chunk c of segment s — that and
+// nothing else of the chunk — into *buf, grown to hold it, and decodes it.
+// ok is false if the region does not check against the chunk's header; an
+// error is the device's.
+func readEntries(dev disk.Disk, l seg.Layout, s int, c seg.Chunk, buf *[]byte) (entries []seg.Entry, ok bool, err error) {
+	off, n := c.EntryRegion()
+	if off < 0 {
+		return nil, false, nil
+	}
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	region := (*buf)[:n]
+	if err := dev.ReadAt(region, l.SegOff(s)+int64(off)); err != nil {
+		return nil, false, err
+	}
+	entries, err = c.DecodeEntryRegion(region)
+	return entries, err == nil, nil
 }
 
 // loadNewestChain decodes both checkpoint regions as incremental
@@ -586,11 +555,43 @@ func loadNewestChain(dev disk.Disk, layout seg.Layout) (seg.CkptChain, int, erro
 	return best, bestRegion, nil
 }
 
-// recoveryTables reconstructs the persistent state from a checkpoint
-// plus a summary replay. Operations tagged with an ARU are buffered and
-// applied — at the commit record's timestamp — only when the commit
-// record is reached; everything else is discarded (paper §3.3:
-// "recovery is always to the most recent persistent version").
+// foldChain folds the checkpoint chain's records, oldest first, into the
+// tables — an upsert per record of Blocks and Lists, then a drop per
+// identifier of DelBlocks and DelLists, so the last word on an identifier
+// wins and nothing depends on a table being sorted — and returns the
+// number of table records the deltas carried. It builds what
+// seg.CkptChain.Materialize describes, without the copy.
+func (d *LLD) foldChain(chain seg.CkptChain) (deltaPages int) {
+	win := d.epoch + 1
+	for i, r := range chain.Recs {
+		for j := range r.Blocks {
+			lf := d.blockTab.upsert(win, uint64(r.Blocks[j].ID))
+			lf.hasPersist, lf.persist = true, r.Blocks[j]
+		}
+		for j := range r.Lists {
+			lf := d.listTab.upsert(win, uint64(r.Lists[j].ID))
+			lf.hasPersist, lf.persist = true, r.Lists[j]
+		}
+		for _, id := range r.DelBlocks {
+			d.blockTab.remove(uint64(id))
+		}
+		for _, id := range r.DelLists {
+			d.listTab.remove(uint64(id))
+		}
+		if i > 0 {
+			deltaPages += len(r.Blocks) + len(r.Lists) + len(r.DelBlocks) + len(r.DelLists)
+		}
+	}
+	return deltaPages
+}
+
+// recoveryTables replays the summaries beyond the checkpoint into the
+// engine's tables, which hold the folded checkpoint and nothing else:
+// every entry was born in the mount's own window, so replay edits the
+// persistent records in place. Operations tagged with an ARU are
+// buffered and applied — at the commit record's timestamp — only when
+// the commit record is reached; everything else is discarded (paper
+// §3.3: "recovery is always to the most recent persistent version").
 //
 // Replay is REDO-only and idempotent: every applied operation carries
 // a version bound (the block's write timestamp, the list's structural
@@ -599,24 +600,19 @@ func loadNewestChain(dev disk.Disk, layout seg.Layout) (seg.CkptChain, int, erro
 // the redo stream over already-recovered tables is therefore a no-op —
 // a re-crash mid-recovery just makes the next redo shorter
 // (DESIGN.md §15).
+//
+// Every identifier the replay modifies or deletes goes into the engine's
+// dirty sets: it must ride in the next delta record, or an incremental
+// checkpoint taken after recovery would silently drop the replayed effects.
 type recoveryTables struct {
-	blocks map[BlockID]*seg.BlockRec
-	lists  map[ListID]*seg.ListRec
+	d *LLD
 
 	pending   map[ARUID][]pendingOp
 	prepared  map[ARUID]prepRec // prepare record seen, fate undecided
 	committed int
 	maxTS     uint64
 	maxARU    ARUID
-	fallbacks int
 	skipped   int // redo operations skipped by the version-bound guards
-
-	// touchedB and touchedL name every identifier the replay modified
-	// or deleted — the recovered engine's initial dirty sets, so the
-	// first post-recovery delta checkpoint carries the replayed
-	// effects.
-	touchedB map[BlockID]struct{}
-	touchedL map[ListID]struct{}
 }
 
 type pendingOp struct {
@@ -632,34 +628,24 @@ type prepRec struct {
 	ts  uint64
 }
 
-func newRecoveryTables(ck seg.Checkpoint) *recoveryTables {
-	rt := &recoveryTables{
-		blocks:   make(map[BlockID]*seg.BlockRec, len(ck.Blocks)),
-		lists:    make(map[ListID]*seg.ListRec, len(ck.Lists)),
-		pending:  make(map[ARUID][]pendingOp),
-		prepared: make(map[ARUID]prepRec),
-		touchedB: make(map[BlockID]struct{}),
-		touchedL: make(map[ListID]struct{}),
+// block and list return id's persistent record for editing in place, nil
+// if the tables hold none.
+func (rt *recoveryTables) block(id BlockID) *seg.BlockRec { return persistOf(rt.d.editBlock(id)) }
+func (rt *recoveryTables) list(id ListID) *seg.ListRec    { return persistOf(rt.d.editList(id)) }
+
+func persistOf[R any](lf *leaf[R]) *R {
+	if lf == nil {
+		return nil
 	}
-	for i := range ck.Blocks {
-		r := ck.Blocks[i]
-		rt.blocks[r.ID] = &r
-	}
-	for i := range ck.Lists {
-		r := ck.Lists[i]
-		rt.lists[r.ID] = &r
-	}
-	return rt
+	return &lf.persist
 }
+
+func (rt *recoveryTables) touchBlock(id BlockID) { rt.d.dirtyBlocks[id] = struct{}{} }
+func (rt *recoveryTables) touchList(id ListID)   { rt.d.dirtyLists[id] = struct{}{} }
 
 // apply processes one summary entry found in segment segIdx.
 func (rt *recoveryTables) apply(e seg.Entry, segIdx uint32) {
-	if e.TS > rt.maxTS {
-		rt.maxTS = e.TS
-	}
-	if e.ARU > rt.maxARU {
-		rt.maxARU = e.ARU
-	}
+	rt.maxTS, rt.maxARU = max(rt.maxTS, e.TS), max(rt.maxARU, e.ARU)
 	switch e.Kind {
 	case seg.KindNewBlock, seg.KindNewList:
 		// Allocations are unconditional, even inside an ARU (§3.3).
@@ -736,30 +722,32 @@ func (rt *recoveryTables) resolveInDoubt(resolve func(txn uint64) bool, rpt *Rec
 // version bounds: an effect the tables already hold at a timestamp at
 // or past ts is never re-derived.
 func (rt *recoveryTables) applyNow(e seg.Entry, segIdx uint32, ts uint64) {
+	d := rt.d
 	switch e.Kind {
 	case seg.KindNewBlock:
-		if r, ok := rt.blocks[e.Block]; ok && r.TS >= ts {
+		if r := rt.block(e.Block); r != nil && r.TS >= ts {
 			// Identifiers are never reused, so an existing record at or
 			// past ts means this allocation was already redone;
 			// re-applying would wipe the block's physical address.
 			rt.skipped++
 			return
 		}
-		rt.blocks[e.Block] = &seg.BlockRec{ID: e.Block, TS: ts}
-		rt.touchedB[e.Block] = struct{}{}
+		lf := d.blockTab.upsert(d.epoch+1, uint64(e.Block))
+		lf.hasPersist, lf.persist = true, seg.BlockRec{ID: e.Block, TS: ts}
+		rt.touchBlock(e.Block)
 	case seg.KindNewList:
-		if l, ok := rt.lists[e.List]; ok && l.TS >= ts {
+		if l := rt.list(e.List); l != nil && l.TS >= ts {
 			rt.skipped++
 			return
 		}
-		rt.lists[e.List] = &seg.ListRec{ID: e.List, TS: ts}
-		rt.touchedL[e.List] = struct{}{}
+		lf := d.listTab.upsert(d.epoch+1, uint64(e.List))
+		lf.hasPersist, lf.persist = true, seg.ListRec{ID: e.List, TS: ts}
+		rt.touchList(e.List)
 	case seg.KindWrite:
-		r, ok := rt.blocks[e.Block]
-		if !ok {
+		r := rt.block(e.Block)
+		if r == nil {
 			// A write to a block that no longer exists indicates a
 			// client race that resolved to deletion. Drop it.
-			rt.fallbacks++
 			return
 		}
 		if r.HasData && r.TS > ts {
@@ -767,24 +755,20 @@ func (rt *recoveryTables) applyNow(e seg.Entry, segIdx uint32, ts uint64) {
 			// unit's already-committed version can be materialized at
 			// an earlier log position than the commit record that
 			// applies an earlier unit's buffered write.
-			rt.fallbacks++
 			return
 		}
 		if r.HasData && r.TS == ts && r.Seg == segIdx && r.Slot == e.Slot {
 			rt.skipped++ // exact re-apply of an already-redone write
 			return
 		}
-		r.Seg = segIdx
-		r.Slot = e.Slot
-		r.HasData = true
-		r.TS = ts
-		rt.touchedB[e.Block] = struct{}{}
+		r.Seg, r.Slot, r.HasData, r.TS = segIdx, e.Slot, true, ts
+		rt.touchBlock(e.Block)
 	case seg.KindDeleteBlock:
-		delete(rt.blocks, e.Block)
-		rt.touchedB[e.Block] = struct{}{}
+		d.blockTab.remove(uint64(e.Block))
+		rt.touchBlock(e.Block)
 	case seg.KindDeleteList:
-		delete(rt.lists, e.List)
-		rt.touchedL[e.List] = struct{}{}
+		d.listTab.remove(uint64(e.List))
+		rt.touchList(e.List)
 	case seg.KindLink:
 		rt.applyLink(e, ts)
 	case seg.KindUnlink:
@@ -793,14 +777,8 @@ func (rt *recoveryTables) applyNow(e seg.Entry, segIdx uint32, ts uint64) {
 }
 
 func (rt *recoveryTables) applyLink(e seg.Entry, ts uint64) {
-	l, ok := rt.lists[e.List]
-	if !ok {
-		rt.fallbacks++
-		return
-	}
-	b, ok := rt.blocks[e.Block]
-	if !ok {
-		rt.fallbacks++
+	l, b := rt.list(e.List), rt.block(e.Block)
+	if l == nil || b == nil {
 		return
 	}
 	// Structural version bound: list surgery applies in nondecreasing
@@ -813,48 +791,35 @@ func (rt *recoveryTables) applyLink(e seg.Entry, ts uint64) {
 		rt.skipped++
 		return
 	}
-	pred := e.Pred
-	if pred != seg.NilBlock {
-		p, ok := rt.blocks[pred]
-		if !ok || p.List != e.List {
-			rt.fallbacks++
-			pred = seg.NilBlock
+	var p *seg.BlockRec
+	if e.Pred != seg.NilBlock {
+		if p = rt.block(e.Pred); p == nil || p.List != e.List {
+			p = nil
 		}
 	}
-	if pred == seg.NilBlock {
+	if p == nil {
 		b.Succ = l.First
 		l.First = e.Block
 		if l.Last == seg.NilBlock {
 			l.Last = e.Block
 		}
 	} else {
-		p := rt.blocks[pred]
 		b.Succ = p.Succ
 		p.Succ = e.Block
 		p.TS = ts
-		if l.Last == pred {
+		if l.Last == p.ID {
 			l.Last = e.Block
 		}
+		rt.touchBlock(p.ID)
 	}
-	b.List = e.List
-	b.TS = ts
-	l.TS = ts
-	rt.touchedB[e.Block] = struct{}{}
-	rt.touchedL[e.List] = struct{}{}
-	if pred != seg.NilBlock {
-		rt.touchedB[pred] = struct{}{}
-	}
+	b.List, b.TS, l.TS = e.List, ts, ts
+	rt.touchBlock(e.Block)
+	rt.touchList(e.List)
 }
 
 func (rt *recoveryTables) applyUnlink(e seg.Entry, ts uint64) {
-	l, ok := rt.lists[e.List]
-	if !ok {
-		rt.fallbacks++
-		return
-	}
-	b, ok := rt.blocks[e.Block]
-	if !ok {
-		rt.fallbacks++
+	l, b := rt.list(e.List), rt.block(e.Block)
+	if l == nil || b == nil {
 		return
 	}
 	// Structural version bound, mirroring applyLink: at exactly the
@@ -865,37 +830,28 @@ func (rt *recoveryTables) applyUnlink(e seg.Entry, ts uint64) {
 		return
 	}
 	// Find the predecessor in the reconstructed chain.
-	pred := seg.NilBlock
-	for cur := l.First; cur != seg.NilBlock && cur != e.Block; {
-		p, ok := rt.blocks[cur]
-		if !ok {
-			rt.fallbacks++
+	var p *seg.BlockRec
+	for cur := l.First; cur != seg.NilBlock && cur != e.Block; cur = p.Succ {
+		if p = rt.block(cur); p == nil {
 			return
 		}
-		pred = cur
-		cur = p.Succ
 	}
-	if pred == seg.NilBlock {
+	pred := seg.NilBlock
+	if p == nil {
 		if l.First != e.Block {
-			rt.fallbacks++
 			return
 		}
 		l.First = b.Succ
 	} else {
-		p := rt.blocks[pred]
+		pred = p.ID
 		p.Succ = b.Succ
 		p.TS = ts
+		rt.touchBlock(pred)
 	}
 	if l.Last == e.Block {
 		l.Last = pred
 	}
-	b.Succ = seg.NilBlock
-	b.List = seg.NilList
-	b.TS = ts
-	l.TS = ts
-	rt.touchedB[e.Block] = struct{}{}
-	rt.touchedL[e.List] = struct{}{}
-	if pred != seg.NilBlock {
-		rt.touchedB[pred] = struct{}{}
-	}
+	b.Succ, b.List, b.TS, l.TS = seg.NilBlock, seg.NilList, ts, ts
+	rt.touchBlock(e.Block)
+	rt.touchList(e.List)
 }

@@ -217,7 +217,9 @@ func (d *LLD) publishLocked() {
 	if old == nil {
 		// First publish (construction): no reader can hold an older
 		// epoch, so whatever the bootstrap retired recycles directly.
+		// From here on readers hold nodes: the tables copy what they edit.
 		d.drainRet(d.ret)
+		d.blockTab.published, d.listTab.published, d.aruTab.published = true, true, true
 		d.snapOldest = s
 		d.oldestEpoch.Store(s.epoch)
 		return

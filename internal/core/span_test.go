@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"aru/internal/disk"
 	"aru/internal/obs"
@@ -143,7 +144,8 @@ func TestSpanLockedDrainNamesSync(t *testing.T) {
 }
 
 // TestSpanRecovery: reopening a disk with segments to replay emits a
-// recovery root span with per-segment children.
+// recovery root span with per-segment children and one child per phase,
+// the phases end to end inside the root and as long as the report says.
 func TestSpanRecovery(t *testing.T) {
 	layout := testLayout(64)
 	dev := disk.NewMem(layout.DiskBytes())
@@ -184,6 +186,23 @@ func TestSpanRecovery(t *testing.T) {
 		if s.Parent != roots[0].ID || s.Trace != roots[0].Trace {
 			t.Fatalf("recovery-seg span not a child of the recovery root: %+v root=%+v", s, roots[0])
 		}
+	}
+	at := roots[0].Start
+	for _, ph := range []struct {
+		kind obs.SpanKind
+		dur  time.Duration
+	}{{obs.SpanRecoveryCkptLoad, rpt.CkptLoad}, {obs.SpanRecoveryScan, rpt.Scan}, {obs.SpanRecoverySweep, rpt.Sweep}} {
+		got := byKind[ph.kind]
+		if len(got) != 1 || got[0].Parent != roots[0].ID || got[0].Trace != roots[0].Trace {
+			t.Fatalf("%v: spans %+v, want one child of the recovery root %+v", ph.kind, got, roots[0])
+		}
+		if got[0].Start != at || ph.dur <= 0 || got[0].Dur < ph.dur {
+			t.Fatalf("%v: span %+v, want it to start at %v and cover the report's %v", ph.kind, got[0], at, ph.dur)
+		}
+		at += ph.dur
+	}
+	if end := roots[0].Start + roots[0].Dur; at > end {
+		t.Fatalf("the phases end at %v, after the recovery span's end %v", at, end)
 	}
 }
 

@@ -40,11 +40,15 @@ const (
 	shardMaxFastOverhead = 0.10
 
 	// Recovery: the same 2,800-unit history with its newest checkpoint
-	// at 90%, against none at all. O(delta) recovery must mount the 10%
-	// tail in at most half the full scan's time (typically a third; the
-	// O(live-state) checkpoint load both ends pay is why not a tenth).
-	// The ratio is meaningless on a shorter history, where that fixed
-	// cost dominates both ends.
+	// at 90%, against none at all. The gate judges what the checkpoint
+	// bounds — RecoveryReport.Scan, the window scan plus replay — not the
+	// whole mount: loading the checkpoint and the sweep follow the live
+	// state, both ends pay them equally, and with replay made cheap they
+	// are most of a mount, so the whole-mount ratio punished exactly the
+	// change that makes replay cheaper. O(delta) recovery must scan and
+	// replay the 10% tail in at most half the full scan's time (typically
+	// a third; the trailer scan of all 512 segments both ends pay is why
+	// not a tenth). Both whole-mount times stay in the gate row.
 	recoveryUnits    = 2800
 	recoveryTailFrac = 0.10
 	recoveryMaxRatio = 0.5
@@ -157,13 +161,13 @@ func TestGateRecoveryCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Recover <= 0 || tail.Recover <= 0 {
+	if full.Scan <= 0 || tail.Scan <= 0 || full.Recover < full.Scan || tail.Recover < tail.Scan {
 		t.Fatalf("mounts not timed: full %+v, tail %+v", full, tail)
 	}
-	ratio := float64(tail.Recover) / float64(full.Recover)
-	t.Logf("gate row: %d units: full scan %d segments / %d entries in %v; %.0f%% tail (chain depth %d) %d segments / %d entries in %v; ratio %.2fx",
-		recoveryUnits, full.SegmentsReplayed, full.EntriesReplayed, full.Recover.Round(10*time.Microsecond),
-		recoveryTailFrac*100, tail.ChainDepth, tail.SegmentsReplayed, tail.EntriesReplayed, tail.Recover.Round(10*time.Microsecond), ratio)
+	ratio := float64(tail.Scan) / float64(full.Scan)
+	t.Logf("gate row: %d units: full scan %d segments / %d entries, scan+replay %v of a %v mount; %.0f%% tail (chain depth %d) %d segments / %d entries, scan+replay %v of a %v mount; ratio %.2fx",
+		recoveryUnits, full.SegmentsReplayed, full.EntriesReplayed, full.Scan.Round(10*time.Microsecond), full.Recover.Round(10*time.Microsecond),
+		recoveryTailFrac*100, tail.ChainDepth, tail.SegmentsReplayed, tail.EntriesReplayed, tail.Scan.Round(10*time.Microsecond), tail.Recover.Round(10*time.Microsecond), ratio)
 	if tail.EntriesReplayed >= full.EntriesReplayed {
 		t.Errorf("tail mount replayed %d entries, full scan %d: the checkpoint did not bound the replay", tail.EntriesReplayed, full.EntriesReplayed)
 	}
@@ -171,7 +175,7 @@ func TestGateRecoveryCurve(t *testing.T) {
 		return
 	}
 	if ratio > recoveryMaxRatio {
-		t.Errorf("recovery of the %.0f%% tail took %v, %.2fx the full scan's %v (ceiling %.2fx)",
-			recoveryTailFrac*100, tail.Recover, ratio, full.Recover, recoveryMaxRatio)
+		t.Errorf("scan and replay of the %.0f%% tail took %v, %.2fx the full scan's %v (ceiling %.2fx)",
+			recoveryTailFrac*100, tail.Scan, ratio, full.Scan, recoveryMaxRatio)
 	}
 }

@@ -15,7 +15,8 @@ type RecoveryPoint struct {
 	ChainDepth       int           // delta records on the mounted chain
 	SegmentsReplayed int           // segments scanned beyond the checkpoint
 	EntriesReplayed  int           // summary entries replayed
-	Recover          time.Duration // wall time, best of bestOf mounts
+	Recover          time.Duration // wall time of the whole mount, best of bestOf mounts
+	Scan             time.Duration // of it, window scan + replay (RecoveryReport.Scan), best of the same mounts
 }
 
 // recoveryLayout is a mid-sized format: big enough that a full-log
@@ -28,11 +29,13 @@ func recoveryLayout() seg.Layout {
 // RunRecoveryPoint builds an image holding a committed history of
 // `units` overwrite units whose log tail beyond the newest checkpoint
 // is deltaFrac of it — 1.0 is no checkpoint, the full-scan baseline —
-// and measures the wall time of mounting it. Checkpoints before the
-// cut land every units/8 committed units with a bounded chain
-// (CkptCompactEvery 4), so the mounted image carries a realistic
-// base+delta chain, not a fresh base. With O(delta) recovery the mount
-// time must fall roughly linearly with the tail fraction.
+// and measures the wall time of mounting it, and of the part of a mount
+// the checkpoint bounds. Checkpoints before the cut land every units/8
+// committed units with a bounded chain (CkptCompactEvery 4), so the
+// mounted image carries a realistic base+delta chain, not a fresh base.
+// With O(delta) recovery the scan time must fall roughly linearly with
+// the tail fraction; loading the checkpoint and the sweep follow the live
+// state, which is the same at every point.
 func RunRecoveryPoint(units int, deltaFrac float64) (RecoveryPoint, error) {
 	var pt RecoveryPoint
 	img, err := buildRecoveryImage(units, deltaFrac)
@@ -50,6 +53,9 @@ func RunRecoveryPoint(units int, deltaFrac float64) (RecoveryPoint, error) {
 		}
 		if rep == 0 || elapsed < pt.Recover {
 			pt.Recover = elapsed
+		}
+		if rep == 0 || rpt.Scan < pt.Scan {
+			pt.Scan = rpt.Scan
 		}
 		pt.ChainDepth = rpt.DeltaChainDepth
 		pt.SegmentsReplayed = rpt.SegmentsReplayed

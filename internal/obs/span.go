@@ -80,6 +80,15 @@ const (
 	// recovery (parent = the recovery span). Arg1 = worker count,
 	// Arg2 = segments in the replay window.
 	SpanRecoveryScan
+	// SpanRecoveryCkptLoad: the first phase of one recovery — the
+	// checkpoint chain read and folded into the tables (parent = the
+	// recovery span). Arg1 = chain depth, Arg2 = blocks in the tables.
+	SpanRecoveryCkptLoad
+	// SpanRecoverySweep: the last phase of one recovery — in-doubt
+	// resolution, segment accounting, leak sweep and first publish
+	// (parent = the recovery span). Arg1 = leaked blocks freed, Arg2 =
+	// in-doubt units.
+	SpanRecoverySweep
 )
 
 // String implements fmt.Stringer.
@@ -113,6 +122,10 @@ func (k SpanKind) String() string {
 		return "coord-commit"
 	case SpanRecoveryScan:
 		return "recovery-scan"
+	case SpanRecoveryCkptLoad:
+		return "recovery-ckpt-load"
+	case SpanRecoverySweep:
+		return "recovery-sweep"
 	default:
 		return fmt.Sprintf("span(%d)", uint8(k))
 	}

@@ -208,6 +208,10 @@ func DecodeCkptRec(buf []byte) (CkptRec, int64, error) {
 		NextList:   ListID(binary.LittleEndian.Uint64(h[48:])),
 		NextARU:    ARUID(binary.LittleEndian.Uint64(h[56:])),
 	}
+	// The counts are the header's, and span — checked against the buffer
+	// above — bounds them: the tables are sized once.
+	r.Blocks, r.Lists = make([]BlockRec, 0, nb), make([]ListRec, 0, nl)
+	r.DelBlocks, r.DelLists = make([]BlockID, 0, ndb), make([]ListID, 0, ndl)
 	off := int64(0)
 	for i := int64(0); i < nb; i++ {
 		r.Blocks = append(r.Blocks, BlockRec{
@@ -359,10 +363,12 @@ func readCkptRec(size, off int64, buf []byte, read func(p []byte, off int64) err
 		return CkptRec{}, 0, fmt.Errorf("%w: chain record of %d bytes does not fit its region", ErrBadCheckpoint, span)
 	}
 	if have := int64(len(buf)); span > have {
-		buf = append(buf, make([]byte, min(roundUp(span, SectorSize), size-off)-have)...)
-		if err := read(buf[have:], off+have); err != nil {
+		whole := make([]byte, min(roundUp(span, SectorSize), size-off))
+		copy(whole, buf)
+		if err := read(whole[have:], off+have); err != nil {
 			return CkptRec{}, 0, err
 		}
+		buf = whole
 	}
 	return DecodeCkptRec(buf)
 }

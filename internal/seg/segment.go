@@ -222,14 +222,25 @@ func entryRegionBytes(entryBytes int) int {
 // for chunk 1, the segment up to Chunk.End for another, or any suffix of
 // either that holds the chunk (a sealed image is one).
 func DecodeEntriesFromSegment(segment []byte, t Trailer) ([]Entry, error) {
-	length := entryRegionBytes(int(t.EntryBytes))
-	// In the older formats the entry region lies directly below the
-	// trailer; a chunk's data area lies in between.
-	off := len(segment) - SectorSize - int(t.dataBytes) - length
+	off, length := t.entryRegion(len(segment))
 	if off < 0 {
 		return nil, fmt.Errorf("%w: entry region does not fit (%d bytes)", ErrBadSegment, t.EntryBytes)
 	}
-	region := segment[off : off+length]
+	return t.DecodeEntryRegion(segment[off : off+length])
+}
+
+// entryRegion returns where the sector-aligned entry region of the chunk
+// t heads lies when the header sector ends at end. In the older formats
+// it lies directly below the trailer; a chunk's data area lies in between.
+func (t Trailer) entryRegion(end int) (off, length int) {
+	length = entryRegionBytes(int(t.EntryBytes))
+	return end - SectorSize - int(t.dataBytes) - length, length
+}
+
+// DecodeEntryRegion decodes region, the bytes EntryRegion names, after
+// checking them against the checksum t carries: what a reader that
+// fetched the region alone calls in place of DecodeEntriesFromSegment.
+func (t Trailer) DecodeEntryRegion(region []byte) ([]Entry, error) {
 	if got := crc32.Checksum(region, crcTable); got != t.entriesCRC {
 		return nil, fmt.Errorf("%w: bad entries checksum", ErrBadSegment)
 	}
@@ -244,6 +255,11 @@ type Chunk struct {
 	End     int // one past its header sector
 	DataOff int // first byte of its data area
 }
+
+// EntryRegion returns the segment offset and the length of the chunk's
+// sector-aligned entry region, from its header and End alone. A negative
+// offset means the region the header describes does not fit below it.
+func (c Chunk) EntryRegion() (off, length int) { return c.entryRegion(c.End) }
 
 // Walk returns the chunks of segment, a full segment of l, from chunk 1
 // down. The header of the next chunk is looked for directly below each
