@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -75,9 +76,12 @@ func main() {
 			fatal(fmt.Errorf("image truncated before segment %d", s))
 		}
 		body := img[off : off+int64(layout.SegBytes)]
-		// A segment is a stack of chunks, walked from its trailer down; an
-		// image in an older format (tail- or front-packed) is one chunk.
+		// A segment is a stack of chunks, walked from its trailer down.
 		chunks, err := seg.Walk(layout, body)
+		if errors.Is(err, seg.ErrRetiredFormat) {
+			fmt.Printf("  seg %4d: retired (%v)\n", s, err)
+			continue
+		}
 		if err != nil {
 			if tr, terr := seg.DecodeTrailer(body); terr == nil {
 				fmt.Printf("  seg %4d: seq %6d, %v\n", s, tr.Seq, err)
@@ -90,8 +94,8 @@ func main() {
 			blocks, entries, used = blocks+c.DataBlocks, entries+c.EntryCount, used+c.ImageBytes(layout)
 		}
 		first, last := chunks[0], chunks[len(chunks)-1]
-		fmt.Printf("  seg %4d: %-7s %3d chunks, seq %6d-%-6d %4d data blocks, %5d entries, %7d B used (%.1f%% of the segment)\n",
-			s, first.Format, len(chunks), first.Seq, last.Seq, blocks, entries, used, 100*float64(used)/float64(layout.SegBytes))
+		fmt.Printf("  seg %4d: %3d chunks, seq %6d-%-6d %4d data blocks, %5d entries, %7d B used (%.1f%% of the segment)\n",
+			s, len(chunks), first.Seq, last.Seq, blocks, entries, used, 100*float64(used)/float64(layout.SegBytes))
 		if s != *segIdx {
 			continue
 		}
@@ -109,7 +113,7 @@ func main() {
 					break
 				}
 				fmt.Printf("    %5d: %-12s aru=%-6d ts=%-8d block=%-6d list=%-6d pred=%-6d slot=%s\n",
-					i, e.Kind, e.ARU, e.TS, e.Block, e.List, e.Pred, slotString(layout, e))
+					i, e.Kind, e.ARU, e.TS, e.Block, e.List, e.Pred, slotString(e))
 			}
 		}
 	}
@@ -121,11 +125,11 @@ func main() {
 	}
 }
 
-// slotString prints a write entry's slot: a flagged one is a place in
-// the segment, an older format's counts blocks of the data area.
-func slotString(l seg.Layout, e seg.Entry) string {
+// slotString prints a write entry's slot as the place in the segment it
+// names; an entry of another kind carries none.
+func slotString(e seg.Entry) string {
 	if e.Slot&seg.SlotSector != 0 {
-		return fmt.Sprintf("+%d", l.SlotOff(e.Slot, 0))
+		return fmt.Sprintf("+%d", seg.SlotOff(e.Slot))
 	}
 	return fmt.Sprint(e.Slot)
 }
@@ -137,26 +141,23 @@ func fatal(err error) {
 
 // printCkptRegion dumps one checkpoint region as an incremental chain:
 // the materialized head summary, then each record (base or delta) with
-// its upsert and deletion counts. Legacy v1 single-snapshot regions
-// print as a one-record legacy chain.
+// its upsert and deletion counts. A region of a retired format is
+// labelled so.
 func printCkptRegion(indent string, i int, region []byte) {
 	ch, err := seg.DecodeCkptChain(region)
+	if errors.Is(err, seg.ErrRetiredFormat) {
+		fmt.Printf("%scheckpoint %d: retired (%v)\n", indent, i, err)
+		return
+	}
 	if err != nil {
 		fmt.Printf("%scheckpoint %d: invalid (%v)\n", indent, i, err)
 		return
 	}
 	head := ch.Head()
-	kind := "v2 chain"
-	if ch.Legacy {
-		kind = "legacy v1"
-	}
 	ck := ch.Materialize()
-	fmt.Printf("%scheckpoint %d: %s, head ts %d, depth %d, flushed seq %d, %d blocks, %d lists, next ts/block/list/aru %d/%d/%d/%d\n",
-		indent, i, kind, head.CkptTS, ch.Depth(), head.FlushedSeq, len(ck.Blocks), len(ck.Lists),
+	fmt.Printf("%scheckpoint %d: chain, head ts %d, depth %d, flushed seq %d, %d blocks, %d lists, next ts/block/list/aru %d/%d/%d/%d\n",
+		indent, i, head.CkptTS, ch.Depth(), head.FlushedSeq, len(ck.Blocks), len(ck.Lists),
 		head.NextTS, head.NextBlock, head.NextList, head.NextARU)
-	if ch.Legacy {
-		return
-	}
 	for j, r := range ch.Recs {
 		typ := "delta"
 		if r.Base {

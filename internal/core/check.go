@@ -404,9 +404,7 @@ func (d *LLD) VerifyInternal() error {
 // records — or, for a segment a mount found outside its replay window and
 // took chunk 1's number for, must like chunk 1 lie at or below the
 // checkpoint — and every block the tables place in the segment must lie in
-// the data area of one of its chunks, on a block boundary of it; a slot
-// that counts blocks (an older format's) is resolved through the recorded
-// data offset, which must be the one the trailer gives.
+// the data area of one of its chunks, on a block boundary of it.
 func (d *LLD) verifyOnDevice() error {
 	l := d.params.Layout
 	type span struct{ off, end int }
@@ -417,7 +415,7 @@ func (d *LLD) verifyOnDevice() error {
 		if err != nil || !rec.HasData || areas[rec.Seg] == nil {
 			return
 		}
-		off := l.SlotOff(rec.Slot, int(d.segDataOff[rec.Seg].Load()))
+		off := seg.SlotOff(rec.Slot)
 		for _, a := range areas[rec.Seg] {
 			if off >= a.off && off+l.BlockSize <= a.end && (off-a.off)%l.BlockSize == 0 {
 				return
@@ -439,9 +437,6 @@ func (d *LLD) verifyOnDevice() error {
 		if d.segSeq[s] != last.Seq && (d.segSeq[s] != first.Seq || last.Seq > d.ckptSeq) {
 			return fmt.Errorf("lld: verify: segment %d is read as seq %d, on the device it holds chunks %d to %d (checkpoint at %d)",
 				s, d.segSeq[s], first.Seq, last.Seq, d.ckptSeq)
-		}
-		if off := int(d.segDataOff[s].Load()); first.Format != seg.Chunked && off != first.DataOff {
-			return fmt.Errorf("lld: verify: segment %d is read with data at offset %d, its trailer on the device gives %d", s, off, first.DataOff)
 		}
 		for _, c := range chunks {
 			areas[s] = append(areas[s], span{c.DataOff, c.DataOff + int(c.DataBlocks)*l.BlockSize})

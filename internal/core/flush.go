@@ -124,7 +124,7 @@ func (d *LLD) checkpointLocked() error {
 		NextList:   d.nextLst,
 		NextARU:    d.nextARU,
 	}
-	base := d.ckptForceBase || d.params.CkptCompactEvery < 0 || d.ckptDepth >= d.params.CkptCompactEvery
+	base := d.params.CkptCompactEvery < 0 || d.ckptDepth >= d.params.CkptCompactEvery
 	if !base {
 		// Build the delta from the dirty sets: a dirty identifier still
 		// present in the tables is an upsert, a vanished one a deletion.
@@ -203,7 +203,6 @@ func (d *LLD) checkpointLocked() error {
 		d.ckptRegion = region
 		d.ckptChainOff = int64(len(buf))
 		d.ckptDepth = 0
-		d.ckptForceBase = false
 	} else {
 		d.ckptChainOff += int64(len(buf))
 		d.ckptDepth++

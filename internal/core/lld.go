@@ -393,10 +393,9 @@ type LLD struct {
 	// chain (one base + ckptDepth deltas) lives in region ckptRegion;
 	// the next delta appends at ckptChainOff. Compaction writes a
 	// fresh base into the other region and flips ckptRegion.
-	ckptRegion    int
-	ckptChainOff  int64
-	ckptDepth     int
-	ckptForceBase bool // mounted a legacy v1 region: next checkpoint must start a v2 chain
+	ckptRegion   int
+	ckptChainOff int64
+	ckptDepth    int
 	// dirtyBlocks and dirtyLists name the identifiers whose persistent
 	// records changed (or were deleted) since the last checkpoint —
 	// exactly the upserts/deletions the next delta record carries.
@@ -416,13 +415,6 @@ type LLD struct {
 	freeCache int     // reusable-segment count, refreshed at seals
 	inClean   bool    // reentrancy guard for the cleaner
 	cache     *blockCache
-	// segDataOff is where the data area of a segment in an older format
-	// starts, for the slot numbers of such a segment, which count blocks
-	// from there (seg.Layout.SlotOff). The mount scan fills it from the
-	// trailers and nothing else writes it: a slot this engine hands out
-	// says where its block lies by itself. Atomic because snapshot readers
-	// turn (seg, slot) into a device offset without d.mu.
-	segDataOff []atomic.Uint32
 
 	// Durability (DESIGN.md §11). gc has its own internal mutex and is
 	// the only field here touched without d.mu; everything else below is

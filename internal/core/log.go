@@ -83,17 +83,25 @@ func (d *LLD) ensureRoom(extraBlocks, extraEntries int) error {
 // otherwise full disk.
 const growthReserve = 1
 
-// growthAllowed reports whether growth operations may proceed.
-func (d *LLD) growthAllowed() bool {
-	if d.freeCache >= growthReserve {
-		return true
+// refuseGrowth refuses a growth operation that allocates blocks blocks and
+// lists lists with ErrNoSpace: below the growth reserve, or if a base
+// checkpoint of the tables would then not fit its region, which would
+// fail every later checkpoint.
+func (d *LLD) refuseGrowth(blocks, lists int) error {
+	if d.freeCache < growthReserve {
+		// The cache was computed at the last segment write, possibly while
+		// freshly freed segments were still epoch-gated (segReusable); any
+		// publish since then may have unlocked them, so rescan before
+		// refusing growth.
+		d.freeCache = d.reusableCount()
 	}
-	// The cache was computed at the last segment write, possibly while
-	// freshly freed segments were still epoch-gated (segReusable); any
-	// publish since then may have unlocked them, so rescan before
-	// refusing growth.
-	d.freeCache = d.reusableCount()
-	return d.freeCache >= growthReserve
+	if d.freeCache < growthReserve {
+		return fmt.Errorf("%w: growth reserve exhausted (delete data or clean)", ErrNoSpace)
+	}
+	if !d.params.Layout.CkptFits(d.blockTab.n+blocks, d.listTab.n+lists, 0) {
+		return fmt.Errorf("%w: checkpoint tables full (%d blocks, %d lists)", ErrNoSpace, d.blockTab.n, d.listTab.n)
+	}
+	return nil
 }
 
 // appendEntry appends one summary entry to the current segment, writing
@@ -576,17 +584,15 @@ func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 		}
 		d.stats.CacheMisses.Add(1)
 	}
-	if err := d.dev.ReadAt(dst, slotOff(d.params.Layout, d.segDataOff, segIdx, slot)); err != nil {
+	if err := d.dev.ReadAt(dst, slotOff(d.params.Layout, segIdx, slot)); err != nil {
 		return fmt.Errorf("lld: reading block at seg %d slot %d: %w", segIdx, slot, err)
 	}
 	return nil
 }
 
-// slotOff returns the device offset of data slot slot of segment segIdx:
-// the slot says where in the segment by itself, unless the segment is in
-// an older format, whose data area starts dataOff[segIdx] into it.
-func slotOff(l seg.Layout, dataOff []atomic.Uint32, segIdx, slot uint32) int64 {
-	return l.SegOff(int(segIdx)) + int64(l.SlotOff(slot, int(dataOff[segIdx].Load())))
+// slotOff returns the device offset of data slot slot of segment segIdx.
+func slotOff(l seg.Layout, segIdx, slot uint32) int64 {
+	return l.SegOff(int(segIdx)) + int64(seg.SlotOff(slot))
 }
 
 // physKey identifies a cached block by physical location.

@@ -53,18 +53,7 @@ func materializedState(t *testing.T, l seg.Layout, img []byte, ck seg.Checkpoint
 		if !b.HasData {
 			return buf
 		}
-		segment := img[l.SegOff(int(b.Seg)):l.SegOff(int(b.Seg)+1)]
-		dataOff := 0
-		if b.Slot&seg.SlotSector == 0 {
-			tr, err := seg.DecodeTrailer(segment)
-			if err != nil {
-				t.Fatalf("block %d lies in segment %d, which has no trailer: %v", b.ID, b.Seg, err)
-			}
-			if dataOff, err = tr.DataOff(l); err != nil {
-				t.Fatal(err)
-			}
-		}
-		copy(buf, segment[l.SlotOff(b.Slot, dataOff):])
+		copy(buf, img[l.SegOff(int(b.Seg))+int64(seg.SlotOff(b.Slot)):])
 		return buf
 	}
 	state := make(diskState)
@@ -85,9 +74,9 @@ func materializedState(t *testing.T, l seg.Layout, img []byte, ck seg.Checkpoint
 // TestMountEqualsMaterialize: a mount with nothing to replay holds exactly
 // what the chain's Materialize says — the lists, their members' contents
 // and the live count of every segment — for chains real histories leave
-// (deltas, compactions, deletions), for the two older image formats, and
-// for a delta no engine writes: tables unsorted, an identifier repeated in
-// one table, tombstones of identifiers the chain never held.
+// (deltas, compactions, deletions), for the image an earlier build wrote,
+// and for a delta no engine writes: tables unsorted, an identifier
+// repeated in one table, tombstones of identifiers the chain never held.
 func TestMountEqualsMaterialize(t *testing.T) {
 	check := func(name string, p Params, img []byte, wantDepth bool) {
 		t.Helper()
@@ -131,8 +120,7 @@ func TestMountEqualsMaterialize(t *testing.T) {
 		chainHistory(t, seed, 24, d)
 		check(fmt.Sprintf("history seed %d", seed), p, dev.Image(), false)
 	}
-	check("v1 fixture", v1FixtureParams(), loadV1Fixture(t), false)
-	check("tail-packed fixture", Params{Layout: testLayout(64), CheckpointEvery: -1}, loadFixture(t, pr18FixturePath), false)
+	check("chunked fixture", fixtureParams(), loadFixture(t, chunkedFixturePath), true)
 
 	// The hand-built delta, appended to the chain a short history left.
 	p := Params{Layout: testLayout(32), CheckpointEvery: -1, CkptCompactEvery: 1 << 20}

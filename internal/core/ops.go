@@ -83,8 +83,8 @@ func (d *LLD) write(aru ARUID, b BlockID, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if !d.growthAllowed() {
-		return fmt.Errorf("%w: growth reserve exhausted (delete data or clean)", ErrNoSpace)
+	if err := d.refuseGrowth(0, 0); err != nil {
+		return err
 	}
 	if _, ok := d.viewBlock(b, m.viewID()); !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
@@ -137,8 +137,8 @@ func (d *LLD) NewBlock(aru ARUID, lst ListID, pred BlockID) (BlockID, error) {
 	if err != nil {
 		return NilBlock, err
 	}
-	if !d.growthAllowed() {
-		return NilBlock, fmt.Errorf("%w: growth reserve exhausted (delete data or clean)", ErrNoSpace)
+	if err := d.refuseGrowth(1, 0); err != nil {
+		return NilBlock, err
 	}
 	if _, ok := d.viewList(lst, m.viewID()); !ok {
 		return NilBlock, fmt.Errorf("%w: %d", ErrNoSuchList, lst)
@@ -185,8 +185,8 @@ func (d *LLD) NewList(aru ARUID) (ListID, error) {
 	if err != nil {
 		return NilList, err
 	}
-	if !d.growthAllowed() {
-		return NilList, fmt.Errorf("%w: growth reserve exhausted (delete data or clean)", ErrNoSpace)
+	if err := d.refuseGrowth(0, 1); err != nil {
+		return NilList, err
 	}
 	id := d.nextLst
 	d.nextLst++

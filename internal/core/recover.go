@@ -29,7 +29,16 @@ func Format(dev disk.Disk, p Params) (*LLD, error) {
 	if err := dev.WriteAt(seg.EncodeSuper(p.Layout), p.Layout.SuperOff()); err != nil {
 		return nil, fmt.Errorf("lld: writing superblock: %w", err)
 	}
-	ck := seg.CkptRec{Base: true, CkptTS: 1, NextTS: 1, NextBlock: 1, NextList: 1, NextARU: 1}
+	// CkptTS orders chain records and links a delta to its predecessor, so
+	// it grows across lifetimes of a device too: a record an earlier one
+	// left in a region must not link to this one's base.
+	var ts uint64
+	for i := 0; i < 2; i++ {
+		if c, err := readChain(dev, p.Layout, i); err == nil {
+			ts = max(ts, c.Head().CkptTS)
+		}
+	}
+	ck := seg.CkptRec{Base: true, CkptTS: ts + 1, NextTS: 1, NextBlock: 1, NextList: 1, NextARU: 1}
 	buf, err := seg.EncodeCkptRec(p.Layout, ck)
 	if err != nil {
 		return nil, err
@@ -48,12 +57,13 @@ func Format(dev disk.Disk, p Params) (*LLD, error) {
 	// window: the trailer of every segment, and below a trailer that heads
 	// a stack of chunks, the header of each — a new lifetime repeats the
 	// old one's sequence numbers, and a workload repeated with them repeats
-	// its headers, under which the old chunks further down would chain.
+	// its headers, under which the old chunks further down would chain. A
+	// retired layout's trailer is the one header its segment has.
 	sector := make([]byte, seg.SectorSize)
 	for s := 0; s < p.Layout.NumSegs; s++ {
 		base := p.Layout.SegOff(s)
 		chunks, err := walkOnDevice(dev, p.Layout, s, sector)
-		if errors.Is(err, seg.ErrBadSegment) {
+		if errors.Is(err, seg.ErrBadSegment) || errors.Is(err, seg.ErrRetiredFormat) {
 			chunks = []seg.Chunk{{End: p.Layout.SegBytes}} // the trailer is wiped whatever it holds
 		} else if err != nil {
 			return nil, fmt.Errorf("lld: reading the chunk headers of segment %d: %w", s, err)
@@ -152,7 +162,6 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		arus:            make(map[ARUID]*aruState),
 		builder:         seg.NewBuilder(layout),
 		segSeq:          make([]uint64, layout.NumSegs),
-		segDataOff:      make([]atomic.Uint32, layout.NumSegs),
 		segLive:         make([]int32, layout.NumSegs),
 		segPins:         make([]int32, layout.NumSegs),
 		cache:           newBlockCache(p.CacheBlocks),
@@ -180,7 +189,6 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	d.ckptRegion = region
 	d.ckptChainOff = chain.NextOff
 	d.ckptDepth = chain.Depth()
-	d.ckptForceBase = chain.Legacy
 	d.ts = ck.NextTS
 	d.nextBlk = ck.NextBlock
 	d.nextLst = ck.NextList
@@ -218,7 +226,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	trValid := make([]bool, layout.NumSegs)
 	trErrs := make([]error, layout.NumSegs)
 	scanPool(workers, layout.NumSegs, func(s int, sector []byte, _ *[]byte) {
-		tr, dataOff, err := readTrailer(dev, layout, s, sector)
+		tr, err := readTrailer(dev, layout, s, sector)
 		if errors.Is(err, seg.ErrBadSegment) {
 			// Never written, wiped or torn — or a chunk no segment of this
 			// layout can hold: not part of the log.
@@ -227,9 +235,6 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		if err != nil {
 			trErrs[s] = err
 			return
-		}
-		if tr.Format != seg.Chunked {
-			d.segDataOff[s].Store(uint32(dataOff))
 		}
 		trailers[s], trValid[s] = tr, true
 	}).Wait()
@@ -259,7 +264,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 			straddler = s
 		}
 	}
-	if straddler >= 0 && trailers[straddler].Format == seg.Chunked {
+	if straddler >= 0 {
 		replay = append(replay, liveSeg{idx: straddler, tr: trailers[straddler]})
 	}
 	sort.Slice(replay, func(i, j int) bool { return replay[i].tr.Seq < replay[j].tr.Seq })
@@ -477,20 +482,22 @@ func scanPool(workers, n int, work func(i int, sector []byte, region *[]byte)) *
 	return wg
 }
 
-// readTrailer reads segment s's trailer sector into sector and returns
-// the trailer and the offset of the segment's data area it implies. An
-// error wrapping seg.ErrBadSegment means the device holds no valid
-// segment there; any other is the device's.
-func readTrailer(dev disk.Disk, l seg.Layout, s int, sector []byte) (seg.Trailer, int, error) {
+// readTrailer reads segment s's trailer sector into sector and decodes
+// it. An error wrapping seg.ErrBadSegment means the device holds no valid
+// segment there; one wrapping seg.ErrRetiredFormat names the segment, which
+// a retired layout wrote; any other is the device's.
+func readTrailer(dev disk.Disk, l seg.Layout, s int, sector []byte) (seg.Trailer, error) {
 	if err := dev.ReadAt(sector, l.SegOff(s)+int64(l.SegBytes-seg.SectorSize)); err != nil {
-		return seg.Trailer{}, 0, fmt.Errorf("lld: reading trailer of segment %d: %w", s, err)
+		return seg.Trailer{}, fmt.Errorf("lld: reading trailer of segment %d: %w", s, err)
 	}
 	tr, err := seg.DecodeTrailer(sector)
-	if err != nil {
-		return seg.Trailer{}, 0, err
+	if errors.Is(err, seg.ErrRetiredFormat) {
+		return seg.Trailer{}, fmt.Errorf("lld: segment %d: %w", s, err)
 	}
-	dataOff, err := tr.DataOff(l)
-	return tr, dataOff, err
+	if err == nil {
+		_, err = tr.DataOff(l)
+	}
+	return tr, err
 }
 
 // walkOnDevice walks the chunks of segment s on the device, fetching one
@@ -524,9 +531,8 @@ func readEntries(dev disk.Disk, l seg.Layout, s int, c seg.Chunk, buf *[]byte) (
 	return entries, err == nil, nil
 }
 
-// loadNewestChain decodes both checkpoint regions as incremental
-// chains (a legacy v1 snapshot decodes as a one-record chain) and
-// returns the one whose head record is newest, with its region index.
+// loadNewestChain decodes both checkpoint regions as chains and returns
+// the one whose head record is newest, with its region index.
 // It reads the records a chain holds, not the region reserved for them.
 // A region whose chain is torn still contributes its valid prefix: a
 // shorter chain only means more segments to replay, never corruption.
@@ -536,9 +542,7 @@ func loadNewestChain(dev disk.Disk, layout seg.Layout) (seg.CkptChain, int, erro
 		bestRegion = -1
 	)
 	for i := 0; i < 2; i++ {
-		c, err := seg.ReadCkptChain(layout.CkptRegionBytes(), func(p []byte, off int64) error {
-			return dev.ReadAt(p, layout.CkptOff(i)+off)
-		})
+		c, err := readChain(dev, layout, i)
 		if err != nil {
 			if errors.Is(err, seg.ErrBadCheckpoint) {
 				continue
@@ -553,6 +557,13 @@ func loadNewestChain(dev disk.Disk, layout seg.Layout) (seg.CkptChain, int, erro
 		return seg.CkptChain{}, 0, fmt.Errorf("%w: no valid checkpoint region", seg.ErrBadCheckpoint)
 	}
 	return best, bestRegion, nil
+}
+
+// readChain reads checkpoint region i as a chain (seg.ReadCkptChain).
+func readChain(dev disk.Disk, l seg.Layout, i int) (seg.CkptChain, error) {
+	return seg.ReadCkptChain(l.CkptRegionBytes(), func(p []byte, off int64) error {
+		return dev.ReadAt(p, l.CkptOff(i)+off)
+	})
 }
 
 // foldChain folds the checkpoint chain's records, oldest first, into the

@@ -110,15 +110,14 @@ type snapshot struct {
 	// slots) and the builder is recycled only through a retire-set, so
 	// lock-free BlockData reads are safe for the slots this epoch's
 	// records reference.
-	curIdx  uint32
-	curBld  *seg.Builder
-	sealed  []snapSeal
-	dev     disk.Disk
-	devSh   sharedReader
-	layout  seg.Layout
-	dataOff []atomic.Uint32 // the engine's segDataOff
-	cache   *blockCache     // shared lock-free read cache (may be nil)
-	cnt     *lldStats       // live atomic counters, for hit/miss accounting
+	curIdx uint32
+	curBld *seg.Builder
+	sealed []snapSeal
+	dev    disk.Disk
+	devSh  sharedReader
+	layout seg.Layout
+	cache  *blockCache // shared lock-free read cache (may be nil)
+	cnt    *lldStats   // live atomic counters, for hit/miss accounting
 
 	// stats is the counter snapshot taken at publish: one coherent
 	// view of every mu-guarded counter for this epoch (see Stats).
@@ -186,7 +185,6 @@ func (d *LLD) publishLocked() {
 	s.readSem = d.params.ReadSemantics
 	s.bs = d.params.Layout.BlockSize
 	s.layout = d.params.Layout
-	s.dataOff = d.segDataOff
 	s.dev = d.dev
 	s.devSh = d.devSh
 	s.cache = d.cache
@@ -277,7 +275,6 @@ func (d *LLD) freeSnapshot(s *snapshot) {
 	}
 	s.sealed = s.sealed[:0]
 	s.dev, s.devSh = nil, nil
-	s.dataOff = nil
 	s.cache, s.cnt = nil, nil
 	s.stats = Stats{}
 	s.next, s.ret = nil, nil
@@ -438,7 +435,7 @@ func (s *snapshot) readPhys(segIdx, slot uint32, dst []byte) error {
 		}
 		s.cnt.CacheMisses.Add(1)
 	}
-	off := slotOff(s.layout, s.dataOff, segIdx, slot)
+	off := slotOff(s.layout, segIdx, slot)
 	var err error
 	if s.devSh != nil {
 		err = s.devSh.ReadAtShared(dst, off)

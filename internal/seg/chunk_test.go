@@ -10,8 +10,7 @@ import (
 	"testing"
 )
 
-// built is one chunk (or one older-format image) a test put into a
-// segment: what it holds and, for a chunk, where.
+// built is one chunk a test put into a segment: what it holds and where.
 type built struct {
 	seq     uint64
 	blocks  [][]byte // in the order they were added
@@ -89,47 +88,14 @@ func randomStack(rng *rand.Rand, l Layout, seq uint64, n int) ([]byte, []built) 
 	return bytes.Clone(b.buf), chunks
 }
 
-// legacySegment lays k random blocks and m random entries out the way the
-// older formats put them on the device, which nothing writes any more:
-// data blocks (slot numbers count them), entry region, trailer — ending at
-// the segment's last sector, or front-packed: the data from the segment's
-// first byte, a gap, the summary at the end.
-func legacySegment(rng *rand.Rand, l Layout, front bool, seq uint64, k, m int) ([]byte, built) {
-	c := built{seq: seq, end: l.SegBytes}
-	for i := 0; i < k; i++ {
-		blk := make([]byte, l.BlockSize)
-		rng.Read(blk)
-		e := Entry{Kind: KindWrite, TS: rng.Uint64(), Block: BlockID(rng.Uint32()), Slot: uint32(i)}
-		c.blocks, c.slots, c.entries = append(c.blocks, blk), append(c.slots, uint32(i)), append(c.entries, e)
-	}
-	var enc []byte
-	for _, e := range c.entries {
-		enc = AppendEntry(enc, e)
-	}
-	for ; m > 0 && k*l.BlockSize+entryRegionBytes(len(enc)+MaxEntrySize)+SectorSize <= l.SegBytes; m-- {
-		e := randomEntry(rng)
-		c.entries, enc = append(c.entries, e), AppendEntry(enc, e)
-	}
-	segment := make([]byte, l.SegBytes)
-	region := segment[l.SegBytes-SectorSize-entryRegionBytes(len(enc)) : l.SegBytes-SectorSize]
-	copy(region, enc)
-	c.start = l.SegBytes - SectorSize - len(region) - k*l.BlockSize
-	magic, data := uint32(trailerMagicTail), segment[c.start:]
-	if front {
-		magic, data, c.start = trailerMagicFront, segment, 0
-	}
-	for i, blk := range c.blocks {
-		copy(data[i*l.BlockSize:], blk)
-	}
-	sec := segment[l.SegBytes-SectorSize:]
+// retiredTrailer writes into sec, one sector, a trailer of a retired
+// one-image layout under magic, checksummed as that layout did: what the
+// last sector of a segment such an engine sealed starts with.
+func retiredTrailer(sec []byte, magic uint32, seq uint64) {
+	clear(sec)
 	binary.LittleEndian.PutUint32(sec[0:], magic)
 	binary.LittleEndian.PutUint64(sec[4:], seq)
-	binary.LittleEndian.PutUint32(sec[12:], uint32(k))
-	binary.LittleEndian.PutUint32(sec[16:], uint32(len(c.entries)))
-	binary.LittleEndian.PutUint32(sec[20:], uint32(len(enc)))
-	binary.LittleEndian.PutUint32(sec[24:], crc32.Checksum(region, crcTable))
 	binary.LittleEndian.PutUint32(sec[28:], crc32.Checksum(sec[:28], crcTable))
-	return segment, c
 }
 
 // holds reports whether chunk ch of segment, as Walk found it, is c: its
@@ -150,7 +116,7 @@ func holds(l Layout, segment []byte, ch Chunk, c built) error {
 		return errors.New("block count differs")
 	}
 	for i, blk := range c.blocks {
-		off := l.SlotOff(c.slots[i], ch.DataOff)
+		off := SlotOff(c.slots[i])
 		if off < ch.DataOff || off+l.BlockSize > ch.DataOff+len(c.blocks)*l.BlockSize {
 			return errors.New("a slot lies outside the data area")
 		}
@@ -161,112 +127,46 @@ func holds(l Layout, segment []byte, ch Chunk, c built) error {
 	return nil
 }
 
-// TestOlderFormatsStillRead: a trailer under either older magic is a
-// segment of one chunk whose slots count blocks from DataOff — 0 for the
-// front-packed layout, the start of the image for the tail-packed one.
-func TestOlderFormatsStillRead(t *testing.T) {
-	l := testLayout()
-	rng := rand.New(rand.NewSource(7))
-	for _, front := range []bool{false, true} {
-		segment, c := legacySegment(rng, l, front, 31, 3, 10)
-		tr, err := DecodeTrailer(segment)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := map[bool]Format{false: TailPacked, true: FrontPacked}[front]; tr.Format != want || tr.Seq != 31 || tr.DataBlocks != 3 {
-			t.Fatalf("trailer: %+v", tr)
-		}
-		if off, err := tr.DataOff(l); err != nil || off != c.start {
-			t.Fatalf("front %v: DataOff = %d, %v; want %d", front, off, err, c.start)
-		}
-		chunks, err := Walk(l, segment)
-		if err != nil || len(chunks) != 1 {
-			t.Fatalf("front %v: Walk: %d chunks, %v", front, len(chunks), err)
-		}
-		if err := holds(l, segment, chunks[0], c); err != nil {
-			t.Fatalf("front %v: %v", front, err)
-		}
-	}
-}
-
-// TestFrontPackedSegmentStillReads: a trailer under the oldest magic
-// means data at offset 0; everything else about the segment decodes as
-// before.
-func TestFrontPackedSegmentStillReads(t *testing.T) {
-	l := testLayout()
-	rng := rand.New(rand.NewSource(7))
-	segment, c := legacySegment(rng, l, true, 31, 3, 10)
-	tr, err := DecodeTrailer(segment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(segment[:l.BlockSize], c.blocks[0]) {
-		t.Fatal("data is not at the segment's start")
-	}
-	got, err := DecodeEntriesFromSegment(segment, tr)
-	if err != nil || !slices.Equal(got, c.entries) {
-		t.Fatalf("entries: %v, %v", got, err)
-	}
-}
-
 // TestTrailerExtentMustFit: a header that checksums but describes a chunk
-// the segment cannot hold is a bad segment, in every format, and the
-// largest chunks that do fit are accepted. A chunk header must also give
-// the length its data blocks have.
+// the segment cannot hold is a bad segment, and the largest chunks that do
+// fit are accepted. A chunk header must also give the length its data
+// blocks have.
 func TestTrailerExtentMustFit(t *testing.T) {
 	l := testLayout()
 	per := uint32(l.BlocksPerSeg())
-	for _, f := range []Format{Chunked, TailPacked, FrontPacked} {
-		fill := func(tr Trailer) Trailer {
-			tr.Format = f
-			if f == Chunked {
-				tr.dataBytes = tr.DataBlocks * uint32(l.BlockSize)
-			}
-			return tr
-		}
-		bad := []Trailer{
-			{DataBlocks: per + 1},
-			{DataBlocks: per, EntryBytes: uint32(l.SegBytes)},
-			{DataBlocks: 1, EntryBytes: uint32(l.SegBytes - l.BlockSize - SectorSize + 1)},
-			{EntryBytes: ^uint32(0)},
-			{DataBlocks: ^uint32(0), EntryBytes: ^uint32(0)},
-		}
-		for _, tr := range bad {
-			tr = fill(tr)
-			if off, err := tr.DataOff(l); !errors.Is(err, ErrBadSegment) {
-				t.Errorf("%+v accepted: DataOff = %d, %v", tr, off, err)
-			}
-		}
-		good := []Trailer{
-			{},
-			{DataBlocks: per, EntryBytes: uint32(l.SegBytes - int(per)*l.BlockSize - SectorSize)},
-			{EntryBytes: uint32(l.SegBytes - SectorSize)},
-		}
-		for _, tr := range good {
-			tr = fill(tr)
-			start, off, err := tr.extent(l, l.SegBytes)
-			if err != nil {
-				t.Errorf("%+v rejected: %v", tr, err)
-			}
-			want := l.SegBytes - int(tr.ImageBytes(l))
-			switch f {
-			case Chunked:
-				if start != want || off != l.SegBytes-SectorSize-int(tr.dataBytes) {
-					t.Errorf("%+v: chunk at %d, data at %d", tr, start, off)
-				}
-			case TailPacked:
-				if start != want || off != want {
-					t.Errorf("%+v: image at %d, data at %d", tr, start, off)
-				}
-			default:
-				if start != 0 || off != 0 {
-					t.Errorf("%+v: image at %d, data at %d", tr, start, off)
-				}
-			}
+	fill := func(tr Trailer) Trailer {
+		tr.dataBytes = tr.DataBlocks * uint32(l.BlockSize)
+		return tr
+	}
+	bad := []Trailer{
+		{DataBlocks: per + 1},
+		{DataBlocks: per, EntryBytes: uint32(l.SegBytes)},
+		{DataBlocks: 1, EntryBytes: uint32(l.SegBytes - l.BlockSize - SectorSize + 1)},
+		{EntryBytes: ^uint32(0)},
+		{DataBlocks: ^uint32(0), EntryBytes: ^uint32(0)},
+	}
+	for _, tr := range bad {
+		tr = fill(tr)
+		if off, err := tr.DataOff(l); !errors.Is(err, ErrBadSegment) {
+			t.Errorf("%+v accepted: DataOff = %d, %v", tr, off, err)
 		}
 	}
-	// Below another chunk there is less room, and an older format has no
-	// place at all.
+	good := []Trailer{
+		{},
+		{DataBlocks: per, EntryBytes: uint32(l.SegBytes - int(per)*l.BlockSize - SectorSize)},
+		{EntryBytes: uint32(l.SegBytes - SectorSize)},
+	}
+	for _, tr := range good {
+		tr = fill(tr)
+		start, off, err := tr.extent(l, l.SegBytes)
+		if err != nil {
+			t.Errorf("%+v rejected: %v", tr, err)
+		}
+		if start != l.SegBytes-int(tr.ImageBytes(l)) || off != l.SegBytes-SectorSize-int(tr.dataBytes) {
+			t.Errorf("%+v: chunk at %d, data at %d", tr, start, off)
+		}
+	}
+	// Below another chunk there is less room.
 	tr := Trailer{DataBlocks: 1, dataBytes: uint32(l.BlockSize)}
 	if _, _, err := tr.extent(l, l.BlockSize+SectorSize); err != nil {
 		t.Errorf("a one-block chunk does not fit the %d bytes it takes: %v", l.BlockSize+SectorSize, err)
@@ -278,40 +178,32 @@ func TestTrailerExtentMustFit(t *testing.T) {
 	if _, _, err := tr.extent(l, l.SegBytes); !errors.Is(err, ErrBadSegment) {
 		t.Errorf("a chunk header lying about its data area was accepted: %v", err)
 	}
-	if _, _, err := (Trailer{Format: TailPacked}).extent(l, l.SegBytes-SectorSize); !errors.Is(err, ErrBadSegment) {
-		t.Errorf("a tail-packed image was accepted below a chunk: %v", err)
-	}
 }
 
 // previousIncarnation returns a segment as an earlier life of it left it:
-// never written, a stack of chunks, or one image in either older format.
-// Its sequence numbers are below 100.
+// never written, or a stack of chunks — small ones, one full of data, or
+// one of summary only. Its sequence numbers are below 100.
 func previousIncarnation(rng *rand.Rand, l Layout) (segment []byte, chunks []built) {
-	size := func() (k, m int) {
-		switch rng.Intn(4) {
-		case 0:
-			return l.BlocksPerSeg(), 0 // full
-		case 1:
-			return 0, 1 + rng.Intn(400) // summary only
-		default:
-			return rng.Intn(4), rng.Intn(40)
-		}
-	}
-	switch rng.Intn(4) {
+	var k, m int
+	switch rng.Intn(6) {
 	case 0:
 		return make([]byte, l.SegBytes), nil
-	case 1:
+	case 1, 2:
 		return randomStack(rng, l, 10, 1+rng.Intn(6))
+	case 3:
+		k = l.BlocksPerSeg()
+	case 4:
+		m = 1 + rng.Intn(400)
 	default:
-		k, m := size()
-		segment, c := legacySegment(rng, l, rng.Intn(2) == 0, 10, k, m)
-		return segment, []built{c}
+		k, m = rng.Intn(4), rng.Intn(40)
 	}
+	segment, c := randomImage(rng, l, 10, k, m)
+	return segment, []built{c}
 }
 
 // TestTornRewriteDecodesOldOrNew is the header-last argument as a
-// property, per chunk. A segment holds a previous incarnation — none, a
-// stack of chunks, tail-packed or front-packed, of any size — and a new
+// property, per chunk. A segment holds a previous incarnation — none, or
+// a stack of chunks of any size — and a new
 // stack of one to six chunks is written over it, each chunk as one extent
 // that ends where the one before begins, the write of chunk k torn at
 // every sector prefix in turn. What is then on the medium walks to exactly:
@@ -322,7 +214,9 @@ func previousIncarnation(rng *rand.Rand, l Layout) (segment []byte, chunks []bui
 // valid header over another incarnation's bytes, the state a write in two
 // extents can leave. Last, a stale header planted directly below the
 // stack — checksummed, the next sequence number, room for it — joins the
-// chain only under the seed of the header above it.
+// chain only under the seed of the header above it, and a retired trailer
+// there ends the walk as any other bytes do; over the last sector it is
+// ErrRetiredFormat.
 func TestTornRewriteDecodesOldOrNew(t *testing.T) {
 	l := testLayout()
 	for seed := int64(1); seed <= 200; seed++ {
@@ -401,26 +295,39 @@ func TestTornRewriteDecodesOldOrNew(t *testing.T) {
 		if got, err := Walk(l, medium); err != nil || len(got) != len(chunks)+1 {
 			t.Fatalf("seed %d: the planted header is not acceptable even under the right seed: %d chunks, %v", seed, len(got), err)
 		}
+		magic := uint32(retiredFrontMagic + rng.Intn(2))
+		retiredTrailer(stale, magic, last.seq+1)
+		if got, err := Walk(l, medium); err != nil || len(got) != len(chunks) {
+			t.Fatalf("seed %d: a retired trailer below the stack: %d chunks, %v", seed, len(got), err)
+		}
+		retiredTrailer(medium[l.SegBytes-SectorSize:], magic, 100)
+		if got, err := Walk(l, medium); !errors.Is(err, ErrRetiredFormat) || len(got) != 0 {
+			t.Fatalf("seed %d: a retired trailer over the last sector: %d chunks, %v", seed, len(got), err)
+		}
 	}
 }
 
 // FuzzTrailerDecode feeds arbitrary bytes, laid at the end of a segment,
-// to Walk — seeded from real stacks of chunks, images of both older
-// formats and corruptions of them. Walk may not panic, and the chunks it
-// returns lie inside the segment, each directly below the one above and
-// with the next sequence number, its data area inside it. Each input is
-// judged as it is and again with the checksum of every header the walk
-// reaches made good, so that a mutated count reaches the extent checks
-// instead of dying at the CRC.
+// to Walk — seeded from real stacks of chunks, retired trailers over the
+// last sector and directly below a stack, and corruptions of them. Walk
+// may not panic; it is ErrRetiredFormat exactly when the last sector holds
+// a retired magic; and the chunks it returns lie inside the segment, each
+// directly below the one above and with the next sequence number, its
+// data area inside it. Each input is judged as it is and again with the
+// checksum of every header the walk reaches made good, so that a mutated
+// count reaches the extent checks instead of dying at the CRC.
 func FuzzTrailerDecode(f *testing.F) {
 	l := fuzzLayout()
 	rng := rand.New(rand.NewSource(1))
-	for _, km := range [][2]int{{0, 0}, {2, 5}, {l.BlocksPerSeg(), 0}, {0, 400}} {
+	for i, km := range [][2]int{{0, 0}, {2, 5}, {l.BlocksPerSeg(), 0}, {0, 400}} {
 		stack, chunks := randomStack(rng, l, 9, 3)
-		tail, _ := legacySegment(rng, l, false, 9, min(km[0], l.BlocksPerSeg()), km[1])
-		front, _ := legacySegment(rng, l, true, 9, min(km[0], l.BlocksPerSeg()), km[1])
+		// Chunk 1 with a retired trailer where chunk 2's header was.
+		below := bytes.Clone(stack[chunks[0].start-SectorSize:])
+		retiredTrailer(below[:SectorSize], uint32(retiredFrontMagic+i%2), 10)
+		retired := make([]byte, SectorSize)
+		retiredTrailer(retired, uint32(retiredTailMagic-i%2), 9)
 		one, _ := randomImage(rng, l, 9, km[0], km[1])
-		for _, in := range [][]byte{stack[chunks[len(chunks)-1].start:], tail[l.SegBytes-SectorSize:], front[l.SegBytes-SectorSize:], one[l.SegBytes-SectorSize:]} {
+		for _, in := range [][]byte{stack[chunks[len(chunks)-1].start:], below, retired, one[l.SegBytes-SectorSize:]} {
 			f.Add(in)
 			for _, pos := range []int{0, 3, 4, 12, 15, 16, 20, 23, 24, 28, 32} {
 				mut := bytes.Clone(in)
@@ -432,6 +339,10 @@ func FuzzTrailerDecode(f *testing.F) {
 	}
 	judge := func(t *testing.T, segment []byte) {
 		chunks, err := Walk(l, segment)
+		magic := binary.LittleEndian.Uint32(segment[l.SegBytes-SectorSize:])
+		if retired := magic == retiredFrontMagic || magic == retiredTailMagic; errors.Is(err, ErrRetiredFormat) != retired {
+			t.Fatalf("last sector under magic %#x walks to %v", magic, err)
+		}
 		if err != nil {
 			if len(chunks) != 0 {
 				t.Fatalf("Walk returned %d chunks and %v", len(chunks), err)
@@ -443,13 +354,13 @@ func FuzzTrailerDecode(f *testing.F) {
 			if c.End != top || c.Start < 0 || c.Start > c.End-SectorSize {
 				t.Fatalf("chunk %d of %d at [%d, %d) below %d in a %d-byte segment", i+1, len(chunks), c.Start, c.End, top, l.SegBytes)
 			}
-			if i > 0 && (c.Seq != chunks[i-1].Seq+1 || c.Format != Chunked || chunks[i-1].Format != Chunked) {
-				t.Fatalf("chunk %d (%v, seq %d) follows %v seq %d", i+1, c.Format, c.Seq, chunks[i-1].Format, chunks[i-1].Seq)
+			if i > 0 && c.Seq != chunks[i-1].Seq+1 {
+				t.Fatalf("chunk %d (seq %d) follows seq %d", i+1, c.Seq, chunks[i-1].Seq)
 			}
 			if end := int64(c.DataOff) + int64(c.DataBlocks)*int64(l.BlockSize); c.DataOff < c.Start || end > int64(c.End-SectorSize) {
 				t.Fatalf("chunk %d at [%d, %d): data area [%d, %d)", i+1, c.Start, c.End, c.DataOff, end)
 			}
-			if c.Format != FrontPacked && c.Start+int(c.ImageBytes(l)) != c.End {
+			if c.Start+int(c.ImageBytes(l)) != c.End {
 				t.Fatalf("chunk %d at [%d, %d) leaves a gap: it holds %d bytes", i+1, c.Start, c.End, c.ImageBytes(l))
 			}
 			top = c.Start
@@ -465,19 +376,13 @@ func FuzzTrailerDecode(f *testing.F) {
 		// Make good the checksum of each header a walk would reach.
 		for top, seed := l.SegBytes, uint32(0); top >= SectorSize; {
 			sec := segment[top-SectorSize : top]
-			crcAt := trailerBytes - 4
-			if binary.LittleEndian.Uint32(sec) == trailerMagicChunk {
-				crcAt = chunkHeaderBytes - 4
-			} else {
-				seed = 0
-			}
-			binary.LittleEndian.PutUint32(sec[crcAt:], crc32.Update(seed, crcTable, sec[:crcAt]))
-			tr, err := decodeHeader(sec, seed)
-			if err != nil {
+			if binary.LittleEndian.Uint32(sec) != trailerMagicChunk {
 				break
 			}
+			binary.LittleEndian.PutUint32(sec[headerBytes-4:], crc32.Update(seed, crcTable, sec[:headerBytes-4]))
+			tr, _ := decodeHeader(sec, seed)
 			start, _, err := tr.extent(l, top)
-			if err != nil || tr.Format != Chunked {
+			if err != nil {
 				break
 			}
 			top, seed = start, tr.crc

@@ -7,11 +7,10 @@ import (
 	"hash/crc32"
 )
 
-// Incremental checkpoint chains (format v2).
+// Incremental checkpoint chains.
 //
-// A checkpoint region no longer holds a single monolithic table
-// snapshot: it holds a *chain* of sector-aligned records — one base
-// record (a full snapshot) followed by zero or more delta records,
+// A checkpoint region holds a *chain* of sector-aligned records — one
+// base record (a full snapshot) followed by zero or more delta records,
 // each carrying only the block/list records dirtied since the previous
 // record in the chain. Recovery decodes the longest valid prefix of
 // the chain and materializes base+deltas into one Checkpoint.
@@ -34,20 +33,17 @@ import (
 // out of room, the writer compacts: it writes a fresh base into the
 // other region (build-then-publish: the new base only wins once it is
 // durable, because recovery picks the region whose head has the larger
-// CkptTS) and the chain continues there. The v1 single-record format
-// decodes as a legacy one-record chain, so old images still mount.
+// CkptTS) and the chain continues there. A region that starts under the
+// retired single-snapshot magic is ErrRetiredFormat.
 
-// ckptChainMagic marks a v2 chain record ("LLC2"). Distinct from
-// ckptMagic so v1 regions and v2 regions are unambiguous at offset 0.
-const ckptChainMagic = 0x32434c4c
-
-// ckptRecHeaderBytes is the fixed size of one chain-record header.
-const ckptRecHeaderBytes = 88
-
-// ckptListRecV2Bytes is the wire size of a v2 checkpointed list
-// record: id, first, last, plus the structural timestamp that v1 did
-// not carry.
-const ckptListRecV2Bytes = 8 + 8 + 8 + 8
+// Wire sizes of a chain record: its fixed header, and one block record
+// (id, seg, slot, succ, list, ts, flags) and one list record (id, first,
+// last, ts) of its tables. A deletion is an identifier, 8 bytes.
+const (
+	ckptRecHeaderBytes = 88
+	ckptBlockRecBytes  = 8 + 4 + 4 + 8 + 8 + 8 + 1
+	ckptListRecBytes   = 8 + 8 + 8 + 8
+)
 
 // ckptRecFlagBase marks the record as a chain base (full snapshot).
 const ckptRecFlagBase = 1
@@ -77,27 +73,24 @@ type CkptRec struct {
 	DelLists  []ListID
 }
 
+// ckptRecBytes returns the sector-rounded wire size of a chain record of
+// nb block and nl list records and nd deletions.
+func ckptRecBytes(nb, nl, nd int) int64 {
+	return roundUp(ckptRecHeaderBytes+int64(nb)*ckptBlockRecBytes+int64(nl)*ckptListRecBytes+int64(nd)*8, SectorSize)
+}
+
 // WireBytes returns the sector-rounded on-disk size of r.
 func (r CkptRec) WireBytes() int64 {
-	n := int64(ckptRecHeaderBytes) +
-		int64(len(r.Blocks))*ckptBlockRecBytes +
-		int64(len(r.Lists))*ckptListRecV2Bytes +
-		int64(len(r.DelBlocks))*8 +
-		int64(len(r.DelLists))*8
-	return roundUp(n, SectorSize)
+	return ckptRecBytes(len(r.Blocks), len(r.Lists), len(r.DelBlocks)+len(r.DelLists))
 }
 
 // EncodeCkptRec encodes one chain record for layout l into a fresh
-// sector-rounded buffer. Table sizes are validated against the layout
-// bounds so a record can never outgrow its region.
+// sector-rounded buffer. A record that does not fit a checkpoint region of
+// l is refused (Layout.CkptFits), so a record can never outgrow its region.
 func EncodeCkptRec(l Layout, r CkptRec) ([]byte, error) {
-	if len(r.Blocks) > l.MaxBlocks || len(r.DelBlocks) > l.MaxBlocks {
-		return nil, fmt.Errorf("seg: checkpoint record has %d/%d block records, layout allows %d",
-			len(r.Blocks), len(r.DelBlocks), l.MaxBlocks)
-	}
-	if len(r.Lists) > l.MaxLists || len(r.DelLists) > l.MaxLists {
-		return nil, fmt.Errorf("seg: checkpoint record has %d/%d list records, layout allows %d",
-			len(r.Lists), len(r.DelLists), l.MaxLists)
+	if !l.CkptFits(len(r.Blocks), len(r.Lists), len(r.DelBlocks)+len(r.DelLists)) {
+		return nil, fmt.Errorf("seg: a checkpoint record of %d blocks, %d lists and %d deletions takes %d bytes, the region holds %d",
+			len(r.Blocks), len(r.Lists), len(r.DelBlocks)+len(r.DelLists), r.WireBytes(), l.CkptRegionBytes())
 	}
 	if r.Base && (len(r.DelBlocks) != 0 || len(r.DelLists) != 0) {
 		return nil, errors.New("seg: base checkpoint record cannot carry deletions")
@@ -141,7 +134,7 @@ func EncodeCkptRec(l Layout, r CkptRec) ([]byte, error) {
 		binary.LittleEndian.PutUint64(p[off+8:], uint64(li.First))
 		binary.LittleEndian.PutUint64(p[off+16:], uint64(li.Last))
 		binary.LittleEndian.PutUint64(p[off+24:], li.TS)
-		off += ckptListRecV2Bytes
+		off += ckptListRecBytes
 	}
 	for _, id := range r.DelBlocks {
 		binary.LittleEndian.PutUint64(p[off:], uint64(id))
@@ -176,7 +169,7 @@ func ckptRecSpan(buf []byte) (n [4]int64, span int64, err error) {
 	for i := range n {
 		n[i] = int64(binary.LittleEndian.Uint32(h[64+4*i:]))
 	}
-	return n, ckptRecHeaderBytes + n[0]*ckptBlockRecBytes + n[1]*ckptListRecV2Bytes + (n[2]+n[3])*8, nil
+	return n, ckptRecHeaderBytes + n[0]*ckptBlockRecBytes + n[1]*ckptListRecBytes + (n[2]+n[3])*8, nil
 }
 
 // DecodeCkptRec decodes and validates one chain record at the start of
@@ -232,7 +225,7 @@ func DecodeCkptRec(buf []byte) (CkptRec, int64, error) {
 			Last:  BlockID(binary.LittleEndian.Uint64(p[off+16:])),
 			TS:    binary.LittleEndian.Uint64(p[off+24:]),
 		})
-		off += ckptListRecV2Bytes
+		off += ckptListRecBytes
 	}
 	for i := int64(0); i < ndb; i++ {
 		r.DelBlocks = append(r.DelBlocks, BlockID(binary.LittleEndian.Uint64(p[off:])))
@@ -252,10 +245,6 @@ type CkptChain struct {
 	// NextOff is the region-relative byte offset where the next delta
 	// record would be appended.
 	NextOff int64
-	// Legacy reports a v1 single-record region. Deltas can never be
-	// appended to a legacy region; the next checkpoint must start a
-	// fresh v2 chain.
-	Legacy bool
 }
 
 // Head returns the newest record of the chain.
@@ -268,11 +257,10 @@ func (c CkptChain) Depth() int {
 	return len(c.Recs) - 1
 }
 
-// DecodeCkptChain decodes one checkpoint region as a chain: a v2 base
-// followed by the longest prefix of valid, correctly linked deltas —
-// or a legacy v1 snapshot, returned as a one-record chain. A torn or
-// stale record simply ends the chain; it never invalidates the prefix
-// before it.
+// DecodeCkptChain decodes one checkpoint region as a chain: a base
+// followed by the longest prefix of valid, correctly linked deltas. A
+// torn or stale record simply ends the chain; it never invalidates the
+// prefix before it.
 func DecodeCkptChain(region []byte) (CkptChain, error) {
 	return ReadCkptChain(int64(len(region)), func(p []byte, off int64) error {
 		copy(p, region[off:])
@@ -284,42 +272,24 @@ func DecodeCkptChain(region []byte) (CkptChain, error) {
 // fetches piece by piece (it fills p from region offset off): the sector
 // a record's header is in, then the rest of that record, following the
 // chain — a region is sized for the largest tables the layout allows and
-// a chain fills a fraction of it. Only a region under the v1 magic is
-// fetched whole. An error that is not ErrBadCheckpoint is read's.
+// a chain fills a fraction of it. A region under the retired snapshot
+// magic costs its first sector and is ErrRetiredFormat. An error that is
+// neither ErrBadCheckpoint nor ErrRetiredFormat is read's.
 func ReadCkptChain(size int64, read func(p []byte, off int64) error) (CkptChain, error) {
 	first := make([]byte, min(size, SectorSize))
 	if err := read(first, 0); err != nil {
 		return CkptChain{}, err
 	}
-	if len(first) >= 4 && binary.LittleEndian.Uint32(first) == ckptMagic {
-		// The legacy single-snapshot format.
-		region := make([]byte, size)
-		if err := read(region, 0); err != nil {
-			return CkptChain{}, err
-		}
-		ck, err := DecodeCheckpoint(region)
-		if err != nil {
-			return CkptChain{}, err
-		}
-		return CkptChain{Recs: []CkptRec{{
-			Base:       true,
-			CkptTS:     ck.CkptTS,
-			FlushedSeq: ck.FlushedSeq,
-			NextTS:     ck.NextTS,
-			NextBlock:  ck.NextBlock,
-			NextList:   ck.NextList,
-			NextARU:    ck.NextARU,
-			Blocks:     ck.Blocks,
-			Lists:      ck.Lists,
-		}}, Legacy: true}, nil
+	if len(first) >= 4 && binary.LittleEndian.Uint32(first) == retiredCkptMagic {
+		return CkptChain{}, fmt.Errorf("%w: a single-snapshot checkpoint region (magic %#x)", ErrRetiredFormat, retiredCkptMagic)
 	}
 	base, n, err := readCkptRec(size, 0, first, read)
 	if err != nil {
 		return CkptChain{}, err
 	}
 	if !base.Base {
-		// A delta at offset 0 is a remnant of an older layout or a
-		// mis-write; without its base it is unusable.
+		// A delta at offset 0 is a remnant or a mis-write; without its
+		// base it is unusable.
 		return CkptChain{}, fmt.Errorf("%w: chain starts with a delta record", ErrBadCheckpoint)
 	}
 	c := CkptChain{Recs: []CkptRec{base}, NextOff: n}

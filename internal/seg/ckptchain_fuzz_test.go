@@ -63,17 +63,12 @@ func seedChainImages(t testing.TB) [][]byte {
 		off += int64(len(buf))
 	}
 	out = append(out, region[:off], region)
-	// A legacy v1 snapshot: the chain decoder must fall back, never
-	// panic, on old-format regions.
-	for _, img := range seedCheckpoints(t) {
-		out = append(out, img)
-	}
-	return out
+	return append(out, seedCheckpoints(t)...)
 }
 
 // FuzzCheckpointDeltaDecode feeds arbitrary bytes — seeded from real
 // incremental checkpoint images (base + upsert delta + deletion
-// delta, individually and chained in a region) — to the v2 chain
+// delta, individually and chained in a region) — to the chain
 // decoders. Neither DecodeCkptRec nor DecodeCkptChain may ever panic;
 // any record DecodeCkptRec accepts must re-encode and re-decode to
 // the identical record; any chain DecodeCkptChain accepts must start
@@ -141,9 +136,6 @@ func FuzzCheckpointDeltaDecode(f *testing.F) {
 				t.Fatalf("chain link broken at %d: prev CkptTS %d, rec PrevTS %d CkptTS %d",
 					i, prev.CkptTS, cur.PrevTS, cur.CkptTS)
 			}
-		}
-		if c.Legacy && len(c.Recs) != 1 {
-			t.Fatalf("legacy chain with %d records", len(c.Recs))
 		}
 		ck := c.Materialize()
 		if ck.CkptTS != c.Head().CkptTS || ck.FlushedSeq != c.Head().FlushedSeq {

@@ -1,6 +1,7 @@
 package seg
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -91,8 +92,8 @@ func TestCkptChainMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode chain: %v", err)
 	}
-	if c.Depth() != 2 || c.Legacy {
-		t.Fatalf("chain depth %d legacy %v", c.Depth(), c.Legacy)
+	if c.Depth() != 2 {
+		t.Fatalf("chain depth %d", c.Depth())
 	}
 	ck := c.Materialize()
 	if ck.CkptTS != 12 || ck.FlushedSeq != 6 || ck.NextTS != 130 {
@@ -154,30 +155,6 @@ func TestCkptChainRejectsStaleLifetimeRecord(t *testing.T) {
 	}
 }
 
-func TestCkptChainLegacyV1(t *testing.T) {
-	l := chainLayout()
-	v1 := Checkpoint{CkptTS: 5, FlushedSeq: 2, NextTS: 50, NextBlock: 3, NextList: 2, NextARU: 1,
-		Blocks: []BlockRec{{ID: 1, TS: 40, HasData: true, Seg: 1, Slot: 0, List: 1}},
-		Lists:  []ListRec{{ID: 1, First: 1, Last: 1}}}
-	buf, err := EncodeCheckpoint(l, v1)
-	if err != nil {
-		t.Fatalf("encode v1: %v", err)
-	}
-	region := make([]byte, l.CkptRegionBytes())
-	copy(region, buf)
-	c, err := DecodeCkptChain(region)
-	if err != nil {
-		t.Fatalf("decode legacy: %v", err)
-	}
-	if !c.Legacy || c.Depth() != 0 {
-		t.Fatalf("legacy not detected: %+v", c)
-	}
-	ck := c.Materialize()
-	if ck.CkptTS != 5 || len(ck.Blocks) != 1 || len(ck.Lists) != 1 {
-		t.Fatalf("legacy materialization wrong: %+v", ck)
-	}
-}
-
 func TestCkptChainEmptyRegion(t *testing.T) {
 	l := chainLayout()
 	region := make([]byte, l.CkptRegionBytes())
@@ -199,9 +176,10 @@ func TestCkptChainDeltaAtOffsetZero(t *testing.T) {
 // TestReadCkptChainFetchesOnlyTheChain: the piecewise reader returns the
 // chain DecodeCkptChain returns and fetches the records it holds — header
 // sector first, then the rest of each record, plus the one sector that
-// ends the chain — not the region; a v1 region is fetched whole, a region
-// under neither magic costs its first sector, and a read error is passed
-// through as it is.
+// ends the chain — not the region; a region under the retired
+// single-snapshot magic costs its first sector and is ErrRetiredFormat, an
+// empty one its first sector and ErrBadCheckpoint, and a read error is
+// passed through as it is.
 func TestReadCkptChainFetchesOnlyTheChain(t *testing.T) {
 	l := chainLayout()
 	base := testBase()
@@ -235,18 +213,14 @@ func TestReadCkptChainFetchesOnlyTheChain(t *testing.T) {
 		t.Fatalf("fetched %d bytes of a %d-byte region for a %d-byte chain", fetched, len(region), want.NextOff)
 	}
 
-	legacy, err := EncodeCheckpoint(l, Checkpoint{CkptTS: 4, FlushedSeq: 1, NextTS: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := make([]byte, l.CkptRegionBytes())
-	copy(v1, legacy)
+	retired := make([]byte, l.CkptRegionBytes())
+	binary.LittleEndian.PutUint32(retired, retiredCkptMagic)
 	fetched = 0
-	if c, err := ReadCkptChain(int64(len(v1)), fetch(v1, &fetched)); err != nil || !c.Legacy || c.Head().CkptTS != 4 {
-		t.Fatalf("v1 region: %+v, %v", c, err)
+	if _, err := ReadCkptChain(int64(len(retired)), fetch(retired, &fetched)); !errors.Is(err, ErrRetiredFormat) || fetched != SectorSize {
+		t.Fatalf("retired region: %v after %d bytes", err, fetched)
 	}
-	if fetched < int64(len(v1)) {
-		t.Fatalf("v1 region fetched %d of %d bytes", fetched, len(v1))
+	if _, err := DecodeCkptChain(retired); !errors.Is(err, ErrRetiredFormat) || errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("retired region decodes as %v", err)
 	}
 
 	empty := make([]byte, l.CkptRegionBytes())

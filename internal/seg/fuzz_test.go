@@ -1,6 +1,9 @@
 package seg
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -11,30 +14,17 @@ func fuzzLayout() Layout {
 	return Layout{BlockSize: 1024, SegBytes: 8192, NumSegs: 96, MaxBlocks: 2048, MaxLists: 512}
 }
 
-// seedCheckpoints builds the checkpoint images a real formatted disk
-// contains: the empty post-format checkpoint and a populated one with
-// linked lists, unwritten blocks, and a leaked (NilList) allocation.
+// seedCheckpoints builds the checkpoint bases a real formatted disk
+// contains: the empty one Format writes and a populated one with linked
+// lists, unwritten blocks, and a leaked (NilList) allocation.
 func seedCheckpoints(t testing.TB) [][]byte {
 	t.Helper()
-	l := fuzzLayout()
-	empty := Checkpoint{CkptTS: 1, NextTS: 2, NextBlock: 1, NextList: 1, NextARU: 1}
-	full := Checkpoint{
-		CkptTS: 42, FlushedSeq: 17, NextTS: 911, NextBlock: 9, NextList: 4, NextARU: 6,
-		Blocks: []BlockRec{
-			{ID: 1, Seg: 3, Slot: 0, Succ: 2, List: 1, TS: 100, HasData: true},
-			{ID: 2, Seg: 3, Slot: 1, Succ: NilBlock, List: 1, TS: 101, HasData: true},
-			{ID: 5, Succ: NilBlock, List: 2, TS: 104},       // allocated, never written
-			{ID: 8, Succ: NilBlock, List: NilList, TS: 108}, // leaked allocation
-		},
-		Lists: []ListRec{
-			{ID: 1, First: 1, Last: 2},
-			{ID: 2, First: 5, Last: 5},
-			{ID: 3, First: NilBlock, Last: NilBlock},
-		},
-	}
 	var out [][]byte
-	for _, c := range []Checkpoint{empty, full} {
-		buf, err := EncodeCheckpoint(l, c)
+	for _, r := range []CkptRec{
+		{Base: true, CkptTS: 1, NextTS: 1, NextBlock: 1, NextList: 1, NextARU: 1},
+		seedChainRecords()[0],
+	} {
+		buf, err := EncodeCkptRec(fuzzLayout(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,41 +33,55 @@ func seedCheckpoints(t testing.TB) [][]byte {
 	return out
 }
 
-// FuzzCheckpointDecode feeds arbitrary bytes — seeded from real
-// checkpoint images — to DecodeCheckpoint. The decoder must never
-// panic, and anything it accepts must re-encode and re-decode to the
-// identical checkpoint (round-trip stability).
+// FuzzCheckpointDecode feeds arbitrary bytes, as a checkpoint region, to
+// ReadCkptChain, the reader mount uses — seeded from real bases, a region
+// under the retired single-snapshot magic, and corruptions of them. The
+// reader may not panic; it is ErrRetiredFormat exactly when the region
+// starts with the retired magic; and any chain it accepts materializes to
+// tables that, encoded as the one base a compaction writes, read back to
+// the same checkpoint.
 func FuzzCheckpointDecode(f *testing.F) {
 	for _, img := range seedCheckpoints(f) {
 		f.Add(img)
-		// A few systematic corruptions of the real image: truncation,
-		// header-field flips, payload flips.
-		trunc := img[:len(img)/2]
-		f.Add(trunc)
-		for _, pos := range []int{0, 4, 52, 56, 60, 64, len(img) - 1} {
-			if pos < len(img) {
-				mut := append([]byte(nil), img...)
-				mut[pos] ^= 0xff
-				f.Add(mut)
-			}
+		f.Add(img[:len(img)/2])
+		// Magic, flags, CkptTS, the block and list counts, both CRCs, the
+		// last byte.
+		for _, pos := range []int{0, 4, 8, 64, 68, 80, 84, len(img) - 1} {
+			mut := bytes.Clone(img)
+			mut[pos] ^= 0xff
+			f.Add(mut)
 		}
 	}
+	retired := make([]byte, 2*SectorSize)
+	binary.LittleEndian.PutUint32(retired, retiredCkptMagic)
+	f.Add(retired)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeCheckpoint(data)
+		c, err := ReadCkptChain(int64(len(data)), func(p []byte, off int64) error {
+			copy(p, data[off:])
+			return nil
+		})
+		if retired := len(data) >= 4 && binary.LittleEndian.Uint32(data) == retiredCkptMagic; errors.Is(err, ErrRetiredFormat) != retired {
+			t.Fatalf("a region starting %x reads as %v", data[:min(len(data), 4)], err)
+		}
 		if err != nil {
 			return
 		}
-		l := Layout{MaxBlocks: len(c.Blocks), MaxLists: len(c.Lists)}
-		enc, err := EncodeCheckpoint(l, c)
+		ck := c.Materialize()
+		base := CkptRec{Base: true, CkptTS: ck.CkptTS, FlushedSeq: ck.FlushedSeq, NextTS: ck.NextTS,
+			NextBlock: ck.NextBlock, NextList: ck.NextList, NextARU: ck.NextARU, Blocks: ck.Blocks, Lists: ck.Lists}
+		// A region whose geometry holds the base: 41 bytes a block and 48
+		// a list cover the record's 41 and 32 and its longer header.
+		l := Layout{MaxBlocks: len(ck.Blocks) + 1, MaxLists: 2*len(ck.Lists) + 1}
+		enc, err := EncodeCkptRec(l, base)
 		if err != nil {
-			t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+			t.Fatalf("materialized tables do not encode as a base: %v", err)
 		}
-		c2, err := DecodeCheckpoint(enc)
+		c2, err := DecodeCkptChain(enc)
 		if err != nil {
-			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+			t.Fatalf("the base does not read back: %v", err)
 		}
-		if !reflect.DeepEqual(c, c2) {
-			t.Fatalf("round trip unstable:\n first %+v\nsecond %+v", c, c2)
+		if ck2 := c2.Materialize(); !reflect.DeepEqual(ck, ck2) {
+			t.Fatalf("round trip unstable:\n first %+v\nsecond %+v", ck, ck2)
 		}
 	})
 }

@@ -13,16 +13,27 @@ import (
 // header over partial data.
 const SectorSize = 512
 
-// Magic numbers for the on-disk structures. A segment header has three:
-// the magic says how the bytes it vouches for are laid out (Format), and
-// only the chunk layout is still written.
+// Magic numbers for the on-disk structures.
 const (
 	superMagic        = 0x4c4c4453 // "LLDS"
-	trailerMagicFront = 0x4c4c4454 // "LLDT": one image at the segment's start, read only
-	trailerMagicTail  = 0x4c4c4455 // "LLDU": one image at the segment's end, read only
-	trailerMagicChunk = 0x4c4c4456 // "LLDV": a chunk, entries below its data
-	ckptMagic         = 0x4c4c4443 // "LLDC"
+	trailerMagicChunk = 0x4c4c4456 // "LLDV": a chunk header
+	ckptChainMagic    = 0x32434c4c // "LLC2": a checkpoint chain record
 )
+
+// The magics of formats no build reads any more, kept only to refuse them
+// (ErrRetiredFormat): segments of one image, data first — at the
+// segment's start, or packed against the trailer — and the single-snapshot
+// checkpoint region.
+const (
+	retiredFrontMagic = 0x4c4c4454 // "LLDT"
+	retiredTailMagic  = 0x4c4c4455 // "LLDU"
+	retiredCkptMagic  = 0x4c4c4443 // "LLDC"
+)
+
+// ErrRetiredFormat reports a segment trailer or a checkpoint region
+// under the magic of a retired format. Such an image is refused rather
+// than read as an empty log; its device can only be formatted anew.
+var ErrRetiredFormat = errors.New("seg: retired on-disk format")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -38,11 +49,11 @@ type Layout struct {
 	SegBytes int
 	// NumSegs is the number of log segments.
 	NumSegs int
-	// MaxBlocks bounds the number of simultaneously allocated blocks;
-	// it sizes the checkpoint regions.
+	// MaxBlocks and MaxLists size the checkpoint regions
+	// (CkptRegionBytes). Allocated blocks and lists are bounded by a base
+	// record of them fitting a region (CkptFits), not by the two counts.
 	MaxBlocks int
-	// MaxLists bounds the number of simultaneously allocated lists.
-	MaxLists int
+	MaxLists  int
 }
 
 // DefaultLayout returns the paper's configuration: 4 KB blocks, 0.5 MB
@@ -85,14 +96,15 @@ func (l Layout) BlocksPerSeg() int {
 // superBytes is the reserved size of the superblock region.
 const superBytes = SectorSize
 
-// ckptHeaderBytes is the fixed size of a checkpoint header.
-const ckptHeaderBytes = 72
-
-// ckptBlockRecBytes is the wire size of one checkpointed block record.
-const ckptBlockRecBytes = 8 + 4 + 4 + 8 + 8 + 8 + 1 // id, seg, slot, succ, list, ts, flags
-
-// ckptListRecBytes is the wire size of one checkpointed list record.
-const ckptListRecBytes = 8 + 8 + 8 // id, first, last
+// The size of a checkpoint region is geometry: a fixed part and so many
+// bytes per block and per list the layout allows. It places every segment
+// (SegOff), so it does not follow the width of any record; what bounds the
+// tables is that a base record of them fits the region (CkptFits).
+const (
+	regionFixedBytes    = 72
+	regionBytesPerBlock = 41
+	regionBytesPerList  = 24
+)
 
 func roundUp(n, unit int64) int64 {
 	return (n + unit - 1) / unit * unit
@@ -100,10 +112,18 @@ func roundUp(n, unit int64) int64 {
 
 // CkptRegionBytes returns the size reserved for one checkpoint region.
 func (l Layout) CkptRegionBytes() int64 {
-	n := int64(ckptHeaderBytes) +
-		int64(l.MaxBlocks)*ckptBlockRecBytes +
-		int64(l.MaxLists)*ckptListRecBytes
+	n := int64(regionFixedBytes) +
+		int64(l.MaxBlocks)*regionBytesPerBlock +
+		int64(l.MaxLists)*regionBytesPerList
 	return roundUp(n, SectorSize)
+}
+
+// CkptFits reports whether a checkpoint chain record of blocks block and
+// lists list records and dels deletions fits one checkpoint region of l.
+// EncodeCkptRec refuses a record that does not, and the engine refuses an
+// allocation after which a base record of its tables would not.
+func (l Layout) CkptFits(blocks, lists, dels int) bool {
+	return ckptRecBytes(blocks, lists, dels) <= l.CkptRegionBytes()
 }
 
 // SuperOff returns the byte offset of the superblock.

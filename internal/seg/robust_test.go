@@ -17,7 +17,7 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 		// None of these may panic.
 		_, _ = DecodeSuper(buf)
 		_, _ = DecodeTrailer(buf)
-		_, _ = DecodeCheckpoint(buf)
+		_, _ = DecodeCkptChain(buf)
 		_, _, _ = DecodeEntry(buf)
 		_, _ = DecodeEntries(buf, int(n)%64)
 		return true
@@ -74,7 +74,7 @@ func TestBitFlippedSegmentNeverDecodesSilently(t *testing.T) {
 		}
 		// Only the encoded trailer fields are protected; the rest of
 		// the trailer sector is padding.
-		if ts := len(img) - SectorSize; pos >= ts && pos < ts+chunkHeaderBytes {
+		if ts := len(img) - SectorSize; pos >= ts && pos < ts+headerBytes {
 			t.Fatalf("trial %d: flip inside trailer decoded silently", trial)
 		}
 		if len(got) != len(want) {

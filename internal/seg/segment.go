@@ -20,52 +20,17 @@ import (
 //
 // Data slots are taken downward from the header, so where a block lies is
 // known when it is added, before the size of the entry region is. A slot
-// number with SlotSector set is that place: the block's sector offset
-// within its segment. The two older layouts — one image per segment, data
-// before the entries, under their own header magics — still read, as
-// segments of one chunk whose slot numbers count blocks from the start of
-// the data area (Layout.SlotOff).
+// number is that place: the block's sector offset within its segment,
+// flagged SlotSector.
 
-// Format says how the bytes a header vouches for are laid out.
-type Format uint8
-
-// Segment formats, by header magic.
-const (
-	// Chunked is the layout described above, the only one written.
-	Chunked Format = iota
-	// TailPacked is one image that ends at the segment's last sector:
-	// data blocks, entry region, trailer.
-	TailPacked
-	// FrontPacked is the oldest layout: data blocks from the segment's
-	// first byte, and after a gap the entry region and the trailer at its
-	// end.
-	FrontPacked
-)
-
-var formatNames = [...]string{Chunked: "chunked", TailPacked: "tail", FrontPacked: "front"}
-
-// String implements fmt.Stringer.
-func (f Format) String() string {
-	if int(f) < len(formatNames) {
-		return formatNames[f]
-	}
-	return fmt.Sprintf("format(%d)", uint8(f))
-}
-
-// SlotSector flags a slot number that is a sector offset within the
-// segment (every slot a Builder hands out) rather than a block index into
-// the data area of a TailPacked or FrontPacked image.
+// SlotSector is set in every slot number a Builder hands out. Slots of the
+// retired one-image layouts, which counted blocks, lacked it.
 const SlotSector = 1 << 31
 
 // SlotOff returns the offset, from the start of its segment, of the block
-// at slot. dataOff is where the data area of the segment's one image
-// starts if the segment is in an older format (Trailer.DataOff); a flagged
-// slot does not need it.
-func (l Layout) SlotOff(slot uint32, dataOff int) int {
-	if slot&SlotSector != 0 {
-		return int(slot&^SlotSector) * SectorSize
-	}
-	return dataOff + int(slot)*l.BlockSize
+// at slot.
+func SlotOff(slot uint32) int {
+	return int(slot&^SlotSector) * SectorSize
 }
 
 // Trailer is a chunk's metadata, stored in the chunk's final sector — for
@@ -84,10 +49,8 @@ type Trailer struct {
 	// EntryBytes is the encoded size of the entry region (entries are
 	// variable-length).
 	EntryBytes uint32
-	// Format is the layout, told by the header magic.
-	Format Format
-	// dataBytes is the length of a Chunked data area, which lies between
-	// the entry region and the header.
+	// dataBytes is the length of the data area, which lies between the
+	// entry region and the header.
 	dataBytes uint32
 	// entriesCRC protects the encoded entry region.
 	entriesCRC uint32
@@ -99,18 +62,14 @@ type Trailer struct {
 // ErrBadSegment reports an unreadable or corrupt segment.
 var ErrBadSegment = errors.New("seg: bad segment")
 
-// Encoded sizes of the header within its sector. Both start with magic,
-// seq, data blocks, entry count, entry bytes and the entries CRC; a chunk
-// header adds the length of its data area; the header CRC comes last.
-const (
-	trailerBytes     = 4 + 8 + 4 + 4 + 4 + 4 + 4
-	chunkHeaderBytes = trailerBytes + 4
-)
+// headerBytes is the encoded size of a chunk header within its sector:
+// magic, seq, data blocks, entry count, entry bytes, the entries CRC, the
+// length of the data area, and last the header CRC.
+const headerBytes = 4 + 8 + 4 + 4 + 4 + 4 + 4 + 4
 
 // encodeHeader writes t into sec, one sector, as a chunk header whose
 // checksum continues seed — the checksum of the header of the chunk above,
-// 0 for chunk 1 — and returns that checksum. Nothing encodes the older
-// formats any more.
+// 0 for chunk 1 — and returns that checksum.
 func encodeHeader(sec []byte, t Trailer, seed uint32) uint32 {
 	binary.LittleEndian.PutUint32(sec[0:], trailerMagicChunk)
 	binary.LittleEndian.PutUint64(sec[4:], t.Seq)
@@ -119,30 +78,24 @@ func encodeHeader(sec []byte, t Trailer, seed uint32) uint32 {
 	binary.LittleEndian.PutUint32(sec[20:], t.EntryBytes)
 	binary.LittleEndian.PutUint32(sec[24:], t.entriesCRC)
 	binary.LittleEndian.PutUint32(sec[28:], t.dataBytes)
-	crc := crc32.Update(seed, crcTable, sec[:chunkHeaderBytes-4])
-	binary.LittleEndian.PutUint32(sec[chunkHeaderBytes-4:], crc)
-	clear(sec[chunkHeaderBytes:SectorSize])
+	crc := crc32.Update(seed, crcTable, sec[:headerBytes-4])
+	binary.LittleEndian.PutUint32(sec[headerBytes-4:], crc)
+	clear(sec[headerBytes:SectorSize])
 	return crc
 }
 
-// decodeHeader decodes the header in sec, one sector. A chunk header must
-// checksum under seed; the older formats have no chain and ignore it.
+// decodeHeader decodes the chunk header in sec, one sector, which must
+// checksum under seed. A retired one-image trailer is ErrRetiredFormat.
 func decodeHeader(sec []byte, seed uint32) (Trailer, error) {
-	var t Trailer
-	crcAt := trailerBytes - 4
-	switch binary.LittleEndian.Uint32(sec[0:]) {
+	switch magic := binary.LittleEndian.Uint32(sec[0:]); magic {
 	case trailerMagicChunk:
-		crcAt = chunkHeaderBytes - 4
-		t.dataBytes = binary.LittleEndian.Uint32(sec[28:])
-	case trailerMagicTail:
-		t.Format, seed = TailPacked, 0
-	case trailerMagicFront:
-		t.Format, seed = FrontPacked, 0
+	case retiredFrontMagic, retiredTailMagic:
+		return Trailer{}, fmt.Errorf("%w: a one-image segment trailer (magic %#x)", ErrRetiredFormat, magic)
 	default:
 		return Trailer{}, fmt.Errorf("%w: bad trailer magic", ErrBadSegment)
 	}
-	t.crc = binary.LittleEndian.Uint32(sec[crcAt:])
-	if want := crc32.Update(seed, crcTable, sec[:crcAt]); t.crc != want {
+	t := Trailer{crc: binary.LittleEndian.Uint32(sec[headerBytes-4:])}
+	if want := crc32.Update(seed, crcTable, sec[:headerBytes-4]); t.crc != want {
 		return Trailer{}, fmt.Errorf("%w: bad trailer checksum", ErrBadSegment)
 	}
 	t.Seq = binary.LittleEndian.Uint64(sec[4:])
@@ -150,6 +103,7 @@ func decodeHeader(sec []byte, seed uint32) (Trailer, error) {
 	t.EntryCount = binary.LittleEndian.Uint32(sec[16:])
 	t.EntryBytes = binary.LittleEndian.Uint32(sec[20:])
 	t.entriesCRC = binary.LittleEndian.Uint32(sec[24:])
+	t.dataBytes = binary.LittleEndian.Uint32(sec[28:])
 	return t, nil
 }
 
@@ -178,34 +132,20 @@ func (t Trailer) ImageBytes(l Layout) int64 {
 
 // extent returns where the chunk t heads starts and where its data area
 // does, as offsets into a segment of l in which the header sector ends at
-// top. Both are derived, not stored: a chunk and a tail-packed image end
-// with their header, a front-packed image starts at the segment's first
-// byte. A header whose chunk does not fit below top — nothing this program
+// top. A header whose chunk does not fit below top — nothing this program
 // writes; the medium failed or the bytes are not ours — is a bad segment.
 func (t Trailer) extent(l Layout, top int) (start, dataOff int, err error) {
 	n := t.ImageBytes(l)
-	fits := int(t.DataBlocks) <= l.BlocksPerSeg() && n <= int64(top)
-	if t.Format == Chunked {
-		fits = fits && int64(t.dataBytes) == int64(t.DataBlocks)*int64(l.BlockSize)
-	} else {
-		fits = fits && top == l.SegBytes
-	}
-	switch {
-	case !fits:
+	if int(t.DataBlocks) > l.BlocksPerSeg() || n > int64(top) || int64(t.dataBytes) != int64(t.DataBlocks)*int64(l.BlockSize) {
 		return 0, 0, fmt.Errorf("%w: %d data blocks and %d entry bytes do not fit the %d bytes below their header",
 			ErrBadSegment, t.DataBlocks, t.EntryBytes, top-SectorSize)
-	case t.Format == Chunked:
-		return top - int(n), top - SectorSize - int(t.dataBytes), nil
-	case t.Format == TailPacked:
-		return top - int(n), top - int(n), nil
-	default:
-		return 0, 0, nil
 	}
+	return top - int(n), top - SectorSize - int(t.dataBytes), nil
 }
 
 // DataOff returns the offset of the data area of chunk 1 from the start
-// of the segment; for the older formats that is the offset of data slot
-// 0. A header whose chunk does not fit a segment of l is a bad segment.
+// of the segment. A header whose chunk does not fit a segment of l is a
+// bad segment.
 func (t Trailer) DataOff(l Layout) (int, error) {
 	_, dataOff, err := t.extent(l, l.SegBytes)
 	return dataOff, err
@@ -230,8 +170,7 @@ func DecodeEntriesFromSegment(segment []byte, t Trailer) ([]Entry, error) {
 }
 
 // entryRegion returns where the sector-aligned entry region of the chunk
-// t heads lies when the header sector ends at end. In the older formats
-// it lies directly below the trailer; a chunk's data area lies in between.
+// t heads lies when the header sector ends at end: below the data area.
 func (t Trailer) entryRegion(end int) (off, length int) {
 	length = entryRegionBytes(int(t.EntryBytes))
 	return end - SectorSize - int(t.dataBytes) - length, length
@@ -251,7 +190,7 @@ func (t Trailer) DecodeEntryRegion(region []byte) ([]Entry, error) {
 // place, as offsets from the start of the segment.
 type Chunk struct {
 	Trailer
-	Start   int // first byte of the chunk (0 for a front-packed image)
+	Start   int // first byte of the chunk
 	End     int // one past its header sector
 	DataOff int // first byte of its data area
 }
@@ -268,8 +207,10 @@ func (c Chunk) EntryRegion() (off, length int) { return c.entryRegion(c.End) }
 // extent fits what is left of the segment — so bytes of a previous
 // incarnation of the segment, or user data that happens to lie there, do
 // not join the chain, and a torn write of chunk k hides chunk k and
-// nothing above it. A segment in an older format is one chunk. The error
-// is chunk 1's: the segment holds no valid chunk at all.
+// nothing above it. The error is chunk 1's: the segment holds no valid
+// chunk at all (ErrBadSegment), or a retired trailer (ErrRetiredFormat).
+// Below chunk 1 any bytes that are not the next header, a retired
+// trailer's magic included, end the walk.
 func Walk(l Layout, segment []byte) ([]Chunk, error) {
 	if len(segment) != l.SegBytes {
 		return nil, fmt.Errorf("%w: %d bytes are not a segment of %d", ErrBadSegment, len(segment), l.SegBytes)
@@ -279,7 +220,7 @@ func Walk(l Layout, segment []byte) ([]Chunk, error) {
 
 // WalkSectors is Walk over a segment that is fetched a header at a time:
 // sector returns the sector at offset off of the segment. An error that
-// is not ErrBadSegment is sector's.
+// is neither ErrBadSegment nor ErrRetiredFormat is sector's.
 func WalkSectors(l Layout, sector func(off int) ([]byte, error)) ([]Chunk, error) {
 	var chunks []Chunk
 	for top, seed := l.SegBytes, uint32(0); top >= SectorSize; {
@@ -288,7 +229,7 @@ func WalkSectors(l Layout, sector func(off int) ([]byte, error)) ([]Chunk, error
 			return nil, err
 		}
 		t, err := decodeHeader(sec, seed)
-		if err == nil && len(chunks) > 0 && (t.Format != Chunked || t.Seq != chunks[len(chunks)-1].Seq+1) {
+		if err == nil && len(chunks) > 0 && t.Seq != chunks[len(chunks)-1].Seq+1 {
 			break
 		}
 		var start, dataOff int
@@ -302,9 +243,6 @@ func WalkSectors(l Layout, sector func(off int) ([]byte, error)) ([]Chunk, error
 			break
 		}
 		chunks = append(chunks, Chunk{Trailer: t, Start: start, End: top, DataOff: dataOff})
-		if t.Format != Chunked {
-			break
-		}
 		top, seed = start, t.crc
 	}
 	return chunks, nil
@@ -432,7 +370,7 @@ func (b *Builder) CommitBlock() uint32 {
 // It reads nothing a later add or seal changes, so a reader that was
 // handed the slot may call it while the builder is being added to.
 func (b *Builder) BlockData(slot uint32) []byte {
-	off := b.layout.SlotOff(slot, 0)
+	off := SlotOff(slot)
 	return b.buf[off : off+b.layout.BlockSize]
 }
 

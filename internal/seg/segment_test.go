@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -107,7 +108,7 @@ func TestBuilderSealParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Seq != 42 || tr.DataBlocks != 2 || tr.EntryCount != 4 || tr.Format != Chunked {
+	if tr.Seq != 42 || tr.DataBlocks != 2 || tr.EntryCount != 4 {
 		t.Fatalf("trailer: %+v", tr)
 	}
 	if n := tr.ImageBytes(l); n != int64(len(img)) {
@@ -124,7 +125,7 @@ func TestBuilderSealParseRoundTrip(t *testing.T) {
 	}
 	// Slots are taken downward from the header and say where: the first
 	// block lies directly below it, the second below the first.
-	if s1&SlotSector == 0 || l.SlotOff(s1, 0) != l.SegBytes-SectorSize-l.BlockSize || l.SlotOff(s2, 0) != l.SlotOff(s1, 0)-l.BlockSize {
+	if s1&SlotSector == 0 || SlotOff(s1) != l.SegBytes-SectorSize-l.BlockSize || SlotOff(s2) != SlotOff(s1)-l.BlockSize {
 		t.Fatalf("slots %#x, %#x", s1, s2)
 	}
 	if !bytes.Equal(img[len(img)-SectorSize-l.BlockSize:len(img)-SectorSize], data1) {
@@ -145,10 +146,10 @@ func TestBuilderSealParseRoundTrip(t *testing.T) {
 		t.Fatalf("entries read from the segment: %v, %v", got2, err)
 	}
 	off, err := tr.DataOff(l)
-	if err != nil || off != l.SlotOff(s2, 0) {
-		t.Fatalf("DataOff = %d, %v; the lowest block is at %d", off, err, l.SlotOff(s2, 0))
+	if err != nil || off != SlotOff(s2) {
+		t.Fatalf("DataOff = %d, %v; the lowest block is at %d", off, err, SlotOff(s2))
 	}
-	if !bytes.Equal(segment[l.SlotOff(s2, 0):][:l.BlockSize], data2) {
+	if !bytes.Equal(segment[SlotOff(s2):][:l.BlockSize], data2) {
 		t.Fatal("the second block is not at its slot")
 	}
 
@@ -156,13 +157,13 @@ func TestBuilderSealParseRoundTrip(t *testing.T) {
 	s3 := b.AddBlock(data2)
 	b.AddEntry(Entry{Kind: KindWrite, TS: 14, Block: 7, Slot: s3})
 	img2 := b.Seal(43)
-	if l.SlotOff(s3, 0) != l.SegBytes-len(img)-SectorSize-l.BlockSize || b.Top() != l.SegBytes-len(img)-len(img2) {
-		t.Fatalf("second chunk: slot at %d, top %d", l.SlotOff(s3, 0), b.Top())
+	if SlotOff(s3) != l.SegBytes-len(img)-SectorSize-l.BlockSize || b.Top() != l.SegBytes-len(img)-len(img2) {
+		t.Fatalf("second chunk: slot at %d, top %d", SlotOff(s3), b.Top())
 	}
 	copy(segment[b.Top():], img2)
 	chunks, err := Walk(l, segment)
 	if err != nil || len(chunks) != 2 || chunks[0].Trailer != tr || chunks[1].Seq != 43 ||
-		chunks[1].End != chunks[0].Start || chunks[1].Start != b.Top() || chunks[1].DataOff != l.SlotOff(s3, 0) {
+		chunks[1].End != chunks[0].Start || chunks[1].Start != b.Top() || chunks[1].DataOff != SlotOff(s3) {
 		t.Fatalf("Walk: %+v, %v", chunks, err)
 	}
 	if got, err := DecodeEntriesFromSegment(segment[:chunks[1].End], chunks[1].Trailer); err != nil || len(got) != 1 || got[0].Slot != s3 {
@@ -390,66 +391,75 @@ func TestQuickSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundTrip: a base record encodes into a sector-rounded
+// prefix of its region and decodes to itself; a corrupt header or payload
+// is a bad checkpoint.
 func TestCheckpointRoundTrip(t *testing.T) {
 	l := testLayout()
-	ck := Checkpoint{
-		CkptTS: 9, FlushedSeq: 4, NextTS: 1000, NextBlock: 55, NextList: 12, NextARU: 7,
+	rec := CkptRec{
+		Base: true, CkptTS: 9, FlushedSeq: 4, NextTS: 1000, NextBlock: 55, NextList: 12, NextARU: 7,
 		Blocks: []BlockRec{
-			{ID: 3, Seg: 1, Slot: 2, Succ: 4, List: 2, TS: 99, HasData: true},
+			{ID: 3, Seg: 1, Slot: SlotSector | 2, Succ: 4, List: 2, TS: 99, HasData: true},
 			{ID: 4, List: 2, TS: 100},
 		},
-		Lists: []ListRec{{ID: 2, First: 3, Last: 4}},
+		Lists:     []ListRec{{ID: 2, First: 3, Last: 4, TS: 100}},
+		DelBlocks: []BlockID{}, DelLists: []ListID{}, // as decoded
 	}
-	buf, err := EncodeCheckpoint(l, ck)
+	buf, err := EncodeCkptRec(l, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(buf)) > l.CkptRegionBytes() {
-		t.Fatalf("encoded checkpoint exceeds its region: %d > %d", len(buf), l.CkptRegionBytes())
+	if int64(len(buf)) > l.CkptRegionBytes() || len(buf)%SectorSize != 0 {
+		t.Fatalf("encoded record is %d bytes, the region %d", len(buf), l.CkptRegionBytes())
 	}
-	if len(buf)%SectorSize != 0 {
-		t.Fatalf("checkpoint not sector aligned: %d", len(buf))
+	got, n, err := DecodeCkptRec(buf)
+	if err != nil || n != int64(len(buf)) || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("round trip: %+v (%d bytes), %v; want %+v", got, n, err, rec)
 	}
-	got, err := DecodeCheckpoint(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.SortTables()
-	got.SortTables()
-	if got.CkptTS != ck.CkptTS || got.FlushedSeq != ck.FlushedSeq ||
-		got.NextTS != ck.NextTS || got.NextBlock != ck.NextBlock ||
-		got.NextList != ck.NextList || got.NextARU != ck.NextARU {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	if len(got.Blocks) != 2 || got.Blocks[0] != ck.Blocks[0] || got.Blocks[1] != ck.Blocks[1] {
-		t.Fatalf("blocks mismatch: %+v", got.Blocks)
-	}
-	if len(got.Lists) != 1 || got.Lists[0] != ck.Lists[0] {
-		t.Fatalf("lists mismatch: %+v", got.Lists)
-	}
-
-	// Header corruption.
-	bad := append([]byte(nil), buf...)
-	bad[8] ^= 1
-	if _, err := DecodeCheckpoint(bad); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatal("corrupt header accepted")
-	}
-	// Payload corruption.
-	bad = append([]byte(nil), buf...)
-	bad[ckptHeaderBytes] ^= 1
-	if _, err := DecodeCheckpoint(bad); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatal("corrupt payload accepted")
+	for _, at := range []int{8, ckptRecHeaderBytes} { // header, payload
+		bad := bytes.Clone(buf)
+		bad[at] ^= 1
+		if _, _, err := DecodeCkptRec(bad); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("corruption at byte %d accepted: %v", at, err)
+		}
 	}
 }
 
+// TestCheckpointBounds: a record is refused exactly when it does not fit a
+// checkpoint region, as CkptFits says. A base of the layout's own MaxBlocks
+// and MaxLists does not fit: the region is sized by geometry, not by the
+// record format, so the engine bounds its tables by CkptFits.
 func TestCheckpointBounds(t *testing.T) {
 	l := testLayout()
-	ck := Checkpoint{Blocks: make([]BlockRec, l.MaxBlocks+1)}
-	if _, err := EncodeCheckpoint(l, ck); err == nil {
-		t.Fatal("oversized block table accepted")
+	full := CkptRec{Base: true, Blocks: make([]BlockRec, l.MaxBlocks), Lists: make([]ListRec, l.MaxLists)}
+	if _, err := EncodeCkptRec(l, full); err == nil || l.CkptFits(l.MaxBlocks, l.MaxLists, 0) {
+		t.Fatalf("a base of %d bytes was accepted into a %d-byte region: %v", full.WireBytes(), l.CkptRegionBytes(), err)
 	}
-	ck = Checkpoint{Lists: make([]ListRec, l.MaxLists+1)}
-	if _, err := EncodeCheckpoint(l, ck); err == nil {
-		t.Fatal("oversized list table accepted")
+	most := func(fits func(n int) bool) (n int) {
+		for fits(n + 1) {
+			n++
+		}
+		return n
+	}
+	nb := most(func(n int) bool { return l.CkptFits(n, l.MaxLists, 0) })
+	nd := most(func(n int) bool { return l.CkptFits(0, 0, n) })
+	for _, tc := range []struct {
+		name string
+		rec  CkptRec
+		grow func(r *CkptRec)
+	}{
+		{"base", CkptRec{Base: true, Blocks: make([]BlockRec, nb), Lists: make([]ListRec, l.MaxLists)},
+			func(r *CkptRec) { r.Blocks = append(r.Blocks, BlockRec{}) }},
+		{"delta", CkptRec{DelBlocks: make([]BlockID, nd/2), DelLists: make([]ListID, nd-nd/2)},
+			func(r *CkptRec) { r.DelLists = append(r.DelLists, 1) }},
+	} {
+		buf, err := EncodeCkptRec(l, tc.rec)
+		if err != nil || int64(len(buf)) > l.CkptRegionBytes() {
+			t.Fatalf("%s: the largest record that fits: %d bytes of a %d-byte region, %v", tc.name, len(buf), l.CkptRegionBytes(), err)
+		}
+		tc.grow(&tc.rec)
+		if _, err := EncodeCkptRec(l, tc.rec); err == nil {
+			t.Fatalf("%s: a record of %d bytes was accepted into a %d-byte region", tc.name, tc.rec.WireBytes(), l.CkptRegionBytes())
+		}
 	}
 }
