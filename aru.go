@@ -153,29 +153,26 @@ type RecoveryReport = core.RecoveryReport
 
 // Observability types, re-exported from aru/internal/obs. Attach a
 // Tracer via Params.Tracer to collect per-operation latency histograms
-// and a bounded in-memory event timeline; read them back through
-// (*Disk).Metrics and (*Disk).TraceEvents, or serve them over HTTP
-// with ServeMetrics. A nil Tracer (the default) reduces the whole
-// subsystem to one pointer check per operation.
+// and a bounded in-memory ring of spans; read them back through
+// (*Disk).Metrics and Tracer.Spans, or serve them over HTTP with
+// ServeMetrics. A nil Tracer (the default) reduces the whole subsystem
+// to one pointer check per operation.
 type (
-	// Tracer collects events and latency histograms; see
+	// Tracer collects spans and latency histograms; see
 	// aru/internal/obs.Tracer.
 	Tracer = obs.Tracer
 	// TracerConfig parameterizes NewTracer.
 	TracerConfig = obs.Config
-	// Event is one entry of the trace timeline.
-	Event = obs.Event
-	// EventKind discriminates trace events.
-	EventKind = obs.EventKind
 	// HistSnapshot is a point-in-time copy of one latency histogram.
 	HistSnapshot = obs.HistSnapshot
-	// Counter is one named monotone counter for metrics exposition.
+	// Counter is one named counter or gauge for metrics exposition.
 	Counter = obs.Counter
 	// MetricsOptions configures ServeMetrics.
 	MetricsOptions = obs.HandlerOptions
-	// Span is one completed operation span (DESIGN.md §13): commit,
-	// flush, batch, sync, recovery … linked by trace/parent ids into
-	// the causal chain a durable commit travels.
+	// Span is the one trace record (DESIGN.md §8): a commit, flush,
+	// batch, sync, read, recovery phase … linked by trace/parent ids
+	// into the causal chain a durable commit travels; an instant (ARU
+	// begun, epoch published) is a span of zero duration.
 	Span = obs.Span
 	// SpanKind discriminates spans (client-rpc, engine-commit, …).
 	SpanKind = obs.SpanKind
@@ -183,8 +180,8 @@ type (
 	// (*Disk).EndARUTraced / FlushTraced, or let DialConfig.Tracer
 	// propagate it over the wire automatically.
 	SpanContext = obs.SpanContext
-	// FlightRecorder dumps the tracer's recent spans, events and
-	// histograms to a JSON file on panic, slow-RPC breach or SIGUSR1.
+	// FlightRecorder dumps the tracer's recent spans and histograms
+	// to a JSON file on panic, slow-RPC breach or SIGUSR1.
 	FlightRecorder = obs.FlightRecorder
 )
 

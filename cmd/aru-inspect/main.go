@@ -9,12 +9,12 @@
 //
 // -stats recovers the image in memory with a tracer attached and
 // prints the recovery report, the full operation-counter snapshot and
-// the traced recovery timeline.
+// the recovery's span tree.
 //
 // Given a directory (as written by aru-serve -shards: shard0.lld …
 // plus coord.lld), it inspects the sharded disk: each shard's
 // superblock and checkpoints, the coordinator log's commit records,
-// and with -stats each shard's recovery report and timeline —
+// and with -stats each shard's recovery report and span tree —
 // resolving in-doubt cross-shard prepares against the coordinator log
 // exactly as multi-shard recovery would — followed by the merged
 // statistics of the recovered sharded disk. All recovery runs on
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"aru"
@@ -38,7 +39,7 @@ func main() {
 	segIdx := flag.Int("seg", -1, "dump summary entries of this segment")
 	maxEnt := flag.Int("max", 64, "maximum entries to print per segment")
 	tables := flag.Bool("tables", false, "run recovery and print the reconstructed lists")
-	stats := flag.Bool("stats", false, "run recovery and print counters, recovery report and timeline")
+	stats := flag.Bool("stats", false, "run recovery and print counters, recovery report and span tree")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: aru-inspect [-seg N] [-max M] [-tables] [-stats] image.lld|imagedir")
@@ -171,7 +172,7 @@ func printCkptRegion(indent string, i int, region []byte) {
 
 // inspectShardDir inspects a sharded image directory: per-shard
 // superblocks and checkpoints, the coordinator log, and with -stats
-// per-shard recovery timelines plus the merged statistics of the
+// per-shard recovery span trees plus the merged statistics of the
 // recovered sharded disk.
 func inspectShardDir(dir string, tables, stats bool) {
 	var imgs [][]byte
@@ -231,17 +232,14 @@ func inspectShardDir(dir string, tables, stats bool) {
 			dev := aru.NewMemDevice(int64(len(img))).Reopen(img)
 			p := aru.Params{Tracer: tracer}
 			p.CommitResolver = func(txn uint64) bool { return committed[txn] }
-			d, rpt, err := aru.OpenReport(dev, p)
+			_, rpt, err := aru.OpenReport(dev, p)
 			if err != nil {
 				fatal(fmt.Errorf("shard %d: %w", i, err))
 			}
 			fmt.Printf("shard %d recovery report: %+v\n", i, rpt)
 			fmt.Printf("shard %d %s\n", i, recoveryPhases(rpt))
-			evs := d.TraceEvents()
-			fmt.Printf("shard %d recovery timeline: %d events\n", i, len(evs))
-			for _, e := range evs {
-				fmt.Printf("  %12v %-14s aru=%-4d %d %d\n", e.TS, e.Kind, e.ARU, e.Arg1, e.Arg2)
-			}
+			fmt.Printf("shard %d ", i)
+			printSpanTree(tracer.Spans())
 		}
 	}
 
@@ -346,8 +344,8 @@ func recoveryPhases(rpt aru.RecoveryReport) string {
 }
 
 // printStats recovers the image in memory with a tracer attached and
-// prints the recovery report, the counter snapshot and the recovery
-// timeline the tracer captured.
+// prints the recovery report, the counter snapshot and the recovery's
+// span tree.
 func printStats(img []byte) {
 	tracer := aru.NewTracer(aru.TracerConfig{})
 	dev := aru.NewMemDevice(int64(len(img))).Reopen(img)
@@ -370,9 +368,35 @@ func printStats(img []byte) {
 			fmt.Printf("  %s\n", h)
 		}
 	}
-	evs := d.TraceEvents()
-	fmt.Printf("recovery timeline: %d events\n", len(evs))
-	for _, e := range evs {
-		fmt.Printf("  %12v %-14s aru=%-4d %d %d\n", e.TS, e.Kind, e.ARU, e.Arg1, e.Arg2)
+	printSpanTree(tracer.Spans())
+}
+
+// printSpanTree prints the spans a mount recorded as a forest: each
+// span with its start, duration and arguments, children indented
+// under their parent, siblings in start order.
+func printSpanTree(spans []aru.Span) {
+	fmt.Printf("recovery spans: %d\n", len(spans))
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+	present := make(map[uint64]bool, len(spans))
+	for _, s := range spans {
+		present[s.ID] = true
 	}
+	children := make(map[uint64][]aru.Span)
+	for _, s := range spans {
+		parent := s.Parent
+		if !present[parent] {
+			parent = 0 // a root, or its parent was not recorded
+		}
+		children[parent] = append(children[parent], s)
+	}
+	var walk func(parent uint64, depth int)
+	walk = func(parent uint64, depth int) {
+		for _, s := range children[parent] {
+			fmt.Printf("  %12v %*s%-*s %12v aru=%-4d %d %d\n", s.Start, 2*depth, "", 20-2*depth, s.Kind, s.Dur, s.ARU, s.Arg1, s.Arg2)
+			if s.ID != 0 { // an instant has no id and parents nothing
+				walk(s.ID, depth+1)
+			}
+		}
+	}
+	walk(0, 0)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"aru/internal/obs"
 	"aru/internal/seg"
@@ -101,7 +100,7 @@ func (d *LLD) BeginARU() (ARUID, error) {
 	d.arus[id] = d.getState(id)
 	d.aruTab.create(d.epoch+1, uint64(id)).persist = aruOpen
 	d.stats.ARUsBegun.Add(1)
-	d.obs.Emit(obs.EvARUBegin, uint64(id), 0, 0)
+	d.obs.Instant(obs.SpanARUBegin, uint64(id), 0, 0)
 	return id, nil
 }
 
@@ -118,10 +117,9 @@ func (d *LLD) EndARU(aru ARUID) error {
 // commit runs under an engine-commit span parented on sc (e.g. the
 // network server's op span), and the commit record's eventual durable
 // ack — wherever the covering sync happens — joins the same trace.
-// With span recording enabled but sc zero (a local, untraced caller)
-// the commit roots a fresh trace, so batch causality is observable
-// even without a network client. With spans disabled this is exactly
-// EndARU.
+// With the ring on but sc zero (a local, untraced caller) the commit
+// roots a fresh trace, so batch causality is observable even without a
+// network client.
 func (d *LLD) EndARUTraced(aru ARUID, sc obs.SpanContext) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -136,51 +134,34 @@ func (d *LLD) EndARUTraced(aru ARUID, sc obs.SpanContext) error {
 	if st.prepared {
 		return fmt.Errorf("%w: %d (use CommitPrepared or AbortARU)", ErrARUPrepared, aru)
 	}
-	var (
-		t0     time.Duration
-		spanID uint64
-	)
-	if d.obs.SpanEnabled() {
-		t0 = d.obs.Now()
-		spanID = d.obs.NextID()
-		if sc.Trace == 0 {
-			sc.Trace = d.obs.NextID()
-		}
-	} else {
-		sc = obs.SpanContext{}
-	}
+	sp := d.obs.Start(obs.SpanEngineCommit, sc)
 	replayed := uint64(len(st.linkLog))
 	var err error
 	if d.params.Variant == VariantOld {
-		err = d.endARUOld(aru, st, sc.Trace, spanID)
+		err = d.endARUOld(aru, st, sp.Ctx())
 	} else {
-		err = d.endARUNew(aru, st, sc.Trace, spanID, false)
+		err = d.endARUNew(aru, st, sp.Ctx(), false)
 	}
-	if spanID != 0 && err == nil {
-		d.obs.EmitSpan(obs.Span{
-			Trace: sc.Trace, ID: spanID, Parent: sc.Span,
-			Kind: obs.SpanEngineCommit, Start: t0, Dur: d.obs.Now() - t0,
-			ARU: uint64(aru), Arg1: replayed,
-		})
+	if err == nil {
+		sp.End(uint64(aru), replayed, 0)
 	}
 	return err
 }
 
 // endARUOld commits a sequential-variant ARU: the operations already
 // executed in the committed state, so committing only logs the commit
-// record and releases the promotion gate. trace/span carry the
-// engine-commit span for the durable ack (zero when untraced).
-func (d *LLD) endARUOld(aru ARUID, st *aruState, trace, span uint64) error {
+// record and releases the promotion gate. commit is the engine-commit
+// span the durable ack chains below (zero when untraced).
+func (d *LLD) endARUOld(aru ARUID, st *aruState, commit obs.SpanContext) error {
 	if err := d.ensureRoom(0, 1); err != nil {
 		return err
 	}
 	cts := d.tick()
 	d.pendingCommits = append(d.pendingCommits, seg.Entry{Kind: seg.KindCommit, ARU: aru, TS: cts})
-	d.stampCommit(aru, trace, span)
+	d.stampCommit(aru, commit)
 	d.ungate(st, cts)
 	d.closeARU(st)
 	d.stats.ARUsCommitted.Add(1)
-	d.obs.Emit(obs.EvARUCommit, uint64(aru), 0, 0)
 	// The commit is fully applied: maintenance below may publish
 	// intermediate epochs (cleaner batches) without exposing a
 	// half-merged state.
@@ -196,7 +177,7 @@ func (d *LLD) endARUOld(aru ARUID, st *aruState, trace, span uint64) error {
 // records), and finally the commit record is generated. All committed
 // records touched stay gated until the commit record is logged, so a
 // segment write in the middle of the merge can never promote a partial
-// commit. trace/span carry the engine-commit span for the durable ack
+// commit. commit is the engine-commit span the durable ack chains below
 // (zero when untraced).
 //
 // With silent set the merge runs without emitting summary entries: the
@@ -205,7 +186,7 @@ func (d *LLD) endARUOld(aru ARUID, st *aruState, trace, span uint64) error {
 // is the commit record itself — recovery replays the prepare-time
 // entries at the commit record's timestamp, exactly mirroring what the
 // silent replay does live.
-func (d *LLD) endARUNew(aru ARUID, st *aruState, trace, span uint64, silent bool) error {
+func (d *LLD) endARUNew(aru ARUID, st *aruState, commit obs.SpanContext, silent bool) error {
 	gate := mode{view: seg.SimpleARU, tag: aru, tracked: st, silent: silent}
 	if d.params.Faults != nil && d.params.Faults.UntaggedReplay {
 		// Fault injection for the crash checker: drop the ARU tag so
@@ -288,15 +269,13 @@ func (d *LLD) endARUNew(aru ARUID, st *aruState, trace, span uint64, silent bool
 	if err := d.ensureRoom(0, 1); err != nil {
 		return err
 	}
-	replayed := uint64(len(st.linkLog))
 	cts := d.tick()
 	d.pendingCommits = append(d.pendingCommits, seg.Entry{Kind: seg.KindCommit, ARU: aru, TS: cts})
-	d.stampCommit(aru, trace, span)
+	d.stampCommit(aru, commit)
 	d.ungate(st, cts)
 	d.discardShadow(st)
 	d.closeARU(st)
 	d.stats.ARUsCommitted.Add(1)
-	d.obs.Emit(obs.EvARUCommit, uint64(aru), replayed, 0)
 	d.pubSafe = true
 	d.maybeMaintain()
 	d.pubSafe = false
@@ -389,7 +368,7 @@ func (d *LLD) AbortARU(aru ARUID) error {
 	d.discardShadow(st)
 	d.closeARU(st)
 	d.stats.ARUsAborted.Add(1)
-	d.obs.Emit(obs.EvARUAbort, uint64(aru), 0, 0)
+	d.obs.Instant(obs.SpanARUAbort, uint64(aru), 0, 0)
 	return nil
 }
 

@@ -39,13 +39,8 @@ func (d *LLD) cleanLocked(target int) int {
 	d.inClean = true
 	defer func() { d.inClean = false }()
 	cleaned := 0
-	if d.obs != nil {
-		t0 := d.obs.Now()
-		defer func() {
-			d.obs.ObserveSince(obs.HistCleanerPass, t0)
-			d.obs.Emit(obs.EvCleanerPass, 0, uint64(cleaned), 0)
-		}()
-	}
+	sp := d.obs.Start(obs.SpanCleanerPass, obs.SpanContext{})
+	defer func() { sp.End(0, uint64(cleaned), 0) }()
 
 	const batch = 8 // victims relocated per flush/checkpoint cycle
 	groups := &d.cleanGroups

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 
 	"aru/internal/obs"
 	"aru/internal/seg"
@@ -25,40 +24,16 @@ func (d *LLD) Flush() error {
 
 // FlushTraced is Flush carrying trace context (DESIGN.md §13): the
 // caller's wait in the group-commit broker is recorded as an
-// engine-flush span parented on sc. With spans disabled this is exactly
-// Flush.
+// engine-flush span parented on sc.
 func (d *LLD) FlushTraced(sc obs.SpanContext) error {
 	d.stats.Flushes.Add(1)
-	var (
-		t0     time.Duration
-		spanID uint64
-	)
-	if d.obs.SpanEnabled() {
-		t0 = d.obs.Now()
-		spanID = d.obs.NextID()
-		if sc.Trace == 0 {
-			sc.Trace = d.obs.NextID()
-		}
-	}
-	var g0 time.Duration
-	if d.obs != nil {
-		g0 = d.obs.Now()
-	}
+	sp := d.obs.Start(obs.SpanEngineFlush, sc)
 	err := d.forceCommit()
-	if d.obs != nil {
-		d.obs.ObserveSince(obs.HistGroupCommitWait, g0)
+	var failed uint64
+	if err != nil {
+		failed = 1
 	}
-	if spanID != 0 {
-		var failed uint64
-		if err != nil {
-			failed = 1
-		}
-		d.obs.EmitSpan(obs.Span{
-			Trace: sc.Trace, ID: spanID, Parent: sc.Span,
-			Kind: obs.SpanEngineFlush, Start: t0, Dur: d.obs.Now() - t0,
-			Arg2: failed,
-		})
-	}
+	sp.End(0, 0, failed)
 	return err
 }
 
@@ -95,10 +70,7 @@ func (d *LLD) Checkpoint() error {
 //
 // Callers hold d.mu with the broker idle (lockDrained, canMaintain).
 func (d *LLD) checkpointLocked() error {
-	var t0 time.Duration
-	if d.obs != nil {
-		t0 = d.obs.Now()
-	}
+	sp := d.obs.Start(obs.SpanCkptDelta, obs.SpanContext{})
 	// The tables must reflect exactly the flushed log: drain it — seal
 	// any partial segment, write and sync whatever is queued — before
 	// the checkpoint claims FlushedSeq. With no open ARUs every
@@ -216,17 +188,10 @@ func (d *LLD) checkpointLocked() error {
 	if !base {
 		d.stats.CkptDeltas.Add(1)
 	}
-	if d.obs != nil {
-		if base {
-			d.obs.ObserveSince(obs.HistCheckpoint, t0)
-			if oldDepth > 0 {
-				d.obs.Emit(obs.EvCkptCompact, 0, rec.CkptTS, uint64(oldDepth))
-			}
-		} else {
-			d.obs.ObserveSince(obs.HistCkptDelta, t0)
-			d.obs.Emit(obs.EvCkptDelta, 0, rec.CkptTS, uint64(d.ckptDepth))
-		}
-		d.obs.Emit(obs.EvCheckpoint, 0, rec.CkptTS, rec.FlushedSeq)
+	if base {
+		sp.As(obs.SpanCheckpoint).End(0, rec.CkptTS, uint64(oldDepth))
+	} else {
+		sp.End(0, rec.CkptTS, uint64(d.ckptDepth))
 	}
 	return nil
 }

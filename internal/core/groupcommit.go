@@ -149,26 +149,12 @@ func (d *LLD) forceCommit() error {
 	return err
 }
 
-// batchTrace carries one batch's causal identity across the leader
-// pass: the batch id (assigned under d.mu once the leader claims
-// work), the batch span (root of the batch's own trace; seg-flush and
-// device-sync spans parent on it), and the sync's start, taken with
-// d.mu released. Zero span/trace means span recording is off.
-type batchTrace struct {
-	id    uint64        // batch id (d.batchSeq)
-	trace uint64        // the batch's trace
-	span  uint64        // the SpanCommitBatch id
-	t0    time.Duration // leader start (obs timebase)
-	st0   time.Duration // device-sync start
-}
-
 // leadBatch runs one batch as its leader: cutoff, seal and claim under
-// d.mu, device I/O outside d.mu, retirement under d.mu.
+// d.mu, device I/O outside d.mu, retirement under d.mu. The batch span
+// roots a trace of its own; the seg-flush and device-sync spans of the
+// batch's I/O parent on it.
 func (d *LLD) leadBatch(bat *gcBatch) error {
-	var bt batchTrace
-	if d.obs.SpanEnabled() {
-		bt.t0 = d.obs.Now()
-	}
+	batch := d.obs.Start(obs.SpanCommitBatch, obs.SpanContext{})
 	d.mu.Lock()
 	// Cutoff. Everything sealed below is covered by this batch; a
 	// caller that arrives after this point joins the next batch (its
@@ -207,11 +193,7 @@ func (d *LLD) leadBatch(bat *gcBatch) error {
 		e.claimed = true
 	}
 	d.batchSeq++
-	bt.id = d.batchSeq
-	if d.obs.SpanEnabled() {
-		bt.trace = d.obs.NextID()
-		bt.span = d.obs.NextID()
-	}
+	batchID := d.batchSeq
 	// Publish the sealed state before releasing the lock: readers that
 	// race the batch I/O must already see the sealed images (and the
 	// promoted records the seal produced).
@@ -222,21 +204,22 @@ func (d *LLD) leadBatch(bat *gcBatch) error {
 	// segment below the claimed chunks, and readers proceed, while the
 	// device spins.
 	var (
-		ioErr  error
-		synced bool
+		ioErr   error
+		synced  bool
+		syncSp  obs.Active
+		syncEnd time.Duration
 	)
 	for _, e := range work {
-		if ioErr = d.writeSealed(e, &bt); ioErr != nil {
+		if ioErr = d.writeSealed(e, batch.Ctx()); ioErr != nil {
 			break
 		}
 	}
 	if ioErr == nil {
-		if bt.span != 0 {
-			bt.st0 = d.obs.Now()
-		}
+		syncSp = d.obs.Start(obs.SpanDeviceSync, batch.Ctx())
 		t0 := time.Now()
 		if synced, ioErr = d.syncDev(syncBatch); synced {
 			bat.syncDur = time.Since(t0)
+			syncEnd = d.obs.Now()
 		}
 	}
 
@@ -255,29 +238,15 @@ func (d *LLD) leadBatch(bat *gcBatch) error {
 		// error).
 		return ioErr
 	}
-	commits := d.retire(len(work), bt.id, synced)
-	d.lastBatch.Store(bt.id)
+	commits := d.retire(len(work), batchID, synced)
+	d.lastBatch.Store(batchID)
 	d.stats.CommitBatches.Add(1)
 	d.stats.BatchedCommits.Add(int64(commits))
-	if d.obs != nil {
-		d.obs.Emit(obs.EvCommitBatch, 0, uint64(commits), uint64(len(work)))
-		d.obs.Observe(obs.HistCommitBatch, time.Duration(commits))
+	d.obs.Observe(obs.HistCommitBatch, time.Duration(commits))
+	if synced {
+		syncSp.EndAt(syncEnd, 0, d.syncSeq, 0) // the sync's id is assigned by retire
 	}
-	if bt.span != 0 {
-		now := d.obs.Now()
-		d.obs.EmitSpan(obs.Span{
-			Trace: bt.trace, ID: bt.span,
-			Kind: obs.SpanCommitBatch, Start: bt.t0, Dur: now - bt.t0,
-			Arg1: bt.id, Arg2: uint64(commits),
-		})
-		if synced {
-			d.obs.EmitSpan(obs.Span{
-				Trace: bt.trace, ID: d.obs.NextID(), Parent: bt.span,
-				Kind: obs.SpanDeviceSync, Start: bt.st0, Dur: bat.syncDur,
-				Arg1: d.syncSeq,
-			})
-		}
-	}
+	batch.End(0, batchID, uint64(commits))
 	// The batch is fully applied: maintenance may publish intermediate
 	// epochs (checkpoint, cleaner batches).
 	d.pubSafe = true
@@ -289,16 +258,13 @@ func (d *LLD) leadBatch(bat *gcBatch) error {
 // writeSealed puts e's chunk on the device, unless an earlier attempt
 // already did: the log's only segment write. It touches only e and the
 // device, so the batch leader runs it with d.mu released on the entries
-// it claimed; everyone else holds d.mu. bt, when its span is set, parents
-// a seg-flush span.
-func (d *LLD) writeSealed(e *sealedSeg, bt *batchTrace) error {
+// it claimed; everyone else holds d.mu. parent is the seg-flush span's
+// (the batch, for a leader).
+func (d *LLD) writeSealed(e *sealedSeg, parent obs.SpanContext) error {
 	if e.written {
 		return nil
 	}
-	var t0 time.Duration
-	if d.obs != nil {
-		t0 = d.obs.Now()
-	}
+	sp := d.obs.Start(obs.SpanSegFlush, parent)
 	if err := d.dev.WriteAt(e.img, e.off); err != nil {
 		return fmt.Errorf("lld: writing segment %d: %w", e.idx, err)
 	}
@@ -308,18 +274,7 @@ func (d *LLD) writeSealed(e *sealedSeg, bt *batchTrace) error {
 	}
 	d.stats.ChunksWritten.Add(1)
 	d.stats.SegmentBytesWritten.Add(int64(len(e.img)))
-	if d.obs != nil {
-		now := d.obs.Now()
-		d.obs.Observe(obs.HistSegFlush, now-t0)
-		d.obs.Emit(obs.EvSegFlush, 0, uint64(e.idx), e.seq)
-		if bt != nil && bt.span != 0 {
-			d.obs.EmitSpan(obs.Span{
-				Trace: bt.trace, ID: d.obs.NextID(), Parent: bt.span,
-				Kind: obs.SpanSegFlush, Start: t0, Dur: now - t0,
-				Arg1: uint64(e.idx), Arg2: e.seq,
-			})
-		}
-	}
+	sp.End(0, uint64(e.idx), e.seq)
 	return nil
 }
 
@@ -356,7 +311,7 @@ func (d *LLD) writeQueued() error {
 		if e.claimed {
 			continue
 		}
-		if err := d.writeSealed(e, nil); err != nil {
+		if err := d.writeSealed(e, obs.SpanContext{}); err != nil {
 			return err
 		}
 		d.releaseImage(e)

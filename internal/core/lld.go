@@ -151,13 +151,12 @@ type Params struct {
 	// (ListBlocks, StatBlock) always resolve through the issuing
 	// stream's own state.
 	ReadSemantics ReadSemantics
-	// Tracer attaches an observability sink (event ring + latency
+	// Tracer attaches an observability sink (span ring + latency
 	// histograms; see aru/internal/obs). nil — the default — disables
 	// all instrumentation: hot paths then pay a single nil-check. One
 	// Tracer may be shared across instances (e.g. crash/recover
 	// generations accumulate into the same histograms), and embedding
-	// applications can subscribe to engine events by emitting their
-	// own spans into the same Tracer.
+	// applications record their own spans into the same Tracer.
 	Tracer *obs.Tracer
 
 	// CommitResolver decides the fate of in-doubt prepared ARUs found
@@ -277,7 +276,8 @@ var (
 	ErrBadParam = errors.New("lld: bad parameter")
 )
 
-// Stats holds operation counters for one LLD instance.
+// Stats holds operation counters for one LLD instance; the fields
+// tagged `metric:"gauge"` are current levels, exported as gauges.
 type Stats struct {
 	Reads, Writes              int64 // block reads / writes
 	CoalescedWrites            int64 // writes absorbed in place in the open segment
@@ -295,7 +295,7 @@ type Stats struct {
 	CkptDeltas                 int64 // checkpoints written as incremental deltas
 	MergeFallbacks             int64 // commit-replay inserts whose predecessor vanished
 	LeakedBlocksFreed          int64 // blocks freed by the consistency sweep
-	ShadowRecords, AltRecords  int64 // current alternative-record counts (shadow / all)
+	ShadowRecords, AltRecords  int64 `metric:"gauge"` // current alternative-record counts (shadow / all)
 	ShadowCreated              int64 // shadow records ever created
 	CommittedCreated           int64 // committed alternative records ever created
 	RecordsPromoted            int64 // committed→persistent transitions
@@ -314,7 +314,7 @@ type Stats struct {
 	EpochsPublished            int64 // MVCC epochs published (head swings)
 	SnapshotsPurged            int64 // retired epochs drained and recycled
 	PurgeRetries               int64 // purge sweeps stopped by a pinned epoch
-	SnapshotAge                int64 // current − oldest live epoch (gauge)
+	SnapshotAge                int64 `metric:"gauge"` // current − oldest live epoch
 }
 
 // LLD is a log-structured logical disk with atomic recovery units.

@@ -18,15 +18,13 @@ import (
 // The only shared state it mutates are the refcount and the atomic
 // stats counters.
 func (d *LLD) Read(aru ARUID, b BlockID, dst []byte) error {
-	o := d.obs
-	if o == nil {
+	if d.obs == nil {
 		return d.read(aru, b, dst)
 	}
-	t0 := o.Now()
+	sp := d.obs.Start(obs.SpanRead, obs.SpanContext{})
 	err := d.read(aru, b, dst)
 	if err == nil {
-		o.ObserveSince(obs.HistRead, t0)
-		o.Emit(obs.EvRead, uint64(aru), uint64(b), 0)
+		sp.End(uint64(aru), uint64(b), 0)
 	}
 	return err
 }
@@ -56,15 +54,13 @@ func (d *LLD) read(aru ARUID, b BlockID, dst []byte) error {
 // data itself is appended to the log immediately (tagged with the ARU),
 // so commit only needs to log the commit record, never re-copy data.
 func (d *LLD) Write(aru ARUID, b BlockID, data []byte) error {
-	o := d.obs
-	if o == nil {
+	if d.obs == nil {
 		return d.write(aru, b, data)
 	}
-	t0 := o.Now()
+	sp := d.obs.Start(obs.SpanWrite, obs.SpanContext{})
 	err := d.write(aru, b, data)
 	if err == nil {
-		o.ObserveSince(obs.HistWrite, t0)
-		o.Emit(obs.EvWrite, uint64(aru), uint64(b), 0)
+		sp.End(uint64(aru), uint64(b), 0)
 	}
 	return err
 }

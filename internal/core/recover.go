@@ -131,19 +131,9 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	// Recovery roots its own trace: the three phases and each replayed
 	// segment become child spans, so a slow recovery shows *which* phase
 	// and which segment cost the time (DESIGN.md §13).
-	var rtrace, rspan uint64
-	if p.Tracer.SpanEnabled() {
-		rtrace = p.Tracer.NextID()
-		rspan = p.Tracer.NextID()
-	}
-	span := func(id, parent uint64, kind obs.SpanKind, start time.Duration, arg1, arg2 uint64) {
-		if rspan != 0 {
-			p.Tracer.EmitSpan(obs.Span{Trace: rtrace, ID: id, Parent: parent,
-				Kind: kind, Start: start, Dur: now() - start, Arg1: arg1, Arg2: arg2})
-		}
-	}
-	child := func(kind obs.SpanKind, start time.Duration, arg1, arg2 uint64) {
-		span(p.Tracer.NextID(), rspan, kind, start, arg1, arg2)
+	root := p.Tracer.StartAt(obs.SpanRecovery, obs.SpanContext{}, t0)
+	child := func(kind obs.SpanKind, start, end time.Duration, arg1, arg2 uint64) {
+		p.Tracer.StartAt(kind, root.Ctx(), start).EndAt(end, 0, arg1, arg2)
 	}
 	sb := make([]byte, seg.SectorSize)
 	if err := dev.ReadAt(sb, 0); err != nil {
@@ -198,7 +188,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	rt := &recoveryTables{d: d, pending: make(map[ARUID][]pendingOp), prepared: make(map[ARUID]prepRec)}
 	sc0 := now()
 	rpt.CkptLoad = sc0 - t0
-	child(obs.SpanRecoveryCkptLoad, t0, uint64(chain.Depth()), uint64(d.blockTab.n))
+	child(obs.SpanRecoveryCkptLoad, t0, sc0, uint64(chain.Depth()), uint64(d.blockTab.n))
 
 	// The summary scan: segment trailers — and then the summaries of the
 	// replay window — are read and decoded by a worker pool; replay
@@ -366,8 +356,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		}
 		rpt.SegmentsReplayed++
 		rpt.EntriesReplayed += entries
-		d.obs.Emit(obs.EvRecoverySeg, 0, uint64(ls.idx), uint64(entries))
-		child(obs.SpanRecoverySeg, st0, uint64(ls.idx), uint64(entries))
+		child(obs.SpanRecoverySeg, st0, now(), uint64(ls.idx), uint64(entries))
 	}
 	wgSeg.Wait()
 	if scanErr != nil {
@@ -375,9 +364,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	}
 	sw0 := now()
 	rpt.Scan = sw0 - sc0
-	d.obs.Observe(obs.HistRecoveryScan, rpt.Scan)
-	d.obs.Emit(obs.EvRecoveryScan, 0, uint64(workers), uint64(rpt.SegmentsReplayed))
-	child(obs.SpanRecoveryScan, sc0, uint64(workers), uint64(rpt.SegmentsReplayed))
+	child(obs.SpanRecoveryScan, sc0, sw0, uint64(workers), uint64(rpt.SegmentsReplayed))
 	rt.resolveInDoubt(p.CommitResolver, &rpt)
 	rpt.RedoSkipped = rt.skipped
 	rpt.ARUsRecovered = rt.committed
@@ -449,11 +436,10 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	// the first client operation. From here on the tables copy on write.
 	d.publishLocked()
 
-	rpt.Sweep = now() - sw0
-	child(obs.SpanRecoverySweep, sw0, uint64(rpt.LeakedFreed), uint64(rpt.InDoubt))
-	d.obs.Observe(obs.HistRecovery, now()-t0)
-	d.obs.Emit(obs.EvRecoveryDone, 0, uint64(rpt.EntriesReplayed), uint64(rpt.ARUsRecovered))
-	span(rspan, 0, obs.SpanRecovery, t0, uint64(rpt.EntriesReplayed), uint64(rpt.ARUsRecovered))
+	end := now()
+	rpt.Sweep = end - sw0
+	child(obs.SpanRecoverySweep, sw0, end, uint64(rpt.LeakedFreed), uint64(rpt.InDoubt))
+	root.EndAt(end, 0, uint64(rpt.EntriesReplayed), uint64(rpt.ARUsRecovered))
 	return d, rpt, nil
 }
 

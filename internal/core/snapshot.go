@@ -208,9 +208,7 @@ func (d *LLD) publishLocked() {
 	// above happened-before it (release store), and a reader that
 	// revalidates against the new head sees all of it (acquire load).
 	d.head.Store(s)
-	if o := d.obs; o != nil {
-		o.Emit(obs.EvEpochPublish, 0, s.epoch, uint64(s.nBlocks))
-	}
+	d.obs.Instant(obs.SpanEpochPublish, 0, s.epoch, uint64(s.nBlocks))
 
 	if old == nil {
 		// First publish (construction): no reader can hold an older
@@ -262,9 +260,7 @@ func (d *LLD) freeSnapshot(s *snapshot) {
 		d.putRet(s.ret)
 	}
 	d.stats.SnapshotsPurged.Add(1)
-	if o := d.obs; o != nil {
-		o.Emit(obs.EvSnapPurge, 0, s.epoch, 0)
-	}
+	d.obs.Instant(obs.SpanSnapPurge, 0, s.epoch, 0)
 	s.epoch = 0
 	s.closed = false
 	s.blocks, s.lists, s.arus = nil, nil, nil

@@ -28,7 +28,7 @@ func TestSpanBatchCausality(t *testing.T) {
 	d, _ := newTestLLD(t, Params{Tracer: tr})
 	defer d.Close()
 
-	sc := obs.SpanContext{Trace: tr.NextID(), Span: tr.NextID()}
+	sc := tr.Start(obs.SpanClientRPC, obs.SpanContext{}).Ctx() // the caller's span
 	aruID, err := d.BeginARU()
 	if err != nil {
 		t.Fatalf("BeginARU: %v", err)
@@ -206,11 +206,11 @@ func TestSpanRecovery(t *testing.T) {
 	}
 }
 
-// TestSpanDisabledZeroOverhead: with SpanRingSize < 0 no spans are
-// recorded and the traced entry points behave exactly like the plain
-// ones.
+// TestSpanDisabledZeroOverhead: with RingSize < 0 no spans are
+// recorded, the traced entry points behave exactly like the plain ones,
+// and the histograms are still fed.
 func TestSpanDisabledZeroOverhead(t *testing.T) {
-	tr := obs.New(obs.Config{SpanRingSize: -1})
+	tr := obs.New(obs.Config{RingSize: -1})
 	d, _ := newTestLLD(t, Params{Tracer: tr})
 	defer d.Close()
 	aruID, _ := d.BeginARU()
@@ -227,5 +227,10 @@ func TestSpanDisabledZeroOverhead(t *testing.T) {
 	}
 	if spans := tr.Spans(); spans != nil {
 		t.Fatalf("span-disabled tracer recorded %d spans", len(spans))
+	}
+	for _, h := range []obs.HistID{obs.HistWrite, obs.HistCommitDurable, obs.HistGroupCommitWait, obs.HistSegFlush} {
+		if tr.Histogram(h).Count == 0 {
+			t.Errorf("histogram %v not fed with the ring off", h)
+		}
 	}
 }

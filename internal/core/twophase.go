@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"aru/internal/obs"
 	"aru/internal/seg"
@@ -63,19 +62,7 @@ func (d *LLD) PrepareARUTraced(aru ARUID, txn uint64, sc obs.SpanContext) error 
 	if st.prepared {
 		return fmt.Errorf("%w: %d", ErrARUPrepared, aru)
 	}
-	var (
-		t0     time.Duration
-		spanID uint64
-	)
-	if d.obs.SpanEnabled() {
-		t0 = d.obs.Now()
-		spanID = d.obs.NextID()
-		if sc.Trace == 0 {
-			sc.Trace = d.obs.NextID()
-		}
-	} else {
-		sc = obs.SpanContext{}
-	}
+	sp := d.obs.Start(obs.SpanEnginePrepare, sc)
 
 	// Materialize the shadow data: each still-buffered shadow version
 	// is appended to the log tagged with the ARU, and the shadow record
@@ -155,14 +142,7 @@ func (d *LLD) PrepareARUTraced(aru ARUID, txn uint64, sc obs.SpanContext) error 
 	// The view must start rejecting reads under aru.
 	d.aruTab.edit(d.epoch+1, uint64(aru)).persist = aruPrepared
 	d.stats.ARUsPrepared.Add(1)
-	d.obs.Emit(obs.EvARUPrepare, uint64(aru), txn, 0)
-	if spanID != 0 {
-		d.obs.EmitSpan(obs.Span{
-			Trace: sc.Trace, ID: spanID, Parent: sc.Span,
-			Kind: obs.SpanEnginePrepare, Start: t0, Dur: d.obs.Now() - t0,
-			ARU: uint64(aru), Arg1: txn, Arg2: preLogged,
-		})
-	}
+	sp.End(uint64(aru), txn, preLogged)
 	return nil
 }
 
@@ -190,27 +170,11 @@ func (d *LLD) CommitPreparedTraced(aru ARUID, sc obs.SpanContext) error {
 	if !st.prepared {
 		return fmt.Errorf("%w: CommitPrepared on ARU %d, which is not prepared", ErrBadParam, aru)
 	}
-	var (
-		t0     time.Duration
-		spanID uint64
-	)
-	if d.obs.SpanEnabled() {
-		t0 = d.obs.Now()
-		spanID = d.obs.NextID()
-		if sc.Trace == 0 {
-			sc.Trace = d.obs.NextID()
-		}
-	} else {
-		sc = obs.SpanContext{}
-	}
+	sp := d.obs.Start(obs.SpanEngineCommit, sc)
 	replayed := uint64(len(st.linkLog))
-	err := d.endARUNew(aru, st, sc.Trace, spanID, true)
-	if spanID != 0 && err == nil {
-		d.obs.EmitSpan(obs.Span{
-			Trace: sc.Trace, ID: spanID, Parent: sc.Span,
-			Kind: obs.SpanEngineCommit, Start: t0, Dur: d.obs.Now() - t0,
-			ARU: uint64(aru), Arg1: replayed,
-		})
+	err := d.endARUNew(aru, st, sp.Ctx(), true)
+	if err == nil {
+		sp.End(uint64(aru), replayed, 0)
 	}
 	return err
 }

@@ -42,8 +42,8 @@ type ClientConfig struct {
 	// Tracer, when non-nil with spans enabled, records a client-rpc
 	// span per request and offers FeatureTrace at HELLO so the server
 	// continues the trace: its server-op and engine spans are parented
-	// on this client's RPC spans (DESIGN.md §13). Against a v1 server
-	// the client downgrades automatically and spans stay client-local.
+	// on this client's RPC spans (DESIGN.md §13). A server without a
+	// tracer grants no features, and spans stay client-local.
 	Tracer *obs.Tracer
 }
 
@@ -97,11 +97,8 @@ type Client struct {
 	pending   map[uint64]*Call
 	closed    bool
 
-	// features holds the flags the current connection negotiated;
-	// legacyHello remembers that the server rejected the extended
-	// HELLO, so redials skip straight to the flag-free form.
-	features    uint32
-	legacyHello bool
+	// features holds the flags the current connection negotiated.
+	features uint32
 
 	// reqHdr is the request-header scratch send encodes into (under
 	// c.mu): frame length, request id, opcode, optional trace context
@@ -206,32 +203,18 @@ func (c *Client) Close() error {
 }
 
 // redialLocked establishes the connection and runs the handshake
-// synchronously (the read loop starts only afterwards). With tracing
-// configured it first tries the extended HELLO (feature flags); a v1
-// server drops that connection, so on failure it retries once with
-// the flag-free form and remembers the downgrade. Caller holds c.mu.
+// synchronously (the read loop starts only afterwards): dial, HELLO —
+// extended with FeatureTrace when tracing is configured — parse the
+// response and install the connection. A failed attempt is an error;
+// the next call dials again. Caller holds c.mu.
 func (c *Client) redialLocked() error {
 	if c.closed {
 		return ErrClientClosed
 	}
-	wantFlags := uint32(0)
-	if c.cfg.Tracer.SpanEnabled() && !c.legacyHello {
-		wantFlags = FeatureTrace
+	var flags uint32
+	if c.cfg.Tracer.SpanEnabled() {
+		flags = FeatureTrace
 	}
-	err := c.dialLocked(wantFlags)
-	if err != nil && wantFlags != 0 && !c.closed {
-		if legacyErr := c.dialLocked(0); legacyErr == nil {
-			c.legacyHello = true
-			return nil
-		}
-	}
-	return err
-}
-
-// dialLocked is one connection attempt: dial, HELLO (extended when
-// flags != 0), parse the response and install the connection. Caller
-// holds c.mu.
-func (c *Client) dialLocked(flags uint32) error {
 	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
 	if err != nil {
 		return fmt.Errorf("%w: dial %s: %v", ErrDisconnected, c.addr, err)
@@ -382,14 +365,12 @@ type Call struct {
 	body []byte
 	err  error
 
-	// Trace context (zero with tracing off): the client-rpc span is
-	// emitted when the call completes, and trace/span travel with the
-	// request on FeatureTrace sessions so the server continues the
-	// chain. aru is the first request argument, kept for the span.
-	trace uint64
-	span  uint64
-	aru   uint64
-	t0    time.Duration
+	// The client-rpc span (zero with tracing off) ends when the call
+	// completes; its context travels with the request on FeatureTrace
+	// sessions so the server continues the chain. aru is the first
+	// request argument, kept for the span.
+	span obs.Active
+	aru  uint64
 
 	// frame is the pooled response buffer body aliases, if any;
 	// finish (idempotent, guarded by released) returns it.
@@ -400,18 +381,11 @@ type Call struct {
 func (call *Call) complete(body []byte, err error) {
 	call.body = body
 	call.err = err
-	if call.span != 0 {
-		tr := call.c.cfg.Tracer
-		var failed uint64
-		if err != nil {
-			failed = 1
-		}
-		tr.EmitSpan(obs.Span{
-			Trace: call.trace, ID: call.span, Kind: obs.SpanClientRPC,
-			Start: call.t0, Dur: tr.Now() - call.t0,
-			ARU: call.aru, Arg1: uint64(call.op), Arg2: failed,
-		})
+	var failed uint64
+	if err != nil {
+		failed = 1
 	}
+	call.span.End(call.aru, uint64(call.op), failed)
 	close(call.done)
 }
 
@@ -519,13 +493,9 @@ func head4(a, b, c, d uint64) reqHead { return reqHead{n: 4, v: [4]uint64{a, b, 
 // consumed before send returns.
 func (c *Client) send(op uint8, hd reqHead, payload []byte) *Call {
 	call := &Call{c: c, op: op, done: make(chan struct{})}
-	if tr := c.cfg.Tracer; tr.SpanEnabled() {
-		call.t0 = tr.Now()
-		call.trace = tr.NextID()
-		call.span = tr.NextID()
-		if hd.n > 0 {
-			call.aru = hd.v[0] // first argument is the ARU on every op that has one
-		}
+	call.span = c.cfg.Tracer.Start(obs.SpanClientRPC, obs.SpanContext{})
+	if hd.n > 0 {
+		call.aru = hd.v[0] // first argument is the ARU on every op that has one
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -545,7 +515,8 @@ func (c *Client) send(op uint8, hd reqHead, payload []byte) *Call {
 	c.pending[call.id] = call
 	// Trace context travels only on sessions that negotiated it; spans
 	// stay client-local otherwise.
-	traced := call.trace != 0 && c.features&FeatureTrace != 0
+	sc := call.span.Ctx()
+	traced := sc.Traced() && c.features&FeatureTrace != 0
 	extra := 0
 	if traced {
 		extra = 16
@@ -559,8 +530,8 @@ func (c *Client) send(op uint8, hd reqHead, payload []byte) *Call {
 		hdr = binary.LittleEndian.AppendUint64(hdr, call.id)
 		if traced {
 			hdr = append(hdr, op|opTraceFlag)
-			hdr = binary.LittleEndian.AppendUint64(hdr, call.trace)
-			hdr = binary.LittleEndian.AppendUint64(hdr, call.span)
+			hdr = binary.LittleEndian.AppendUint64(hdr, sc.Trace)
+			hdr = binary.LittleEndian.AppendUint64(hdr, sc.Span)
 		} else {
 			hdr = append(hdr, op)
 		}

@@ -60,7 +60,7 @@ func (m *Metrics) AbortsOnDisconnect() int64 { return m.abortsOnDisconnect.Load(
 func (m *Metrics) Counters() []obs.Counter {
 	return []obs.Counter{
 		{Name: "net_sessions", Value: m.sessionsTotal.Load()},
-		{Name: "net_sessions_active", Value: m.sessionsActive.Load()},
+		{Name: "net_sessions_active", Value: m.sessionsActive.Load(), Gauge: true},
 		{Name: "net_rpcs", Value: m.rpcs.Load()},
 		{Name: "net_rpc_errors", Value: m.rpcErrors.Load()},
 		{Name: "net_proto_errors", Value: m.protoErrors.Load()},

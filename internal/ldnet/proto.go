@@ -59,11 +59,9 @@ const (
 // the subset it accepts (also as a trailing u32), and only negotiated
 // features may appear on the session's subsequent requests. A client
 // that sends no flag word (every v1 build) gets the base protocol and
-// a flag-free HELLO response, so old binaries on either side are
-// unaffected. A v1 *server* rejects the extended HELLO outright (its
-// strict parser treats the trailing word as garbage and drops the
-// connection); the client then retries with a flag-free HELLO and
-// remembers the downgrade for later redials.
+// a flag-free HELLO response, so old client binaries are unaffected.
+// Every server accepts the flag word; a client that offered it treats
+// a failed handshake as a failed dial, never as a cue to drop it.
 const (
 	// FeatureTrace enables per-request trace context: the client may
 	// set opTraceFlag on an opcode and prefix the body with

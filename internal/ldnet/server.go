@@ -322,25 +322,15 @@ func (s *Server) handleConn(conn net.Conn) {
 		// A traced request gets a server-op span; the engine spans it
 		// triggers chain below that span, not the client's, so the
 		// exported trace shows client-rpc → server-op → engine-commit.
-		var opSpan, opParent uint64
-		var ot0 time.Duration
-		if args.trace != 0 && s.opts.Tracer.SpanEnabled() {
-			ot0 = s.opts.Tracer.Now()
-			opSpan = s.opts.Tracer.NextID()
-			opParent = args.span
-			args.span = opSpan
+		var opSpan obs.Active
+		if args.trace != 0 {
+			opSpan = s.opts.Tracer.Start(obs.SpanServerOp, obs.SpanContext{Trace: args.trace, Span: args.span})
+			args.span = opSpan.Ctx().Span
 		}
 		status, body := s.dispatch(sess, op, args)
 		dur := time.Since(t0)
 		m.observe(op, dur, status == statusOK)
-		if opSpan != 0 {
-			tr := s.opts.Tracer
-			tr.EmitSpan(obs.Span{
-				Trace: args.trace, ID: opSpan, Parent: opParent,
-				Kind: obs.SpanServerOp, Start: ot0, Dur: tr.Now() - ot0,
-				ARU: uint64(args.aru), Arg1: uint64(op), Arg2: uint64(status),
-			})
-		}
+		opSpan.End(uint64(args.aru), uint64(op), uint64(status))
 		if s.opts.SlowOp > 0 && dur >= s.opts.SlowOp {
 			s.logSlowOp(op, args, dur, status)
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -272,99 +273,73 @@ func TestInteropOldClientNewServer(t *testing.T) {
 	}
 }
 
-// TestInteropNewClientOldServer: a tracing client against a v1 server
-// (which drops the extended HELLO on the floor) must fall back to the
-// flag-free handshake, keep its spans client-local, and never set the
-// trace bit on the wire.
-func TestInteropNewClientOldServer(t *testing.T) {
+// dropFirstHello is a listener that reads the first bytes of the first
+// connection it accepts and closes it mid-HELLO — a transient handshake
+// failure — and hands every later connection to its caller.
+type dropFirstHello struct {
+	net.Listener
+	dropped bool // touched only by the Serve goroutine's Accept loop
+}
+
+func (l *dropFirstHello) Accept() (net.Conn, error) {
+	for {
+		conn, err := l.Listener.Accept()
+		if err != nil || l.dropped {
+			return conn, err
+		}
+		l.dropped = true
+		var hdr [4]byte
+		_, _ = io.ReadFull(conn, hdr[:])
+		conn.Close()
+	}
+}
+
+// TestTracedDialNeverDowngrades: one failed extended HELLO must not
+// cost a traced client its trace propagation. The failed Dial is an
+// error, the next Dial negotiates FeatureTrace, and a traced EndARU
+// continues on the server as a server-op span.
+func TestTracedDialNeverDowngrades(t *testing.T) {
+	tr := obs.New(obs.Config{})
+	srv := NewServer(newBackendTraced(t, 16, tr), ServerOptions{Tracer: tr})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	defer ln.Close()
+	go srv.Serve(&dropFirstHello{Listener: ln})
+	defer srv.Close()
 
-	// A minimal v1 server: strict HELLO (any trailing bytes → drop the
-	// connection, exactly what the v1 parser did), then answer pings.
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				frame, err := readFrame(br, DefaultMaxFrame)
-				if err != nil {
-					return
-				}
-				reqID, op, args, err := parseRequest(frame, 4096, false)
-				// v1 strictness: a HELLO with a feature word is trailing
-				// garbage — drop.
-				if err != nil || op != opHello || args.hasFlags {
-					return
-				}
-				e := newEnc(32)
-				e.u64(reqID)
-				e.u8(statusOK)
-				e.u16(Version)
-				e.u32(4096)
-				e.u32(DefaultMaxFrame)
-				if writeFrame(conn, e.b, DefaultMaxFrame) != nil {
-					return
-				}
-				for {
-					frame, err := readFrame(br, DefaultMaxFrame)
-					if err != nil {
-						return
-					}
-					reqID, op, _, err := parseRequest(frame, 4096, false)
-					if err != nil || op != opPing {
-						return // v1 server under test: anything else is a bug here
-					}
-					e := newEnc(16)
-					e.u64(reqID)
-					e.u8(statusOK)
-					if writeFrame(conn, e.b, DefaultMaxFrame) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	tr := obs.New(obs.Config{})
-	cl, err := Dial(ln.Addr().String(), ClientConfig{RPCTimeout: 10 * time.Second, Tracer: tr})
+	cfg := ClientConfig{RPCTimeout: 10 * time.Second, Tracer: tr}
+	if cl, err := Dial(ln.Addr().String(), cfg); err == nil {
+		cl.mu.Lock()
+		features := cl.features
+		cl.mu.Unlock()
+		cl.Close()
+		t.Fatalf("Dial over a dropped HELLO succeeded with features %x, want an error", features)
+	}
+	cl, err := Dial(ln.Addr().String(), cfg)
 	if err != nil {
-		t.Fatalf("dial via legacy fallback failed: %v", err)
+		t.Fatalf("second dial: %v", err)
 	}
 	defer cl.Close()
-
 	cl.mu.Lock()
-	legacy, features := cl.legacyHello, cl.features
+	features := cl.features
 	cl.mu.Unlock()
-	if !legacy || features != 0 {
-		t.Fatalf("client did not downgrade: legacyHello=%v features=%x", legacy, features)
+	if features&FeatureTrace == 0 {
+		t.Fatalf("second dial negotiated features %x, want FeatureTrace", features)
 	}
-
-	// Requests go through untraced on the wire (the fake server kills
-	// the connection on anything it cannot parse, so a trace bit here
-	// would fail the ping)…
-	for i := 0; i < 3; i++ {
-		if err := cl.Ping(); err != nil {
-			t.Fatalf("ping %d through v1 server: %v", i, err)
+	aru, err := cl.BeginARU()
+	if err != nil {
+		t.Fatalf("BeginARU: %v", err)
+	}
+	if err := cl.EndARU(aru); err != nil {
+		t.Fatalf("EndARU: %v", err)
+	}
+	for _, s := range spansByKind(tr.Spans())[obs.SpanServerOp] {
+		if s.Arg1 == uint64(opEndARU) && s.ARU == uint64(aru) && s.Parent != 0 {
+			return
 		}
 	}
-	// …but the client still records its local rpc spans.
-	rpcs := spansByKind(tr.Spans())[obs.SpanClientRPC]
-	if len(rpcs) < 3 {
-		t.Fatalf("got %d client-rpc spans, want >= 3", len(rpcs))
-	}
-	for _, s := range rpcs {
-		if s.Trace == 0 || s.ID == 0 {
-			t.Fatalf("client-local span missing ids: %+v", s)
-		}
-	}
+	t.Fatal("the traced EndARU left no server-op span on the server")
 }
 
 // TestTraceNegotiationServerWithoutTracer: a tracing client against a
@@ -380,11 +355,8 @@ func TestTraceNegotiationServerWithoutTracer(t *testing.T) {
 	}
 	defer cl.Close()
 	cl.mu.Lock()
-	legacy, features := cl.legacyHello, cl.features
+	features := cl.features
 	cl.mu.Unlock()
-	if legacy {
-		t.Fatal("current server forced a legacy downgrade")
-	}
 	if features != 0 {
 		t.Fatalf("negotiated features %x from a tracer-less server", features)
 	}

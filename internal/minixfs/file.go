@@ -99,7 +99,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	defer f.fs.span(obs.FSOpWrite)()
+	defer f.fs.traceOp().End(0, uint64(obs.FSOpWrite), 0)
 	if off < 0 {
 		return 0, fmt.Errorf("%w: negative offset", ErrBadName)
 	}
@@ -167,7 +167,7 @@ func (f *File) growTo(idx int) error {
 func (f *File) Truncate(size uint64) error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	defer f.fs.span(obs.FSOpTruncate)()
+	defer f.fs.traceOp().End(0, uint64(obs.FSOpTruncate), 0)
 	if size >= f.in.Size {
 		f.in.Size = size
 		return f.fs.writeInode(0, f.ino, f.in)

@@ -135,7 +135,7 @@ func (fs *FS) createNode(path string, mode Mode) (Ino, error) {
 func (fs *FS) Create(path string) (*File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.span(obs.FSOpCreate)()
+	defer fs.traceOp().End(0, uint64(obs.FSOpCreate), 0)
 	ino, err := fs.createNode(path, ModeFile)
 	if err != nil {
 		return nil, err
@@ -147,7 +147,7 @@ func (fs *FS) Create(path string) (*File, error) {
 func (fs *FS) Mkdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.span(obs.FSOpMkdir)()
+	defer fs.traceOp().End(0, uint64(obs.FSOpMkdir), 0)
 	_, err := fs.createNode(path, ModeDir)
 	return err
 }
@@ -158,7 +158,7 @@ func (fs *FS) Mkdir(path string) error {
 func (fs *FS) Remove(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.span(obs.FSOpRemove)()
+	defer fs.traceOp().End(0, uint64(obs.FSOpRemove), 0)
 	pIno, pIn, name, err := fs.resolveParent(path)
 	if err != nil {
 		return err
@@ -184,7 +184,7 @@ func (fs *FS) Remove(path string) error {
 func (fs *FS) Rmdir(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.span(obs.FSOpRmdir)()
+	defer fs.traceOp().End(0, uint64(obs.FSOpRmdir), 0)
 	if len(splitPath(path)) == 0 {
 		return fmt.Errorf("%w: cannot remove the root directory", ErrBadName)
 	}
@@ -280,7 +280,7 @@ func (fs *FS) removeNode(pIno Ino, pIn inode, ino Ino, in inode, blk core.BlockI
 func (fs *FS) Link(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.span(obs.FSOpLink)()
+	defer fs.traceOp().End(0, uint64(obs.FSOpLink), 0)
 	ino, in, err := fs.resolve(oldPath)
 	if err != nil {
 		return err
@@ -323,7 +323,7 @@ func (fs *FS) Link(oldPath, newPath string) error {
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	defer fs.span(obs.FSOpRename)()
+	defer fs.traceOp().End(0, uint64(obs.FSOpRename), 0)
 	oldPIno, oldPIn, oldName, err := fs.resolveParent(oldPath)
 	if err != nil {
 		return err

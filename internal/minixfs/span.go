@@ -2,22 +2,13 @@ package minixfs
 
 import "aru/internal/obs"
 
-// noopSpan is the shared end-of-span closure when tracing is off, so
-// an untraced file system allocates nothing per operation.
-var noopSpan = func() {}
-
-// span brackets one public file-system operation with FSOpBegin/FSOpEnd
-// trace events on the underlying disk's tracer. Usage:
+// traceOp starts the fs-op span of one public file-system operation.
+// The caller defers its End with the operation code, so the span
+// encloses every ARU the operation issues, with no closure:
 //
-//	defer fs.span(obs.FSOpCreate)()
+//	defer fs.traceOp().End(0, uint64(obs.FSOpCreate), 0)
 //
-// With no tracer attached (or the event ring disabled) it costs a
-// single nil/flag check and returns the shared no-op closure.
-func (fs *FS) span(op obs.FSOp) func() {
-	t := fs.ld.Tracer()
-	if !t.TraceEnabled() {
-		return noopSpan
-	}
-	t.Emit(obs.EvFSOpBegin, 0, uint64(op), 0)
-	return func() { t.Emit(obs.EvFSOpEnd, 0, uint64(op), 0) }
+// With no tracer attached, or the ring off, it costs a nil-check.
+func (fs *FS) traceOp() obs.Active {
+	return fs.ld.Tracer().Start(obs.SpanFSOp, obs.SpanContext{})
 }

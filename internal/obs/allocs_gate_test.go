@@ -1,7 +1,7 @@
 package obs
 
 // Allocation-budget gates for the observability layer (see
-// internal/alloctest): with a tracer attached, emitting an event and
+// internal/alloctest): with a tracer attached, recording a span and
 // observing a latency are a few atomic operations — no allocations —
 // and the periodic snapshot path (SnapshotInto / HistogramsInto)
 // reuses the caller's bucket backing, so a scraper polling /metrics
@@ -17,8 +17,9 @@ import (
 func TestAllocsEmitObserve(t *testing.T) {
 	tr := New(Config{RingSize: 1024})
 	op := func() {
-		tr.Emit(EvWrite, 1, 2, 3)
-		tr.Observe(HistWrite, 42*time.Microsecond)
+		tr.Start(SpanWrite, SpanContext{}).End(1, 2, 3) // ring slot + histogram
+		tr.Instant(SpanEpochPublish, 0, 1, 2)
+		tr.Observe(HistCommitBatch, 3)
 	}
 	op()
 	alloctest.Check(t, "emit+observe", 0, 500, op)

@@ -16,8 +16,8 @@ import (
 // server-op → engine-commit → commit-batch → device-sync.
 //
 // The output is a plain JSON object {"traceEvents": [...]}, written
-// incrementally — no intermediate per-event structs — so dumping a
-// 4096-span ring from a flight-recorder trigger is cheap.
+// incrementally — no intermediate per-event structs — so dumping an
+// 8192-span ring from a flight-recorder trigger is cheap.
 
 // chromeTracePID is the synthetic process id of the exported timeline;
 // lanes (tids) are span kinds.

@@ -11,9 +11,9 @@ import (
 )
 
 // FlightRecorder is the always-on postmortem sink: it owns nothing
-// itself — the tracer's event and span rings ARE the black box — but
-// knows how to dump their contents, plus histogram snapshots and
-// drop counters, as one JSON artifact when something goes wrong. The
+// itself — the tracer's span ring IS the black box — but knows how to
+// dump its contents, plus histogram snapshots and the drop counter, as
+// one JSON artifact when something goes wrong. The
 // three triggers (panic, slow-RPC threshold breach, SIGUSR1) all
 // funnel through TryDump, which rate-limits so a storm of slow RPCs
 // produces one artifact, not thousands.
@@ -39,14 +39,12 @@ func NewFlightRecorder(t *Tracer) *FlightRecorder {
 
 // FlightDump is the artifact schema.
 type FlightDump struct {
-	Reason        string         `json:"reason"`
-	Time          time.Time      `json:"time"`
-	UptimeNs      int64          `json:"uptime_ns"`
-	EventsDropped uint64         `json:"events_dropped"`
-	SpansDropped  uint64         `json:"spans_dropped"`
-	Histograms    []HistSnapshot `json:"histograms,omitempty"`
-	Spans         []Span         `json:"spans,omitempty"`
-	Events        []string       `json:"events,omitempty"`
+	Reason       string         `json:"reason"`
+	Time         time.Time      `json:"time"`
+	UptimeNs     int64          `json:"uptime_ns"`
+	SpansDropped uint64         `json:"spans_dropped"`
+	Histograms   []HistSnapshot `json:"histograms,omitempty"`
+	Spans        []Span         `json:"spans,omitempty"`
 }
 
 // Dumps returns how many artifacts the recorder has written.
@@ -59,23 +57,14 @@ func (f *FlightRecorder) Dumps() uint64 {
 
 // snapshot assembles the artifact from the tracer's current state.
 func (f *FlightRecorder) snapshot(reason string) FlightDump {
-	d := FlightDump{
-		Reason:        reason,
-		Time:          time.Now(),
-		UptimeNs:      int64(f.t.Now()),
-		EventsDropped: f.t.EventsDropped(),
-		SpansDropped:  f.t.SpansDropped(),
-		Histograms:    f.t.Histograms(),
-		Spans:         f.t.Spans(),
+	return FlightDump{
+		Reason:       reason,
+		Time:         time.Now(),
+		UptimeNs:     int64(f.t.Now()),
+		SpansDropped: f.t.SpansDropped(),
+		Histograms:   f.t.Histograms(),
+		Spans:        f.t.Spans(),
 	}
-	events := f.t.Events()
-	if len(events) > 0 {
-		d.Events = make([]string, len(events))
-		for i, e := range events {
-			d.Events[i] = e.String()
-		}
-	}
-	return d
 }
 
 // WriteTo writes the artifact for reason to w (used by tests and by

@@ -13,15 +13,18 @@ import (
 	"sync/atomic"
 )
 
-// Counter is one named monotone counter for exposition.
+// Counter is one named series for exposition: a monotone counter, or
+// a gauge — a current level that may go down.
 type Counter struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
+	Gauge bool   `json:"gauge,omitempty"`
 }
 
 // FlattenCounters turns a flat struct of int64 fields (such as
 // core.Stats) into named counters: each exported int64 field becomes
-// snake_case(field name). Non-int64 fields are skipped.
+// snake_case(field name), a gauge when tagged `metric:"gauge"`.
+// Non-int64 fields are skipped.
 func FlattenCounters(v any) []Counter {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() == reflect.Pointer {
@@ -37,7 +40,8 @@ func FlattenCounters(v any) []Counter {
 		if !f.IsExported() || f.Type.Kind() != reflect.Int64 {
 			continue
 		}
-		out = append(out, Counter{Name: snakeCase(f.Name), Value: rv.Field(i).Int()})
+		out = append(out, Counter{Name: snakeCase(f.Name), Value: rv.Field(i).Int(),
+			Gauge: f.Tag.Get("metric") == "gauge"})
 	}
 	return out
 }
@@ -88,8 +92,9 @@ func (o HandlerOptions) namespace() string {
 
 // Handler returns an http.Handler rendering the counters and
 // histograms in the Prometheus text exposition format: every counter
-// as <ns>_<name>_total and every histogram as the
-// <ns>_<name>_seconds bucket/sum/count triple.
+// as <ns>_<name>_total, every gauge as <ns>_<name>, every latency
+// histogram as the <ns>_<name>_seconds bucket/sum/count triple and the
+// commit_batch size histogram unscaled as <ns>_commit_batch.
 func Handler(o HandlerOptions) http.Handler {
 	// The tracer snapshots are taken into a scratch owned by the
 	// handler (serialized by mu), so repeated scrapes reuse the bucket
@@ -102,18 +107,19 @@ func Handler(o HandlerOptions) http.Handler {
 		ns := o.namespace()
 		if o.Counters != nil {
 			for _, c := range o.Counters() {
-				fmt.Fprintf(w, "# TYPE %s_%s_total counter\n", ns, c.Name)
-				fmt.Fprintf(w, "%s_%s_total %d\n", ns, c.Name, c.Value)
+				if c.Gauge {
+					fmt.Fprintf(w, "# TYPE %s_%s gauge\n%s_%s %d\n", ns, c.Name, ns, c.Name, c.Value)
+				} else {
+					fmt.Fprintf(w, "# TYPE %s_%s_total counter\n%s_%s_total %d\n", ns, c.Name, ns, c.Name, c.Value)
+				}
 			}
 		}
 		if o.Tracer != nil {
-			// Trace-loss counters: ring-ticket overrun means the
-			// timeline on /debug/trace is incomplete, which must be
-			// visible to the scraper, not silent.
-			fmt.Fprintf(w, "# TYPE %s_trace_events_dropped_total counter\n", ns)
-			fmt.Fprintf(w, "%s_trace_events_dropped_total %d\n", ns, o.Tracer.EventsDropped())
-			fmt.Fprintf(w, "# TYPE %s_trace_spans_dropped_total counter\n", ns)
-			fmt.Fprintf(w, "%s_trace_spans_dropped_total %d\n", ns, o.Tracer.SpansDropped())
+			// Trace loss: ring-ticket overrun means the timeline on
+			// /debug/trace is incomplete, which must be visible to the
+			// scraper, not silent.
+			fmt.Fprintf(w, "# TYPE %s_trace_dropped_total counter\n%s_trace_dropped_total %d\n",
+				ns, ns, o.Tracer.SpansDropped())
 		}
 		mu.Lock()
 		scratch = o.Tracer.HistogramsInto(scratch)
@@ -130,17 +136,21 @@ func Handler(o HandlerOptions) http.Handler {
 }
 
 // writePromHistogram renders one histogram in Prometheus text format.
-// Buckets become cumulative with `le` bounds in seconds.
+// Buckets become cumulative with `le` bounds in seconds — except for
+// the commit_batch sizes, which are counts and keep their unit.
 func writePromHistogram(w http.ResponseWriter, ns string, h HistSnapshot) {
-	name := fmt.Sprintf("%s_%s_seconds", ns, h.Name)
+	name, scale := fmt.Sprintf("%s_%s_seconds", ns, h.Name), 1e9
+	if h.Name == histName[HistCommitBatch] {
+		name, scale = ns+"_"+h.Name, 1
+	}
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	var cum uint64
 	for _, b := range h.Buckets {
 		cum += b.Count
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, float64(b.UpperNs)/1e9, cum)
+		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, float64(b.UpperNs)/scale, cum)
 	}
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count)
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.SumNs)/1e9)
+	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.SumNs)/scale)
 	fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
 }
 

@@ -1,22 +1,23 @@
-// Package obs is the observability layer of the logical disk: a
-// lock-free event tracer (a fixed-size atomic ring of typed events), a
-// set of atomic log-scaled latency histograms, and an exposition layer
-// (Prometheus text, expvar, pprof) for serving both over HTTP.
+// Package obs is the observability layer of the logical disk: one trace
+// record — the span, kept in a fixed-size lock-free ring — a set of
+// atomic log-scaled latency histograms, each the durations of one span
+// kind, and an exposition layer (Prometheus text, expvar, pprof, Chrome
+// trace JSON) serving both over HTTP.
 //
-// The package is engine-agnostic: internal/core emits into a *Tracer
+// The package is engine-agnostic: internal/core records into a *Tracer
 // attached via core.Params.Tracer, and embedding applications (the
-// Minix file system, the transaction layer, commands) read the same
-// Tracer back out through core.LLD.Tracer(), Metrics() and
-// TraceEvents().
+// Minix file system, the shard layer, the network server, commands)
+// record into and read back the same Tracer through core.LLD.Tracer()
+// and Metrics().
 //
 // # Hot-path cost
 //
 // With no tracer attached the engine pays a single nil-check per
-// operation. With a tracer attached, recording one event is one
-// atomic ticket increment plus a handful of atomic stores into the
-// claimed ring slot, and one histogram observation is three atomic
-// adds (count, sum, bucket). Nothing on the hot path allocates or
-// takes a lock.
+// operation. With a tracer attached, a timed site reads the clock once
+// when it starts and once when it ends; the end observes the kind's
+// histogram (three atomic adds) and, with the ring on, claims a slot
+// with one atomic ticket increment and fills it with atomic stores.
+// Nothing on the hot path allocates or takes a lock.
 package obs
 
 import (
@@ -25,128 +26,8 @@ import (
 	"time"
 )
 
-// EventKind discriminates trace events.
-type EventKind uint8
-
-// Event kinds. Arg1/Arg2 of an Event are kind-specific; see each
-// constant.
-const (
-	// EvARUBegin: an ARU was opened. ARU = its id.
-	EvARUBegin EventKind = iota + 1
-	// EvARUCommit: an ARU committed (EndARU returned). ARU = its id,
-	// Arg1 = list operations replayed from its log.
-	EvARUCommit
-	// EvARUAbort: an ARU was aborted. ARU = its id.
-	EvARUAbort
-	// EvCommitDurable: a commit record reached stable storage (device
-	// sync). ARU = its id.
-	EvCommitDurable
-	// EvRead: one block read. ARU = issuing ARU (0 = simple), Arg1 =
-	// block id.
-	EvRead
-	// EvWrite: one block write. ARU = issuing ARU, Arg1 = block id.
-	EvWrite
-	// EvSegFlush: one sealed segment was written to the device. Arg1 =
-	// segment index, Arg2 = log sequence number.
-	EvSegFlush
-	// EvCheckpoint: a table checkpoint was written. Arg1 = checkpoint
-	// timestamp, Arg2 = flushed log sequence it covers.
-	EvCheckpoint
-	// EvCleanerPass: one cleaner invocation finished. Arg1 = segments
-	// reclaimed.
-	EvCleanerPass
-	// EvRecoverySeg: recovery replayed one segment. Arg1 = segment
-	// index, Arg2 = summary entries replayed from it.
-	EvRecoverySeg
-	// EvRecoveryDone: recovery finished. Arg1 = total entries
-	// replayed, Arg2 = ARUs whose commit record was durable.
-	EvRecoveryDone
-	// EvFSOpBegin / EvFSOpEnd bracket one file-system-level operation
-	// (a span enclosing the ARUs it issues). Arg1 = FSOp code.
-	EvFSOpBegin
-	EvFSOpEnd
-	// EvCommitBatch: one group-commit batch completed (a single device
-	// sync covering every commit in the batch). Arg1 = commit records
-	// made durable, Arg2 = segments written.
-	EvCommitBatch
-	// EvARUPrepare: an ARU was prepared under a cross-shard two-phase
-	// commit. ARU = its (shard-local) id, Arg1 = coordinator txn.
-	EvARUPrepare
-	// EvCoordCommit: a coordinator commit record reached stable
-	// storage — the commit point of a cross-shard ARU. Arg1 =
-	// coordinator txn, Arg2 = participant shards.
-	EvCoordCommit
-	// EvCkptDelta: an incremental checkpoint delta record was appended
-	// to the chain. Arg1 = checkpoint timestamp, Arg2 = chain depth
-	// after the append.
-	EvCkptDelta
-	// EvCkptCompact: the checkpoint chain was compacted into a fresh
-	// full base in the other region. Arg1 = checkpoint timestamp,
-	// Arg2 = chain depth before compaction.
-	EvCkptCompact
-	// EvRecoveryScan: recovery's parallel summary scan finished.
-	// Arg1 = worker count, Arg2 = segments in the replay window.
-	EvRecoveryScan
-	// EvEpochPublish: the engine published a new MVCC read epoch.
-	// Arg1 = epoch number, Arg2 = block-map size at publish.
-	EvEpochPublish
-	// EvSnapPurge: one retired epoch's refcount drained and its
-	// retire-set was recycled. Arg1 = the purged epoch number.
-	EvSnapPurge
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EvARUBegin:
-		return "aru-begin"
-	case EvARUCommit:
-		return "aru-commit"
-	case EvARUAbort:
-		return "aru-abort"
-	case EvCommitDurable:
-		return "commit-durable"
-	case EvRead:
-		return "read"
-	case EvWrite:
-		return "write"
-	case EvSegFlush:
-		return "seg-flush"
-	case EvCheckpoint:
-		return "checkpoint"
-	case EvCleanerPass:
-		return "cleaner-pass"
-	case EvRecoverySeg:
-		return "recovery-seg"
-	case EvRecoveryDone:
-		return "recovery-done"
-	case EvFSOpBegin:
-		return "fsop-begin"
-	case EvFSOpEnd:
-		return "fsop-end"
-	case EvCommitBatch:
-		return "commit-batch"
-	case EvARUPrepare:
-		return "aru-prepare"
-	case EvCoordCommit:
-		return "coord-commit"
-	case EvCkptDelta:
-		return "ckpt-delta"
-	case EvCkptCompact:
-		return "ckpt-compact"
-	case EvRecoveryScan:
-		return "recovery-scan"
-	case EvEpochPublish:
-		return "epoch-publish"
-	case EvSnapPurge:
-		return "snap-purge"
-	default:
-		return fmt.Sprintf("event(%d)", uint8(k))
-	}
-}
-
-// FSOp identifies the file-system-level operation of an EvFSOpBegin /
-// EvFSOpEnd span (carried in Arg1).
+// FSOp identifies the file-system-level operation of an fs-op span
+// (carried in Arg1).
 type FSOp uint32
 
 // File-system operations traced by internal/minixfs.
@@ -185,30 +66,9 @@ func (op FSOp) String() string {
 	}
 }
 
-// Event is one trace event, drained from the ring.
-type Event struct {
-	// Seq is the global emission ticket: events are totally ordered by
-	// Seq, and a gap between consecutive drained events means the ring
-	// wrapped over the missing ones.
-	Seq uint64
-	// TS is the monotonic emission time, relative to the tracer's
-	// creation.
-	TS time.Duration
-	// Kind discriminates the event; ARU, Arg1 and Arg2 are
-	// kind-specific (see the Ev* constants).
-	Kind EventKind
-	ARU  uint64
-	Arg1 uint64
-	Arg2 uint64
-}
-
-// String renders the event for timelines and debugging.
-func (e Event) String() string {
-	return fmt.Sprintf("%-14s seq=%-8d t=%-12s aru=%-6d arg1=%-6d arg2=%d",
-		e.Kind, e.Seq, e.TS, e.ARU, e.Arg1, e.Arg2)
-}
-
-// HistID names one of the tracer's latency histograms.
+// HistID names one of the tracer's histograms. Every one but
+// HistCommitBatch holds the durations of one span kind (the kinds
+// table in span.go).
 type HistID int
 
 // The tracer's histogram set.
@@ -221,11 +81,12 @@ const (
 	// queued the commit record until the device sync that made it
 	// stable.
 	HistCommitDurable
-	// HistSegFlush: sealing and writing one segment to the device.
+	// HistSegFlush: writing one sealed chunk to the device.
 	HistSegFlush
 	// HistRecovery: one full crash recovery (Open).
 	HistRecovery
-	// HistCheckpoint: writing one table checkpoint.
+	// HistCheckpoint: writing one full checkpoint base (a compaction
+	// or the first record of a chain).
 	HistCheckpoint
 	// HistCleanerPass: one cleaner invocation.
 	HistCleanerPass
@@ -234,19 +95,18 @@ const (
 	// completed (includes leading the batch, for the leader).
 	HistGroupCommitWait
 	// HistCommitBatch: group-commit batch sizes. Not a latency: each
-	// "sample" is the number of commit records one batch made durable,
+	// sample is the number of commit records one batch made durable,
 	// encoded as that many nanoseconds (Quantile/Mean then read
-	// directly as commits-per-batch).
+	// directly as commits-per-batch); /metrics exports it unscaled.
 	HistCommitBatch
-	// HistPrepare: the prepare phase of one cross-shard ARU — from the
-	// start of the first participant's PrepareARU until every
-	// participant's prepare record is durable.
+	// HistPrepare: one participant's prepare phase of a cross-shard
+	// ARU — its PrepareARU plus the flush that makes the prepare
+	// record durable.
 	HistPrepare
 	// HistCoordCommit: appending and syncing one coordinator commit
 	// record (the 2PC commit point).
 	HistCoordCommit
-	// HistCkptDelta: appending one incremental checkpoint delta record
-	// (full-base compactions still land in HistCheckpoint).
+	// HistCkptDelta: appending one incremental checkpoint delta record.
 	HistCkptDelta
 	// HistRecoveryScan: recovery's parallel summary scan — reading and
 	// decoding every replay-window segment, through the worker pool.
@@ -256,7 +116,7 @@ const (
 )
 
 // histName maps HistID to the exposition name (snake_case, unitless;
-// the Prometheus layer appends "_seconds").
+// the Prometheus layer appends "_seconds" to the latencies).
 var histName = [numHists]string{
 	HistRead:            "read",
 	HistWrite:           "write",
@@ -283,27 +143,23 @@ func (h HistID) String() string {
 
 // Config configures a Tracer.
 type Config struct {
-	// RingSize is the event-ring capacity, rounded up to a power of
-	// two (default 4096; negative disables event tracing, leaving only
-	// the histograms).
+	// RingSize is the span-ring capacity, rounded up to a power of two
+	// (default 8192; negative keeps the histograms only — nothing is
+	// recorded, and SpanContexts stay zero so no trace context crosses
+	// the wire).
 	RingSize int
-	// SpanRingSize is the completed-span ring capacity, rounded up to
-	// a power of two (default 4096; negative disables span recording —
-	// span emission then costs a single nil-check, and SpanContexts
-	// stay zero so no trace context crosses the wire).
+	// Deprecated: SpanRingSize is ignored; RingSize sizes the one ring.
 	SpanRingSize int
 }
 
-// Tracer is one observability sink: the event ring, the completed-span
-// ring, and the latency histograms. A single Tracer may be shared by
-// several engine instances (e.g. across crash/recover generations);
-// all methods are safe for concurrent use and a nil *Tracer is a valid
-// no-op sink.
+// Tracer is one observability sink: the span ring and the histograms. A
+// single Tracer may be shared by several engine instances (e.g. across
+// crash/recover generations); all methods are safe for concurrent use
+// and a nil *Tracer is a valid no-op sink.
 type Tracer struct {
 	start time.Time
-	ring  *ring
-	spans *spanRing
-	ids   atomic.Uint64 // span/trace id source; see NextID
+	ring  *ring         // nil: histograms only
+	ids   atomic.Uint64 // span/trace id source (span.go)
 	hists [numHists]Histogram
 }
 
@@ -313,23 +169,16 @@ func New(cfg Config) *Tracer {
 	if cfg.RingSize >= 0 {
 		n := cfg.RingSize
 		if n == 0 {
-			n = 4096
+			n = 8192
 		}
 		t.ring = newRing(n)
-	}
-	if cfg.SpanRingSize >= 0 {
-		n := cfg.SpanRingSize
-		if n == 0 {
-			n = 4096
-		}
-		t.spans = newSpanRing(n)
 	}
 	t.ids.Store(newIDBase())
 	return t
 }
 
 // Now returns the current monotonic time relative to the tracer's
-// creation — the timebase of Event.TS and of ObserveSince.
+// creation — the timebase of Span.Start and of StartAt/EndAt.
 func (t *Tracer) Now() time.Duration {
 	if t == nil {
 		return 0
@@ -337,42 +186,13 @@ func (t *Tracer) Now() time.Duration {
 	return time.Since(t.start)
 }
 
-// TraceEnabled reports whether the tracer records events (it always
-// maintains histograms).
-func (t *Tracer) TraceEnabled() bool { return t != nil && t.ring != nil }
-
-// Emit records one event. Safe on a nil tracer (no-op).
-func (t *Tracer) Emit(kind EventKind, aru, arg1, arg2 uint64) {
-	if t == nil || t.ring == nil {
-		return
-	}
-	t.ring.emit(int64(time.Since(t.start)), kind, aru, arg1, arg2)
-}
-
-// Observe records one latency sample. Safe on a nil tracer (no-op).
+// Observe records one sample directly, for a histogram no span covers
+// (HistCommitBatch). Safe on a nil tracer (no-op).
 func (t *Tracer) Observe(h HistID, d time.Duration) {
 	if t == nil {
 		return
 	}
 	t.hists[h].Observe(d)
-}
-
-// ObserveSince records the latency from t0 (a value of Now) until now.
-func (t *Tracer) ObserveSince(h HistID, t0 time.Duration) {
-	if t == nil {
-		return
-	}
-	t.hists[h].Observe(time.Since(t.start) - t0)
-}
-
-// Events returns a snapshot of the events currently in the ring,
-// ordered by Seq (oldest surviving first). Events being written at the
-// instant of the snapshot are skipped; they appear in the next one.
-func (t *Tracer) Events() []Event {
-	if t == nil || t.ring == nil {
-		return nil
-	}
-	return t.ring.snapshot()
 }
 
 // Histogram returns a snapshot of one histogram.

@@ -1,10 +1,6 @@
 package obs
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +9,8 @@ import (
 // TestRingConcurrent hammers one tracer from many goroutines while a
 // reader drains continuously; run under -race this is the gate for the
 // ring's lock-free discipline. Every drained snapshot must be
-// Seq-ordered and hold only well-formed events.
+// Seq-ordered and hold only well-formed spans, and every End must have
+// fed its kind's histogram.
 func TestRingConcurrent(t *testing.T) {
 	tr := New(Config{RingSize: 1024})
 	const (
@@ -32,14 +29,14 @@ func TestRingConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			evs := tr.Events()
-			for i, e := range evs {
-				if i > 0 && evs[i-1].Seq >= e.Seq {
-					t.Errorf("snapshot out of order: seq %d then %d", evs[i-1].Seq, e.Seq)
+			spans := tr.Spans()
+			for i, s := range spans {
+				if i > 0 && spans[i-1].Seq >= s.Seq {
+					t.Errorf("snapshot out of order: seq %d then %d", spans[i-1].Seq, s.Seq)
 					return
 				}
-				if e.Kind < EvARUBegin || e.Kind > EvFSOpEnd {
-					t.Errorf("malformed event kind %d", e.Kind)
+				if s.Kind != SpanWrite || s.ARU >= writers || s.ID == 0 {
+					t.Errorf("malformed span %+v", s)
 					return
 				}
 			}
@@ -51,8 +48,7 @@ func TestRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer writersWG.Done()
 			for i := 0; i < perW; i++ {
-				tr.Emit(EvWrite, uint64(w), uint64(i), 0)
-				tr.Observe(HistWrite, time.Duration(i)*time.Nanosecond)
+				tr.Start(SpanWrite, SpanContext{}).End(uint64(w), uint64(i), 0)
 			}
 		}(w)
 	}
@@ -60,15 +56,15 @@ func TestRingConcurrent(t *testing.T) {
 	close(stop)
 	drainWG.Wait()
 
-	evs := tr.Events()
-	if len(evs) == 0 {
-		t.Fatal("no events drained")
+	spans := tr.Spans()
+	if len(spans) == 0 {
+		t.Fatal("no spans drained")
 	}
-	if len(evs) > 1024 {
-		t.Fatalf("ring returned %d events, capacity 1024", len(evs))
+	if len(spans) > 1024 {
+		t.Fatalf("ring returned %d spans, capacity 1024", len(spans))
 	}
 	// The newest surviving ticket must be the last one issued.
-	if got, want := evs[len(evs)-1].Seq, uint64(writers*perW); got != want {
+	if got, want := spans[len(spans)-1].Seq, uint64(writers*perW); got != want {
 		t.Fatalf("newest seq = %d, want %d", got, want)
 	}
 	if n := tr.Histogram(HistWrite).Count; n != writers*perW {
@@ -180,49 +176,16 @@ func TestSnakeCase(t *testing.T) {
 	}
 }
 
-// TestHandler scrapes the Prometheus endpoint and checks the text
-// format: counters as _total, histograms as cumulative buckets with a
-// +Inf bound matching _count.
-func TestHandler(t *testing.T) {
-	tr := New(Config{})
-	tr.Observe(HistRead, 5*time.Microsecond)
-	tr.Observe(HistRead, 50*time.Microsecond)
-	h := Handler(HandlerOptions{
-		Counters: func() []Counter {
-			return []Counter{{Name: "reads", Value: 2}}
-		},
-		Tracer: tr,
-	})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(body)
-	for _, want := range []string{
-		"# TYPE aru_reads_total counter",
-		"aru_reads_total 2",
-		"# TYPE aru_read_seconds histogram",
-		"aru_read_seconds_bucket{le=\"+Inf\"} 2",
-		"aru_read_seconds_count 2",
-		"aru_segment_flush_seconds_count 0",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics output missing %q\n%s", want, text)
-		}
-	}
-}
-
 // TestNilTracer: a nil tracer must be a safe no-op sink everywhere.
 func TestNilTracer(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(EvRead, 1, 2, 3)
 	tr.Observe(HistRead, time.Second)
-	tr.ObserveSince(HistRead, 0)
-	if tr.Events() != nil || tr.Histograms() != nil || tr.TraceEnabled() {
+	tr.Instant(SpanARUBegin, 1, 0, 0)
+	sp := tr.Start(SpanRead, SpanContext{Trace: 1, Span: 2})
+	sp.End(1, 2, 3)
+	tr.StartAt(SpanRecovery, SpanContext{}, 5).EndAt(9, 0, 0, 0)
+	if sp.Ctx() != (SpanContext{}) || tr.Spans() != nil || tr.Histograms() != nil ||
+		tr.SpanEnabled() || tr.SpansDropped() != 0 || tr.Now() != 0 {
 		t.Fatal("nil tracer leaked state")
 	}
 	if s := tr.Histogram(HistRead); s.Count != 0 {

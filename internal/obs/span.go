@@ -8,21 +8,21 @@ import (
 	"time"
 )
 
-// Spans are the causal layer of the tracer: where events answer "what
-// happened", spans answer "on behalf of whom, and what made it
-// durable". A span carries a trace identifier shared by every span of
-// one logical request (propagated across the ldnet wire), its own span
-// identifier, and the identifier of its parent, so a single durable
+// The span is the tracer's one record. It carries a trace identifier
+// shared by every span of one logical request (propagated across the
+// ldnet wire), its own identifier and its parent's, so a single durable
 // commit can be followed from the client RPC through the server
 // dispatch, the engine commit, the group-commit batch it rode, and the
-// device sync that made it durable (DESIGN.md §13).
+// device sync that made it durable (DESIGN.md §8, §13). An instant —
+// an ARU opened, an epoch published — is a span of zero duration.
 //
-// Recording a completed span is one atomic ticket increment plus a
-// handful of atomic stores — no locks, no allocations — and a nil or
-// span-disabled tracer costs a single nil-check, exactly like the
-// event ring.
+// A site times itself with one Start/End pair: Start reads the clock
+// and, with the ring on, mints the span's id; End reads the clock,
+// observes the kind's histogram (whether or not the ring is on) and
+// records the span. Neither allocates or locks, and on a nil tracer
+// each costs a single nil-check.
 
-// SpanKind discriminates spans; Arg1/Arg2 are kind-specific.
+// SpanKind discriminates spans; ARU, Arg1 and Arg2 are kind-specific.
 type SpanKind uint8
 
 // Span kinds.
@@ -35,27 +35,27 @@ const (
 	// trace context. ARU = the ARU named, Arg1 = opcode, Arg2 = wire
 	// status (0 = OK).
 	SpanServerOp
-	// SpanEngineCommit: one EndARU executed with trace context. ARU =
+	// SpanEngineCommit: one successful EndARU or CommitPrepared. ARU =
 	// the committed unit, Arg1 = list operations replayed.
 	SpanEngineCommit
-	// SpanEngineFlush: one Flush executed with trace context — the
-	// caller's wait on the group-commit broker (or the serial sync).
+	// SpanEngineFlush: one Flush — the caller's wait on the group-commit
+	// broker (or the serial sync). Arg2 = 1 if it failed.
 	SpanEngineFlush
 	// SpanCommitDurable: the durability ack of one committed unit —
 	// from EndARU queueing the commit record until the covering device
-	// sync completed. ARU = the unit, Arg1 = the group-commit batch
-	// that made it durable (0 = serial path), Arg2 = the device sync.
-	// This span is the batch-causality invariant made visible: every
-	// durable ack names its sync.
+	// sync completed (parent = the engine commit). ARU = the unit, Arg1
+	// = the group-commit batch that made it durable (0 = a locked
+	// flush), Arg2 = the device sync: every durable ack names its sync.
 	SpanCommitDurable
 	// SpanCommitBatch: one group-commit batch, from leader election to
-	// completion. Arg1 = batch id, Arg2 = commit records made durable.
+	// completion (root of its own trace). Arg1 = batch id, Arg2 =
+	// commit records made durable.
 	SpanCommitBatch
 	// SpanDeviceSync: the device sync of one batch (parent = the batch
 	// span). Arg1 = sync id.
 	SpanDeviceSync
-	// SpanSegFlush: one sealed segment written by a batch leader
-	// (parent = the batch span). Arg1 = segment index, Arg2 = log seq.
+	// SpanSegFlush: one sealed chunk written (parent = the batch span,
+	// if a batch leader wrote it). Arg1 = segment index, Arg2 = log seq.
 	SpanSegFlush
 	// SpanRecovery: one full crash recovery. Arg1 = entries replayed,
 	// Arg2 = ARUs recovered.
@@ -69,12 +69,12 @@ const (
 	// external unit id, Arg1 = coordinator txn, Arg2 = participants.
 	Span2PC
 	// SpanEnginePrepare: one PrepareARU on a participant shard (parent
-	// = the 2PC span). ARU = the shard-local unit, Arg1 = coordinator
-	// txn, Arg2 = list operations pre-logged.
+	// = the participant's twopc-prepare span). ARU = the shard-local
+	// unit, Arg1 = coordinator txn, Arg2 = list operations pre-logged.
 	SpanEnginePrepare
 	// SpanCoordCommit: appending + syncing the coordinator commit
-	// record — the 2PC commit point (parent = the 2PC span). Arg1 =
-	// coordinator txn.
+	// record — the 2PC commit point (parent = the 2PC span). ARU = the
+	// external unit, Arg1 = coordinator txn, Arg2 = participants.
 	SpanCoordCommit
 	// SpanRecoveryScan: the parallel summary-scan phase of one
 	// recovery (parent = the recovery span). Arg1 = worker count,
@@ -89,46 +89,91 @@ const (
 	// (parent = the recovery span). Arg1 = leaked blocks freed, Arg2 =
 	// in-doubt units.
 	SpanRecoverySweep
+	// SpanARUBegin (instant): an ARU was opened. ARU = its id.
+	SpanARUBegin
+	// SpanARUAbort (instant): an ARU was aborted. ARU = its id.
+	SpanARUAbort
+	// SpanRead: one successful block read. ARU = issuing ARU (0 =
+	// simple), Arg1 = block id.
+	SpanRead
+	// SpanWrite: one successful block write. ARU = issuing ARU, Arg1 =
+	// block id.
+	SpanWrite
+	// SpanCheckpoint: one checkpoint written as a full base, including
+	// the log drain before it. Arg1 = checkpoint timestamp, Arg2 = the
+	// chain depth it compacted (0 for a chain's first record).
+	SpanCheckpoint
+	// SpanCkptDelta: one checkpoint appended as an incremental delta,
+	// including the log drain before it. Arg1 = checkpoint timestamp,
+	// Arg2 = chain depth after the append.
+	SpanCkptDelta
+	// SpanCleanerPass: one cleaner invocation. Arg1 = segments
+	// reclaimed.
+	SpanCleanerPass
+	// SpanEpochPublish (instant): the engine published a new MVCC read
+	// epoch. Arg1 = epoch number, Arg2 = block-map size at publish.
+	SpanEpochPublish
+	// SpanSnapPurge (instant): one retired epoch's refcount drained
+	// and its retire-set was recycled. Arg1 = the purged epoch number.
+	SpanSnapPurge
+	// SpanFSOp: one public file-system operation, enclosing the ARUs it
+	// issues. Arg1 = FSOp code.
+	SpanFSOp
+	// Span2PCPrepare: one participant's prepare phase — its PrepareARU
+	// and the flush that makes the prepare record durable (parent = the
+	// 2PC span). ARU = the external unit, Arg1 = coordinator txn, Arg2
+	// = shard index.
+	Span2PCPrepare
+
+	numSpanKinds
 )
+
+// noHist marks a span kind whose durations feed no histogram.
+const noHist HistID = -1
+
+// kinds is the one table of span kinds: each kind's name and the
+// histogram its durations feed. A kind with noHist is only recorded,
+// so with the ring off it costs nothing past a nil-check.
+var kinds = [numSpanKinds]struct {
+	name string
+	hist HistID
+}{
+	0:                    {"", noHist},
+	SpanClientRPC:        {"client-rpc", noHist},
+	SpanServerOp:         {"server-op", noHist},
+	SpanEngineCommit:     {"engine-commit", noHist},
+	SpanEngineFlush:      {"engine-flush", HistGroupCommitWait},
+	SpanCommitDurable:    {"commit-durable", HistCommitDurable},
+	SpanCommitBatch:      {"commit-batch", noHist},
+	SpanDeviceSync:       {"device-sync", noHist},
+	SpanSegFlush:         {"seg-flush", HistSegFlush},
+	SpanRecovery:         {"recovery", HistRecovery},
+	SpanRecoverySeg:      {"recovery-seg", noHist},
+	Span2PC:              {"twopc-commit", noHist},
+	SpanEnginePrepare:    {"engine-prepare", noHist},
+	SpanCoordCommit:      {"coord-commit", HistCoordCommit},
+	SpanRecoveryScan:     {"recovery-scan", HistRecoveryScan},
+	SpanRecoveryCkptLoad: {"recovery-ckpt-load", noHist},
+	SpanRecoverySweep:    {"recovery-sweep", noHist},
+	SpanARUBegin:         {"aru-begin", noHist},
+	SpanARUAbort:         {"aru-abort", noHist},
+	SpanRead:             {"read", HistRead},
+	SpanWrite:            {"write", HistWrite},
+	SpanCheckpoint:       {"checkpoint", HistCheckpoint},
+	SpanCkptDelta:        {"checkpoint-delta", HistCkptDelta},
+	SpanCleanerPass:      {"cleaner-pass", HistCleanerPass},
+	SpanEpochPublish:     {"epoch-publish", noHist},
+	SpanSnapPurge:        {"snap-purge", noHist},
+	SpanFSOp:             {"fs-op", noHist},
+	Span2PCPrepare:       {"twopc-prepare", HistPrepare},
+}
 
 // String implements fmt.Stringer.
 func (k SpanKind) String() string {
-	switch k {
-	case SpanClientRPC:
-		return "client-rpc"
-	case SpanServerOp:
-		return "server-op"
-	case SpanEngineCommit:
-		return "engine-commit"
-	case SpanEngineFlush:
-		return "engine-flush"
-	case SpanCommitDurable:
-		return "commit-durable"
-	case SpanCommitBatch:
-		return "commit-batch"
-	case SpanDeviceSync:
-		return "device-sync"
-	case SpanSegFlush:
-		return "seg-flush"
-	case SpanRecovery:
-		return "recovery"
-	case SpanRecoverySeg:
-		return "recovery-seg"
-	case Span2PC:
-		return "twopc-commit"
-	case SpanEnginePrepare:
-		return "engine-prepare"
-	case SpanCoordCommit:
-		return "coord-commit"
-	case SpanRecoveryScan:
-		return "recovery-scan"
-	case SpanRecoveryCkptLoad:
-		return "recovery-ckpt-load"
-	case SpanRecoverySweep:
-		return "recovery-sweep"
-	default:
-		return fmt.Sprintf("span(%d)", uint8(k))
+	if k > 0 && k < numSpanKinds {
+		return kinds[k].name
 	}
+	return fmt.Sprintf("span(%d)", uint8(k))
 }
 
 // SpanContext is the propagated part of a span: the trace it belongs
@@ -143,7 +188,7 @@ type SpanContext struct {
 // Traced reports whether the context carries a live trace.
 func (sc SpanContext) Traced() bool { return sc.Trace != 0 }
 
-// Span is one completed span, drained from the span ring.
+// Span is one recorded span, drained from the ring.
 type Span struct {
 	// Seq is the global emission ticket (total order; a gap means the
 	// ring wrapped over the missing spans).
@@ -157,7 +202,7 @@ type Span struct {
 	// Kind discriminates the span; ARU, Arg1, Arg2 are kind-specific.
 	Kind SpanKind `json:"kind"`
 	// Start is the span's begin time on the emitting tracer's
-	// timebase (Tracer.Now); Dur is its length.
+	// timebase (Tracer.Now); Dur is its length (0 for an instant).
 	Start time.Duration `json:"start_ns"`
 	Dur   time.Duration `json:"dur_ns"`
 	ARU   uint64        `json:"aru,omitempty"`
@@ -171,18 +216,33 @@ func (s Span) String() string {
 		s.Kind, s.Trace, s.ID, s.Parent, s.Start, s.Dur, s.ARU, s.Arg1, s.Arg2)
 }
 
-// spanRing is the fixed-size lock-free completed-span buffer. It uses
-// the same per-slot sequence protocol as the event ring (see ring.go):
-// writers claim a ticket, mark the slot mid-flight, fill it with
-// atomic stores and publish; readers detect torn copies by re-loading
-// the slot sequence.
-type spanRing struct {
+// ring is the fixed-size, lock-free, multi-producer span buffer. A
+// writer claims a slot with one atomic ticket increment and fills it
+// with atomic stores; when the ring is full the oldest spans are
+// overwritten. Readers (snapshot) never block writers.
+//
+// Each slot carries a sequence word encoding both the ticket of the
+// span it holds and a write-in-progress bit:
+//
+//	seq == 0            slot never written
+//	seq == 2*ticket+1   writer for ticket is mid-flight
+//	seq == 2*ticket     span for ticket is complete
+//
+// A reader loads seq, copies the payload, and re-loads seq: any
+// concurrent overwrite changes seq, so a torn copy is detected and
+// dropped. The one unguarded window is a writer stalled long enough
+// for the ring to wrap back onto the slot it is still filling — then
+// a payload can mix two spans under the newer ticket. For a diagnostic
+// trace that bounded imprecision is an accepted cost of staying
+// lock-free; a Seq gap in the drained timeline flags that the ring
+// wrapped.
+type ring struct {
 	mask  uint64
-	next  atomic.Uint64
-	slots []spanSlot
+	next  atomic.Uint64 // ticket source; first ticket is 1
+	slots []slot
 }
 
-type spanSlot struct {
+type slot struct {
 	seq    atomic.Uint64
 	trace  atomic.Uint64
 	id     atomic.Uint64
@@ -195,18 +255,21 @@ type spanSlot struct {
 	arg2   atomic.Uint64
 }
 
-func newSpanRing(n int) *spanRing {
+// newRing returns a ring of at least n slots (rounded up to a power of
+// two, minimum 16).
+func newRing(n int) *ring {
 	if n < 16 {
 		n = 16
 	}
-	size := 1 << bits.Len(uint(n-1))
-	return &spanRing{mask: uint64(size - 1), slots: make([]spanSlot, size)}
+	size := 1 << bits.Len(uint(n-1)) // next power of two ≥ n
+	return &ring{mask: uint64(size - 1), slots: make([]slot, size)}
 }
 
-func (r *spanRing) emit(s Span) {
+// record stores one span (its Seq is the ticket).
+func (r *ring) record(s *Span) {
 	ticket := r.next.Add(1)
 	sl := &r.slots[(ticket-1)&r.mask]
-	sl.seq.Store(2*ticket + 1)
+	sl.seq.Store(2*ticket + 1) // mark mid-flight: readers skip
 	sl.trace.Store(s.Trace)
 	sl.id.Store(s.ID)
 	sl.parent.Store(s.Parent)
@@ -216,14 +279,15 @@ func (r *spanRing) emit(s Span) {
 	sl.aru.Store(s.ARU)
 	sl.arg1.Store(s.Arg1)
 	sl.arg2.Store(s.Arg2)
-	sl.seq.Store(2 * ticket)
+	sl.seq.Store(2 * ticket) // publish
 }
 
 // dropped returns how many spans the ring has overwritten: every
 // ticket beyond the capacity evicted the span capacity slots behind
-// it. Torn snapshot copies are transient (the span reappears complete
-// in the next snapshot) and are not counted.
-func (r *spanRing) dropped() uint64 {
+// it. Torn snapshot copies are not counted — they are transient (the
+// span reappears complete in the next snapshot), whereas ticket
+// overrun is permanent loss.
+func (r *ring) dropped() uint64 {
 	n := r.next.Load()
 	if size := uint64(len(r.slots)); n > size {
 		return n - size
@@ -231,13 +295,15 @@ func (r *spanRing) dropped() uint64 {
 	return 0
 }
 
-func (r *spanRing) snapshot() []Span {
+// snapshot drains a consistent copy of every complete span, ordered by
+// ticket.
+func (r *ring) snapshot() []Span {
 	out := make([]Span, 0, len(r.slots))
 	for i := range r.slots {
 		sl := &r.slots[i]
 		v := sl.seq.Load()
 		if v == 0 || v&1 == 1 {
-			continue
+			continue // never written, or a writer is mid-flight
 		}
 		s := Span{
 			Trace:  sl.trace.Load(),
@@ -251,7 +317,7 @@ func (r *spanRing) snapshot() []Span {
 			Arg2:   sl.arg2.Load(),
 		}
 		if sl.seq.Load() != v {
-			continue // overwritten while copying
+			continue // overwritten while copying: drop the torn span
 		}
 		s.Seq = v / 2
 		out = append(out, s)
@@ -273,52 +339,121 @@ func newIDBase() uint64 {
 	return (uint64(time.Now().UnixNano()) << 16) ^ (idSalt.Add(1) << 4)
 }
 
-// NextID returns a fresh span or trace identifier, unique within this
-// tracer and — thanks to the time-seeded base — effectively unique
-// across the processes of one deployment. Safe on a nil tracer (it
-// returns 0, the untraced identifier).
-func (t *Tracer) NextID() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.ids.Add(1)
+// Active is a span in flight: Start returns it by value, End records
+// it. It is a plain value — kept in a local, a pending call or a commit
+// stamp, never allocated — and the zero Active ends for free.
+type Active struct {
+	t      *Tracer
+	start  time.Duration
+	ctx    SpanContext // this span's trace and id; zero with the ring off
+	parent uint64
+	kind   SpanKind
 }
 
-// SpanEnabled reports whether the tracer records spans.
-func (t *Tracer) SpanEnabled() bool { return t != nil && t.spans != nil }
+// Start opens a span of the given kind on behalf of parent. With the
+// ring on it mints the span's id and joins parent's trace, or opens a
+// new trace (whose id is the span's own) when parent is untraced. On a
+// nil tracer, or with the ring off for a kind that feeds no histogram,
+// it returns the zero Active without reading the clock.
+func (t *Tracer) Start(kind SpanKind, parent SpanContext) Active {
+	if t == nil {
+		return Active{}
+	}
+	return t.open(kind, parent)
+}
 
-// EmitSpan records one completed span. Safe on a nil or span-disabled
-// tracer (no-op). The caller fills Start/Dur from Now; Seq is assigned
-// by the ring.
-func (t *Tracer) EmitSpan(s Span) {
-	if t == nil || t.spans == nil {
+// open is Start past the nil-check, out of line so that Start inlines.
+func (t *Tracer) open(kind SpanKind, parent SpanContext) Active {
+	if t.ring == nil && kinds[kind].hist == noHist {
+		return Active{}
+	}
+	return t.StartAt(kind, parent, t.Now())
+}
+
+// StartAt is Start at a given time on the tracer's timebase (Now), for
+// a site that keeps its own clock on that timebase (recovery's report).
+func (t *Tracer) StartAt(kind SpanKind, parent SpanContext, at time.Duration) Active {
+	if t == nil {
+		return Active{}
+	}
+	a := Active{t: t, start: at, kind: kind}
+	if t.ring != nil {
+		id := t.ids.Add(1)
+		a.ctx = SpanContext{Trace: parent.Trace, Span: id}
+		if a.ctx.Trace == 0 {
+			a.ctx.Trace = id
+		}
+		a.parent = parent.Span
+	}
+	return a
+}
+
+// Ctx is the context work done on this span's behalf parents on; zero
+// when nothing is recorded.
+func (a Active) Ctx() SpanContext { return a.ctx }
+
+// As re-kinds the span before it ends, for a site that learns what it
+// was doing only on the way out (a checkpoint delta that had to
+// compact into a base). Both kinds must feed a histogram.
+func (a Active) As(kind SpanKind) Active {
+	a.kind = kind
+	return a
+}
+
+// End completes the span now: it observes the kind's histogram and,
+// with the ring on, records the span.
+func (a Active) End(aru, arg1, arg2 uint64) {
+	if a.t != nil {
+		a.end(aru, arg1, arg2)
+	}
+}
+
+// end is End past the nil-check, out of line so that End inlines.
+func (a Active) end(aru, arg1, arg2 uint64) { a.EndAt(a.t.Now(), aru, arg1, arg2) }
+
+// EndAt is End at a given time on the tracer's timebase — one clock
+// read shared by the spans one event completes (a sync's durable acks)
+// or by a report (recovery's phases).
+func (a Active) EndAt(at time.Duration, aru, arg1, arg2 uint64) {
+	t := a.t
+	if t == nil {
 		return
 	}
-	t.spans.emit(s)
+	if h := kinds[a.kind].hist; h != noHist {
+		t.hists[h].Observe(at - a.start)
+	}
+	if t.ring != nil {
+		t.ring.record(&Span{Trace: a.ctx.Trace, ID: a.ctx.Span, Parent: a.parent,
+			Kind: a.kind, Start: a.start, Dur: at - a.start, ARU: aru, Arg1: arg1, Arg2: arg2})
+	}
 }
+
+// Instant records a zero-duration span of the given kind. It carries no
+// trace or id: nothing runs on an instant's behalf. A no-op on a nil
+// tracer or with the ring off.
+func (t *Tracer) Instant(kind SpanKind, aru, arg1, arg2 uint64) {
+	if t != nil && t.ring != nil {
+		t.ring.record(&Span{Kind: kind, Start: t.Now(), ARU: aru, Arg1: arg1, Arg2: arg2})
+	}
+}
+
+// SpanEnabled reports whether the tracer records spans (the ring is
+// on).
+func (t *Tracer) SpanEnabled() bool { return t != nil && t.ring != nil }
 
 // Spans returns a snapshot of the spans currently in the ring, ordered
 // by Seq (oldest surviving first).
 func (t *Tracer) Spans() []Span {
-	if t == nil || t.spans == nil {
+	if t == nil || t.ring == nil {
 		return nil
 	}
-	return t.spans.snapshot()
+	return t.ring.snapshot()
 }
 
 // SpansDropped returns how many spans the ring has overwritten since
 // the tracer was created — the trace-loss counter exported on
 // /metrics.
 func (t *Tracer) SpansDropped() uint64 {
-	if t == nil || t.spans == nil {
-		return 0
-	}
-	return t.spans.dropped()
-}
-
-// EventsDropped is the event-ring counterpart of SpansDropped: events
-// overwritten by ticket overrun since the tracer was created.
-func (t *Tracer) EventsDropped() uint64 {
 	if t == nil || t.ring == nil {
 		return 0
 	}

@@ -32,18 +32,18 @@ func serveOnce(t *testing.T, h http.Handler) string {
 }
 
 func TestSpanRingBasic(t *testing.T) {
-	tr := New(Config{RingSize: -1, SpanRingSize: 64})
+	tr := New(Config{RingSize: 64})
 	if !tr.SpanEnabled() {
-		t.Fatal("SpanEnabled = false with a span ring configured")
+		t.Fatal("SpanEnabled = false with a ring configured")
 	}
-	trace := tr.NextID()
-	root := tr.NextID()
-	child := tr.NextID()
-	if trace == 0 || root == 0 || child == 0 || root == child {
-		t.Fatalf("NextID gave trace=%d root=%d child=%d", trace, root, child)
+	root := tr.StartAt(SpanEngineCommit, SpanContext{}, 10)
+	child := tr.StartAt(SpanCommitDurable, root.Ctx(), 12)
+	rc, cc := root.Ctx(), child.Ctx()
+	if rc.Span == 0 || cc.Span == 0 || rc.Span == cc.Span || rc.Trace != rc.Span || cc.Trace != rc.Trace {
+		t.Fatalf("ids: root %+v child %+v, want distinct spans on the root's own trace", rc, cc)
 	}
-	tr.EmitSpan(Span{Trace: trace, ID: root, Kind: SpanEngineCommit, Start: 10, Dur: 5, ARU: 7, Arg1: 3})
-	tr.EmitSpan(Span{Trace: trace, ID: child, Parent: root, Kind: SpanCommitDurable, Start: 12, Dur: 9, ARU: 7, Arg1: 1, Arg2: 2})
+	child.EndAt(21, 7, 1, 2)
+	root.EndAt(15, 7, 3, 0)
 	spans := tr.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
@@ -51,69 +51,64 @@ func TestSpanRingBasic(t *testing.T) {
 	if spans[0].Seq >= spans[1].Seq {
 		t.Fatalf("spans out of Seq order: %d then %d", spans[0].Seq, spans[1].Seq)
 	}
-	got := spans[1]
-	if got.Trace != trace || got.ID != child || got.Parent != root ||
+	got := spans[0]
+	if got.Trace != rc.Trace || got.ID != cc.Span || got.Parent != rc.Span ||
 		got.Kind != SpanCommitDurable || got.Start != 12 || got.Dur != 9 ||
 		got.ARU != 7 || got.Arg1 != 1 || got.Arg2 != 2 {
 		t.Fatalf("span round-trip mismatch: %+v", got)
+	}
+	if r := spans[1]; r.ID != rc.Span || r.Parent != 0 || r.Dur != 5 || r.Arg1 != 3 {
+		t.Fatalf("root span mismatch: %+v", r)
+	}
+	if h := tr.Histogram(HistCommitDurable); h.Count != 1 || h.SumNs != 9 {
+		t.Fatalf("commit_durable histogram %+v, want the one 9 ns span", h)
 	}
 	if tr.SpansDropped() != 0 {
 		t.Fatalf("SpansDropped = %d before any wraparound", tr.SpansDropped())
 	}
 }
 
+// TestSpanRingDisabled: with the ring off nothing is recorded and no
+// context is minted, but a kind with a histogram still feeds it.
 func TestSpanRingDisabled(t *testing.T) {
-	tr := New(Config{RingSize: -1, SpanRingSize: -1})
+	tr := New(Config{RingSize: -1, SpanRingSize: 64}) // the deprecated size is ignored
 	if tr.SpanEnabled() {
-		t.Fatal("SpanEnabled = true with spans disabled")
+		t.Fatal("SpanEnabled = true with the ring off")
 	}
-	tr.EmitSpan(Span{Trace: 1, ID: 2, Kind: SpanClientRPC}) // must not panic
+	rd := tr.Start(SpanRead, SpanContext{Trace: 1, Span: 2})
+	rpc := tr.Start(SpanClientRPC, SpanContext{})
+	if rd.Ctx() != (SpanContext{}) || rpc != (Active{}) {
+		t.Fatalf("ring-off spans carry state: read %+v rpc %+v", rd, rpc)
+	}
+	rd.End(1, 2, 0)
+	rpc.End(0, 0, 0)
+	tr.Instant(SpanEpochPublish, 0, 1, 0)
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("Spans() = %v on a disabled ring", got)
 	}
-	if tr.NextID() == 0 {
-		t.Fatal("NextID = 0 on a span-disabled tracer (ids must still flow for wire propagation)")
-	}
-	var nilT *Tracer
-	nilT.EmitSpan(Span{})
-	if nilT.NextID() != 0 || nilT.SpanEnabled() || nilT.Spans() != nil || nilT.SpansDropped() != 0 {
-		t.Fatal("nil tracer span methods are not inert")
+	if n := tr.Histogram(HistRead).Count; n != 1 {
+		t.Fatalf("read histogram count = %d with the ring off, want 1", n)
 	}
 }
 
 // TestRingWraparoundDroppedCount is the regression test for the
-// dropped-event accounting (satellite: trace loss must be visible).
-// Overrunning the ring must (a) report exactly ticket−capacity drops,
-// (b) keep the snapshot ordered by Seq with the *newest* events
-// surviving, for both the event ring and the span ring.
+// dropped-span accounting: trace loss must be visible. Overrunning the
+// ring must (a) report exactly ticket−capacity drops and (b) keep the
+// snapshot ordered by Seq with the *newest* spans surviving, each
+// payload matching its ticket.
 func TestRingWraparoundDroppedCount(t *testing.T) {
 	const capacity = 16 // newRing minimum
-	tr := New(Config{RingSize: capacity, SpanRingSize: capacity})
+	tr := New(Config{RingSize: capacity})
 	const emitted = capacity*3 + 5
 	for i := 1; i <= emitted; i++ {
-		tr.Emit(EvWrite, uint64(i), 0, 0)
-		tr.EmitSpan(Span{Trace: 1, ID: uint64(i), Kind: SpanSegFlush})
-	}
-	wantDropped := uint64(emitted - capacity)
-	if got := tr.EventsDropped(); got != wantDropped {
-		t.Errorf("EventsDropped = %d, want %d", got, wantDropped)
-	}
-	if got := tr.SpansDropped(); got != wantDropped {
-		t.Errorf("SpansDropped = %d, want %d", got, wantDropped)
-	}
-
-	events := tr.Events()
-	if len(events) != capacity {
-		t.Fatalf("got %d events after wraparound, want %d", len(events), capacity)
-	}
-	for i, e := range events {
-		wantSeq := uint64(emitted - capacity + 1 + i)
-		if e.Seq != wantSeq {
-			t.Fatalf("event[%d].Seq = %d, want %d (newest must survive, ordered)", i, e.Seq, wantSeq)
+		if i%2 == 0 {
+			tr.Instant(SpanARUBegin, uint64(i), 0, 0)
+		} else {
+			tr.Start(SpanSegFlush, SpanContext{}).End(uint64(i), 0, 0)
 		}
-		if e.ARU != wantSeq {
-			t.Fatalf("event[%d] payload %d does not match its ticket %d", i, e.ARU, wantSeq)
-		}
+	}
+	if got, want := tr.SpansDropped(), uint64(emitted-capacity); got != want {
+		t.Errorf("SpansDropped = %d, want %d", got, want)
 	}
 	spans := tr.Spans()
 	if len(spans) != capacity {
@@ -121,23 +116,23 @@ func TestRingWraparoundDroppedCount(t *testing.T) {
 	}
 	for i, s := range spans {
 		wantSeq := uint64(emitted - capacity + 1 + i)
-		if s.Seq != wantSeq || s.ID != wantSeq {
-			t.Fatalf("span[%d] = seq %d id %d, want %d", i, s.Seq, s.ID, wantSeq)
+		if s.Seq != wantSeq || s.ARU != wantSeq {
+			t.Fatalf("span[%d] = seq %d aru %d, want %d (newest must survive, ordered)", i, s.Seq, s.ARU, wantSeq)
 		}
 	}
 }
 
 // TestRingDroppedCounterOnMetrics pins the /metrics exposition of the
-// trace-loss counters.
+// trace-loss counter.
 func TestRingDroppedCounterOnMetrics(t *testing.T) {
-	tr := New(Config{RingSize: 16, SpanRingSize: 16})
+	tr := New(Config{RingSize: 16})
 	for i := 0; i < 20; i++ {
-		tr.Emit(EvWrite, 1, 2, 3)
+		tr.Instant(SpanARUBegin, 1, 2, 3)
 	}
 	body := serveOnce(t, Handler(HandlerOptions{Tracer: tr}))
 	for _, want := range []string{
-		"aru_trace_events_dropped_total 4",
-		"aru_trace_spans_dropped_total 0",
+		"# TYPE aru_trace_dropped_total counter",
+		"aru_trace_dropped_total 4",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)
@@ -145,11 +140,20 @@ func TestRingDroppedCounterOnMetrics(t *testing.T) {
 	}
 }
 
+// TestSpanRingConcurrent races writers of child spans, minting ids
+// under their own roots, against a drainer: snapshots stay Seq-ordered
+// and hold only complete child spans. (A writer stalled for a whole
+// lap of the ring may mix two payloads; see ring.)
 func TestSpanRingConcurrent(t *testing.T) {
-	tr := New(Config{RingSize: -1, SpanRingSize: 256})
+	tr := New(Config{RingSize: 256})
+	const writers = 4
+	var roots [writers]SpanContext
+	for g := range roots {
+		roots[g] = tr.Start(SpanClientRPC, SpanContext{}).Ctx()
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -159,7 +163,7 @@ func TestSpanRingConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				tr.EmitSpan(Span{Trace: uint64(g + 1), ID: tr.NextID(), Kind: SpanClientRPC, Start: time.Duration(i)})
+				tr.Start(SpanServerOp, roots[g]).End(uint64(g), uint64(i), 0)
 			}
 		}(g)
 	}
@@ -173,58 +177,65 @@ func TestSpanRingConcurrent(t *testing.T) {
 		default:
 		}
 		spans := tr.Spans()
-		for i := 1; i < len(spans); i++ {
-			if spans[i-1].Seq >= spans[i].Seq {
-				t.Fatalf("snapshot out of order at %d: %d then %d", i, spans[i-1].Seq, spans[i].Seq)
+		for i, s := range spans {
+			if i > 0 && spans[i-1].Seq >= s.Seq {
+				t.Fatalf("snapshot out of order at %d: %d then %d", i, spans[i-1].Seq, s.Seq)
+			}
+			if s.Kind != SpanServerOp || s.ARU >= writers || s.Trace == 0 || s.ID == 0 || s.Parent == 0 {
+				t.Fatalf("malformed span %+v", s)
 			}
 		}
 	}
 }
 
 func TestAllocsEmitSpan(t *testing.T) {
-	tr := New(Config{RingSize: -1, SpanRingSize: 1024})
+	tr := New(Config{RingSize: 1024})
+	parent := tr.Start(SpanServerOp, SpanContext{}).Ctx()
 	op := func() {
-		tr.EmitSpan(Span{Trace: 1, ID: tr.NextID(), Parent: 2, Kind: SpanEngineCommit, Start: 5, Dur: 7, ARU: 3})
+		tr.Start(SpanEngineCommit, parent).End(3, 0, 0)
 	}
 	op()
 	alloctest.Check(t, "emit span", 0, 500, op)
 }
 
 // TestAllocsSpanDisabledPath gates the cost of tracing being OFF: a
-// span-disabled tracer (and a nil tracer) must emit for free.
+// ring-off tracer (and a nil tracer) must time and skip for free.
 func TestAllocsSpanDisabledPath(t *testing.T) {
-	tr := New(Config{RingSize: -1, SpanRingSize: -1})
+	tr := New(Config{RingSize: -1})
 	var nilT *Tracer
 	op := func() {
-		tr.EmitSpan(Span{Trace: 1, ID: 2, Kind: SpanEngineCommit})
-		nilT.EmitSpan(Span{Trace: 1, ID: 2, Kind: SpanEngineCommit})
+		for _, x := range []*Tracer{tr, nilT} {
+			x.Start(SpanEngineCommit, SpanContext{Trace: 1, Span: 2}).End(1, 0, 0)
+			x.Start(SpanWrite, SpanContext{}).End(1, 2, 0)
+			x.Instant(SpanARUBegin, 1, 0, 0)
+		}
 	}
 	op()
 	alloctest.Check(t, "disabled span emit", 0, 500, op)
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	tr := New(Config{RingSize: -1, SpanRingSize: 64})
-	trace := tr.NextID()
-	rpc, op, commit, batch, sync := tr.NextID(), tr.NextID(), tr.NextID(), tr.NextID(), tr.NextID()
-	tr.EmitSpan(Span{Trace: trace, ID: rpc, Kind: SpanClientRPC, Start: 0, Dur: 100})
-	tr.EmitSpan(Span{Trace: trace, ID: op, Parent: rpc, Kind: SpanServerOp, Start: 10, Dur: 80})
-	tr.EmitSpan(Span{Trace: trace, ID: commit, Parent: op, Kind: SpanEngineCommit, Start: 20, Dur: 30})
-	tr.EmitSpan(Span{Trace: trace, ID: batch, Kind: SpanCommitBatch, Start: 50, Dur: 40, Arg1: 1})
-	tr.EmitSpan(Span{Trace: trace, ID: sync, Parent: batch, Kind: SpanDeviceSync, Start: 60, Dur: 20, Arg1: 1})
+	const trace, rpc, op, commit, batch, sync = 1, 2, 3, 4, 5, 6
+	spans := []Span{
+		{Trace: trace, ID: rpc, Kind: SpanClientRPC, Start: 0, Dur: 100},
+		{Trace: trace, ID: op, Parent: rpc, Kind: SpanServerOp, Start: 10, Dur: 80},
+		{Trace: trace, ID: commit, Parent: op, Kind: SpanEngineCommit, Start: 20, Dur: 30},
+		{Trace: trace, ID: batch, Kind: SpanCommitBatch, Start: 50, Dur: 40, Arg1: 1},
+		{Trace: trace, ID: sync, Parent: batch, Kind: SpanDeviceSync, Start: 60, Dur: 20, Arg1: 1},
+	}
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr.Spans()); err != nil {
+	if err := WriteChromeTrace(&buf, spans); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.String())
 	}
 	var complete, meta, flowS, flowF int
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range doc.Events {
 		switch ev["ph"] {
 		case "X":
 			complete++
@@ -251,20 +262,19 @@ func TestTraceHandlerEmptyTracer(t *testing.T) {
 	// /debug/trace must serve loadable JSON even with no tracer.
 	body := serveOnce(t, TraceHandler(nil))
 	var doc struct {
-		TraceEvents []any `json:"traceEvents"`
+		Events []any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("empty trace is not valid JSON: %v\n%s", err, body)
 	}
-	if len(doc.TraceEvents) != 0 {
-		t.Fatalf("empty tracer exported %d events", len(doc.TraceEvents))
+	if len(doc.Events) != 0 {
+		t.Fatalf("empty tracer exported %d events", len(doc.Events))
 	}
 }
 
 func TestFlightRecorder(t *testing.T) {
-	tr := New(Config{RingSize: 64, SpanRingSize: 64})
-	tr.Emit(EvWrite, 1, 2, 3)
-	tr.EmitSpan(Span{Trace: 1, ID: 2, Kind: SpanCommitDurable, Arg1: 9, Arg2: 4})
+	tr := New(Config{RingSize: 64})
+	tr.Start(SpanCommitDurable, SpanContext{}).End(1, 9, 4)
 	tr.Observe(HistWrite, time.Millisecond)
 
 	fr := NewFlightRecorder(tr)
@@ -281,9 +291,9 @@ func TestFlightRecorder(t *testing.T) {
 	if err := json.Unmarshal(raw, &d); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if d.Reason != "test" || len(d.Spans) != 1 || len(d.Events) != 1 || len(d.Histograms) == 0 {
-		t.Fatalf("artifact incomplete: reason=%q spans=%d events=%d hists=%d",
-			d.Reason, len(d.Spans), len(d.Events), len(d.Histograms))
+	if d.Reason != "test" || len(d.Spans) != 1 || len(d.Histograms) == 0 {
+		t.Fatalf("artifact incomplete: reason=%q spans=%d hists=%d",
+			d.Reason, len(d.Spans), len(d.Histograms))
 	}
 	if d.Spans[0].Arg1 != 9 || d.Spans[0].Arg2 != 4 {
 		t.Fatalf("span args did not survive the dump: %+v", d.Spans[0])
@@ -294,7 +304,7 @@ func TestFlightRecorder(t *testing.T) {
 }
 
 func TestFlightRecorderRateLimit(t *testing.T) {
-	tr := New(Config{RingSize: -1, SpanRingSize: 16})
+	tr := New(Config{RingSize: 16})
 	fr := NewFlightRecorder(tr)
 	fr.Dir = t.TempDir()
 	fr.MinGap = time.Hour
@@ -316,8 +326,8 @@ func TestFlightRecorderRateLimit(t *testing.T) {
 }
 
 func TestFlightRecorderOnPanic(t *testing.T) {
-	tr := New(Config{RingSize: -1, SpanRingSize: 16})
-	tr.EmitSpan(Span{Trace: 1, ID: 1, Kind: SpanEngineCommit})
+	tr := New(Config{RingSize: 16})
+	tr.Start(SpanEngineCommit, SpanContext{}).End(1, 0, 0)
 	fr := NewFlightRecorder(tr)
 	fr.Dir = t.TempDir()
 	func() {

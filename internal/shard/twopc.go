@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"time"
 
 	"aru/internal/core"
 	"aru/internal/obs"
@@ -64,8 +63,8 @@ func (s *Disk) EndARU(aru ARUID) error {
 
 // EndARUTraced is EndARU carrying trace context: the fast path
 // delegates the context to the engine commit; the 2PC path runs under
-// a twopc-commit span that parents every participant prepare, the
-// coordinator commit and every participant apply.
+// a twopc-commit span that parents every participant's prepare phase,
+// the coordinator commit and every participant apply.
 func (s *Disk) EndARUTraced(aru ARUID, sc obs.SpanContext) error {
 	u, err := s.take(aru)
 	if err != nil {
@@ -100,37 +99,25 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 	s.ckpt.RLock()
 	defer s.ckpt.RUnlock()
 	txn := s.nextTxn.Add(1) - 1
-	var (
-		t0     time.Duration
-		spanID uint64
-	)
-	if s.tr.SpanEnabled() {
-		t0 = s.tr.Now()
-		spanID = s.tr.NextID()
-		if sc.Trace == 0 {
-			sc.Trace = s.tr.NextID()
-		}
-	} else {
-		sc = obs.SpanContext{}
-	}
-	csc := obs.SpanContext{Trace: sc.Trace, Span: spanID}
+	sp := s.tr.Start(obs.Span2PC, sc)
+	csc := sp.Ctx()
 
 	// Phase 1: prepare every participant, then seal the prepares with
 	// flushes. A failure here aborts the unit everywhere — no
 	// coordinator record exists yet, so the abort needs no durability
 	// of its own (a crash now resolves the same way).
 	prepare := func(i int) error {
-		pt0 := s.tr.Now()
-		if err := s.shards[i].PrepareARUTraced(u.locals[i], txn, csc); err != nil {
+		pp := s.tr.Start(obs.Span2PCPrepare, csc)
+		if err := s.shards[i].PrepareARUTraced(u.locals[i], txn, pp.Ctx()); err != nil {
 			return fmt.Errorf("shard %d: prepare: %w", i, err)
 		}
 		if s.opts.UnsafeCommitBeforePrepareSync {
 			return nil // flushed (too late) below
 		}
-		if err := s.shards[i].FlushTraced(csc); err != nil {
+		if err := s.shards[i].FlushTraced(pp.Ctx()); err != nil {
 			return fmt.Errorf("shard %d: prepare flush: %w", i, err)
 		}
-		s.tr.ObserveSince(obs.HistPrepare, pt0)
+		pp.End(uint64(aru), txn, uint64(i))
 		return nil
 	}
 	if err := s.fanOut(u, prepare); err != nil {
@@ -140,7 +127,7 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 	}
 
 	// Phase 2: one durable coordinator record decides the unit.
-	ct0 := s.tr.Now()
+	cc := s.tr.Start(obs.SpanCoordCommit, csc)
 	if err := s.coord.commit(txn); err != nil {
 		// The record did not become durable: the unit resolves as
 		// aborted after any crash, so abort it live too.
@@ -148,15 +135,7 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 		s.crossAborts.Add(1)
 		return fmt.Errorf("shard: coordinator commit of txn %d: %w", txn, err)
 	}
-	s.tr.ObserveSince(obs.HistCoordCommit, ct0)
-	s.tr.Emit(obs.EvCoordCommit, uint64(aru), txn, uint64(len(u.order)))
-	if spanID != 0 {
-		s.tr.EmitSpan(obs.Span{
-			Trace: sc.Trace, ID: s.tr.NextID(), Parent: spanID,
-			Kind: obs.SpanCoordCommit, Start: ct0, Dur: s.tr.Now() - ct0,
-			ARU: uint64(aru), Arg1: txn,
-		})
-	}
+	cc.End(uint64(aru), txn, uint64(len(u.order)))
 
 	if s.opts.UnsafeCommitBeforePrepareSync {
 		// The deliberately broken schedule: prepares reach stable
@@ -180,13 +159,7 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 	})
 	s.crossCommits.Add(1)
 	s.crossApplying.Add(-1)
-	if spanID != 0 {
-		s.tr.EmitSpan(obs.Span{
-			Trace: sc.Trace, ID: spanID, Parent: sc.Span,
-			Kind: obs.Span2PC, Start: t0, Dur: s.tr.Now() - t0,
-			ARU: uint64(aru), Arg1: txn, Arg2: uint64(len(u.order)),
-		})
-	}
+	sp.End(uint64(aru), txn, uint64(len(u.order)))
 	return applyErr
 }
 

@@ -50,41 +50,49 @@ func traceDisk(t *testing.T) (*aru.Disk, *aru.Tracer) {
 	return d, tr
 }
 
-// TestTraceEventsLifecycle checks the acceptance criterion of the
-// observability layer: TraceEvents returns a non-empty, time-ordered
-// timeline containing the full ARU lifecycle in causal order.
-func TestTraceEventsLifecycle(t *testing.T) {
-	d, _ := traceDisk(t)
+// TestTraceSpansLifecycle checks the acceptance criterion of the
+// observability layer: the tracer's spans hold the full ARU lifecycle
+// in causal order — begun, written, committed, made durable by a
+// segment flush — with the durable ack chained below the commit.
+func TestTraceSpansLifecycle(t *testing.T) {
+	_, tr := traceDisk(t)
 
-	evs := d.TraceEvents()
-	if len(evs) == 0 {
-		t.Fatal("TraceEvents returned no events")
+	spans := tr.Spans()
+	if len(spans) == 0 {
+		t.Fatal("the tracer recorded no spans")
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].TS < evs[i-1].TS {
-			t.Fatalf("events out of time order at %d: %v after %v", i, evs[i], evs[i-1])
+	for i := 1; i < len(spans); i++ {
+		if spans[i].Seq <= spans[i-1].Seq {
+			t.Fatalf("spans out of Seq order at %d: %v after %v", i, spans[i], spans[i-1])
 		}
 	}
-	idx := func(kind aru.EventKind) int {
-		for i, e := range evs {
-			if e.Kind == kind {
+	idx := func(kind aru.SpanKind) int {
+		for i, s := range spans {
+			if s.Kind == kind {
 				return i
 			}
 		}
 		return -1
 	}
-	begin, write, commit := idx(obs.EvARUBegin), idx(obs.EvWrite), idx(obs.EvARUCommit)
-	durable, flush := idx(obs.EvCommitDurable), idx(obs.EvSegFlush)
+	begin, write, commit := idx(obs.SpanARUBegin), idx(obs.SpanWrite), idx(obs.SpanEngineCommit)
+	durable, flush := idx(obs.SpanCommitDurable), idx(obs.SpanSegFlush)
 	if begin < 0 || write < 0 || commit < 0 || durable < 0 || flush < 0 {
-		t.Fatalf("lifecycle events missing: begin=%d write=%d commit=%d durable=%d flush=%d",
+		t.Fatalf("lifecycle spans missing: begin=%d write=%d commit=%d durable=%d flush=%d",
 			begin, write, commit, durable, flush)
 	}
 	if !(begin < write && write < commit && commit < durable) {
 		t.Fatalf("lifecycle out of causal order: begin=%d write=%d commit=%d durable=%d",
 			begin, write, commit, durable)
 	}
-	if evs[begin].ARU != evs[commit].ARU {
-		t.Fatalf("begin names ARU %d, commit names %d", evs[begin].ARU, evs[commit].ARU)
+	b, w, c, d := spans[begin], spans[write], spans[commit], spans[durable]
+	if b.Dur != 0 || w.Dur <= 0 || c.Dur <= 0 {
+		t.Fatalf("want an instant begin and timed write and commit: %v / %v / %v", b, w, c)
+	}
+	if b.ARU != c.ARU || w.ARU != c.ARU || d.ARU != c.ARU {
+		t.Fatalf("spans name different ARUs: begin %d, write %d, commit %d, durable %d", b.ARU, w.ARU, c.ARU, d.ARU)
+	}
+	if d.Parent != c.ID || d.Trace != c.Trace {
+		t.Fatalf("commit-durable %v is not a child of the engine commit %v", d, c)
 	}
 }
 
