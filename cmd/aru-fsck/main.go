@@ -41,8 +41,7 @@ func main() {
 		rpt.CheckpointTS, rpt.SegmentsReplayed, rpt.EntriesReplayed)
 	fmt.Printf("checkpoint chain: depth %d, %d delta pages materialized\n",
 		rpt.DeltaChainDepth, rpt.DeltaPagesReplayed)
-	fmt.Printf("scan: %d workers, %d redo entries skipped by version bounds\n",
-		rpt.ScanWorkers, rpt.RedoSkipped)
+	fmt.Printf("scan: %d redo entries skipped by version bounds\n", rpt.RedoSkipped)
 	fmt.Printf("ARUs: %d recovered, %d dropped (uncommitted at crash)\n",
 		rpt.ARUsRecovered, rpt.ARUsDropped)
 	fmt.Printf("leak sweep: %d blocks freed\n", rpt.LeakedFreed)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"aru/internal/seg"
@@ -354,35 +353,20 @@ func (d *LLD) VerifyInternal() error {
 		fail("%d committed buffers and %d commit records wait with no segment open", d.commBufBlocks, len(d.pendingCommits))
 	}
 	// The sealed queue (groupcommit.go): consecutive seal order with the
-	// leader's claim a prefix, every entry that still holds its image
-	// counted by its builder — the open one, or a retired one indexed by
-	// segment — and every reuse quarantine owed to a queued entry.
-	owed := make(map[int]int)
-	pending := make(map[*seg.Builder]int)
+	// leader's claim a prefix, an image only with its builder, and every
+	// chunk at or below its segment's newest and above the checkpoint —
+	// which keeps its segment out of reuse and cleaning (segFreeable).
 	for i, e := range d.sealed {
 		if i > 0 && (e.seq != d.sealed[i-1].seq+1 || e.claimed && !d.sealed[i-1].claimed) {
 			fail("sealed queue out of order at entry %d (seq %d)", i, e.seq)
 		}
-		if (e.img != nil) != (e.bld != nil) || e.img != nil && e.bld != d.builder && d.sealedBySeg[uint32(e.idx)].bld != e.bld {
+		if (e.img != nil) != (e.bld != nil) {
 			fail("sealed chunk of segment %d (seq %d): image and builder disagree", e.idx, e.seq)
 		}
-		if e.img != nil {
-			pending[e.bld]++
+		if e.seq <= d.ckptSeq || e.seq > d.segSeq[e.idx] {
+			fail("queued chunk of segment %d (seq %d) is at or below the checkpoint (%d) or above the segment's newest (%d)",
+				e.idx, e.seq, d.ckptSeq, d.segSeq[e.idx])
 		}
-		for _, s := range e.frees {
-			owed[s]++
-		}
-	}
-	if pending[d.builder] != d.openPending {
-		fail("the open segment counts %d chunks awaiting their write, the queue holds %d", d.openPending, pending[d.builder])
-	}
-	for s, h := range d.sealedBySeg {
-		if h.pending == 0 || h.pending != pending[h.bld] || h.bld == d.builder {
-			fail("retired segment %d keeps its builder for %d unwritten chunks, the queue holds %d", s, h.pending, pending[h.bld])
-		}
-	}
-	if !maps.Equal(owed, d.reuseQuarantine) {
-		fail("reuse quarantine %v; the %d queued entries account for %v", d.reuseQuarantine, len(d.sealed), owed)
 	}
 	for s := range live {
 		if live[s] != d.segLive[s] {
@@ -425,8 +409,7 @@ func (d *LLD) verifyOnDevice() error {
 			rec.ID, rec.Seg, rec.Slot, off, areas[rec.Seg])
 	}
 	for s := 0; s < l.NumSegs; s++ {
-		_, held := d.sealedBySeg[uint32(s)]
-		if d.segLive[s]+d.segPins[s] == 0 || s == d.curSeg || held {
+		if d.segLive[s]+d.segPins[s] == 0 || s == d.curSeg || d.heldBuilder(s) != nil {
 			continue
 		}
 		chunks, werr := walkOnDevice(d.dev, l, s, sector)

@@ -159,54 +159,6 @@ func TestChainMaterializationEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelScanEquivalence: the parallel summary scan must be a
-// pure performance choice — recovering the same crash image with one
-// worker and with a full pool yields identical logical state and an
-// identical replay account, for images with both a delta chain and a
-// long un-checkpointed tail. Run under -race this also exercises the
-// worker pool's handoff discipline.
-func TestParallelScanEquivalence(t *testing.T) {
-	for _, seed := range []int64{2, 4, 8} {
-		build := Params{Layout: testLayout(128), CheckpointEvery: -1, CkptCompactEvery: 2}
-		dev := disk.NewMem(build.Layout.DiskBytes())
-		d, err := Format(dev, build)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chainHistory(t, seed, 20, d)
-		img := dev.Image()
-		type mounted struct {
-			s   diskState
-			rpt RecoveryReport
-		}
-		mount := func(workers int) mounted {
-			p := Params{CheckpointEvery: -1, CkptCompactEvery: 2, RecoveryWorkers: workers}
-			r, rpt, err := OpenReport(disk.FromImage(img, disk.Geometry{}), p)
-			if err != nil {
-				t.Fatalf("seed %d, %d workers: %v", seed, workers, err)
-			}
-			return mounted{logicalState(t, r), rpt}
-		}
-		serial := mount(1)
-		for _, workers := range []int{2, 8} {
-			par := mount(workers)
-			if !reflect.DeepEqual(par.s, serial.s) {
-				t.Fatalf("seed %d: %d-worker recovery diverged from serial", seed, workers)
-			}
-			if par.rpt.SegmentsReplayed != serial.rpt.SegmentsReplayed ||
-				par.rpt.EntriesReplayed != serial.rpt.EntriesReplayed ||
-				par.rpt.ARUsRecovered != serial.rpt.ARUsRecovered ||
-				par.rpt.RedoSkipped != serial.rpt.RedoSkipped {
-				t.Fatalf("seed %d: replay accounts diverge: serial %+v, %d workers %+v",
-					seed, serial.rpt, workers, par.rpt)
-			}
-			if par.rpt.ScanWorkers != workers {
-				t.Fatalf("seed %d: report says %d workers, wanted %d", seed, par.rpt.ScanWorkers, workers)
-			}
-		}
-	}
-}
-
 // TestRecoveryIdempotence: REDO-only replay must converge — recovering
 // the same crash image twice (second recovery over whatever the first
 // wrote back) yields the same logical state as recovering it once, for

@@ -126,15 +126,10 @@ func (g *segGroups) of(d *LLD, s int) []BlockID {
 // live blocks — those of group that have not moved on — every one of
 // which is relocatable (its persistent record is the block's only
 // version — relocating a block with pending shadow or committed
-// updates could resurrect stale data after a crash).
+// updates could resurrect stale data after a crash). Being covered by
+// the checkpoint, it has no chunk still queued for a write or a sync.
 func (d *LLD) cleanable(s int, group []BlockID) bool {
 	if s == d.curSeg || d.segSeq[s] == 0 || d.segSeq[s] > d.ckptSeq {
-		return false
-	}
-	if _, sealed := d.sealedBySeg[uint32(s)]; sealed {
-		// Sealed but not yet written: its blocks live only in memory;
-		// relocation must wait. (The seq > ckptSeq check above already
-		// excludes it; this is the explicit invariant.)
 		return false
 	}
 	if d.segPins[s] != 0 || d.segLive[s] == 0 {
@@ -177,9 +172,6 @@ func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
 	for s := 0; s < d.params.Layout.NumSegs; s++ {
 		if exclude[s] || s == d.curSeg || d.segSeq[s] == 0 || d.segSeq[s] > d.ckptSeq ||
 			d.segPins[s] != 0 || d.segLive[s] == 0 {
-			continue
-		}
-		if _, sealed := d.sealedBySeg[uint32(s)]; sealed {
 			continue
 		}
 		// Utilization and age for the cost-benefit policy.

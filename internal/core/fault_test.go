@@ -98,8 +98,8 @@ func TestTransientWriteErrorRetryInline(t *testing.T) {
 	}
 	dev.SetFaultPlan(disk.FaultPlan{})
 	d.mu.Lock()
-	if len(d.sealed) != 1 || d.sealed[0].written || d.sealed[0].img == nil || len(d.sealedBySeg) != 1 {
-		t.Errorf("after the failed write: queue %v, want one unwritten entry holding its image", d.sealed)
+	if len(d.sealed) != 1 || d.sealed[0].written || d.sealed[0].img == nil || d.heldBuilder(d.sealed[0].idx) != d.sealed[0].bld {
+		t.Errorf("after the failed write: queue %v, want one unwritten entry holding its retired segment's image", d.sealed)
 	}
 	d.mu.Unlock()
 
@@ -135,8 +135,8 @@ func TestTransientWriteErrorRetryInline(t *testing.T) {
 		t.Errorf("flush wrote %d segments, want 2 (the retried one and the open one)", got)
 	}
 	d.mu.Lock()
-	if len(d.sealed) != 0 || len(d.sealedBySeg) != 0 || len(d.reuseQuarantine) != 0 {
-		t.Errorf("queue not drained by the flush: %d entries, %d images, quarantine %v", len(d.sealed), len(d.sealedBySeg), d.reuseQuarantine)
+	if len(d.sealed) != 0 {
+		t.Errorf("queue not drained by the flush: %d entries", len(d.sealed))
 	}
 	d.mu.Unlock()
 	check(d, "after the retry")

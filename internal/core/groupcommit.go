@@ -83,7 +83,8 @@ const batchWindow = time.Millisecond
 // covering sync releases: the commit stamps to acknowledge and the
 // segments its promotion freed, which stay quarantined from reuse until
 // then. written survives a failed sync so the retry does not rewrite
-// the data.
+// the data. The queue of these entries (d.sealed) is the only record of
+// either wait: heldBuilder and quarantined read it.
 type sealedSeg struct {
 	idx     int          // segment index on the device
 	seq     uint64       // log sequence number in the chunk header
@@ -98,13 +99,31 @@ type sealedSeg struct {
 	claimed bool  // the in-flight leader is writing/syncing it
 }
 
-// heldSeg is a retired segment's builder, kept reachable by segment index
-// (d.sealedBySeg) while pending of its chunks still await their device
-// write: until then the records that point into the segment are read from
-// the builder.
-type heldSeg struct {
-	bld     *seg.Builder
-	pending int
+// heldBuilder returns the builder of retired segment s while a queued
+// entry holds an unwritten chunk image in it — the records that point
+// into s are read from there until then — and nil otherwise. Caller
+// holds d.mu.
+func (d *LLD) heldBuilder(s int) *seg.Builder {
+	for _, e := range d.sealed {
+		if e.idx == s && e.img != nil && e.bld != d.builder {
+			return e.bld
+		}
+	}
+	return nil
+}
+
+// quarantined reports whether segment s lost its last live block to the
+// promotion of a seal no sync has covered yet: a queued entry's frees
+// name it. Caller holds d.mu.
+func (d *LLD) quarantined(s int) bool {
+	for _, e := range d.sealed {
+		for _, f := range e.frees {
+			if f == s {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // forceCommit makes everything committed so far durable through the
@@ -279,27 +298,20 @@ func (d *LLD) writeSealed(e *sealedSeg, parent obs.SpanContext) error {
 }
 
 // releaseImage is the bookkeeping half of sealed → written: a written
-// entry gives up its claim on its segment's builder. While the segment is
-// open that only counts; once it is retired, the builder leaves with the
-// last such claim — the segment's blocks are read from the device (or the
-// cache) from the next publish on. Published snapshots may still read the
-// builder, so it retires with the current epoch instead of being reset in
-// place. A no-op on an entry not yet written or already released. Caller
-// holds d.mu.
+// entry gives up its image. A retired segment's builder leaves with the
+// last image in it (its blocks are read from the device or the cache from
+// the next publish on), into the current epoch's retire-set, since
+// published snapshots may still read it. A no-op on an entry not yet
+// written or already released. Caller holds d.mu.
 func (d *LLD) releaseImage(e *sealedSeg) {
 	if !e.written || e.img == nil {
 		return
 	}
-	if e.bld == d.builder {
-		d.openPending--
-	} else if h := d.sealedBySeg[uint32(e.idx)]; h.pending > 1 {
-		h.pending--
-		d.sealedBySeg[uint32(e.idx)] = h
-	} else {
-		delete(d.sealedBySeg, uint32(e.idx))
-		d.putBuilder(e.bld)
-	}
+	b := e.bld
 	e.bld, e.img = nil, nil
+	if b != d.builder && d.heldBuilder(e.idx) == nil {
+		d.putBuilder(b)
+	}
 }
 
 // writeQueued writes every queued entry that still awaits its device
@@ -352,10 +364,10 @@ func (d *LLD) syncDev(at syncPoint) (bool, error) {
 
 // retire ends the life of the first n queued entries — all written —
 // once the sync covering their writes has returned (synced is false
-// only under a fault hook): the segments their promotions emptied may
-// be rewritten, their commits are acknowledged durable under batchID
-// (0 = a locked flush) and the sync's id, and the entries go back to
-// the pool. Entries retire in seal order only: one sealed behind a
+// only under a fault hook): the entries leave the queue, so the segments
+// their promotions emptied may be rewritten, their commits are
+// acknowledged durable under batchID (0 = a locked flush) and the sync's
+// id, and the entries go back to the pool. Entries retire in seal order only: one sealed behind a
 // segment not yet durable would be cut off by recovery at the sequence
 // hole, whatever the device holds of it. It returns the number of
 // commit records retired. Caller holds d.mu.
@@ -367,11 +379,6 @@ func (d *LLD) retire(n int, batchID uint64, synced bool) (commits int) {
 	}
 	for _, e := range d.sealed[:n] {
 		commits += e.commits
-		for _, s := range e.frees {
-			if d.reuseQuarantine[s]--; d.reuseQuarantine[s] <= 0 {
-				delete(d.reuseQuarantine, s)
-			}
-		}
 		d.emitStampsDurable(e.stamps, batchID, syncID)
 		d.putSealed(e)
 	}

@@ -342,11 +342,8 @@ func TestGroupCommitSealedSegmentExcluded(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 	d.mu.Lock()
-	if len(d.sealed) != 0 || len(d.sealedBySeg) != 0 {
-		t.Errorf("sealed queue not drained after batch completion")
-	}
-	if len(d.reuseQuarantine) != 0 {
-		t.Errorf("reuse quarantine not lifted after batch completion: %v", d.reuseQuarantine)
+	if len(d.sealed) != 0 {
+		t.Errorf("sealed queue not drained after batch completion: %d entries", len(d.sealed))
 	}
 	d.mu.Unlock()
 }
@@ -405,8 +402,8 @@ func TestGroupCommitInlineSealBehindClaim(t *testing.T) {
 		t.Errorf("second Flush ran %d syncs, want 1", got)
 	}
 	d.mu.Lock()
-	if len(d.sealed) != 0 || len(d.reuseQuarantine) != 0 {
-		t.Errorf("queue not drained by the second Flush: %d entries, quarantine %v", len(d.sealed), d.reuseQuarantine)
+	if len(d.sealed) != 0 {
+		t.Errorf("queue not drained by the second Flush: %d entries", len(d.sealed))
 	}
 	d.mu.Unlock()
 	if err := d.VerifyInternal(); err != nil {

@@ -45,7 +45,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -129,11 +128,6 @@ type Params struct {
 	// time, i.e. disables incremental checkpoints). A chain whose
 	// region runs out of room compacts early regardless.
 	CkptCompactEvery int
-	// RecoveryWorkers sizes the worker pool that reads and decodes
-	// segment summaries during recovery (default min(GOMAXPROCS, 8);
-	// 1 or negative scans serially). Replay application is always
-	// ordered by segment sequence regardless of the pool size.
-	RecoveryWorkers int
 	// CleanerLowWater triggers cleaning when the number of reusable
 	// segments drops below it (default 8).
 	CleanerLowWater int
@@ -223,12 +217,6 @@ func (p Params) withDefaults() Params {
 	if p.CkptCompactEvery == 0 {
 		p.CkptCompactEvery = 8
 	}
-	if p.RecoveryWorkers == 0 {
-		p.RecoveryWorkers = runtime.GOMAXPROCS(0)
-		if p.RecoveryWorkers > 8 {
-			p.RecoveryWorkers = 8
-		}
-	}
 	if p.CleanerLowWater == 0 {
 		p.CleanerLowWater = 8
 	}
@@ -277,7 +265,9 @@ var (
 )
 
 // Stats holds operation counters for one LLD instance; the fields
-// tagged `metric:"gauge"` are current levels, exported as gauges.
+// tagged `metric:"gauge"` are current levels, exported as gauges. A
+// sharded disk (internal/shard) sums every field across its shards, so
+// there its gauges are totals across shards.
 type Stats struct {
 	Reads, Writes              int64 // block reads / writes
 	CoalescedWrites            int64 // writes absorbed in place in the open segment
@@ -365,12 +355,8 @@ type LLD struct {
 	arus map[ARUID]*aruState
 
 	// Log state. builder holds the open segment: the chunks sealed into it
-	// so far and the open chunk below them. openPending counts those of
-	// its sealed chunks that still wait in the queue for their device
-	// write (sealedSeg.img): the builder can leave for the retire-set only
-	// when the segment is retired and that count is zero.
-	builder     *seg.Builder
-	openPending int
+	// so far and the open chunk below them.
+	builder *seg.Builder
 	// commBufBlocks counts committed-state versions whose contents are
 	// still in memory; they materialize into the open segment at seal
 	// time and therefore reserve capacity in it.
@@ -422,12 +408,9 @@ type LLD struct {
 	gc commitBroker
 	// sealed queues, in seal (seq) order, every sealed chunk no device
 	// sync has covered yet: entries awaiting their device write, then
-	// written ones awaiting a sync. sealedBySeg holds the builders of
-	// retired segments some of whose chunks still await their write (or
-	// were written by a leader that has not taken d.mu back yet), by
-	// segment index, for the read path.
-	sealed      []*sealedSeg
-	sealedBySeg map[uint32]heldSeg
+	// written ones awaiting a sync. It is the one record of that wait
+	// (heldBuilder and quarantined read it).
+	sealed []*sealedSeg
 	// spareBuilders pools retired segment builders for double
 	// buffering: a retired segment keeps its builder until its chunks are
 	// written and the log continues on a spare.
@@ -440,10 +423,6 @@ type LLD struct {
 	batchSeq  uint64
 	syncSeq   uint64
 	lastBatch atomic.Uint64
-	// reuseQuarantine refcounts segments whose live count a seal's
-	// promotion took to zero: they must not be rewritten until a device
-	// sync has covered that seal (see seal and retire).
-	reuseQuarantine map[int]int
 
 	// Free lists for steady-state churn (see pool.go for the ownership
 	// rules). All guarded by d.mu; gcWork is touched only by the single

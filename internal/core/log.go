@@ -274,7 +274,6 @@ func (d *LLD) sealChunk() {
 	// its own (pooled) backing array for the next ones.
 	e.stamps, d.commitStamps = d.commitStamps, e.stamps
 	d.sealed = append(d.sealed, e)
-	d.openPending++
 	d.segSeq[e.idx] = e.seq
 	d.nextSeq++
 	d.durableTS = d.lastTS()
@@ -293,9 +292,10 @@ func (d *LLD) seal() error {
 }
 
 // retireSeg closes the open segment, if it holds a chunk, and opens the
-// next one on a spare builder. The retired builder stays reachable by
-// segment index while chunks of it await their device write, and joins
-// the retire-set when the last of them is released (releaseImage).
+// next one on a spare builder. The retired builder joins the retire-set
+// now if no queued entry holds an image in it, else when the last such
+// entry releases its image (releaseImage); until then the read path finds
+// it through the entry (heldBuilder).
 //
 // The error is pickSeg's: no segment could be opened. The log then has no
 // open segment, and ensureRoom re-picks lazily once space frees. Caller
@@ -305,13 +305,11 @@ func (d *LLD) retireSeg() error {
 		return nil
 	}
 	d.segsSinceC++
-	if d.openPending > 0 {
-		d.sealedBySeg[uint32(d.curSeg)] = heldSeg{bld: d.builder, pending: d.openPending}
-		d.openPending = 0
-	} else {
-		d.putBuilder(d.builder)
-	}
+	old := d.builder
 	d.builder = d.takeBuilder()
+	if d.heldBuilder(d.curSeg) == nil {
+		d.putBuilder(old)
+	}
 	// No open segment until the pick succeeds: a publish from pickSeg's
 	// retry path must not pin the empty replacement builder under the
 	// retired segment's index.
@@ -373,16 +371,14 @@ func (d *LLD) maintain(free int) int {
 // blocks, is not pinned by alternative records, and — if it was ever
 // written — lies at or below the checkpoint watermark (so its summary
 // entries are already subsumed by the checkpoint tables and recovery
-// will not miss them).
+// will not miss them). A segment with a queued chunk is never freeable:
+// the chunk lies above the watermark (VerifyInternal checks it).
 func (d *LLD) segFreeable(s int) bool {
 	if s == d.curSeg {
 		return false
 	}
 	if d.segPins[s] != 0 || d.segLive[s] != 0 {
 		return false
-	}
-	if _, sealed := d.sealedBySeg[uint32(s)]; sealed {
-		return false // defensive: seq > ckptSeq already excludes it
 	}
 	return d.segSeq[s] == 0 || d.segSeq[s] <= d.ckptSeq
 }
@@ -394,11 +390,11 @@ func (d *LLD) segReusable(s int) bool {
 	if !d.segFreeable(s) {
 		return false
 	}
-	if d.reuseQuarantine[s] > 0 {
+	if d.quarantined(s) {
 		// The segment's last live blocks were superseded by a sealed
-		// segment no sync has covered yet: rewriting it now could leave
-		// a crash state where the rewrite survives but the superseding
-		// segment does not (see seal).
+		// chunk no sync has covered yet: rewriting it now could leave a
+		// crash state where the rewrite survives but the superseding
+		// chunk does not (see sealChunk).
 		return false
 	}
 	if d.oldestEpoch.Load() < d.segFreeEpoch[s] {
@@ -524,7 +520,7 @@ func (d *LLD) promote(e *sealedSeg) {
 // promoteBlock installs ab as the persistent version of its block (or
 // removes the persistent version if ab is a deletion) and drops ab from
 // the window-owned leaf lf. A segment that loses its last live block
-// here is quarantined from reuse until e retires.
+// here goes into e.frees, quarantined from reuse until e retires.
 func (d *LLD) promoteBlock(lf *blockLeaf, ab *blockVer, e *sealedSeg) {
 	d.stats.RecordsPromoted.Add(1)
 	d.dirtyBlocks[BlockID(lf.id)] = struct{}{}
@@ -533,7 +529,6 @@ func (d *LLD) promoteBlock(lf *blockLeaf, ab *blockVer, e *sealedSeg) {
 		d.segFreeEpoch[s] = d.epoch + 1
 		if d.segLive[s]--; d.segLive[s] == 0 {
 			e.frees = append(e.frees, s)
-			d.reuseQuarantine[s]++
 		}
 	}
 	lf.hasPersist = !ab.deleted
@@ -571,10 +566,10 @@ func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 		copy(dst, d.builder.BlockData(slot))
 		return nil
 	}
-	if h, ok := d.sealedBySeg[segIdx]; ok {
+	if b := d.heldBuilder(int(segIdx)); b != nil {
 		// Retired with a device write still pending (or failed and
 		// awaiting retry): serve from the retained builder.
-		copy(dst, h.bld.BlockData(slot))
+		copy(dst, b.BlockData(slot))
 		return nil
 	}
 	if d.cache != nil {

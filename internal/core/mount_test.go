@@ -87,26 +87,23 @@ func TestMountEqualsMaterialize(t *testing.T) {
 		}
 		emptyWindow(t, l, img, chain.Head().FlushedSeq)
 		want, wantLive := materializedState(t, l, img, chain.Materialize())
-		for _, workers := range []int{1, 4} {
-			p.RecoveryWorkers = workers
-			d, rpt, err := OpenReport(disk.FromImage(img, disk.Geometry{}), p)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		d, rpt, err := OpenReport(disk.FromImage(img, disk.Geometry{}), p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rpt.EntriesReplayed != 0 || rpt.SegmentsReplayed != 0 {
+			t.Fatalf("%s: the emptied window replayed %d entries of %d segments", name, rpt.EntriesReplayed, rpt.SegmentsReplayed)
+		}
+		if got := logicalState(t, d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: mounted %d lists, Materialize gives %d, or their contents differ", name, len(got), len(want))
+		}
+		for _, si := range d.Segments() {
+			if si.Live != wantLive[si.Index] {
+				t.Fatalf("%s: segment %d mounts with %d live blocks, Materialize gives %d", name, si.Index, si.Live, wantLive[si.Index])
 			}
-			if rpt.EntriesReplayed != 0 || rpt.SegmentsReplayed != 0 {
-				t.Fatalf("%s: the emptied window replayed %d entries of %d segments", name, rpt.EntriesReplayed, rpt.SegmentsReplayed)
-			}
-			if got := logicalState(t, d); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: mounted %d lists, Materialize gives %d, or their contents differ", name, len(got), len(want))
-			}
-			for _, si := range d.Segments() {
-				if si.Live != wantLive[si.Index] {
-					t.Fatalf("%s: segment %d mounts with %d live blocks, Materialize gives %d", name, si.Index, si.Live, wantLive[si.Index])
-				}
-			}
-			if err := d.VerifyInternal(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+		}
+		if err := d.VerifyInternal(); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 

@@ -4,10 +4,10 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aru/internal/disk"
@@ -89,9 +89,7 @@ type RecoveryReport struct {
 	ARUsDropped      int // uncommitted/aborted ARUs discarded
 	LeakedFreed      int // blocks freed by the consistency sweep
 
-	// Incremental-checkpoint chain and parallel-scan metrics
-	// (DESIGN.md §15).
-	ScanWorkers        int // worker-pool bound of the summary scan (Params.RecoveryWorkers, clamped)
+	// Incremental-checkpoint chain and replay metrics (DESIGN.md §15).
 	DeltaChainDepth    int // delta records on top of the chain base
 	DeltaPagesReplayed int // table records materialized from delta records
 	RedoSkipped        int // replay entries skipped by the version-bound guards
@@ -146,21 +144,19 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	p.Layout = layout
 
 	d := &LLD{
-		params:          p,
-		obs:             p.Tracer,
-		dev:             dev,
-		arus:            make(map[ARUID]*aruState),
-		builder:         seg.NewBuilder(layout),
-		segSeq:          make([]uint64, layout.NumSegs),
-		segLive:         make([]int32, layout.NumSegs),
-		segPins:         make([]int32, layout.NumSegs),
-		cache:           newBlockCache(p.CacheBlocks),
-		sealedBySeg:     make(map[uint32]heldSeg),
-		reuseQuarantine: make(map[int]int),
-		cleanVisited:    make(map[int]bool),
-		dirtyBlocks:     make(map[BlockID]struct{}),
-		dirtyLists:      make(map[ListID]struct{}),
-		segFreeEpoch:    make([]uint64, layout.NumSegs),
+		params:       p,
+		obs:          p.Tracer,
+		dev:          dev,
+		arus:         make(map[ARUID]*aruState),
+		builder:      seg.NewBuilder(layout),
+		segSeq:       make([]uint64, layout.NumSegs),
+		segLive:      make([]int32, layout.NumSegs),
+		segPins:      make([]int32, layout.NumSegs),
+		cache:        newBlockCache(p.CacheBlocks),
+		cleanVisited: make(map[int]bool),
+		dirtyBlocks:  make(map[BlockID]struct{}),
+		dirtyLists:   make(map[ListID]struct{}),
+		segFreeEpoch: make([]uint64, layout.NumSegs),
 	}
 	d.setRet(new(retireSet))
 	d.gc.cond = sync.NewCond(&d.gc.mu)
@@ -190,181 +186,141 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	rpt.CkptLoad = sc0 - t0
 	child(obs.SpanRecoveryCkptLoad, t0, sc0, uint64(chain.Depth()), uint64(d.blockTab.n))
 
-	// The summary scan: segment trailers — and then the summaries of the
-	// replay window — are read and decoded by a worker pool; replay
-	// *application* stays strictly ordered by chunk sequence (DESIGN.md
-	// §15: ARU commit gating and list-chain surgery are order-sensitive
-	// across segments, reads and CRC checks are not).
-	workers := min(max(p.RecoveryWorkers, 1), layout.NumSegs)
-	rpt.ScanWorkers = workers
+	// Yield once: on a single P, a collection the caller's allocations
+	// began (a fresh device image, say) finishes its mark phase promptly
+	// only if this goroutine yields (DESIGN.md §15).
+	runtime.Gosched()
 
-	type chunkScan struct {
-		seq     uint64
-		entries []seg.Entry
-		corrupt bool
-	}
-	type liveSeg struct { // a segment of the replay window
+	// The summary scan, on one goroutine: replay is strictly ordered by
+	// chunk sequence (DESIGN.md §15: ARU commit gating and list-chain
+	// surgery are order-sensitive across segments), and what it reads is
+	// one sector per segment and per chunk header plus the entry regions
+	// above FlushedSeq. First every segment's trailer: a segment holds a
+	// consecutive run of chunk sequence numbers from its trailer's down,
+	// and the next run starts in another segment, so the chunks above
+	// FlushedSeq lie in the segments whose chunk 1 is above it — and in
+	// the one that straddles it: the segment with the largest chunk 1 at
+	// or below FlushedSeq, which was open when the checkpoint was taken
+	// and went on taking chunks.
+	type windowSeg struct {
 		idx int
 		tr  seg.Trailer
-		// What its scan found, the worker's to write until ready is closed.
-		chunks  []chunkScan // the segment's chunks above FlushedSeq
-		lastSeq uint64      // seq of its newest chunk
-		readErr error
-		ready   chan struct{}
 	}
-	trailers := make([]seg.Trailer, layout.NumSegs)
-	trValid := make([]bool, layout.NumSegs)
-	trErrs := make([]error, layout.NumSegs)
-	scanPool(workers, layout.NumSegs, func(s int, sector []byte, _ *[]byte) {
+	var (
+		window    []windowSeg
+		straddler = windowSeg{idx: -1}
+		sector    = make([]byte, seg.SectorSize)
+		entryBuf  []byte
+		order     []int32 // replay order of a chunk's entries
+	)
+	maxSeq := ck.FlushedSeq
+	for s := 0; s < layout.NumSegs; s++ {
 		tr, err := readTrailer(dev, layout, s, sector)
 		if errors.Is(err, seg.ErrBadSegment) {
 			// Never written, wiped or torn — or a chunk no segment of this
 			// layout can hold: not part of the log.
-			return
-		}
-		if err != nil {
-			trErrs[s] = err
-			return
-		}
-		trailers[s], trValid[s] = tr, true
-	}).Wait()
-
-	// The replay window. A segment holds a consecutive run of chunk
-	// sequence numbers from its trailer's down, and the next run starts in
-	// another segment, so the chunks above FlushedSeq lie in the segments
-	// whose chunk 1 is above it — and in the one that straddles it: the
-	// segment with the largest chunk 1 at or below FlushedSeq, which was
-	// open when the checkpoint was taken and went on taking chunks.
-	var replay []liveSeg
-	maxSeq := ck.FlushedSeq
-	straddler := -1
-	for s := 0; s < layout.NumSegs; s++ {
-		if trErrs[s] != nil {
-			return nil, RecoveryReport{}, trErrs[s]
-		}
-		if !trValid[s] {
 			continue
 		}
-		tr := trailers[s]
+		if err != nil {
+			return nil, RecoveryReport{}, err
+		}
 		d.segSeq[s] = tr.Seq
 		maxSeq = max(maxSeq, tr.Seq)
 		if tr.Seq > ck.FlushedSeq {
-			replay = append(replay, liveSeg{idx: s, tr: tr})
-		} else if straddler < 0 || tr.Seq > trailers[straddler].Seq {
-			straddler = s
+			window = append(window, windowSeg{s, tr})
+		} else if straddler.idx < 0 || tr.Seq > straddler.tr.Seq {
+			straddler = windowSeg{s, tr}
 		}
 	}
-	if straddler >= 0 {
-		replay = append(replay, liveSeg{idx: straddler, tr: trailers[straddler]})
+	if straddler.idx >= 0 {
+		window = append(window, straddler)
 	}
-	sort.Slice(replay, func(i, j int) bool { return replay[i].tr.Seq < replay[j].tr.Seq })
+	sort.Slice(window, func(i, j int) bool { return window[i].tr.Seq < window[j].tr.Seq })
 
-	// Walk + read + decode every window segment through the pool; apply in
-	// sequence order, pipelined — segment k applies while k+1… are still
-	// being read. A worker reads what replay decodes and nothing else: the
-	// header sector of every chunk (the walk), and of the chunks above
-	// FlushedSeq the entry region; it shares nothing with the others but
-	// its slot of replay, and the happens-before edge to the applier is the
-	// per-slot channel close.
-	for i := range replay {
-		replay[i].lastSeq, replay[i].ready = replay[i].tr.Seq, make(chan struct{})
-	}
-	wgSeg := scanPool(workers, len(replay), func(i int, sector []byte, region *[]byte) {
-		ls := &replay[i]
-		defer close(ls.ready)
+	// Then the window, in sequence order: each segment's chunk headers are
+	// walked, and each chunk above FlushedSeq has its entry region read,
+	// sorted and applied. Chunks are sealed with consecutive seqs, so the
+	// chunks above the checkpoint must be a contiguous run starting right
+	// after it. A hole means the device lost or reordered an un-synced
+	// chunk write: everything past the hole was never acknowledged durable
+	// (a completed Sync would have made the missing chunk whole) and may
+	// causally depend on it — replaying it could surface a partial ARU.
+	// Cut there, and at a chunk whose entries do not decode. (Found by the
+	// crash-state enumerator, internal/crashenum.) Past the cut only
+	// headers are walked: their sequence numbers must not be handed out
+	// again.
+	droppedTail := false
+	expect := ck.FlushedSeq + 1
+	for _, ws := range window {
+		st0 := now()
 		// The trailer scan accepted chunk 1, so the walk finds at least
 		// that (unless the medium changed underneath us, which leaves the
 		// trailer's word: one chunk, and its entry region decides).
-		chunks, err := walkOnDevice(dev, layout, ls.idx, sector)
+		chunks, err := walkOnDevice(dev, layout, ws.idx, sector)
 		if errors.Is(err, seg.ErrBadSegment) {
-			chunks, err = []seg.Chunk{{Trailer: ls.tr, End: layout.SegBytes}}, nil
+			chunks, err = []seg.Chunk{{Trailer: ws.tr, End: layout.SegBytes}}, nil
 		}
+		entries, applied := 0, 0
 		for _, c := range chunks { // none if the device failed the walk
-			ls.lastSeq = c.Seq
-			if c.Seq <= ck.FlushedSeq {
-				continue // the checkpoint covers it: its header is all it cost
+			d.segSeq[ws.idx], maxSeq = c.Seq, max(maxSeq, c.Seq)
+			if c.Seq <= ck.FlushedSeq || droppedTail {
+				continue // the checkpoint covers it, or the cut: its header is all it cost
 			}
-			entries, ok, rerr := readEntries(dev, layout, ls.idx, c, region)
-			if err = rerr; err != nil {
-				break
+			var es []seg.Entry
+			ok := c.Seq == expect
+			if ok {
+				if es, ok, err = readEntries(dev, layout, ws.idx, c, &entryBuf); err != nil {
+					break
+				}
 			}
 			if !ok {
-				// A valid header over a corrupt entry region. A torn rewrite
-				// does leave that behind — the new chunk's prefix over the old
-				// entries, the old header intact — but only at or below
-				// FlushedSeq, outside this window: a segment is reused only
-				// once a durable checkpoint covers its newest chunk
-				// (segFreeable; pinned by rewriteAboveWatermark in
+				// A hole, or a valid header over a corrupt entry region. A
+				// torn rewrite does leave the latter behind — the new chunk's
+				// prefix over the old entries, the old header intact — but
+				// only at or below FlushedSeq, outside this window: a segment
+				// is reused only once a durable checkpoint covers its newest
+				// chunk (segFreeable; pinned by rewriteAboveWatermark in
 				// reuse_test.go). Inside the window it means the medium
 				// failed underneath us.
-				ls.chunks = append(ls.chunks, chunkScan{seq: c.Seq, corrupt: true})
+				droppedTail = true
 				continue
 			}
+			expect++
 			// A sealed chunk groups its entries by region — operations, then
 			// writes, then commit records — not by time. Replay must see them
 			// in timestamp order, the order the live engine produced the
 			// effects: otherwise a commit record's buffered operations would
 			// apply after inline operations issued later than the commit, and
 			// the redo version bounds would mistake that late-arriving
-			// surgery for surgery already redone. The stable sort keeps
-			// region order for equal stamps, which is per-unit issue order.
-			slices.SortStableFunc(entries, func(a, b seg.Entry) int {
-				return cmp.Compare(a.TS, b.TS)
+			// surgery for surgery already redone. Equal stamps keep region
+			// order, which is per-unit issue order. Indices sort far cheaper
+			// than whole entries (DESIGN.md §15).
+			order = order[:0]
+			for i := range es {
+				order = append(order, int32(i))
+			}
+			slices.SortFunc(order, func(a, b int32) int {
+				return cmp.Or(cmp.Compare(es[a].TS, es[b].TS), cmp.Compare(a, b))
 			})
-			ls.chunks = append(ls.chunks, chunkScan{seq: c.Seq, entries: entries})
+			for _, i := range order {
+				rt.apply(es[i], uint32(ws.idx))
+			}
+			entries += len(es)
+			applied++
 		}
 		if err != nil {
-			ls.readErr = fmt.Errorf("lld: reading segment %d: %w", ls.idx, err)
+			return nil, RecoveryReport{}, fmt.Errorf("lld: reading segment %d: %w", ws.idx, err)
 		}
-	})
-	// Chunks are sealed with consecutive seqs, so the chunks above the
-	// checkpoint must be a contiguous run starting right after it. A hole
-	// means the device lost or reordered an un-synced chunk write:
-	// everything past the hole was never acknowledged durable (a completed
-	// Sync would have made the missing chunk whole) and may causally
-	// depend on it — replaying it could surface a partial ARU. Cut there,
-	// and at a chunk whose entries do not decode. (Found by the
-	// crash-state enumerator, internal/crashenum.) The segments past the
-	// cut are still walked: their chunks' sequence numbers must not be
-	// handed out again.
-	droppedTail := false
-	expect := ck.FlushedSeq + 1
-	var scanErr error
-	for i := range replay {
-		ls := &replay[i]
-		<-ls.ready
-		if scanErr = ls.readErr; scanErr != nil {
-			break
-		}
-		d.segSeq[ls.idx] = ls.lastSeq
-		maxSeq = max(maxSeq, ls.lastSeq)
-		st0 := now()
-		entries, chunks := 0, 0
-		for _, c := range ls.chunks {
-			if droppedTail = droppedTail || c.seq != expect || c.corrupt; droppedTail {
-				break
-			}
-			expect++
-			for _, e := range c.entries {
-				rt.apply(e, uint32(ls.idx))
-			}
-			entries += len(c.entries)
-			chunks++
-		}
-		if chunks == 0 {
+		if applied == 0 {
 			continue
 		}
 		rpt.SegmentsReplayed++
 		rpt.EntriesReplayed += entries
-		child(obs.SpanRecoverySeg, st0, now(), uint64(ls.idx), uint64(entries))
-	}
-	wgSeg.Wait()
-	if scanErr != nil {
-		return nil, RecoveryReport{}, scanErr
+		child(obs.SpanRecoverySeg, st0, now(), uint64(ws.idx), uint64(entries))
 	}
 	sw0 := now()
 	rpt.Scan = sw0 - sc0
-	child(obs.SpanRecoveryScan, sc0, sw0, uint64(workers), uint64(rpt.SegmentsReplayed))
+	child(obs.SpanRecoveryScan, sc0, sw0, uint64(len(window)), uint64(rpt.SegmentsReplayed))
 	rt.resolveInDoubt(p.CommitResolver, &rpt)
 	rpt.RedoSkipped = rt.skipped
 	rpt.ARUsRecovered = rt.committed
@@ -390,6 +346,11 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	d.nextARU = max(d.nextARU, rt.maxARU+1)
 	d.nextSeq = maxSeq + 1
 	d.durableTS = d.ts - 1
+	// The window's segments were retired since the checkpoint as surely as
+	// any the running engine fills: count them toward the next one, or a
+	// life too short to retire CheckpointEvery segments never checkpoints
+	// and the window grows mount after mount.
+	d.segsSinceC = len(window)
 
 	// Pick the open segment now if one is available; a completely full
 	// disk still mounts (for reading and deleting) and defers the pick
@@ -441,31 +402,6 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	child(obs.SpanRecoverySweep, sw0, end, uint64(rpt.LeakedFreed), uint64(rpt.InDoubt))
 	root.EndAt(end, 0, uint64(rpt.EntriesReplayed), uint64(rpt.ARUsRecovered))
 	return d, rpt, nil
-}
-
-// scanPool starts at most workers goroutines, no more than there is work,
-// that claim i = 0 … n-1 in turn and run work(i, sector, region); the
-// caller waits on the result. The buffers are the goroutine's own and come
-// with its first claim — a mount with nothing to scan allocates none: one
-// sector for headers, and for entry regions a buffer that work grows to
-// the largest it meets.
-func scanPool(workers, n int, work func(i int, sector []byte, region *[]byte)) *sync.WaitGroup {
-	var next atomic.Int64
-	wg := new(sync.WaitGroup)
-	for w := 0; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sector, region []byte
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				if sector == nil {
-					sector = make([]byte, seg.SectorSize)
-				}
-				work(i, sector, &region)
-			}
-		}()
-	}
-	return wg
 }
 
 // readTrailer reads segment s's trailer sector into sector and decodes

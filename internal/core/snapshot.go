@@ -197,8 +197,14 @@ func (d *LLD) publishLocked() {
 		s.curBld = nil
 	}
 	s.sealed = s.sealed[:0]
-	for idx, h := range d.sealedBySeg {
-		s.sealed = append(s.sealed, snapSeal{idx: idx, bld: h.bld})
+	for _, e := range d.sealed {
+		// A segment's chunks queue consecutively: one pin per segment.
+		if e.img == nil || e.bld == d.builder {
+			continue
+		}
+		if n := len(s.sealed); n == 0 || s.sealed[n-1].bld != e.bld {
+			s.sealed = append(s.sealed, snapSeal{idx: uint32(e.idx), bld: e.bld})
+		}
 	}
 	s.stats = d.stats.snapshot()
 	s.next = nil

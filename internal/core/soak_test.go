@@ -152,3 +152,60 @@ func TestSoakMultiGenerationCrashes(t *testing.T) {
 		t.Fatal("soak never made anything durable — vacuous run")
 	}
 }
+
+// TestReplayWindowCountsTowardCheckpoint: a mount counts its replay window
+// toward the next automatic checkpoint, so lives too short to retire
+// CheckpointEvery segments before their crash still checkpoint. Were the
+// count to start at zero on every mount, each generation's window would be
+// the last one's plus what it retired; and since a segment above the
+// checkpoint is neither freeable nor a cleaner victim, a nearly empty disk
+// would run out of space.
+func TestReplayWindowCountsTowardCheckpoint(t *testing.T) {
+	const every, perGen, gens = 4, 2, 40
+	p := Params{Layout: testLayout(48), CheckpointEvery: every}
+	dev := disk.NewMem(p.Layout.DiskBytes())
+	d, err := Format(dev, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lst, err := d.NewList(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks []BlockID
+	for i := 0; i < 4; i++ {
+		b, err := d.NewBlock(0, lst, NilBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; gen < gens; gen++ {
+		// A crash: the image as the device holds it, without a Close.
+		dev = disk.FromImage(dev.Image(), disk.Geometry{})
+		var rpt RecoveryReport
+		if d, rpt, err = OpenReport(dev, p); err != nil {
+			t.Fatalf("gen %d: %v", gen, err)
+		}
+		if rpt.SegmentsReplayed > every+perGen {
+			t.Fatalf("gen %d: mount replayed %d segments, want at most CheckpointEvery (%d) + one generation's retirements (%d)",
+				gen, rpt.SegmentsReplayed, every, perGen)
+		}
+		// One durable chunk per write, until perGen segments have filled.
+		start := d.stats.SegmentsWritten.Load()
+		for i := 0; d.stats.SegmentsWritten.Load()-start <= perGen; i++ {
+			if err := d.Write(0, blocks[i%len(blocks)], fill(d, byte(gen+i))); err != nil {
+				t.Fatalf("gen %d: write: %v", gen, err)
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatalf("gen %d: flush: %v", gen, err)
+			}
+		}
+	}
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -9,10 +9,10 @@ import (
 // pinned shadow version and a buffered committed version in the tables,
 // each planted inconsistency — a pin count, a same-state chain, a gauge,
 // an entry counter, the committed-buffer count, a buffer with two
-// owners, a leaked reuse quarantine, a segment read as another sequence
-// number than its newest chunk on the device carries, a block read from a
-// place that is no data slot of its segment's chunks — must fail
-// VerifyInternal, and undoing it must pass again.
+// owners, a queued chunk the checkpoint already covers, a segment read as
+// another sequence number than its newest chunk on the device carries, a
+// block read from a place that is no data slot of its segment's chunks —
+// must fail VerifyInternal, and undoing it must pass again.
 func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	d, _ := newTestLLD(t, Params{})
 	defer d.Close()
@@ -94,8 +94,9 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 		{"cached buffer recycled", "free list",
 			func() { d.freeBufs = append(d.freeBufs, cachedBuf) },
 			func() { d.freeBufs = d.freeBufs[:len(d.freeBufs)-1] }},
-		{"reuse quarantine no queued seal accounts for", "reuse quarantine",
-			func() { d.reuseQuarantine[pinned]++ }, func() { delete(d.reuseQuarantine, pinned) }},
+		{"queued chunk at or below the checkpoint", "at or below the checkpoint",
+			func() { d.sealed = append(d.sealed, &sealedSeg{idx: pinned, seq: d.ckptSeq}) },
+			func() { d.sealed = d.sealed[:len(d.sealed)-1] }},
 		{"sequence number drift", "on the device it holds chunks",
 			func() { d.segSeq[pinned]++ }, func() { d.segSeq[pinned]-- }},
 		{"slot drift", "no data slot",

@@ -264,19 +264,13 @@ func subStats(a, b core.Stats) core.Stats {
 	}
 }
 
-// formatSim formats a fresh simulated disk for spec. Format ends in a
-// mount whose trailer scan reads on RecoveryWorkers goroutines, and
-// each read moves the simulated actuator: with more than one worker
-// the head parks wherever the last read to *complete* was, and the
-// first measured seek starts from a scheduling-dependent cylinder. One
-// worker keeps modeled time a function of the workload alone.
+// formatSim formats a fresh simulated disk for spec.
 func formatSim(spec VariantSpec, o Options) (*disk.Sim, *core.LLD, error) {
 	dev := disk.NewSim(o.Layout.DiskBytes(), o.Geometry)
 	ld, err := core.Format(dev, core.Params{
-		Layout:          o.Layout,
-		Variant:         spec.Variant,
-		CacheBlocks:     o.CacheBlocks,
-		RecoveryWorkers: 1,
+		Layout:      o.Layout,
+		Variant:     spec.Variant,
+		CacheBlocks: o.CacheBlocks,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: format: %w", err)

@@ -10,7 +10,7 @@ import (
 
 // RecoveryPoint is one point of the recovery-time-versus-delta curve:
 // an image whose log tail beyond the newest checkpoint covers a given
-// fraction of the history, mounted with the default worker pool.
+// fraction of the history, and its mount.
 type RecoveryPoint struct {
 	ChainDepth       int           // delta records on the mounted chain
 	SegmentsReplayed int           // segments scanned beyond the checkpoint

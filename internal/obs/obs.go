@@ -108,8 +108,8 @@ const (
 	HistCoordCommit
 	// HistCkptDelta: appending one incremental checkpoint delta record.
 	HistCkptDelta
-	// HistRecoveryScan: recovery's parallel summary scan — reading and
-	// decoding every replay-window segment, through the worker pool.
+	// HistRecoveryScan: recovery's summary scan — reading, decoding and
+	// replaying every replay-window segment.
 	HistRecoveryScan
 
 	numHists

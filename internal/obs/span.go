@@ -76,9 +76,9 @@ const (
 	// record — the 2PC commit point (parent = the 2PC span). ARU = the
 	// external unit, Arg1 = coordinator txn, Arg2 = participants.
 	SpanCoordCommit
-	// SpanRecoveryScan: the parallel summary-scan phase of one
-	// recovery (parent = the recovery span). Arg1 = worker count,
-	// Arg2 = segments in the replay window.
+	// SpanRecoveryScan: the summary-scan phase of one recovery
+	// (parent = the recovery span). Arg1 = segments in the replay
+	// window, Arg2 = segments replayed.
 	SpanRecoveryScan
 	// SpanRecoveryCkptLoad: the first phase of one recovery — the
 	// checkpoint chain read and folded into the tables (parent = the

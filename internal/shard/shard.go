@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -119,6 +120,7 @@ type unit struct {
 // engine (aru.Interface, ldnet.Backend).
 type Disk struct {
 	shards []*core.LLD
+	every  []int // 0 … N-1: the shards a whole-disk fan-out runs on
 	coord  *coordLog
 	opts   Options
 	tr     *obs.Tracer
@@ -155,6 +157,16 @@ type Disk struct {
 	crossApplying atomic.Int64
 }
 
+// newDisk returns the composition of n shards over coordinator log c,
+// their engines still to be attached.
+func newDisk(c *coordLog, o Options, n int) *Disk {
+	s := &Disk{coord: c, opts: o, tr: o.Tracer, units: make(map[ARUID]*unit), every: make([]int, n)}
+	for i := range s.every {
+		s.every[i] = i
+	}
+	return s
+}
+
 // shardParams returns the per-engine params for shard i of n: the
 // caller's Params with the resolver wired to the coordinator log.
 func shardParams(o Options, c *coordLog) core.Params {
@@ -174,7 +186,7 @@ func Format(devs []disk.Disk, coordDev disk.Disk, o Options) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Disk{coord: c, opts: o, tr: o.Tracer, units: make(map[ARUID]*unit)}
+	s := newDisk(c, o, len(devs))
 	p := shardParams(o, c)
 	for i, dev := range devs {
 		d, err := core.Format(dev, p)
@@ -208,7 +220,7 @@ func OpenReport(devs []disk.Disk, coordDev disk.Disk, o Options) (*Disk, []core.
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Disk{coord: c, opts: o, tr: o.Tracer, units: make(map[ARUID]*unit)}
+	s := newDisk(c, o, len(devs))
 	p := shardParams(o, c)
 	reports := make([]core.RecoveryReport, len(devs))
 	// Shards recover in parallel: each engine owns its device outright,
@@ -571,26 +583,28 @@ func (s *Disk) Flush() error { return s.FlushTraced(obs.SpanContext{}) }
 
 // FlushTraced is Flush carrying trace context into each engine.
 func (s *Disk) FlushTraced(sc obs.SpanContext) error {
-	return s.forEachShard(func(d *core.LLD) error { return d.FlushTraced(sc) })
+	return s.fanOut(s.every, func(i int) error { return s.shards[i].FlushTraced(sc) })
 }
 
-// forEachShard runs fn on every shard — concurrently, or in shard
-// order under Sequential2PC — and returns the first error.
-func (s *Disk) forEachShard(fn func(d *core.LLD) error) error {
-	if s.opts.Sequential2PC || len(s.shards) == 1 {
-		for _, d := range s.shards {
-			if err := fn(d); err != nil {
-				return err
+// fanOut runs fn on the shards named by idx — one after another in that
+// order under Sequential2PC or for a single shard, concurrently otherwise —
+// and returns the first error (every shard runs regardless).
+func (s *Disk) fanOut(idx []int, fn func(i int) error) error {
+	if s.opts.Sequential2PC || len(idx) == 1 {
+		var first error
+		for _, i := range idx {
+			if err := fn(i); err != nil && first == nil {
+				first = err
 			}
 		}
-		return nil
+		return first
 	}
-	errs := make(chan error, len(s.shards))
-	for _, d := range s.shards {
-		go func(d *core.LLD) { errs <- fn(d) }(d)
+	errs := make(chan error, len(idx))
+	for _, i := range idx {
+		go func(i int) { errs <- fn(i) }(i)
 	}
 	var first error
-	for range s.shards {
+	for range idx {
 		if err := <-errs; err != nil && first == nil {
 			first = err
 		}
@@ -705,43 +719,12 @@ func (s *Disk) Close() error {
 	return first
 }
 
+// addStats adds every counter of src into dst. core.Stats is int64 fields
+// only — ldnet's wire encoding walks it the same way — so the sum keeps up
+// with the fields it gains.
 func addStats(dst *core.Stats, src core.Stats) {
-	dst.Reads += src.Reads
-	dst.Writes += src.Writes
-	dst.CoalescedWrites += src.CoalescedWrites
-	dst.NewBlocks += src.NewBlocks
-	dst.DeleteBlocks += src.DeleteBlocks
-	dst.NewLists += src.NewLists
-	dst.DeleteLists += src.DeleteLists
-	dst.ARUsBegun += src.ARUsBegun
-	dst.ARUsCommitted += src.ARUsCommitted
-	dst.ARUsAborted += src.ARUsAborted
-	dst.ARUsPrepared += src.ARUsPrepared
-	dst.SegmentsWritten += src.SegmentsWritten
-	dst.ChunksWritten += src.ChunksWritten
-	dst.SegmentBytesWritten += src.SegmentBytesWritten
-	dst.SegmentsCleaned += src.SegmentsCleaned
-	dst.BlocksRelocated += src.BlocksRelocated
-	dst.Checkpoints += src.Checkpoints
-	dst.MergeFallbacks += src.MergeFallbacks
-	dst.LeakedBlocksFreed += src.LeakedBlocksFreed
-	dst.ShadowRecords += src.ShadowRecords
-	dst.AltRecords += src.AltRecords
-	dst.ShadowCreated += src.ShadowCreated
-	dst.CommittedCreated += src.CommittedCreated
-	dst.RecordsPromoted += src.RecordsPromoted
-	dst.BlocksMaterialized += src.BlocksMaterialized
-	dst.PrevVersionsEmitted += src.PrevVersionsEmitted
-	dst.ListOpsReplayed += src.ListOpsReplayed
-	dst.MovesExecuted += src.MovesExecuted
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
-	dst.PredecessorSearchSteps += src.PredecessorSearchSteps
-	dst.EntriesLogged += src.EntriesLogged
-	dst.RecoveredEntries += src.RecoveredEntries
-	dst.RecoveredARUs += src.RecoveredARUs
-	dst.DroppedARUs += src.DroppedARUs
-	dst.Flushes += src.Flushes
-	dst.CommitBatches += src.CommitBatches
-	dst.BatchedCommits += src.BatchedCommits
+	dv, sv := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+	for i := 0; i < sv.NumField(); i++ {
+		dv.Field(i).SetInt(dv.Field(i).Int() + sv.Field(i).Int())
+	}
 }

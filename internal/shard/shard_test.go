@@ -456,6 +456,60 @@ func TestCoordinatorGC(t *testing.T) {
 	}
 }
 
+// TestShardStatsSumEveryField: the composition's engine counters are the
+// field-wise sum of its shards' — every field, gauges included — and
+// Stats serves the same sum as ShardStats.
+func TestShardStatsSumEveryField(t *testing.T) {
+	r := newRig(t, 2, Options{})
+	d := r.d
+	defer d.Close()
+	l0, l1 := twoShardLists(t, d)
+	for i := 0; i < 3; i++ {
+		a, err := d.BeginARU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []ListID{l0, l1} {
+			b, err := d.NewBlock(a, l, core.NilBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Write(a, b, payload(d, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.EndARU(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapState(t, d)
+
+	st := d.ShardStats()
+	var sum core.Stats
+	sv := reflect.ValueOf(&sum).Elem()
+	for _, ps := range st.PerShard {
+		pv := reflect.ValueOf(ps)
+		for i := 0; i < pv.NumField(); i++ {
+			sv.Field(i).SetInt(sv.Field(i).Int() + pv.Field(i).Int())
+		}
+	}
+	if sum.CkptDeltas == 0 || sum.EpochsPublished == 0 {
+		t.Fatalf("the workload wrote no delta checkpoint or published no epoch: %+v", sum)
+	}
+	ev := reflect.ValueOf(st.Engine)
+	for i := 0; i < ev.NumField(); i++ {
+		if got, want := ev.Field(i).Int(), sv.Field(i).Int(); got != want {
+			t.Errorf("Engine.%s = %d, the shards sum to %d", ev.Type().Field(i).Name, got, want)
+		}
+	}
+	if got := d.Stats(); got != st.Engine {
+		t.Errorf("Stats() = %+v, ShardStats().Engine = %+v", got, st.Engine)
+	}
+}
+
 func TestCoordinatorLogFull(t *testing.T) {
 	// A 2-slot coordinator: the third cross-shard commit must fail
 	// cleanly (unit aborted, not half-committed).

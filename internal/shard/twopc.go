@@ -120,7 +120,7 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 		pp.End(uint64(aru), txn, uint64(i))
 		return nil
 	}
-	if err := s.fanOut(u, prepare); err != nil {
+	if err := s.fanOut(u.order, prepare); err != nil {
 		s.abortLocals(u)
 		s.crossAborts.Add(1)
 		return err
@@ -140,7 +140,7 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 	if s.opts.UnsafeCommitBeforePrepareSync {
 		// The deliberately broken schedule: prepares reach stable
 		// storage only now, after the decision is already durable.
-		if err := s.fanOut(u, func(i int) error { return s.shards[i].FlushTraced(csc) }); err != nil {
+		if err := s.fanOut(u.order, func(i int) error { return s.shards[i].FlushTraced(csc) }); err != nil {
 			return err
 		}
 	}
@@ -151,7 +151,7 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 	// The crossApplying gauge brackets the fan-out so snapshot cuts
 	// never straddle a half-applied unit (see AcquireSnapshot).
 	s.crossApplying.Add(1)
-	applyErr := s.fanOut(u, func(i int) error {
+	applyErr := s.fanOut(u.order, func(i int) error {
 		if err := s.shards[i].CommitPreparedTraced(u.locals[i], csc); err != nil {
 			return fmt.Errorf("shard %d: commit prepared: %w", i, err)
 		}
@@ -161,32 +161,6 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 	s.crossApplying.Add(-1)
 	sp.End(uint64(aru), txn, uint64(len(u.order)))
 	return applyErr
-}
-
-// fanOut runs fn over the unit's participants — in first-touch order
-// under Sequential2PC, concurrently otherwise — and returns the first
-// error (every participant runs regardless).
-func (s *Disk) fanOut(u *unit, fn func(i int) error) error {
-	if s.opts.Sequential2PC {
-		var first error
-		for _, i := range u.order {
-			if err := fn(i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	errs := make(chan error, len(u.order))
-	for _, i := range u.order {
-		go func(i int) { errs <- fn(i) }(i)
-	}
-	var first error
-	for range u.order {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // abortLocals aborts the unit's local ARU on every participant (used
