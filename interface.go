@@ -62,7 +62,11 @@ type Interface interface {
 	Lists(aru ARUID) ([]ListID, error)
 	// StatBlock returns the effective record of block b.
 	StatBlock(aru ARUID, b BlockID) (BlockInfo, error)
-	// BeginARU opens a new atomic recovery unit.
+	// BeginARU opens a new atomic recovery unit. A network client
+	// returns at once with a handle it chose for the unit, without a
+	// round trip; a begin the server refuses then fails the first call
+	// that names the handle, with the same error (see
+	// NetClient.BeginARU).
 	BeginARU() (ARUID, error)
 	// EndARU commits the unit — atomicity, not durability.
 	EndARU(aru ARUID) error

@@ -48,9 +48,10 @@ func gateClient(t *testing.T, blocks int) (*Client, []core.BlockID, []byte) {
 	return cl, ids, buf
 }
 
-// TestAllocsNetRoundtrip gates a fully serialized ping: the remaining
-// allocations are the Call, its done channel and the coalescing
-// flusher goroutine — nothing per-frame.
+// TestAllocsNetRoundtrip gates a fully serialized ping at 3 allocs:
+// the Call and its done channel are two of them — nothing per-frame,
+// and no flusher goroutine, since a synchronous call flushes inline
+// (4 when it spawned one).
 func TestAllocsNetRoundtrip(t *testing.T) {
 	cl, _, _ := gateClient(t, 1)
 	op := func() {
@@ -61,7 +62,45 @@ func TestAllocsNetRoundtrip(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		op()
 	}
-	alloctest.Check(t, "net roundtrip (ping)", 5, 200, op)
+	alloctest.Check(t, "net roundtrip (ping)", 3, 200, op)
+}
+
+// TestAllocsNetUnit gates a whole served unit, shaped like the
+// net_aru benchmark's op: BeginARU, three WriteAsync awaited together,
+// EndARU and one simple Read — client, server session and engine —
+// at the 17 allocs it measures. BeginARU registers no Call, and only
+// the write batch spawns a flusher goroutine (22 when the begin waited
+// for its reply and every call spawned one).
+func TestAllocsNetUnit(t *testing.T) {
+	cl, ids, buf := gateClient(t, 64)
+	dst := make([]byte, len(buf))
+	i := 0
+	op := func() {
+		a, err := cl.BeginARU()
+		if err != nil {
+			t.Fatalf("BeginARU: %v", err)
+		}
+		var calls [3]*Call
+		for j := range calls {
+			calls[j] = cl.WriteAsync(a, ids[(i+j)%len(ids)], buf)
+		}
+		for _, call := range calls {
+			if err := call.Wait(); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+		}
+		if err := cl.EndARU(a); err != nil {
+			t.Fatalf("EndARU: %v", err)
+		}
+		if err := cl.Read(seg.SimpleARU, ids[i%len(ids)], dst); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		i++
+	}
+	for k := 0; k < 32; k++ {
+		op()
+	}
+	alloctest.Check(t, "net unit", 17, 200, op)
 }
 
 // TestAllocsNetPipelinedWrite gates the pipelined block-write path —
@@ -90,7 +129,7 @@ func TestAllocsNetPipelinedWrite(t *testing.T) {
 // spans enabled on both ends the only additions per request are the
 // 16-byte wire context (encoded into the existing header scratch), the
 // span fields on the Call, and two lock-free ring slots — so the
-// budget is the same 5 allocs the untraced roundtrip gets.
+// budget is the same 3 allocs the untraced roundtrip gets.
 func TestAllocsNetTracedRoundtrip(t *testing.T) {
 	tr := obs.New(obs.Config{})
 	backend := newBackendTraced(t, 256, tr)
@@ -114,7 +153,7 @@ func TestAllocsNetTracedRoundtrip(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		op()
 	}
-	alloctest.Check(t, "traced net roundtrip (ping)", 5, 200, op)
+	alloctest.Check(t, "traced net roundtrip (ping)", 3, 200, op)
 }
 
 // TestAllocsNetPipelinedRead gates the read-side counterpart: the

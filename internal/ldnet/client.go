@@ -97,13 +97,18 @@ type Client struct {
 	pending   map[uint64]*Call
 	closed    bool
 
+	// nextUnit is the last unit handle BeginARU issued. It is never
+	// reset, so across a redial a stale handle names nothing on the new
+	// session instead of a unit begun there.
+	nextUnit uint64
+
 	// features holds the flags the current connection negotiated.
 	features uint32
 
-	// reqHdr is the request-header scratch send encodes into (under
-	// c.mu): frame length, request id, opcode, optional trace context
-	// and up to four u64 arguments. Keeping it on the client means the
-	// hot send path allocates no per-request buffers.
+	// reqHdr is the request-header scratch writeLocked encodes into
+	// (under c.mu): frame length, request id, opcode, optional trace
+	// context and up to four u64 arguments. Keeping it on the client
+	// means the hot send path allocates no per-request buffers.
 	reqHdr [61]byte
 
 	// frames is the response-frame free list (guarded by frameMu, not
@@ -183,10 +188,12 @@ func (c *Client) BlockSize() int {
 // Addr returns the server address this client dials.
 func (c *Client) Addr() string { return c.addr }
 
-// Close closes the connection and fails all in-flight calls. The
-// server aborts every ARU this client still had open — closing a
-// client mid-ARU is indistinguishable from crashing. It never closes
-// the remote disk.
+// Close closes the connection and fails all in-flight calls. Requests
+// still buffered and not yet flushed — a BeginARU stays buffered until
+// the next request carries it out — are dropped, exactly as a crash
+// would drop them. The server aborts every ARU this client still had
+// open — closing a client mid-ARU is indistinguishable from crashing.
+// It never closes the remote disk.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -194,11 +201,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	c.failPendingLocked(ErrClientClosed)
+	c.breakLocked(ErrClientClosed)
 	return nil
 }
 
@@ -317,7 +320,10 @@ func (c *Client) readLoop(conn net.Conn, br *bufio.Reader) {
 		c.mu.Unlock()
 		switch {
 		case !ok:
-			c.putFrame(frame) // timed-out call already abandoned; drop the late reply
+			// Nobody waits for it: a begin's reply (the server keeps its
+			// outcome, see BeginARU), or the late reply of a call that
+			// timed out.
+			c.putFrame(frame)
 		case status != statusOK:
 			err := errFor(status, string(body))
 			c.putFrame(frame)
@@ -338,14 +344,20 @@ func (c *Client) connBroken(conn net.Conn, cause error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn != conn {
-		return // a newer generation already took over
+		return // closed, or a newer generation already took over
+	}
+	c.breakLocked(fmt.Errorf("%w: %v", ErrDisconnected, cause))
+}
+
+// breakLocked closes the current connection and fails every in-flight
+// call with err; the next request redials. Caller holds c.mu.
+func (c *Client) breakLocked(err error) {
+	if c.conn != nil {
+		c.conn.Close()
 	}
 	c.conn = nil
 	c.bw = nil
-	conn.Close()
-	if !c.closed {
-		c.failPendingLocked(fmt.Errorf("%w: %v", ErrDisconnected, cause))
-	}
+	c.failPendingLocked(err)
 }
 
 func (c *Client) failPendingLocked(err error) {
@@ -484,105 +496,109 @@ func head2(a, b uint64) reqHead       { return reqHead{n: 2, v: [4]uint64{a, b}}
 func head3(a, b, c uint64) reqHead    { return reqHead{n: 3, v: [4]uint64{a, b, c}} }
 func head4(a, b, c, d uint64) reqHead { return reqHead{n: 4, v: [4]uint64{a, b, c, d}} }
 
-// send registers and transmits one request, redialing first if the
-// connection is down. The returned call may already be failed (send
-// errors complete it immediately). The frame header and argument head
-// are encoded into c.reqHdr (under c.mu) and written together with
-// the payload straight into the connection buffer (no intermediate
-// frame copy), so payload may be a caller-owned block buffer — it is
-// consumed before send returns.
-func (c *Client) send(op uint8, hd reqHead, payload []byte) *Call {
+// flushMode says how send gets a request's frame out of the
+// connection buffer when no flusher goroutine is scheduled yet (one
+// that is carries the frame out with everything else buffered).
+type flushMode bool
+
+const (
+	// flushAsync schedules the coalescing flusher goroutine, so a
+	// pipelined burst leaves in one socket write.
+	flushAsync flushMode = false
+	// flushInline flushes on the caller's goroutine: a synchronous
+	// caller blocks on the reply next anyway, and a goroutine spawn
+	// plus a scheduler hop would cost more than the flush.
+	flushInline flushMode = true
+)
+
+// send registers and transmits one request. The returned call may
+// already be failed (send errors complete it immediately).
+func (c *Client) send(op uint8, hd reqHead, payload []byte, mode flushMode) *Call {
 	call := &Call{c: c, op: op, done: make(chan struct{})}
 	call.span = c.cfg.Tracer.Start(obs.SpanClientRPC, obs.SpanContext{})
 	if hd.n > 0 {
 		call.aru = hd.v[0] // first argument is the ARU on every op that has one
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		call.complete(nil, ErrClientClosed)
-		return call
-	}
-	if c.conn == nil {
-		if err := c.redialLocked(); err != nil {
-			c.mu.Unlock()
-			call.complete(nil, err)
-			return call
-		}
-	}
-	c.nextID++
-	call.id = c.nextID
-	c.pending[call.id] = call
-	// Trace context travels only on sessions that negotiated it; spans
-	// stay client-local otherwise.
-	sc := call.span.Ctx()
-	traced := sc.Traced() && c.features&FeatureTrace != 0
-	extra := 0
-	if traced {
-		extra = 16
-	}
-	var err error
-	if n := 9 + extra + 8*hd.n + len(payload); uint32(n) > c.cfg.MaxFrame {
-		err = errFrameTooBig
-	} else {
-		hdr := c.reqHdr[:0]
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(n))
-		hdr = binary.LittleEndian.AppendUint64(hdr, call.id)
-		if traced {
-			hdr = append(hdr, op|opTraceFlag)
-			hdr = binary.LittleEndian.AppendUint64(hdr, sc.Trace)
-			hdr = binary.LittleEndian.AppendUint64(hdr, sc.Span)
+	err := c.writeLocked(call, op, hd, payload, call.span.Ctx())
+	if err == nil && !c.flushing {
+		if mode == flushInline {
+			c.flushLocked()
 		} else {
-			hdr = append(hdr, op)
+			c.flushing = true
+			go c.flush()
 		}
-		for i := 0; i < hd.n; i++ {
-			hdr = binary.LittleEndian.AppendUint64(hdr, hd.v[i])
-		}
-		if _, err = c.bw.Write(hdr); err == nil && len(payload) > 0 {
-			_, err = c.bw.Write(payload)
-		}
-	}
-	if err != nil {
-		delete(c.pending, call.id)
-		conn := c.conn
-		c.conn = nil
-		c.bw = nil
-		if conn != nil {
-			conn.Close()
-		}
-		c.failPendingLocked(fmt.Errorf("%w: send: %v", ErrDisconnected, err))
-		c.mu.Unlock()
-		call.complete(nil, fmt.Errorf("%w: send: %v", ErrDisconnected, err))
-		return call
-	}
-	// Flush in a separate goroutine so pipelined senders coalesce: every
-	// frame buffered while the flusher waits for the lock goes out in
-	// one socket write instead of one write per request.
-	if !c.flushing {
-		c.flushing = true
-		go c.flush(c.conn)
 	}
 	c.mu.Unlock()
+	if err != nil {
+		call.complete(nil, err)
+	}
 	return call
 }
 
-// flush pushes buffered frames to the socket for one connection
-// generation. At most one flusher is scheduled at a time (see
-// c.flushing); a flush failure is a broken connection.
-func (c *Client) flush(conn net.Conn) {
+// writeLocked encodes one request frame into the connection buffer,
+// redialing first if the connection is down. The header goes into
+// c.reqHdr and the payload straight after it (no intermediate frame
+// copy), so payload may be a caller-owned block buffer: it is consumed
+// before writeLocked returns. A non-nil call is registered under the
+// frame's request id so that the reply completes it (the read loop
+// cannot look it up before c.mu is released); a nil call's reply is
+// dropped unread. sc travels only on a session that negotiated
+// FeatureTrace. Caller holds c.mu.
+func (c *Client) writeLocked(call *Call, op uint8, hd reqHead, payload []byte, sc obs.SpanContext) error {
+	if c.closed {
+		return ErrClientClosed
+	}
+	if op == opWrite && len(payload) != c.blockSize {
+		return fmt.Errorf("%w: Write buffer is %d bytes, block size is %d",
+			core.ErrBadParam, len(payload), c.blockSize)
+	}
+	if c.conn == nil {
+		if err := c.redialLocked(); err != nil {
+			return err
+		}
+	}
+	if c.features&FeatureTrace == 0 {
+		sc = obs.SpanContext{}
+	}
+	c.nextID++
+	hdr := appendRequest(c.reqHdr[:0], c.nextID, op, sc, hd, len(payload))
+	var err error
+	if uint32(len(hdr)-4+len(payload)) > c.cfg.MaxFrame {
+		err = errFrameTooBig
+	} else if _, err = c.bw.Write(hdr); err == nil && len(payload) > 0 {
+		_, err = c.bw.Write(payload)
+	}
+	if err != nil {
+		err = fmt.Errorf("%w: send: %v", ErrDisconnected, err)
+		c.breakLocked(err)
+		return err
+	}
+	if call != nil {
+		call.id = c.nextID
+		c.pending[call.id] = call
+	}
+	return nil
+}
+
+// flush is the coalescing flusher: everything buffered by the time it
+// runs leaves in one socket write. At most one is scheduled at a time
+// (see c.flushing).
+func (c *Client) flush() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.flushing = false
-	if c.conn != conn || c.bw == nil {
-		return // a newer generation took over; its own flusher runs
+	c.flushLocked()
+	c.mu.Unlock()
+}
+
+// flushLocked pushes the connection buffer to the socket; a failed
+// flush is a broken connection. Caller holds c.mu.
+func (c *Client) flushLocked() {
+	if c.bw == nil {
+		return // the connection broke; its calls have already failed
 	}
 	if err := c.bw.Flush(); err != nil {
-		c.conn = nil
-		c.bw = nil
-		conn.Close()
-		if !c.closed {
-			c.failPendingLocked(fmt.Errorf("%w: flush: %v", ErrDisconnected, err))
-		}
+		c.breakLocked(fmt.Errorf("%w: flush: %v", ErrDisconnected, err))
 	}
 }
 
@@ -590,7 +606,7 @@ func (c *Client) flush(conn net.Conn) {
 // call. The caller reads call.err, decodes call.body (which may alias
 // a pooled frame) and must then release the call with finish.
 func (c *Client) rpc(op uint8, hd reqHead) *Call {
-	call := c.send(op, hd, nil)
+	call := c.send(op, hd, nil, flushInline)
 	call.wait()
 	return call
 }
@@ -641,25 +657,19 @@ func (c *Client) Read(aru core.ARUID, b core.BlockID, dst []byte) error {
 // for contents, ReadAsync to drive the pipeline). Prefer Read unless
 // batching.
 func (c *Client) ReadAsync(aru core.ARUID, b core.BlockID) *Call {
-	return c.send(opRead, head2(uint64(aru), uint64(b)), nil)
+	return c.send(opRead, head2(uint64(aru), uint64(b)), nil, flushAsync)
 }
 
 // Write replaces the contents of block b within the state of aru.
 func (c *Client) Write(aru core.ARUID, b core.BlockID, data []byte) error {
-	return c.WriteAsync(aru, b, data).Wait()
+	return c.send(opWrite, head2(uint64(aru), uint64(b)), data, flushInline).Wait()
 }
 
 // WriteAsync issues a pipelined Write and returns immediately; Wait
 // collects the result. A batch of WriteAsync calls followed by one
 // round of Waits costs one round trip, not one per write.
 func (c *Client) WriteAsync(aru core.ARUID, b core.BlockID, data []byte) *Call {
-	if bs := c.BlockSize(); len(data) != bs {
-		call := &Call{c: c, op: opWrite, done: make(chan struct{})}
-		call.complete(nil, fmt.Errorf("%w: Write buffer is %d bytes, block size is %d",
-			core.ErrBadParam, len(data), bs))
-		return call
-	}
-	return c.send(opWrite, head2(uint64(aru), uint64(b)), data)
+	return c.send(opWrite, head2(uint64(aru), uint64(b)), data, flushAsync)
 }
 
 // NewBlock allocates a block and inserts it into lst after pred.
@@ -761,18 +771,36 @@ func (c *Client) StatBlock(aru core.ARUID, b core.BlockID) (core.BlockInfo, erro
 	return bi, err
 }
 
-// BeginARU opens a new atomic recovery unit on the server, owned by
-// this connection: if the connection breaks before EndARU, the server
-// aborts it.
+// BeginARU opens a new atomic recovery unit on the server and returns
+// its handle without waiting for the server. The handle is a name this
+// client chose, which the server maps to the engine's ARU. The begin
+// request is buffered ahead of every request that names the handle
+// and leaves in the same socket write as the next request, so a unit
+// costs no round trip of its own. The unit is owned by this
+// connection: if the connection breaks before EndARU, the server
+// aborts it, and the handle names nothing after a reconnect.
+//
+// A begin the server refuses (ErrARUActive on a VariantOld disk with a
+// unit open, ErrClosed) fails the first request that names the handle
+// with that error; EndARU and AbortARU report it and forget the
+// handle. BeginARU itself fails only on what the client knows at once:
+// a closed client, a failed redial or a send error.
 func (c *Client) BeginARU() (core.ARUID, error) {
-	call := c.rpc(opBeginARU, reqHead{})
-	if call.err != nil {
-		call.finish()
-		return 0, call.err
+	span := c.cfg.Tracer.Start(obs.SpanClientRPC, obs.SpanContext{})
+	c.mu.Lock()
+	c.nextUnit++
+	h := c.nextUnit
+	err := c.writeLocked(nil, opBeginARU, head1(h), nil, span.Ctx())
+	c.mu.Unlock()
+	var failed uint64
+	if err != nil {
+		failed = 1
 	}
-	id, err := decodeU64(call.body)
-	call.finish()
-	return core.ARUID(id), err
+	span.End(h, uint64(opBeginARU), failed)
+	if err != nil {
+		return 0, err
+	}
+	return core.ARUID(h), nil
 }
 
 // EndARU commits the unit (atomicity, not durability — call Flush or

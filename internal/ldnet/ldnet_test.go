@@ -281,6 +281,9 @@ func TestAbortOnDisconnect(t *testing.T) {
 	if err := cl1.Read(a, blk, got); err != nil || !bytes.Equal(got, shadow) {
 		t.Fatalf("pre-crash shadow read: %v", err)
 	}
+	if n := backend.ActiveARUs(); n != 1 {
+		t.Fatalf("%d ARUs active before the crash, want 1", n)
+	}
 
 	// Kill the client mid-ARU (no EndARU, no goodbye).
 	cl1.Close()
@@ -344,21 +347,192 @@ func TestAbortOnDisconnect(t *testing.T) {
 }
 
 // TestCleanCloseAbortsToo: a polite Close without EndARU is the same
-// client failure as a crash — the server still aborts.
+// client failure as a crash — the server still aborts. BeginARU does
+// not wait for the server, so an awaited request under the handle
+// first proves the unit exists there; without it Close could drop the
+// buffered begin and leave nothing to abort.
 func TestCleanCloseAbortsToo(t *testing.T) {
 	backend, _ := newBackend(t, 16)
 	_, addr := startServer(t, backend)
 	cl := dialT(t, addr)
-	if _, err := cl.BeginARU(); err != nil {
+	a, err := cl.BeginARU()
+	if err != nil {
 		t.Fatalf("BeginARU: %v", err)
 	}
+	if _, err := cl.NewList(a); err != nil {
+		t.Fatalf("NewList: %v", err)
+	}
+	if n := backend.ActiveARUs(); n != 1 {
+		t.Fatalf("%d ARUs active before Close, want 1", n)
+	}
 	cl.Close()
+	waitActiveARUs(t, backend, 0)
+}
+
+// waitActiveARUs waits until the backend has n open ARUs.
+func waitActiveARUs(t *testing.T, backend *core.LLD, n int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for backend.ActiveARUs() != 0 {
+	for backend.ActiveARUs() != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("ARU not aborted after clean close")
+			t.Fatalf("%d ARUs active after 5s, want %d", backend.ActiveARUs(), n)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// acceptedConns is a listener that also hands the test every
+// connection it accepts, so the test can drop one server-side.
+type acceptedConns struct {
+	net.Listener
+	conns chan net.Conn
+}
+
+func (l acceptedConns) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.conns <- conn
+	}
+	return conn, err
+}
+
+// TestHandleNotReusedAcrossReconnect: the server drops the connection
+// mid-unit. The unit's handle then names nothing on the client's next
+// session — it fails with ErrNoSuchARU there — and never reaches the
+// unit begun after the redial.
+func TestHandleNotReusedAcrossReconnect(t *testing.T) {
+	backend, _ := newBackend(t, 16)
+	srv := NewServer(backend, ServerOptions{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	// One slot per connection the test makes, so Accept never blocks.
+	accepted := acceptedConns{Listener: ln, conns: make(chan net.Conn, 2)}
+	go srv.Serve(accepted)
+	t.Cleanup(func() { srv.Close() })
+	cl := dialT(t, ln.Addr().String())
+	bs := cl.BlockSize()
+
+	lst, err := cl.NewList(seg.SimpleARU)
+	if err != nil {
+		t.Fatalf("NewList: %v", err)
+	}
+	blk, err := cl.NewBlock(seg.SimpleARU, lst, core.NilBlock)
+	if err != nil {
+		t.Fatalf("NewBlock: %v", err)
+	}
+	old, err := cl.BeginARU()
+	if err != nil {
+		t.Fatalf("BeginARU: %v", err)
+	}
+	if err := cl.Write(old, blk, bytes.Repeat([]byte{1}, bs)); err != nil {
+		t.Fatalf("write under the first unit: %v", err)
+	}
+	if n := backend.ActiveARUs(); n != 1 {
+		t.Fatalf("%d ARUs active, want 1", n)
+	}
+
+	// The server drops the connection mid-unit and aborts the unit.
+	(<-accepted.conns).Close()
+	waitActiveARUs(t, backend, 0)
+	// Ping is retried: it notices the broken connection and redials.
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("Ping across the drop: %v", err)
+	}
+
+	a, err := cl.BeginARU()
+	if err != nil {
+		t.Fatalf("BeginARU after the redial: %v", err)
+	}
+	if a == old {
+		t.Fatalf("handle %d issued again after the redial", a)
+	}
+	mine := bytes.Repeat([]byte{2}, bs)
+	if err := cl.Write(a, blk, mine); err != nil {
+		t.Fatalf("write under the new unit: %v", err)
+	}
+
+	// The stale handle names nothing on the new session...
+	if err := cl.Write(old, blk, bytes.Repeat([]byte{3}, bs)); !errors.Is(err, core.ErrNoSuchARU) {
+		t.Fatalf("write under the stale handle: got %v, want ErrNoSuchARU", err)
+	}
+	if err := cl.EndARU(old); !errors.Is(err, core.ErrNoSuchARU) {
+		t.Fatalf("EndARU of the stale handle: got %v, want ErrNoSuchARU", err)
+	}
+	// ...and never reached the new unit: it is still open and commits
+	// its own write only.
+	if n := backend.ActiveARUs(); n != 1 {
+		t.Fatalf("%d ARUs active, want the new unit only", n)
+	}
+	if err := cl.EndARU(a); err != nil {
+		t.Fatalf("EndARU of the new unit: %v", err)
+	}
+	got := make([]byte, bs)
+	if err := cl.Read(seg.SimpleARU, blk, got); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if !bytes.Equal(got, mine) {
+		t.Fatalf("committed block starts %x, want the new unit's %x", got[0], mine[0])
+	}
+}
+
+// TestBeginFailureSurfaces: a begin the engine refuses — a second unit
+// on the sequential VariantOld engine — still returns a handle at
+// once. The refusal surfaces, with its class, on the requests naming
+// the handle; EndARU or AbortARU reports it once and forgets the
+// handle.
+func TestBeginFailureSurfaces(t *testing.T) {
+	layout := seg.DefaultLayout(16)
+	backend, err := core.Format(disk.NewMem(layout.DiskBytes()), core.Params{Layout: layout, Variant: core.VariantOld})
+	if err != nil {
+		t.Fatalf("format: %v", err)
+	}
+	t.Cleanup(func() { backend.Close() })
+	_, addr := startServer(t, backend)
+	cl := dialT(t, addr)
+	buf := make([]byte, cl.BlockSize())
+
+	lst, err := cl.NewList(seg.SimpleARU)
+	if err != nil {
+		t.Fatalf("NewList: %v", err)
+	}
+	blk, err := cl.NewBlock(seg.SimpleARU, lst, core.NilBlock)
+	if err != nil {
+		t.Fatalf("NewBlock: %v", err)
+	}
+	open, err := cl.BeginARU()
+	if err != nil {
+		t.Fatalf("BeginARU: %v", err)
+	}
+	if err := cl.Write(open, blk, buf); err != nil {
+		t.Fatalf("write under the open unit: %v", err)
+	}
+
+	for _, end := range []struct {
+		name string
+		f    func(core.ARUID) error
+	}{{"EndARU", cl.EndARU}, {"AbortARU", cl.AbortARU}} {
+		h, err := cl.BeginARU()
+		if err != nil {
+			t.Fatalf("BeginARU with a unit open: %v, want a handle (the refusal comes later)", err)
+		}
+		if err := cl.Write(h, blk, buf); !errors.Is(err, core.ErrARUActive) {
+			t.Fatalf("write under a refused begin: got %v, want ErrARUActive", err)
+		}
+		if err := end.f(h); !errors.Is(err, core.ErrARUActive) {
+			t.Fatalf("%s of a refused begin: got %v, want ErrARUActive", end.name, err)
+		}
+		if err := cl.Write(h, blk, buf); !errors.Is(err, core.ErrNoSuchARU) {
+			t.Fatalf("write after %s forgot the handle: got %v, want ErrNoSuchARU", end.name, err)
+		}
+	}
+	// The unit that was open is untouched by the refusals and commits.
+	if err := cl.EndARU(open); err != nil {
+		t.Fatalf("EndARU of the open unit: %v", err)
+	}
+	if n := backend.ActiveARUs(); n != 0 {
+		t.Fatalf("%d ARUs left open", n)
 	}
 }
 

@@ -23,7 +23,14 @@
 // Requests are pipelined: a client may have any number of frames in
 // flight, and responses are matched by reqID, not by order. The first
 // frame on a connection must be a HELLO carrying the protocol magic
-// and version; the server answers with the disk's block size.
+// and version; the server answers with the disk's block size, or, to a
+// HELLO of another version, with an error naming both versions before
+// it drops the connection.
+//
+// A unit is named on the wire by a handle its client chose: the
+// begin_aru request carries it, every request of the unit names it,
+// and the server maps it, per connection, to the engine's ARU. No
+// request waits for the begin's reply, whose body is empty.
 //
 // Frames whose length prefix exceeds the negotiated maximum, that are
 // truncated, or that carry an unparseable body are protocol errors:
@@ -40,14 +47,18 @@ import (
 	"reflect"
 
 	"aru/internal/core"
+	"aru/internal/obs"
 )
 
 // Protocol constants.
 const (
 	// Magic opens every HELLO request ("ARUN").
 	Magic uint32 = 0x4152554e
-	// Version is the wire-protocol version; HELLO negotiates it.
-	Version uint16 = 1
+	// Version is the wire-protocol version; HELLO checks it. Version 2
+	// made unit handles client-chosen (begin_aru carries one, and its
+	// reply no longer returns the engine's id); a version-1 HELLO is
+	// refused.
+	Version uint16 = 2
 	// DefaultMaxFrame caps the length prefix of a frame (requests and
 	// responses). Large enough for a block write plus headers and for
 	// list replies of half a million blocks.
@@ -58,8 +69,8 @@ const (
 // appends a u32 flag word to its HELLO body; the server answers with
 // the subset it accepts (also as a trailing u32), and only negotiated
 // features may appear on the session's subsequent requests. A client
-// that sends no flag word (every v1 build) gets the base protocol and
-// a flag-free HELLO response, so old client binaries are unaffected.
+// that sends no flag word gets the base protocol and a flag-free HELLO
+// response.
 // Every server accepts the flag word; a client that offered it treats
 // a failed handshake as a failed dial, never as a cue to drop it.
 const (
@@ -71,8 +82,8 @@ const (
 
 // opTraceFlag marks a traced request: the opcode's high bit, valid
 // only on sessions that negotiated FeatureTrace (elsewhere it makes
-// the opcode unknown, exactly as in v1). The real opcode is the low
-// seven bits; the body then starts with | u64 trace | u64 span |.
+// the opcode unknown). The real opcode is the low seven bits; the body
+// then starts with | u64 trace | u64 span |.
 const opTraceFlag uint8 = 0x80
 
 // Opcodes of the LD service. The names follow the facade API
@@ -261,7 +272,7 @@ func writeFrame(w io.Writer, payload []byte, maxFrame uint32) error {
 // array would escape through the io.Writer parameter and cost one
 // heap allocation per response, so the connection loop supplies one
 // that lives as long as the connection. (The client's request side
-// encodes its header inline in Client.send for the same reason.)
+// encodes its header into Client.reqHdr for the same reason.)
 func writeResponse(w io.Writer, reqID uint64, status uint8, body []byte, maxFrame uint32, pre *[13]byte) error {
 	n := 9 + len(body)
 	if uint32(n) > maxFrame {
@@ -411,7 +422,7 @@ func (d *dec) ok() bool { return !d.bad && len(d.b) == 0 }
 // reqArgs holds the decoded arguments of one request; which fields
 // are meaningful depends on the opcode.
 type reqArgs struct {
-	aru   core.ARUID
+	aru   core.ARUID // the unit handle named (0 is Simple), or the one begin_aru opens
 	blk   core.BlockID
 	pred  core.BlockID
 	lst   core.ListID
@@ -419,8 +430,8 @@ type reqArgs struct {
 	magic uint32
 	ver   uint16
 
-	// hasFlags/flags: the optional HELLO feature word (absent on v1
-	// clients). trace/span: the request's trace context, present when
+	// hasFlags/flags: the optional HELLO feature word (sent by clients
+	// that trace). trace/span: the request's trace context, present when
 	// the opcode carried opTraceFlag on a FeatureTrace session.
 	hasFlags bool
 	flags    uint32
@@ -431,8 +442,8 @@ type reqArgs struct {
 // parseRequest decodes one request frame. maxData caps the write
 // payload (the server passes its block size); allowTrace is whether
 // the session negotiated FeatureTrace — without it an opTraceFlag
-// opcode is unknown, exactly as on a v1 server. It never panics on
-// malformed input; FuzzParseRequest enforces that.
+// opcode is unknown. It never panics on malformed input;
+// FuzzParseRequest enforces that. appendRequest is its encoder.
 func parseRequest(frame []byte, maxData int, allowTrace bool) (reqID uint64, op uint8, a reqArgs, err error) {
 	d := &dec{b: frame}
 	reqID = d.u64()
@@ -489,7 +500,14 @@ func parseRequest(frame []byte, maxData int, allowTrace bool) (reqID uint64, op 
 	case opFreeList, opListBlocks:
 		a.aru = core.ARUID(d.u64())
 		a.lst = core.ListID(d.u64())
-	case opBeginARU, opSync, opStats, opPing:
+	case opBeginARU:
+		// The client's handle for the new unit; 0 is Simple, which
+		// names no unit.
+		a.aru = core.ARUID(d.u64())
+		if !d.bad && a.aru == 0 {
+			return reqID, op, a, fmt.Errorf("%w: begin_aru names handle 0 (Simple)", ErrProtocol)
+		}
+	case opSync, opStats, opPing:
 		// no body
 	default:
 		return reqID, op, a, fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
@@ -498,6 +516,30 @@ func parseRequest(frame []byte, maxData int, allowTrace bool) (reqID uint64, op 
 		return reqID, op, a, fmt.Errorf("%w: malformed %s request body", ErrProtocol, opName(op))
 	}
 	return reqID, op, a, nil
+}
+
+// appendRequest appends one request's frame header to dst — | u32
+// length | u64 reqID | u8 opcode | u64 trace | u64 span | hd's u64
+// arguments | — for a frame whose payloadLen-byte payload follows it.
+// The trace context, and opTraceFlag on the opcode, are sent only when
+// sc carries a trace.
+func appendRequest(dst []byte, reqID uint64, op uint8, sc obs.SpanContext, hd reqHead, payloadLen int) []byte {
+	n := 9 + 8*hd.n + payloadLen
+	if sc.Traced() {
+		n += 16
+		op |= opTraceFlag
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint64(dst, reqID)
+	dst = append(dst, op)
+	if sc.Traced() {
+		dst = binary.LittleEndian.AppendUint64(dst, sc.Trace)
+		dst = binary.LittleEndian.AppendUint64(dst, sc.Span)
+	}
+	for _, v := range hd.v[:hd.n] {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
+	}
+	return dst
 }
 
 // parseResponse splits one response frame into its header and body.

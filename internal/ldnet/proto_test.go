@@ -5,12 +5,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"aru/internal/core"
+	"aru/internal/obs"
 )
 
 // ---- Pure decoder robustness ----------------------------------------
@@ -116,7 +119,7 @@ func TestParseRequestHelloFlags(t *testing.T) {
 		return e
 	}
 
-	// v1 HELLO: no flags.
+	// Flag-free HELLO.
 	if _, _, a, err := parseRequest(base().b, 4096, false); err != nil || a.hasFlags {
 		t.Fatalf("flag-free HELLO: hasFlags=%v err=%v", a.hasFlags, err)
 	}
@@ -140,6 +143,38 @@ func TestParseRequestHelloFlags(t *testing.T) {
 	e.u8(1)
 	if _, _, _, err := parseRequest(e.b, 4096, false); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("short HELLO flags: got %v, want ErrProtocol", err)
+	}
+}
+
+// TestRequestRoundTrip: what the client's encoder writes, parseRequest
+// reads back — a begin's handle and a write's payload, plain and
+// traced. A begin of handle 0 (Simple) or of no handle is malformed.
+func TestRequestRoundTrip(t *testing.T) {
+	payload := []byte("one block")
+	for _, sc := range []obs.SpanContext{{}, {Trace: 0xABCD, Span: 0xEF01}} {
+		frame := appendRequest(nil, 9, opBeginARU, sc, head1(42), 0)
+		if n := binary.LittleEndian.Uint32(frame); int(n) != len(frame)-4 {
+			t.Fatalf("begin length prefix %d, frame is %d bytes", n, len(frame)-4)
+		}
+		id, op, a, err := parseRequest(frame[4:], 4096, sc.Traced())
+		if err != nil || id != 9 || op != opBeginARU || a.aru != 42 || a.trace != sc.Trace || a.span != sc.Span {
+			t.Fatalf("begin (trace %x): id=%d op=%d args=%+v err=%v", sc.Trace, id, op, a, err)
+		}
+
+		frame = append(appendRequest(nil, 10, opWrite, sc, head2(42, 7), len(payload)), payload...)
+		if n := binary.LittleEndian.Uint32(frame); int(n) != len(frame)-4 {
+			t.Fatalf("write length prefix %d, frame is %d bytes", n, len(frame)-4)
+		}
+		id, op, a, err = parseRequest(frame[4:], 4096, sc.Traced())
+		if err != nil || id != 10 || op != opWrite || a.aru != 42 || a.blk != 7 || !bytes.Equal(a.data, payload) || a.trace != sc.Trace {
+			t.Fatalf("write (trace %x): id=%d op=%d args=%+v err=%v", sc.Trace, id, op, a, err)
+		}
+	}
+	for _, hd := range []reqHead{head1(0), {}} {
+		frame := appendRequest(nil, 9, opBeginARU, obs.SpanContext{}, hd, 0)
+		if _, _, _, err := parseRequest(frame[4:], 4096, false); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("begin with head %+v: got %v, want ErrProtocol", hd, err)
+		}
 	}
 }
 
@@ -332,6 +367,44 @@ func TestServerDropsBadHandshake(t *testing.T) {
 	}
 }
 
+// TestServerRefusesVersion1: a version-1 HELLO is answered with an
+// error naming both versions, and then the connection drops.
+func TestServerRefusesVersion1(t *testing.T) {
+	backend, _ := newBackend(t, 16)
+	srv, addr := startServer(t, backend)
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	e := newEnc(16)
+	e.u64(1)
+	e.u8(opHello)
+	e.u32(Magic)
+	e.u16(1)
+	if err := writeFrame(conn, e.b, DefaultMaxFrame); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	br := bufio.NewReader(conn)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	frame, err := readFrame(br, DefaultMaxFrame)
+	if err != nil {
+		t.Fatalf("server dropped a version-1 HELLO without saying why: %v", err)
+	}
+	_, status, body, err := parseResponse(frame)
+	if err != nil || status == statusOK {
+		t.Fatalf("version-1 HELLO answered status=%d err=%v, want an error", status, err)
+	}
+	msg := string(body)
+	if !strings.Contains(msg, "version 1") || !strings.Contains(msg, fmt.Sprintf("version %d", Version)) {
+		t.Fatalf("refusal %q does not name both versions", msg)
+	}
+	expectDrop(t, conn, br, "version-1 HELLO")
+	if n := srv.Metrics().ProtoErrors(); n != 1 {
+		t.Fatalf("protocol errors = %d, want 1", n)
+	}
+}
+
 func TestServerAnswersUnknownOpcode(t *testing.T) {
 	backend, _ := newBackend(t, 16)
 	_, addr := startServer(t, backend)
@@ -435,6 +508,7 @@ func FuzzParseRequest(f *testing.F) {
 	e.u8(opSync | opTraceFlag)
 	e.u32(0xAB)
 	f.Add(e.b)
+	f.Add(appendRequest(nil, 1, opBeginARU, obs.SpanContext{}, head1(7), 0)[4:])
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, frame []byte) {
@@ -442,6 +516,9 @@ func FuzzParseRequest(f *testing.F) {
 			reqID, op, a, err := parseRequest(frame, 4096, allowTrace)
 			if err == nil && len(a.data) > 4096 {
 				t.Fatalf("accepted oversized payload (%d bytes) for op %d req %d", len(a.data), op, reqID)
+			}
+			if err == nil && op == opBeginARU && a.aru == 0 {
+				t.Fatalf("accepted a begin of handle 0 (Simple), req %d", reqID)
 			}
 		}
 	})

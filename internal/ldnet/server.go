@@ -75,11 +75,12 @@ type ServerOptions struct {
 
 // Server serves one Backend to any number of TCP clients. Each
 // connection is one *session*: the ARUs a session begins are owned by
-// it — no other session may operate on or end them — and when the
-// session ends for any reason (clean close, crash, network partition)
-// every ARU it still owns is aborted, extending the paper's crash
-// semantics to client failure: the shadow state is discarded and the
-// blocks the ARU allocated are swept by the next consistency check.
+// it and named by handles its client chose — no other session may
+// operate on or end them — and when the session ends for any reason
+// (clean close, crash, network partition) every ARU it still owns is
+// aborted, extending the paper's crash semantics to client failure:
+// the shadow state is discarded and the blocks the ARU allocated are
+// swept by the next consistency check.
 type Server struct {
 	backend  Backend
 	traced   TracedBackend // backend's tracing surface, nil if absent
@@ -191,11 +192,13 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// session is the per-connection state: the set of ARUs this client
-// owns. Owned ARUs are the only ones the session may name in
-// requests; passing Simple (0) is always allowed.
+// session is the per-connection state. units is its handle table: a
+// unit is named on the wire by a handle its client chose at BeginARU,
+// and the table maps each handle this session began to the engine ARU
+// the begin opened, or to the error it failed with. Only handles in
+// the table, and Simple (0), may be named in requests.
 type session struct {
-	owned map[core.ARUID]struct{}
+	units map[core.ARUID]unit
 
 	// Per-session scratch, reused across requests so the steady-state
 	// request loop allocates nothing: the response-body encoder, the
@@ -214,11 +217,42 @@ func (sess *session) encReset() *enc {
 	return &sess.enc
 }
 
-// errNotOwned is what another session's (or a forged) ARU id maps to:
-// from this session's point of view the ARU does not exist, which
-// both enforces ownership and leaks nothing about other sessions.
-func errNotOwned(aru core.ARUID) error {
-	return fmt.Errorf("%w: ARU %d is not owned by this session", core.ErrNoSuchARU, aru)
+// unit is one handle-table entry: the engine ARU a begin opened, or
+// the error the begin failed with, kept for the requests that name the
+// handle (nobody waits for the begin's own reply).
+type unit struct {
+	aru core.ARUID
+	err error
+}
+
+// resolve translates a handle named in a request into the engine ARU
+// it stands for; Simple (0) stands for itself. A handle not in the
+// table — never begun here, already ended, another session's, or one
+// from before a reconnect — fails with ErrNoSuchARU: from this
+// session's point of view the unit does not exist, which both enforces
+// ownership and leaks nothing about other sessions. A handle whose
+// begin failed fails with that error, its class intact.
+func (sess *session) resolve(h core.ARUID) (core.ARUID, error) {
+	if h == seg.SimpleARU {
+		return seg.SimpleARU, nil
+	}
+	u, ok := sess.units[h]
+	if !ok {
+		return 0, fmt.Errorf("%w: unit %d is not open on this session", core.ErrNoSuchARU, h)
+	}
+	if u.err != nil {
+		return 0, fmt.Errorf("unit %d: begin failed: %w", h, u.err)
+	}
+	return u.aru, nil
+}
+
+// release forgets handle h when err, the outcome of ending or aborting
+// its unit, says the unit is gone: ended, or unknown to the engine.
+func (sess *session) release(h core.ARUID, err error) error {
+	if err == nil || errors.Is(err, core.ErrNoSuchARU) {
+		delete(sess.units, h)
+	}
+	return err
 }
 
 func (s *Server) handleConn(conn net.Conn) {
@@ -239,14 +273,29 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	reqID, op, args, err := parseRequest(frame, s.backend.BlockSize(), false)
-	if err != nil || op != opHello || args.magic != Magic || args.ver != Version {
+	if err != nil || op != opHello || args.magic != Magic {
 		m.protoErrors.Add(1)
 		s.logf("ldnet: %s: bad handshake (op=%d err=%v)", conn.RemoteAddr(), op, err)
 		return
 	}
+	if args.ver != Version {
+		// Another version is told why before the drop: a version-1
+		// client would wait for BeginARU's reply to learn the engine's
+		// id, which this protocol no longer sends.
+		m.protoErrors.Add(1)
+		s.logf("ldnet: %s: refusing protocol version %d", conn.RemoteAddr(), args.ver)
+		e := newEnc(96)
+		e.u64(reqID)
+		e.u8(codeGeneric)
+		e.b = fmt.Appendf(e.b, "ldnet: protocol version %d is not supported; this server speaks version %d", args.ver, Version)
+		if writeFrame(bw, e.b, s.maxFrame) == nil {
+			_ = bw.Flush() // the connection closes either way
+		}
+		return
+	}
 	// Feature negotiation: grant the intersection of what the client
-	// asked for and what this server supports. A flag-free HELLO (every
-	// v1 client) gets the flag-free v1 response.
+	// asked for and what this server supports. A flag-free HELLO gets
+	// the flag-free response.
 	var features uint32
 	if args.hasFlags && s.opts.Tracer.SpanEnabled() {
 		features = args.flags & FeatureTrace
@@ -265,17 +314,20 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	allowTrace := features&FeatureTrace != 0
 
-	sess := &session{owned: make(map[core.ARUID]struct{})}
+	sess := &session{units: make(map[core.ARUID]unit)}
 	// Disconnect ≡ abort: whatever ends this connection, every ARU the
 	// session still owns is aborted so its shadow state vanishes —
 	// the same outcome a local crash of the client would have had.
 	defer func() {
 		n := 0
-		for aru := range sess.owned {
-			if err := s.backend.AbortARU(aru); err == nil {
+		for h, u := range sess.units {
+			if u.err != nil {
+				continue // the begin failed: no unit to abort
+			}
+			if err := s.backend.AbortARU(u.aru); err == nil {
 				n++
 			} else {
-				s.logf("ldnet: %s: aborting ARU %d on disconnect: %v", conn.RemoteAddr(), aru, err)
+				s.logf("ldnet: %s: aborting unit %d (ARU %d) on disconnect: %v", conn.RemoteAddr(), h, u.aru, err)
 			}
 		}
 		if n > 0 {
@@ -340,17 +392,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// checkARU enforces session ownership for a request naming an ARU.
-func (sess *session) checkARU(aru core.ARUID) error {
-	if aru == seg.SimpleARU {
-		return nil
-	}
-	if _, ok := sess.owned[aru]; !ok {
-		return errNotOwned(aru)
-	}
-	return nil
-}
-
 // endARU runs EndARU through the backend's tracing surface when the
 // request carries trace context and the backend has one; the engine
 // commit (and the durable ack it later earns) then chains below the
@@ -389,16 +430,28 @@ func (s *Server) logSlowOp(op uint8, a reqArgs, dur time.Duration, status uint8)
 }
 
 // dispatch executes one decoded request against the backend and
-// encodes the response body.
+// encodes the response body. Every request but begin_aru, sync, stats
+// and ping names a unit handle (or Simple) in a.aru; dispatch resolves
+// it first, so the cases see the engine's ARU there and the handle in h.
 func (s *Server) dispatch(sess *session, op uint8, a reqArgs) (status uint8, body []byte) {
 	fail := func(err error) (uint8, []byte) {
 		return codeFor(err), []byte(err.Error())
 	}
+	h := a.aru
 	switch op {
-	case opRead:
-		if err := sess.checkARU(a.aru); err != nil {
+	case opBeginARU, opSync, opStats, opPing, opHello:
+	default:
+		aru, err := sess.resolve(h)
+		if err != nil {
+			if op == opEndARU || op == opAbortARU || op == opCommitDurable {
+				delete(sess.units, h) // ending a failed begin reports it once
+			}
 			return fail(err)
 		}
+		a.aru = aru
+	}
+	switch op {
+	case opRead:
 		if bs := s.backend.BlockSize(); cap(sess.readBuf) < bs {
 			sess.readBuf = make([]byte, bs)
 		} else {
@@ -409,17 +462,11 @@ func (s *Server) dispatch(sess *session, op uint8, a reqArgs) (status uint8, bod
 		}
 		return statusOK, sess.readBuf
 	case opWrite:
-		if err := sess.checkARU(a.aru); err != nil {
-			return fail(err)
-		}
 		if err := s.backend.Write(a.aru, a.blk, a.data); err != nil {
 			return fail(err)
 		}
 		return statusOK, nil
 	case opNewBlock:
-		if err := sess.checkARU(a.aru); err != nil {
-			return fail(err)
-		}
 		id, err := s.backend.NewBlock(a.aru, a.lst, a.pred)
 		if err != nil {
 			return fail(err)
@@ -428,9 +475,6 @@ func (s *Server) dispatch(sess *session, op uint8, a reqArgs) (status uint8, bod
 		e.u64(uint64(id))
 		return statusOK, e.b
 	case opNewList:
-		if err := sess.checkARU(a.aru); err != nil {
-			return fail(err)
-		}
 		id, err := s.backend.NewList(a.aru)
 		if err != nil {
 			return fail(err)
@@ -439,33 +483,21 @@ func (s *Server) dispatch(sess *session, op uint8, a reqArgs) (status uint8, bod
 		e.u64(uint64(id))
 		return statusOK, e.b
 	case opFreeBlock:
-		if err := sess.checkARU(a.aru); err != nil {
-			return fail(err)
-		}
 		if err := s.backend.DeleteBlock(a.aru, a.blk); err != nil {
 			return fail(err)
 		}
 		return statusOK, nil
 	case opFreeList:
-		if err := sess.checkARU(a.aru); err != nil {
-			return fail(err)
-		}
 		if err := s.backend.DeleteList(a.aru, a.lst); err != nil {
 			return fail(err)
 		}
 		return statusOK, nil
 	case opMoveBlock:
-		if err := sess.checkARU(a.aru); err != nil {
-			return fail(err)
-		}
 		if err := s.backend.MoveBlock(a.aru, a.blk, a.lst, a.pred); err != nil {
 			return fail(err)
 		}
 		return statusOK, nil
 	case opListBlocks:
-		if err := sess.checkARU(a.aru); err != nil {
-			return fail(err)
-		}
 		blocks, err := s.backend.ListBlocks(a.aru, a.lst)
 		if err != nil {
 			return fail(err)
@@ -479,9 +511,6 @@ func (s *Server) dispatch(sess *session, op uint8, a reqArgs) (status uint8, bod
 		encodeIDs(e, ids)
 		return statusOK, e.b
 	case opLists:
-		if err := sess.checkARU(a.aru); err != nil {
-			return fail(err)
-		}
 		lists, err := s.backend.Lists(a.aru)
 		if err != nil {
 			return fail(err)
@@ -495,9 +524,6 @@ func (s *Server) dispatch(sess *session, op uint8, a reqArgs) (status uint8, bod
 		encodeIDs(e, ids)
 		return statusOK, e.b
 	case opStatBlock:
-		if err := sess.checkARU(a.aru); err != nil {
-			return fail(err)
-		}
 		bi, err := s.backend.StatBlock(a.aru, a.blk)
 		if err != nil {
 			return fail(err)
@@ -506,52 +532,32 @@ func (s *Server) dispatch(sess *session, op uint8, a reqArgs) (status uint8, bod
 		encodeBlockInfo(e, bi)
 		return statusOK, e.b
 	case opBeginARU:
-		id, err := s.backend.BeginARU()
+		if _, dup := sess.units[h]; dup {
+			return fail(fmt.Errorf("%w: unit handle %d is already in use on this session", ErrProtocol, h))
+		}
+		aru, err := s.backend.BeginARU()
+		sess.units[h] = unit{aru: aru, err: err}
 		if err != nil {
 			return fail(err)
 		}
-		sess.owned[id] = struct{}{}
-		e := sess.encReset()
-		e.u64(uint64(id))
-		return statusOK, e.b
+		return statusOK, nil
 	case opEndARU:
-		if err := sess.checkARU(a.aru); err != nil {
+		if err := sess.release(h, s.endARU(a)); err != nil {
 			return fail(err)
 		}
-		if err := s.endARU(a); err != nil {
-			if errors.Is(err, core.ErrNoSuchARU) {
-				delete(sess.owned, a.aru)
-			}
-			return fail(err)
-		}
-		delete(sess.owned, a.aru)
 		return statusOK, nil
 	case opAbortARU:
-		if err := sess.checkARU(a.aru); err != nil {
+		if err := sess.release(h, s.backend.AbortARU(a.aru)); err != nil {
 			return fail(err)
 		}
-		if err := s.backend.AbortARU(a.aru); err != nil {
-			if errors.Is(err, core.ErrNoSuchARU) {
-				delete(sess.owned, a.aru)
-			}
-			return fail(err)
-		}
-		delete(sess.owned, a.aru)
 		return statusOK, nil
 	case opCommitDurable:
-		if err := sess.checkARU(a.aru); err != nil {
-			return fail(err)
-		}
-		// EndARU first so ownership is released the moment the unit is
+		// EndARU first so the handle is released the moment the unit is
 		// committed; a flush failure afterwards leaves a committed but
 		// not-yet-durable unit, which is what the error reports.
-		if err := s.endARU(a); err != nil {
-			if errors.Is(err, core.ErrNoSuchARU) {
-				delete(sess.owned, a.aru)
-			}
+		if err := sess.release(h, s.endARU(a)); err != nil {
 			return fail(err)
 		}
-		delete(sess.owned, a.aru)
 		if err := s.flush(a); err != nil {
 			return fail(fmt.Errorf("committed but not durable: %w", err))
 		}

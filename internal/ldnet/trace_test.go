@@ -189,10 +189,11 @@ func newBackendTraced(t testing.TB, segs int, tr *obs.Tracer) *core.LLD {
 	return d
 }
 
-// TestInteropOldClientNewServer: a v1 client (flag-free HELLO, plain
-// opcodes) against a tracing-enabled server must get exactly the v1
-// protocol — a flag-free handshake response and an error (not a drop)
-// for the trace opcode bit it never negotiated.
+// TestInteropOldClientNewServer: a client that offers no features
+// (flag-free HELLO, plain opcodes) against a tracing-enabled server
+// must get exactly the base protocol — a flag-free handshake response
+// and an error (not a drop) for the trace opcode bit it never
+// negotiated.
 func TestInteropOldClientNewServer(t *testing.T) {
 	tr := obs.New(obs.Config{})
 	backend, _ := newBackend(t, 16)
@@ -204,7 +205,7 @@ func TestInteropOldClientNewServer(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	// rawDial speaks the exact v1 handshake.
+	// A flag-free handshake.
 	conn, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -227,10 +228,10 @@ func TestInteropOldClientNewServer(t *testing.T) {
 	if err != nil || status != statusOK {
 		t.Fatalf("handshake rejected: status=%d err=%v", status, err)
 	}
-	// v1 response body is exactly u16 ver + u32 blockSize + u32
-	// maxFrame — no feature word the old strict parser would choke on.
+	// The flag-free response body is exactly u16 ver + u32 blockSize +
+	// u32 maxFrame — no feature word the client did not ask for.
 	if len(body) != 10 {
-		t.Fatalf("handshake response is %d bytes, want the 10-byte v1 form", len(body))
+		t.Fatalf("handshake response is %d bytes, want the 10-byte flag-free form", len(body))
 	}
 
 	// A plain request works.
@@ -269,7 +270,7 @@ func TestInteropOldClientNewServer(t *testing.T) {
 
 	// And no server-op spans were recorded for any of it.
 	if ops := spansByKind(tr.Spans())[obs.SpanServerOp]; len(ops) != 0 {
-		t.Fatalf("v1 session produced %d server-op spans", len(ops))
+		t.Fatalf("flag-free session produced %d server-op spans", len(ops))
 	}
 }
 
