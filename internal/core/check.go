@@ -165,9 +165,9 @@ type verKey struct {
 
 // VerifyInternal cross-checks in-memory invariants: list chains are
 // acyclic and well-terminated in every state and Last pointers are
-// correct; per-segment live and pin counts, the entry counters, the
-// version gauges and the committed-buffer count equal what the tables
-// hold; the same-state chains name exactly the versions present —
+// correct; per-segment live and pin counts and owner tables, the entry
+// counters, the version gauges and the committed-buffer count equal what
+// the tables hold; the same-state chains name exactly the versions present —
 // every version on exactly one chain, every gated committed version on
 // exactly one open ARU's touched list; and every block buffer has one
 // owner — nothing a cache entry holds is also in a version slot, on the
@@ -306,7 +306,11 @@ func (d *LLD) VerifyInternal() error {
 	pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
 		nBlocks++
 		if lf.hasPersist && lf.persist.HasData {
-			live[lf.persist.Seg]++
+			s := lf.persist.Seg
+			live[s]++
+			if i := d.ownIdx(lf.persist.Slot); d.segOwn[s] == nil || d.segOwn[s][i] != BlockID(lf.id) {
+				fail("segment %d owner table does not name block %d at its slot %#x", s, lf.id, lf.persist.Slot)
+			}
 		}
 		for i := range lf.vers {
 			v := &lf.vers[i]
@@ -372,14 +376,36 @@ func (d *LLD) VerifyInternal() error {
 		if live[s] != d.segLive[s] {
 			fail("segment %d live count %d, block map says %d", s, d.segLive[s], live[s])
 		}
+		if named := countOwned(d.segOwn[s]); named != live[s] || (d.segOwn[s] == nil) != (live[s] == 0) {
+			fail("segment %d owner table names %d blocks, block map says %d", s, named, live[s])
+		}
 		if pins[s] != d.segPins[s] {
 			fail("segment %d pin count %d, %d versions hold data there", s, d.segPins[s], pins[s])
+		}
+	}
+	if n := d.reusableCount(); d.freeCache > n {
+		fail("%d reusable segments cached, %d counted", d.freeCache, n)
+	}
+	for _, tab := range d.freeOwn {
+		if n := countOwned(tab); n != 0 {
+			fail("a free owner table names %d blocks", n)
 		}
 	}
 	if err == nil {
 		err = d.verifyOnDevice()
 	}
 	return err
+}
+
+// countOwned returns how many blocks an owner table names.
+func countOwned(tab []BlockID) int32 {
+	n := int32(0)
+	for _, id := range tab {
+		if id != NilBlock {
+			n++
+		}
+	}
+	return n
 }
 
 // verifyOnDevice is the one check of VerifyInternal that leaves memory:

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"aru/internal/disk"
@@ -156,6 +157,77 @@ func TestChainMaterializationEquivalence(t *testing.T) {
 		if err := rIncr.VerifyInternal(); err != nil {
 			t.Fatalf("seed %d: incremental recovery: %v", seed, err)
 		}
+		deltaDedup(t, dIncr, devIncr, incr.Layout)
+	}
+}
+
+// deltaDedup is the delta's de-duplication case: a block promoted several
+// times between two checkpoints appears once in the delta's Blocks, and a
+// block written and then deleted appears once in its DelBlocks — and both
+// tables are in ID order, as the encoding wants them.
+func deltaDedup(t *testing.T, d *LLD, dev *disk.Sim, l seg.Layout) {
+	t.Helper()
+	lst, err := d.NewList(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := d.NewBlock(0, lst, NilBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := d.NewBlock(0, lst, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := byte(0); i < 3; i++ {
+		// Each flush seals the write, and the seal promotes it.
+		if err := d.Write(0, x, fill(d, i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Write(0, y, fill(d, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DeleteBlock(0, y); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	head := newestChain(t, dev.Image(), l).Head()
+	if head.Base {
+		t.Fatal("the checkpoint after the case wrote a base, not a delta")
+	}
+	count := func(ids []BlockID, id BlockID) int {
+		n := 0
+		for _, v := range ids {
+			if v == id {
+				n++
+			}
+		}
+		return n
+	}
+	ids := make([]BlockID, len(head.Blocks))
+	for i, r := range head.Blocks {
+		ids[i] = r.ID
+	}
+	if n := count(ids, x); n != 1 {
+		t.Errorf("block %d, promoted three times, is in the delta's Blocks %d times", x, n)
+	}
+	if n := count(head.DelBlocks, y); n != 1 || count(ids, y) != 0 {
+		t.Errorf("block %d, dirtied then deleted, is in DelBlocks %d times and in Blocks %d times", y, n, count(ids, y))
+	}
+	if !slices.IsSorted(ids) || !slices.IsSorted(head.DelBlocks) {
+		t.Errorf("delta tables out of ID order: Blocks %v, DelBlocks %v", ids, head.DelBlocks)
 	}
 }
 

@@ -43,20 +43,19 @@ func (d *LLD) cleanLocked(target int) int {
 	defer func() { sp.End(0, uint64(cleaned), 0) }()
 
 	const batch = 8 // victims relocated per flush/checkpoint cycle
-	groups := &d.cleanGroups
 	visited := d.cleanVisited
-	for d.reusableCount() < target {
-		before := d.reusableCount()
+	free := d.reusableCount()
+	for free < target {
+		before := free
 		clear(visited)
 		relocated := 0
-		groups.built = false
 		for relocated < batch {
-			victim, ok := d.pickVictim(visited, groups)
+			victim, ok := d.pickVictim(visited)
 			if !ok {
 				break
 			}
 			visited[victim] = true
-			if err := d.relocateSegment(victim, groups.of(d, victim)); err != nil {
+			if err := d.relocateSegment(victim); err != nil {
 				return cleaned
 			}
 			relocated++
@@ -80,7 +79,7 @@ func (d *LLD) cleanLocked(target int) int {
 			// segments they pin).
 			d.publishLocked()
 		}
-		if d.reusableCount() <= before {
+		if free = d.reusableCount(); free <= before {
 			// No net space gained: the victims are so full that
 			// relocation consumes as much as it frees. Stop rather
 			// than ping-pong live data forever.
@@ -90,61 +89,26 @@ func (d *LLD) cleanLocked(target int) int {
 	return cleaned
 }
 
-// segGroups groups the block map by the segment each block's persistent
-// version lies in, so that one walk serves every victim of a relocation
-// batch. It is built on first use — a pass that finds no candidate
-// never walks — and holds until the batch's flush: a candidate is an
-// old, closed segment, so until then it can only lose blocks, and the
-// users of a group skip the blocks that have moved on. The slices are
-// scratch kept across passes (d.cleanGroups).
-type segGroups struct {
-	by    [][]BlockID
-	built bool
-}
-
-func (g *segGroups) of(d *LLD, s int) []BlockID {
-	if !g.built {
-		if g.by == nil {
-			g.by = make([][]BlockID, d.params.Layout.NumSegs)
-		}
-		for i := range g.by {
-			g.by[i] = g.by[i][:0]
-		}
-		pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
-			if lf.hasPersist && lf.persist.HasData {
-				g.by[lf.persist.Seg] = append(g.by[lf.persist.Seg], BlockID(lf.id))
-			}
-			return true
-		})
-		g.built = true
-	}
-	return g.by[s]
-}
-
 // cleanable reports whether segment s is a valid cleaning victim: an
 // old (checkpoint-covered), unpinned, written segment that still holds
-// live blocks — those of group that have not moved on — every one of
-// which is relocatable (its persistent record is the block's only
-// version — relocating a block with pending shadow or committed
-// updates could resurrect stale data after a crash). Being covered by
-// the checkpoint, it has no chunk still queued for a write or a sync.
-func (d *LLD) cleanable(s int, group []BlockID) bool {
+// live blocks, every one of which is relocatable (its persistent record
+// is the block's only version — relocating a block with pending shadow
+// or committed updates could resurrect stale data after a crash). Being
+// covered by the checkpoint, it has no chunk still queued for a write or
+// a sync.
+func (d *LLD) cleanable(s int) bool {
 	if s == d.curSeg || d.segSeq[s] == 0 || d.segSeq[s] > d.ckptSeq {
 		return false
 	}
 	if d.segPins[s] != 0 || d.segLive[s] == 0 {
 		return false
 	}
-	n := 0
-	for _, id := range group {
-		if lf := d.liveIn(s, id); lf != nil {
-			if len(lf.vers) != 0 {
-				return false
-			}
-			n++
+	for _, id := range d.segOwn[s] {
+		if id != NilBlock && len(pmapGet(d.blockTab.root, uint64(id)).vers) != 0 {
+			return false
 		}
 	}
-	return n > 0
+	return true
 }
 
 // liveIn returns block id's entry if its persistent version still
@@ -167,7 +131,7 @@ type victimCand struct {
 
 // pickVictim selects the next segment to clean according to the
 // configured policy, skipping segments already relocated this cycle.
-func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
+func (d *LLD) pickVictim(exclude map[int]bool) (int, bool) {
 	cands := d.cleanCands[:0]
 	for s := 0; s < d.params.Layout.NumSegs; s++ {
 		if exclude[s] || s == d.curSeg || d.segSeq[s] == 0 || d.segSeq[s] > d.ckptSeq ||
@@ -201,7 +165,7 @@ func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
 				best = i
 			}
 		}
-		if s := cands[best].s; d.cleanable(s, groups.of(d, s)) {
+		if s := cands[best].s; d.cleanable(s) {
 			return s, true
 		}
 		cands[best] = cands[len(cands)-1]
@@ -210,17 +174,24 @@ func (d *LLD) pickVictim(exclude map[int]bool, groups *segGroups) (int, bool) {
 	return 0, false
 }
 
-// relocateSegment copies every block of group still live in segment s
-// to the head of the log as a fresh committed write. The logical
-// contents of every block and list are unchanged; only physical
+// relocateSegment copies every block live in segment s — those its owner
+// table names — to the head of the log as a fresh committed write. The
+// logical contents of every block and list are unchanged; only physical
 // placement moves.
-func (d *LLD) relocateSegment(s int, group []BlockID) error {
+func (d *LLD) relocateSegment(s int) error {
 	// Deterministic order keeps runs reproducible. Data slots are taken
 	// downward, so going down the identifiers lays the blocks out in
 	// ascending order on the device, the order they were allocated in.
-	slices.Sort(group)
-	for i := len(group) - 1; i >= 0; i-- {
-		id := group[i]
+	ids := d.cleanIDs[:0]
+	for _, id := range d.segOwn[s] {
+		if id != NilBlock {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	d.cleanIDs = ids
+	for i := len(ids) - 1; i >= 0; i-- {
+		id := ids[i]
 		lf := d.liveIn(s, id)
 		if lf == nil || len(lf.vers) != 0 {
 			continue // changed underneath us by an earlier relocation flush

@@ -100,14 +100,16 @@ func (d *LLD) checkpointLocked() error {
 	if !base {
 		// Build the delta from the dirty sets: a dirty identifier still
 		// present in the tables is an upsert, a vanished one a deletion.
-		for id := range d.dirtyBlocks {
+		// The sets come out in ID order, so the tables are gathered in
+		// the canonical order the encoding wants.
+		for _, id := range d.dirtyBlocks.sorted() {
 			if lf := pmapGet(d.blockTab.root, uint64(id)); lf != nil && lf.hasPersist {
 				rec.Blocks = append(rec.Blocks, lf.persist)
 			} else {
 				rec.DelBlocks = append(rec.DelBlocks, id)
 			}
 		}
-		for id := range d.dirtyLists {
+		for _, id := range d.dirtyLists.sorted() {
 			if lf := pmapGet(d.listTab.root, uint64(id)); lf != nil && lf.hasPersist {
 				rec.Lists = append(rec.Lists, lf.persist)
 			} else {
@@ -123,7 +125,6 @@ func (d *LLD) checkpointLocked() error {
 			return nil
 		}
 		rec.PrevTS = d.ckptTS
-		sortCkptRec(&rec)
 		if d.ckptChainOff+rec.WireBytes() > d.params.Layout.CkptRegionBytes() {
 			base = true // no room left in the region: compact early
 		}
@@ -131,8 +132,8 @@ func (d *LLD) checkpointLocked() error {
 	if base {
 		rec.PrevTS = 0
 		rec.Base = true
-		rec.Blocks = rec.Blocks[:0]
-		rec.Lists = rec.Lists[:0]
+		rec.Blocks = slices.Grow(rec.Blocks[:0], d.blockTab.n)
+		rec.Lists = slices.Grow(rec.Lists[:0], d.listTab.n)
 		rec.DelBlocks, rec.DelLists = nil, nil
 		var err error
 		pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
@@ -181,8 +182,8 @@ func (d *LLD) checkpointLocked() error {
 	}
 	d.ckptTS = rec.CkptTS
 	d.ckptSeq = rec.FlushedSeq
-	clear(d.dirtyBlocks)
-	clear(d.dirtyLists)
+	d.dirtyBlocks.reset()
+	d.dirtyLists.reset()
 	d.segsSinceC = 0
 	d.stats.Checkpoints.Add(1)
 	if !base {
@@ -196,14 +197,43 @@ func (d *LLD) checkpointLocked() error {
 	return nil
 }
 
-// sortCkptRec puts a chain record's tables into canonical ID order so
-// encodings are deterministic.
+// sortCkptRec puts a base record's tables into canonical ID order so
+// encodings are deterministic (a delta is gathered in that order).
 func sortCkptRec(r *seg.CkptRec) {
 	slices.SortFunc(r.Blocks, func(a, b seg.BlockRec) int { return cmp.Compare(a.ID, b.ID) })
 	slices.SortFunc(r.Lists, func(a, b seg.ListRec) int { return cmp.Compare(a.ID, b.ID) })
-	slices.Sort(r.DelBlocks)
-	slices.Sort(r.DelLists)
 }
+
+// dirtySet is an append-only set of identifiers: marking one appends it,
+// repeats and all, and the reader sorts and compacts. On the promotion
+// path an append is far cheaper than a map insert. Should
+// checkpoints be rare, the set compacts itself whenever it has grown by
+// dirtySlack past twice its size at the last compaction, which bounds it
+// at about twice the distinct identifiers.
+type dirtySet[T cmp.Ordered] struct {
+	ids  []T
+	kept int // length after the last compaction
+}
+
+const dirtySlack = 8192
+
+func (s *dirtySet[T]) mark(id T) {
+	if len(s.ids) >= 2*s.kept+dirtySlack {
+		s.sorted()
+	}
+	s.ids = append(s.ids, id)
+}
+
+// sorted compacts the set in place and returns it in ascending order.
+func (s *dirtySet[T]) sorted() []T {
+	slices.Sort(s.ids)
+	s.ids = slices.Compact(s.ids)
+	s.kept = len(s.ids)
+	return s.ids
+}
+
+// reset empties the set, keeping its capacity for the next checkpoint.
+func (s *dirtySet[T]) reset() { s.ids, s.kept = s.ids[:0], 0 }
 
 // Close flushes, checkpoints if possible (no open ARUs), and marks the
 // instance unusable. Open ARUs are discarded, exactly as a crash would

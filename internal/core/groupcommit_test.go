@@ -321,7 +321,7 @@ func TestGroupCommitSealedSegmentExcluded(t *testing.T) {
 	if d.segReusable(e.idx) {
 		t.Errorf("sealed-but-unsynced segment %d is reusable", e.idx)
 	}
-	if d.cleanable(e.idx, []BlockID{b}) {
+	if d.cleanable(e.idx) {
 		t.Errorf("sealed-but-unsynced segment %d is cleanable", e.idx)
 	}
 	d.mu.Unlock()

@@ -382,23 +382,32 @@ type LLD struct {
 	ckptRegion   int
 	ckptChainOff int64
 	ckptDepth    int
-	// dirtyBlocks and dirtyLists name the identifiers whose persistent
+	// dirtyBlocks and dirtyLists collect the identifiers whose persistent
 	// records changed (or were deleted) since the last checkpoint —
-	// exactly the upserts/deletions the next delta record carries.
-	// Marked at every persistent-state mutation (promoteBlock,
-	// promoteList, recovery replay).
-	dirtyBlocks map[BlockID]struct{}
-	dirtyLists  map[ListID]struct{}
+	// exactly the upserts/deletions the next delta record carries. They
+	// are appended to at every persistent-state mutation (promoteBlock,
+	// promoteList, recovery replay), repeats and all, and sorted and
+	// compacted when the delta is gathered (dirtySet).
+	dirtyBlocks dirtySet[BlockID]
+	dirtyLists  dirtySet[ListID]
 
 	// Per-segment accounting.
 	// segSeq is the seq of each segment's newest chunk (0 = never
 	// written). A mount learns it from the chunks it walks; for a segment
 	// outside the replay window it takes chunk 1's, which is on the same
 	// side of every checkpoint watermark this incarnation can have.
-	segSeq    []uint64
-	segLive   []int32 // live persistent blocks per segment
+	segSeq  []uint64
+	segLive []int32 // live persistent blocks per segment
+	// segOwn[s] is segment s's owner table: the block whose persistent
+	// version lies at each of its slots (ownIdx), NilBlock where none
+	// does — the live blocks the cleaner relocates, without a walk of the
+	// block map. A segment holds a table exactly while segLive counts a
+	// block in it: the last block to leave puts the table, zeroed, on
+	// freeOwn, and the first to arrive takes one back (addLive, dropLive).
+	segOwn    [][]BlockID
+	freeOwn   [][]BlockID
 	segPins   []int32 // alternative records holding data in the segment
-	freeCache int     // reusable-segment count, refreshed at seals
+	freeCache int     // lower bound of reusableCount, exact when a segment is picked
 	inClean   bool    // reentrancy guard for the cleaner
 	cache     *blockCache
 
@@ -428,16 +437,17 @@ type LLD struct {
 	// rules). All guarded by d.mu; gcWork is touched only by the single
 	// in-flight batch leader, which extends its use across the device
 	// I/O it performs with d.mu released.
-	freeBufs    [][]byte
-	freeStates  []*aruState
-	spareSeals  []*sealedSeg
-	matScratch  []matItem
-	matSort     matSorter
-	cleanGroups segGroups
+	freeBufs   [][]byte
+	freeStates []*aruState
+	spareSeals []*sealedSeg
+	matScratch []matItem
+	matSort    matSorter
 	// Cleaner scratch kept across passes: the victims relocated in the
-	// current cycle, and pickVictim's candidate list.
+	// current cycle, pickVictim's candidate list and the identifiers of
+	// the victim being relocated.
 	cleanVisited map[int]bool
 	cleanCands   []victimCand
+	cleanIDs     []BlockID
 	gcWork       []*sealedSeg
 
 	// MVCC epoch state (snapshot.go, DESIGN.md §16). head is the only

@@ -324,13 +324,21 @@ func (d *LLD) retireSeg() error {
 }
 
 // maybeMaintain runs background maintenance, if it may run now, at an
-// operation boundary that did not write a segment. No count of reusable
-// segments is at hand there, and all maintain needs of one is whether it
-// is below the cleaner's low-water mark, so the scan stops at the mark.
+// operation boundary that did not write a segment. All maintain needs of a
+// count of reusable segments is whether it is below the cleaner's
+// low-water mark. freeCache is a lower bound of the count — between two
+// segment writes a segment can become freeable but never stop being so
+// (VerifyInternal checks the bound) — so only a cached count below the
+// mark takes a scan, and that scan stops at the mark.
 func (d *LLD) maybeMaintain() {
-	if d.canMaintain() {
-		d.maintain(d.reusableUpTo(d.params.CleanerLowWater))
+	if !d.canMaintain() {
+		return
 	}
+	free := d.freeCache
+	if free < d.params.CleanerLowWater {
+		free = d.reusableUpTo(d.params.CleanerLowWater)
+	}
+	d.freeCache = d.maintain(free)
 }
 
 // canMaintain reports whether background maintenance may run now.
@@ -350,7 +358,8 @@ func (d *LLD) canMaintain() bool {
 // one is due, the cleaner when free — the caller's count of reusable
 // segments, exact at least up to the mark — is below the low-water
 // mark. It recounts only after one of the two has run, and returns the
-// count it leaves behind. Callers have checked canMaintain.
+// count it leaves behind — free itself if neither ran, so a lower bound
+// stays one. Callers have checked canMaintain.
 func (d *LLD) maintain(free int) int {
 	if d.params.CheckpointEvery > 0 && d.segsSinceC >= d.params.CheckpointEvery {
 		err := d.checkpointLocked()
@@ -523,11 +532,11 @@ func (d *LLD) promote(e *sealedSeg) {
 // here goes into e.frees, quarantined from reuse until e retires.
 func (d *LLD) promoteBlock(lf *blockLeaf, ab *blockVer, e *sealedSeg) {
 	d.stats.RecordsPromoted.Add(1)
-	d.dirtyBlocks[BlockID(lf.id)] = struct{}{}
+	d.dirtyBlocks.mark(BlockID(lf.id))
 	if lf.hasPersist && lf.persist.HasData {
 		s := int(lf.persist.Seg)
 		d.segFreeEpoch[s] = d.epoch + 1
-		if d.segLive[s]--; d.segLive[s] == 0 {
+		if d.dropLive(lf.persist) {
 			e.frees = append(e.frees, s)
 		}
 	}
@@ -536,16 +545,49 @@ func (d *LLD) promoteBlock(lf *blockLeaf, ab *blockVer, e *sealedSeg) {
 	if !ab.deleted {
 		lf.persist = ab.rec
 		if ab.rec.HasData {
-			d.segLive[ab.rec.Seg]++
+			d.addLive(BlockID(lf.id), ab.rec)
 		}
 	}
 	d.dropBlockVer(lf, ab)
 }
 
+// ownIdx is the index of slot's block in its segment's owner table. The
+// data slots of the chunks in a segment do not overlap, so no two live
+// blocks of a segment share one.
+func (d *LLD) ownIdx(slot uint32) int { return seg.SlotOff(slot) / d.params.Layout.BlockSize }
+
+// addLive counts block id's persistent version, at rec's data location,
+// live in its segment and enters it in the segment's owner table.
+func (d *LLD) addLive(id BlockID, rec seg.BlockRec) {
+	s := rec.Seg
+	if d.segOwn[s] == nil {
+		if n := len(d.freeOwn); n > 0 {
+			d.segOwn[s], d.freeOwn = d.freeOwn[n-1], d.freeOwn[:n-1]
+		} else {
+			d.segOwn[s] = make([]BlockID, d.params.Layout.SegBytes/d.params.Layout.BlockSize)
+		}
+	}
+	d.segOwn[s][d.ownIdx(rec.Slot)] = id
+	d.segLive[s]++
+}
+
+// dropLive undoes addLive for the persistent version at rec's data
+// location and reports whether that emptied its segment.
+func (d *LLD) dropLive(rec seg.BlockRec) (emptied bool) {
+	s := rec.Seg
+	d.segOwn[s][d.ownIdx(rec.Slot)] = NilBlock
+	if d.segLive[s]--; d.segLive[s] != 0 {
+		return false
+	}
+	d.freeOwn = append(d.freeOwn, d.segOwn[s])
+	d.segOwn[s] = nil
+	return true
+}
+
 // promoteList installs al as the persistent version of its list.
 func (d *LLD) promoteList(lf *listLeaf, al *listVer) {
 	d.stats.RecordsPromoted.Add(1)
-	d.dirtyLists[ListID(lf.id)] = struct{}{}
+	d.dirtyLists.mark(ListID(lf.id))
 	lf.hasPersist = !al.deleted
 	lf.persist = seg.ListRec{}
 	if !al.deleted {

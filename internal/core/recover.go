@@ -151,11 +151,10 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		builder:      seg.NewBuilder(layout),
 		segSeq:       make([]uint64, layout.NumSegs),
 		segLive:      make([]int32, layout.NumSegs),
+		segOwn:       make([][]BlockID, layout.NumSegs),
 		segPins:      make([]int32, layout.NumSegs),
 		cache:        newBlockCache(p.CacheBlocks),
 		cleanVisited: make(map[int]bool),
-		dirtyBlocks:  make(map[BlockID]struct{}),
-		dirtyLists:   make(map[ListID]struct{}),
 		segFreeEpoch: make([]uint64, layout.NumSegs),
 	}
 	d.setRet(new(retireSet))
@@ -330,11 +329,11 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	d.stats.DroppedARUs.Store(int64(rpt.ARUsDropped))
 
 	// One walk of the recovered block map gives the sweep its leaked
-	// blocks and the engine its per-segment live counts and next
-	// identifiers (those of the surviving entries, as ever).
+	// blocks and the engine its per-segment live counts, owner tables and
+	// next identifiers (those of the surviving entries, as ever).
 	leaked := d.leakedBlocks(func(lf *blockLeaf) {
 		if lf.persist.HasData {
-			d.segLive[lf.persist.Seg]++
+			d.addLive(BlockID(lf.id), lf.persist)
 		}
 		d.nextBlk = max(d.nextBlk, BlockID(lf.id)+1)
 	})
@@ -573,8 +572,8 @@ func persistOf[R any](lf *leaf[R]) *R {
 	return &lf.persist
 }
 
-func (rt *recoveryTables) touchBlock(id BlockID) { rt.d.dirtyBlocks[id] = struct{}{} }
-func (rt *recoveryTables) touchList(id ListID)   { rt.d.dirtyLists[id] = struct{}{} }
+func (rt *recoveryTables) touchBlock(id BlockID) { rt.d.dirtyBlocks.mark(id) }
+func (rt *recoveryTables) touchList(id ListID)   { rt.d.dirtyLists.mark(id) }
 
 // apply processes one summary entry found in segment segIdx.
 func (rt *recoveryTables) apply(e seg.Entry, segIdx uint32) {

@@ -99,9 +99,10 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 			func() { d.sealed = d.sealed[:len(d.sealed)-1] }},
 		{"sequence number drift", "on the device it holds chunks",
 			func() { d.segSeq[pinned]++ }, func() { d.segSeq[pinned]-- }},
+		// The owner table moves along, so that the device check, not the
+		// table's, is the one that fails.
 		{"slot drift", "no data slot",
-			func() { pmapGet(d.blockTab.root, uint64(b1)).persist.Slot++ },
-			func() { pmapGet(d.blockTab.root, uint64(b1)).persist.Slot-- }},
+			func() { moveSlot(d, b1, +1) }, func() { moveSlot(d, b1, -1) }},
 	} {
 		d.mu.Lock()
 		c.plant()
@@ -119,4 +120,14 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	if err := d.AbortARU(a); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// moveSlot moves block b's persistent data location by delta slots,
+// owner table entry included. Caller holds d.mu.
+func moveSlot(d *LLD, b BlockID, delta int) {
+	rec := &pmapGet(d.blockTab.root, uint64(b)).persist
+	tab := d.segOwn[rec.Seg]
+	tab[d.ownIdx(rec.Slot)] = NilBlock
+	rec.Slot = uint32(int(rec.Slot) + delta)
+	tab[d.ownIdx(rec.Slot)] = b
 }

@@ -7,9 +7,10 @@ import (
 	"aru/internal/alloctest"
 )
 
-// The four wall-clock ratio gates. Each runs the size CI has always run
+// The wall-clock ratio gates. Each runs the size CI has always run
 // and holds the threshold CI has always passed; the constants live here
-// and nowhere else. Under the race detector the workloads and the
+// and nowhere else (the scale-free gate's, which needs Linux's
+// per-thread CPU clock, live with it in scalefree_test.go). Under the race detector the workloads and the
 // structural assertions still run, but the timing assertions are
 // skipped: its per-operation CPU overhead swamps the sync pipelining
 // the ratios measure (observed shard scaling dips below 1x), so CI runs
