@@ -78,7 +78,9 @@ const (
 // and NewNetServer (cmd/aru-serve is the ready-made server binary).
 type Disk = core.LLD
 
-// Params configures Format and Open; see aru/internal/core.Params.
+// Params configures Format and Open; see aru/internal/core.Params. Its
+// one cleaner threshold is CleanerLowWater: the cleaner starts when fewer
+// segments are reusable and stops once twice as many are.
 type Params = core.Params
 
 // Snapshot is a pinned read-only view of one published epoch: the

@@ -87,8 +87,7 @@ func (m mode) touchList(cl *listVer, ts uint64) {
 // On the sequential variant at most one ARU may be open at a time.
 func (d *LLD) BeginARU() (ARUID, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return 0, ErrClosed
 	}
@@ -122,8 +121,7 @@ func (d *LLD) EndARU(aru ARUID) error {
 // network client.
 func (d *LLD) EndARUTraced(aru ARUID, sc obs.SpanContext) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return ErrClosed
 	}
@@ -162,12 +160,6 @@ func (d *LLD) endARUOld(aru ARUID, st *aruState, commit obs.SpanContext) error {
 	d.ungate(st, cts)
 	d.closeARU(st)
 	d.stats.ARUsCommitted.Add(1)
-	// The commit is fully applied: maintenance below may publish
-	// intermediate epochs (cleaner batches) without exposing a
-	// half-merged state.
-	d.pubSafe = true
-	d.maybeMaintain()
-	d.pubSafe = false
 	return nil
 }
 
@@ -276,9 +268,6 @@ func (d *LLD) endARUNew(aru ARUID, st *aruState, commit obs.SpanContext, silent 
 	d.discardShadow(st)
 	d.closeARU(st)
 	d.stats.ARUsCommitted.Add(1)
-	d.pubSafe = true
-	d.maybeMaintain()
-	d.pubSafe = false
 	return nil
 }
 
@@ -349,8 +338,7 @@ func (d *LLD) closeARU(st *aruState) {
 // cannot abort, since it applies operations in place.
 func (d *LLD) AbortARU(aru ARUID) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return ErrClosed
 	}

@@ -17,8 +17,7 @@ import (
 // it automatically at the end of every recovery.
 func (d *LLD) CheckDisk() (int, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return 0, ErrClosed
 	}

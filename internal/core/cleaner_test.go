@@ -210,7 +210,7 @@ func TestCleanerRunsAutomatically(t *testing.T) {
 // TestNoSpace verifies the documented failure mode when the log truly
 // fills with live data.
 func TestNoSpace(t *testing.T) {
-	p := Params{Layout: testLayout(12), CleanerLowWater: 2, CleanerTargetFree: 3}
+	p := Params{Layout: testLayout(12), CleanerLowWater: 2}
 	dev := disk.NewMem(p.Layout.DiskBytes())
 	d, err := Format(dev, p)
 	if err != nil {

@@ -40,7 +40,7 @@ func (d *LLD) stampCommit(aru ARUID, commit obs.SpanContext) {
 }
 
 // emitStampsDurable ends the commit-durable spans of a drained set of
-// commit stamps, naming the batch (0 = a locked flush) and device sync
+// commit stamps, naming the batch (0 = pickSeg's locked flush) and device sync
 // that made each durable. Caller holds d.mu.
 func (d *LLD) emitStampsDurable(stamps []commitStamp, batchID, syncID uint64) {
 	if d.obs == nil || len(stamps) == 0 {

@@ -67,8 +67,7 @@ func (d *LLD) Write(aru ARUID, b BlockID, data []byte) error {
 
 func (d *LLD) write(aru ARUID, b BlockID, data []byte) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return ErrClosed
 	}
@@ -124,8 +123,7 @@ func (d *LLD) write(aru ARUID, b BlockID, data []byte) error {
 // yet cannot allocate it either (paper §3.3).
 func (d *LLD) NewBlock(aru ARUID, lst ListID, pred BlockID) (BlockID, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return NilBlock, ErrClosed
 	}
@@ -172,8 +170,7 @@ func (d *LLD) NewBlock(aru ARUID, lst ListID, pred BlockID) (BlockID, error) {
 // allocation always happens in the committed state.
 func (d *LLD) NewList(aru ARUID) (ListID, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return NilList, ErrClosed
 	}
@@ -200,8 +197,7 @@ func (d *LLD) NewList(aru ARUID) (ListID, error) {
 // an ARU both effects are shadowed and take effect at commit.
 func (d *LLD) DeleteBlock(aru ARUID, b BlockID) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return ErrClosed
 	}
@@ -224,8 +220,7 @@ func (d *LLD) DeleteBlock(aru ARUID, b BlockID) error {
 // (the improved deletion policy of paper §5.3).
 func (d *LLD) DeleteList(aru ARUID, lst ListID) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return ErrClosed
 	}

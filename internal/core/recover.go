@@ -370,8 +370,16 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	// and cut off everything this incarnation writes. Seal the window
 	// now with a fresh checkpoint so the dropped segments can never
 	// re-enter a replay window.
+	// Nothing is queued during construction, so the record is gathered,
+	// written and installed directly.
 	if droppedTail {
-		if err := d.checkpointLocked(); err != nil && !errors.Is(err, ErrNoSpace) {
+		ck, err := d.gatherCkpt()
+		if err == nil && ck.buf != nil {
+			if err = d.writeCkpt(ck); err == nil {
+				d.installCkpt(ck)
+			}
+		}
+		if err != nil && !errors.Is(err, ErrNoSpace) {
 			return nil, RecoveryReport{}, fmt.Errorf("lld: sealing cut log tail: %w", err)
 		}
 	}

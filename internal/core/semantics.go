@@ -57,8 +57,7 @@ func (d *LLD) CommitDurable(aru ARUID) error {
 // re-arrangement) and for clients like rename.
 func (d *LLD) MoveBlock(aru ARUID, b BlockID, lst ListID, pred BlockID) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return ErrClosed
 	}

@@ -107,10 +107,11 @@ func TestSpanBatchCausality(t *testing.T) {
 	}
 }
 
-// TestSpanLockedDrainNamesSync: a commit made durable by the locked
-// drain (Checkpoint) rather than a broker batch must still name a sync —
-// batch 0, sync nonzero.
-func TestSpanLockedDrainNamesSync(t *testing.T) {
+// TestSpanCheckpointRoundNamesSync: a commit made durable by a
+// checkpoint round rather than a group-commit batch names the round's
+// batch and its sync, and both exist as spans, the sync a child of the
+// batch.
+func TestSpanCheckpointRoundNamesSync(t *testing.T) {
 	tr := obs.New(obs.Config{})
 	d, _ := newTestLLD(t, Params{Tracer: tr})
 	defer d.Close()
@@ -130,16 +131,35 @@ func TestSpanLockedDrainNamesSync(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	durables := spansByKind(tr.Spans())[obs.SpanCommitDurable]
+	byKind := spansByKind(tr.Spans())
+	durables := byKind[obs.SpanCommitDurable]
 	if len(durables) != 1 {
 		t.Fatalf("got %d commit-durable spans, want 1", len(durables))
 	}
-	if durables[0].Arg1 != 0 || durables[0].Arg2 == 0 {
-		t.Fatalf("drained durable ack: batch=%d sync=%d, want batch 0 and a nonzero sync", durables[0].Arg1, durables[0].Arg2)
+	cd := durables[0]
+	if cd.Arg1 == 0 || cd.Arg2 == 0 {
+		t.Fatalf("checkpointed durable ack: batch=%d sync=%d, want both nonzero", cd.Arg1, cd.Arg2)
+	}
+	var batch, sync *obs.Span
+	for i, b := range byKind[obs.SpanCommitBatch] {
+		if b.Arg1 == cd.Arg1 {
+			batch = &byKind[obs.SpanCommitBatch][i]
+		}
+	}
+	for i, s := range byKind[obs.SpanDeviceSync] {
+		if s.Arg1 == cd.Arg2 {
+			sync = &byKind[obs.SpanDeviceSync][i]
+		}
+	}
+	if batch == nil || sync == nil || sync.Parent != batch.ID {
+		t.Fatalf("the round's batch %d and sync %d are not a batch span with its sync as child: batch=%+v sync=%+v", cd.Arg1, cd.Arg2, batch, sync)
+	}
+	if n := len(byKind[obs.SpanCkptDelta]) + len(byKind[obs.SpanCheckpoint]); n != 1 {
+		t.Fatalf("got %d checkpoint spans, want 1", n)
 	}
 	// Untraced EndARU with spans enabled roots its own trace.
-	if durables[0].Trace == 0 || durables[0].Parent == 0 {
-		t.Fatalf("untraced commit did not root a local trace: %+v", durables[0])
+	if cd.Trace == 0 || cd.Parent == 0 {
+		t.Fatalf("untraced commit did not root a local trace: %+v", cd)
 	}
 }
 

@@ -47,8 +47,7 @@ func (d *LLD) PrepareARU(aru ARUID, txn uint64) error {
 // coordinator's 2PC span).
 func (d *LLD) PrepareARUTraced(aru ARUID, txn uint64, sc obs.SpanContext) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return ErrClosed
 	}
@@ -158,8 +157,7 @@ func (d *LLD) CommitPrepared(aru ARUID) error {
 // EndARUTraced.
 func (d *LLD) CommitPreparedTraced(aru ARUID, sc obs.SpanContext) error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	defer d.publishLocked()
+	defer d.endOp()
 	if d.closed {
 		return ErrClosed
 	}

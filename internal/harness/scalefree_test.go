@@ -21,8 +21,8 @@ import (
 // of live blocks in one ARU, a Flush every 256 units — on churn's log, 68 %
 // full with lists of 100 blocks, scaled by k. Everything that sizes the
 // engine scales with the log: the cache, and the cleaner's low-water mark
-// and target, so the free reserve is the same fraction of the log at every
-// scale. The chain is never compacted on schedule (CkptCompactEvery), so a
+// (its target is twice the mark), so the free reserve is the same
+// fraction of the log at every scale. The chain is never compacted on schedule (CkptCompactEvery), so a
 // base — which is O(live) by design, like a mount's checkpoint load — is
 // written only when its region fills.
 const (
@@ -31,7 +31,6 @@ const (
 	sfListBlocks   = 100
 	sfCacheBlocks  = 1024
 	sfLowWater     = 8
-	sfTargetFree   = 16
 	sfFlushEvery   = 256
 	sfCompactEvery = 1 << 20
 	sfWarmWrites   = 2
@@ -90,11 +89,10 @@ type scaleFree struct {
 func newScaleFree(k int, seed int64) (*scaleFree, error) {
 	l := seg.DefaultLayout(sfSegs * k)
 	p := core.Params{
-		Layout:            l,
-		CacheBlocks:       sfCacheBlocks * k,
-		CleanerLowWater:   sfLowWater * k,
-		CleanerTargetFree: sfTargetFree * k,
-		CkptCompactEvery:  sfCompactEvery,
+		Layout:           l,
+		CacheBlocks:      sfCacheBlocks * k,
+		CleanerLowWater:  sfLowWater * k,
+		CkptCompactEvery: sfCompactEvery,
 	}
 	dev := disk.NewMem(l.DiskBytes())
 	d, err := core.Format(dev, p)
