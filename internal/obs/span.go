@@ -100,12 +100,13 @@ const (
 	// block id.
 	SpanWrite
 	// SpanCheckpoint: one checkpoint written as a full base, including
-	// the log drain before it. Arg1 = checkpoint timestamp, Arg2 = the
-	// chain depth it compacted (0 for a chain's first record).
+	// the log drain before it. Arg1 = checkpoint timestamp (0: the
+	// record failed), Arg2 = the chain depth it compacted (0 for a
+	// chain's first record).
 	SpanCheckpoint
 	// SpanCkptDelta: one checkpoint appended as an incremental delta,
-	// including the log drain before it. Arg1 = checkpoint timestamp,
-	// Arg2 = chain depth after the append.
+	// including the log drain before it. Arg1 = checkpoint timestamp
+	// (0: the record failed), Arg2 = chain depth after the append.
 	SpanCkptDelta
 	// SpanCleanerPass: one cleaner invocation. Arg1 = segments
 	// reclaimed.
