@@ -15,18 +15,26 @@ type DirEntry struct {
 	Mode Mode
 }
 
-// decodeDirent decodes slot p (direntSize bytes); a zero inode means a
-// free slot.
-func decodeDirent(p []byte) (Ino, string) {
-	ino := Ino(binary.LittleEndian.Uint64(p[0:]))
-	if ino == 0 {
-		return 0, ""
-	}
+// direntIno returns the inode named by slot p (direntSize bytes); 0
+// means a free slot.
+func direntIno(p []byte) Ino { return Ino(binary.LittleEndian.Uint64(p[0:])) }
+
+// direntName returns the name bytes of slot p, in place.
+func direntName(p []byte) []byte {
 	n := int(p[8])
 	if n > MaxNameLen {
 		n = MaxNameLen
 	}
-	return ino, string(p[9 : 9+n])
+	return p[9 : 9+n]
+}
+
+// decodeDirent decodes slot p; a zero inode means a free slot.
+func decodeDirent(p []byte) (Ino, string) {
+	ino := direntIno(p)
+	if ino == 0 {
+		return 0, ""
+	}
+	return ino, string(direntName(p))
 }
 
 // encodeDirent writes (ino, name) into slot p.
@@ -61,14 +69,15 @@ func (fs *FS) dirLookup(aru core.ARUID, din inode, name string) (ino Ino, blk co
 	if err != nil {
 		return 0, 0, 0, false, err
 	}
-	buf := make([]byte, fs.bsize)
+	buf := fs.blkBuf
 	for _, b := range blocks {
 		if err := fs.ld.Read(aru, b, buf); err != nil {
 			return 0, 0, 0, false, err
 		}
 		for s := 0; s < fs.perDir; s++ {
-			eIno, eName := decodeDirent(buf[s*direntSize:])
-			if eIno != 0 && eName == name {
+			p := buf[s*direntSize:]
+			// The conversion in the comparison does not allocate.
+			if eIno := direntIno(p); eIno != 0 && string(direntName(p)) == name {
 				return eIno, b, s, true, nil
 			}
 		}
@@ -85,14 +94,14 @@ func (fs *FS) dirAddEntry(aru core.ARUID, dIno Ino, din inode, name string, ino 
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, fs.bsize)
+	buf := fs.blkBuf
 	wrote := false
 	for _, b := range blocks {
 		if err := fs.ld.Read(aru, b, buf); err != nil {
 			return err
 		}
 		for s := 0; s < fs.perDir; s++ {
-			if eIno, _ := decodeDirent(buf[s*direntSize:]); eIno == 0 {
+			if direntIno(buf[s*direntSize:]) == 0 {
 				encodeDirent(buf[s*direntSize:(s+1)*direntSize], ino, name)
 				if err := fs.ld.Write(aru, b, buf); err != nil {
 					return err
@@ -132,7 +141,7 @@ func (fs *FS) dirAddEntry(aru core.ARUID, dIno Ino, din inode, name string, ino 
 // rewrites the directory inode with a fresh modification time, as Minix
 // does on every unlink.
 func (fs *FS) dirRemoveEntry(aru core.ARUID, dIno Ino, din inode, blk core.BlockID, slot int) error {
-	buf := make([]byte, fs.bsize)
+	buf := fs.blkBuf
 	if err := fs.ld.Read(aru, blk, buf); err != nil {
 		return err
 	}
@@ -160,13 +169,13 @@ func (fs *FS) dirEmpty(aru core.ARUID, din inode) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	buf := make([]byte, fs.bsize)
+	buf := fs.blkBuf
 	for _, b := range blocks {
 		if err := fs.ld.Read(aru, b, buf); err != nil {
 			return false, err
 		}
 		for s := 0; s < fs.perDir; s++ {
-			if ino, _ := decodeDirent(buf[s*direntSize:]); ino != 0 {
+			if direntIno(buf[s*direntSize:]) != 0 {
 				return false, nil
 			}
 		}
@@ -190,7 +199,7 @@ func (fs *FS) ReadDir(path string) ([]DirEntry, error) {
 		return nil, err
 	}
 	var out []DirEntry
-	buf := make([]byte, fs.bsize)
+	buf := fs.blkBuf
 	for _, b := range blocks {
 		if err := fs.ld.Read(0, b, buf); err != nil {
 			return nil, err

@@ -74,7 +74,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		p = p[:max]
 	}
 	bs := f.fs.bsize
-	buf := make([]byte, bs)
+	buf := f.fs.blkBuf
 	n := 0
 	for n < len(p) {
 		idx := int((off + int64(n)) / int64(bs))
@@ -104,7 +104,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("%w: negative offset", ErrBadName)
 	}
 	bs := f.fs.bsize
-	buf := make([]byte, bs)
+	buf := f.fs.blkBuf
 	n := 0
 	for n < len(p) {
 		pos := off + int64(n)
@@ -186,7 +186,7 @@ func (f *File) Truncate(size uint64) error {
 	// Zero the tail block beyond the new size, so a later extension
 	// reveals zeroes rather than stale bytes.
 	if tail := int(size % uint64(f.fs.bsize)); tail != 0 && keep > 0 {
-		buf := make([]byte, f.fs.bsize)
+		buf := f.fs.blkBuf
 		if err := f.fs.ld.Read(a, f.blocks[keep-1], buf); err != nil {
 			_ = f.fs.ld.AbortARU(a)
 			return err

@@ -113,8 +113,15 @@ type FS struct {
 	perBlk int // inodes per inode-table block
 	perDir int // dirents per directory block
 
-	mu          sync.Mutex
-	clock       uint64 // logical mtime source
+	mu    sync.Mutex
+	clock uint64 // logical mtime source
+	// Two block-sized scratch buffers, used only under mu, so that no
+	// block step allocates (core.Write copies its input). inoBuf is the
+	// inode helpers' (readInode, writeInode, setBitmap, allocInode,
+	// inodeUsed); blkBuf holds a directory or file data block. A holder
+	// of blkBuf may call the inode helpers, never the reverse.
+	inoBuf      []byte
+	blkBuf      []byte
 	super       super
 	metaList    core.ListID    // list holding superblock + bitmap
 	metaBlocks  []core.BlockID // superblock + bitmap blocks
@@ -138,13 +145,7 @@ func Mkfs(ld *core.LLD, cfg Config) (*FS, error) {
 	if cfg.NumInodes <= 0 {
 		cfg.NumInodes = 4096
 	}
-	fs := &FS{
-		ld:     ld,
-		bsize:  ld.BlockSize(),
-		perBlk: ld.BlockSize() / inodeSize,
-		perDir: ld.BlockSize() / direntSize,
-		policy: cfg.Policy,
-	}
+	fs := newFS(ld, cfg.Policy)
 	bitmapBlocks := (cfg.NumInodes + fs.bsize*8 - 1) / (fs.bsize * 8)
 	fs.super = super{
 		numInodes:    uint32(cfg.NumInodes),
@@ -200,7 +201,7 @@ func Mkfs(ld *core.LLD, cfg Config) (*FS, error) {
 	}
 
 	// Superblock contents.
-	sb := make([]byte, fs.bsize)
+	sb := fs.blkBuf
 	binary.LittleEndian.PutUint32(sb[0:], fsMagic)
 	binary.LittleEndian.PutUint32(sb[4:], 1) // version
 	binary.LittleEndian.PutUint32(sb[8:], fs.super.numInodes)
@@ -249,14 +250,8 @@ func Mount(ld *core.LLD, policy DeletePolicy) (*FS, error) {
 // one disk (paper §2, §5.1); each file system is self-contained in its
 // own lists, addressed through its meta list.
 func MountAt(ld *core.LLD, policy DeletePolicy, metaList core.ListID) (*FS, error) {
-	fs := &FS{
-		ld:       ld,
-		bsize:    ld.BlockSize(),
-		perBlk:   ld.BlockSize() / inodeSize,
-		perDir:   ld.BlockSize() / direntSize,
-		policy:   policy,
-		metaList: metaList,
-	}
+	fs := newFS(ld, policy)
+	fs.metaList = metaList
 	meta, err := ld.ListBlocks(0, metaList)
 	if err != nil {
 		return nil, err
@@ -264,7 +259,7 @@ func MountAt(ld *core.LLD, policy DeletePolicy, metaList core.ListID) (*FS, erro
 	if len(meta) == 0 {
 		return nil, fmt.Errorf("%w: empty meta list", ErrCorrupt)
 	}
-	sb := make([]byte, fs.bsize)
+	sb := fs.blkBuf
 	if err := ld.Read(0, meta[0], sb); err != nil {
 		return nil, err
 	}
@@ -289,6 +284,20 @@ func MountAt(ld *core.LLD, policy DeletePolicy, metaList core.ListID) (*FS, erro
 		return nil, fmt.Errorf("%w: inode list has %d blocks, want %d", ErrCorrupt, len(fs.inodeBlocks), want)
 	}
 	return fs, nil
+}
+
+// newFS returns an FS on ld with its geometry and scratch buffers set.
+func newFS(ld *core.LLD, policy DeletePolicy) *FS {
+	bs := ld.BlockSize()
+	return &FS{
+		ld:     ld,
+		bsize:  bs,
+		perBlk: bs / inodeSize,
+		perDir: bs / direntSize,
+		policy: policy,
+		inoBuf: make([]byte, bs),
+		blkBuf: make([]byte, bs),
+	}
 }
 
 // Disk returns the underlying logical disk.
@@ -328,7 +337,7 @@ func (fs *FS) Statfs() (FSStat, error) {
 		InodesTotal:  int(fs.super.numInodes),
 		FreeSegments: fs.ld.FreeSegments(),
 	}
-	buf := make([]byte, fs.bsize)
+	buf := fs.blkBuf
 	counted := 0
 	for blk := 0; blk < int(fs.super.bitmapBlocks); blk++ {
 		if err := fs.ld.Read(0, fs.metaBlocks[1+blk], buf); err != nil {

@@ -59,7 +59,7 @@ func (fs *FS) Fsck() (FsckReport, error) {
 		if err != nil {
 			return rpt, fmt.Errorf("directory inode %d: %w", dIno, err)
 		}
-		buf := make([]byte, fs.bsize)
+		buf := fs.blkBuf
 		for _, b := range blocks {
 			if err := fs.ld.Read(0, b, buf); err != nil {
 				return rpt, err

@@ -27,7 +27,7 @@ func (fs *FS) readInode(aru core.ARUID, ino Ino) (inode, error) {
 	}
 	idx := int(ino-1) / fs.perBlk
 	off := (int(ino-1) % fs.perBlk) * inodeSize
-	buf := make([]byte, fs.bsize)
+	buf := fs.inoBuf
 	if err := fs.ld.Read(aru, fs.inodeBlocks[idx], buf); err != nil {
 		return inode{}, err
 	}
@@ -50,7 +50,7 @@ func (fs *FS) writeInode(aru core.ARUID, ino Ino, in inode) error {
 	}
 	idx := int(ino-1) / fs.perBlk
 	off := (int(ino-1) % fs.perBlk) * inodeSize
-	buf := make([]byte, fs.bsize)
+	buf := fs.inoBuf
 	if err := fs.ld.Read(aru, fs.inodeBlocks[idx], buf); err != nil {
 		return err
 	}
@@ -70,7 +70,7 @@ func (fs *FS) writeInode(aru core.ARUID, ino Ino, in inode) error {
 func (fs *FS) setBitmap(aru core.ARUID, ino Ino, used bool) error {
 	bit := int(ino - 1)
 	blk := bit / (fs.bsize * 8)
-	buf := make([]byte, fs.bsize)
+	buf := fs.inoBuf
 	if err := fs.ld.Read(aru, fs.metaBlocks[1+blk], buf); err != nil {
 		return err
 	}
@@ -88,7 +88,7 @@ func (fs *FS) setBitmap(aru core.ARUID, ino Ino, used bool) error {
 // returns it. The search and the bitmap write happen inside aru, so a
 // crash before commit allocates nothing.
 func (fs *FS) allocInode(aru core.ARUID) (Ino, error) {
-	buf := make([]byte, fs.bsize)
+	buf := fs.inoBuf
 	for blk := 0; blk < int(fs.super.bitmapBlocks); blk++ {
 		if err := fs.ld.Read(aru, fs.metaBlocks[1+blk], buf); err != nil {
 			return 0, err
@@ -128,7 +128,7 @@ func (fs *FS) freeInode(aru core.ARUID, ino Ino) error {
 func (fs *FS) inodeUsed(ino Ino) (bool, error) {
 	bit := int(ino - 1)
 	blk := bit / (fs.bsize * 8)
-	buf := make([]byte, fs.bsize)
+	buf := fs.inoBuf
 	if err := fs.ld.Read(0, fs.metaBlocks[1+blk], buf); err != nil {
 		return false, err
 	}

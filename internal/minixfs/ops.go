@@ -2,6 +2,7 @@ package minixfs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"aru/internal/core"
@@ -20,7 +21,8 @@ func splitPath(path string) []string {
 	return out
 }
 
-// resolve walks path from the root and returns the final inode. The
+// resolve walks path from the root and returns the final inode,
+// cutting components off path without building a slice of them. The
 // caller must hold fs.mu.
 func (fs *FS) resolve(path string) (Ino, inode, error) {
 	ino := Ino(RootIno)
@@ -28,7 +30,12 @@ func (fs *FS) resolve(path string) (Ino, inode, error) {
 	if err != nil {
 		return 0, inode{}, err
 	}
-	for _, name := range splitPath(path) {
+	for rest := path; rest != ""; {
+		var name string
+		name, rest, _ = strings.Cut(rest, "/")
+		if name == "" {
+			continue
+		}
 		if in.Mode != ModeDir {
 			return 0, inode{}, fmt.Errorf("%w: %s", ErrNotDir, path)
 		}
@@ -48,17 +55,18 @@ func (fs *FS) resolve(path string) (Ino, inode, error) {
 }
 
 // resolveParent resolves the directory containing the final component
-// of path and returns (parent ino, parent inode, final name).
+// of path and returns (parent ino, parent inode, final name). The
+// parent is the prefix of path before its last separator.
 func (fs *FS) resolveParent(path string) (Ino, inode, string, error) {
-	comps := splitPath(path)
-	if len(comps) == 0 {
+	trimmed := strings.TrimRight(path, "/")
+	if trimmed == "" {
 		return 0, inode{}, "", fmt.Errorf("%w: %q has no final component", ErrBadName, path)
 	}
-	name := comps[len(comps)-1]
+	k := strings.LastIndexByte(trimmed, '/')
+	name, parent := trimmed[k+1:], trimmed[:k+1]
 	if err := validName(name); err != nil {
 		return 0, inode{}, "", err
 	}
-	parent := "/" + strings.Join(comps[:len(comps)-1], "/")
 	pIno, pIn, err := fs.resolve(parent)
 	if err != nil {
 		return 0, inode{}, "", err
@@ -319,7 +327,8 @@ func (fs *FS) Link(oldPath, newPath string) error {
 // Rename moves the entry oldPath to newPath (which must not exist),
 // atomically with respect to failures: both directory updates share
 // one ARU. This is the natural extension the ARU mechanism makes
-// cheap; classic Minix needed ordering tricks here.
+// cheap; classic Minix needed ordering tricks here. A directory cannot
+// move into its own subtree: that would unlink it from the tree.
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -334,6 +343,10 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	}
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotExist, oldPath)
+	}
+	// Directories cannot be hard-linked, so a path is its ancestry.
+	if oldC, newC := splitPath(oldPath), splitPath(newPath); len(newC) > len(oldC) && slices.Equal(newC[:len(oldC)], oldC) {
+		return fmt.Errorf("%w: cannot move %s into its own subtree %s", ErrBadName, oldPath, newPath)
 	}
 	newPIno, newPIn, newName, err := fs.resolveParent(newPath)
 	if err != nil {
