@@ -13,6 +13,7 @@ package aru_test
 // under it).
 
 import (
+	"math/rand"
 	"testing"
 
 	"aru"
@@ -180,4 +181,90 @@ func TestAllocsCommitDurable(t *testing.T) {
 		op()
 	}
 	alloctest.Check(t, "durable commit", 6, 200, op)
+}
+
+// TestAllocsCleanerRound gates the bytes maintenance allocates per unit
+// on a wrapped log: the benchmark's churn unit — three overwrites, and
+// every fourth unit a block appended to a list and its head deleted — on
+// 64 segments about 68 % live, with a Flush every 256 units. The measured
+// region runs cleaner batches and checkpoint deltas. A segment image goes
+// back to the pool when no published epoch has seen it, and a delta is
+// encoded straight from its dirty sets, so what is left per unit is the
+// delta's own buffer and the amortized cache-entry headers — against
+// ≈14.5 KB per unit when each cleaner batch allocated fresh segment images
+// and each delta gathered its tables first.
+func TestAllocsCleanerRound(t *testing.T) {
+	d := gateDisk(t, 64)
+	const nLists, per = 56, 100
+	buf := make([]byte, d.BlockSize())
+	lists := make([]aru.ListID, nLists)
+	rings := make([][per]aru.BlockID, nLists) // each list's blocks, oldest at heads[l]
+	heads := make([]int, nLists)
+	for l := range lists {
+		lists[l], _ = d.NewList(aru.Simple)
+		pred := aru.NilBlock
+		for k := 0; k < per; k++ {
+			b, err := d.NewBlock(aru.Simple, lists[l], pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Write(aru.Simple, b, buf); err != nil {
+				t.Fatal(err)
+			}
+			rings[l][k], pred = b, b
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	units := 0
+	op := func() {
+		units++
+		a, err := d.BeginARU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[0]++
+		for j := 0; j < 3; j++ {
+			l := rng.Intn(nLists)
+			if err := d.Write(a, rings[l][rng.Intn(per)], buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if units%4 == 0 {
+			l := rng.Intn(nLists)
+			h := heads[l]
+			nb, err := d.NewBlock(a, lists[l], rings[l][(h+per-1)%per])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Write(a, nb, buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.DeleteBlock(a, rings[l][h]); err != nil {
+				t.Fatal(err)
+			}
+			rings[l][h], heads[l] = nb, (h+1)%per
+		}
+		if err := d.EndARU(a); err != nil {
+			t.Fatal(err)
+		}
+		if units%256 == 0 {
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm up until the log has wrapped and the pools are at their
+	// steady-state size.
+	for i := 0; i < 6000; i++ {
+		op()
+	}
+	const measured = 4000
+	before := d.Stats()
+	alloctest.CheckBytes(t, "cleaner round", 2048, measured, op)
+	after := d.Stats()
+	cleaned, deltas := after.SegmentsCleaned-before.SegmentsCleaned, after.CkptDeltas-before.CkptDeltas
+	t.Logf("measured region: %d segments cleaned, %d deltas", cleaned, deltas)
+	if cleaned < 8 || deltas < 1 {
+		t.Fatalf("the measured region cleaned %d segments and wrote %d deltas, want at least 8 and 1", cleaned, deltas)
+	}
 }

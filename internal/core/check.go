@@ -170,7 +170,8 @@ type verKey struct {
 // every version on exactly one chain, every gated committed version on
 // exactly one open ARU's touched list; and every block buffer has one
 // owner — nothing a cache entry holds is also in a version slot, on the
-// free list or on a retire-set. One check leaves memory (verifyOnDevice):
+// free list or on a retire-set; no spare builder is reachable or listed
+// twice. One check leaves memory (verifyOnDevice):
 // the chunks of every segment whose blocks are read from the device. It is
 // exported for tests and the fsck tool.
 func (d *LLD) VerifyInternal() error {
@@ -369,6 +370,44 @@ func (d *LLD) VerifyInternal() error {
 		if e.seq <= d.ckptSeq || e.seq > d.segSeq[e.idx] {
 			fail("queued chunk of segment %d (seq %d) is at or below the checkpoint (%d) or above the segment's newest (%d)",
 				e.idx, e.seq, d.ckptSeq, d.segSeq[e.idx])
+		}
+	}
+	// The builder pool (groupcommit.go): a spare is a builder nothing can
+	// reach — not the open one, not a queued chunk's, not one a snapshot
+	// on the purge chain names — and no builder is listed twice across the
+	// spares and the retire-sets.
+	const spare = "as a spare"
+	where := make(map[*seg.Builder]string)
+	listed := func(b *seg.Builder, at string) {
+		if w, dup := where[b]; dup {
+			fail("a builder is listed %s and %s", w, at)
+		}
+		where[b] = at
+	}
+	reached := func(b *seg.Builder, by string) {
+		if b != nil && where[b] == spare {
+			fail("a spare builder is %s", by)
+		}
+	}
+	for _, b := range d.spareBuilders {
+		listed(b, spare)
+	}
+	for _, b := range d.ret.builders {
+		listed(b, "on the current retire-set")
+	}
+	reached(d.builder, "the open one")
+	for _, e := range d.sealed {
+		reached(e.bld, fmt.Sprintf("queued chunk %d's", e.seq))
+	}
+	for s := d.snapOldest; s != nil; s = s.next {
+		if s.ret != nil {
+			for _, b := range s.ret.builders {
+				listed(b, fmt.Sprintf("on epoch %d's retire-set", s.epoch))
+			}
+		}
+		reached(s.curBld, fmt.Sprintf("open in epoch %d", s.epoch))
+		for _, p := range s.sealed {
+			reached(p.bld, fmt.Sprintf("named by epoch %d", s.epoch))
 		}
 	}
 	for s := range live {

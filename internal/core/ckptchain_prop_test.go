@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -291,5 +292,143 @@ func TestRecoveryIdempotence(t *testing.T) {
 		if err := r2.VerifyInternal(); err != nil {
 			t.Fatalf("seed %d: re-recovered state: %v", seed, err)
 		}
+	}
+}
+
+// TestDeltaEncodesAsGathered: a delta is encoded straight from its dirty
+// sets (encodeDelta) with no gathered record in between. On random dirty
+// sets over a seeded history — live identifiers, deleted ones, never
+// allocated ones, repeats — on records padded to their last sector and on
+// one that ends exactly on it, the bytes must equal EncodeCkptRec of the
+// record the gather used to build; a delta larger than a whole region is
+// refused by both, one that fits only because most of it is deletions by
+// neither; and a delta past the room left in its region makes
+// gatherCkpt compact into a base. The dirty sets come out as the same
+// sets.
+func TestDeltaEncodesAsGathered(t *testing.T) {
+	p := Params{Layout: testLayout(128), CheckpointEvery: -1, CkptCompactEvery: 1 << 20}
+	d, _ := newTestLLD(t, p)
+	defer d.Close()
+	chainHistory(t, 5, 40, d)
+	l := d.params.Layout
+	h := seg.CkptRec{CkptTS: 41, PrevTS: 40, FlushedSeq: 77, NextTS: 9000, NextBlock: 123, NextList: 45, NextARU: 67}
+
+	// check encodes the delta over dirty sets blocks and lists both ways.
+	// It reports whether the record was refused and whether it ended on a
+	// sector boundary.
+	check := func(name string, blocks []BlockID, lists []ListID) (refused, exact bool) {
+		t.Helper()
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.dirtyBlocks = dirtySet[BlockID]{ids: slices.Clone(blocks)}
+		d.dirtyLists = dirtySet[ListID]{ids: slices.Clone(lists)}
+		sb, sl := slices.Clone(d.dirtyBlocks.sorted()), slices.Clone(d.dirtyLists.sorted())
+		r := h
+		for _, id := range sb {
+			if lf := pmapGet(d.blockTab.root, uint64(id)); lf != nil && lf.hasPersist {
+				r.Blocks = append(r.Blocks, lf.persist)
+			} else {
+				r.DelBlocks = append(r.DelBlocks, id)
+			}
+		}
+		for _, id := range sl {
+			if lf := pmapGet(d.listTab.root, uint64(id)); lf != nil && lf.hasPersist {
+				r.Lists = append(r.Lists, lf.persist)
+			} else {
+				r.DelLists = append(r.DelLists, id)
+			}
+		}
+		want, wantErr := seg.EncodeCkptRec(l, r)
+		got, gotErr := d.encodeDelta(d.dirtyBlocks.sorted(), d.dirtyLists.sorted(), h)
+		switch {
+		case (wantErr != nil) != (gotErr != nil):
+			t.Fatalf("%s: gathered encoding says %v, streamed says %v", name, wantErr, gotErr)
+		case !bytes.Equal(got, want):
+			t.Fatalf("%s: streamed delta (%d bytes) differs from the gathered record's encoding (%d bytes)", name, len(got), len(want))
+		}
+		gb, gl := slices.Clone(d.dirtyBlocks.ids), slices.Clone(d.dirtyLists.ids)
+		slices.Sort(gb)
+		slices.Sort(gl)
+		if !slices.Equal(gb, sb) || !slices.Equal(gl, sl) {
+			t.Fatalf("%s: encoding changed the dirty sets", name)
+		}
+		unrounded := 88 + 41*len(r.Blocks) + 32*len(r.Lists) + 8*(len(r.DelBlocks)+len(r.DelLists))
+		return wantErr != nil, unrounded%seg.SectorSize == 0
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	var padded bool
+	for trial := 0; trial < 200; trial++ {
+		blocks := make([]BlockID, rng.Intn(300))
+		for i := range blocks {
+			blocks[i] = BlockID(1 + rng.Intn(int(d.nextBlk)+40)) // repeats, live, deleted and never allocated
+		}
+		lists := make([]ListID, rng.Intn(40))
+		for i := range lists {
+			lists[i] = ListID(1 + rng.Intn(int(d.nextLst)+10))
+		}
+		_, exact := check("random", blocks, lists)
+		padded = padded || !exact
+	}
+	if !padded {
+		t.Fatal("no random record was padded")
+	}
+
+	// 88 + 13·32 + 8 = 512: thirteen live lists and one deletion end on
+	// the sector.
+	var live []ListID
+	pmapWalk(d.listTab.root, func(lf *listLeaf) bool {
+		if lf.hasPersist && len(live) < 13 {
+			live = append(live, ListID(lf.id))
+		}
+		return true
+	})
+	if len(live) < 13 {
+		t.Fatalf("the history left %d lists, want 13", len(live))
+	}
+	if _, exact := check("unpadded", []BlockID{d.nextBlk + 1}, live); !exact {
+		t.Fatal("the unpadded case is padded")
+	}
+
+	// Deletions only, never allocated identifiers: n of them overflow a
+	// region as upserts but fit as deletions; m overflow it either way.
+	n := 1
+	for l.CkptFits(n, 0, 0) {
+		n *= 2
+	}
+	m := n
+	for l.CkptFits(0, 0, m) {
+		m *= 2
+	}
+	absent := func(k int) []BlockID {
+		ids := make([]BlockID, k)
+		for i := range ids {
+			ids[i] = d.nextBlk + 1 + BlockID(i)
+		}
+		return ids
+	}
+	if refused, _ := check("fits only as deletions", absent(n), nil); refused {
+		t.Fatal("a record of deletions that fits its region was refused")
+	}
+	if refused, _ := check("larger than a region", absent(m), nil); !refused {
+		t.Fatal("a record larger than its region was not refused")
+	}
+
+	// Past the room left in the region, the delta compacts into a base.
+	d.mu.Lock()
+	d.dirtyBlocks = dirtySet[BlockID]{ids: absent(4)}
+	d.dirtyLists = dirtySet[ListID]{}
+	d.ckptChainOff = l.CkptRegionBytes()
+	region := d.ckptRegion
+	ck, err := d.gatherCkpt()
+	d.ckptBase = true // the chain offset above is fiction: make the next real record a base
+	d.mu.Unlock()
+	ck.sp.End(0, 0, 0)
+	if err != nil || !ck.base || ck.region == region || ck.off != 0 {
+		t.Fatalf("a delta past its region's room: base %v in region %d at %d (chain in %d), err %v", ck.base, ck.region, ck.off, region, err)
+	}
+	rec, _, err := seg.DecodeCkptRec(ck.buf)
+	if err != nil || !rec.Base || len(rec.Blocks) != d.blockTab.n {
+		t.Fatalf("the compacted record decodes as base %v with %d blocks (the tables hold %d), err %v", rec.Base, len(rec.Blocks), d.blockTab.n, err)
 	}
 }

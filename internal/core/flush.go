@@ -68,7 +68,8 @@ type ckptJob struct {
 // gatherCkpt gathers and encodes the next record of the incremental
 // checkpoint chain (DESIGN.md §15) over the log sealed so far: normally a
 // delta carrying only the block/list records dirtied since the previous
-// checkpoint, appended to the current region's chain; a full base in the
+// checkpoint, encoded straight from the dirty sets (encodeDelta) and
+// appended to the current region's chain; a full base in the
 // other region when the chain grows past Params.CkptCompactEvery, when
 // the region has no room left, or when an earlier record failed. It takes
 // the dirty sets and the count of retired segments: a failed record gives
@@ -89,44 +90,27 @@ func (d *LLD) gatherCkpt() (ckptJob, error) {
 	}
 	ck := ckptJob{sp: d.obs.Start(obs.SpanCkptDelta, obs.SpanContext{}), ts: rec.CkptTS, seq: rec.FlushedSeq, segs: d.segsSinceC}
 	base := d.ckptBase || d.params.CkptCompactEvery < 0 || d.ckptDepth >= d.params.CkptCompactEvery
+	var buf []byte
 	if !base {
-		// Build the delta from the dirty sets: a dirty identifier still
-		// present in the tables is an upsert, a vanished one a deletion.
-		// The sets come out in ID order, so the tables are gathered in
-		// the canonical order the encoding wants.
-		for _, id := range d.dirtyBlocks.sorted() {
-			if lf := pmapGet(d.blockTab.root, uint64(id)); lf != nil && lf.hasPersist {
-				rec.Blocks = append(rec.Blocks, lf.persist)
-			} else {
-				rec.DelBlocks = append(rec.DelBlocks, id)
-			}
-		}
-		for _, id := range d.dirtyLists.sorted() {
-			if lf := pmapGet(d.listTab.root, uint64(id)); lf != nil && lf.hasPersist {
-				rec.Lists = append(rec.Lists, lf.persist)
-			} else {
-				rec.DelLists = append(rec.DelLists, id)
-			}
-		}
-		if len(rec.Blocks) == 0 && len(rec.Lists) == 0 &&
-			len(rec.DelBlocks) == 0 && len(rec.DelLists) == 0 &&
-			rec.FlushedSeq == d.ckptSeq {
+		blocks, lists := d.dirtyBlocks.sorted(), d.dirtyLists.sorted()
+		if len(blocks) == 0 && len(lists) == 0 && rec.FlushedSeq == d.ckptSeq {
 			// Nothing changed since the previous checkpoint: the chain
 			// head already covers the whole flushed log.
 			d.segsSinceC = 0
 			return ckptJob{}, nil
 		}
 		rec.PrevTS = d.ckptTS
-		if d.ckptChainOff+rec.WireBytes() > d.params.Layout.CkptRegionBytes() {
-			base = true // no room left in the region: compact early
+		var err error
+		if buf, err = d.encodeDelta(blocks, lists, rec); err != nil ||
+			d.ckptChainOff+int64(len(buf)) > d.params.Layout.CkptRegionBytes() {
+			base, buf = true, nil // no room left in the region: compact early
 		}
 	}
 	if base {
 		rec.PrevTS = 0
 		rec.Base = true
-		rec.Blocks = slices.Grow(rec.Blocks[:0], d.blockTab.n)
-		rec.Lists = slices.Grow(rec.Lists[:0], d.listTab.n)
-		rec.DelBlocks, rec.DelLists = nil, nil
+		rec.Blocks = make([]seg.BlockRec, 0, d.blockTab.n)
+		rec.Lists = make([]seg.ListRec, 0, d.listTab.n)
 		var err error
 		pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
 			if !lf.hasPersist {
@@ -146,10 +130,9 @@ func (d *LLD) gatherCkpt() (ckptJob, error) {
 			return ckptJob{}, err
 		}
 		sortCkptRec(&rec)
-	}
-	buf, err := seg.EncodeCkptRec(d.params.Layout, rec)
-	if err != nil {
-		return ckptJob{}, fmt.Errorf("lld: encoding checkpoint: %w", err)
+		if buf, err = seg.EncodeCkptRec(d.params.Layout, rec); err != nil {
+			return ckptJob{}, fmt.Errorf("lld: encoding checkpoint: %w", err)
+		}
 	}
 	d.dirtyBlocks.reset()
 	d.dirtyLists.reset()
@@ -160,6 +143,44 @@ func (d *LLD) gatherCkpt() (ckptJob, error) {
 		ck.region, ck.off = 1-d.ckptRegion, 0
 	}
 	return ck, nil
+}
+
+// encodeDelta encodes the delta record with h's header over the dirty
+// sets blocks and lists, sorted and compacted: a dirty identifier still
+// present in the tables is an upsert, a vanished one a deletion. The
+// record is encoded as the tables are read, into one buffer sized as if
+// every identifier were an upsert. Deletions follow every upsert on the
+// wire, so each set's are swapped to its front as the upserts are
+// encoded, in ID order, and encoded from there after the list upserts;
+// the sets stay permutations of themselves. The error is Finish's: the
+// record would not fit a region at all. Caller holds d.mu.
+func (d *LLD) encodeDelta(blocks []BlockID, lists []ListID, h seg.CkptRec) ([]byte, error) {
+	e := seg.NewCkptEnc(len(blocks), len(lists), 0)
+	nb := 0
+	for i, id := range blocks {
+		if lf := pmapGet(d.blockTab.root, uint64(id)); lf != nil && lf.hasPersist {
+			e.Block(lf.persist)
+		} else {
+			blocks[nb], blocks[i] = id, blocks[nb]
+			nb++
+		}
+	}
+	nl := 0
+	for i, id := range lists {
+		if lf := pmapGet(d.listTab.root, uint64(id)); lf != nil && lf.hasPersist {
+			e.List(lf.persist)
+		} else {
+			lists[nl], lists[i] = id, lists[nl]
+			nl++
+		}
+	}
+	for _, id := range blocks[:nb] {
+		e.DelBlock(id)
+	}
+	for _, id := range lists[:nl] {
+		e.DelList(id)
+	}
+	return e.Finish(d.params.Layout, h)
 }
 
 // writeCkpt writes a gathered record and syncs the publish barrier, with

@@ -351,8 +351,11 @@ type LLD struct {
 	arus map[ARUID]*aruState
 
 	// Log state. builder holds the open segment: the chunks sealed into it
-	// so far and the open chunk below them.
-	builder *seg.Builder
+	// so far and the open chunk below them. bldEpoch is d.epoch when it
+	// became the open builder: while the two are equal no published
+	// snapshot has named it (retireBuilder).
+	builder  *seg.Builder
+	bldEpoch uint64
 	// commBufBlocks counts committed-state versions whose contents are
 	// still in memory; they materialize into the open segment at seal
 	// time and therefore reserve capacity in it.

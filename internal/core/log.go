@@ -246,7 +246,7 @@ func (d *LLD) sealChunk() {
 	e := d.getSealed()
 	e.idx = d.curSeg
 	e.seq = d.nextSeq
-	e.bld = d.builder
+	e.bld, e.epoch = d.builder, d.bldEpoch
 	// The chunk is one extent that ends in its header sector and lies
 	// directly below the chunk sealed before it — the first at the
 	// segment's end — so the one write that carries it ends in the header
@@ -278,10 +278,14 @@ func (d *LLD) seal() error {
 }
 
 // retireSeg closes the open segment, if it holds a chunk, and opens the
-// next one on a spare builder. The retired builder joins the retire-set
-// now if no queued entry holds an image in it, else when the last such
-// entry releases its image (releaseImage); until then the read path finds
-// it through the entry (heldBuilder).
+// next one on a spare builder. The old builder is handed to
+// retireBuilder now if no queued entry holds an image in it, else when
+// the last such entry releases its image (releaseImage); until then the
+// read path finds it through the entry (heldBuilder). A builder no
+// publish has seen goes straight back to the pool, which is what keeps a
+// cleaner batch, opening several segments under one d.mu hold, from
+// allocating: on the churn benchmark the engine allocates eight builders
+// at setup and none after, and the pool peaks at two spares.
 //
 // The error is pickSeg's: no segment could be opened. The log then has no
 // open segment, and ensureRoom re-picks lazily once space frees. Caller
@@ -291,10 +295,10 @@ func (d *LLD) retireSeg() error {
 		return nil
 	}
 	d.segsSinceC++
-	old := d.builder
-	d.builder = d.takeBuilder()
+	old, since := d.builder, d.bldEpoch
+	d.builder, d.bldEpoch = d.takeBuilder(), d.epoch
 	if d.heldBuilder(d.curSeg) == nil {
-		d.putBuilder(old)
+		d.retireBuilder(old, since)
 	}
 	// No open segment until the pick succeeds: a publish from pickSeg's
 	// retry path must not pin the empty replacement builder under the

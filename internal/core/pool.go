@@ -50,10 +50,12 @@ package core
 //   - A sealedSeg is reachable only from the engine (d.sealed, the
 //     leader's work list) — snapshots pin the builder, not the entry — so
 //     retire pools it directly. Its image (e.img) aliases its segment's
-//     builder, which it gives up in releaseImage; the builder joins the
-//     retire-set when its segment is retired and the last such claim is
-//     gone. The builder keeps its old bytes when it is recycled: a chunk
-//     has no gap, and Seal writes every byte of the one it returns.
+//     builder, which it gives up in releaseImage; the builder is retired
+//     when its segment is and the last such claim is gone — pooled at
+//     once if no publish named it (retireBuilder), else through the
+//     retire-set. The builder keeps its old bytes when it is recycled:
+//     a chunk has no gap, and Seal writes every byte of the one it
+//     returns.
 
 // Free-list caps: beyond these the garbage collector takes over, so a
 // burst (many concurrent ARUs, a deep commit pipeline) does not pin

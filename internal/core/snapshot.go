@@ -21,10 +21,10 @@ import (
 // they touch on first touch per window (table.edit), path-copy the
 // trie above them, and swing the head at the durability point of the
 // operation. Everything an epoch unshared from its successor — trie
-// nodes and leaves, block buffers, retired segment builders and sealed
-// images — is parked on the epoch's retire-set and recycled into the
-// engine free lists only when the epoch's refcount drains, oldest
-// epoch first. The discipline (atomic head, acquire =
+// nodes and leaves, block buffers, the segment builders it named and
+// sealed images — is parked on the epoch's retire-set and recycled
+// into the engine free lists only when the epoch's refcount drains,
+// oldest epoch first. The discipline (atomic head, acquire =
 // load+incref+revalidate, purge-on-drain with a retry counter) follows
 // the bogn snapshot design in bnclabs/gostore.
 //
@@ -107,9 +107,9 @@ type snapshot struct {
 	// retired segments with unwritten chunks, and the device. A builder's
 	// committed slots are immutable (a block is added below everything
 	// added before, a chunk's entry region and header never overlap data
-	// slots) and the builder is recycled only through a retire-set, so
-	// lock-free BlockData reads are safe for the slots this epoch's
-	// records reference.
+	// slots) and a builder a snapshot names is recycled only through a
+	// retire-set, so lock-free BlockData reads are safe for the slots
+	// this epoch's records reference.
 	curIdx uint32
 	curBld *seg.Builder
 	sealed []snapSeal

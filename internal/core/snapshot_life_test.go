@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -319,5 +320,205 @@ func TestSnapshotSurvivesFreeListPoisoning(t *testing.T) {
 	}
 	if !bytes.Equal(buf, fill(d, 39)) {
 		t.Fatalf("live engine corrupted by free-list poisoning")
+	}
+}
+
+// TestSnapshotPinsItsOpenBuilder pins a snapshot while builder B holds the
+// open segment, then drives B's segment into retirement and many more
+// builders through the log — cleaner batches included, whose builders no
+// publish ever names and which go straight back to the pool. Every block
+// the pinned epoch reads out of B must keep its bytes, and B must not be
+// pooled until the pin is released and the purge has run.
+func TestSnapshotPinsItsOpenBuilder(t *testing.T) {
+	// Nothing freed behind the pin is reused until it is released: the
+	// disk must hold the whole run.
+	d, _ := newTestLLD(t, Params{Layout: testLayout(256)})
+	defer d.Close()
+	lst, _ := d.NewList(0)
+	// Cold blocks, one in three overwritten once: the cleaner's victims.
+	cold := make([]BlockID, 60)
+	for i := range cold {
+		cold[i], _ = d.NewBlock(0, lst, NilBlock)
+		if err := d.Write(0, cold[i], fill(d, 1)); err != nil {
+			t.Fatalf("cold write: %v", err)
+		}
+	}
+	for i := 0; i < len(cold); i += 3 {
+		if err := d.Write(0, cold[i], fill(d, 2)); err != nil {
+			t.Fatalf("cold overwrite: %v", err)
+		}
+	}
+	blocks := make([]BlockID, 24)
+	for i := range blocks {
+		blocks[i], _ = d.NewBlock(0, lst, NilBlock)
+		if err := d.Write(0, blocks[i], fill(d, byte(10+i))); err != nil {
+			t.Fatalf("seed write: %v", err)
+		}
+	}
+	// Flush until the open segment holds some of them: a seal that fills
+	// the segment retires it.
+	var inB []int
+	for k := 0; len(inB) == 0; k++ {
+		if k > 0 {
+			if err := d.Write(0, blocks[k], fill(d, byte(10+k))); err != nil {
+				t.Fatalf("rewrite: %v", err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		d.mu.Lock()
+		for i, id := range blocks {
+			if lf := pmapGet(d.blockTab.root, uint64(id)); lf.hasPersist && int(lf.persist.Seg) == d.curSeg {
+				inB = append(inB, i)
+			}
+		}
+		d.mu.Unlock()
+	}
+	h, err := d.AcquireSnapshot()
+	if err != nil {
+		t.Fatalf("AcquireSnapshot: %v", err)
+	}
+	defer h.Release()
+	d.mu.Lock()
+	b := d.builder
+	d.mu.Unlock()
+	if h.s.curBld != b {
+		t.Fatalf("setup: the pinned epoch opens builder %p, not the open one (%p)", h.s.curBld, b)
+	}
+	pooled := func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return slices.Contains(d.spareBuilders, b)
+	}
+
+	// Overwrite everything, many times over: B's segment retires, its
+	// blocks die, and the cleaner runs batches on the wrapped log.
+	retired := d.stats.SegmentsWritten.Load()
+	for round := 0; round < 40; round++ {
+		commitFill(t, d, blocks, byte(100+round))
+		if err := d.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if round%10 == 9 {
+			if _, err := d.Clean(d.params.Layout.NumSegs); err != nil {
+				t.Fatalf("Clean: %v", err)
+			}
+		}
+		if pooled() {
+			t.Fatalf("round %d: the pinned epoch's open builder is a spare", round)
+		}
+	}
+	if n, c := d.stats.SegmentsWritten.Load()-retired, d.stats.SegmentsCleaned.Load(); n < 16 || c == 0 {
+		t.Fatalf("behind the pin %d segments were written and %d cleaned", n, c)
+	}
+	d.mu.Lock()
+	open := d.builder
+	d.mu.Unlock()
+	if open == b {
+		t.Fatal("the pinned builder is the open one again")
+	}
+	buf := make([]byte, d.BlockSize())
+	for _, i := range inB {
+		if err := h.Read(seg.SimpleARU, blocks[i], buf); err != nil {
+			t.Fatalf("pinned read of block %d: %v", blocks[i], err)
+		}
+		if !bytes.Equal(buf, fill(d, byte(10+i))) {
+			t.Fatalf("block %d: the pinned epoch read %#x from its builder, want %#x", blocks[i], buf[0], 10+i)
+		}
+	}
+
+	// Released and purged, B is pooled; the pool is emptied first so that
+	// the cap cannot drop it.
+	d.mu.Lock()
+	d.spareBuilders = d.spareBuilders[:0]
+	d.mu.Unlock()
+	h.Release()
+	commitFill(t, d, blocks, 1) // publish + purge
+	d.mu.Lock()
+	reused := d.builder == b
+	d.mu.Unlock()
+	if !pooled() && !reused {
+		t.Fatal("the pinned builder was not pooled once its epoch drained")
+	}
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnpublishedBuilderPooledAtOnce runs a cleaner batch by hand, under
+// one d.mu hold and with no publish, over victims holding more than two
+// segments' worth of live blocks. The builder open at the last publish is
+// named by the head and waits in the retire-set; every builder taken and
+// retired inside the batch goes straight back to the pool.
+func TestUnpublishedBuilderPooledAtOnce(t *testing.T) {
+	d, _ := newTestLLD(t, Params{})
+	defer d.Close()
+	lst, _ := d.NewList(0)
+	blocks := make([]BlockID, 80)
+	for i := range blocks {
+		blocks[i], _ = d.NewBlock(0, lst, NilBlock)
+		if err := d.Write(0, blocks[i], fill(d, byte(i))); err != nil {
+			t.Fatalf("seed write: %v", err)
+		}
+	}
+	// Kill one block in four, so the victims are not full, and checkpoint
+	// so that they are cleanable.
+	for i := 0; i < len(blocks); i += 4 {
+		if err := d.Write(0, blocks[i], fill(d, 0xEE)); err != nil {
+			t.Fatalf("overwrite: %v", err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+
+	d.mu.Lock()
+	first, epoch, retiredBefore := d.builder, d.epoch, d.segsSinceC
+	visited := map[int]bool{}
+	var taken []*seg.Builder
+	for d.segsSinceC-retiredBefore < 3 {
+		victim, ok := d.pickVictim(visited)
+		if !ok {
+			d.mu.Unlock()
+			t.Fatalf("no victim left after %d retirements", d.segsSinceC-retiredBefore)
+		}
+		visited[victim] = true
+		if err := d.relocateSegment(victim); err != nil {
+			d.mu.Unlock()
+			t.Fatalf("relocating segment %d: %v", victim, err)
+		}
+		if !slices.Contains(taken, d.builder) && d.builder != first {
+			taken = append(taken, d.builder)
+		}
+	}
+	if d.epoch != epoch {
+		d.mu.Unlock()
+		t.Fatal("the batch published")
+	}
+	inRet := slices.Clone(d.ret.builders)
+	spares := slices.Clone(d.spareBuilders)
+	open := d.builder
+	d.mu.Unlock()
+
+	if !slices.Contains(inRet, first) {
+		t.Error("the builder the head names did not wait in the retire-set")
+	}
+	for _, b := range taken {
+		if slices.Contains(inRet, b) {
+			t.Errorf("builder %p, taken and retired inside the batch, waits in the retire-set", b)
+		}
+		if b != open && !slices.Contains(spares, b) {
+			t.Errorf("builder %p, taken and retired inside the batch, was not pooled", b)
+		}
+	}
+	if len(inRet) != 1 {
+		t.Errorf("the retire-set holds %d builders, want only the one the head names", len(inRet))
+	}
+	d.mu.Lock()
+	d.publishLocked()
+	d.mu.Unlock()
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
 	}
 }

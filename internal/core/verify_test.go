@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"aru/internal/seg"
 )
 
 // TestVerifyInternalCatchesCorruption tests the checker itself: with a
@@ -11,8 +13,9 @@ import (
 // an entry counter, the committed-buffer count, a buffer with two
 // owners, a queued chunk the checkpoint already covers, a segment read as
 // another sequence number than its newest chunk on the device carries, a
-// block read from a place that is no data slot of its segment's chunks —
-// must fail VerifyInternal, and undoing it must pass again.
+// block read from a place that is no data slot of its segment's chunks,
+// the open builder pooled, a builder pooled twice — must fail
+// VerifyInternal, and undoing it must pass again.
 func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	d, _ := newTestLLD(t, Params{})
 	defer d.Close()
@@ -99,6 +102,12 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 			func() { d.sealed = d.sealed[:len(d.sealed)-1] }},
 		{"sequence number drift", "on the device it holds chunks",
 			func() { d.segSeq[pinned]++ }, func() { d.segSeq[pinned]-- }},
+		{"open builder pooled", "a spare builder is the open one",
+			func() { d.spareBuilders = append(d.spareBuilders, d.builder) },
+			func() { d.spareBuilders = d.spareBuilders[:len(d.spareBuilders)-1] }},
+		{"builder pooled twice", "listed as a spare and as a spare",
+			func() { b := seg.NewBuilder(d.params.Layout); d.spareBuilders = append(d.spareBuilders, b, b) },
+			func() { d.spareBuilders = d.spareBuilders[:len(d.spareBuilders)-2] }},
 		// The owner table moves along, so that the device check, not the
 		// table's, is the one that fails.
 		{"slot drift", "no data slot",

@@ -88,66 +88,117 @@ func (r CkptRec) WireBytes() int64 {
 // sector-rounded buffer. A record that does not fit a checkpoint region of
 // l is refused (Layout.CkptFits), so a record can never outgrow its region.
 func EncodeCkptRec(l Layout, r CkptRec) ([]byte, error) {
-	if !l.CkptFits(len(r.Blocks), len(r.Lists), len(r.DelBlocks)+len(r.DelLists)) {
-		return nil, fmt.Errorf("seg: a checkpoint record of %d blocks, %d lists and %d deletions takes %d bytes, the region holds %d",
-			len(r.Blocks), len(r.Lists), len(r.DelBlocks)+len(r.DelLists), r.WireBytes(), l.CkptRegionBytes())
-	}
-	if r.Base && (len(r.DelBlocks) != 0 || len(r.DelLists) != 0) {
-		return nil, errors.New("seg: base checkpoint record cannot carry deletions")
-	}
-	buf := make([]byte, r.WireBytes())
-	h := buf[:ckptRecHeaderBytes]
-	binary.LittleEndian.PutUint32(h[0:], ckptChainMagic)
-	var flags uint32
-	if r.Base {
-		flags |= ckptRecFlagBase
-	}
-	binary.LittleEndian.PutUint32(h[4:], flags)
-	binary.LittleEndian.PutUint64(h[8:], r.CkptTS)
-	binary.LittleEndian.PutUint64(h[16:], r.PrevTS)
-	binary.LittleEndian.PutUint64(h[24:], r.FlushedSeq)
-	binary.LittleEndian.PutUint64(h[32:], r.NextTS)
-	binary.LittleEndian.PutUint64(h[40:], uint64(r.NextBlock))
-	binary.LittleEndian.PutUint64(h[48:], uint64(r.NextList))
-	binary.LittleEndian.PutUint64(h[56:], uint64(r.NextARU))
-	binary.LittleEndian.PutUint32(h[64:], uint32(len(r.Blocks)))
-	binary.LittleEndian.PutUint32(h[68:], uint32(len(r.Lists)))
-	binary.LittleEndian.PutUint32(h[72:], uint32(len(r.DelBlocks)))
-	binary.LittleEndian.PutUint32(h[76:], uint32(len(r.DelLists)))
-
-	p := buf[ckptRecHeaderBytes:]
-	off := 0
+	e := NewCkptEnc(len(r.Blocks), len(r.Lists), len(r.DelBlocks)+len(r.DelLists))
 	for _, b := range r.Blocks {
-		binary.LittleEndian.PutUint64(p[off:], uint64(b.ID))
-		binary.LittleEndian.PutUint32(p[off+8:], b.Seg)
-		binary.LittleEndian.PutUint32(p[off+12:], b.Slot)
-		binary.LittleEndian.PutUint64(p[off+16:], uint64(b.Succ))
-		binary.LittleEndian.PutUint64(p[off+24:], uint64(b.List))
-		binary.LittleEndian.PutUint64(p[off+32:], b.TS)
-		if b.HasData {
-			p[off+40] = 1
-		}
-		off += ckptBlockRecBytes
+		e.Block(b)
 	}
 	for _, li := range r.Lists {
-		binary.LittleEndian.PutUint64(p[off:], uint64(li.ID))
-		binary.LittleEndian.PutUint64(p[off+8:], uint64(li.First))
-		binary.LittleEndian.PutUint64(p[off+16:], uint64(li.Last))
-		binary.LittleEndian.PutUint64(p[off+24:], li.TS)
-		off += ckptListRecBytes
+		e.List(li)
 	}
 	for _, id := range r.DelBlocks {
-		binary.LittleEndian.PutUint64(p[off:], uint64(id))
-		off += 8
+		e.DelBlock(id)
 	}
 	for _, id := range r.DelLists {
-		binary.LittleEndian.PutUint64(p[off:], uint64(id))
-		off += 8
+		e.DelList(id)
 	}
-	payloadCRC := crc32.Checksum(p[:off], crcTable)
-	binary.LittleEndian.PutUint32(h[80:], payloadCRC)
-	headerCRC := crc32.Checksum(h[:84], crcTable)
-	binary.LittleEndian.PutUint32(h[84:], headerCRC)
+	return e.Finish(l, r)
+}
+
+// CkptEnc encodes one chain record straight into its wire buffer, table
+// entry by table entry, so a writer need not gather the tables first. The
+// tables go in wire order — block upserts, list upserts, block deletions,
+// list deletions — each in ID order; Finish writes the header.
+type CkptEnc struct {
+	buf []byte
+	off int    // end of the payload written so far, from the buffer's start
+	n   [4]int // entries per table, in wire order
+	at  int    // the table being written
+}
+
+// NewCkptEnc returns an encoder whose buffer holds a record of up to nb
+// block and nl list upserts and nd deletions. A deletion is smaller than
+// an upsert, so a writer that does not know yet which of its identifiers
+// are deletions sizes for all of them as upserts and gets a buffer with
+// room to spare.
+func NewCkptEnc(nb, nl, nd int) CkptEnc {
+	return CkptEnc{buf: make([]byte, ckptRecBytes(nb, nl, nd)), off: ckptRecHeaderBytes}
+}
+
+// next reserves size payload bytes for one entry of table t.
+func (e *CkptEnc) next(t, size int) []byte {
+	if t < e.at {
+		panic("seg: checkpoint record tables written out of wire order")
+	}
+	e.at = t
+	e.n[t]++
+	p := e.buf[e.off : e.off+size]
+	e.off += size
+	return p
+}
+
+// Block adds a block upsert.
+func (e *CkptEnc) Block(b BlockRec) {
+	p := e.next(0, ckptBlockRecBytes)
+	binary.LittleEndian.PutUint64(p[0:], uint64(b.ID))
+	binary.LittleEndian.PutUint32(p[8:], b.Seg)
+	binary.LittleEndian.PutUint32(p[12:], b.Slot)
+	binary.LittleEndian.PutUint64(p[16:], uint64(b.Succ))
+	binary.LittleEndian.PutUint64(p[24:], uint64(b.List))
+	binary.LittleEndian.PutUint64(p[32:], b.TS)
+	if b.HasData {
+		p[40] = 1
+	}
+}
+
+// List adds a list upsert.
+func (e *CkptEnc) List(li ListRec) {
+	p := e.next(1, ckptListRecBytes)
+	binary.LittleEndian.PutUint64(p[0:], uint64(li.ID))
+	binary.LittleEndian.PutUint64(p[8:], uint64(li.First))
+	binary.LittleEndian.PutUint64(p[16:], uint64(li.Last))
+	binary.LittleEndian.PutUint64(p[24:], li.TS)
+}
+
+// DelBlock adds a block deletion.
+func (e *CkptEnc) DelBlock(id BlockID) { binary.LittleEndian.PutUint64(e.next(2, 8), uint64(id)) }
+
+// DelList adds a list deletion.
+func (e *CkptEnc) DelList(id ListID) { binary.LittleEndian.PutUint64(e.next(3, 8), uint64(id)) }
+
+// Finish completes the record with the header of h — its flag, stamps and
+// scalars; h's tables are ignored — and returns it, sector-rounded. It
+// refuses a record that does not fit a checkpoint region of l, and a base
+// with deletions.
+func (e *CkptEnc) Finish(l Layout, h CkptRec) ([]byte, error) {
+	nb, nl, nd := e.n[0], e.n[1], e.n[2]+e.n[3]
+	size := roundUp(int64(e.off), SectorSize)
+	if !l.CkptFits(nb, nl, nd) {
+		return nil, fmt.Errorf("seg: a checkpoint record of %d blocks, %d lists and %d deletions takes %d bytes, the region holds %d",
+			nb, nl, nd, size, l.CkptRegionBytes())
+	}
+	if h.Base && nd != 0 {
+		return nil, errors.New("seg: base checkpoint record cannot carry deletions")
+	}
+	buf := e.buf[:size]
+	hd := buf[:ckptRecHeaderBytes]
+	binary.LittleEndian.PutUint32(hd[0:], ckptChainMagic)
+	var flags uint32
+	if h.Base {
+		flags |= ckptRecFlagBase
+	}
+	binary.LittleEndian.PutUint32(hd[4:], flags)
+	binary.LittleEndian.PutUint64(hd[8:], h.CkptTS)
+	binary.LittleEndian.PutUint64(hd[16:], h.PrevTS)
+	binary.LittleEndian.PutUint64(hd[24:], h.FlushedSeq)
+	binary.LittleEndian.PutUint64(hd[32:], h.NextTS)
+	binary.LittleEndian.PutUint64(hd[40:], uint64(h.NextBlock))
+	binary.LittleEndian.PutUint64(hd[48:], uint64(h.NextList))
+	binary.LittleEndian.PutUint64(hd[56:], uint64(h.NextARU))
+	for i, n := range e.n {
+		binary.LittleEndian.PutUint32(hd[64+4*i:], uint32(n))
+	}
+	binary.LittleEndian.PutUint32(hd[80:], crc32.Checksum(buf[ckptRecHeaderBytes:e.off], crcTable))
+	binary.LittleEndian.PutUint32(hd[84:], crc32.Checksum(hd[:84], crcTable))
 	return buf, nil
 }
 
