@@ -18,12 +18,14 @@
 // through an ldnet client/server pair, with durability judged by the
 // acks the client received before the crash. The wrap workload
 // overwrites a pool of simple blocks on a log short enough to wrap many
-// times, with checkpoints as the only durability points.
+// times, with checkpoints as the only durability points. The maint
+// workload keeps units open while explicit and automatic checkpoints and
+// cleaner passes run between their operations.
 //
 // Usage:
 //
 //	aru-crashcheck [-seed N] [-seeds N] [-states N] [-reorder-window N]
-//	               [-workloads mixed,fs,shard,net,wrap] [-fs] [-shards N]
+//	               [-workloads mixed,fs,shard,net,wrap,maint] [-fs] [-shards N]
 //	               [-min-states N] [-conc N] [-recover-crash]
 //	               [-inject none|nosync|untagged-replay|ack-early|torn-delta|commit-before-prepare-sync]
 //	               [-replay E<e>K<k>[D...][T...][+RE..K..] | -replay G<g>/E..K../...] [-v]
@@ -61,7 +63,7 @@ func parseArgs(args []string, stderr io.Writer) (config, error) {
 	fs.IntVar(&c.o.Seeds, "seeds", 24, "number of consecutive seeds to run")
 	fs.IntVar(&c.o.MaxStates, "states", 0, "max distinct crash states to explore (0 = unlimited)")
 	fs.IntVar(&c.o.ReorderWindow, "reorder-window", 3, "reordering window within the crash epoch")
-	workloads := fs.String("workloads", "mixed,fs", "comma-separated workloads: mixed, fs, shard, net, wrap")
+	workloads := fs.String("workloads", "mixed,fs", "comma-separated workloads: mixed, fs, shard, net, wrap, maint")
 	fsOnly := fs.Bool("fs", false, "shorthand for -workloads fs")
 	fs.IntVar(&c.o.Shards, "shards", 0, "shard count for the sharded 2PC workload; >0 implies -workloads shard")
 	fs.IntVar(&c.minStates, "min-states", 0, "fail unless at least this many distinct states were explored")

@@ -14,7 +14,7 @@ func TestParseArgs(t *testing.T) {
 		errHas    string
 	}{
 		{"", []string{"mixed", "fs"}, ""},
-		{"-workloads mixed,fs,net -recover-crash -min-states 12093", []string{"mixed", "fs", "net"}, ""},
+		{"-workloads mixed,fs,net -recover-crash -min-states 12088", []string{"mixed", "fs", "net"}, ""},
 		{"-fs", []string{"fs"}, ""},
 		{"-shards 2 -seeds 8", []string{"shard"}, ""},
 		{"-workloads wrap, -seeds 8 -inject torn-delta", []string{"wrap"}, ""},

@@ -325,6 +325,9 @@ func (d *LLD) discardShadow(st *aruState) {
 
 // closeARU forgets a committed or aborted ARU and recycles its state.
 func (d *LLD) closeARU(st *aruState) {
+	if st.prepared {
+		d.nPrepared--
+	}
 	delete(d.arus, st.id)
 	d.aruTab.drop(uint64(st.id))
 	d.putState(st)

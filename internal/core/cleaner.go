@@ -13,38 +13,34 @@ import (
 // reusable (or no further progress is possible) and returns the number
 // of segments it reclaimed. Cleaning relocates live blocks of victim
 // segments to the head of the log, then checkpoints so the victims
-// become reusable. Cleaning requires that no ARU is open.
+// become reusable. While a unit pins the replay window (replayPinned)
+// the first round's checkpoint refuses, and Clean returns its error.
 func (d *LLD) Clean(target int) (int, error) {
 	d.lead()
 	defer d.unlead()
 	if d.isClosed() {
 		return 0, ErrClosed
 	}
-	if d.ActiveARUs() != 0 {
-		return 0, fmt.Errorf("%w: cannot clean with open ARUs", ErrARUActive)
-	}
-	return d.clean(target), nil
+	return d.clean(target)
 }
 
 // clean runs cleaner rounds as the broker leader until target segments
 // are reusable: a batch of victims relocated under d.mu, then a
-// maintenance round (leadRound) whose checkpoint frees them. It is
-// best-effort; a failure, or an ARU opened meanwhile, stops it.
-func (d *LLD) clean(target int) (cleaned int) {
+// maintenance round (leadRound) whose checkpoint frees them. The first
+// failure stops it, and it returns that error.
+func (d *LLD) clean(target int) (cleaned int, err error) {
 	sp := d.obs.Start(obs.SpanCleanerPass, obs.SpanContext{})
 	for free := d.FreeSegments(); free < target; {
+		var n int
 		d.mu.Lock()
-		n, err := 0, error(nil)
-		if len(d.arus) == 0 {
-			d.pubSafe = true // between operations: a pick may publish
-			n, err = d.relocateBatch()
-			d.pubSafe = false
-		}
+		d.pubSafe = true // between operations: a pick may publish
+		n, err = d.relocateBatch()
+		d.pubSafe = false
 		d.mu.Unlock()
 		if n == 0 || err != nil {
 			break
 		}
-		if _, err := d.leadRound(nil); err != nil {
+		if _, err = d.leadRound(nil); err != nil {
 			break
 		}
 		cleaned += n
@@ -61,11 +57,11 @@ func (d *LLD) clean(target int) (cleaned int) {
 		}
 	}
 	sp.End(0, uint64(cleaned), 0)
-	return cleaned
+	return cleaned, err
 }
 
 // relocateBatch relocates up to eight victims, one cleaner round's worth,
-// and returns how many. Caller holds d.mu with no ARU open.
+// and returns how many. Caller holds d.mu; cleanable skips units' blocks.
 func (d *LLD) relocateBatch() (n int, err error) {
 	visited := d.cleanVisited
 	clear(visited)

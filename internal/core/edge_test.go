@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"aru/internal/disk"
@@ -180,34 +181,86 @@ func TestReadSemanticsOnOldVariant(t *testing.T) {
 	}
 }
 
-// TestCheckpointRefusedWithOpenARU: the interlock that keeps ARU
-// entries inside the replay window.
+// TestCheckpointRefusedWithOpenARU: the interlock that keeps logged unit
+// entries inside the replay window refuses only beside units that logged
+// some. Before EndARU a VariantNew unit has logged its allocation alone,
+// which recovery applies whatever the unit's fate, so a checkpoint beside
+// it succeeds: a crash before EndARU recovers without the unit (the
+// mount's sweep frees its block), one after EndARU and Flush with it. A
+// VariantOld unit logs its operations as they run, and the checkpoint
+// still refuses.
 func TestCheckpointRefusedWithOpenARU(t *testing.T) {
-	d, _ := newTestLLD(t, Params{})
-	a, _ := d.BeginARU()
-	if err := d.Checkpoint(); !errors.Is(err, ErrARUActive) {
-		t.Fatalf("checkpoint with open ARU: %v", err)
-	}
-	if err := d.EndARU(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint after commit: %v", err)
-	}
-	// Recovery straight from the checkpoint (no replay) works.
-	d.mu.Lock()
-	dev := d.dev.(*disk.Sim)
-	d.mu.Unlock()
-	d2, rpt, err := OpenReport(dev.Recycle(), Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rpt.SegmentsReplayed != 0 {
-		t.Fatalf("replayed %d segments despite fresh checkpoint", rpt.SegmentsReplayed)
-	}
-	if err := d2.VerifyInternal(); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("new", func(t *testing.T) {
+		d, dev := newTestLLD(t, Params{})
+		lst, _ := d.NewList(0)
+		old, _ := d.NewBlock(0, lst, NilBlock)
+		if err := d.Write(0, old, fill(d, 1)); err != nil {
+			t.Fatal(err)
+		}
+		a, _ := d.BeginARU()
+		nb, err := d.NewBlock(a, lst, old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write(a, nb, fill(d, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write(a, old, fill(d, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint beside a VariantNew unit: %v", err)
+		}
+		recovered := func(when string, want diskState, leaked int) {
+			t.Helper()
+			d2, rpt, err := OpenReport(dev.Recycle(), Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d2.Close()
+			if rpt.LeakedFreed != leaked {
+				t.Fatalf("%s: the mount's sweep freed %d blocks, want %d", when, rpt.LeakedFreed, leaked)
+			}
+			if got := logicalState(t, d2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: recovered %v, want %v", when, got, want)
+			}
+			if err := d2.VerifyInternal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recovered("crash before EndARU", diskState{lst: {fill(d, 1)}}, 1)
+		if err := d.EndARU(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		recovered("crash after EndARU and Flush", diskState{lst: {fill(d, 3), fill(d, 2)}}, 0)
+	})
+	t.Run("old", func(t *testing.T) {
+		d, dev := newTestLLD(t, Params{Variant: VariantOld})
+		a, _ := d.BeginARU()
+		if err := d.Checkpoint(); !errors.Is(err, ErrARUActive) {
+			t.Fatalf("checkpoint with a VariantOld unit open: %v, want ErrARUActive", err)
+		}
+		if err := d.EndARU(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint after commit: %v", err)
+		}
+		// Recovery straight from the checkpoint (no replay) works.
+		d2, rpt, err := OpenReport(dev.Recycle(), Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rpt.SegmentsReplayed != 0 {
+			t.Fatalf("replayed %d segments despite fresh checkpoint", rpt.SegmentsReplayed)
+		}
+		if err := d2.VerifyInternal(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestCloseIsCheckpointed: Close must leave a disk that recovers with

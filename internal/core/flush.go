@@ -41,8 +41,8 @@ func (d *LLD) FlushTraced(sc obs.SpanContext) error {
 // Checkpoint makes everything committed durable and then writes the next
 // record of the checkpoint chain, bounding recovery time and making older
 // zero-live segments reusable: one maintenance round (leadRound). It
-// refuses while ARUs are open (ErrARUActive): a checkpoint would cut
-// their already-logged entries out of the replay window.
+// refuses with ErrARUActive while an open unit pins the replay window
+// (replayPinned); other open units have logged nothing it could cut.
 func (d *LLD) Checkpoint() error {
 	d.lead()
 	defer d.unlead()
@@ -73,12 +73,12 @@ type ckptJob struct {
 // other region when the chain grows past Params.CkptCompactEvery, when
 // the region has no room left, or when an earlier record failed. It takes
 // the dirty sets and the count of retired segments: a failed record gives
-// the count back and makes the next record a base. With no open ARUs the
-// persistent tables are the complete state as of FlushedSeq. Callers
-// hold d.mu with every sealed chunk claimed (none is queued at mount).
+// the count back and makes the next record a base. Unless an open unit
+// pins the replay window (replayPinned), which it refuses, the tables are
+// the whole state as of FlushedSeq. Caller holds d.mu, every chunk claimed.
 func (d *LLD) gatherCkpt() (ckptJob, error) {
-	if len(d.arus) != 0 {
-		return ckptJob{}, fmt.Errorf("%w: cannot checkpoint with %d open ARUs", ErrARUActive, len(d.arus))
+	if d.replayPinned() {
+		return ckptJob{}, fmt.Errorf("%w: cannot checkpoint with a prepared or sequential-variant ARU open", ErrARUActive)
 	}
 	rec := seg.CkptRec{
 		CkptTS:     d.ckptTS + 1,
@@ -252,9 +252,9 @@ func (s *dirtySet[T]) sorted() []T {
 func (s *dirtySet[T]) reset() { s.ids, s.kept = s.ids[:0], 0 }
 
 // Close marks the instance unusable, then makes everything committed
-// durable and checkpoints if no ARU is open; open ARUs are discarded,
-// exactly as a crash would discard them. The mark comes first, so no
-// operation lands after the final round.
+// durable and checkpoints unless a VariantOld or prepared unit is open;
+// open units are discarded, exactly as a crash would discard them. The
+// mark comes first, so no operation lands after the final round.
 func (d *LLD) Close() error {
 	d.lead()
 	defer d.unlead()

@@ -180,8 +180,8 @@ func (d *LLD) forceCommit() error {
 // sync, then the record's write and the publish barrier. Under d.mu
 // again: the chunks retire and the record installs. The round's
 // seg-flush and device-sync spans parent on its batch span. It returns
-// whether maintenance is due; with ARUs open a maintenance round writes
-// no record and returns ErrARUActive.
+// whether maintenance is due; while a unit pins the replay window a
+// maintenance round writes no record and returns ErrARUActive.
 func (d *LLD) leadRound(bat *gcBatch) (due bool, err error) {
 	batch := d.obs.Start(obs.SpanCommitBatch, obs.SpanContext{})
 	d.mu.Lock()

@@ -234,8 +234,8 @@ var (
 	// ErrNoSuchARU reports an operation naming an unknown or already
 	// ended ARU.
 	ErrNoSuchARU = errors.New("lld: no such ARU")
-	// ErrARUActive reports a second BeginARU on the sequential-ARU
-	// variant while one is already open.
+	// ErrARUActive reports a second BeginARU on the sequential-ARU variant,
+	// and a checkpoint refused while a sequential or prepared unit is open.
 	ErrARUActive = errors.New("lld: an ARU is already active (sequential variant)")
 	// ErrNotMember reports a list operation whose block is not a
 	// member of the named list (in the operating view).
@@ -347,8 +347,9 @@ type LLD struct {
 	commBlocks []BlockID
 	commLists  []ListID
 
-	// Active ARUs (shadow states).
-	arus map[ARUID]*aruState
+	// Active ARUs (shadow states), and how many of them are prepared.
+	arus      map[ARUID]*aruState
+	nPrepared int
 
 	// Log state. builder holds the open segment: the chunks sealed into it
 	// so far and the open chunk below them. bldEpoch is d.epoch when it

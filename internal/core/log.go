@@ -326,13 +326,13 @@ func (d *LLD) endOp() {
 
 // maintDue reports which maintenance is due: a checkpoint once
 // CheckpointEvery segments have retired since the last one, the cleaner
-// while fewer than CleanerLowWater segments are reusable; neither with an
-// ARU open (its logged entries must stay in the replay window) or once
-// closed. freeCache is a lower bound of the reusable count (VerifyInternal
+// while fewer than CleanerLowWater segments are reusable; neither while
+// an open unit pins the replay window (replayPinned) or once closed.
+// freeCache is a lower bound of the reusable count (VerifyInternal
 // checks it), so only a cached count below the mark takes a scan, which
 // stops at the mark. Caller holds d.mu.
 func (d *LLD) maintDue() (ckpt, clean bool) {
-	if d.closed || len(d.arus) != 0 {
+	if d.closed || d.replayPinned() {
 		return false, false
 	}
 	ckpt = d.params.CheckpointEvery > 0 && d.segsSinceC >= d.params.CheckpointEvery
@@ -340,6 +340,14 @@ func (d *LLD) maintDue() (ckpt, clean bool) {
 		d.freeCache = d.reusableUpTo(low)
 	}
 	return ckpt, d.freeCache < d.params.CleanerLowWater
+}
+
+// replayPinned reports whether an open unit has logged entries a checkpoint
+// would cut out of the replay window: a VariantOld unit logs its operations
+// as they run, a prepared unit its redo. Others log only allocations, which
+// recovery replays whatever the unit's fate (§3.3). Caller holds d.mu.
+func (d *LLD) replayPinned() bool {
+	return d.nPrepared != 0 || d.params.Variant == VariantOld && len(d.arus) != 0
 }
 
 // maintain runs, as the broker leader, the maintenance found due — a

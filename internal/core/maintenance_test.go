@@ -2,21 +2,21 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime/debug"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"aru/internal/disk"
 )
 
-// TestAbortARURunsDueMaintenance: a checkpoint that comes due while an ARU
-// is open waits for the unit, and the abort that closes the last open unit
-// runs it, with no further call.
+// TestAbortARURunsDueMaintenance: a checkpoint that comes due while a
+// prepared unit is open waits for the unit, whose redo it would cut out of
+// the replay window, and the abort that closes it runs the checkpoint,
+// with no further call.
 func TestAbortARURunsDueMaintenance(t *testing.T) {
 	const every = 3
 	d, _ := newTestLLD(t, Params{CheckpointEvery: every})
@@ -28,9 +28,19 @@ func TestAbortARURunsDueMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, err := d.NewBlock(a, lst, NilBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(a, b, fill(d, 0xaa)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PrepareARU(a, 1); err != nil {
+		t.Fatal(err)
+	}
 	start := d.Stats().Checkpoints
-	// Each allocation logs an entry tagged with the unit, so the unit's
-	// own operations fill and retire segments.
+	// Simple allocations and writes fill and retire segments beside the
+	// prepared unit.
 	for i := 0; ; i++ {
 		d.mu.RLock()
 		retired := d.segsSinceC
@@ -38,16 +48,16 @@ func TestAbortARURunsDueMaintenance(t *testing.T) {
 		if retired >= every {
 			break
 		}
-		b, err := d.NewBlock(a, lst, NilBlock)
+		b, err := d.NewBlock(0, lst, NilBlock)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Write(a, b, fill(d, byte(i))); err != nil {
+		if err := d.Write(0, b, fill(d, byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := d.Stats().Checkpoints; got != start {
-		t.Fatalf("%d checkpoints ran with an ARU open", got-start)
+		t.Fatalf("%d checkpoints ran with a prepared unit open", got-start)
 	}
 	if err := d.AbortARU(a); err != nil {
 		t.Fatal(err)
@@ -57,6 +67,155 @@ func TestAbortARURunsDueMaintenance(t *testing.T) {
 	}
 	if err := d.VerifyInternal(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStalledUnitDoesNotWedge: a VariantNew unit held open logs nothing a
+// checkpoint could cut, so maintenance runs beside it. Simple overwrites
+// covering four times a 32-segment log must all be accepted while one
+// unit stays open, and the unit still commits at the end.
+func TestStalledUnitDoesNotWedge(t *testing.T) {
+	p := Params{Layout: testLayout(32), CheckpointEvery: 2}
+	d, _ := newTestLLD(t, p)
+	lst, _ := d.NewList(0)
+	var blocks []BlockID
+	for i := 0; i < 16; i++ {
+		b, err := d.NewBlock(0, lst, NilBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+	}
+	a, err := d.BeginARU()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Write(a, blocks[0], fill(d, 0xee)); err != nil {
+		t.Fatal(err)
+	}
+	perSeg := p.Layout.SegBytes/p.Layout.BlockSize - 1
+	writes := 4 * p.Layout.NumSegs * perSeg
+	for i := 0; i < writes; i++ {
+		if err := d.Write(0, blocks[1+i%(len(blocks)-1)], fill(d, byte(i))); err != nil {
+			t.Fatalf("write %d of %d with a unit open: %v", i, writes, err)
+		}
+	}
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EndARU(a); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, d.BlockSize())
+	if err := d.Read(0, blocks[0], buf); err != nil || !bytes.Equal(buf, fill(d, 0xee)) {
+		t.Fatalf("the stalled unit's write reads %#x (err %v)", buf[0], err)
+	}
+}
+
+// TestInDoubtUnitPinsReplayWindow: a prepared unit's redo lies in the
+// replay window until its fate is logged, so the segments that retire
+// beside it run no checkpoint, and a crash recovers the unit whole when
+// the resolver answers committed.
+func TestInDoubtUnitPinsReplayWindow(t *testing.T) {
+	d, dev := prepTestDisk(t, Params{CheckpointEvery: 2})
+	a, _, _ := buildPreparedUnit(t, d)
+	if err := d.PrepareARU(a, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Simple allocations and writes retire more than CheckpointEvery
+	// segments beside the prepared unit (one more is opened and written).
+	lst, _ := d.NewList(0)
+	start := d.Stats()
+	for i := 0; d.Stats().SegmentsWritten-start.SegmentsWritten <= int64(d.params.CheckpointEvery); i++ {
+		b, err := d.NewBlock(0, lst, NilBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write(0, b, fill(d, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := d.Stats().Checkpoints - start.Checkpoints; n != 0 {
+		t.Errorf("%d checkpoints ran with a unit in doubt", n)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	img := dev.Recycle()
+	if err := d.CommitPrepared(a); err != nil {
+		t.Fatal(err)
+	}
+	want := logicalState(t, d)
+	d2, rpt, err := OpenReport(img, Params{CommitResolver: func(uint64) bool { return true }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if rpt.InDoubtCommitted != 1 {
+		t.Errorf("report %+v: want the unit in doubt and committed", rpt)
+	}
+	if got := logicalState(t, d2); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered state differs from the committed unit's (%d lists, want %d)", len(got), len(want))
+	}
+	if err := d2.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSequentialUnitPinsReplayWindow: a VariantOld unit logs its writes as
+// they run, tagged with the unit, so the segments that retire under it
+// run no checkpoint, and after EndARU and Flush a crash recovers every
+// write of the unit.
+func TestSequentialUnitPinsReplayWindow(t *testing.T) {
+	d, dev := newTestLLD(t, Params{Variant: VariantOld, CheckpointEvery: 2})
+	lst, _ := d.NewList(0)
+	var blocks []BlockID
+	for i := 0; i < 40; i++ {
+		b, err := d.NewBlock(0, lst, NilBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	start := d.Stats()
+	a, err := d.BeginARU()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range blocks {
+		if err := d.Write(a, b, fill(d, byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := d.Stats()
+	if opened := st.SegmentsWritten - start.SegmentsWritten; opened <= int64(d.params.CheckpointEvery) {
+		t.Fatalf("the unit wrote %d segments, want more than %d", opened, d.params.CheckpointEvery)
+	}
+	if n := st.Checkpoints - start.Checkpoints; n != 0 {
+		t.Errorf("%d checkpoints ran under a VariantOld unit", n)
+	}
+	if err := d.EndARU(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(dev.Recycle(), Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	buf := make([]byte, d2.BlockSize())
+	for i, b := range blocks {
+		if err := d2.Read(0, b, buf); err != nil || !bytes.Equal(buf, fill(d2, byte(i+1))) {
+			t.Fatalf("block %d recovered as %#x (err %v), want the unit's %#x", b, buf[0], err, i+1)
+		}
 	}
 }
 
@@ -189,13 +348,10 @@ func TestMaintenanceIOOffLock(t *testing.T) {
 // between. Four clients overwrite their own blocks — simply, or inside
 // units they commit or abort — and flush, one of them also asking for
 // checkpoints and cleaning, on a log small enough that the cleaner runs.
-// Every client reads its own blocks back, the engine stays consistent,
-// and a remount after Close reads the same values.
-//
-// A write refused with ErrNoSpace is skipped: with units open at most
-// operation ends, maintenance can fall behind and the log refuses growth
-// it could absorb. That wedge is older than this test (ROADMAP, "Space
-// never wedges") and not what it checks.
+// Every operation succeeds — maintenance runs beside the open units, so
+// no write is refused for space — every client reads its own blocks back,
+// the engine stays consistent, and a remount after Close reads the same
+// values.
 func TestMaintenanceBesideOperations(t *testing.T) {
 	p := Params{Layout: testLayout(48), CheckpointEvery: 2, CkptCompactEvery: 3, CleanerLowWater: 5}
 	dev := disk.NewMem(p.Layout.DiskBytes())
@@ -216,7 +372,6 @@ func TestMaintenanceBesideOperations(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	var refused atomic.Int64
 	errs := make(chan error, clients)
 	last := make([]map[BlockID]byte, clients)
 	for c := 0; c < clients; c++ {
@@ -253,10 +408,7 @@ func TestMaintenanceBesideOperations(t *testing.T) {
 				default:
 					_, err = d.Clean(p.Layout.NumSegs)
 				}
-				if errors.Is(err, ErrNoSpace) {
-					refused.Add(1)
-				}
-				if err != nil && !errors.Is(err, ErrNoSpace) && !errors.Is(err, ErrARUActive) {
+				if err != nil {
 					errs <- fmt.Errorf("client %d op %d: %w", c, op, err)
 					return
 				}
@@ -287,7 +439,7 @@ func TestMaintenanceBesideOperations(t *testing.T) {
 	if st.Checkpoints == 0 {
 		t.Fatal("no checkpoint ran")
 	}
-	t.Logf("%d checkpoints, %d segments cleaned, %d operations refused with ErrNoSpace", st.Checkpoints, st.SegmentsCleaned, refused.Load())
+	t.Logf("%d checkpoints, %d segments cleaned", st.Checkpoints, st.SegmentsCleaned)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}

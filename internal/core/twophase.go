@@ -138,6 +138,7 @@ func (d *LLD) PrepareARUTraced(aru ARUID, txn uint64, sc obs.SpanContext) error 
 	pts := d.tick()
 	d.pendingCommits = append(d.pendingCommits, seg.Entry{Kind: seg.KindPrepare, ARU: aru, TS: pts, Txn: txn})
 	st.prepared, st.prepTxn = true, txn
+	d.nPrepared++
 	// The view must start rejecting reads under aru.
 	d.aruTab.edit(d.epoch+1, uint64(aru)).persist = aruPrepared
 	d.stats.ARUsPrepared.Add(1)

@@ -111,7 +111,7 @@ var enumerationGolden = []struct {
 	states int
 	sha    string
 }{
-	{"mixed", 1, 223, "05fd2afef3c84ca819bd20e15f279e39406c2d8fba7cd9f73e67bd41a53d0b7e"},
+	{"mixed", 1, 232, "33b21a08e5edfe4911f250d53db62489eecf967cb649f0993a8b9b9c01f02c2b"},
 	{"mixed", 2, 224, "7b805fdb215ecef37a8422b44fe91150dcbd5b2a9445022b9df9440c60bd84bf"},
 	{"fs", 1, 116, "dd2b9e0847a0c9ad0fbc52a8377d13013d809422a5de13ea2748e9e9f68ccd63"},
 	{"fs", 2, 104, "b07f8a9940c080cacf671ab4dd21eac278c8bcf509e51527629433048dc570e6"},
@@ -119,6 +119,8 @@ var enumerationGolden = []struct {
 	{"net", 2, 96, "9761f7d21f4846b6a99ae26597216cab701c8d9699734e5e0e768392c19d62eb"},
 	{"wrap", 1, 522, "cd376900819476402d687390fae68fa739ae26c4cf29a5077016500f7213887c"},
 	{"wrap", 2, 435, "7ed9a4f28843f3d4d57e9efd37c44cad2c7954a9ad0b0a56591c3271ed499c1e"},
+	{"maint", 1, 774, "0f90b16fff7e285184dc9babe927b6450514fc6394b27286e2c90e6817eef100"},
+	{"maint", 2, 1213, "ce8526df2084b0b9abde6b44047294a4ae72c774cb088e934c7047c8301fdec6"},
 	{"shard", 1, 278, "cf74377e4c811bb6cf84f01c37c9f04e2b76c09a5a4f24e9aea0bb8c9ad097cb"},
 }
 
@@ -162,6 +164,52 @@ func TestWrapWorkloadClean(t *testing.T) {
 	}
 	if rpt.States < 200*o.Seeds {
 		t.Fatalf("explored only %d states", rpt.States)
+	}
+}
+
+// TestMaintWorkload: the maint workload runs automatic checkpoints and
+// cleaner relocations beside open units on every seed CI enumerates,
+// its crash states recover clean, and it catches untagged-replay (a
+// unit's merge entries logged without its tag, so a crash between them
+// and the commit record splits the unit).
+func TestMaintWorkload(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		var line string
+		o := Options{Logf: func(format string, args ...any) { line = fmt.Sprintf(format, args...) }}
+		if _, err := runMaint(seed, o); err != nil {
+			t.Fatal(err)
+		}
+		var s, ckpts, moved int64
+		if _, err := fmt.Sscanf(line, "maint seed=%d: %d automatic checkpoints, %d blocks", &s, &ckpts, &moved); err != nil {
+			t.Fatalf("seed %d: unexpected report %q: %v", seed, line, err)
+		}
+		if ckpts == 0 || moved == 0 {
+			t.Errorf("seed %d: %s", seed, line)
+		}
+	}
+	o := Options{Seed: 1, Workloads: []string{"maint"}, MaxStates: 400}
+	if testing.Short() {
+		o.MaxStates = 120
+	}
+	rpt, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rpt.Violations {
+		t.Errorf("%s seed=%d state=%s shrunk=%s: %v", v.Workload, v.Seed, v.State, v.Shrunk, v.Desc)
+	}
+	if rpt.States < o.MaxStates {
+		t.Fatalf("explored only %d states, wanted %d", rpt.States, o.MaxStates)
+	}
+	o = Options{Seed: 4, Workloads: []string{"maint"}, Inject: "untagged-replay", MaxViolationsPerRun: 1}
+	if rpt, err = Run(o); err != nil {
+		t.Fatal(err)
+	}
+	if len(rpt.Violations) == 0 {
+		t.Fatalf("untagged-replay not caught on maint seed 4 in %d states", rpt.States)
+	}
+	if viols, err := Replay("maint", 4, o, rpt.Violations[0].Shrunk); err != nil || len(viols) == 0 {
+		t.Errorf("artifact %q does not reproduce (%v)", rpt.Violations[0].Artifact, err)
 	}
 }
 

@@ -40,7 +40,7 @@ var Injections = []Injection{
 	{"nosync", "any workload", func(o *shard.Options) {
 		o.Params.Faults = &core.FaultHooks{NoSyncOnFlush: true}
 	}},
-	{"untagged-replay", "mixed, fs or net", func(o *shard.Options) {
+	{"untagged-replay", "mixed, fs, net or maint", func(o *shard.Options) {
 		o.Params.Faults = &core.FaultHooks{UntaggedReplay: true}
 	}},
 	// The broken group-commit broker: batch waiters are woken without

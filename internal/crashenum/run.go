@@ -12,10 +12,12 @@ import (
 // minixfs; net runs mixed-style units through an ldnet client/server
 // pair, with durability judged by client-received acks; wrap runs
 // simple overwrites on a log short enough to wrap many times, with
-// checkpoints as the only durability points; shard runs cross-shard 2PC
-// units over several engines and a coordinator log.
+// checkpoints as the only durability points; maint runs units with
+// explicit and automatic checkpoints and cleaner passes between their
+// operations; shard runs cross-shard 2PC units over several engines and
+// a coordinator log.
 var workloads = map[string]func(seed int64, o Options) (*execution, error){
-	"mixed": runMixed, "fs": runFS, "net": runNet, "wrap": runWrap, "shard": runShard,
+	"mixed": runMixed, "fs": runFS, "net": runNet, "wrap": runWrap, "maint": runMaint, "shard": runShard,
 }
 
 // Options configures a checker run.
@@ -31,7 +33,7 @@ type Options struct {
 	// within the crash epoch (default 3).
 	ReorderWindow int
 	// Workloads names the workloads to run for every seed, in order:
-	// mixed, fs, net, wrap, shard (default mixed only).
+	// mixed, fs, net, wrap, maint, shard (default mixed only).
 	Workloads []string
 	// RecoverCrash additionally crashes recovery itself: for a sampled
 	// subset of clean single-device crash states, the first recovery's

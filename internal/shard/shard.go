@@ -143,8 +143,8 @@ type Disk struct {
 	// so a crash would presume-abort the unit on shard i but keep it on
 	// a later-checkpointed shard. Fast-path (single-shard) commits and
 	// aborts need no gate: they write no prepare and no coordinator
-	// record, and their open local ARUs already make a concurrent
-	// engine checkpoint refuse.
+	// record, and an open local ARU that has not prepared has logged
+	// nothing an engine checkpoint could cut.
 	ckpt sync.RWMutex
 
 	fastCommits  atomic.Int64
@@ -615,15 +615,18 @@ func (s *Disk) fanOut(idx []int, fn func(i int) error) error {
 // Checkpoint checkpoints every shard and then resets the coordinator
 // log: after every engine checkpointed, no replay window can hold an
 // in-doubt prepare, so no recovery will ever ask about the logged
-// transactions again. Fails (leaving the log intact) while any ARU is
-// open, as a single engine's checkpoint does.
+// transactions again. It runs beside open units: the gate below keeps
+// prepares out, and a unit that has not prepared has logged nothing a
+// checkpoint could cut. Fails (leaving the log intact) if a shard's
+// checkpoint fails.
 //
-// The whole sequence runs under the commit gate held exclusively: a
-// per-shard open-ARU check alone would not stop a full 2PC commit from
-// landing between shard i's checkpoint and the reset, whose commit
-// record the reset would then erase while shard i's replay window still
-// held the prepare — a crash would presume-abort the unit there but
-// keep it on any shard checkpointed after the commit.
+// The whole sequence runs under the commit gate held exclusively: no
+// engine checkpoint refuses a unit that prepares after it, so without
+// the gate a full 2PC commit could land between shard i's checkpoint
+// and the reset, whose commit record the reset would then erase while
+// shard i's replay window still held the prepare — a crash would
+// presume-abort the unit there but keep it on any shard checkpointed
+// after the commit.
 func (s *Disk) Checkpoint() error {
 	s.ckpt.Lock()
 	defer s.ckpt.Unlock()

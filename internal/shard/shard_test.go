@@ -817,8 +817,9 @@ func checkpointCommitBarrier(t *testing.T, o Options) {
 		select {
 		case <-done:
 		default:
-			// Most attempts fail while the committer's unit is open —
-			// only the gaps between units can checkpoint. Keep trying.
+			// The gate keeps the committer's prepares out; an attempt
+			// that finds its unit open, not yet prepared, checkpoints
+			// inside it: the harder race. Keep trying.
 			_ = d.Checkpoint()
 			continue
 		}

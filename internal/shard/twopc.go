@@ -92,10 +92,10 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 	// prepare, coordinator record, apply — must not interleave with
 	// Checkpoint's checkpoint-every-shard-then-reset sequence (see
 	// Disk.Checkpoint). The fast path needs no gate: a single-shard
-	// unit writes no prepare and no coordinator record, and its open
-	// local ARU already makes a concurrent engine checkpoint refuse.
-	// The gap between take and this acquire is likewise covered by the
-	// participants' open locals.
+	// unit writes no prepare and no coordinator record, and until it
+	// ends it has logged nothing an engine checkpoint could cut. The
+	// gap between take and this acquire is harmless for the same
+	// reason: no participant has prepared yet.
 	s.ckpt.RLock()
 	defer s.ckpt.RUnlock()
 	txn := s.nextTxn.Add(1) - 1

@@ -30,7 +30,8 @@ const (
 	// MixedFlush makes everything committed so far durable.
 	MixedFlush
 	// MixedCheckpoint takes a table checkpoint. Only generated while
-	// no unit is open (the engine rejects it otherwise).
+	// no unit is open, which keeps these scripts as they were; crashenum's
+	// maint workload checkpoints beside open units.
 	MixedCheckpoint
 	// MixedConcFlush issues Arg concurrent Flush calls (from Arg
 	// goroutines, all at once) and waits for every one — a
@@ -105,7 +106,7 @@ type mixedUnit struct {
 // params always yield the same script, and every emitted op is valid
 // when interpreted in order (a unit is only ended once, blocks are
 // only rewritten while one is live, checkpoints only appear while no
-// unit is open).
+// unit is open, as MixedCheckpoint says).
 func MixedScript(seed int64, p MixedParams) []MixedOp {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(seed))
