@@ -60,10 +60,11 @@ const (
 // Disk re-exports the LLD engine. All methods are safe for concurrent
 // use. Read-only operations (Read, ListBlocks, Stats, …) run against
 // epoch-based MVCC snapshots: each one loads the current epoch with a
-// single atomic pointer read plus a refcount, so readers never touch
-// the engine mutex and scale with cores, while mutating operations
+// single atomic pointer read plus a refcount, so simple readers never
+// touch the engine mutex and scale with cores, while mutating operations
 // serialize behind the write lock and publish a new epoch at each
-// durability point. AcquireSnapshot pins an epoch explicitly for
+// durability point. BeginARU and a unit's shadow updates publish nothing
+// until a read inside the unit, AcquireSnapshot or Stats needs them. AcquireSnapshot pins an epoch explicitly for
 // multi-read consistency (see Snapshot). See aru/internal/core.LLD
 // and DESIGN.md §16.
 //
@@ -142,9 +143,10 @@ const (
 // (*Disk).Stats.
 //
 // Every snapshot is coherent with respect to mutating operations:
-// Stats takes no lock but returns the counter image frozen into the
-// current epoch when it was published, so no commit, flush, clean or
-// recovery is ever observed half-counted. Reads and Flushes are counted
+// Stats returns the counter image frozen into the current epoch when it
+// was published (taking the lock only to publish a pending shadow
+// update first), so no commit, flush, clean or recovery is ever
+// observed half-counted. Reads and Flushes are counted
 // outside the engine lock and overlaid live: each is read atomically —
 // never torn — and is monotone across snapshots, but may already
 // include operations that started after the Stats call did.

@@ -226,6 +226,7 @@ func BenchmarkMixedARUWorkload(b *testing.B) {
 	if err := d.Flush(); err != nil {
 		b.Fatal(err)
 	}
+	epochs := d.Stats().EpochsPublished
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		dst := make([]byte, d.BlockSize())
@@ -249,6 +250,13 @@ func BenchmarkMixedARUWorkload(b *testing.B) {
 			i++
 		}
 	})
+	reportEpochs(b, d, epochs)
+}
+
+// reportEpochs reports the MVCC epochs d published per op since the
+// count was epochs: BeginARU and shadow writes publish none.
+func reportEpochs(b *testing.B, d *aru.Disk, epochs int64) {
+	b.ReportMetric(float64(d.Stats().EpochsPublished-epochs)/float64(b.N), "epochs/op")
 }
 
 // BenchmarkARUWriteCommit measures the full shadow-write → merge →
@@ -262,6 +270,7 @@ func BenchmarkARUWriteCommit(b *testing.B) {
 		blks[i], _ = d.NewBlock(aru.Simple, lst, aru.NilBlock)
 	}
 	buf := make([]byte, d.BlockSize())
+	epochs := d.Stats().EpochsPublished
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := d.BeginARU()
@@ -278,6 +287,7 @@ func BenchmarkARUWriteCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportEpochs(b, d, epochs)
 }
 
 // BenchmarkARUCommitDurable measures a one-block unit made durable
@@ -663,6 +673,7 @@ func BenchmarkMixedARUWorkloadTraced(b *testing.B) {
 	if err := d.Flush(); err != nil {
 		b.Fatal(err)
 	}
+	epochs := d.Stats().EpochsPublished
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		dst := make([]byte, d.BlockSize())
@@ -686,4 +697,5 @@ func BenchmarkMixedARUWorkloadTraced(b *testing.B) {
 			i++
 		}
 	})
+	reportEpochs(b, d, epochs)
 }

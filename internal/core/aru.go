@@ -100,6 +100,7 @@ func (d *LLD) BeginARU() (ARUID, error) {
 	d.aruTab.create(d.epoch+1, uint64(id)).persist = aruOpen
 	d.stats.ARUsBegun.Add(1)
 	d.obs.Instant(obs.SpanARUBegin, uint64(id), 0, 0)
+	d.deferPublish(true)
 	return id, nil
 }
 

@@ -76,10 +76,11 @@ func (d *LLD) FreeSegments() int {
 }
 
 // ListBlocks returns the members of list lst, in order, as seen from
-// the state of aru (SimpleARU for the committed view). Lock-free: it
-// walks the current published epoch (snapshot.go).
+// the state of aru (SimpleARU for the committed view). It walks the
+// current published epoch (snapshot.go), lock-free unless a unit's
+// shadow edit must be published first (acquireView).
 func (d *LLD) ListBlocks(aru ARUID, lst ListID) ([]BlockID, error) {
-	s := d.acquireSnap()
+	s := d.acquireView(aru)
 	if s == nil {
 		return nil, ErrClosed
 	}
@@ -95,9 +96,9 @@ func (d *LLD) ListBlocks(aru ARUID, lst ListID) ([]BlockID, error) {
 }
 
 // Lists returns the identifiers of all lists visible in the state of
-// aru, in ascending order. Lock-free against the current epoch.
+// aru, in ascending order, against the current epoch (acquireView).
 func (d *LLD) Lists(aru ARUID) ([]ListID, error) {
-	s := d.acquireSnap()
+	s := d.acquireView(aru)
 	if s == nil {
 		return nil, ErrClosed
 	}
@@ -122,9 +123,9 @@ type BlockInfo struct {
 }
 
 // StatBlock returns the effective record of a block in the state of
-// aru. Lock-free against the current epoch.
+// aru, against the current epoch (acquireView).
 func (d *LLD) StatBlock(aru ARUID, b BlockID) (BlockInfo, error) {
-	s := d.acquireSnap()
+	s := d.acquireView(aru)
 	if s == nil {
 		return BlockInfo{}, ErrClosed
 	}

@@ -287,7 +287,8 @@ func (d *LLD) isClosed() bool {
 	return d.closed
 }
 
-// Stats returns a snapshot of the operation counters, lock-free.
+// Stats returns a snapshot of the operation counters, lock-free unless
+// a shadow edit's publish is pending (publishPending).
 //
 // Coherence: every counter that advances under the engine write lock is
 // served from the counter image frozen into the current epoch at its
@@ -304,6 +305,7 @@ func (d *LLD) isClosed() bool {
 // may already include operations newer than the epoch. SnapshotAge is a
 // gauge: current epoch minus oldest unpurged epoch (0 = fully drained).
 func (d *LLD) Stats() Stats {
+	d.publishPending()
 	s := d.acquireSnap()
 	if s == nil {
 		// Before the first publish (mid-construction): fall back to the

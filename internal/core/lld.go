@@ -28,13 +28,16 @@
 // # Concurrency
 //
 // All exported methods are safe for concurrent use. The hot read-only
-// operations — Read, ListBlocks, Lists, StatBlock and Stats — take no
-// lock at all: every committed mutation publishes an immutable
-// copy-on-write snapshot of the block-map, list-table and open-ARU
-// set behind a single atomic epoch-head pointer, and a reader pins
-// the current epoch with one atomic load plus a refcount increment
-// (snapshot.go, DESIGN.md §16). Mutating operations serialize behind
-// the engine write lock and swing the head at their completion point;
+// operations — Read, ListBlocks, Lists and StatBlock in the committed
+// view — take no lock at all: every mutation a simple reader could see
+// publishes an immutable copy-on-write snapshot of the block-map,
+// list-table and open-ARU set behind a single atomic epoch-head pointer,
+// and a reader pins the current epoch with one atomic load plus a
+// refcount increment (snapshot.go, DESIGN.md §16). Mutating operations
+// serialize behind the engine write lock and swing the head at their
+// completion point, except BeginARU and in-unit shadow edits, whose
+// publish waits for a read in the unit's view (or Stats, or
+// AcquireSnapshot), which takes the lock to publish it;
 // a handful of inspection helpers (VerifyInternal, Segments,
 // ActiveARUs, …) still take a shared read lock. As in the paper, the
 // disk system performs no concurrency control between clients: two
@@ -195,9 +198,9 @@ type FaultHooks struct {
 	// untagged-replay`).
 	UntaggedReplay bool
 	// StaleHeadEvery, when n > 0, silently drops every n-th epoch
-	// publish, so lock-free readers keep being served the previous
-	// snapshot past the operation's completion — the stale-read bug
-	// internal/linearize must catch.
+	// publish that carries a commit, so lock-free readers keep being
+	// served the previous snapshot past the commit's completion — the
+	// stale-read bug internal/linearize must catch.
 	StaleHeadEvery int
 	// RecoveryProbe is invoked by Open once per mount, after the crash
 	// image's tables are rebuilt but before the first epoch publish. The
@@ -476,4 +479,9 @@ type LLD struct {
 	pubSkip      int         // FaultHooks.StaleHeadEvery counter
 	pubSafe      bool        // in a maintenance round: a segment pick may publish
 	freeSnaps    []*snapshot // drained-epoch recycling
+	// pubDefer marks the running operation shadow-only (deferPublish);
+	// pubPending says such an operation's edits await a publish, which
+	// clears it only after the head swing (publishPending).
+	pubDefer   bool
+	pubPending atomic.Bool
 }

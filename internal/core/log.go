@@ -313,15 +313,32 @@ func (d *LLD) retireSeg() error {
 	return nil
 }
 
-// endOp ends a mutating operation, which holds d.mu: it publishes, decides
-// whether maintenance is due, releases d.mu and then runs it.
+// endOp ends a mutating operation, which holds d.mu: it publishes, or
+// only flags the edit pending if the operation was shadow-only
+// (deferPublish), decides whether maintenance is due, releases d.mu and
+// then runs it.
 func (d *LLD) endOp() {
-	d.publishLocked()
+	if d.pubDefer {
+		d.pubDefer = false
+		d.pubPending.Store(true)
+	} else {
+		d.publishLocked()
+	}
 	ckpt, clean := d.maintDue()
 	d.mu.Unlock()
 	if ckpt || clean {
 		d.maintain()
 	}
+}
+
+// deferPublish is called at the success tail of BeginARU and of the
+// operations that may edit only a unit's shadow state; shadowOnly says
+// this one did and sealed nothing. It lets endOp skip the publish unless
+// simple reads see shadows (ReadAnyShadow) or units run in the committed
+// state (VariantOld). Only a read in the unit's view could then see the
+// edit, and it publishes first (publishPending). Caller holds d.mu.
+func (d *LLD) deferPublish(shadowOnly bool) {
+	d.pubDefer = shadowOnly && d.params.Variant == VariantNew && d.params.ReadSemantics != ReadAnyShadow
 }
 
 // maintDue reports which maintenance is due: a checkpoint once

@@ -11,12 +11,13 @@ import (
 // (SimpleARU reads the committed state), into dst. dst must be exactly
 // one block long. An allocated block that has never been written reads
 // as zeroes.
-// Read takes no lock at all: it pins the current MVCC epoch with one
-// atomic load plus a refcount increment and resolves entirely against
-// that immutable snapshot (snapshot.go) — in-memory versions, pinned
-// segment images, or the device through its lock-free read interface.
-// The only shared state it mutates are the refcount and the atomic
-// stats counters.
+// A simple Read takes no lock at all: it pins the current MVCC epoch
+// with one atomic load plus a refcount increment and resolves entirely
+// against that immutable snapshot (snapshot.go) — in-memory versions,
+// pinned segment images, or the device through its lock-free read
+// interface. The only shared state it mutates are the refcount and the
+// atomic stats counters. A Read inside an ARU takes d.mu only to publish
+// a shadow edit still pending (acquireView).
 func (d *LLD) Read(aru ARUID, b BlockID, dst []byte) error {
 	if d.obs == nil {
 		return d.read(aru, b, dst)
@@ -30,7 +31,7 @@ func (d *LLD) Read(aru ARUID, b BlockID, dst []byte) error {
 }
 
 func (d *LLD) read(aru ARUID, b BlockID, dst []byte) error {
-	s := d.acquireSnap()
+	s := d.acquireView(aru)
 	if s == nil {
 		return ErrClosed
 	}
@@ -91,6 +92,7 @@ func (d *LLD) write(aru ARUID, b BlockID, data []byte) error {
 	// cost one log slot per segment, not one per write. Make sure the
 	// open segment can still absorb one more materialized block before
 	// committing to the buffer.
+	seq, cur := d.nextSeq, d.curSeg
 	if err := d.ensureRoom(1, 1); err != nil {
 		return err
 	}
@@ -112,6 +114,7 @@ func (d *LLD) write(aru ARUID, b BlockID, data []byte) error {
 	wb.rec.TS = ts
 	m.touchBlock(wb, ts)
 	d.stats.Writes.Add(1)
+	d.deferPublish(m.st != nil && d.nextSeq == seq && d.curSeg == cur)
 	return nil
 }
 
@@ -212,7 +215,11 @@ func (d *LLD) DeleteBlock(aru ARUID, b BlockID) error {
 	if m.st != nil {
 		m.st.linkLog = append(m.st.linkLog, listOp{kind: opDeleteBlock, list: rec.List, block: b})
 	}
-	return d.deleteBlockIn(m, b, true)
+	if err := d.deleteBlockIn(m, b, true); err != nil {
+		return err
+	}
+	d.deferPublish(m.st != nil)
+	return nil
 }
 
 // DeleteList de-allocates list lst together with every block still on
@@ -235,7 +242,11 @@ func (d *LLD) DeleteList(aru ARUID, lst ListID) error {
 		m.st.linkLog = append(m.st.linkLog,
 			listOp{kind: opDeleteList, list: lst, members: d.membersIn(m.viewID(), lst)})
 	}
-	return d.deleteListIn(m, lst, true)
+	if err := d.deleteListIn(m, lst, true); err != nil {
+		return err
+	}
+	d.deferPublish(m.st != nil)
+	return nil
 }
 
 // membersIn returns the members of lst, in order, as seen from view.

@@ -89,5 +89,9 @@ func (d *LLD) MoveBlock(aru ARUID, b BlockID, lst ListID, pred BlockID) error {
 		}
 	}
 	d.stats.MovesExecuted.Add(1)
-	return d.insertIn(m, lst, b, pred, true)
+	if err := d.insertIn(m, lst, b, pred, true); err != nil {
+		return err
+	}
+	d.deferPublish(m.st != nil)
+	return nil
 }

@@ -13,10 +13,14 @@ import (
 
 // Epoch-based MVCC read path (DESIGN.md §16).
 //
-// Every committed mutation publishes a new epoch: an immutable
-// snapshot of the block-map, the list-table and the open-ARU set
-// behind a single atomic head pointer. Readers do one atomic load plus
-// a refcount increment and never touch d.mu. The tries (epochmap.go)
+// Every mutation a simple reader could see publishes a new epoch: an
+// immutable snapshot of the block-map, the list-table and the open-ARU
+// set behind a single atomic head pointer. Simple readers do one atomic
+// load plus a refcount increment and never touch d.mu. BeginARU and a
+// unit's shadow edits only flag a publish pending (deferPublish); a read
+// in the unit's view, AcquireSnapshot or Stats takes d.mu to publish it
+// (publishPending), so the window — and the leaves it cloned — stays
+// open across a unit's shadow operations. The tries (epochmap.go)
 // are the engine's only copy of that state: writers clone the leaves
 // they touch on first touch per window (table.edit), path-copy the
 // trie above them, and swing the head at the durability point of the
@@ -146,6 +150,28 @@ func (d *LLD) acquireSnap() *snapshot {
 	}
 }
 
+// acquireView is acquireSnap for a read in aru's view: a unit's reader
+// first publishes the shadow edits endOp left pending, so it sees its
+// own. A simple read stays lock-free: deferPublish leaves edits pending
+// only where simple reads cannot see them.
+func (d *LLD) acquireView(aru ARUID) *snapshot {
+	if aru != seg.SimpleARU {
+		d.publishPending()
+	}
+	return d.acquireSnap()
+}
+
+// publishPending publishes the shadow edits endOp left pending, if any.
+func (d *LLD) publishPending() {
+	if d.pubPending.Load() {
+		d.mu.Lock()
+		if d.pubPending.Load() {
+			d.publishLocked()
+		}
+		d.mu.Unlock()
+	}
+}
+
 // release drops one reader reference. The snapshot stays consultable —
 // purge runs only under d.mu on retired epochs that have drained.
 func (s *snapshot) release() {
@@ -160,17 +186,20 @@ func (s *snapshot) release() {
 // where the committed state is op-consistent (operation boundaries, or
 // the maintenance points flagged by d.pubSafe).
 func (d *LLD) publishLocked() {
-	if f := d.params.Faults; f != nil && f.StaleHeadEvery > 0 && d.head.Load() != nil {
+	old := d.head.Load()
+	if f := d.params.Faults; f != nil && f.StaleHeadEvery > 0 && old != nil &&
+		old.stats.ARUsCommitted != d.stats.ARUsCommitted.Load() {
 		// Fault injection for the linearizability harness: silently
-		// drop every n-th publish, serving readers a stale epoch. The
-		// window stays open (d.epoch does not advance), so the
-		// following publish catches up.
+		// drop every n-th publish that carries a commit, serving simple
+		// readers a stale epoch. The engine takes it for done (no
+		// publish is left pending), but the window stays open (d.epoch
+		// does not advance), so the next publish catches up.
 		d.pubSkip++
 		if d.pubSkip%f.StaleHeadEvery == 0 {
+			d.pubPending.Store(false)
 			return
 		}
 	}
-	old := d.head.Load()
 
 	s := d.takeSnap()
 	d.epoch++
@@ -214,6 +243,9 @@ func (d *LLD) publishLocked() {
 	// above happened-before it (release store), and a reader that
 	// revalidates against the new head sees all of it (acquire load).
 	d.head.Store(s)
+	// Only now is a pending shadow edit visible: a unit reader that
+	// finds the flag clear must find its edit in the head it loads next.
+	d.pubPending.Store(false)
 	d.obs.Instant(obs.SpanEpochPublish, 0, s.epoch, uint64(s.nBlocks))
 
 	if old == nil {
@@ -534,6 +566,7 @@ func (d *LLD) AcquireSnapshot() (*Snapshot, error) {
 	if d.invalid.Load() {
 		return nil, ErrSnapshotStale
 	}
+	d.publishPending()
 	s := d.acquireSnap()
 	if s == nil {
 		return nil, ErrClosed

@@ -246,11 +246,14 @@ func TestLinearizableReads(t *testing.T) {
 }
 
 // TestStaleHeadBugCaught validates the checker against a deliberately
-// broken engine: FaultHooks.StaleHeadEvery drops every 2nd epoch publish,
-// so committed state lingers invisible and a reader can return a value
-// that a completed commit already overwrote. The checker must find the
-// violation within a bounded number of seeded histories and shrink it
-// to a minimal read-sees-stale-value core.
+// broken engine: FaultHooks.StaleHeadEvery drops every 2nd epoch publish
+// that carries a commit, so committed state lingers invisible and a
+// reader can return a value that a completed commit already overwrote.
+// Only those publishes count: BeginARU and shadow writes do not publish,
+// so dropping every 2nd publish of any kind would mostly drop publishes
+// no simple reader can observe. The checker must find the violation
+// within a bounded number of seeded histories and shrink it to a
+// minimal read-sees-stale-value core.
 func TestStaleHeadBugCaught(t *testing.T) {
 	cfg := historyConfig{
 		readers: 8, committers: 4,
