@@ -64,9 +64,9 @@ const (
 // touch the engine mutex and scale with cores, while mutating operations
 // serialize behind the write lock and publish a new epoch at each
 // durability point. BeginARU and a unit's shadow updates publish nothing
-// until a read inside the unit, AcquireSnapshot or Stats needs them. AcquireSnapshot pins an epoch explicitly for
-// multi-read consistency (see Snapshot). See aru/internal/core.LLD
-// and DESIGN.md §16.
+// until a read inside the unit, AcquireSnapshot or Stats needs them.
+// AcquireSnapshot pins an epoch explicitly for multi-read consistency
+// (see Snapshot). See aru/internal/core.LLD and DESIGN.md §16.
 //
 // Besides EndARU, an open unit can be discarded with AbortARU: its
 // shadow state is dropped and none of its operations ever reach the

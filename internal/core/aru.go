@@ -48,9 +48,6 @@ func (d *LLD) modeFor(aru ARUID) (mode, error) {
 	return mode{view: aru, st: st, tag: aru}, nil
 }
 
-// viewID returns the state Reads under aru should resolve against.
-func (m mode) viewID() ARUID { return m.view }
-
 // touchBlock applies the commit-timestamp policy of the mode to a
 // committed record just modified at time ts. Shadow records are left
 // alone (their commit timestamp is assigned when they merge).
@@ -98,7 +95,7 @@ func (d *LLD) BeginARU() (ARUID, error) {
 	d.nextARU++
 	d.arus[id] = d.getState(id)
 	d.aruTab.create(d.epoch+1, uint64(id)).persist = aruOpen
-	d.stats.ARUsBegun.Add(1)
+	d.stats.ARUsBegun++
 	d.obs.Instant(obs.SpanARUBegin, uint64(id), 0, 0)
 	d.deferPublish(true)
 	return id, nil
@@ -160,7 +157,7 @@ func (d *LLD) endARUOld(aru ARUID, st *aruState, commit obs.SpanContext) error {
 	d.stampCommit(aru, commit)
 	d.ungate(st, cts)
 	d.closeARU(st)
-	d.stats.ARUsCommitted.Add(1)
+	d.stats.ARUsCommitted++
 	return nil
 }
 
@@ -209,7 +206,7 @@ func (d *LLD) endARUNew(aru ARUID, st *aruState, commit obs.SpanContext, silent 
 			// The block vanished from the committed state (deleted by
 			// a racing client); the paper leaves such races to client
 			// locking. Drop the data.
-			d.stats.MergeFallbacks.Add(1)
+			d.stats.MergeFallbacks++
 			continue
 		}
 		// The seal and the new committed version may both have moved the
@@ -230,7 +227,7 @@ func (d *LLD) endARUNew(aru ARUID, st *aruState, commit obs.SpanContext, silent 
 
 	// Re-execute the list-operation log in the committed state.
 	for _, op := range st.linkLog {
-		d.stats.ListOpsReplayed.Add(1)
+		d.stats.ListOpsReplayed++
 		var err error
 		switch op.kind {
 		case opInsert:
@@ -242,7 +239,7 @@ func (d *LLD) endARUNew(aru ARUID, st *aruState, commit obs.SpanContext, silent 
 		case opUnlinkOnly:
 			rec, ok := d.viewBlock(op.block, seg.SimpleARU)
 			if !ok || rec.List == NilList {
-				d.stats.MergeFallbacks.Add(1)
+				d.stats.MergeFallbacks++
 			} else {
 				err = d.unlinkIn(gate, rec.List, op.block)
 			}
@@ -268,7 +265,7 @@ func (d *LLD) endARUNew(aru ARUID, st *aruState, commit obs.SpanContext, silent 
 	d.ungate(st, cts)
 	d.discardShadow(st)
 	d.closeARU(st)
-	d.stats.ARUsCommitted.Add(1)
+	d.stats.ARUsCommitted++
 	return nil
 }
 
@@ -359,7 +356,7 @@ func (d *LLD) AbortARU(aru ARUID) error {
 	}
 	d.discardShadow(st)
 	d.closeARU(st)
-	d.stats.ARUsAborted.Add(1)
+	d.stats.ARUsAborted++
 	d.obs.Instant(obs.SpanARUAbort, uint64(aru), 0, 0)
 	return nil
 }

@@ -182,11 +182,11 @@ func TestSnapshotOutlivesCacheEviction(t *testing.T) {
 	}
 	defer hHit.Release()
 	got := make([]byte, d.BlockSize())
-	hits := d.stats.CacheHits.Load()
+	hits := d.live.CacheHits.Load()
 	if err := hHit.Read(0, target, got); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("cache-hit read: %v, %#x", err, got[0])
 	}
-	if d.stats.CacheHits.Load() != hits+1 {
+	if d.live.CacheHits.Load() != hits+1 {
 		t.Fatal("the pinned read was not a cache hit")
 	}
 
@@ -254,7 +254,7 @@ func TestPrevVersionAdoption(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := d.stats.PrevVersionsEmitted.Load(); n != 1 {
+	if n := lockedStats(d).PrevVersionsEmitted; n != 1 {
 		t.Fatalf("PrevVersionsEmitted = %d, want 1", n)
 	}
 	if d.commBufBlocks != 0 {

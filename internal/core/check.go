@@ -64,7 +64,7 @@ func (d *LLD) freeLeaked(leaked []BlockID) (int, error) {
 			return 0, fmt.Errorf("lld: consistency sweep of block %d: %w", id, err)
 		}
 	}
-	d.stats.LeakedBlocksFreed.Add(int64(len(leaked)))
+	d.stats.LeakedBlocksFreed += int64(len(leaked))
 	return len(leaked), nil
 }
 
@@ -347,7 +347,7 @@ func (d *LLD) VerifyInternal() error {
 	if nBlocks != d.blockTab.n || nLists != d.listTab.n {
 		fail("entry counters say %d blocks, %d lists; the tries hold %d, %d", d.blockTab.n, d.listTab.n, nBlocks, nLists)
 	}
-	if a, s := d.stats.AltRecords.Load(), d.stats.ShadowRecords.Load(); a != alts || s != shadows {
+	if a, s := d.stats.AltRecords, d.stats.ShadowRecords; a != alts || s != shadows {
 		fail("gauges say %d alternative, %d shadow records; the tables hold %d, %d", a, s, alts, shadows)
 	}
 	if bufs != d.commBufBlocks {

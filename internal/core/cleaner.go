@@ -44,11 +44,11 @@ func (d *LLD) clean(target int) (cleaned int, err error) {
 			break
 		}
 		cleaned += n
-		d.stats.SegmentsCleaned.Add(int64(n))
 		before := free
-		d.mu.RLock()
+		d.mu.Lock()
+		d.stats.SegmentsCleaned += int64(n)
 		free = d.freeCache // the round's install counted it
-		d.mu.RUnlock()
+		d.mu.Unlock()
 		if free <= before {
 			// No net space gained: the victims are so full that
 			// relocation consumes as much as it frees. Stop rather than
@@ -203,7 +203,7 @@ func (d *LLD) relocateSegment(s int) error {
 		d.setBlockPhys(cb, segIdx, slot, seg.SimpleARU)
 		cb.rec.TS = ts
 		cb.commitTS = ts
-		d.stats.BlocksRelocated.Add(1)
+		d.stats.BlocksRelocated++
 	}
 	return nil
 }

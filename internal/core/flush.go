@@ -27,7 +27,7 @@ func (d *LLD) Flush() error {
 // caller's wait in the group-commit broker is recorded as an
 // engine-flush span parented on sc.
 func (d *LLD) FlushTraced(sc obs.SpanContext) error {
-	d.stats.Flushes.Add(1)
+	d.live.Flushes.Add(1)
 	sp := d.obs.Start(obs.SpanEngineFlush, sc)
 	err := d.forceCommit()
 	var failed uint64
@@ -206,11 +206,11 @@ func (d *LLD) installCkpt(ck ckptJob) {
 		d.ckptDepth = 0
 		ck.sp.End(0, ck.ts, uint64(oldDepth))
 	} else {
-		d.stats.CkptDeltas.Add(1)
+		d.stats.CkptDeltas++
 		ck.sp.End(0, ck.ts, uint64(d.ckptDepth))
 	}
 	d.ckptBase, d.ckptTS, d.ckptSeq = false, ck.ts, ck.seq
-	d.stats.Checkpoints.Add(1)
+	d.stats.Checkpoints++
 }
 
 // sortCkptRec puts a base record's tables into canonical ID order so
@@ -290,40 +290,36 @@ func (d *LLD) isClosed() bool {
 // Stats returns a snapshot of the operation counters, lock-free unless
 // a shadow edit's publish is pending (publishPending).
 //
-// Coherence: every counter that advances under the engine write lock is
-// served from the counter image frozen into the current epoch at its
-// publish point, so the returned value reflects exactly the operations
-// the epoch itself reflects — no commit, flush, clean or recovery is
-// ever observed half-counted. Allocation counts at its own operation
-// boundary and commit at the commit's, so for an ARU creating k blocks
-// per commit every snapshot satisfies k·ARUsCommitted ≤ NewBlocks ≤
-// k·ARUsBegun — never a value that implies a torn epoch
-// (TestStatsSnapshotCoherence and TestStatsAllocCommitCoherence pin
-// this). Counters that advance outside the write lock —
-// Reads, which lock-free readers bump atomically, and Flushes, counted
-// at call entry — are overlaid live: monotone across calls, but they
-// may already include operations newer than the epoch. SnapshotAge is a
-// gauge: current epoch minus oldest unpurged epoch (0 = fully drained).
+// Coherence: every counter written under the engine write lock comes
+// from d.stats as frozen into the current epoch at its publish point, so
+// the returned value reflects exactly the operations the epoch itself
+// reflects — no commit, flush, clean or recovery is ever observed
+// half-counted. Allocation counts at its own operation boundary and
+// commit at the commit's, so for an ARU creating k blocks per commit
+// every snapshot satisfies k·ARUsCommitted ≤ NewBlocks ≤ k·ARUsBegun —
+// never a value that implies a torn epoch (TestStatsSnapshotCoherence
+// and TestStatsAllocCommitCoherence pin this). The four counters written
+// off the lock (liveStats) — Reads, CacheHits and CacheMisses, which
+// lock-free readers bump, and Flushes, counted at call entry — are
+// overlaid live: monotone across calls, but they may already include
+// operations newer than the epoch. SnapshotAge is a gauge: current epoch
+// minus oldest unpurged epoch (0 = fully drained).
 func (d *LLD) Stats() Stats {
 	d.publishPending()
-	s := d.acquireSnap()
-	if s == nil {
-		// Before the first publish (mid-construction): fall back to the
-		// locked path.
+	var st Stats
+	if s := d.acquireSnap(); s != nil {
+		st = s.stats
+		// While s is pinned the purge sweep cannot pass it, so
+		// oldestEpoch <= s.epoch and the age cannot underflow.
+		st.SnapshotAge = int64(s.epoch - d.oldestEpoch.Load())
+		s.release()
+	} else {
+		// Before the first publish (mid-construction).
 		d.mu.RLock()
-		defer d.mu.RUnlock()
-		return d.stats.snapshot()
+		st = d.stats
+		d.mu.RUnlock()
 	}
-	st := s.stats
-	// While s is pinned the purge sweep cannot pass it, so oldestEpoch
-	// <= s.epoch and the age cannot underflow.
-	st.SnapshotAge = int64(s.epoch - d.oldestEpoch.Load())
-	s.release()
-	st.Reads = d.stats.Reads.Load()
-	st.Flushes = d.stats.Flushes.Load()
-	st.EpochsPublished = d.stats.EpochsPublished.Load()
-	st.SnapshotsPurged = d.stats.SnapshotsPurged.Load()
-	st.PurgeRetries = d.stats.PurgeRetries.Load()
+	d.live.overlay(&st)
 	return st
 }
 

@@ -281,8 +281,8 @@ func (d *LLD) leadRound(bat *gcBatch) (due bool, err error) {
 		commits := d.retire(len(work), batchID, synced)
 		d.lastBatch.Store(batchID)
 		if bat != nil {
-			d.stats.CommitBatches.Add(1)
-			d.stats.BatchedCommits.Add(int64(commits))
+			d.stats.CommitBatches++
+			d.stats.BatchedCommits += int64(commits)
 			d.obs.Observe(obs.HistCommitBatch, time.Duration(commits))
 		}
 		if synced {
@@ -348,25 +348,25 @@ func (d *LLD) writeSealed(e *sealedSeg, parent obs.SpanContext) error {
 		return fmt.Errorf("lld: writing segment %d: %w", e.idx, err)
 	}
 	e.written = true
-	if e.first {
-		d.stats.SegmentsWritten.Add(1)
-	}
-	d.stats.ChunksWritten.Add(1)
-	d.stats.SegmentBytesWritten.Add(int64(len(e.img)))
 	sp.End(0, uint64(e.idx), e.seq)
 	return nil
 }
 
 // releaseImage is the bookkeeping half of sealed → written: a written
-// entry gives up its image. A retired segment's builder leaves with the
-// last image in it (its blocks are read from the device or the cache from
-// the next publish on), into the current epoch's retire-set, since
-// published snapshots may still read it. A no-op on an entry not yet
-// written or already released. Caller holds d.mu.
+// entry is counted and gives up its image. A retired segment's builder
+// leaves with the last image in it (its blocks are read from the device
+// or the cache from the next publish on), into the current epoch's
+// retire-set, since published snapshots may still read it. A no-op on an
+// entry not yet written or already released. Caller holds d.mu.
 func (d *LLD) releaseImage(e *sealedSeg) {
 	if !e.written || e.img == nil {
 		return
 	}
+	if e.first {
+		d.stats.SegmentsWritten++
+	}
+	d.stats.ChunksWritten++
+	d.stats.SegmentBytesWritten += int64(len(e.img))
 	b := e.bld
 	e.bld, e.img = nil, nil
 	if b != d.builder && d.heldBuilder(e.idx) == nil {

@@ -363,12 +363,12 @@ func TestGroupCommitInlineSealBehindClaim(t *testing.T) {
 	<-started // leader in dev.Sync, d.mu free, its entry claimed
 
 	// Fill the segment until it is sealed and written under the lock.
-	before := d.stats.ChunksWritten.Load() // live: Stats() lags a publish
+	before := lockedStats(d).ChunksWritten // Stats() lags a publish
 	lst, err := d.NewList(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; d.stats.ChunksWritten.Load() == before; i++ {
+	for i := 0; lockedStats(d).ChunksWritten == before; i++ {
 		b, err := d.NewBlock(0, lst, NilBlock)
 		if err != nil {
 			t.Fatal(err)
@@ -466,4 +466,104 @@ func TestGroupCommitSyncFailureRetry(t *testing.T) {
 	if got := d2.Stats().RecoveredARUs; got != 1 {
 		t.Errorf("recovered %d committed ARUs, want 1", got)
 	}
+}
+
+// chunkCounter is a device that counts the writes at or above from: on
+// an engine's device, the log's chunk writes.
+type chunkCounter struct {
+	disk.Disk
+	from          int64
+	writes, bytes atomic.Int64
+}
+
+func (c *chunkCounter) WriteAt(p []byte, off int64) error {
+	if err := c.Disk.WriteAt(p, off); err != nil {
+		return err
+	}
+	if off >= c.from {
+		c.writes.Add(1)
+		c.bytes.Add(int64(len(p)))
+	}
+	return nil
+}
+
+// TestChunkCountersMatchDevice checks ChunksWritten and
+// SegmentBytesWritten against the device: three writers with
+// interleaved flushes write chunks both as the batch leader, with d.mu
+// released, and in inline seals under it, on a log small enough that
+// the cleaner runs too.
+func TestChunkCountersMatchDevice(t *testing.T) {
+	p := Params{Layout: testLayout(32), CheckpointEvery: 4, CleanerLowWater: 5}
+	mem := disk.NewMem(p.Layout.DiskBytes())
+	if _, err := Format(mem, p); err != nil {
+		t.Fatalf("Format: %v", err)
+	}
+	dev := &chunkCounter{Disk: mem, from: p.Layout.SegOff(0)}
+	d, err := Open(dev, p)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer d.Close()
+
+	const writers, units = 3, 400
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lst, err := d.NewList(0)
+			if err != nil {
+				errs <- err
+				return
+			}
+			var blocks [2]BlockID
+			for i := range blocks {
+				if blocks[i], err = d.NewBlock(0, lst, NilBlock); err != nil {
+					errs <- err
+					return
+				}
+			}
+			for i := 0; i < units; i++ {
+				a, err := d.BeginARU()
+				if err == nil {
+					for _, b := range blocks {
+						if err = d.Write(a, b, fill(d, byte(w+i))); err != nil {
+							break
+						}
+					}
+				}
+				if err == nil {
+					err = d.EndARU(a)
+				}
+				if err == nil && i%(w+2) == 0 {
+					err = d.Flush()
+				}
+				if err != nil {
+					errs <- fmt.Errorf("writer %d unit %d: %w", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if _, err := d.Clean(p.Layout.NumSegs); err != nil {
+		t.Fatalf("Clean: %v", err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	st := d.Stats()
+	if w, b := dev.writes.Load(), dev.bytes.Load(); st.ChunksWritten != w || st.SegmentBytesWritten != b {
+		t.Fatalf("counted %d chunks of %d bytes, the device took %d writes of %d bytes",
+			st.ChunksWritten, st.SegmentBytesWritten, w, b)
+	}
+	if st.SegmentsCleaned == 0 {
+		t.Fatal("the cleaner never ran")
+	}
+	t.Logf("%d chunks, %d bytes, %d segments cleaned", st.ChunksWritten, st.SegmentBytesWritten, st.SegmentsCleaned)
 }

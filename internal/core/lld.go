@@ -332,7 +332,7 @@ type LLD struct {
 	mu sync.RWMutex
 	// Everything below is guarded by mu.
 	closed bool
-	stats  lldStats
+	stats  Stats // the counters; live holds the four advanced off mu
 
 	ts      uint64 // logical clock: timestamp of the next operation
 	nextBlk BlockID
@@ -457,6 +457,7 @@ type LLD struct {
 	// field lock-free readers load; everything else is guarded by mu
 	// except the atomics noted.
 	head        atomic.Pointer[snapshot]
+	live        liveStats
 	devSh       sharedReader // dev's lock-free read interface, if any
 	snapOldest  *snapshot    // oldest retired-but-undrained epoch
 	epoch       uint64       // epoch number of the current head

@@ -97,7 +97,7 @@ func (d *LLD) appendEntry(e seg.Entry) error {
 		return err
 	}
 	d.builder.AddEntry(e)
-	d.stats.EntriesLogged.Add(1)
+	d.stats.EntriesLogged++
 	return nil
 }
 
@@ -128,7 +128,7 @@ func (d *LLD) commitBlockWrite(aru ARUID, ts uint64, id BlockID, lst ListID) (se
 		List:  lst,
 		Slot:  slot,
 	})
-	d.stats.EntriesLogged.Add(1)
+	d.stats.EntriesLogged++
 	return uint32(d.curSeg), slot
 }
 
@@ -175,15 +175,15 @@ func (d *LLD) materializeCommitted() {
 			Block: it.id,
 			Slot:  slot,
 		})
-		d.stats.EntriesLogged.Add(1)
-		d.stats.BlocksMaterialized.Add(1)
+		d.stats.EntriesLogged++
+		d.stats.BlocksMaterialized++
 		// The version gives its buffer up for the physical location, and
 		// the buffer — the very bytes just written — becomes the cache
 		// entry of that location: future reads of it must not pay a disk
 		// access, and the hand-over must not pay a copy.
 		ab := d.editBlock(it.id).find(seg.SimpleARU)
 		if it.prev {
-			d.stats.PrevVersionsEmitted.Add(1)
+			d.stats.PrevVersionsEmitted++
 			d.cacheAdopt(uint32(d.curSeg), slot, d.takeBuf(ab, &ab.prevData))
 		} else {
 			d.cacheAdopt(uint32(d.curSeg), slot, d.takeBuf(ab, &ab.data))
@@ -236,7 +236,7 @@ func (d *LLD) sealChunk() {
 	d.materializeCommitted()
 	for _, e := range d.pendingCommits {
 		d.builder.AddEntry(e)
-		d.stats.EntriesLogged.Add(1)
+		d.stats.EntriesLogged++
 	}
 	commits := len(d.pendingCommits)
 	d.pendingCommits = d.pendingCommits[:0]
@@ -547,7 +547,7 @@ func (d *LLD) promote(e *sealedSeg) {
 // the window-owned leaf lf. A segment that loses its last live block
 // here goes into e.frees, quarantined from reuse until e retires.
 func (d *LLD) promoteBlock(lf *blockLeaf, ab *blockVer, e *sealedSeg) {
-	d.stats.RecordsPromoted.Add(1)
+	d.stats.RecordsPromoted++
 	d.dirtyBlocks.mark(BlockID(lf.id))
 	if lf.hasPersist && lf.persist.HasData {
 		s := int(lf.persist.Seg)
@@ -602,7 +602,7 @@ func (d *LLD) dropLive(rec seg.BlockRec) (emptied bool) {
 
 // promoteList installs al as the persistent version of its list.
 func (d *LLD) promoteList(lf *listLeaf, al *listVer) {
-	d.stats.RecordsPromoted.Add(1)
+	d.stats.RecordsPromoted++
 	d.dirtyLists.mark(ListID(lf.id))
 	lf.hasPersist = !al.deleted
 	lf.persist = seg.ListRec{}
@@ -613,29 +613,21 @@ func (d *LLD) promoteList(lf *listLeaf, al *listVer) {
 }
 
 // readPhys reads the block stored at (segIdx, slot) into dst for the
-// cleaner (client reads go through snapshot.readPhys): from the
-// in-memory segment under construction if the location is in it — in its
-// open chunk or a sealed one — otherwise from the read cache or from
-// disk. A miss does not fill the cache: the cleaner reads a block to move
-// it, so the key names a location that dies at the next promote, and an
-// entry under it would only evict one a client can still hit.
+// cleaner (client reads go through snapshot.readPhys): from the read
+// cache, else from the device. The cleaner reads only blocks of victims
+// cleanable accepted, and such a victim is neither the open segment nor
+// one with a queued chunk (its newest chunk is at or below ckptSeq), so
+// no builder holds the block. A miss does not fill the cache: the
+// cleaner reads a block to move it, so the key names a location that
+// dies at the next promote, and an entry under it would only evict one
+// a client can still hit.
 func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
-	if int(segIdx) == d.curSeg {
-		copy(dst, d.builder.BlockData(slot))
-		return nil
-	}
-	if b := d.heldBuilder(int(segIdx)); b != nil {
-		// Retired with a device write still pending (or failed and
-		// awaiting retry): serve from the retained builder.
-		copy(dst, b.BlockData(slot))
-		return nil
-	}
 	if d.cache != nil {
 		if d.cache.get(segIdx, slot, dst) {
-			d.stats.CacheHits.Add(1)
+			d.live.CacheHits.Add(1)
 			return nil
 		}
-		d.stats.CacheMisses.Add(1)
+		d.live.CacheMisses.Add(1)
 	}
 	if err := d.dev.ReadAt(dst, slotOff(d.params.Layout, segIdx, slot)); err != nil {
 		return fmt.Errorf("lld: reading block at seg %d slot %d: %w", segIdx, slot, err)

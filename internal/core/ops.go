@@ -39,15 +39,7 @@ func (d *LLD) read(aru ARUID, b BlockID, dst []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if len(dst) != s.bs {
-		return fmt.Errorf("%w: Read buffer is %d bytes, block size is %d", ErrBadParam, len(dst), s.bs)
-	}
-	view, err := s.viewFor(aru)
-	if err != nil {
-		return err
-	}
-	d.stats.Reads.Add(1)
-	return s.readBlock(view, b, dst)
+	return s.read(aru, b, dst)
 }
 
 // Write replaces the contents of block b with data (one block exactly).
@@ -82,7 +74,7 @@ func (d *LLD) write(aru ARUID, b BlockID, data []byte) error {
 	if err := d.refuseGrowth(0, 0); err != nil {
 		return err
 	}
-	if _, ok := d.viewBlock(b, m.viewID()); !ok {
+	if _, ok := d.viewBlock(b, m.view); !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
 	}
 	// Writes stay in memory: the new version replaces the state's
@@ -113,7 +105,7 @@ func (d *LLD) write(aru ARUID, b BlockID, data []byte) error {
 	d.setBlockData(wb, buf, m.tag, gating)
 	wb.rec.TS = ts
 	m.touchBlock(wb, ts)
-	d.stats.Writes.Add(1)
+	d.stats.Writes++
 	d.deferPublish(m.st != nil && d.nextSeq == seq && d.curSeg == cur)
 	return nil
 }
@@ -137,11 +129,11 @@ func (d *LLD) NewBlock(aru ARUID, lst ListID, pred BlockID) (BlockID, error) {
 	if err := d.refuseGrowth(1, 0); err != nil {
 		return NilBlock, err
 	}
-	if _, ok := d.viewList(lst, m.viewID()); !ok {
+	if _, ok := d.viewList(lst, m.view); !ok {
 		return NilBlock, fmt.Errorf("%w: %d", ErrNoSuchList, lst)
 	}
 	if pred != NilBlock {
-		prec, ok := d.viewBlock(pred, m.viewID())
+		prec, ok := d.viewBlock(pred, m.view)
 		if !ok || prec.List != lst {
 			return NilBlock, fmt.Errorf("%w: pred %d in list %d", ErrNotMember, pred, lst)
 		}
@@ -154,14 +146,10 @@ func (d *LLD) NewBlock(aru ARUID, lst ListID, pred BlockID) (BlockID, error) {
 	}
 	lf := d.blockTab.create(d.epoch+1, uint64(id))
 	d.newCommBlock(lf, seg.BlockRec{ID: id, TS: ts}).commitTS = ts
-	d.stats.NewBlocks.Add(1)
+	d.stats.NewBlocks++
 
 	if m.st != nil {
 		m.st.linkLog = append(m.st.linkLog, listOp{kind: opInsert, list: lst, block: id, pred: pred})
-		if err := d.insertIn(m, lst, id, pred, true); err != nil {
-			return NilBlock, err
-		}
-		return id, nil
 	}
 	if err := d.insertIn(m, lst, id, pred, true); err != nil {
 		return NilBlock, err
@@ -192,7 +180,7 @@ func (d *LLD) NewList(aru ARUID) (ListID, error) {
 	}
 	lf := d.listTab.create(d.epoch+1, uint64(id))
 	d.newCommList(lf, seg.ListRec{ID: id}).commitTS = ts
-	d.stats.NewLists.Add(1)
+	d.stats.NewLists++
 	return id, nil
 }
 
@@ -208,7 +196,7 @@ func (d *LLD) DeleteBlock(aru ARUID, b BlockID) error {
 	if err != nil {
 		return err
 	}
-	rec, ok := d.viewBlock(b, m.viewID())
+	rec, ok := d.viewBlock(b, m.view)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
 	}
@@ -235,12 +223,12 @@ func (d *LLD) DeleteList(aru ARUID, lst ListID) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := d.viewList(lst, m.viewID()); !ok {
+	if _, ok := d.viewList(lst, m.view); !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchList, lst)
 	}
 	if m.st != nil {
 		m.st.linkLog = append(m.st.linkLog,
-			listOp{kind: opDeleteList, list: lst, members: d.membersIn(m.viewID(), lst)})
+			listOp{kind: opDeleteList, list: lst, members: d.membersIn(m.view, lst)})
 	}
 	if err := d.deleteListIn(m, lst, true); err != nil {
 		return err
@@ -280,14 +268,14 @@ func (d *LLD) insertIn(m mode, lst ListID, id BlockID, pred BlockID, strict bool
 		if strict {
 			return fmt.Errorf("%w: %d", ErrNoSuchList, lst)
 		}
-		d.stats.MergeFallbacks.Add(1)
+		d.stats.MergeFallbacks++
 		return nil
 	}
 	if _, ok := d.viewBlock(id, m.view); !ok {
 		if strict {
 			return fmt.Errorf("%w: %d", ErrNoSuchBlock, id)
 		}
-		d.stats.MergeFallbacks.Add(1)
+		d.stats.MergeFallbacks++
 		return nil
 	}
 	effPred := pred
@@ -298,7 +286,7 @@ func (d *LLD) insertIn(m mode, lst ListID, id BlockID, pred BlockID, strict bool
 				return fmt.Errorf("%w: pred %d in list %d", ErrNotMember, pred, lst)
 			}
 			effPred = NilBlock
-			d.stats.MergeFallbacks.Add(1)
+			d.stats.MergeFallbacks++
 		}
 	}
 	ts := d.tick()
@@ -361,7 +349,7 @@ func (d *LLD) unlinkIn(m mode, lst ListID, b BlockID) error {
 		}
 		pred = cur
 		cur = crec.Succ
-		d.stats.PredecessorSearchSteps.Add(1)
+		d.stats.PredecessorSearchSteps++
 	}
 	if cur == NilBlock {
 		return fmt.Errorf("%w: block %d in list %d", ErrNotMember, b, lst)
@@ -412,7 +400,7 @@ func (d *LLD) deleteBlockIn(m mode, b BlockID, strict bool) error {
 		if strict {
 			return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
 		}
-		d.stats.MergeFallbacks.Add(1)
+		d.stats.MergeFallbacks++
 		return nil
 	}
 	if rec.List != NilList {
@@ -433,7 +421,7 @@ func (d *LLD) deleteBlockIn(m mode, b BlockID, strict bool) error {
 	}
 	d.markBlockDeleted(wb, m.tracked != nil)
 	m.touchBlock(wb, ts)
-	d.stats.DeleteBlocks.Add(1)
+	d.stats.DeleteBlocks++
 	return nil
 }
 
@@ -444,7 +432,7 @@ func (d *LLD) deleteListIn(m mode, lst ListID, strict bool) error {
 		if strict {
 			return fmt.Errorf("%w: %d", ErrNoSuchList, lst)
 		}
-		d.stats.MergeFallbacks.Add(1)
+		d.stats.MergeFallbacks++
 		return nil
 	}
 	for {
@@ -479,7 +467,7 @@ func (d *LLD) deleteListIn(m mode, lst ListID, strict bool) error {
 		}
 		d.markBlockDeleted(wb, m.tracked != nil)
 		m.touchBlock(wb, ts)
-		d.stats.DeleteBlocks.Add(1)
+		d.stats.DeleteBlocks++
 	}
 	ts := d.tick()
 	if m.st == nil && !m.silent {
@@ -495,7 +483,7 @@ func (d *LLD) deleteListIn(m mode, lst ListID, strict bool) error {
 	wl.deleted = true
 	wl.rec = seg.ListRec{ID: lst}
 	m.touchList(wl, ts)
-	d.stats.DeleteLists.Add(1)
+	d.stats.DeleteLists++
 	return nil
 }
 

@@ -102,7 +102,7 @@ func (d *LLD) putBuf(b []byte) {
 // purges now that segments are not retired and reused by the thousand)
 // and the cost of the fills. Caller holds d.mu.
 func (d *LLD) cacheAdopt(segIdx, slot uint32, buf []byte) {
-	if d.cache == nil || d.stats.Reads.Load() == 0 {
+	if d.cache == nil || d.live.Reads.Load() == 0 {
 		d.putBuf(buf)
 		return
 	}

@@ -295,9 +295,9 @@ func (d *LLD) newShadowBlock(lf *blockLeaf, st *aruState, rec seg.BlockRec, data
 		d.pinSeg(rec.Seg)
 	}
 	st.shadowBlocks = append(st.shadowBlocks, BlockID(lf.id))
-	d.stats.ShadowRecords.Add(1)
-	d.stats.AltRecords.Add(1)
-	d.stats.ShadowCreated.Add(1)
+	d.stats.ShadowRecords++
+	d.stats.AltRecords++
+	d.stats.ShadowCreated++
 	return v
 }
 
@@ -305,9 +305,9 @@ func (d *LLD) newShadowBlock(lf *blockLeaf, st *aruState, rec seg.BlockRec, data
 func (d *LLD) newShadowList(lf *listLeaf, st *aruState, rec seg.ListRec) *listVer {
 	lf.vers = append(lf.vers, listVer{aru: st.id, rec: rec})
 	st.shadowLists = append(st.shadowLists, ListID(lf.id))
-	d.stats.ShadowRecords.Add(1)
-	d.stats.AltRecords.Add(1)
-	d.stats.ShadowCreated.Add(1)
+	d.stats.ShadowRecords++
+	d.stats.AltRecords++
+	d.stats.ShadowCreated++
 	return &lf.vers[len(lf.vers)-1]
 }
 
@@ -319,8 +319,8 @@ func (d *LLD) newCommBlock(lf *blockLeaf, rec seg.BlockRec) *blockVer {
 		d.pinSeg(rec.Seg)
 	}
 	d.commBlocks = append(d.commBlocks, BlockID(lf.id))
-	d.stats.AltRecords.Add(1)
-	d.stats.CommittedCreated.Add(1)
+	d.stats.AltRecords++
+	d.stats.CommittedCreated++
 	return &lf.vers[len(lf.vers)-1]
 }
 
@@ -328,8 +328,8 @@ func (d *LLD) newCommBlock(lf *blockLeaf, rec seg.BlockRec) *blockVer {
 func (d *LLD) newCommList(lf *listLeaf, rec seg.ListRec) *listVer {
 	lf.vers = append(lf.vers, listVer{aru: seg.SimpleARU, rec: rec})
 	d.commLists = append(d.commLists, ListID(lf.id))
-	d.stats.AltRecords.Add(1)
-	d.stats.CommittedCreated.Add(1)
+	d.stats.AltRecords++
+	d.stats.CommittedCreated++
 	return &lf.vers[len(lf.vers)-1]
 }
 
@@ -426,9 +426,9 @@ func (d *LLD) dropBlockVer(lf *blockLeaf, ab *blockVer) {
 	if ab.rec.HasData {
 		d.unpinSeg(ab.rec.Seg)
 	}
-	d.stats.AltRecords.Add(-1)
+	d.stats.AltRecords--
 	if aru != seg.SimpleARU {
-		d.stats.ShadowRecords.Add(-1)
+		d.stats.ShadowRecords--
 	}
 	if lf.remove(aru); lf.versions() == 0 {
 		d.blockTab.drop(lf.id)
@@ -438,9 +438,9 @@ func (d *LLD) dropBlockVer(lf *blockLeaf, ab *blockVer) {
 // dropListVer removes state aru's version from the window-owned leaf
 // lf.
 func (d *LLD) dropListVer(lf *listLeaf, aru ARUID) {
-	d.stats.AltRecords.Add(-1)
+	d.stats.AltRecords--
 	if aru != seg.SimpleARU {
-		d.stats.ShadowRecords.Add(-1)
+		d.stats.ShadowRecords--
 	}
 	if lf.remove(aru); lf.versions() == 0 {
 		d.listTab.drop(lf.id)

@@ -324,9 +324,9 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	rpt.RedoSkipped = rt.skipped
 	rpt.ARUsRecovered = rt.committed
 	rpt.ARUsDropped = len(rt.pending)
-	d.stats.RecoveredEntries.Store(int64(rpt.EntriesReplayed))
-	d.stats.RecoveredARUs.Store(int64(rpt.ARUsRecovered))
-	d.stats.DroppedARUs.Store(int64(rpt.ARUsDropped))
+	d.stats.RecoveredEntries = int64(rpt.EntriesReplayed)
+	d.stats.RecoveredARUs = int64(rpt.ARUsRecovered)
+	d.stats.DroppedARUs = int64(rpt.ARUsDropped)
 
 	// One walk of the recovered block map gives the sweep its leaked
 	// blocks and the engine its per-segment live counts, owner tables and

@@ -65,15 +65,15 @@ func (d *LLD) MoveBlock(aru ARUID, b BlockID, lst ListID, pred BlockID) error {
 	if err != nil {
 		return err
 	}
-	rec, ok := d.viewBlock(b, m.viewID())
+	rec, ok := d.viewBlock(b, m.view)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
 	}
-	if _, ok := d.viewList(lst, m.viewID()); !ok {
+	if _, ok := d.viewList(lst, m.view); !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchList, lst)
 	}
 	if pred != NilBlock {
-		prec, ok := d.viewBlock(pred, m.viewID())
+		prec, ok := d.viewBlock(pred, m.view)
 		if !ok || prec.List != lst || pred == b {
 			return fmt.Errorf("%w: pred %d in list %d", ErrNotMember, pred, lst)
 		}
@@ -88,7 +88,7 @@ func (d *LLD) MoveBlock(aru ARUID, b BlockID, lst ListID, pred BlockID) error {
 			return err
 		}
 	}
-	d.stats.MovesExecuted.Add(1)
+	d.stats.MovesExecuted++
 	if err := d.insertIn(m, lst, b, pred, true); err != nil {
 		return err
 	}

@@ -68,7 +68,7 @@ func unitEpochs(t *testing.T, p Params) int64 {
 	t.Helper()
 	u := newShadowUnit(t, p)
 	defer u.d.Close()
-	before := u.d.stats.EpochsPublished.Load()
+	before := lockedStats(u.d).EpochsPublished
 	a, err := u.d.BeginARU()
 	if err != nil {
 		t.Fatalf("BeginARU: %v", err)
@@ -81,7 +81,7 @@ func unitEpochs(t *testing.T, p Params) int64 {
 	if err := u.d.EndARU(a); err != nil {
 		t.Fatalf("EndARU: %v", err)
 	}
-	return u.d.stats.EpochsPublished.Load() - before
+	return lockedStats(u.d).EpochsPublished - before
 }
 
 // observe renders what one read entry point shows of u's blocks and
@@ -210,11 +210,11 @@ func TestShadowOpsPublishNothing(t *testing.T) {
 			t.Fatalf("%s after BeginARU: unit view %q, committed %q", entry, prev, committed)
 		}
 		for _, s := range u.steps(a) {
-			epochs := d.stats.EpochsPublished.Load()
+			epochs := lockedStats(d).EpochsPublished
 			if err := s.op(); err != nil {
 				t.Fatalf("%s: %v", s.name, err)
 			}
-			if got := d.stats.EpochsPublished.Load(); got != epochs {
+			if got := lockedStats(d).EpochsPublished; got != epochs {
 				t.Fatalf("%s published %d epochs", s.name, got-epochs)
 			}
 			seen := u.observe(t, entry, a)
@@ -264,11 +264,11 @@ func TestShadowOpsPublishNothing(t *testing.T) {
 		if err := d.Write(0, nb, fill(d, byte(i))); err != nil {
 			t.Fatalf("simple Write: %v", err)
 		}
-		seq, epochs := d.nextSeq, d.stats.EpochsPublished.Load()
+		seq, epochs := d.nextSeq, lockedStats(d).EpochsPublished
 		if err := d.Write(a, u.b[0], fill(d, byte(i))); err != nil {
 			t.Fatalf("shadow Write: %v", err)
 		}
-		published := d.stats.EpochsPublished.Load() - epochs
+		published := lockedStats(d).EpochsPublished - epochs
 		if d.nextSeq == seq {
 			if published != 0 {
 				t.Fatalf("a shadow write that sealed nothing published %d epochs", published)

@@ -58,6 +58,14 @@ func readOnce(t *testing.T, d *LLD, b BlockID) {
 	}
 }
 
+// lockedStats reads d.stats, the counters written under d.mu, holding
+// it: Stats serves them as of the last publish.
+func lockedStats(d *LLD) Stats {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.stats
+}
+
 // fill returns a block-sized buffer filled with b.
 func fill(d *LLD, b byte) []byte {
 	buf := make([]byte, d.BlockSize())

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"aru/internal/disk"
 	"aru/internal/obs"
 	"aru/internal/seg"
 )
@@ -96,6 +95,10 @@ type snapshot struct {
 	// be pooled without resetting it: a straggler's +1/−1 pair on a
 	// recycled struct nets zero on whatever incarnation it lands on.
 	ref atomic.Int64
+	// d is the engine, set once when the struct is allocated: readers
+	// take what is fixed for its life (parameters, device, cache, live
+	// counters) from it.
+	d *LLD
 
 	epoch   uint64
 	closed  bool
@@ -103,28 +106,20 @@ type snapshot struct {
 	lists   *pnode[seg.ListRec]
 	arus    *pnode[aruMark] // the open ARUs
 	nBlocks int             // block-map size at publish (cycle guard bound)
-	variant Variant
-	readSem ReadSemantics
-	bs      int
 
-	// Physical-read plumbing: the open segment under construction, the
-	// retired segments with unwritten chunks, and the device. A builder's
-	// committed slots are immutable (a block is added below everything
-	// added before, a chunk's entry region and header never overlap data
-	// slots) and a builder a snapshot names is recycled only through a
-	// retire-set, so lock-free BlockData reads are safe for the slots
-	// this epoch's records reference.
+	// The open segment under construction and the retired segments with
+	// unwritten chunks. A builder's committed slots are immutable (a
+	// block is added below everything added before, a chunk's entry
+	// region and header never overlap data slots) and a builder a
+	// snapshot names is recycled only through a retire-set, so lock-free
+	// BlockData reads are safe for the slots this epoch's records
+	// reference.
 	curIdx uint32
 	curBld *seg.Builder
 	sealed []snapSeal
-	dev    disk.Disk
-	devSh  sharedReader
-	layout seg.Layout
-	cache  *blockCache // shared lock-free read cache (may be nil)
-	cnt    *lldStats   // live atomic counters, for hit/miss accounting
 
-	// stats is the counter snapshot taken at publish: one coherent
-	// view of every mu-guarded counter for this epoch (see Stats).
+	// stats is d.stats frozen at publish: one coherent view of every
+	// mu-guarded counter for this epoch (see Stats).
 	stats Stats
 
 	next *snapshot  // younger epoch (purge-chain link)
@@ -188,7 +183,7 @@ func (s *snapshot) release() {
 func (d *LLD) publishLocked() {
 	old := d.head.Load()
 	if f := d.params.Faults; f != nil && f.StaleHeadEvery > 0 && old != nil &&
-		old.stats.ARUsCommitted != d.stats.ARUsCommitted.Load() {
+		old.stats.ARUsCommitted != d.stats.ARUsCommitted {
 		// Fault injection for the linearizability harness: silently
 		// drop every n-th publish that carries a commit, serving simple
 		// readers a stale epoch. The engine takes it for done (no
@@ -203,21 +198,13 @@ func (d *LLD) publishLocked() {
 
 	s := d.takeSnap()
 	d.epoch++
-	d.stats.EpochsPublished.Add(1)
+	d.stats.EpochsPublished++
 	s.epoch = d.epoch
 	s.closed = d.closed
 	s.blocks = d.blockTab.root
 	s.lists = d.listTab.root
 	s.arus = d.aruTab.root
 	s.nBlocks = d.blockTab.n
-	s.variant = d.params.Variant
-	s.readSem = d.params.ReadSemantics
-	s.bs = d.params.Layout.BlockSize
-	s.layout = d.params.Layout
-	s.dev = d.dev
-	s.devSh = d.devSh
-	s.cache = d.cache
-	s.cnt = &d.stats
 	if d.builder != nil && d.curSeg >= 0 {
 		s.curIdx = uint32(d.curSeg)
 		s.curBld = d.builder
@@ -235,7 +222,7 @@ func (d *LLD) publishLocked() {
 			s.sealed = append(s.sealed, snapSeal{idx: uint32(e.idx), bld: e.bld})
 		}
 	}
-	s.stats = d.stats.snapshot()
+	s.stats = d.stats
 	s.next = nil
 	s.ret = nil
 
@@ -276,7 +263,7 @@ func (d *LLD) purgeLocked() {
 	head := d.head.Load()
 	for s := d.snapOldest; s != nil && s != head; {
 		if s.ref.Load() != 0 {
-			d.stats.PurgeRetries.Add(1)
+			d.stats.PurgeRetries++
 			break
 		}
 		next := s.next
@@ -297,7 +284,7 @@ func (d *LLD) freeSnapshot(s *snapshot) {
 		d.drainRet(s.ret)
 		d.putRet(s.ret)
 	}
-	d.stats.SnapshotsPurged.Add(1)
+	d.stats.SnapshotsPurged++
 	d.obs.Instant(obs.SpanSnapPurge, 0, s.epoch, 0)
 	s.epoch = 0
 	s.closed = false
@@ -308,9 +295,6 @@ func (d *LLD) freeSnapshot(s *snapshot) {
 		s.sealed[i] = snapSeal{}
 	}
 	s.sealed = s.sealed[:0]
-	s.dev, s.devSh = nil, nil
-	s.cache, s.cnt = nil, nil
-	s.stats = Stats{}
 	s.next, s.ret = nil, nil
 	if len(d.freeSnaps) < maxFreeSnaps {
 		d.freeSnaps = append(d.freeSnaps, s)
@@ -366,7 +350,7 @@ func (d *LLD) takeSnap() *snapshot {
 		d.freeSnaps = d.freeSnaps[:n-1]
 		return s
 	}
-	return new(snapshot)
+	return &snapshot{d: d}
 }
 
 const (
@@ -392,22 +376,31 @@ func (s *snapshot) viewFor(aru ARUID) (ARUID, error) {
 	if e.persist == aruPrepared {
 		return 0, fmt.Errorf("%w: %d", ErrARUPrepared, aru)
 	}
-	if s.variant == VariantOld {
+	if s.d.params.Variant == VariantOld {
 		return seg.SimpleARU, nil
 	}
 	return aru, nil
 }
 
-// readBlock reads b as seen from view under this epoch's configured
-// read semantics (paper §3.3); view must come from viewFor.
-func (s *snapshot) readBlock(view ARUID, b BlockID, dst []byte) error {
+// read reads block b as seen from aru's state in this epoch into dst,
+// which must be exactly one block long, under the engine's configured
+// read semantics (paper §3.3), and counts the read.
+func (s *snapshot) read(aru ARUID, b BlockID, dst []byte) error {
+	if bs := s.d.params.Layout.BlockSize; len(dst) != bs {
+		return fmt.Errorf("%w: Read buffer is %d bytes, block size is %d", ErrBadParam, len(dst), bs)
+	}
+	view, err := s.viewFor(aru)
+	if err != nil {
+		return err
+	}
+	s.d.live.Reads.Add(1)
 	lf := pmapGet(s.blocks, uint64(b))
 	if lf == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
 	}
 	var v *blockVer // the version to read; nil = the persistent one
 	ok := true
-	switch s.readSem {
+	switch s.d.params.ReadSemantics {
 	case ReadAnyShadow:
 		// Option 1: the newest live alternative by write timestamp
 		// across every state (the youngest version wins a tie), falling
@@ -462,25 +455,26 @@ func (s *snapshot) readPhys(segIdx, slot uint32, dst []byte) error {
 			return nil
 		}
 	}
-	if s.cache != nil {
-		if s.cache.get(segIdx, slot, dst) {
-			s.cnt.CacheHits.Add(1)
+	d := s.d
+	if d.cache != nil {
+		if d.cache.get(segIdx, slot, dst) {
+			d.live.CacheHits.Add(1)
 			return nil
 		}
-		s.cnt.CacheMisses.Add(1)
+		d.live.CacheMisses.Add(1)
 	}
-	off := slotOff(s.layout, segIdx, slot)
+	off := slotOff(d.params.Layout, segIdx, slot)
 	var err error
-	if s.devSh != nil {
-		err = s.devSh.ReadAtShared(dst, off)
+	if d.devSh != nil {
+		err = d.devSh.ReadAtShared(dst, off)
 	} else {
-		err = s.dev.ReadAt(dst, off)
+		err = d.dev.ReadAt(dst, off)
 	}
 	if err != nil {
 		return fmt.Errorf("lld: reading block at seg %d slot %d: %w", segIdx, slot, err)
 	}
-	if s.cache != nil {
-		s.cache.put(segIdx, slot, dst)
+	if d.cache != nil {
+		d.cache.put(segIdx, slot, dst)
 	}
 	return nil
 }
@@ -556,7 +550,6 @@ var ErrSnapshotStale = errors.New("lld: snapshot is stale (released, or the disk
 // ErrSnapshotStale rather than returning data the reopened disk may
 // have already diverged from.
 type Snapshot struct {
-	d        *LLD
 	s        *snapshot
 	released atomic.Bool
 }
@@ -577,7 +570,7 @@ func (d *LLD) AcquireSnapshot() (*Snapshot, error) {
 	}
 	d.openSnaps.Add(1)
 	liveSnapshotHandles.Add(1)
-	return &Snapshot{d: d, s: s}, nil
+	return &Snapshot{s: s}, nil
 }
 
 // OpenSnapshots returns the number of unreleased Snapshot handles on
@@ -593,8 +586,8 @@ func (d *LLD) Invalidate() { d.invalid.Store(true) }
 // Release unpins the epoch. Idempotent.
 func (h *Snapshot) Release() {
 	if h.released.CompareAndSwap(false, true) {
+		h.s.d.openSnaps.Add(-1)
 		h.s.release()
-		h.d.openSnaps.Add(-1)
 		liveSnapshotHandles.Add(-1)
 	}
 }
@@ -603,7 +596,7 @@ func (h *Snapshot) Release() {
 func (h *Snapshot) Epoch() uint64 { return h.s.epoch }
 
 func (h *Snapshot) check() error {
-	if h.released.Load() || h.d.invalid.Load() {
+	if h.released.Load() || h.s.d.invalid.Load() {
 		return ErrSnapshotStale
 	}
 	return nil
@@ -614,15 +607,7 @@ func (h *Snapshot) Read(aru ARUID, b BlockID, dst []byte) error {
 	if err := h.check(); err != nil {
 		return err
 	}
-	if len(dst) != h.s.bs {
-		return fmt.Errorf("%w: Read buffer is %d bytes, block size is %d", ErrBadParam, len(dst), h.s.bs)
-	}
-	view, err := h.s.viewFor(aru)
-	if err != nil {
-		return err
-	}
-	h.d.stats.Reads.Add(1)
-	return h.s.readBlock(view, b, dst)
+	return h.s.read(aru, b, dst)
 }
 
 // ListBlocks returns the members of lst in the pinned epoch.
@@ -649,8 +634,10 @@ func (h *Snapshot) Lists(aru ARUID) ([]ListID, error) {
 	return h.s.listIDs(view), nil
 }
 
-// Stats returns the epoch's coherent counter snapshot (see LLD.Stats
-// for which counters are epoch-coherent).
+// Stats returns the counters frozen into the pinned epoch, with the
+// live ones overlaid as LLD.Stats does.
 func (h *Snapshot) Stats() Stats {
-	return h.s.stats
+	st := h.s.stats
+	h.s.d.live.overlay(&st)
+	return st
 }

@@ -192,6 +192,13 @@ func TestSnapshotPinsEpochAcrossChurn(t *testing.T) {
 	if bytes.Equal(buf, want[0]) {
 		t.Fatal("live engine still serves the pinned epoch's data after 24 overwrites")
 	}
+	// The handle's counters stay the pinned epoch's, except the live
+	// ones, which it overlays as LLD.Stats does.
+	if hs, ds := h.Stats(), d.Stats(); hs.ARUsCommitted+24 != ds.ARUsCommitted ||
+		hs.Reads != ds.Reads || hs.Reads < int64(2*len(blocks)) {
+		t.Fatalf("handle counts %d commits and %d reads, the engine %d and %d",
+			hs.ARUsCommitted, hs.Reads, ds.ARUsCommitted, ds.Reads)
+	}
 }
 
 // TestPurgeFreesExactlyDrainedEpochs checks the purge accounting
@@ -209,8 +216,8 @@ func TestPurgeFreesExactlyDrainedEpochs(t *testing.T) {
 	commitFill(t, d, blocks, 1)
 
 	ident := func(where string) {
-		pub := d.stats.EpochsPublished.Load()
-		purged := d.stats.SnapshotsPurged.Load()
+		st := lockedStats(d)
+		pub, purged := st.EpochsPublished, st.SnapshotsPurged
 		if chain := int64(snapChainLen(d)); pub-purged != chain {
 			t.Fatalf("%s: published %d - purged %d != live chain %d", where, pub, purged, chain)
 		}
@@ -235,7 +242,7 @@ func TestPurgeFreesExactlyDrainedEpochs(t *testing.T) {
 	if snapChainLen(d) < 3 {
 		t.Fatalf("chain length %d: younger epochs should be retained behind the pin", snapChainLen(d))
 	}
-	if d.stats.PurgeRetries.Load() == 0 {
+	if lockedStats(d).PurgeRetries == 0 {
 		t.Fatal("no purge retries recorded while an epoch was pinned")
 	}
 
@@ -394,7 +401,7 @@ func TestSnapshotPinsItsOpenBuilder(t *testing.T) {
 
 	// Overwrite everything, many times over: B's segment retires, its
 	// blocks die, and the cleaner runs batches on the wrapped log.
-	retired := d.stats.SegmentsWritten.Load()
+	retired := lockedStats(d).SegmentsWritten
 	for round := 0; round < 40; round++ {
 		commitFill(t, d, blocks, byte(100+round))
 		if err := d.Flush(); err != nil {
@@ -409,7 +416,8 @@ func TestSnapshotPinsItsOpenBuilder(t *testing.T) {
 			t.Fatalf("round %d: the pinned epoch's open builder is a spare", round)
 		}
 	}
-	if n, c := d.stats.SegmentsWritten.Load()-retired, d.stats.SegmentsCleaned.Load(); n < 16 || c == 0 {
+	st := lockedStats(d)
+	if n, c := st.SegmentsWritten-retired, st.SegmentsCleaned; n < 16 || c == 0 {
 		t.Fatalf("behind the pin %d segments were written and %d cleaned", n, c)
 	}
 	d.mu.Lock()

@@ -195,8 +195,8 @@ func TestReplayWindowCountsTowardCheckpoint(t *testing.T) {
 				gen, rpt.SegmentsReplayed, every, perGen)
 		}
 		// One durable chunk per write, until perGen segments have filled.
-		start := d.stats.SegmentsWritten.Load()
-		for i := 0; d.stats.SegmentsWritten.Load()-start <= perGen; i++ {
+		start := lockedStats(d).SegmentsWritten
+		for i := 0; lockedStats(d).SegmentsWritten-start <= perGen; i++ {
 			if err := d.Write(0, blocks[i%len(blocks)], fill(d, byte(gen+i))); err != nil {
 				t.Fatalf("gen %d: write: %v", gen, err)
 			}

@@ -141,7 +141,7 @@ func (d *LLD) PrepareARUTraced(aru ARUID, txn uint64, sc obs.SpanContext) error 
 	d.nPrepared++
 	// The view must start rejecting reads under aru.
 	d.aruTab.edit(d.epoch+1, uint64(aru)).persist = aruPrepared
-	d.stats.ARUsPrepared.Add(1)
+	d.stats.ARUsPrepared++
 	sp.End(uint64(aru), txn, preLogged)
 	return nil
 }

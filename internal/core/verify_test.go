@@ -89,7 +89,7 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 			func() { st.touched = append(st.touched, b2) },
 			func() { st.touched = st.touched[:0] }},
 		{"gauge drift", "gauges",
-			func() { d.stats.AltRecords.Add(1) }, func() { d.stats.AltRecords.Add(-1) }},
+			func() { d.stats.AltRecords++ }, func() { d.stats.AltRecords-- }},
 		{"entry counter drift", "entry counters",
 			func() { d.blockTab.n++ }, func() { d.blockTab.n-- }},
 		{"committed-buffer drift", "committed buffers",
