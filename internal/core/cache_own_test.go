@@ -23,12 +23,12 @@ import (
 func poisonFreeBufs(d *LLD) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, b := range d.freeBufs {
+	for _, b := range d.freeBufs.items {
 		for i := range b {
 			b[i] = 0xDB
 		}
 	}
-	return len(d.freeBufs)
+	return len(d.freeBufs.items)
 }
 
 // cachedBuf returns the buffer the cache holds for (segIdx, slot), nil
@@ -203,7 +203,7 @@ func TestSnapshotOutlivesCacheEviction(t *testing.T) {
 		t.Fatal("the adopted entry was never evicted; the test has no teeth")
 	}
 	d.mu.Lock()
-	for _, b := range d.freeBufs {
+	for _, b := range d.freeBufs.items {
 		if &b[0] == &adopted[0] {
 			t.Error("the adopted buffer was recycled while epochs that can reach it are pinned")
 		}

@@ -287,17 +287,12 @@ func (d *LLD) VerifyInternal() error {
 			}
 		}
 	}
-	for _, b := range d.freeBufs {
+	for _, b := range d.freeBufs.items {
 		notCached(b, "on the free list")
 	}
-	for _, b := range d.ret.bufs {
-		notCached(b, "on the current retire-set")
-	}
 	for s := d.snapOldest; s != nil; s = s.next {
-		if s.ret != nil {
-			for _, b := range s.ret.bufs {
-				notCached(b, "on a retired epoch's retire-set")
-			}
+		for _, b := range s.ret.bufs {
+			notCached(b, "on a retire-set")
 		}
 	}
 
@@ -376,7 +371,7 @@ func (d *LLD) VerifyInternal() error {
 	// The builder pool (groupcommit.go): a spare is a builder nothing can
 	// reach — not the open one, not a queued chunk's, not one a snapshot
 	// on the purge chain names — and no builder is listed twice across the
-	// spares and the retire-sets.
+	// spares and the retire-sets (the head's is the current window's).
 	const spare = "as a spare"
 	where := make(map[*seg.Builder]string)
 	listed := func(b *seg.Builder, at string) {
@@ -390,21 +385,18 @@ func (d *LLD) VerifyInternal() error {
 			fail("a spare builder is %s", by)
 		}
 	}
-	for _, b := range d.spareBuilders {
+	for _, b := range d.spareBuilders.items {
 		listed(b, spare)
-	}
-	for _, b := range d.ret.builders {
-		listed(b, "on the current retire-set")
 	}
 	reached(d.builder, "the open one")
 	for _, e := range d.sealed {
 		reached(e.bld, fmt.Sprintf("queued chunk %d's", e.seq))
 	}
+	chain := make(map[*snapshot]bool)
 	for s := d.snapOldest; s != nil; s = s.next {
-		if s.ret != nil {
-			for _, b := range s.ret.builders {
-				listed(b, fmt.Sprintf("on epoch %d's retire-set", s.epoch))
-			}
+		chain[s] = true
+		for _, b := range s.ret.builders {
+			listed(b, fmt.Sprintf("on epoch %d's retire-set", s.epoch))
 		}
 		reached(s.curBld, fmt.Sprintf("open in epoch %d", s.epoch))
 		for _, p := range s.sealed {
@@ -425,9 +417,27 @@ func (d *LLD) VerifyInternal() error {
 	if n := d.reusableCount(); d.freeCache > n {
 		fail("%d reusable segments cached, %d counted", d.freeCache, n)
 	}
-	for _, tab := range d.freeOwn {
+	for _, tab := range d.freeOwn.items {
 		if n := countOwned(tab); n != 0 {
 			fail("a free owner table names %d blocks", n)
+		}
+	}
+	// The free lists (pool.go): none past its cap, and a pooled snapshot
+	// is off the purge chain with its retire-set drained.
+	for name, f := range map[string]capped{"buffer": &d.freeBufs, "ARU state": &d.freeStates,
+		"sealed-chunk entry": &d.spareSeals, "snapshot": &d.freeSnaps, "owner table": &d.freeOwn,
+		"builder": &d.spareBuilders, "block-map node": &d.blockTab.nodes, "block-map leaf": &d.blockTab.leaves,
+		"list-table node": &d.listTab.nodes, "list-table leaf": &d.listTab.leaves,
+		"ARU-table node": &d.aruTab.nodes, "ARU-table leaf": &d.aruTab.leaves} {
+		if f.over() {
+			fail("the %s free list is past its cap", name)
+		}
+	}
+	for _, s := range d.freeSnaps.items {
+		if chain[s] {
+			fail("a pooled snapshot (epoch %d) is on the purge chain", s.epoch)
+		} else if !s.ret.empty() {
+			fail("a pooled snapshot holds a non-empty retire-set")
 		}
 	}
 	if err == nil {

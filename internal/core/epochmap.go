@@ -33,9 +33,14 @@ type table[R any] struct {
 	// root may be one a reader holds (set by the first publishLocked).
 	published bool
 
-	ret        *retired[R] // the current window's retire lists (d.ret)
-	freeNodes  []*pnode[R]
-	freeLeaves []*leaf[R]
+	ret    *retired[R] // the current window's retire lists (d.ret)
+	nodes  freeList[*pnode[R]]
+	leaves freeList[*leaf[R]]
+}
+
+// newTable returns an empty table with its node and leaf pools capped.
+func newTable[R any]() table[R] {
+	return table[R]{nodes: freeList[*pnode[R]]{max: 4096}, leaves: freeList[*leaf[R]]{max: 2048}}
 }
 
 type pnode[R any] struct {
@@ -49,12 +54,6 @@ type retired[R any] struct {
 	nodes  []*pnode[R]
 	leaves []*leaf[R]
 }
-
-// Pool caps: beyond these the garbage collector takes over.
-const (
-	maxFreeNodes  = 4096
-	maxFreeLeaves = 2048
-)
 
 // pmapGet returns the entry bound to id under root, or nil. The result
 // is read-only: mutation goes through table.edit.
@@ -206,7 +205,10 @@ func (t *table[R]) own(n *pnode[R]) *pnode[R] {
 	if n != nil && !t.published {
 		return n
 	}
-	c := pop(&t.freeNodes)
+	c, ok := t.nodes.get()
+	if !ok {
+		c = new(pnode[R])
+	}
 	if n != nil {
 		*c = *n
 		t.ret.nodes = append(t.ret.nodes, n)
@@ -217,42 +219,21 @@ func (t *table[R]) own(n *pnode[R]) *pnode[R] {
 // takeLeaf returns an empty entry for id born in window win, from the
 // pool (keeping the capacity of its version array) or fresh.
 func (t *table[R]) takeLeaf(win, id uint64) *leaf[R] {
-	lf := pop(&t.freeLeaves)
+	lf, ok := t.leaves.get()
+	if !ok {
+		lf = new(leaf[R])
+	}
 	lf.id, lf.born = id, win
 	return lf
-}
-
-// pop takes a (zeroed) object off a free list, or allocates one.
-func pop[T any](free *[]*T) *T {
-	k := len(*free)
-	if k == 0 {
-		return new(T)
-	}
-	x := (*free)[k-1]
-	(*free)[k-1] = nil
-	*free = (*free)[:k-1]
-	return x
 }
 
 // drain recycles the nodes and entries of a drained retire-set into
 // the pools, dropping the entries' references to block buffers, and
 // empties r (purge path only).
 func (t *table[R]) drain(r *retired[R]) {
-	for i, n := range r.nodes {
-		if len(t.freeNodes) < maxFreeNodes {
-			*n = pnode[R]{}
-			t.freeNodes = append(t.freeNodes, n)
-		}
-		r.nodes[i] = nil
-	}
-	r.nodes = r.nodes[:0]
-	for i, lf := range r.leaves {
-		if len(t.freeLeaves) < maxFreeLeaves {
-			clear(lf.vers)
-			*lf = leaf[R]{vers: lf.vers[:0]}
-			t.freeLeaves = append(t.freeLeaves, lf)
-		}
-		r.leaves[i] = nil
-	}
-	r.leaves = r.leaves[:0]
+	r.nodes = t.nodes.drain(r.nodes, func(n *pnode[R]) { *n = pnode[R]{} })
+	r.leaves = t.leaves.drain(r.leaves, func(lf *leaf[R]) {
+		clear(lf.vers)
+		*lf = leaf[R]{vers: lf.vers[:0]}
+	})
 }

@@ -478,9 +478,7 @@ func (d *LLD) brokerBusy() bool {
 // takeBuilder returns a spare segment builder (or a fresh one).
 // Caller holds d.mu.
 func (d *LLD) takeBuilder() *seg.Builder {
-	if n := len(d.spareBuilders); n > 0 {
-		b := d.spareBuilders[n-1]
-		d.spareBuilders = d.spareBuilders[:n-1]
+	if b, ok := d.spareBuilders.get(); ok {
 		return b
 	}
 	return seg.NewBuilder(d.params.Layout)
@@ -496,21 +494,9 @@ func (d *LLD) takeBuilder() *seg.Builder {
 // retire-set until that drains. Caller holds d.mu.
 func (d *LLD) retireBuilder(b *seg.Builder, since uint64) {
 	if since == d.epoch {
-		d.recycleBuilder(b)
+		b.Reset()
+		d.spareBuilders.put(b)
 		return
 	}
 	d.ret.builders = append(d.ret.builders, b)
-}
-
-// recycleBuilder resets a builder no reader can hold and pools it for the
-// next segment. On the benchmark's eight workloads the pool peaks at three
-// spares, so the cap of four never drops one there; it bounds what a burst
-// of builders released together (a long-pinned snapshot draining) leaves
-// behind. Caller holds d.mu.
-func (d *LLD) recycleBuilder(b *seg.Builder) {
-	if len(d.spareBuilders) >= 4 {
-		return
-	}
-	b.Reset()
-	d.spareBuilders = append(d.spareBuilders, b)
 }

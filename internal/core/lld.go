@@ -268,8 +268,12 @@ var (
 // sharded disk (internal/shard) sums every field across its shards, so
 // there its gauges are totals across shards.
 type Stats struct {
-	Reads, Writes              int64 // block reads / writes
-	CoalescedWrites            int64 // writes absorbed in place in the open segment
+	Reads, Writes int64 // block reads / writes
+	// CoalescedWrites counted writes absorbed in place in the open
+	// segment. Nothing has incremented it since the MVCC read path (a
+	// write always installs a fresh buffer, ops.go); it stays because the
+	// benchmark reports it.
+	CoalescedWrites            int64
 	NewBlocks, DeleteBlocks    int64
 	NewLists, DeleteLists      int64
 	ARUsBegun, ARUsCommitted   int64
@@ -409,7 +413,7 @@ type LLD struct {
 	// block in it: the last block to leave puts the table, zeroed, on
 	// freeOwn, and the first to arrive takes one back (addLive, dropLive).
 	segOwn    [][]BlockID
-	freeOwn   [][]BlockID
+	freeOwn   freeList[[]BlockID]
 	segPins   []int32 // alternative records holding data in the segment
 	freeCache int     // lower bound of reusableCount, exact when a segment is picked
 	cache     *blockCache
@@ -426,7 +430,7 @@ type LLD struct {
 	// spareBuilders pools retired segment builders for double
 	// buffering: a retired segment keeps its builder until its chunks are
 	// written and the log continues on a spare.
-	spareBuilders []*seg.Builder
+	spareBuilders freeList[*seg.Builder]
 	// Batch/sync causality counters (DESIGN.md §13): batchSeq numbers
 	// group-commit batches, syncSeq the device syncs that retired sealed
 	// segments (every durable ack names its sync). Guarded by mu;
@@ -440,11 +444,11 @@ type LLD struct {
 	// rules). All guarded by d.mu; gcWork is touched only by the single
 	// in-flight batch leader, which extends its use across the device
 	// I/O it performs with d.mu released.
-	freeBufs   [][]byte
-	freeStates []*aruState
-	spareSeals []*sealedSeg
+	freeBufs   freeList[[]byte]
+	freeStates freeList[*aruState]
+	spareSeals freeList[*sealedSeg]
+	freeSnaps  freeList[*snapshot] // drained epochs, each with its emptied retire-set
 	matScratch []matItem
-	matSort    matSorter
 	// Cleaner scratch kept across passes: the victims relocated in the
 	// current cycle, pickVictim's candidate list and the identifiers of
 	// the victim being relocated.
@@ -468,18 +472,16 @@ type LLD struct {
 	// and which of them are frozen by PrepareARU.
 	aruTab table[aruMark]
 	// ret accumulates everything the current window unshared (the
-	// tables retire into it, see setRet); it is attached to the
-	// outgoing epoch at publish.
-	ret       *retireSet
-	spareRets []*retireSet
+	// tables retire into it, see setRet): the head epoch's own set, or
+	// the bootstrap set until the first publish.
+	ret *retireSet
 	// segFreeEpoch[s] is the epoch that must drain before segment s
 	// may be rewritten: stamped d.epoch+1 whenever a reference into s
 	// is dropped, because snapshots up to the next publish may still
 	// read s's old bytes (see segReusable).
 	segFreeEpoch []uint64
-	pubSkip      int         // FaultHooks.StaleHeadEvery counter
-	pubSafe      bool        // in a maintenance round: a segment pick may publish
-	freeSnaps    []*snapshot // drained-epoch recycling
+	pubSkip      int  // FaultHooks.StaleHeadEvery counter
+	pubSafe      bool // in a maintenance round: a segment pick may publish
 	// pubDefer marks the running operation shadow-only (deferPublish);
 	// pubPending says such an operation's edits await a publish, which
 	// clears it only after the head swing (publishPending).

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"aru/internal/seg"
@@ -162,9 +162,7 @@ func (d *LLD) materializeCommitted() {
 	// together on disk — the stream of blocks is order-preserving
 	// (paper §3.1), and sequential re-reads stay sequential. A chunk's
 	// data slots are taken downward, so the latest block goes in first.
-	d.matSort.items = pending
-	sort.Sort(&d.matSort)
-	d.matSort.items = nil
+	slices.SortFunc(pending, func(a, b matItem) int { return cmp.Compare(a.ts, b.ts) })
 	for i := len(pending) - 1; i >= 0; i-- {
 		it := pending[i]
 		slot := d.builder.AddBlock(it.data)
@@ -577,11 +575,11 @@ func (d *LLD) ownIdx(slot uint32) int { return seg.SlotOff(slot) / d.params.Layo
 func (d *LLD) addLive(id BlockID, rec seg.BlockRec) {
 	s := rec.Seg
 	if d.segOwn[s] == nil {
-		if n := len(d.freeOwn); n > 0 {
-			d.segOwn[s], d.freeOwn = d.freeOwn[n-1], d.freeOwn[:n-1]
-		} else {
-			d.segOwn[s] = make([]BlockID, d.params.Layout.SegBytes/d.params.Layout.BlockSize)
+		tab, ok := d.freeOwn.get()
+		if !ok {
+			tab = make([]BlockID, d.params.Layout.SegBytes/d.params.Layout.BlockSize)
 		}
+		d.segOwn[s] = tab
 	}
 	d.segOwn[s][d.ownIdx(rec.Slot)] = id
 	d.segLive[s]++
@@ -595,7 +593,7 @@ func (d *LLD) dropLive(rec seg.BlockRec) (emptied bool) {
 	if d.segLive[s]--; d.segLive[s] != 0 {
 		return false
 	}
-	d.freeOwn = append(d.freeOwn, d.segOwn[s])
+	d.freeOwn.put(d.segOwn[s])
 	d.segOwn[s] = nil
 	return true
 }

@@ -3,19 +3,19 @@ package core
 // Free lists for the engine's steady-state churn (DESIGN.md §12).
 //
 // Every structure the hot paths allocate per operation — block
-// buffers, ARU states, sealed-segment entries, the materialization
-// scratch here; table leaves and trie nodes in epochmap.go — is
-// recycled on a free list owned by the LLD and guarded by d.mu, like
-// everything else it points into. sync.Pool is deliberately not used:
-// all mutation already happens under the engine write lock (so there
-// is no contention to shard away), and LLD-owned lists are released
-// with the instance instead of lingering in per-P caches.
+// buffers, ARU states, sealed-segment entries, snapshot structs,
+// segment builders, owner tables; table leaves and trie nodes in
+// epochmap.go — is recycled on a freeList owned by the LLD and guarded
+// by d.mu, like everything else it points into. sync.Pool is
+// deliberately not used: all mutation already happens under the engine
+// write lock (so there is no contention to shard away), and LLD-owned
+// lists are released with the instance instead of lingering in per-P
+// caches.
 //
 // One rule covers everything a published epoch can reach — leaves,
 // trie nodes, block buffers, builders, sealed images: it is retired
-// into the current window's retire-set, never freed directly, and
-// recycles only when the epoch that unshared it drains (snapshot.go).
-// On top of that:
+// into the head epoch's retire-set (d.ret), never freed directly, and
+// recycles only when that epoch drains (snapshot.go). On top of that:
 //
 //   - A block buffer ([]byte of Layout.BlockSize) has one owner: a
 //     version slot (data or prevData) of the table's current leaf, or
@@ -57,23 +57,57 @@ package core
 //     a chunk has no gap, and Seal writes every byte of the one it
 //     returns.
 
-// Free-list caps: beyond these the garbage collector takes over, so a
-// burst (many concurrent ARUs, a deep commit pipeline) does not pin
-// its high-water mark forever.
-const (
-	maxFreeBufs   = 256
-	maxFreeStates = 64
-	maxFreeSeals  = 4
-)
+// freeList is a capped stack of spare objects. put drops what would
+// take it past max, leaving it to the garbage collector, so a burst
+// (many concurrent ARUs, a long-pinned snapshot draining) does not pin
+// its high-water mark forever. Each list's cap is set where the LLD or
+// its table is built.
+type freeList[T any] struct {
+	items []T
+	max   int
+}
+
+// get pops a spare, if there is one.
+func (f *freeList[T]) get() (x T, ok bool) {
+	n := len(f.items)
+	if n == 0 {
+		return x, false
+	}
+	x = f.items[n-1]
+	var zero T
+	f.items[n-1] = zero
+	f.items = f.items[:n-1]
+	return x, true
+}
+
+// put pools x unless the list is full.
+func (f *freeList[T]) put(x T) {
+	if len(f.items) < f.max {
+		f.items = append(f.items, x)
+	}
+}
+
+// drain pools every object of xs, each reset first, and returns xs
+// emptied with its capacity kept (the purge path).
+func (f *freeList[T]) drain(xs []T, reset func(T)) []T {
+	for _, x := range xs {
+		reset(x)
+		f.put(x)
+	}
+	clear(xs)
+	return xs[:0]
+}
+
+// capped is any free list, for VerifyInternal's cap check.
+type capped interface{ over() bool }
+
+func (f *freeList[T]) over() bool { return len(f.items) > f.max }
 
 // getBuf returns a block-sized buffer. Contents are undefined; every
 // caller overwrites the full block.
 // Caller holds d.mu.
 func (d *LLD) getBuf() []byte {
-	if n := len(d.freeBufs); n > 0 {
-		b := d.freeBufs[n-1]
-		d.freeBufs[n-1] = nil
-		d.freeBufs = d.freeBufs[:n-1]
+	if b, ok := d.freeBufs.get(); ok {
 		return b
 	}
 	return make([]byte, d.params.Layout.BlockSize)
@@ -111,47 +145,30 @@ func (d *LLD) cacheAdopt(segIdx, slot uint32, buf []byte) {
 	d.putBuf(out2)
 }
 
-// recycleBuf returns a drained buffer to the free list (purge path
-// only). Caller holds d.mu.
-func (d *LLD) recycleBuf(b []byte) {
-	if len(b) != d.params.Layout.BlockSize || len(d.freeBufs) >= maxFreeBufs {
-		return
-	}
-	d.freeBufs = append(d.freeBufs, b)
-}
-
 // getState returns an aruState for a new unit, reusing the slice
 // capacity of a retired one. Caller holds d.mu.
 func (d *LLD) getState(id ARUID) *aruState {
-	if n := len(d.freeStates); n > 0 {
-		st := d.freeStates[n-1]
-		d.freeStates[n-1] = nil
-		d.freeStates = d.freeStates[:n-1]
-		st.id = id
-		return st
+	st, ok := d.freeStates.get()
+	if !ok {
+		st = new(aruState)
 	}
-	return &aruState{id: id}
+	st.id = id
+	return st
 }
 
 // putState recycles st after it was deleted from d.arus. Its slices
 // were already cleared to length zero by ungate/discardShadow.
 // Caller holds d.mu.
 func (d *LLD) putState(st *aruState) {
-	if len(d.freeStates) >= maxFreeStates {
-		return
-	}
 	st.id = 0
 	st.prepared, st.prepTxn = false, 0
-	d.freeStates = append(d.freeStates, st)
+	d.freeStates.put(st)
 }
 
 // getSealed returns a zeroed sealed-segment entry (frees/stamps keep
 // their capacity). Caller holds d.mu.
 func (d *LLD) getSealed() *sealedSeg {
-	if n := len(d.spareSeals); n > 0 {
-		e := d.spareSeals[n-1]
-		d.spareSeals[n-1] = nil
-		d.spareSeals = d.spareSeals[:n-1]
+	if e, ok := d.spareSeals.get(); ok {
 		return e
 	}
 	return new(sealedSeg)
@@ -159,11 +176,8 @@ func (d *LLD) getSealed() *sealedSeg {
 
 // putSealed pools a retired sealed-segment entry. Caller holds d.mu.
 func (d *LLD) putSealed(e *sealedSeg) {
-	if len(d.spareSeals) >= maxFreeSeals {
-		return
-	}
 	*e = sealedSeg{frees: e.frees[:0], stamps: e.stamps[:0]}
-	d.spareSeals = append(d.spareSeals, e)
+	d.spareSeals.put(e)
 }
 
 // matItem is one buffered committed-state version queued for
@@ -175,12 +189,3 @@ type matItem struct {
 	tag  ARUID
 	prev bool
 }
-
-// matSorter orders the materialization scratch by logical timestamp.
-// It lives as a value field on LLD so sort.Sort gets a persistent
-// *matSorter and seals pay no per-call interface allocation.
-type matSorter struct{ items []matItem }
-
-func (s *matSorter) Len() int           { return len(s.items) }
-func (s *matSorter) Less(i, j int) bool { return s.items[i].ts < s.items[j].ts }
-func (s *matSorter) Swap(i, j int)      { s.items[i], s.items[j] = s.items[j], s.items[i] }

@@ -156,8 +156,22 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		cache:        newBlockCache(p.CacheBlocks),
 		cleanVisited: make(map[int]bool),
 		segFreeEpoch: make([]uint64, layout.NumSegs),
+		blockTab:     newTable[seg.BlockRec](),
+		listTab:      newTable[seg.ListRec](),
+		aruTab:       newTable[aruMark](),
+		// Free-list caps (pool.go). An owner table is held per segment
+		// with live blocks, so NumSegs never drops one. The builder pool
+		// peaks at three spares on the benchmark's workloads; four bounds
+		// what a burst of builders released together leaves behind. Eight
+		// pooled snapshots keep eight retire-sets' capacity for reuse.
+		freeBufs:      freeList[[]byte]{max: 256},
+		freeStates:    freeList[*aruState]{max: 64},
+		spareSeals:    freeList[*sealedSeg]{max: 4},
+		freeSnaps:     freeList[*snapshot]{max: 8},
+		freeOwn:       freeList[[]BlockID]{max: layout.NumSegs},
+		spareBuilders: freeList[*seg.Builder]{max: 4},
 	}
-	d.setRet(new(retireSet))
+	d.setRet(new(retireSet)) // the bootstrap set, until the first publish
 	d.gc.cond = sync.NewCond(&d.gc.mu)
 	d.devSh, _ = dev.(sharedReader)
 

@@ -74,9 +74,10 @@ const (
 )
 
 // retireSet collects everything one publish window unshared from the
-// next epoch. It is attached to the previous head at publish time and
-// drained back into the engine free lists when that epoch's refcount
-// reaches zero.
+// next epoch. Each snapshot carries its own: while the epoch is the head
+// its set is the current window's (d.ret), and it is drained back into
+// the engine free lists, in place, when the epoch's refcount reaches
+// zero.
 type retireSet struct {
 	blocks   retired[seg.BlockRec]
 	lists    retired[seg.ListRec]
@@ -85,10 +86,18 @@ type retireSet struct {
 	builders []*seg.Builder
 }
 
+// empty reports whether r holds nothing (VerifyInternal: a pooled
+// snapshot's set was drained).
+func (r *retireSet) empty() bool {
+	return len(r.blocks.nodes)+len(r.blocks.leaves)+len(r.lists.nodes)+len(r.lists.leaves)+
+		len(r.arus.nodes)+len(r.arus.leaves)+len(r.bufs)+len(r.builders) == 0
+}
+
 // snapshot is one published epoch. All fields except ref are written
-// once before the head swing and never mutated afterwards (next and
-// ret are written under d.mu when the epoch is retired, and only read
-// under d.mu by the purge path — readers never touch them).
+// once before the head swing and never mutated afterwards (next is
+// written and ret filled under d.mu while the epoch is the head, and
+// both are read only under d.mu by the purge path — readers never touch
+// them).
 type snapshot struct {
 	// ref counts readers holding this epoch. It is the ONLY field a
 	// reader may touch before revalidating the head, so the struct can
@@ -122,8 +131,8 @@ type snapshot struct {
 	// mu-guarded counter for this epoch (see Stats).
 	stats Stats
 
-	next *snapshot  // younger epoch (purge-chain link)
-	ret  *retireSet // objects this epoch's successor unshared
+	next *snapshot // younger epoch (purge-chain link)
+	ret  retireSet // objects this epoch's successor unshared
 }
 
 // acquireSnap pins and returns the current epoch (nil only before the
@@ -196,7 +205,10 @@ func (d *LLD) publishLocked() {
 		}
 	}
 
-	s := d.takeSnap()
+	s, ok := d.freeSnaps.get()
+	if !ok {
+		s = &snapshot{d: d}
+	}
 	d.epoch++
 	d.stats.EpochsPublished++
 	s.epoch = d.epoch
@@ -223,8 +235,6 @@ func (d *LLD) publishLocked() {
 		}
 	}
 	s.stats = d.stats
-	s.next = nil
-	s.ret = nil
 
 	// The head swing is the epoch's linearization point: everything
 	// above happened-before it (release store), and a reader that
@@ -240,17 +250,17 @@ func (d *LLD) publishLocked() {
 		// epoch, so whatever the bootstrap retired recycles directly.
 		// From here on readers hold nodes: the tables copy what they edit.
 		d.drainRet(d.ret)
+		d.setRet(&s.ret)
 		d.blockTab.published, d.listTab.published, d.aruTab.published = true, true, true
 		d.snapOldest = s
 		d.oldestEpoch.Store(s.epoch)
 		return
 	}
-	// Retire the previous epoch: it owns every object this window
-	// unshared, and purges once its readers (and all older ones) are
+	// Retire the previous epoch: its set holds every object this window
+	// unshared, and it purges once its readers (and all older ones) are
 	// gone.
-	old.ret = d.ret
 	old.next = s
-	d.setRet(d.takeRet())
+	d.setRet(&s.ret)
 	d.purgeLocked()
 }
 
@@ -280,10 +290,7 @@ func (d *LLD) purgeLocked() {
 // engine free lists and pools the snapshot struct. ref is deliberately
 // left alone (see the field comment). Caller holds d.mu.
 func (d *LLD) freeSnapshot(s *snapshot) {
-	if s.ret != nil {
-		d.drainRet(s.ret)
-		d.putRet(s.ret)
-	}
+	d.drainRet(&s.ret)
 	d.stats.SnapshotsPurged++
 	d.obs.Instant(obs.SpanSnapPurge, 0, s.epoch, 0)
 	s.epoch = 0
@@ -291,14 +298,10 @@ func (d *LLD) freeSnapshot(s *snapshot) {
 	s.blocks, s.lists, s.arus = nil, nil, nil
 	s.nBlocks = 0
 	s.curIdx, s.curBld = segNone, nil
-	for i := range s.sealed {
-		s.sealed[i] = snapSeal{}
-	}
+	clear(s.sealed)
 	s.sealed = s.sealed[:0]
-	s.next, s.ret = nil, nil
-	if len(d.freeSnaps) < maxFreeSnaps {
-		d.freeSnaps = append(d.freeSnaps, s)
-	}
+	s.next = nil
+	d.freeSnaps.put(s)
 }
 
 // drainRet recycles every object of a drained retire-set into the
@@ -307,16 +310,8 @@ func (d *LLD) drainRet(r *retireSet) {
 	d.blockTab.drain(&r.blocks)
 	d.listTab.drain(&r.lists)
 	d.aruTab.drain(&r.arus)
-	for i, b := range r.bufs {
-		d.recycleBuf(b)
-		r.bufs[i] = nil
-	}
-	r.bufs = r.bufs[:0]
-	for i, b := range r.builders {
-		d.recycleBuilder(b)
-		r.builders[i] = nil
-	}
-	r.builders = r.builders[:0]
+	r.bufs = d.freeBufs.drain(r.bufs, func([]byte) {})
+	r.builders = d.spareBuilders.drain(r.builders, (*seg.Builder).Reset)
 }
 
 // setRet installs r as the retire-set of the current window.
@@ -324,39 +319,6 @@ func (d *LLD) setRet(r *retireSet) {
 	d.ret = r
 	d.blockTab.ret, d.listTab.ret, d.aruTab.ret = &r.blocks, &r.lists, &r.arus
 }
-
-// Retire-set pools. All caller-holds-d.mu.
-
-func (d *LLD) takeRet() *retireSet {
-	if n := len(d.spareRets); n > 0 {
-		r := d.spareRets[n-1]
-		d.spareRets[n-1] = nil
-		d.spareRets = d.spareRets[:n-1]
-		return r
-	}
-	return new(retireSet)
-}
-
-func (d *LLD) putRet(r *retireSet) {
-	if len(d.spareRets) < maxFreeRets {
-		d.spareRets = append(d.spareRets, r)
-	}
-}
-
-func (d *LLD) takeSnap() *snapshot {
-	if n := len(d.freeSnaps); n > 0 {
-		s := d.freeSnaps[n-1]
-		d.freeSnaps[n-1] = nil
-		d.freeSnaps = d.freeSnaps[:n-1]
-		return s
-	}
-	return &snapshot{d: d}
-}
-
-const (
-	maxFreeRets  = 8
-	maxFreeSnaps = 16
-)
 
 // ---------------------------------------------------------------------
 // Snapshot read paths: the engine's own version search (leaf.resolve)

@@ -396,7 +396,7 @@ func TestSnapshotPinsItsOpenBuilder(t *testing.T) {
 	pooled := func() bool {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		return slices.Contains(d.spareBuilders, b)
+		return slices.Contains(d.spareBuilders.items, b)
 	}
 
 	// Overwrite everything, many times over: B's segment retires, its
@@ -439,7 +439,7 @@ func TestSnapshotPinsItsOpenBuilder(t *testing.T) {
 	// Released and purged, B is pooled; the pool is emptied first so that
 	// the cap cannot drop it.
 	d.mu.Lock()
-	d.spareBuilders = d.spareBuilders[:0]
+	d.spareBuilders.items = d.spareBuilders.items[:0]
 	d.mu.Unlock()
 	h.Release()
 	commitFill(t, d, blocks, 1) // publish + purge
@@ -505,7 +505,7 @@ func TestUnpublishedBuilderPooledAtOnce(t *testing.T) {
 		t.Fatal("the batch published")
 	}
 	inRet := slices.Clone(d.ret.builders)
-	spares := slices.Clone(d.spareBuilders)
+	spares := slices.Clone(d.spareBuilders.items)
 	open := d.builder
 	d.mu.Unlock()
 

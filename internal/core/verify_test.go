@@ -14,7 +14,9 @@ import (
 // owners, a queued chunk the checkpoint already covers, a segment read as
 // another sequence number than its newest chunk on the device carries, a
 // block read from a place that is no data slot of its segment's chunks,
-// the open builder pooled, a builder pooled twice — must fail
+// the open builder pooled, a builder pooled twice, the head snapshot
+// pooled, a pooled snapshot holding a retire-set, a free list past its
+// cap — must fail
 // VerifyInternal, and undoing it must pass again.
 func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	d, _ := newTestLLD(t, Params{})
@@ -95,19 +97,34 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 		{"committed-buffer drift", "committed buffers",
 			func() { d.commBufBlocks++ }, func() { d.commBufBlocks-- }},
 		{"cached buffer recycled", "free list",
-			func() { d.freeBufs = append(d.freeBufs, cachedBuf) },
-			func() { d.freeBufs = d.freeBufs[:len(d.freeBufs)-1] }},
+			func() { d.freeBufs.items = append(d.freeBufs.items, cachedBuf) },
+			func() { d.freeBufs.items = d.freeBufs.items[:len(d.freeBufs.items)-1] }},
 		{"queued chunk at or below the checkpoint", "at or below the checkpoint",
 			func() { d.sealed = append(d.sealed, &sealedSeg{idx: pinned, seq: d.ckptSeq}) },
 			func() { d.sealed = d.sealed[:len(d.sealed)-1] }},
 		{"sequence number drift", "on the device it holds chunks",
 			func() { d.segSeq[pinned]++ }, func() { d.segSeq[pinned]-- }},
 		{"open builder pooled", "a spare builder is the open one",
-			func() { d.spareBuilders = append(d.spareBuilders, d.builder) },
-			func() { d.spareBuilders = d.spareBuilders[:len(d.spareBuilders)-1] }},
+			func() { d.spareBuilders.items = append(d.spareBuilders.items, d.builder) },
+			func() { d.spareBuilders.items = d.spareBuilders.items[:len(d.spareBuilders.items)-1] }},
 		{"builder pooled twice", "listed as a spare and as a spare",
-			func() { b := seg.NewBuilder(d.params.Layout); d.spareBuilders = append(d.spareBuilders, b, b) },
-			func() { d.spareBuilders = d.spareBuilders[:len(d.spareBuilders)-2] }},
+			func() {
+				b := seg.NewBuilder(d.params.Layout)
+				d.spareBuilders.items = append(d.spareBuilders.items, b, b)
+			},
+			func() { d.spareBuilders.items = d.spareBuilders.items[:len(d.spareBuilders.items)-2] }},
+		{"head snapshot pooled", "pooled snapshot (epoch",
+			func() { d.freeSnaps.items = append(d.freeSnaps.items, d.head.Load()) },
+			func() { d.freeSnaps.items = d.freeSnaps.items[:len(d.freeSnaps.items)-1] }},
+		{"pooled snapshot with a retire-set", "non-empty retire-set",
+			func() {
+				s := &snapshot{d: d, ret: retireSet{bufs: [][]byte{d.getBuf()}}}
+				d.freeSnaps.items = append(d.freeSnaps.items, s)
+			},
+			func() { d.freeSnaps.items = d.freeSnaps.items[:len(d.freeSnaps.items)-1] }},
+		{"free list past its cap", "past its cap",
+			func() { d.freeStates.items = append(d.freeStates.items, make([]*aruState, d.freeStates.max+1)...) },
+			func() { d.freeStates.items = d.freeStates.items[:len(d.freeStates.items)-d.freeStates.max-1] }},
 		// The owner table moves along, so that the device check, not the
 		// table's, is the one that fails.
 		{"slot drift", "no data slot",

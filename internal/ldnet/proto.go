@@ -173,56 +173,37 @@ var (
 	ErrRemote = errors.New("ldnet: remote error")
 )
 
-// codeFor maps a backend error to its wire code.
+// codeSentinels is the LD sentinel each wire code carries, indexed by
+// code; statusOK and codeGeneric carry none.
+var codeSentinels = [...]error{
+	codeNoSuchBlock:      core.ErrNoSuchBlock,
+	codeNoSuchList:       core.ErrNoSuchList,
+	codeNoSuchARU:        core.ErrNoSuchARU,
+	codeARUActive:        core.ErrARUActive,
+	codeNotMember:        core.ErrNotMember,
+	codeNoSpace:          core.ErrNoSpace,
+	codeAbortUnsupported: core.ErrAbortUnsupported,
+	codeClosed:           core.ErrClosed,
+	codeBadParam:         core.ErrBadParam,
+}
+
+// codeFor maps a backend error to its wire code: the lowest code whose
+// sentinel it wraps, else codeGeneric.
 func codeFor(err error) uint8 {
-	switch {
-	case errors.Is(err, core.ErrNoSuchBlock):
-		return codeNoSuchBlock
-	case errors.Is(err, core.ErrNoSuchList):
-		return codeNoSuchList
-	case errors.Is(err, core.ErrNoSuchARU):
-		return codeNoSuchARU
-	case errors.Is(err, core.ErrARUActive):
-		return codeARUActive
-	case errors.Is(err, core.ErrNotMember):
-		return codeNotMember
-	case errors.Is(err, core.ErrNoSpace):
-		return codeNoSpace
-	case errors.Is(err, core.ErrAbortUnsupported):
-		return codeAbortUnsupported
-	case errors.Is(err, core.ErrClosed):
-		return codeClosed
-	case errors.Is(err, core.ErrBadParam):
-		return codeBadParam
-	default:
-		return codeGeneric
+	for code, s := range codeSentinels {
+		if s != nil && errors.Is(err, s) {
+			return uint8(code)
+		}
 	}
+	return codeGeneric
 }
 
 // sentinelFor maps a wire code back to the LD sentinel it encodes.
 func sentinelFor(code uint8) error {
-	switch code {
-	case codeNoSuchBlock:
-		return core.ErrNoSuchBlock
-	case codeNoSuchList:
-		return core.ErrNoSuchList
-	case codeNoSuchARU:
-		return core.ErrNoSuchARU
-	case codeARUActive:
-		return core.ErrARUActive
-	case codeNotMember:
-		return core.ErrNotMember
-	case codeNoSpace:
-		return core.ErrNoSpace
-	case codeAbortUnsupported:
-		return core.ErrAbortUnsupported
-	case codeClosed:
-		return core.ErrClosed
-	case codeBadParam:
-		return core.ErrBadParam
-	default:
-		return ErrRemote
+	if int(code) < len(codeSentinels) && codeSentinels[code] != nil {
+		return codeSentinels[code]
 	}
+	return ErrRemote
 }
 
 // wireError is a server-side error reconstructed on the client: its

@@ -271,20 +271,31 @@ func TestBlockInfoAndIDsRoundTrip(t *testing.T) {
 }
 
 func TestErrorMapping(t *testing.T) {
-	sentinels := []error{
-		core.ErrNoSuchBlock, core.ErrNoSuchList, core.ErrNoSuchARU,
-		core.ErrARUActive, core.ErrNotMember, core.ErrNoSpace,
-		core.ErrAbortUnsupported, core.ErrClosed, core.ErrBadParam,
-	}
-	for _, want := range sentinels {
-		code := codeFor(want)
-		if code == statusOK {
-			t.Fatalf("%v mapped to statusOK", want)
+	// The codes are wire format: none may change its value.
+	codes := []uint8{statusOK, codeGeneric, codeNoSuchBlock, codeNoSuchList, codeNoSuchARU,
+		codeARUActive, codeNotMember, codeNoSpace, codeAbortUnsupported, codeClosed, codeBadParam}
+	for want, code := range codes {
+		if int(code) != want {
+			t.Errorf("wire code %d moved to %d", want, code)
 		}
-		rebuilt := errFor(code, "server says: "+want.Error())
+	}
+	if len(codeSentinels) != len(codes) {
+		t.Errorf("%d codes carry sentinels, %d codes exist", len(codeSentinels), len(codes))
+	}
+	for code, want := range codeSentinels {
+		if want == nil {
+			continue
+		}
+		if got := codeFor(fmt.Errorf("wrapped: %w", want)); got != uint8(code) {
+			t.Errorf("%v maps to code %d, want %d", want, got, code)
+		}
+		rebuilt := errFor(uint8(code), "server says: "+want.Error())
 		if !errors.Is(rebuilt, want) {
 			t.Errorf("round-tripped %v does not errors.Is its sentinel", want)
 		}
+	}
+	if codeFor(errors.New("boom")) != codeGeneric || codeSentinels[statusOK] != nil || codeSentinels[codeGeneric] != nil {
+		t.Fatalf("an error with no sentinel, or statusOK or codeGeneric, carries a sentinel")
 	}
 	if !errors.Is(errFor(codeGeneric, "boom"), ErrRemote) {
 		t.Fatalf("generic code does not unwrap to ErrRemote")
