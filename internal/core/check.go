@@ -68,11 +68,14 @@ func (d *LLD) freeLeaked(leaked []BlockID) (int, error) {
 	return len(leaked), nil
 }
 
-// FreeSegments returns the number of currently reusable log segments.
+// FreeSegments returns the number of freeable log segments: those
+// holding nothing the log still needs (segFreeable), including ones
+// whose reuse still waits for a device sync or for snapshot readers to
+// drain. It is the count the cleaner's low-water mark reads.
 func (d *LLD) FreeSegments() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.reusableCount()
+	return len(d.free)
 }
 
 // ListBlocks returns the members of list lst, in order, as seen from
@@ -298,6 +301,17 @@ func (d *LLD) VerifyInternal() error {
 
 	live := make([]int32, d.params.Layout.NumSegs)
 	pins := make([]int32, d.params.Layout.NumSegs)
+	// The free set (log.go) holds each segment segFreeable is true of
+	// once, and no other (checked in the per-segment loop below).
+	inFree := make([]bool, d.params.Layout.NumSegs)
+	for _, s := range d.free {
+		if inFree[s] {
+			fail("segment %d is in the free set twice", s)
+		} else if !d.segFreeable(s) {
+			fail("segment %d is in the free set but not freeable", s)
+		}
+		inFree[s] = true
+	}
 	nBlocks, nLists, bufs := 0, 0, 0
 	pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
 		nBlocks++
@@ -413,9 +427,9 @@ func (d *LLD) VerifyInternal() error {
 		if pins[s] != d.segPins[s] {
 			fail("segment %d pin count %d, %d versions hold data there", s, d.segPins[s], pins[s])
 		}
-	}
-	if n := d.reusableCount(); d.freeCache > n {
-		fail("%d reusable segments cached, %d counted", d.freeCache, n)
+		if !inFree[s] && d.segFreeable(s) {
+			fail("freeable segment %d is missing from the free set", s)
+		}
 	}
 	for _, tab := range d.freeOwn.items {
 		if n := countOwned(tab); n != 0 {

@@ -47,7 +47,7 @@ func (d *LLD) clean(target int) (cleaned int, err error) {
 		before := free
 		d.mu.Lock()
 		d.stats.SegmentsCleaned += int64(n)
-		free = d.freeCache // the round's install counted it
+		free = len(d.free)
 		d.mu.Unlock()
 		if free <= before {
 			// No net space gained: the victims are so full that

@@ -69,9 +69,10 @@ type ckptJob struct {
 // checkpoint chain (DESIGN.md §15) over the log sealed so far: normally a
 // delta carrying only the block/list records dirtied since the previous
 // checkpoint, encoded straight from the dirty sets (encodeDelta) and
-// appended to the current region's chain; a full base in the
-// other region when the chain grows past Params.CkptCompactEvery, when
-// the region has no room left, or when an earlier record failed. It takes
+// appended to the current region's chain; a full base in the other
+// region, encoded the same way from every identifier in the tables, when
+// the chain grows past Params.CkptCompactEvery, when the region has no
+// room left, or when an earlier record failed. It takes
 // the dirty sets and the count of retired segments: a failed record gives
 // the count back and makes the next record a base. Unless an open unit
 // pins the replay window (replayPinned), which it refuses, the tables are
@@ -91,6 +92,7 @@ func (d *LLD) gatherCkpt() (ckptJob, error) {
 	ck := ckptJob{sp: d.obs.Start(obs.SpanCkptDelta, obs.SpanContext{}), ts: rec.CkptTS, seq: rec.FlushedSeq, segs: d.segsSinceC}
 	base := d.ckptBase || d.params.CkptCompactEvery < 0 || d.ckptDepth >= d.params.CkptCompactEvery
 	var buf []byte
+	var err error
 	if !base {
 		blocks, lists := d.dirtyBlocks.sorted(), d.dirtyLists.sorted()
 		if len(blocks) == 0 && len(lists) == 0 && rec.FlushedSeq == d.ckptSeq {
@@ -100,37 +102,27 @@ func (d *LLD) gatherCkpt() (ckptJob, error) {
 			return ckptJob{}, nil
 		}
 		rec.PrevTS = d.ckptTS
-		var err error
 		if buf, err = d.encodeDelta(blocks, lists, rec); err != nil ||
 			d.ckptChainOff+int64(len(buf)) > d.params.Layout.CkptRegionBytes() {
 			base, buf = true, nil // no room left in the region: compact early
 		}
 	}
 	if base {
-		rec.PrevTS = 0
-		rec.Base = true
-		rec.Blocks = make([]seg.BlockRec, 0, d.blockTab.n)
-		rec.Lists = make([]seg.ListRec, 0, d.listTab.n)
-		var err error
+		// A base is a delta over every identifier in the tables, each an
+		// upsert. One without a persistent version would be a deletion,
+		// which Finish refuses in a base.
+		rec.PrevTS, rec.Base = 0, true
+		d.dirtyBlocks.reset()
+		d.dirtyLists.reset()
 		pmapWalk(d.blockTab.root, func(lf *blockLeaf) bool {
-			if !lf.hasPersist {
-				err = fmt.Errorf("lld: internal: block %d has no persistent version at checkpoint", lf.id)
-			}
-			rec.Blocks = append(rec.Blocks, lf.persist)
-			return err == nil
+			d.dirtyBlocks.ids = append(d.dirtyBlocks.ids, BlockID(lf.id))
+			return true
 		})
 		pmapWalk(d.listTab.root, func(lf *listLeaf) bool {
-			if !lf.hasPersist {
-				err = fmt.Errorf("lld: internal: list %d has no persistent version at checkpoint", lf.id)
-			}
-			rec.Lists = append(rec.Lists, lf.persist)
-			return err == nil
+			d.dirtyLists.ids = append(d.dirtyLists.ids, ListID(lf.id))
+			return true
 		})
-		if err != nil {
-			return ckptJob{}, err
-		}
-		sortCkptRec(&rec)
-		if buf, err = seg.EncodeCkptRec(d.params.Layout, rec); err != nil {
+		if buf, err = d.encodeDelta(d.dirtyBlocks.sorted(), d.dirtyLists.sorted(), rec); err != nil {
 			return ckptJob{}, fmt.Errorf("lld: encoding checkpoint: %w", err)
 		}
 	}
@@ -196,9 +188,11 @@ func (d *LLD) writeCkpt(ck ckptJob) error {
 }
 
 // installCkpt makes a durable record the head of the chain and advances
-// the watermark (ckptSeq), which frees the segments it covers. The record
-// is CRC-protected and linked to its predecessor by PrevTS, so recovery
-// sees all of it or cuts the chain before it. Caller holds d.mu.
+// the watermark (ckptSeq), which frees the segments it covers: those
+// whose newest chunk it just passed enter the free set if nothing else
+// holds them. The record is CRC-protected and linked to its predecessor
+// by PrevTS, so recovery sees all of it or cuts the chain before it.
+// Caller holds d.mu.
 func (d *LLD) installCkpt(ck ckptJob) {
 	oldDepth := d.ckptDepth
 	d.ckptRegion, d.ckptChainOff = ck.region, ck.off+int64(len(ck.buf))
@@ -209,15 +203,14 @@ func (d *LLD) installCkpt(ck ckptJob) {
 		d.stats.CkptDeltas++
 		ck.sp.End(0, ck.ts, uint64(d.ckptDepth))
 	}
+	old := d.ckptSeq
 	d.ckptBase, d.ckptTS, d.ckptSeq = false, ck.ts, ck.seq
 	d.stats.Checkpoints++
-}
-
-// sortCkptRec puts a base record's tables into canonical ID order so
-// encodings are deterministic (a delta is gathered in that order).
-func sortCkptRec(r *seg.CkptRec) {
-	slices.SortFunc(r.Blocks, func(a, b seg.BlockRec) int { return cmp.Compare(a.ID, b.ID) })
-	slices.SortFunc(r.Lists, func(a, b seg.ListRec) int { return cmp.Compare(a.ID, b.ID) })
+	for s, q := range d.segSeq {
+		if q > old {
+			d.enterFree(s)
+		}
+	}
 }
 
 // dirtySet is an append-only set of identifiers: marking one appends it,

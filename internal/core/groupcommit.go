@@ -79,11 +79,11 @@ const batchWindow = time.Millisecond
 // sealedSeg is one sealed chunk no device sync has covered yet. Until it
 // is written its image (img) waits in its segment's builder (bld), which
 // therefore cannot be recycled; once written it keeps only what the
-// covering sync releases: the commit stamps to acknowledge and the
-// segments its promotion freed, which stay quarantined from reuse until
-// then. written survives a failed sync so the retry does not rewrite
-// the data. The queue of these entries (d.sealed) is the only record of
-// either wait: heldBuilder and quarantined read it.
+// covering sync releases: the commit stamps to acknowledge, and — by
+// staying queued — the quarantine of the segments its promotion freed
+// (segFreeSeq). written survives a failed sync so the retry does not
+// rewrite the data. The queue of these entries (d.sealed) is the only
+// record of either wait: heldBuilder and segReusable read it.
 type sealedSeg struct {
 	idx     int          // segment index on the device
 	seq     uint64       // log sequence number in the chunk header
@@ -94,9 +94,8 @@ type sealedSeg struct {
 	first   bool         // chunk 1 of its segment
 	commits int          // commit records sealed into the chunk
 	stamps  []commitStamp
-	frees   []int // segments this seal's promotions emptied (quarantined)
-	written bool  // device write completed
-	claimed bool  // the in-flight leader is writing/syncing it
+	written bool // device write completed
+	claimed bool // the in-flight leader is writing/syncing it
 }
 
 // heldBuilder returns the builder of retired segment s while a queued
@@ -110,20 +109,6 @@ func (d *LLD) heldBuilder(s int) *seg.Builder {
 		}
 	}
 	return nil
-}
-
-// quarantined reports whether segment s lost its last live block to the
-// promotion of a seal no sync has covered yet: a queued entry's frees
-// name it. Caller holds d.mu.
-func (d *LLD) quarantined(s int) bool {
-	for _, e := range d.sealed {
-		for _, f := range e.frees {
-			if f == s {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // forceCommit makes everything committed so far durable through the
@@ -308,7 +293,6 @@ func (d *LLD) leadRound(bat *gcBatch) (due bool, err error) {
 	}
 	if ck.buf != nil {
 		d.installCkpt(ck)
-		d.freeCache = d.reusableCount()
 	}
 	ckptDue, cleanDue := d.maintDue()
 	return ckptDue || cleanDue, err

@@ -412,11 +412,18 @@ type LLD struct {
 	// block map. A segment holds a table exactly while segLive counts a
 	// block in it: the last block to leave puts the table, zeroed, on
 	// freeOwn, and the first to arrive takes one back (addLive, dropLive).
-	segOwn    [][]BlockID
-	freeOwn   freeList[[]BlockID]
-	segPins   []int32 // alternative records holding data in the segment
-	freeCache int     // lower bound of reusableCount, exact when a segment is picked
-	cache     *blockCache
+	segOwn  [][]BlockID
+	freeOwn freeList[[]BlockID]
+	segPins []int32 // alternative records holding data in the segment
+	// free holds, unordered and each once, exactly the segments
+	// segFreeable holds of. A segment enters where an input of the
+	// predicate changes (enterFree) and leaves only when pickSeg opens it.
+	free []int
+	// segFreeSeq[s] is the seq of the seal whose promotion emptied segment
+	// s: s stays quarantined from reuse until that entry retires
+	// (segReusable).
+	segFreeSeq []uint64
+	cache      *blockCache
 
 	// Durability (DESIGN.md §11). gc has its own internal mutex and is
 	// the only field here touched without d.mu; everything else below is
@@ -425,7 +432,7 @@ type LLD struct {
 	// sealed queues, in seal (seq) order, every sealed chunk no device
 	// sync has covered yet: entries awaiting their device write, then
 	// written ones awaiting a sync. It is the one record of that wait
-	// (heldBuilder and quarantined read it).
+	// (heldBuilder and segReusable read it).
 	sealed []*sealedSeg
 	// spareBuilders pools retired segment builders for double
 	// buffering: a retired segment keeps its builder until its chunks are

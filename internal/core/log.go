@@ -36,7 +36,6 @@ func (d *LLD) ensureRoom(extraBlocks, extraEntries int) error {
 			return err
 		}
 		d.curSeg = next
-		d.freeCache = d.reusableCount()
 	}
 	// pendingCommits holds commit and (larger) prepare records; size
 	// for the larger kind so a queued prepare can never overflow the
@@ -74,14 +73,7 @@ const growthReserve = 1
 // checkpoint of the tables would then not fit its region, which would
 // fail every later checkpoint.
 func (d *LLD) refuseGrowth(blocks, lists int) error {
-	if d.freeCache < growthReserve {
-		// The cache was computed at the last segment write, possibly while
-		// freshly freed segments were still epoch-gated (segReusable); any
-		// publish since then may have unlocked them, so rescan before
-		// refusing growth.
-		d.freeCache = d.reusableCount()
-	}
-	if d.freeCache < growthReserve {
+	if len(d.free) < growthReserve {
 		return fmt.Errorf("%w: growth reserve exhausted (delete data or clean)", ErrNoSpace)
 	}
 	if !d.params.Layout.CkptFits(d.blockTab.n+blocks, d.listTab.n+lists, 0) {
@@ -222,9 +214,9 @@ func (d *LLD) lastTS() uint64 {
 // Until a sync covers the seal's write those segments must not be
 // rewritten: a crash could keep the rewrite but lose this chunk,
 // destroying data an earlier sync already guaranteed, and recovery —
-// which rightly stops at the sequence hole — cannot put it back. The
-// entry records them and they stay quarantined from reuse until it
-// retires. Caller holds d.mu.
+// which rightly stops at the sequence hole — cannot put it back. Each
+// is stamped with the seal's seq (segFreeSeq) and stays quarantined from
+// reuse until the entry retires. Caller holds d.mu.
 func (d *LLD) sealChunk() {
 	if d.curSeg < 0 {
 		// Nothing is ever buffered while no segment is open (ensureRoom
@@ -261,7 +253,7 @@ func (d *LLD) sealChunk() {
 	d.segSeq[e.idx] = e.seq
 	d.nextSeq++
 	d.durableTS = d.lastTS()
-	d.promote(e)
+	d.promote(e.seq)
 }
 
 // seal is sealChunk at a durability point: the segment is retired only
@@ -300,14 +292,18 @@ func (d *LLD) retireSeg() error {
 	}
 	// No open segment until the pick succeeds: a publish from pickSeg's
 	// retry path must not pin the empty replacement builder under the
-	// retired segment's index.
+	// retired segment's index. A segment retired with no live block, no
+	// pin and its newest chunk already at or below the watermark (the
+	// checkpoint covered it while it was open, and it took no chunk since)
+	// is freeable from here on.
+	s := d.curSeg
 	d.curSeg = -1
+	d.enterFree(s)
 	next, err := d.pickSeg()
 	if err != nil {
 		return err
 	}
 	d.curSeg = next
-	d.freeCache = d.reusableCount()
 	return nil
 }
 
@@ -341,20 +337,15 @@ func (d *LLD) deferPublish(shadowOnly bool) {
 
 // maintDue reports which maintenance is due: a checkpoint once
 // CheckpointEvery segments have retired since the last one, the cleaner
-// while fewer than CleanerLowWater segments are reusable; neither while
+// while fewer than CleanerLowWater segments are freeable; neither while
 // an open unit pins the replay window (replayPinned) or once closed.
-// freeCache is a lower bound of the reusable count (VerifyInternal
-// checks it), so only a cached count below the mark takes a scan, which
-// stops at the mark. Caller holds d.mu.
+// Caller holds d.mu.
 func (d *LLD) maintDue() (ckpt, clean bool) {
 	if d.closed || d.replayPinned() {
 		return false, false
 	}
 	ckpt = d.params.CheckpointEvery > 0 && d.segsSinceC >= d.params.CheckpointEvery
-	if low := d.params.CleanerLowWater; d.freeCache < low {
-		d.freeCache = d.reusableUpTo(low)
-	}
-	return ckpt, d.freeCache < d.params.CleanerLowWater
+	return ckpt, len(d.free) < d.params.CleanerLowWater
 }
 
 // replayPinned reports whether an open unit has logged entries a checkpoint
@@ -395,6 +386,15 @@ func (d *LLD) maintain() {
 // entries are already subsumed by the checkpoint tables and recovery
 // will not miss them). A segment with a queued chunk is never freeable:
 // the chunk lies above the watermark (VerifyInternal checks it).
+//
+// The free set (d.free) holds exactly the segments it is true of, and
+// the space policy reads its size: the cleaner's low-water mark and
+// progress, and the growth reserve. A segment gated only by the reuse
+// quarantine or the snapshot epoch (segReusable) still counts: the one
+// gate lifts at the next device sync (which pickSeg forces when nothing
+// else is left), the other at the next op boundary's publish, neither
+// needing any new write, so treating such a segment as occupied would
+// over-clean and refuse growth the disk can absorb.
 func (d *LLD) segFreeable(s int) bool {
 	if s == d.curSeg {
 		return false
@@ -405,6 +405,16 @@ func (d *LLD) segFreeable(s int) bool {
 	return d.segSeq[s] == 0 || d.segSeq[s] <= d.ckptSeq
 }
 
+// enterFree enters segment s in the free set if it is freeable. Called
+// where an input of segFreeable changes such that s may have become
+// freeable: if it now is, the input that just changed kept it out
+// before, so it is not yet a member. Caller holds d.mu.
+func (d *LLD) enterFree(s int) {
+	if d.segFreeable(s) {
+		d.free = append(d.free, s)
+	}
+}
+
 // segReusable reports whether segment s may be (re)written right now:
 // freeable, released by the device sync covering the seal that emptied
 // it, and drained of snapshot readers.
@@ -412,11 +422,12 @@ func (d *LLD) segReusable(s int) bool {
 	if !d.segFreeable(s) {
 		return false
 	}
-	if d.quarantined(s) {
+	if len(d.sealed) != 0 && d.segFreeSeq[s] >= d.sealed[0].seq {
 		// The segment's last live blocks were superseded by a sealed
-		// chunk no sync has covered yet: rewriting it now could leave a
-		// crash state where the rewrite survives but the superseding
-		// chunk does not (see sealChunk).
+		// chunk no sync has covered yet — entries retire in seal order, so
+		// the one that emptied it is still queued: rewriting it now could
+		// leave a crash state where the rewrite survives but the
+		// superseding chunk does not (see sealChunk).
 		return false
 	}
 	if d.oldestEpoch.Load() < d.segFreeEpoch[s] {
@@ -429,42 +440,19 @@ func (d *LLD) segReusable(s int) bool {
 	return true
 }
 
-// reusableCount counts freeable segments — the space-accounting view.
-// A segment gated only by the snapshot epoch or the reuse quarantine
-// (segReusable) still counts: the one gate lifts at the next op
-// boundary's publish, the other at the next device sync (which pickSeg
-// forces when nothing else is left), neither needing any new write, so
-// policy decisions (cleaner low-water and progress, the growth reserve)
-// must not treat such a segment as occupied, or they over-clean and
-// refuse growth the disk can absorb.
-func (d *LLD) reusableCount() int {
-	return d.reusableUpTo(d.params.Layout.NumSegs)
-}
-
-// reusableUpTo is reusableCount capped at limit: the scan stops at the
-// limit-th freeable segment, which on a mostly empty log is early.
-func (d *LLD) reusableUpTo(limit int) int {
-	n := 0
-	for s := 0; s < d.params.Layout.NumSegs && n < limit; s++ {
-		if d.segFreeable(s) {
-			n++
-		}
-	}
-	return n
-}
-
-// pickSeg selects the next segment to fill: never-written segments
-// first, then the oldest reusable one. Reusing a previously written
-// segment drops any cached blocks of its old contents. If nothing is
-// reusable, drained snapshot epochs are purged (releasing their
-// segment pins) and the scan retried; if still nothing is, and sealed
-// segments are queued, the queue is flushed — the sync lifts the reuse
-// quarantine of everything they freed — and the scan retried once more
-// before reporting ErrNoSpace. That flush is the one device sync left
-// under d.mu: the point where a full log pushes back on its writers.
+// pickSeg selects the next segment to fill and takes it out of the free
+// set: never-written segments first, then the oldest reusable one.
+// Reusing a previously written segment drops any cached blocks of its
+// old contents. If nothing is reusable, drained snapshot epochs are
+// purged (releasing their segment pins) and the scan retried; if still
+// nothing is, and sealed segments are queued, the queue is flushed — the
+// sync lifts the reuse quarantine of everything they freed — and the
+// scan retried once more before reporting ErrNoSpace. That flush is the
+// one device sync left under d.mu: the point where a full log pushes
+// back on its writers.
 func (d *LLD) pickSeg() (int, error) {
-	best := d.scanReusable()
-	if best == -2 {
+	i := d.scanReusable()
+	if i < 0 {
 		// Between operations (a maintenance round), publish first:
 		// segments freed in the current window are stamped past the live
 		// epoch and only unlock once a fresh epoch is published and
@@ -474,33 +462,35 @@ func (d *LLD) pickSeg() (int, error) {
 		} else {
 			d.purgeLocked()
 		}
-		best = d.scanReusable()
+		i = d.scanReusable()
 	}
-	if best == -2 && len(d.sealed) > 0 && !d.brokerBusy() && d.flushQueue() == nil {
-		best = d.scanReusable()
+	if i < 0 && len(d.sealed) > 0 && !d.brokerBusy() && d.flushQueue() == nil {
+		i = d.scanReusable()
 	}
-	if best < 0 {
+	if i < 0 {
 		return 0, ErrNoSpace
 	}
+	best, last := d.free[i], len(d.free)-1
+	d.free[i] = d.free[last]
+	d.free = d.free[:last]
 	if d.segSeq[best] != 0 && d.cache != nil {
 		d.cache.purgeSeg(uint32(best))
 	}
 	return best, nil
 }
 
-// scanReusable returns the best segment to fill next (-2 if none):
-// never-written segments first, then the oldest reusable one.
+// scanReusable returns the position in the free set of the best segment
+// to fill next (-1 if none is reusable): the lowest (segSeq, index) —
+// the lowest-numbered never-written segment, else the one whose newest
+// chunk is oldest.
 func (d *LLD) scanReusable() int {
-	best, bestSeq := -2, ^uint64(0)
-	for s := 0; s < d.params.Layout.NumSegs; s++ {
+	best := -1
+	for i, s := range d.free {
 		if !d.segReusable(s) {
 			continue
 		}
-		if d.segSeq[s] == 0 {
-			return s
-		}
-		if d.segSeq[s] < bestSeq {
-			best, bestSeq = s, d.segSeq[s]
+		if best < 0 || cmp.Or(cmp.Compare(d.segSeq[s], d.segSeq[d.free[best]]), cmp.Compare(s, d.free[best])) < 0 {
+			best = i
 		}
 	}
 	return best
@@ -511,16 +501,16 @@ func (d *LLD) scanReusable() int {
 // transition of paper §3.1, triggered by writes to disk). The chains
 // are walked newest first and the survivors end up in reverse order —
 // materialization order among equal timestamps, and so the log's
-// bytes, depend on it. e is the entry of the seal that advanced the
-// watermark; it records the segments the promotion empties.
-func (d *LLD) promote(e *sealedSeg) {
+// bytes, depend on it. seq is the seal's that advanced the watermark;
+// it stamps the segments the promotion empties.
+func (d *LLD) promote(seq uint64) {
 	w := d.durableTS
 	slices.Reverse(d.commBlocks)
 	keepB := d.commBlocks[:0]
 	for _, id := range d.commBlocks {
 		lf := d.editBlock(id)
 		if ab := lf.find(seg.SimpleARU); ab.commitTS <= w && ab.data == nil {
-			d.promoteBlock(lf, ab, e)
+			d.promoteBlock(lf, ab, seq)
 		} else {
 			keepB = append(keepB, id)
 		}
@@ -542,17 +532,13 @@ func (d *LLD) promote(e *sealedSeg) {
 
 // promoteBlock installs ab as the persistent version of its block (or
 // removes the persistent version if ab is a deletion) and drops ab from
-// the window-owned leaf lf. A segment that loses its last live block
-// here goes into e.frees, quarantined from reuse until e retires.
-func (d *LLD) promoteBlock(lf *blockLeaf, ab *blockVer, e *sealedSeg) {
+// the window-owned leaf lf; seq is the seal's that promotes it.
+func (d *LLD) promoteBlock(lf *blockLeaf, ab *blockVer, seq uint64) {
 	d.stats.RecordsPromoted++
 	d.dirtyBlocks.mark(BlockID(lf.id))
 	if lf.hasPersist && lf.persist.HasData {
-		s := int(lf.persist.Seg)
-		d.segFreeEpoch[s] = d.epoch + 1
-		if d.dropLive(lf.persist) {
-			e.frees = append(e.frees, s)
-		}
+		d.segFreeEpoch[lf.persist.Seg] = d.epoch + 1
+		d.dropLive(lf.persist, seq)
 	}
 	lf.hasPersist = !ab.deleted
 	lf.persist = seg.BlockRec{}
@@ -586,16 +572,20 @@ func (d *LLD) addLive(id BlockID, rec seg.BlockRec) {
 }
 
 // dropLive undoes addLive for the persistent version at rec's data
-// location and reports whether that emptied its segment.
-func (d *LLD) dropLive(rec seg.BlockRec) (emptied bool) {
+// location, superseded by the seal seq. A segment that loses its last
+// live block is stamped with seq, which quarantines it from reuse until
+// that seal's entry retires (segReusable), and enters the free set if it
+// is freeable.
+func (d *LLD) dropLive(rec seg.BlockRec, seq uint64) {
 	s := rec.Seg
 	d.segOwn[s][d.ownIdx(rec.Slot)] = NilBlock
 	if d.segLive[s]--; d.segLive[s] != 0 {
-		return false
+		return
 	}
 	d.freeOwn.put(d.segOwn[s])
 	d.segOwn[s] = nil
-	return true
+	d.segFreeSeq[s] = seq
+	d.enterFree(int(s))
 }
 
 // promoteList installs al as the persistent version of its list.

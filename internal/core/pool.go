@@ -165,8 +165,8 @@ func (d *LLD) putState(st *aruState) {
 	d.freeStates.put(st)
 }
 
-// getSealed returns a zeroed sealed-segment entry (frees/stamps keep
-// their capacity). Caller holds d.mu.
+// getSealed returns a zeroed sealed-segment entry (stamps keeps its
+// capacity). Caller holds d.mu.
 func (d *LLD) getSealed() *sealedSeg {
 	if e, ok := d.spareSeals.get(); ok {
 		return e
@@ -176,7 +176,7 @@ func (d *LLD) getSealed() *sealedSeg {
 
 // putSealed pools a retired sealed-segment entry. Caller holds d.mu.
 func (d *LLD) putSealed(e *sealedSeg) {
-	*e = sealedSeg{frees: e.frees[:0], stamps: e.stamps[:0]}
+	*e = sealedSeg{stamps: e.stamps[:0]}
 	d.spareSeals.put(e)
 }
 

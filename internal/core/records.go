@@ -449,11 +449,13 @@ func (d *LLD) dropListVer(lf *listLeaf, aru ARUID) {
 
 func (d *LLD) pinSeg(s uint32) { d.segPins[s]++ }
 
-// unpinSeg drops one reference into segment s. Snapshots published up
-// to (and including) the current window may still resolve reads into
-// s's old bytes, so reuse must additionally wait until every epoch
-// before the NEXT publish has drained (segReusable).
+// unpinSeg drops one reference into segment s; the last may leave it
+// freeable. Snapshots published up to (and including) the current
+// window may still resolve reads into s's old bytes, so reuse must
+// additionally wait until every epoch before the NEXT publish has
+// drained (segReusable).
 func (d *LLD) unpinSeg(s uint32) {
 	d.segPins[s]--
 	d.segFreeEpoch[s] = d.epoch + 1
+	d.enterFree(int(s))
 }

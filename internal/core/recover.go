@@ -149,13 +149,12 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		dev:          dev,
 		arus:         make(map[ARUID]*aruState),
 		builder:      seg.NewBuilder(layout),
-		segSeq:       make([]uint64, layout.NumSegs),
 		segLive:      make([]int32, layout.NumSegs),
 		segOwn:       make([][]BlockID, layout.NumSegs),
 		segPins:      make([]int32, layout.NumSegs),
 		cache:        newBlockCache(p.CacheBlocks),
 		cleanVisited: make(map[int]bool),
-		segFreeEpoch: make([]uint64, layout.NumSegs),
+		free:         make([]int, 0, layout.NumSegs),
 		blockTab:     newTable[seg.BlockRec](),
 		listTab:      newTable[seg.ListRec](),
 		aruTab:       newTable[aruMark](),
@@ -171,6 +170,10 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		freeOwn:       freeList[[]BlockID]{max: layout.NumSegs},
 		spareBuilders: freeList[*seg.Builder]{max: 4},
 	}
+	// The three per-segment sequence stamps share one allocation.
+	n := layout.NumSegs
+	stamps := make([]uint64, 3*n)
+	d.segSeq, d.segFreeEpoch, d.segFreeSeq = stamps[:n:n], stamps[n:2*n:2*n], stamps[2*n:]
 	d.setRet(new(retireSet)) // the bootstrap set, until the first publish
 	d.gc.cond = sync.NewCond(&d.gc.mu)
 	d.devSh, _ = dev.(sharedReader)
@@ -367,7 +370,15 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 
 	// Pick the open segment now if one is available; a completely full
 	// disk still mounts (for reading and deleting) and defers the pick
-	// to the first operation that needs log space.
+	// to the first operation that needs log space. The free set is filled
+	// first, in one pass. That pass and the pick run while curSeg still
+	// holds its zero value, so segment 0 is neither in the set nor a
+	// candidate, and a mount never opens segment 0 first. The log's bytes
+	// depend on that choice (the crash-state and modeled goldens pin
+	// them), so it stays, and segment 0 enters after the pick.
+	for s := range d.segSeq {
+		d.enterFree(s)
+	}
 	if cur, err := d.pickSeg(); err == nil {
 		d.curSeg = cur
 	} else if errors.Is(err, ErrNoSpace) {
@@ -375,7 +386,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	} else {
 		return nil, RecoveryReport{}, err
 	}
-	d.freeCache = d.reusableCount()
+	d.enterFree(0)
 
 	// If the log tail was cut (seq hole or corrupt entry region), stale
 	// valid-looking trailers beyond the cut still sit on the medium.

@@ -16,7 +16,8 @@ import (
 // block read from a place that is no data slot of its segment's chunks,
 // the open builder pooled, a builder pooled twice, the head snapshot
 // pooled, a pooled snapshot holding a retire-set, a free list past its
-// cap — must fail
+// cap, a freeable segment missing from the free set, a segment in it
+// twice, a segment in it that is not freeable — must fail
 // VerifyInternal, and undoing it must pass again.
 func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	d, _ := newTestLLD(t, Params{})
@@ -69,6 +70,10 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	if cachedBuf == nil {
 		t.Fatal("setup left no cache entry")
 	}
+	if len(d.free) == 0 {
+		t.Fatal("setup left no freeable segment")
+	}
+	var dropped int // the free-set member the "missing" case takes out
 
 	for _, c := range []struct {
 		name, want  string
@@ -125,6 +130,15 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 		{"free list past its cap", "past its cap",
 			func() { d.freeStates.items = append(d.freeStates.items, make([]*aruState, d.freeStates.max+1)...) },
 			func() { d.freeStates.items = d.freeStates.items[:len(d.freeStates.items)-d.freeStates.max-1] }},
+		{"freeable segment missing from the free set", "missing from the free set",
+			func() { dropped, d.free = d.free[len(d.free)-1], d.free[:len(d.free)-1] },
+			func() { d.free = append(d.free, dropped) }},
+		{"segment twice in the free set", "in the free set twice",
+			func() { d.free = append(d.free, d.free[0]) },
+			func() { d.free = d.free[:len(d.free)-1] }},
+		{"pinned segment in the free set", "in the free set but not freeable",
+			func() { d.free = append(d.free, pinned) },
+			func() { d.free = d.free[:len(d.free)-1] }},
 		// The owner table moves along, so that the device check, not the
 		// table's, is the one that fails.
 		{"slot drift", "no data slot",

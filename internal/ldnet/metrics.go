@@ -40,9 +40,6 @@ func (m *Metrics) observe(op uint8, d time.Duration, ok bool) {
 // SessionsTotal returns the number of connections ever accepted.
 func (m *Metrics) SessionsTotal() int64 { return m.sessionsTotal.Load() }
 
-// SessionsActive returns the number of currently connected clients.
-func (m *Metrics) SessionsActive() int64 { return m.sessionsActive.Load() }
-
 // RPCs returns the number of requests served (including errors).
 func (m *Metrics) RPCs() int64 { return m.rpcs.Load() }
 

@@ -308,15 +308,8 @@ func (fs *FS) Disk() *core.LLD { return fs.ld }
 // systems share one disk.
 func (fs *FS) MetaList() core.ListID { return fs.metaList }
 
-// Policy returns the configured deletion policy.
+// Policy returns the deletion policy, fixed at Mkfs or mount.
 func (fs *FS) Policy() DeletePolicy { return fs.policy }
-
-// SetPolicy changes the deletion policy.
-func (fs *FS) SetPolicy(p DeletePolicy) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.policy = p
-}
 
 // Sync flushes all committed file system state to stable storage.
 func (fs *FS) Sync() error { return fs.ld.Flush() }
