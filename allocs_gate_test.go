@@ -14,7 +14,9 @@ package aru_test
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aru"
 	"aru/internal/alloctest"
@@ -181,6 +183,77 @@ func TestAllocsCommitDurable(t *testing.T) {
 		op()
 	}
 	alloctest.Check(t, "durable commit", 6, 200, op)
+}
+
+// TestAllocsCommitDurableTwoCommitters gates the durable commit where
+// the broker's batching runs: two committers, each with its own block,
+// end units with CommitDurable on a device whose Sync takes 1 ms, so
+// each batch's leader waits for the other committer with its window
+// timer armed. One op is a durable commit of the measured committer; the
+// other commits beside it, so an op covers a batch of two commits. The
+// waiting leader re-arms the one timer the broker keeps, so the wait
+// itself allocates nothing.
+func TestAllocsCommitDurableTwoCommitters(t *testing.T) {
+	layout := aru.DefaultLayout(512)
+	dev := aru.NewMemDevice(layout.DiskBytes())
+	d, err := aru.Format(dev, aru.Params{Layout: layout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lst, _ := d.NewList(aru.Simple)
+	commit := func(blk aru.BlockID, buf []byte) error {
+		a, err := d.BeginARU()
+		if err != nil {
+			return err
+		}
+		buf[0]++
+		if err := d.Write(a, blk, buf); err != nil {
+			return err
+		}
+		return d.CommitDurable(a)
+	}
+	blk, _ := d.NewBlock(aru.Simple, lst, aru.NilBlock)
+	other, _ := d.NewBlock(aru.Simple, lst, aru.NilBlock)
+	dev.SetSyncDelay(time.Millisecond)
+	var stop atomic.Bool
+	otherErr := make(chan error, 1)
+	go func() {
+		buf := make([]byte, d.BlockSize())
+		for !stop.Load() {
+			if err := commit(other, buf); err != nil {
+				otherErr <- err
+				return
+			}
+		}
+		otherErr <- nil
+	}()
+	buf := make([]byte, d.BlockSize())
+	op := func() {
+		if err := commit(blk, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		op()
+	}
+	before := d.Stats()
+	alloctest.Check(t, "durable commit beside a second committer", 2, 200, op)
+	alloctest.CheckBytes(t, "durable commit beside a second committer", 200, 200, op)
+	after := d.Stats()
+	stop.Store(true)
+	if err := <-otherErr; err != nil {
+		t.Fatal(err)
+	}
+	dev.SetSyncDelay(0)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batches := after.CommitBatches - before.CommitBatches
+	commits := after.BatchedCommits - before.BatchedCommits
+	t.Logf("measured region: %d commits in %d batches", commits, batches)
+	if commits*10 < batches*19 {
+		t.Fatalf("%d commits in %d batches, want >= 1.9 per batch: the two committers do not share syncs", commits, batches)
+	}
 }
 
 // TestAllocsCleanerRound gates the bytes maintenance allocates per unit

@@ -29,8 +29,10 @@ import (
 // caller per batch becomes the leader: it seals the current partial
 // segment under d.mu, claims everything queued, then performs the
 // device writes and a single sync with d.mu released, and finally
-// wakes the whole batch. Maintenance — checkpoints and the cleaner —
-// runs between operations as the leader too (lead, leadRound).
+// wakes the whole batch. Before the cutoff it holds the batch open for
+// the committers the last batch had (commitBroker). Maintenance —
+// checkpoints and the cleaner — runs between operations as the leader
+// too (lead, leadRound).
 
 // gcBatch is one group-commit batch: the set of durability callers
 // woken together by one leader pass. All fields except syncDur are
@@ -55,26 +57,104 @@ type gcBatch struct {
 // sealed into this one. Completion sets done under the broker mutex
 // and broadcasts, so a waiter can never miss the wakeup: it re-checks
 // done before every wait.
+//
+// Holding the batch open: a leader that cut off the instant it was
+// elected would catch only the committers whose EndARU already landed,
+// and under steady concurrent load batches would alternate at half
+// size. So the leader first waits until its batch has as many joiners
+// as the last batch had, or until the window runs out, whichever comes
+// first. Each joiner signals joined, a cond of its own, so the batch
+// waiters parked on cond stay parked. The window is one timer, re-armed
+// per wait; its callback ends a wait only while one runs, so a stale
+// fire can only end a later wait early, which is the same as not
+// waiting. A lone committer never waits (lastJoiners stays 1), and a
+// leader whose joiners are already in never arms the timer; the first
+// wait makes it, so an engine whose committers never meet allocates
+// none.
+//
+// Leadership alternates between batches and lead's callers
+// (maintenance, Checkpoint, Clean, Close) while both wait. A caller
+// that finds leadership free goes straight back into the broker and
+// wins every race against the waiter it just woke, so without the
+// hand-over either side could starve the other. A batch that completes
+// with lead callers waiting hands over to them (maintNext); a lead
+// caller that finishes with a batch pending hands over to it
+// (batchNext). A lead caller that queues also ends a leader's wait for
+// joiners: a committer waiting there cannot join.
 type commitBroker struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending *gcBatch // batch the next force() joins; nil until someone does
-	leading bool     // a leader is currently running a batch
+	mu          sync.Mutex
+	cond        sync.Cond // batch waiters and lead's callers
+	pending     *gcBatch  // batch the next force() joins; nil until someone does
+	leading     bool      // a batch or a lead caller holds leadership
+	leadWaiters int       // callers waiting in lead
+	maintNext   bool      // leadership goes to a lead caller next
+	batchNext   bool      // leadership goes to the pending batch next
 
-	// Adaptive batching window. A leader that seals the instant it is
-	// elected catches only the committers whose EndARU already landed;
-	// under steady concurrent load that alternates half-size batches.
-	// When the previous batch had multiple joiners, the next leader
-	// first sleeps a small fraction of the observed sync cost so
-	// in-flight commits can join. A lone committer never pays the
-	// window (lastJoiners stays 1).
+	joined      sync.Cond   // the leader waiting for joiners
+	window      *time.Timer // ends that wait when it fires; made by the first wait
+	waiting     bool        // the leader is waiting on joined
+	expired     bool        // the window ran out during the current wait
+	windowEnds  int         // waits the window ended (read by tests)
 	lastJoiners int
 	lastSyncDur time.Duration
 }
 
-// batchWindow caps the leader's batching pause: the window is a
-// quarter of the last observed sync cost, never more than this.
+// batchWindow caps the leader's wait for joiners: the window is a
+// quarter of the last observed sync cost, never more than this. A
+// joiner ends the wait sooner; the window runs out only when a
+// committer of the last batch does not come back.
 const batchWindow = time.Millisecond
+
+// minWindow is the shortest window worth waiting out: parking the leader
+// and waking it take microseconds, so a shorter wait would last as long
+// as the joiner takes to come, whatever the window says. A leader whose
+// window is shorter (a device whose sync is nearly free) does not wait.
+const minWindow = 10 * time.Microsecond
+
+// init ties the broker's conds to its mutex.
+func (b *commitBroker) init() {
+	b.cond.L = &b.mu
+	b.joined.L = &b.mu
+}
+
+// expire is the window timer's callback: it ends the leader's wait, if
+// one is running.
+func (b *commitBroker) expire() {
+	b.mu.Lock()
+	if b.waiting {
+		b.expired = true
+		b.joined.Signal()
+	}
+	b.mu.Unlock()
+}
+
+// awaitJoiners holds the leader's batch open until as many committers
+// joined it as joined the last batch, or the window runs out. Caller
+// holds b.mu and leads.
+func (b *commitBroker) awaitJoiners(bat *gcBatch) {
+	if bat.joiners >= b.lastJoiners {
+		return
+	}
+	window := min(b.lastSyncDur/4, batchWindow)
+	if window < minWindow {
+		return
+	}
+	b.waiting, b.expired = true, false
+	if b.window == nil {
+		b.window = time.AfterFunc(window, b.expire)
+	} else {
+		b.window.Reset(window)
+	}
+	for bat.joiners < b.lastJoiners && !b.expired && b.leadWaiters == 0 {
+		b.joined.Wait()
+	}
+	if b.expired {
+		b.windowEnds++
+	} else {
+		b.window.Stop()
+	}
+	b.waiting = false
+}
 
 // sealedSeg is one sealed chunk no device sync has covered yet. Until it
 // is written its image (img) waits in its segment's builder (bld), which
@@ -121,29 +201,25 @@ func (d *LLD) forceCommit() error {
 	}
 	bat := b.pending
 	bat.joiners++
+	if b.waiting {
+		b.joined.Signal()
+	}
 	due := false
 	for !bat.done {
-		if b.leading {
+		if b.leading || b.maintNext {
 			b.cond.Wait()
 			continue
 		}
-		b.leading = true
-		window := time.Duration(0)
-		if b.lastJoiners > 1 {
-			if window = b.lastSyncDur / 4; window > batchWindow {
-				window = batchWindow
-			}
-		}
+		b.leading, b.batchNext = true, false
+		b.awaitJoiners(bat)
 		b.mu.Unlock()
-		if window > 0 {
-			time.Sleep(window)
-		}
 		var err error
 		due, err = d.leadRound(bat)
 		b.mu.Lock()
 		bat.err = err
 		bat.done = true
 		b.leading = false
+		b.maintNext = b.leadWaiters > 0
 		b.lastJoiners = bat.joiners
 		if bat.syncDur > 0 {
 			b.lastSyncDur = bat.syncDur
@@ -303,10 +379,15 @@ func (d *LLD) leadRound(bat *gcBatch) (due bool, err error) {
 func (d *LLD) lead() {
 	b := &d.gc
 	b.mu.Lock()
-	for b.leading {
+	b.leadWaiters++
+	if b.waiting {
+		b.joined.Signal()
+	}
+	for b.leading || b.batchNext {
 		b.cond.Wait()
 	}
-	b.leading = true
+	b.leadWaiters--
+	b.leading, b.maintNext = true, false
 	b.mu.Unlock()
 }
 
@@ -314,6 +395,7 @@ func (d *LLD) unlead() {
 	b := &d.gc
 	b.mu.Lock()
 	b.leading = false
+	b.batchNext = b.pending != nil
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }

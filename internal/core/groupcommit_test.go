@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -566,4 +567,284 @@ func TestChunkCountersMatchDevice(t *testing.T) {
 		t.Fatal("the cleaner never ran")
 	}
 	t.Logf("%d chunks, %d bytes, %d segments cleaned", st.ChunksWritten, st.SegmentBytesWritten, st.SegmentsCleaned)
+}
+
+// durableLoop runs one committer's loop: each unit overwrites one of
+// blks with the next payload and ends with CommitDurable, until n units
+// are done or an operation fails, counting each acknowledged unit in
+// acks. acked is the payload of the last unit acknowledged durable,
+// tried the one of the unit in flight when it stopped (equal to acked
+// if none was).
+func durableLoop(d *LLD, blks []BlockID, n int, buf []byte, acks *atomic.Int64) (acked, tried byte, err error) {
+	for i := 0; i < n; i++ {
+		tried = byte(i + 1)
+		a, err := d.BeginARU()
+		if err != nil {
+			return acked, acked, err
+		}
+		buf[0] = tried
+		if err := d.Write(a, blks[i%len(blks)], buf); err != nil {
+			return acked, tried, err
+		}
+		if err := d.CommitDurable(a); err != nil {
+			return acked, tried, err
+		}
+		acked = tried
+		acks.Add(1)
+	}
+	return acked, tried, nil
+}
+
+// ownBlocks gives each of n committers k blocks on a list of its own.
+func ownBlocks(t *testing.T, d *LLD, n, k int) [][]BlockID {
+	t.Helper()
+	own := make([][]BlockID, n)
+	for c := range own {
+		lst, err := d.NewList(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < k; j++ {
+			b, err := d.NewBlock(0, lst, NilBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own[c] = append(own[c], b)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return own
+}
+
+// TestGroupCommitWaitEndsOnJoiner: two committers on a device whose sync
+// takes 1 ms share nearly every sync, and the leader's wait for the
+// second one ends when that committer joins, not when the window runs
+// out. A leader that always waits out the window, or a joiner that does
+// not signal, makes nearly every wait end on the window. The small log
+// makes checkpoints come due between commits, so a committer goes into
+// maintenance while the other leads: without the hand-over between
+// batches and lead's callers it starves there, and the batches fall to
+// one commit.
+func TestGroupCommitWaitEndsOnJoiner(t *testing.T) {
+	const committers, units = 2, 300
+	d, dev := newTestLLD(t, Params{Layout: testLayout(128)})
+	own := ownBlocks(t, d, committers, 4)
+	dev.SetSyncDelay(time.Millisecond)
+	before := lockedStats(d)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, committers)
+	for c := 0; c < committers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			_, _, err := durableLoop(d, own[c], units, make([]byte, d.BlockSize()), new(atomic.Int64))
+			errs <- err
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev.SetSyncDelay(0)
+
+	st := lockedStats(d)
+	batches := st.CommitBatches - before.CommitBatches
+	commits := st.BatchedCommits - before.BatchedCommits
+	d.gc.mu.Lock()
+	ends := d.gc.windowEnds
+	d.gc.mu.Unlock()
+	perBatch := float64(commits) / float64(batches)
+	t.Logf("%d commits in %d batches (%.2f per batch), %d waits ended by the window", commits, batches, perBatch, ends)
+	if perBatch < 1.9 {
+		t.Errorf("%.2f commits per batch, want >= 1.9: the two committers do not share syncs", perBatch)
+	}
+	if int64(ends)*10 > batches {
+		t.Errorf("the window ended %d waits in %d batches, want at most a tenth: the leader does not wake when its joiner arrives", ends, batches)
+	}
+}
+
+// holdLeaderInWait commits a unit and starts a Flush that leads its
+// batch and waits for a second joiner (the broker is told the last batch
+// had two). Once that leader is in its wait with the window stopped, so
+// that only a joiner or a lead caller can end it, it returns the
+// channel the Flush reports on.
+func holdLeaderInWait(t *testing.T, d *LLD) <-chan error {
+	t.Helper()
+	b := &d.gc
+	for attempt := 0; attempt < 100; attempt++ {
+		commitUnit(t, d, byte(attempt))
+		b.mu.Lock()
+		b.lastJoiners, b.lastSyncDur = 2, 4*batchWindow
+		b.mu.Unlock()
+		done := make(chan error, 1)
+		go func() { done <- d.Flush() }()
+		for {
+			b.mu.Lock()
+			if b.waiting && !b.expired && b.window.Stop() {
+				b.mu.Unlock()
+				return done
+			}
+			b.mu.Unlock()
+			select {
+			case err := <-done: // the window ended the wait first: again
+				if err != nil {
+					t.Fatalf("Flush: %v", err)
+				}
+			default:
+				runtime.Gosched()
+				continue
+			}
+			break
+		}
+	}
+	t.Fatal("no leader caught in its wait in 100 attempts")
+	return nil
+}
+
+// TestGroupCommitWaitLiveness: the leader's wait for joiners never
+// wedges the engine. Checkpoint, Clean and Close arriving while a leader
+// waits end the wait (a committer in maintenance cannot join), let its
+// batch succeed and then run. Under real schedules, 2 and 8 committers
+// on a free and on a 1 ms sync, with checkpoints and cleaner passes
+// beside them and Close while they run, see no error but ErrClosed and
+// every acknowledged unit after a reopen.
+func TestGroupCommitWaitLiveness(t *testing.T) {
+	await := func(t *testing.T, what string, ch <-chan error) error {
+		t.Helper()
+		select {
+		case err := <-ch:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return in 10 s: a leader waiting for joiners wedges it", what)
+			return nil
+		}
+	}
+	for _, op := range []string{"Checkpoint", "Clean", "Close"} {
+		t.Run("waiting/"+op, func(t *testing.T) {
+			d, _ := newTestLLD(t, Params{})
+			leader := holdLeaderInWait(t, d)
+			opDone := make(chan error, 1)
+			go func() {
+				var err error
+				switch op {
+				case "Checkpoint":
+					err = d.Checkpoint()
+				case "Clean":
+					_, err = d.Clean(d.FreeSegments())
+				case "Close":
+					err = d.Close()
+				}
+				opDone <- err
+			}()
+			if err := await(t, "the waiting leader's Flush", leader); err != nil {
+				t.Fatalf("waiting leader's Flush: %v", err)
+			}
+			if err := await(t, op, opDone); err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+			if op == "Close" {
+				if err := d.Flush(); !errors.Is(err, ErrClosed) {
+					t.Fatalf("Flush after Close: got %v, want ErrClosed", err)
+				}
+				return
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	for _, committers := range []int{2, 8} {
+		for _, syncDelay := range []time.Duration{0, time.Millisecond} {
+			name := fmt.Sprintf("committers=%d/sync=%v", committers, syncDelay)
+			t.Run(name, func(t *testing.T) {
+				units := 100
+				if syncDelay == 0 {
+					units = 4000 / committers // the 64-segment log wraps several times
+				}
+				d, dev := newTestLLD(t, Params{})
+				own := ownBlocks(t, d, committers, 4)
+				dev.SetSyncDelay(syncDelay)
+
+				var (
+					wg          sync.WaitGroup
+					acks, quit  atomic.Int64
+					acked, trie = make([]byte, committers), make([]byte, committers)
+				)
+				errs := make(chan error, committers+1)
+				for c := 0; c < committers; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						defer quit.Add(1)
+						var err error
+						acked[c], trie[c], err = durableLoop(d, own[c], units, make([]byte, d.BlockSize()), &acks)
+						errs <- err
+					}(c)
+				}
+				// Maintenance beside the committers until half their units
+				// are acknowledged, then Close while they run. Maintenance
+				// called back to back must not starve the batches: the
+				// deadline is a hundred times what the loop takes here.
+				half, deadline := int64(committers*units/2), time.Now().Add(30*time.Second)
+				for i := 0; acks.Load() < half && quit.Load() < int64(committers); i++ {
+					if time.Now().After(deadline) {
+						errs <- fmt.Errorf("%d of %d units acknowledged in 30 s beside back-to-back maintenance: batches starve", acks.Load(), half)
+						break
+					}
+					var err error
+					if i%2 == 0 {
+						err = d.Checkpoint()
+					} else {
+						_, err = d.Clean(d.FreeSegments() + 1)
+					}
+					if err != nil {
+						errs <- fmt.Errorf("maintenance: %w", err)
+						break
+					}
+				}
+				if err := d.Close(); err != nil {
+					errs <- fmt.Errorf("Close: %w", err)
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					if err != nil && !errors.Is(err, ErrClosed) {
+						t.Error(err)
+					}
+				}
+
+				// Every acknowledged unit survives; a unit cut by Close
+				// may or may not.
+				d2, err := Open(disk.FromImage(dev.Image(), disk.Geometry{}), Params{})
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				defer d2.Close()
+				buf := make([]byte, d2.BlockSize())
+				for c := range own {
+					last := map[BlockID]byte{}
+					for i := 1; i <= int(trie[c]); i++ {
+						if byte(i) <= acked[c] {
+							last[own[c][(i-1)%len(own[c])]] = byte(i)
+						}
+					}
+					for _, blk := range own[c] {
+						if err := d2.Read(0, blk, buf); err != nil {
+							t.Fatalf("Read: %v", err)
+						}
+						if want, ok := last[blk]; ok && buf[0] != want && buf[0] != trie[c] {
+							t.Errorf("committer %d block %d reads %d, want acknowledged %d (or %d, cut by Close)", c, blk, buf[0], want, trie[c])
+						}
+					}
+				}
+			})
+		}
+	}
 }

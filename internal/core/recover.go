@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"aru/internal/disk"
@@ -175,7 +174,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	stamps := make([]uint64, 3*n)
 	d.segSeq, d.segFreeEpoch, d.segFreeSeq = stamps[:n:n], stamps[n:2*n:2*n], stamps[2*n:]
 	d.setRet(new(retireSet)) // the bootstrap set, until the first publish
-	d.gc.cond = sync.NewCond(&d.gc.mu)
+	d.gc.init()
 	d.devSh, _ = dev.(sharedReader)
 
 	// The checkpoint chain folds straight into the tables: until the
