@@ -81,7 +81,7 @@ type Disk = core.LLD
 
 // Params configures Format and Open; see aru/internal/core.Params. Its
 // one cleaner threshold is CleanerLowWater: the cleaner starts when fewer
-// segments are reusable and stops once twice as many are.
+// segments are reusable and stops once that many are again.
 type Params = core.Params
 
 // Snapshot is a pinned read-only view of one published epoch: the

@@ -27,10 +27,17 @@ func (d *LLD) Clean(target int) (int, error) {
 // clean runs cleaner rounds as the broker leader until target segments
 // are reusable: a batch of victims relocated under d.mu, then a
 // maintenance round (leadRound) whose checkpoint frees them. The first
-// failure stops it, and it returns that error.
+// failure stops it, and it returns that error. Progress is counted in
+// segments a pick can reuse (reclaimable), not in the free set: a victim
+// freed while a snapshot pins an older epoch stays gated until its
+// release, and relocating into the last reusable segments for it would
+// run the log out of space.
 func (d *LLD) clean(target int) (cleaned int, err error) {
 	sp := d.obs.Start(obs.SpanCleanerPass, obs.SpanContext{})
-	for free := d.FreeSegments(); free < target; {
+	d.mu.Lock()
+	free := d.reclaimable()
+	d.mu.Unlock()
+	for free < target {
 		var n int
 		d.mu.Lock()
 		d.pubSafe = true // between operations: a pick may publish
@@ -47,17 +54,44 @@ func (d *LLD) clean(target int) (cleaned int, err error) {
 		before := free
 		d.mu.Lock()
 		d.stats.SegmentsCleaned += int64(n)
-		free = len(d.free)
+		free = d.reclaimable()
 		d.mu.Unlock()
 		if free <= before {
 			// No net space gained: the victims are so full that
-			// relocation consumes as much as it frees. Stop rather than
-			// ping-pong live data forever.
+			// relocation consumes as much as it frees, or a held
+			// snapshot keeps them from reuse. Stop rather than ping-pong
+			// live data forever.
 			break
 		}
 	}
 	sp.End(0, uint64(cleaned), 0)
 	return cleaned, err
+}
+
+// reclaimable counts the free set's segments a pick can reuse once the
+// round's sync lands (segReusable bar the reuse quarantine): those no
+// reader still pins an epoch older than their segFreeEpoch for. Without
+// a pinned epoch the next publish drains every one. Caller holds d.mu.
+func (d *LLD) reclaimable() int {
+	if d.openSnaps.Load() == 0 {
+		// Only held snapshots pin an epoch for long; a lock-free read
+		// drains in microseconds.
+		return len(d.free)
+	}
+	pin := d.epoch + 1
+	for s := d.snapOldest; s != nil; s = s.next {
+		if s.ref.Load() != 0 {
+			pin = s.epoch
+			break
+		}
+	}
+	n := 0
+	for _, s := range d.free {
+		if d.segFreeEpoch[s] <= pin {
+			n++
+		}
+	}
+	return n
 }
 
 // relocateBatch relocates up to eight victims, one cleaner round's worth,

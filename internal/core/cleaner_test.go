@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"aru/internal/disk"
+	"aru/internal/seg"
 )
 
 // fillDisk creates lists of written blocks until about frac of the log
@@ -256,5 +258,146 @@ func TestCleanerEquivalence(t *testing.T) {
 	after := logicalState(t, d)
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("cleaning changed the logical state")
+	}
+}
+
+// TestCleanWithSnapshotHeld: a victim freed while a snapshot pins an
+// older epoch stays gated until the release, so it is no progress. A
+// cleaner that counted it would relocate into the last reusable segments
+// and run the log out of space.
+func TestCleanWithSnapshotHeld(t *testing.T) {
+	p := Params{Layout: seg.DefaultLayout(32), CheckpointEvery: -1, CleanerLowWater: -1}
+	d, _ := newTestLLD(t, p)
+	lst, err := d.NewList(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make([]BlockID, 2000)
+	pred := NilBlock
+	for i := range blocks {
+		if blocks[i], err = d.NewBlock(0, lst, pred); err != nil {
+			t.Fatal(err)
+		}
+		pred = blocks[i]
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1200; i++ {
+		if err := d.Write(0, blocks[rng.Intn(len(blocks))], fill(d, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := d.AcquireSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	for i := 0; i < 3; i++ {
+		if _, err := d.Clean(d.FreeSegments() + 3); err != nil {
+			t.Fatalf("Clean %d with a snapshot held: %v", i+1, err)
+		}
+		if err := d.VerifyInternal(); err != nil {
+			t.Fatalf("after Clean %d: %v", i+1, err)
+		}
+	}
+	// Released, the held-back victims take the next writes: more than the
+	// segments that stayed reusable behind the pin hold, overwriting a
+	// tenth of the blocks so that there is garbage to clean again.
+	snap.Release()
+	for i := 0; i < 600; i++ {
+		if err := d.Write(0, blocks[rng.Intn(len(blocks)/10)], fill(d, byte(i))); err != nil {
+			t.Fatalf("overwrite %d after the release: %v", i, err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// About eight segments' worth of blocks is live: two more free
+	// segments are in reach.
+	target := d.FreeSegments() + 2
+	if _, err := d.Clean(target); err != nil {
+		t.Fatalf("Clean after the release: %v", err)
+	}
+	if free := d.FreeSegments(); free < target {
+		t.Fatalf("Clean after the release reached %d free segments, want %d", free, target)
+	}
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMaintainCleansToMark pins the cleaner's stopping rule: maintenance
+// starts below the low-water mark and stops once the mark is restored.
+// On churn's log — 64 segments, 68 % full with lists of 100 blocks, units
+// of three uniform overwrites — the free count after warm-up never again
+// reaches twice the mark, and never falls below the mark by more than one
+// round writes: eight greedy victims, each no fuller than the log.
+func TestMaintainCleansToMark(t *testing.T) {
+	d, _ := newTestLLD(t, Params{Layout: seg.DefaultLayout(64)})
+	defer d.Close()
+	mark := d.params.CleanerLowWater
+	rng := rand.New(rand.NewSource(7))
+	var blocks []BlockID
+	for i := 0; i < 56; i++ {
+		lst, err := d.NewList(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred := NilBlock
+		for j := 0; j < 100; j++ {
+			b, err := d.NewBlock(0, lst, pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Write(0, b, fill(d, byte(j))); err != nil {
+				t.Fatal(err)
+			}
+			blocks = append(blocks, b)
+			pred = b
+		}
+	}
+	perSeg := d.params.Layout.BlocksPerSeg()
+	roundSegs := (8*len(blocks) + d.params.Layout.NumSegs*perSeg - 1) / (d.params.Layout.NumSegs * perSeg)
+	lo, hi := d.params.Layout.NumSegs, 0
+	for u := 0; u < 12000; u++ {
+		a, err := d.BeginARU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 3; j++ {
+			if err := d.Write(a, blocks[rng.Intn(len(blocks))], fill(d, byte(u))); err != nil {
+				t.Fatalf("unit %d: %v", u, err)
+			}
+		}
+		if err := d.EndARU(a); err != nil {
+			t.Fatalf("unit %d: %v", u, err)
+		}
+		if u%256 == 255 {
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if u < 4000 {
+			continue // warm-up: the cleaner's first cycles over the log
+		}
+		free := d.FreeSegments()
+		lo, hi = min(lo, free), max(hi, free)
+	}
+	st := d.Stats()
+	t.Logf("free segments %d..%d (mark %d, one round writes at most %d); %d segments cleaned, %.2f relocated per user block",
+		lo, hi, mark, roundSegs, st.SegmentsCleaned, float64(st.BlocksRelocated)/float64(st.Writes))
+	if st.SegmentsCleaned < int64(d.params.Layout.NumSegs) {
+		t.Fatalf("only %d segments cleaned: the history never cycled the log", st.SegmentsCleaned)
+	}
+	if hi >= 2*mark {
+		t.Errorf("free segments reached %d after warm-up: the cleaner cleans past the mark %d", hi, mark)
+	}
+	if lo < mark-roundSegs {
+		t.Errorf("free segments fell to %d, below the mark %d minus one round's %d", lo, mark, roundSegs)
+	}
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -133,7 +133,7 @@ type Params struct {
 	CkptCompactEvery int
 	// CleanerLowWater triggers cleaning when the number of reusable
 	// segments drops below it (default 8); cleaning then runs until
-	// twice as many are reusable.
+	// that many are reusable again.
 	CleanerLowWater int
 	// CleanerPolicy selects the victim policy (default CleanGreedy).
 	CleanerPolicy CleanerPolicy

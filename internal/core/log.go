@@ -357,8 +357,11 @@ func (d *LLD) replayPinned() bool {
 }
 
 // maintain runs, as the broker leader, the maintenance found due — a
-// checkpoint round, then cleaner rounds until twice the low-water mark is
-// reusable — deciding again first, since another leader may have run it.
+// checkpoint round, then cleaner rounds until the low-water mark is
+// restored — deciding again first, since another leader may have run it.
+// Cleaning starts below the mark and stops once it is met: every segment
+// kept free beyond it is one the log's live data cannot spread over, so
+// victims would be cleaned fuller.
 // A failed round is not fatal: a later operation finds it due again.
 func (d *LLD) maintain() {
 	d.lead()
@@ -375,7 +378,7 @@ func (d *LLD) maintain() {
 		d.mu.Unlock()
 	}
 	if clean {
-		d.clean(2 * d.params.CleanerLowWater)
+		d.clean(d.params.CleanerLowWater)
 	}
 }
 
@@ -388,13 +391,15 @@ func (d *LLD) maintain() {
 // the chunk lies above the watermark (VerifyInternal checks it).
 //
 // The free set (d.free) holds exactly the segments it is true of, and
-// the space policy reads its size: the cleaner's low-water mark and
-// progress, and the growth reserve. A segment gated only by the reuse
-// quarantine or the snapshot epoch (segReusable) still counts: the one
-// gate lifts at the next device sync (which pickSeg forces when nothing
-// else is left), the other at the next op boundary's publish, neither
-// needing any new write, so treating such a segment as occupied would
-// over-clean and refuse growth the disk can absorb.
+// the space policy reads its size: the cleaner's low-water mark and the
+// growth reserve. A segment gated only by the reuse quarantine or the
+// snapshot epoch (segReusable) still counts: the one gate lifts at the
+// next device sync (which pickSeg forces when nothing else is left), the
+// other at the next op boundary's publish, neither needing any new
+// write, so treating such a segment as occupied would over-clean and
+// refuse growth the disk can absorb. Only while a held snapshot pins the
+// epoch gate does the cleaner count its progress without such segments
+// (reclaimable).
 func (d *LLD) segFreeable(s int) bool {
 	if s == d.curSeg {
 		return false

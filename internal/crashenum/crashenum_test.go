@@ -119,8 +119,8 @@ var enumerationGolden = []struct {
 	{"net", 2, 96, "9761f7d21f4846b6a99ae26597216cab701c8d9699734e5e0e768392c19d62eb"},
 	{"wrap", 1, 522, "cd376900819476402d687390fae68fa739ae26c4cf29a5077016500f7213887c"},
 	{"wrap", 2, 435, "7ed9a4f28843f3d4d57e9efd37c44cad2c7954a9ad0b0a56591c3271ed499c1e"},
-	{"maint", 1, 774, "0f90b16fff7e285184dc9babe927b6450514fc6394b27286e2c90e6817eef100"},
-	{"maint", 2, 1213, "ce8526df2084b0b9abde6b44047294a4ae72c774cb088e934c7047c8301fdec6"},
+	{"maint", 1, 599, "b16ef1ea5b82190f760a7bf61daa1ce01c09130e15f6d42836609efdab7ffbe3"},
+	{"maint", 2, 709, "bdf699fd00987af7c437a7387159dcabb23c931040c7566d3545a66896ebca90"},
 	{"shard", 1, 278, "cf74377e4c811bb6cf84f01c37c9f04e2b76c09a5a4f24e9aea0bb8c9ad097cb"},
 }
 

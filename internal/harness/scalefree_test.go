@@ -21,8 +21,8 @@ import (
 // of live blocks in one ARU, a Flush every 256 units — on churn's log, 68 %
 // full with lists of 100 blocks, scaled by k. Everything that sizes the
 // engine scales with the log: the cache, and the cleaner's low-water mark
-// (its target is twice the mark), so the free reserve is the same
-// fraction of the log at every scale. The chain is never compacted on schedule (CkptCompactEvery), so a
+// (which it cleans back up to), so the free reserve is the same fraction
+// of the log at every scale. The chain is never compacted on schedule (CkptCompactEvery), so a
 // base — which is O(live) by design, like a mount's checkpoint load — is
 // written only when its region fills.
 const (
@@ -46,13 +46,16 @@ const (
 	// being the cache purge and victim scan per segment, which are linear
 	// in the log, and a 16x larger working set in memory, which makes the
 	// 16x side the more sensitive to a busy host. The ceiling comes down
-	// as those go.
+	// as those go. At 1x the cleaner relocates at most two blocks per
+	// user block: one that cleans past its low-water mark keeps a quarter
+	// of the log empty and reads 2.75.
 	sfScaleHi        = 16
 	sfSlices         = 8
 	sfSliceOps       = 4000
 	sfSeed           = 841
 	sfMaxRelocSpread = 0.15
 	sfMaxCPURatio    = 2.5
+	sfMaxReloc       = 2.0
 )
 
 // scaleFreeRow is one scale's measurement.
@@ -267,6 +270,9 @@ func TestGateScaleFree(t *testing.T) {
 	if spread > sfMaxRelocSpread || spread < -sfMaxRelocSpread {
 		t.Fatalf("the cleaner relocated %.2f blocks per user block at %dx and %.2f at 1x: the scales do not run the same history",
 			hi.RelocPerUser, sfScaleHi, lo.RelocPerUser)
+	}
+	if lo.RelocPerUser > sfMaxReloc {
+		t.Errorf("the cleaner relocated %.2f blocks per user block at 1x (ceiling %.2f)", lo.RelocPerUser, sfMaxReloc)
 	}
 	if ratio > sfMaxCPURatio {
 		t.Errorf("an op costs %v of CPU at %dx and %v at 1x, %.2fx (ceiling %.2fx)", hi.CPUPerOp, sfScaleHi, lo.CPUPerOp, ratio, sfMaxCPURatio)
