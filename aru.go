@@ -127,18 +127,6 @@ const (
 	ReadCommitted = core.ReadCommitted
 )
 
-// CleanerPolicy selects how the segment cleaner picks victims.
-type CleanerPolicy = core.CleanerPolicy
-
-// Cleaner policies.
-const (
-	// CleanGreedy relocates the segments with the fewest live blocks.
-	CleanGreedy = core.CleanGreedy
-	// CleanCostBenefit weighs freed space against copying cost and
-	// segment age, as in Sprite LFS.
-	CleanCostBenefit = core.CleanCostBenefit
-)
-
 // Stats are the operation counters of a Disk, as returned by
 // (*Disk).Stats.
 //

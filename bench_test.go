@@ -382,91 +382,6 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkCleanerPolicies is the ablation for the cleaner policy
-// choice called out in DESIGN.md: greedy vs cost-benefit victim
-// selection on a half-dead log, reporting relocated blocks per
-// reclaimed segment (lower = cheaper cleaning).
-func BenchmarkCleanerPolicies(b *testing.B) {
-	for _, pol := range []struct {
-		name string
-		p    aru.Params
-	}{
-		{"greedy", aru.Params{CleanerPolicy: aru.CleanGreedy}},
-		{"cost-benefit", aru.Params{CleanerPolicy: aru.CleanCostBenefit}},
-	} {
-		pol := pol
-		b.Run(pol.name, func(b *testing.B) {
-			var relocPerSeg float64
-			for i := 0; i < b.N; i++ {
-				layout := aru.DefaultLayout(48)
-				dev := aru.NewMemDevice(layout.DiskBytes())
-				p := pol.p
-				p.Layout = layout
-				d, err := aru.Format(dev, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Build a log with an age/utilization tension: old
-				// segments keep more live data than young ones, so the
-				// greedy policy (fewest live blocks) and the
-				// cost-benefit policy (which also weighs age) choose
-				// different victims. Deletions lag three rounds behind
-				// the writes so the doomed blocks are already on disk
-				// (in-memory deletions would simply never materialize).
-				buf := make([]byte, d.BlockSize())
-				history := make([][]aru.BlockID, 0, 220)
-				for r := 0; r < 220; r++ {
-					lst, err := d.NewList(aru.Simple)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pred := aru.NilBlock
-					var blks []aru.BlockID
-					for j := 0; j < 8; j++ {
-						blk, err := d.NewBlock(aru.Simple, lst, pred)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := d.Write(aru.Simple, blk, buf); err != nil {
-							b.Fatal(err)
-						}
-						blks = append(blks, blk)
-						pred = blk
-					}
-					history = append(history, blks)
-					if r >= 3 {
-						old := history[r-3]
-						keep := 4 // old rounds stay half live…
-						if r-3 >= 110 {
-							keep = 1 // …young rounds are mostly dead
-						}
-						for _, blk := range old[keep:] {
-							if err := d.DeleteBlock(aru.Simple, blk); err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
-				}
-				if err := d.Checkpoint(); err != nil {
-					b.Fatal(err)
-				}
-				before := d.Stats()
-				// Reclaim just a handful of segments beyond what is
-				// already free: the policies differ in which victims
-				// they grab first, and thus in copying cost.
-				if _, err := d.Clean(d.FreeSegments() + 4); err != nil {
-					b.Fatal(err)
-				}
-				after := d.Stats()
-				if n := after.SegmentsCleaned - before.SegmentsCleaned; n > 0 {
-					relocPerSeg = float64(after.BlocksRelocated-before.BlocksRelocated) / float64(n)
-				}
-			}
-			b.ReportMetric(relocPerSeg, "relocated_blocks/segment")
-		})
-	}
-}
-
 // BenchmarkCheckpointInterval is the ablation for the checkpoint
 // frequency: more frequent checkpoints shrink the recovery replay
 // window but cost extra I/O during normal operation.

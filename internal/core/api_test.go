@@ -360,9 +360,6 @@ func TestAccessorsAndStrings(t *testing.T) {
 			t.Fatalf("ReadSemantics(%d).String empty", s)
 		}
 	}
-	if fmt.Sprint(CleanGreedy) == fmt.Sprint(CleanCostBenefit) {
-		t.Fatal("cleaner policies indistinguishable")
-	}
 }
 
 // TestReadAnyShadowEdgeCases covers option 1 on blocks without any

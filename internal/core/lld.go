@@ -101,17 +101,6 @@ func (v Variant) String() string {
 	}
 }
 
-// CleanerPolicy selects how the segment cleaner picks victims.
-type CleanerPolicy int
-
-const (
-	// CleanGreedy picks the segments with the fewest live blocks.
-	CleanGreedy CleanerPolicy = iota
-	// CleanCostBenefit weighs freed space against copying cost and
-	// segment age, as in Sprite LFS.
-	CleanCostBenefit
-)
-
 // Params configures an LLD instance. The zero value of optional fields
 // selects documented defaults.
 type Params struct {
@@ -135,8 +124,6 @@ type Params struct {
 	// segments drops below it (default 8); cleaning then runs until
 	// that many are reusable again.
 	CleanerLowWater int
-	// CleanerPolicy selects the victim policy (default CleanGreedy).
-	CleanerPolicy CleanerPolicy
 	// CacheBlocks is the read-cache capacity in blocks (default 1024;
 	// negative disables the cache).
 	CacheBlocks int
@@ -456,11 +443,11 @@ type LLD struct {
 	spareSeals freeList[*sealedSeg]
 	freeSnaps  freeList[*snapshot] // drained epochs, each with its emptied retire-set
 	matScratch []matItem
-	// Cleaner scratch kept across passes: the victims relocated in the
-	// current cycle, pickVictim's candidate list and the identifiers of
-	// the victim being relocated.
+	// Cleaner scratch kept across rounds: the victims relocated in the
+	// current round, pickVictim's candidate segments and the identifiers
+	// of the victim being relocated.
 	cleanVisited map[int]bool
-	cleanCands   []victimCand
+	cleanCands   []int
 	cleanIDs     []BlockID
 	gcWork       []*sealedSeg
 

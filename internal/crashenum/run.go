@@ -57,9 +57,6 @@ type Options struct {
 	// after this many violations (default 3); the checker still
 	// reports the run as failing.
 	MaxViolationsPerRun int
-	// NoShrink skips minimizing failures (shrinking re-runs recovery
-	// many times).
-	NoShrink bool
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -171,7 +168,7 @@ func runOne(rpt *Report, o Options, kind string, seed int64) error {
 	j.forEach(x.start, window, seed, func(st State, imgs [][]byte) bool {
 		viols := x.check(st.at(), imgs)
 		shrunk := st
-		if len(viols) > 0 && !o.NoShrink {
+		if len(viols) > 0 {
 			shrunk = shrinkState(st, func(cand State) bool {
 				return len(x.check(cand.at(), j.materialize(cand))) > 0
 			})

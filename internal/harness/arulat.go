@@ -34,7 +34,7 @@ func RunARULatency(spec VariantSpec, n int, o Options) (ARULatencyResult, error)
 	defer func() { _ = ld.Close() }()
 
 	segsBefore := ld.Stats().SegmentsWritten
-	m := newMeter(dev, ld, o.CPU, spec.Variant)
+	m := newMeter(dev, ld, spec.Variant)
 	m.reset()
 	for i := 0; i < n; i++ {
 		a, err := ld.BeginARU()

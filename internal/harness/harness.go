@@ -110,48 +110,29 @@ func (c CPUModel) Charge(d core.Stats, v core.Variant) time.Duration {
 	return t
 }
 
-// Options configures an experiment run.
+// Options configures an experiment run. Every run formats the paper's
+// 400 MB partition (4 KB blocks, 0.5 MB segments) on the HP C3010 model,
+// charges CPU by SPARC5Model and sizes Minix for 16 384 inodes.
 type Options struct {
-	// Layout is the disk format (default: the paper's 400 MB partition
-	// of 4 KB blocks and 0.5 MB segments).
-	Layout seg.Layout
-	// Geometry is the disk service-time model (default HP C3010).
-	Geometry disk.Geometry
 	// CacheBlocks sizes LLD's block cache (default 2048 blocks = 8 MB).
 	// The paper's prototype ran against the SunOS *raw* disk interface
 	// — no OS page cache — with only Minix's internal buffer cache and
 	// LLD's own structures in front of the disk, so the effective cache
 	// was small relative to the 80 MB of RAM.
 	CacheBlocks int
-	// CPU is the cost model (default SPARC5Model).
-	CPU CPUModel
 	// Scale divides the workload size for quick runs (1 = paper
 	// scale).
 	Scale int
-	// NumInodes sizes the Minix file system (default 16384).
-	NumInodes int
 	// Verify re-reads and checks payloads during read phases.
 	Verify bool
 }
 
 func (o Options) withDefaults() Options {
-	if o.Layout.BlockSize == 0 {
-		o.Layout = seg.DefaultLayout(800) // 800 × 0.5 MB = 400 MB
-	}
-	if o.Geometry == (disk.Geometry{}) {
-		o.Geometry = disk.HPC3010()
-	}
 	if o.CacheBlocks == 0 {
 		o.CacheBlocks = 2048
 	}
-	if o.CPU == (CPUModel{}) {
-		o.CPU = SPARC5Model()
-	}
 	if o.Scale <= 0 {
 		o.Scale = 1
-	}
-	if o.NumInodes == 0 {
-		o.NumInodes = 16384
 	}
 	return o
 }
@@ -203,7 +184,8 @@ type meter struct {
 	fsCalls   int64
 }
 
-func newMeter(dev *disk.Sim, ld *core.LLD, cpu CPUModel, v core.Variant) *meter {
+func newMeter(dev *disk.Sim, ld *core.LLD, v core.Variant) *meter {
+	cpu := SPARC5Model()
 	return &meter{dev: dev, ld: ld, cpu: cpu, variant: v, fsCall: cpu.PerFSCall}
 }
 
@@ -266,9 +248,10 @@ func subStats(a, b core.Stats) core.Stats {
 
 // formatSim formats a fresh simulated disk for spec.
 func formatSim(spec VariantSpec, o Options) (*disk.Sim, *core.LLD, error) {
-	dev := disk.NewSim(o.Layout.DiskBytes(), o.Geometry)
+	l := seg.DefaultLayout(800) // 800 × 0.5 MB = 400 MB
+	dev := disk.NewSim(l.DiskBytes(), disk.HPC3010())
 	ld, err := core.Format(dev, core.Params{
-		Layout:      o.Layout,
+		Layout:      l,
 		Variant:     spec.Variant,
 		CacheBlocks: o.CacheBlocks,
 	})
@@ -284,7 +267,7 @@ func setup(spec VariantSpec, o Options) (*disk.Sim, *core.LLD, *minixfs.FS, erro
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	fs, err := minixfs.Mkfs(ld, minixfs.Config{NumInodes: o.NumInodes, Policy: spec.Policy})
+	fs, err := minixfs.Mkfs(ld, minixfs.Config{NumInodes: 16384, Policy: spec.Policy})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("harness: mkfs: %w", err)
 	}

@@ -46,7 +46,7 @@ func RunLargeFile(spec VariantSpec, lf workload.LargeFile, o Options) (LargeResu
 		return LargeResult{}, err
 	}
 
-	m := newMeter(dev, ld, o.CPU, spec.Variant)
+	m := newMeter(dev, ld, spec.Variant)
 	buf := make([]byte, lf.IOSize)
 	n := lf.NumIOs()
 	total := int64(n) * int64(lf.IOSize)

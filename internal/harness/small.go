@@ -41,7 +41,7 @@ func RunSmallFiles(spec VariantSpec, files workload.SmallFiles, o Options) (Smal
 	}
 
 	res := SmallResult{Spec: spec, Files: files}
-	m := newMeter(dev, ld, o.CPU, spec.Variant)
+	m := newMeter(dev, ld, spec.Variant)
 	payload := make([]byte, files.FileSize)
 	totalBytes := int64(files.NumFiles) * int64(files.FileSize)
 

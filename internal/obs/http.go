@@ -69,8 +69,6 @@ func snakeCase(s string) string {
 
 // HandlerOptions configures the /metrics endpoint.
 type HandlerOptions struct {
-	// Namespace prefixes every series name (default "aru").
-	Namespace string
 	// Counters is polled at each scrape for the current counter
 	// values (e.g. func() []Counter { return
 	// obs.FlattenCounters(d.Stats()) }). Optional.
@@ -83,18 +81,11 @@ type HandlerOptions struct {
 	Extra func() []HistSnapshot
 }
 
-func (o HandlerOptions) namespace() string {
-	if o.Namespace == "" {
-		return "aru"
-	}
-	return o.Namespace
-}
-
 // Handler returns an http.Handler rendering the counters and
 // histograms in the Prometheus text exposition format: every counter
-// as <ns>_<name>_total, every gauge as <ns>_<name>, every latency
-// histogram as the <ns>_<name>_seconds bucket/sum/count triple and the
-// commit_batch size histogram unscaled as <ns>_commit_batch.
+// as aru_<name>_total, every gauge as aru_<name>, every latency
+// histogram as the aru_<name>_seconds bucket/sum/count triple and the
+// commit_batch size histogram unscaled as aru_commit_batch.
 func Handler(o HandlerOptions) http.Handler {
 	// The tracer snapshots are taken into a scratch owned by the
 	// handler (serialized by mu), so repeated scrapes reuse the bucket
@@ -104,13 +95,12 @@ func Handler(o HandlerOptions) http.Handler {
 	var scratch []HistSnapshot
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		ns := o.namespace()
 		if o.Counters != nil {
 			for _, c := range o.Counters() {
 				if c.Gauge {
-					fmt.Fprintf(w, "# TYPE %s_%s gauge\n%s_%s %d\n", ns, c.Name, ns, c.Name, c.Value)
+					fmt.Fprintf(w, "# TYPE aru_%s gauge\naru_%s %d\n", c.Name, c.Name, c.Value)
 				} else {
-					fmt.Fprintf(w, "# TYPE %s_%s_total counter\n%s_%s_total %d\n", ns, c.Name, ns, c.Name, c.Value)
+					fmt.Fprintf(w, "# TYPE aru_%s_total counter\naru_%s_total %d\n", c.Name, c.Name, c.Value)
 				}
 			}
 		}
@@ -118,18 +108,18 @@ func Handler(o HandlerOptions) http.Handler {
 			// Trace loss: ring-ticket overrun means the timeline on
 			// /debug/trace is incomplete, which must be visible to the
 			// scraper, not silent.
-			fmt.Fprintf(w, "# TYPE %s_trace_dropped_total counter\n%s_trace_dropped_total %d\n",
-				ns, ns, o.Tracer.SpansDropped())
+			fmt.Fprintf(w, "# TYPE aru_trace_dropped_total counter\naru_trace_dropped_total %d\n",
+				o.Tracer.SpansDropped())
 		}
 		mu.Lock()
 		scratch = o.Tracer.HistogramsInto(scratch)
 		for _, h := range scratch {
-			writePromHistogram(w, ns, h)
+			writePromHistogram(w, h)
 		}
 		mu.Unlock()
 		if o.Extra != nil {
 			for _, h := range o.Extra() {
-				writePromHistogram(w, ns, h)
+				writePromHistogram(w, h)
 			}
 		}
 	})
@@ -138,10 +128,10 @@ func Handler(o HandlerOptions) http.Handler {
 // writePromHistogram renders one histogram in Prometheus text format.
 // Buckets become cumulative with `le` bounds in seconds — except for
 // the commit_batch sizes, which are counts and keep their unit.
-func writePromHistogram(w http.ResponseWriter, ns string, h HistSnapshot) {
-	name, scale := fmt.Sprintf("%s_%s_seconds", ns, h.Name), 1e9
+func writePromHistogram(w http.ResponseWriter, h HistSnapshot) {
+	name, scale := "aru_"+h.Name+"_seconds", 1e9
 	if h.Name == histName[HistCommitBatch] {
-		name, scale = ns+"_"+h.Name, 1
+		name, scale = "aru_"+h.Name, 1
 	}
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	var cum uint64
