@@ -62,7 +62,7 @@ const (
 // epoch-based MVCC snapshots: each one loads the current epoch with a
 // single atomic pointer read plus a refcount, so simple readers never
 // touch the engine mutex and scale with cores, while mutating operations
-// serialize behind the write lock and publish a new epoch at each
+// serialize behind the engine lock and publish a new epoch at each
 // durability point. BeginARU and a unit's shadow updates publish nothing
 // until a read inside the unit, AcquireSnapshot or Stats needs them.
 // AcquireSnapshot pins an epoch explicitly for multi-read consistency

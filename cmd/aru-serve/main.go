@@ -196,10 +196,7 @@ func main() {
 
 	// The served disk: a single engine or an N-way sharded one — the
 	// network server takes either through the same Backend surface.
-	var d interface {
-		aru.NetBackend
-		Close() error
-	}
+	var d aru.NetBackend
 	switch {
 	case *shards > 1:
 		d = openSharded(fail, params, *segs, *shards, *mem)

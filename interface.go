@@ -37,62 +37,17 @@ import (
 //   - Close releases the handle: the local Disk shuts the engine
 //     down; a network client only closes its connection (the server
 //     then aborts its open ARUs — the remote disk stays up).
-type Interface interface {
-	// Read copies block b, as seen from the state of aru (Simple =
-	// committed state), into dst (exactly one block).
-	Read(aru ARUID, b BlockID, dst []byte) error
-	// Write replaces the contents of block b within the state of aru.
-	Write(aru ARUID, b BlockID, data []byte) error
-	// NewBlock allocates a block and inserts it into lst after pred
-	// (NilBlock = head). The identifier is allocated in the committed
-	// state even inside an ARU; the insertion is shadowed.
-	NewBlock(aru ARUID, lst ListID, pred BlockID) (BlockID, error)
-	// NewList allocates a new, empty list.
-	NewList(aru ARUID) (ListID, error)
-	// DeleteBlock removes block b (the paper's FreeBlock).
-	DeleteBlock(aru ARUID, b BlockID) error
-	// DeleteList removes list lst and every block on it.
-	DeleteList(aru ARUID, lst ListID) error
-	// MoveBlock moves block b to list lst after pred as one operation
-	// of the issuing stream.
-	MoveBlock(aru ARUID, b BlockID, lst ListID, pred BlockID) error
-	// ListBlocks returns the members of lst, in order.
-	ListBlocks(aru ARUID, lst ListID) ([]BlockID, error)
-	// Lists returns the lists visible in the state of aru.
-	Lists(aru ARUID) ([]ListID, error)
-	// StatBlock returns the effective record of block b.
-	StatBlock(aru ARUID, b BlockID) (BlockInfo, error)
-	// BeginARU opens a new atomic recovery unit. A network client
-	// returns at once with a handle it chose for the unit, without a
-	// round trip; a begin the server refuses then fails the first call
-	// that names the handle, with the same error (see
-	// NetClient.BeginARU).
-	BeginARU() (ARUID, error)
-	// EndARU commits the unit — atomicity, not durability.
-	EndARU(aru ARUID) error
-	// AbortARU discards the unit's shadow state; its identifier
-	// allocations are swept by the next consistency check. Returns
-	// ErrAbortUnsupported on the sequential (VariantOld) build.
-	AbortARU(aru ARUID) error
-	// CommitDurable is EndARU plus Flush.
-	CommitDurable(aru ARUID) error
-	// Flush forces all committed state to stable storage (the paper's
-	// Sync).
-	Flush() error
-	// Stats returns the disk's operation counters (a remote client
-	// returns the zero Stats if the RPC fails; see NetClient.StatsRPC).
-	Stats() Stats
-	// BlockSize returns the disk's block size in bytes.
-	BlockSize() int
-	// Close releases the handle (see the interface comment for the
-	// local/remote difference).
-	Close() error
-}
+//
+// The operations and their per-method contracts are declared once, on
+// aru/internal/ldnet.Backend.
+type Interface = ldnet.Backend
 
-// Both implementations provide the full surface, checked at compile
-// time.
+// Every disk of the module provides the full surface, checked at
+// compile time: local programs and the network server use them
+// interchangeably.
 var (
 	_ Interface = (*Disk)(nil)
+	_ Interface = (*ShardedDisk)(nil)
 	_ Interface = (*NetClient)(nil)
 )
 
@@ -132,9 +87,9 @@ func Dial(addr string, cfg DialConfig) (*NetClient, error) {
 	return ldnet.Dial(addr, cfg)
 }
 
-// NetBackend is what a network server serves: the LD surface as seen
-// by aru/internal/ldnet. Both *Disk and *ShardedDisk implement it.
-type NetBackend = ldnet.Backend
+// NetBackend is what a network server serves: the same LD surface as
+// Interface. Both *Disk and *ShardedDisk implement it.
+type NetBackend = Interface
 
 // NewNetServer wraps a local disk — single-engine or sharded — in an
 // unstarted network server; call its Serve method with a net.Listener

@@ -360,10 +360,3 @@ func (d *LLD) AbortARU(aru ARUID) error {
 	d.obs.Instant(obs.SpanARUAbort, uint64(aru), 0, 0)
 	return nil
 }
-
-// ActiveARUs returns the number of currently open ARUs.
-func (d *LLD) ActiveARUs() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.arus)
-}

@@ -73,8 +73,8 @@ func (d *LLD) freeLeaked(leaked []BlockID) (int, error) {
 // whose reuse still waits for a device sync or for snapshot readers to
 // drain. It is the count the cleaner's low-water mark reads.
 func (d *LLD) FreeSegments() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return len(d.free)
 }
 
@@ -147,18 +147,6 @@ func (d *LLD) StatBlock(aru ARUID, b BlockID) (BlockInfo, error) {
 	return BlockInfo{ID: b, List: rec.List, Succ: rec.Succ, HasData: rec.HasData, TS: rec.TS}, nil
 }
 
-// VersionCount returns the number of live versions of block b across
-// all states (persistent + committed + one per ARU shadow). Exposed for
-// the n+2 bound invariant tests.
-func (d *LLD) VersionCount(b BlockID) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if lf := pmapGet(d.blockTab.root, uint64(b)); lf != nil {
-		return lf.versions()
-	}
-	return 0
-}
-
 // verKey names one alternative version for VerifyInternal.
 type verKey struct {
 	list bool // a list version (else a block version)
@@ -179,8 +167,8 @@ type verKey struct {
 // the chunks of every segment whose blocks are read from the device. It is
 // exported for tests and the fsck tool.
 func (d *LLD) VerifyInternal() error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	views := []ARUID{seg.SimpleARU}
 	if d.params.Variant == VariantNew {
 		for id := range d.arus {
@@ -524,33 +512,4 @@ func (d *LLD) verifyOnDevice() error {
 		return err == nil
 	})
 	return err
-}
-
-// SegmentInfo describes one log segment's runtime accounting.
-type SegmentInfo struct {
-	Index    int
-	Seq      uint64 // log sequence number (0 = never written)
-	Live     int32  // live persistent blocks
-	Pins     int32  // alternative records holding data here
-	Current  bool   // the open segment being filled
-	Reusable bool
-}
-
-// Segments returns the runtime accounting of every log segment — the
-// utilization view the cleaner decides on.
-func (d *LLD) Segments() []SegmentInfo {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]SegmentInfo, d.params.Layout.NumSegs)
-	for s := range out {
-		out[s] = SegmentInfo{
-			Index:    s,
-			Seq:      d.segSeq[s],
-			Live:     d.segLive[s],
-			Pins:     d.segPins[s],
-			Current:  s == d.curSeg,
-			Reusable: d.segReusable(s),
-		}
-	}
-	return out
 }

@@ -213,7 +213,7 @@ func TestCurrentImageCompat(t *testing.T) {
 	more(fresh)
 	want := logicalState(t, fresh)
 	dev.Crash()
-	r, err := Open(dev.Recycle(), p)
+	r, err := Open(dev.Reopen(dev.Image()), p)
 	if err != nil {
 		t.Fatalf("the fixture does not remount after more units and a crash: %v", err)
 	}

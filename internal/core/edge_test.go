@@ -213,7 +213,7 @@ func TestCheckpointRefusedWithOpenARU(t *testing.T) {
 		}
 		recovered := func(when string, want diskState, leaked int) {
 			t.Helper()
-			d2, rpt, err := OpenReport(dev.Recycle(), Params{})
+			d2, rpt, err := OpenReport(dev.Reopen(dev.Image()), Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +250,7 @@ func TestCheckpointRefusedWithOpenARU(t *testing.T) {
 			t.Fatalf("checkpoint after commit: %v", err)
 		}
 		// Recovery straight from the checkpoint (no replay) works.
-		d2, rpt, err := OpenReport(dev.Recycle(), Params{})
+		d2, rpt, err := OpenReport(dev.Reopen(dev.Image()), Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -442,14 +442,14 @@ func TestFailedCheckpointOrphanLosesToNextBase(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	d.mu.RLock()
+	d.mu.Lock()
 	window := make(map[int]uint64) // segments between the two records' FlushedSeqs
 	for s, seq := range d.segSeq {
 		if s != d.curSeg && seq > orphan.Head().FlushedSeq && seq <= d.ckptSeq {
 			window[s] = seq
 		}
 	}
-	d.mu.RUnlock()
+	d.mu.Unlock()
 	if len(window) == 0 {
 		t.Fatal("the base covers no segment past the orphan")
 	}
@@ -459,11 +459,11 @@ func TestFailedCheckpointOrphanLosesToNextBase(t *testing.T) {
 			t.Fatal("no segment between the two records was reused")
 		}
 		round()
-		d.mu.RLock()
+		d.mu.Lock()
 		for s, seq := range window {
 			reused = reused || d.segSeq[s] != seq
 		}
-		d.mu.RUnlock()
+		d.mu.Unlock()
 	}
 	// One more round, so that the reused space holds no block's newest
 	// data: a stale table's locations must not read back right (every
@@ -471,7 +471,7 @@ func TestFailedCheckpointOrphanLosesToNextBase(t *testing.T) {
 	round()
 
 	// Crash before another record and remount.
-	d2, err := Open(dev.Recycle(), Params{})
+	d2, err := Open(dev.Reopen(dev.Image()), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,15 +275,15 @@ func (d *LLD) Close() error {
 // isClosed reports whether Close has marked the engine closed; only the
 // broker leader sets the mark, so a leader's answer holds.
 func (d *LLD) isClosed() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.closed
 }
 
 // Stats returns a snapshot of the operation counters, lock-free unless
 // a shadow edit's publish is pending (publishPending).
 //
-// Coherence: every counter written under the engine write lock comes
+// Coherence: every counter written under the engine lock comes
 // from d.stats as frozen into the current epoch at its publish point, so
 // the returned value reflects exactly the operations the epoch itself
 // reflects — no commit, flush, clean or recovery is ever observed
@@ -308,9 +308,9 @@ func (d *LLD) Stats() Stats {
 		s.release()
 	} else {
 		// Before the first publish (mid-construction).
-		d.mu.RLock()
+		d.mu.Lock()
 		st = d.stats
-		d.mu.RUnlock()
+		d.mu.Unlock()
 	}
 	d.live.overlay(&st)
 	return st
@@ -319,8 +319,8 @@ func (d *LLD) Stats() Stats {
 // Params returns the configuration the instance runs with (layout as
 // read from the superblock for opened disks).
 func (d *LLD) Params() Params {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.params
 }
 

@@ -171,6 +171,7 @@ func TestFreeSetMatchesScan(t *testing.T) {
 				}
 				verify("abort")
 			}
+			noOpenSnapshots(t, d)
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -204,8 +205,8 @@ func testFreeSetEntries(t *testing.T) {
 	}
 	// state reports segment s's inputs to segFreeable.
 	state := func(s int) (covered bool, live, pins int32) {
-		d.mu.RLock()
-		defer d.mu.RUnlock()
+		d.mu.Lock()
+		defer d.mu.Unlock()
 		return d.segSeq[s] != 0 && d.segSeq[s] <= d.ckptSeq, d.segLive[s], d.segPins[s]
 	}
 	lst, err := d.NewList(0)
@@ -218,8 +219,8 @@ func testFreeSetEntries(t *testing.T) {
 		b, err := d.NewBlock(0, lst, NilBlock)
 		must(err)
 		must(d.Write(0, b, fill(d, v)), d.Flush())
-		d.mu.RLock()
-		defer d.mu.RUnlock()
+		d.mu.Lock()
+		defer d.mu.Unlock()
 		return b, int(pmapGet(d.blockTab.root, uint64(b)).persist.Seg)
 	}
 
@@ -259,9 +260,9 @@ func testFreeSetEntries(t *testing.T) {
 	// and covered while z is still open; it retires with no chunk since.
 	b, z := alone(0xc1)
 	must(d.DeleteBlock(0, b), d.Flush(), d.Checkpoint())
-	d.mu.RLock()
+	d.mu.Lock()
 	open := d.curSeg
-	d.mu.RUnlock()
+	d.mu.Unlock()
 	if covered, live, pins := state(z); open != z || !covered || live != 0 || pins != 0 {
 		t.Fatalf("segment %d (open: %d): covered %v, %d live, %d pins; want open, empty and covered", z, open, covered, live, pins)
 	}
@@ -275,7 +276,7 @@ func testFreeSetEntries(t *testing.T) {
 
 // freeable reports whether segment s of d is freeable (segFreeable).
 func freeable(d *LLD, s int) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.segFreeable(s)
 }

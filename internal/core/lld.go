@@ -34,14 +34,14 @@
 // list-table and open-ARU set behind a single atomic epoch-head pointer,
 // and a reader pins the current epoch with one atomic load plus a
 // refcount increment (snapshot.go, DESIGN.md §16). Mutating operations
-// serialize behind the engine write lock and swing the head at their
+// serialize behind the engine lock and swing the head at their
 // completion point, except BeginARU and in-unit shadow edits, whose
 // publish waits for a read in the unit's view (or Stats, or
-// AcquireSnapshot), which takes the lock to publish it;
-// a handful of inspection helpers (VerifyInternal, Segments,
-// ActiveARUs, …) still take a shared read lock. As in the paper, the
-// disk system performs no concurrency control between clients: two
-// ARUs may update the same block and the commit order decides.
+// AcquireSnapshot), which takes the lock to publish it; the inspection
+// helpers (VerifyInternal, FreeSegments, Params, …) take the lock too.
+// As in the paper, the disk system performs no concurrency control
+// between clients: two ARUs may update the same block and the commit
+// order decides.
 // Clients that need isolation must lock above the LD interface.
 package core
 
@@ -315,12 +315,12 @@ type LLD struct {
 	// when obs is non-nil.
 	commitStamps []commitStamp
 
-	// mu guards all engine state below. Mutating operations take the
-	// write lock; the hot read-only operations (Read, ListBlocks, Lists,
-	// StatBlock, Stats) take no lock at all — they pin the epoch head —
-	// and the inspection helpers (VerifyInternal, Segments, ActiveARUs,
-	// …) take the read lock. See DESIGN.md §7 and §16.
-	mu sync.RWMutex
+	// mu guards all engine state below. Mutating operations and the
+	// inspection helpers (VerifyInternal, FreeSegments, Params, …) take
+	// it; the hot read-only operations (Read, ListBlocks, Lists,
+	// StatBlock, Stats) take no lock at all — they pin the epoch head.
+	// See DESIGN.md §7 and §16.
+	mu sync.Mutex
 	// Everything below is guarded by mu.
 	closed bool
 	stats  Stats // the counters; live holds the four advanced off mu

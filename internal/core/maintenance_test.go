@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"aru/internal/disk"
+	"aru/internal/obs"
 )
 
 // TestAbortARURunsDueMaintenance: a checkpoint that comes due while a
@@ -35,16 +36,16 @@ func TestAbortARURunsDueMaintenance(t *testing.T) {
 	if err := d.Write(a, b, fill(d, 0xaa)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PrepareARU(a, 1); err != nil {
+	if err := d.PrepareARU(a, 1, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	start := d.Stats().Checkpoints
 	// Simple allocations and writes fill and retire segments beside the
 	// prepared unit.
 	for i := 0; ; i++ {
-		d.mu.RLock()
+		d.mu.Lock()
 		retired := d.segsSinceC
-		d.mu.RUnlock()
+		d.mu.Unlock()
 		if retired >= every {
 			break
 		}
@@ -119,7 +120,7 @@ func TestStalledUnitDoesNotWedge(t *testing.T) {
 func TestInDoubtUnitPinsReplayWindow(t *testing.T) {
 	d, dev := prepTestDisk(t, Params{CheckpointEvery: 2})
 	a, _, _ := buildPreparedUnit(t, d)
-	if err := d.PrepareARU(a, 7); err != nil {
+	if err := d.PrepareARU(a, 7, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
@@ -144,8 +145,8 @@ func TestInDoubtUnitPinsReplayWindow(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	img := dev.Recycle()
-	if err := d.CommitPrepared(a); err != nil {
+	img := dev.Reopen(dev.Image())
+	if err := d.CommitPrepared(a, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	want := logicalState(t, d)
@@ -206,7 +207,7 @@ func TestSequentialUnitPinsReplayWindow(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(dev.Recycle(), Params{})
+	d2, err := Open(dev.Reopen(dev.Image()), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

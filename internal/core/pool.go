@@ -8,7 +8,7 @@ package core
 // epochmap.go — is recycled on a freeList owned by the LLD and guarded
 // by d.mu, like everything else it points into. sync.Pool is
 // deliberately not used: all mutation already happens under the engine
-// write lock (so there is no contention to shard away), and LLD-owned
+// lock (so there is no contention to shard away), and LLD-owned
 // lists are released with the instance instead of lingering in per-P
 // caches.
 //

@@ -309,7 +309,7 @@ func crashSweepAtomicity(t *testing.T, variant Variant) {
 		if !dev.Crashed() {
 			continue
 		}
-		d2, err := Open(dev.Recycle(), Params{})
+		d2, err := Open(dev.Reopen(dev.Image()), Params{})
 		if err != nil {
 			// Crashing inside Format may leave no valid superblock or
 			// initial checkpoint: "never initialized" is consistent.
@@ -419,7 +419,7 @@ func TestCrashSweepInterleaved(t *testing.T) {
 		if !dev.Crashed() {
 			continue
 		}
-		d2, err := Open(dev.Recycle(), Params{})
+		d2, err := Open(dev.Reopen(dev.Image()), Params{})
 		if err != nil {
 			if k <= 4 {
 				continue
@@ -546,7 +546,7 @@ func TestTornTailSegmentIgnored(t *testing.T) {
 	if err := d.Flush(); err == nil {
 		t.Fatal("flush should have died")
 	}
-	d2, err := Open(dev.Recycle(), Params{})
+	d2, err := Open(dev.Reopen(dev.Image()), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +621,7 @@ func TestFormatWipesEveryChunkHeader(t *testing.T) {
 		t.Fatalf("the repeated workload did not repeat chunk 1: %+v then %+v — the test has no teeth", oldChunks[0].Trailer, chunks[0].Trailer)
 	}
 	dev.Crash()
-	r, err := Open(dev.Recycle(), p)
+	r, err := Open(dev.Reopen(dev.Image()), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestRegressionUnitNeverSplitsAcrossSeal(t *testing.T) {
 		if !dev.Crashed() {
 			continue
 		}
-		d2, err := Open(dev.Recycle(), Params{})
+		d2, err := Open(dev.Reopen(dev.Image()), Params{})
 		if err != nil {
 			continue // crash inside Format
 		}
@@ -186,7 +186,7 @@ func TestRegressionStashPreservesPendingVersion(t *testing.T) {
 
 	// Crash before EndARU: recovery must see v1, neither the old
 	// contents nor the uncommitted v2.
-	d2, err := Open(dev.Recycle(), Params{})
+	d2, err := Open(dev.Reopen(dev.Image()), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRegressionRecoveryAppliesWritesByTimestamp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := Open(dev.Recycle(), Params{})
+	d2, err := Open(dev.Reopen(dev.Image()), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestCommitDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Power loss right after the call returns.
-	d2, err := Open(dev.Recycle(), Params{})
+	d2, err := Open(dev.Reopen(dev.Image()), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestMoveBlockInARU(t *testing.T) {
 	}
 
 	// Crash with the commit unflushed: the move must vanish entirely.
-	d2, err := Open(dev.Recycle(), Params{})
+	d2, err := Open(dev.Reopen(dev.Image()), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

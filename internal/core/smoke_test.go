@@ -21,7 +21,8 @@ func testLayout(n int) seg.Layout {
 }
 
 // newTestLLD formats a fresh in-memory disk and returns the LLD plus
-// its device.
+// its device. The test fails if it ends holding a Snapshot handle of
+// the engine (noOpenSnapshots).
 func newTestLLD(t *testing.T, p Params) (*LLD, *disk.Sim) {
 	t.Helper()
 	if p.Layout.BlockSize == 0 {
@@ -32,7 +33,17 @@ func newTestLLD(t *testing.T, p Params) (*LLD, *disk.Sim) {
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
+	t.Cleanup(func() { noOpenSnapshots(t, d) })
 	return d, dev
+}
+
+// noOpenSnapshots fails t if d has a Snapshot handle not yet released:
+// a leaked handle pins an epoch, and everything it retired, forever.
+func noOpenSnapshots(t *testing.T, d *LLD) {
+	t.Helper()
+	if n := d.OpenSnapshots(); n != 0 {
+		t.Errorf("%d snapshot handles leaked", n)
+	}
 }
 
 // retireOpenSegment retires d's open segment as a full one would be: a
@@ -61,8 +72,8 @@ func readOnce(t *testing.T, d *LLD, b BlockID) {
 // lockedStats reads d.stats, the counters written under d.mu, holding
 // it: Stats serves them as of the last publish.
 func lockedStats(d *LLD) Stats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.stats
 }
 

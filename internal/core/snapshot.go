@@ -487,15 +487,6 @@ func zeroFill(dst []byte) {
 // Exported snapshot handles and lifecycle controls.
 // ---------------------------------------------------------------------
 
-// liveSnapshotHandles counts outstanding exported Snapshot handles
-// process-wide; the test suites fail on exit if it is non-zero (a
-// leaked handle pins an epoch, and everything it retired, forever).
-var liveSnapshotHandles atomic.Int64
-
-// LiveSnapshots returns the number of exported snapshot handles not
-// yet released, across every LLD in the process. Test hygiene hook.
-func LiveSnapshots() int64 { return liveSnapshotHandles.Load() }
-
 // ErrSnapshotStale reports a snapshot handle used after the engine
 // it was acquired from was invalidated (crash simulation) or the
 // handle was released.
@@ -531,7 +522,6 @@ func (d *LLD) AcquireSnapshot() (*Snapshot, error) {
 		return nil, ErrClosed
 	}
 	d.openSnaps.Add(1)
-	liveSnapshotHandles.Add(1)
 	return &Snapshot{s: s}, nil
 }
 
@@ -550,7 +540,6 @@ func (h *Snapshot) Release() {
 	if h.released.CompareAndSwap(false, true) {
 		h.s.d.openSnaps.Add(-1)
 		h.s.release()
-		liveSnapshotHandles.Add(-1)
 	}
 }
 

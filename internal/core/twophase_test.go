@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aru/internal/disk"
+	"aru/internal/obs"
 )
 
 // prepTestDisk formats a small disk and returns it with its device.
@@ -80,10 +81,10 @@ func TestPrepareFreezesARU(t *testing.T) {
 	d, _ := prepTestDisk(t, Params{})
 	defer d.Close()
 	aru, keep, _ := buildPreparedUnit(t, d)
-	if err := d.PrepareARU(aru, 7); err != nil {
+	if err := d.PrepareARU(aru, 7, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PrepareARU(aru, 8); !errors.Is(err, ErrARUPrepared) {
+	if err := d.PrepareARU(aru, 8, obs.SpanContext{}); !errors.Is(err, ErrARUPrepared) {
 		t.Errorf("second prepare: got %v, want ErrARUPrepared", err)
 	}
 	if _, err := d.NewBlock(aru, keep, NilBlock); !errors.Is(err, ErrARUPrepared) {
@@ -96,10 +97,10 @@ func TestPrepareFreezesARU(t *testing.T) {
 	if err := d.EndARU(aru); !errors.Is(err, ErrARUPrepared) {
 		t.Errorf("EndARU on prepared ARU: got %v, want ErrARUPrepared", err)
 	}
-	if err := d.CommitPrepared(aru); err != nil {
+	if err := d.CommitPrepared(aru, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CommitPrepared(aru); !errors.Is(err, ErrNoSuchARU) {
+	if err := d.CommitPrepared(aru, obs.SpanContext{}); !errors.Is(err, ErrNoSuchARU) {
 		t.Errorf("CommitPrepared after commit: got %v, want ErrNoSuchARU", err)
 	}
 	if got := d.Stats().ARUsPrepared; got != 1 {
@@ -114,7 +115,7 @@ func TestCommitPreparedOnUnprepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CommitPrepared(aru); !errors.Is(err, ErrBadParam) {
+	if err := d.CommitPrepared(aru, obs.SpanContext{}); !errors.Is(err, ErrBadParam) {
 		t.Errorf("CommitPrepared on unprepared ARU: got %v, want ErrBadParam", err)
 	}
 }
@@ -126,7 +127,7 @@ func TestPrepareVariantOld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PrepareARU(aru, 1); !errors.Is(err, ErrPrepareUnsupported) {
+	if err := d.PrepareARU(aru, 1, obs.SpanContext{}); !errors.Is(err, ErrPrepareUnsupported) {
 		t.Errorf("PrepareARU on VariantOld: got %v, want ErrPrepareUnsupported", err)
 	}
 }
@@ -138,13 +139,13 @@ func TestPrepareVariantOld(t *testing.T) {
 func TestPrepareCommitSurvivesCrash(t *testing.T) {
 	d, dev := prepTestDisk(t, Params{})
 	aru, _, _ := buildPreparedUnit(t, d)
-	if err := d.PrepareARU(aru, 42); err != nil {
+	if err := d.PrepareARU(aru, 42, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CommitPrepared(aru); err != nil {
+	if err := d.CommitPrepared(aru, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
@@ -152,7 +153,7 @@ func TestPrepareCommitSurvivesCrash(t *testing.T) {
 	}
 	want := logicalState(t, d)
 
-	d2, err := Open(dev.Recycle(), Params{})
+	d2, err := Open(dev.Reopen(dev.Image()), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestInDoubtResolution(t *testing.T) {
 		before := logicalState(t, d) // pre-ARU committed state... captured below
 		aru, _, _ := buildPreparedUnit(t, d)
 		before = logicalState(t, d) // the ARU's shadow is invisible to Simple
-		if err := d.PrepareARU(aru, 42); err != nil {
+		if err := d.PrepareARU(aru, 42, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Flush(); err != nil {
@@ -186,8 +187,8 @@ func TestInDoubtResolution(t *testing.T) {
 		}
 		// Commit locally to learn what "redone" must look like, but on
 		// a throwaway image: the crash image is taken before this.
-		img := dev.Recycle()
-		if err := d.CommitPrepared(aru); err != nil {
+		img := dev.Reopen(dev.Image())
+		if err := d.CommitPrepared(aru, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 		after := logicalState(t, d)
@@ -274,7 +275,7 @@ func TestAbortCancelsPrepare(t *testing.T) {
 	d, dev := prepTestDisk(t, Params{})
 	aru, _, _ := buildPreparedUnit(t, d)
 	want := logicalState(t, d)
-	if err := d.PrepareARU(aru, 42); err != nil {
+	if err := d.PrepareARU(aru, 42, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
@@ -289,7 +290,7 @@ func TestAbortCancelsPrepare(t *testing.T) {
 	if got := logicalState(t, d); !reflect.DeepEqual(got, want) {
 		t.Errorf("live abort of prepared unit not traceless:\n got %v\nwant %v", got, want)
 	}
-	d2, rpt, err := OpenReport(dev.Recycle(), Params{CommitResolver: func(uint64) bool {
+	d2, rpt, err := OpenReport(dev.Reopen(dev.Image()), Params{CommitResolver: func(uint64) bool {
 		t.Error("resolver consulted despite durable abort record")
 		return true
 	}})
@@ -334,13 +335,13 @@ func TestInDoubtDeleteListSnapshot(t *testing.T) {
 	if err := d.DeleteList(aru, lst); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PrepareARU(aru, 9); err != nil {
+	if err := d.PrepareARU(aru, 9, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := OpenReport(dev.Recycle(), Params{CommitResolver: func(uint64) bool { return true }})
+	d2, _, err := OpenReport(dev.Reopen(dev.Image()), Params{CommitResolver: func(uint64) bool { return true }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,13 +382,13 @@ func TestPreparedDataSurvivesRedo(t *testing.T) {
 	if err := d.Write(aru, b, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PrepareARU(aru, 3); err != nil {
+	if err := d.PrepareARU(aru, 3, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := OpenReport(dev.Recycle(), Params{CommitResolver: func(uint64) bool { return true }})
+	d2, _, err := OpenReport(dev.Reopen(dev.Image()), Params{CommitResolver: func(uint64) bool { return true }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,13 +409,13 @@ func TestPrepareCheckpointBlocked(t *testing.T) {
 	d, _ := prepTestDisk(t, Params{})
 	defer d.Close()
 	aru, _, _ := buildPreparedUnit(t, d)
-	if err := d.PrepareARU(aru, 1); err != nil {
+	if err := d.PrepareARU(aru, 1, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); !errors.Is(err, ErrARUActive) {
 		t.Errorf("Checkpoint with prepared ARU: got %v, want ErrARUActive", err)
 	}
-	if err := d.CommitPrepared(aru); err != nil {
+	if err := d.CommitPrepared(aru, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil {

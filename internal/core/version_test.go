@@ -426,7 +426,7 @@ func TestOldVariantGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash before EndARU: recovery must roll the whole unit back.
-	d2, err := Open(dev.Recycle(), Params{})
+	d2, err := Open(dev.Reopen(dev.Image()), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

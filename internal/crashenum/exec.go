@@ -64,14 +64,14 @@ var Injections = []Injection{
 	// The broken 2PC schedule: the coordinator's commit record is synced
 	// before the participants' prepares.
 	{"commit-before-prepare-sync", "shard", func(o *shard.Options) {
-		o.UnsafeCommitBeforePrepareSync = true
+		o.Faults.CommitBeforePrepareSync = true
 	}},
 }
 
 // checkerOptions returns the configuration of a checker run under the
 // named injection ("" or "none" checks the real engine): the engine
 // parameters of every workload, inside the sharded disk's options. The
-// 2PC schedule must be deterministic — Sequential2PC — so a (seed,
+// 2PC schedule must be deterministic — FaultHooks.Sequential — so a (seed,
 // crash state) pair replays exactly.
 //
 // CkptCompactEvery is pinned low so every run exercises the whole
@@ -80,7 +80,7 @@ var Injections = []Injection{
 // those phases (torn delta records, published-but-unsynced deltas,
 // compaction mid-flight).
 func checkerOptions(inject string) (shard.Options, error) {
-	o := shard.Options{Sequential2PC: true, Params: core.Params{
+	o := shard.Options{Faults: &shard.FaultHooks{Sequential: true}, Params: core.Params{
 		Layout:           checkerLayout(),
 		CheckpointEvery:  8,
 		CkptCompactEvery: 3,
@@ -113,7 +113,7 @@ func formatEngine(inject string, tune func(*core.Params)) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.UnsafeCommitBeforePrepareSync {
+	if o.Faults.CommitBeforePrepareSync {
 		return nil, fmt.Errorf("crashenum: injection %q breaks the 2PC schedule and needs the shard workload", inject)
 	}
 	e := &engine{params: o.Params}

@@ -267,17 +267,6 @@ func (s *Sim) Stats() Stats {
 	return st
 }
 
-// ResetStats zeroes the operation counters (the virtual clock restarts
-// from zero as well). Contents are unaffected.
-func (s *Sim) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats = Stats{}
-	atomic.StoreInt64(&s.sharedReads, 0)
-	atomic.StoreInt64(&s.sharedElapsed, 0)
-	atomic.StoreInt64(&s.sharedBytes, 0)
-}
-
 // Crashed reports whether a simulated crash has been triggered.
 func (s *Sim) Crashed() bool {
 	return s.crashed.Load()
@@ -344,18 +333,12 @@ func (s *Sim) Image() []byte {
 }
 
 // Reopen returns a fresh, uncrashed simulated disk whose contents are
-// img, using the same geometry as s.
+// img, using the same geometry as s. Reopen(Image()) models a power
+// cycle, the step every crash/recovery test performs.
 func (s *Sim) Reopen(img []byte) *Sim {
 	n := NewSim(int64(len(img)), s.geom)
 	copy(n.store, img)
 	return n
-}
-
-// Recycle models a power cycle: it returns a fresh, uncrashed disk
-// holding the current medium contents (shorthand for Reopen(Image()),
-// the step every crash/recovery test performs).
-func (s *Sim) Recycle() *Sim {
-	return s.Reopen(s.Image())
 }
 
 func (s *Sim) checkRange(p []byte, off int64) error {

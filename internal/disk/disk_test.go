@@ -3,6 +3,7 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -341,7 +342,8 @@ func TestTornHistoryWithFatalWrite(t *testing.T) {
 }
 
 // TestFromImageAndRecycle: FromImage copies the image (no aliasing) and
-// Recycle is a power cycle — fresh uncrashed device, same contents.
+// Reopen(Image()) is a power cycle — fresh uncrashed device, same
+// contents.
 func TestFromImageAndRecycle(t *testing.T) {
 	img := make([]byte, 4096)
 	img[0] = 0x7F
@@ -355,7 +357,7 @@ func TestFromImageAndRecycle(t *testing.T) {
 		t.Fatal("FromImage aliased or lost the source image")
 	}
 	d.Crash()
-	d2 := d.Recycle()
+	d2 := d.Reopen(d.Image())
 	if d2.Crashed() {
 		t.Fatal("recycled device still crashed")
 	}
@@ -363,7 +365,7 @@ func TestFromImageAndRecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got[0] != 0x7F {
-		t.Fatal("contents lost across Recycle")
+		t.Fatal("contents lost across the power cycle")
 	}
 }
 
@@ -408,4 +410,15 @@ func TestSyncDelayAndCounter(t *testing.T) {
 	if elapsed := time.Since(t0); elapsed > delay {
 		t.Errorf("cleared delay still sleeping: %v", elapsed)
 	}
+}
+
+// ResetStats zeroes the operation counters (the virtual clock restarts
+// from zero as well). Contents are unaffected.
+func (s *Sim) ResetStats() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats = Stats{}
+	atomic.StoreInt64(&s.sharedReads, 0)
+	atomic.StoreInt64(&s.sharedElapsed, 0)
+	atomic.StoreInt64(&s.sharedBytes, 0)
 }

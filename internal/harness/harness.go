@@ -15,14 +15,9 @@
 // results: which build wins, by roughly what factor, and where the
 // overhead of concurrent ARUs shows up.
 //
-// # Wall-clock gates
-//
-// Four measurements that are ratios of wall-clock times on in-memory
-// devices live here too, because CI gates on them (the TestGate*
-// tests): group commit against driver-serialized flushes
-// (RunGroupCommit), shard scaling and the single-shard fast path
-// (RunShardScale, RunShardFastPath), the recovery curve
-// (RunRecoveryPoint) and read-path contention (RunReadScale). Every
+// The wall-clock gates CI runs on in-memory devices (the TestGate*
+// tests: group commit, shard scaling and the fast path, the recovery
+// curve, read-path contention) are test code of this package; every
 // other wall-clock question belongs to the benchmark/ package.
 package harness
 
@@ -136,14 +131,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// bestOf is how many times a wall-clock gate measurement is repeated,
-// keeping the minimum. The gates run beside other packages' tests on
-// small hosts, where one descheduled goroutine costs more than the
-// margin being gated: with three repetitions the fast-path and recovery
-// gates failed 3 runs in 40 beside two competing test binaries on two
-// CPUs, with nine 1 in 60 (and none beside `go test ./...`).
-const bestOf = 9
 
 // Phase is one measured benchmark phase.
 type Phase struct {

@@ -20,24 +20,6 @@ import (
 type NetOptions struct {
 	// Ops is the number of ARUs to run (default 1000).
 	Ops int
-	// Lists is the number of lists the workload spreads blocks over
-	// (default 8).
-	Lists int
-	// BlocksPerARU is how many blocks each unit allocates and writes
-	// (default 4).
-	BlocksPerARU int
-	// ReadsPerARU is how many readback checks each unit performs
-	// (default 2): one of its own shadow writes and one committed
-	// block through a simple read.
-	ReadsPerARU int
-	// AbortEvery aborts every n-th unit instead of committing it
-	// (default 8; 0 disables aborts).
-	AbortEvery int
-	// VerifySample is how many committed blocks the final pass
-	// re-reads and checks (default 256; capped at the committed set).
-	VerifySample int
-	// Seed makes the workload deterministic (default 1).
-	Seed int64
 	// Tracer, when non-nil and span-enabled, is censused after the
 	// run: NetResult reports how many spans the client recorded and
 	// how many its ring dropped, so trace loss is visible next to the
@@ -46,30 +28,20 @@ type NetOptions struct {
 	Tracer *obs.Tracer
 }
 
-func (o NetOptions) withDefaults() NetOptions {
-	if o.Ops == 0 {
-		o.Ops = 1000
-	}
-	if o.Lists == 0 {
-		o.Lists = 8
-	}
-	if o.BlocksPerARU == 0 {
-		o.BlocksPerARU = 4
-	}
-	if o.ReadsPerARU == 0 {
-		o.ReadsPerARU = 2
-	}
-	if o.AbortEvery == 0 {
-		o.AbortEvery = 8
-	}
-	if o.VerifySample == 0 {
-		o.VerifySample = 256
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The workload's fixed shape: blocks spread over netLists lists, each
+// unit allocating and writing netBlocksPerARU blocks and making
+// netReadsPerARU readback checks (one of its own shadow writes, one
+// committed block through a simple read), every netAbortEvery-th unit
+// aborted, netVerifySample committed blocks re-read at the end (capped
+// at the committed set), all drawn from a generator seeded netSeed.
+const (
+	netLists        = 8
+	netBlocksPerARU = 4
+	netReadsPerARU  = 2
+	netAbortEvery   = 8
+	netVerifySample = 256
+	netSeed         = 1
+)
 
 // NetResult summarizes one RunNetWorkload pass.
 type NetResult struct {
@@ -119,12 +91,14 @@ func netPattern(b aru.BlockID, buf []byte) {
 // committed data, never anyone's shadow), and a final pass re-reads a
 // sample of committed blocks after Flush.
 func RunNetWorkload(d aru.Interface, o NetOptions) (NetResult, error) {
-	o = o.withDefaults()
+	if o.Ops == 0 {
+		o.Ops = 1000
+	}
 	bs := d.BlockSize()
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := rand.New(rand.NewSource(netSeed))
 	var res NetResult
 
-	lists := make([]aru.ListID, o.Lists)
+	lists := make([]aru.ListID, netLists)
 	for i := range lists {
 		lst, err := d.NewList(aru.Simple)
 		if err != nil {
@@ -144,8 +118,8 @@ func RunNetWorkload(d aru.Interface, o NetOptions) (NetResult, error) {
 			return res, fmt.Errorf("networkload: BeginARU #%d: %w", i, err)
 		}
 		res.Ops++
-		wrote := make([]aru.BlockID, 0, o.BlocksPerARU)
-		for j := 0; j < o.BlocksPerARU; j++ {
+		wrote := make([]aru.BlockID, 0, netBlocksPerARU)
+		for j := 0; j < netBlocksPerARU; j++ {
 			b, err := d.NewBlock(a, lists[rng.Intn(len(lists))], aru.NilBlock)
 			if err != nil {
 				return res, fmt.Errorf("networkload: NewBlock in ARU %d: %w", a, err)
@@ -158,7 +132,7 @@ func RunNetWorkload(d aru.Interface, o NetOptions) (NetResult, error) {
 			res.Bytes += int64(bs)
 			wrote = append(wrote, b)
 		}
-		for j := 0; j < o.ReadsPerARU; j++ {
+		for j := 0; j < netReadsPerARU; j++ {
 			if j%2 == 0 || len(committed) == 0 {
 				// Intra-ARU readback: the unit must see its own shadow.
 				b := wrote[rng.Intn(len(wrote))]
@@ -183,7 +157,7 @@ func RunNetWorkload(d aru.Interface, o NetOptions) (NetResult, error) {
 				}
 			}
 		}
-		if o.AbortEvery > 0 && (i+1)%o.AbortEvery == 0 {
+		if (i+1)%netAbortEvery == 0 {
 			if err := d.AbortARU(a); err != nil {
 				return res, fmt.Errorf("networkload: AbortARU %d: %w", a, err)
 			}
@@ -201,7 +175,7 @@ func RunNetWorkload(d aru.Interface, o NetOptions) (NetResult, error) {
 		return res, fmt.Errorf("networkload: Flush: %w", err)
 	}
 
-	sample := o.VerifySample
+	sample := netVerifySample
 	if sample > len(committed) {
 		sample = len(committed)
 	}

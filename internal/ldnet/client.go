@@ -15,10 +15,6 @@ import (
 	"aru/internal/obs"
 )
 
-// A Client is a valid server Backend: a proxy/relay is just a Server
-// whose backend is a Client.
-var _ Backend = (*Client)(nil)
-
 // ClientConfig configures Dial; the zero value selects defaults.
 type ClientConfig struct {
 	// DialTimeout bounds connection establishment, including the

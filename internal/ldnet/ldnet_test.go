@@ -281,7 +281,7 @@ func TestAbortOnDisconnect(t *testing.T) {
 	if err := cl1.Read(a, blk, got); err != nil || !bytes.Equal(got, shadow) {
 		t.Fatalf("pre-crash shadow read: %v", err)
 	}
-	if n := backend.ActiveARUs(); n != 1 {
+	if n := openARUs(backend); n != 1 {
 		t.Fatalf("%d ARUs active before the crash, want 1", n)
 	}
 
@@ -290,9 +290,9 @@ func TestAbortOnDisconnect(t *testing.T) {
 
 	// The server must abort the orphaned ARU.
 	deadline := time.Now().Add(5 * time.Second)
-	for backend.ActiveARUs() != 0 {
+	for openARUs(backend) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server did not abort the orphaned ARU within 5s (%d active)", backend.ActiveARUs())
+			t.Fatalf("server did not abort the orphaned ARU within 5s (%d active)", openARUs(backend))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -330,7 +330,7 @@ func TestAbortOnDisconnect(t *testing.T) {
 	if err := backend.Close(); err != nil {
 		t.Fatalf("close backend: %v", err)
 	}
-	dev2 := dev.Recycle()
+	dev2 := dev.Reopen(dev.Image())
 	backend2, rep, err := core.OpenReport(dev2, core.Params{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -362,20 +362,27 @@ func TestCleanCloseAbortsToo(t *testing.T) {
 	if _, err := cl.NewList(a); err != nil {
 		t.Fatalf("NewList: %v", err)
 	}
-	if n := backend.ActiveARUs(); n != 1 {
+	if n := openARUs(backend); n != 1 {
 		t.Fatalf("%d ARUs active before Close, want 1", n)
 	}
 	cl.Close()
 	waitActiveARUs(t, backend, 0)
 }
 
+// openARUs is the number of units begun on backend and not yet ended
+// or aborted.
+func openARUs(backend *core.LLD) int64 {
+	st := backend.Stats()
+	return st.ARUsBegun - st.ARUsCommitted - st.ARUsAborted
+}
+
 // waitActiveARUs waits until the backend has n open ARUs.
-func waitActiveARUs(t *testing.T, backend *core.LLD, n int) {
+func waitActiveARUs(t *testing.T, backend *core.LLD, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for backend.ActiveARUs() != n {
+	for openARUs(backend) != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d ARUs active after 5s, want %d", backend.ActiveARUs(), n)
+			t.Fatalf("%d ARUs active after 5s, want %d", openARUs(backend), n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -429,7 +436,7 @@ func TestHandleNotReusedAcrossReconnect(t *testing.T) {
 	if err := cl.Write(old, blk, bytes.Repeat([]byte{1}, bs)); err != nil {
 		t.Fatalf("write under the first unit: %v", err)
 	}
-	if n := backend.ActiveARUs(); n != 1 {
+	if n := openARUs(backend); n != 1 {
 		t.Fatalf("%d ARUs active, want 1", n)
 	}
 
@@ -462,7 +469,7 @@ func TestHandleNotReusedAcrossReconnect(t *testing.T) {
 	}
 	// ...and never reached the new unit: it is still open and commits
 	// its own write only.
-	if n := backend.ActiveARUs(); n != 1 {
+	if n := openARUs(backend); n != 1 {
 		t.Fatalf("%d ARUs active, want the new unit only", n)
 	}
 	if err := cl.EndARU(a); err != nil {
@@ -531,7 +538,7 @@ func TestBeginFailureSurfaces(t *testing.T) {
 	if err := cl.EndARU(open); err != nil {
 		t.Fatalf("EndARU of the open unit: %v", err)
 	}
-	if n := backend.ActiveARUs(); n != 0 {
+	if n := openARUs(backend); n != 0 {
 		t.Fatalf("%d ARUs left open", n)
 	}
 }
@@ -619,8 +626,8 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errc {
 		t.Fatalf("concurrent client: %v", err)
 	}
-	if backend.ActiveARUs() != 0 {
-		t.Fatalf("%d ARUs left open", backend.ActiveARUs())
+	if openARUs(backend) != 0 {
+		t.Fatalf("%d ARUs left open", openARUs(backend))
 	}
 	if err := backend.VerifyInternal(); err != nil {
 		t.Fatalf("backend invariants violated: %v", err)

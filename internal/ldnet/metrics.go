@@ -43,10 +43,6 @@ func (m *Metrics) SessionsTotal() int64 { return m.sessionsTotal.Load() }
 // RPCs returns the number of requests served (including errors).
 func (m *Metrics) RPCs() int64 { return m.rpcs.Load() }
 
-// ProtoErrors returns the number of malformed frames/handshakes that
-// caused a connection to be dropped.
-func (m *Metrics) ProtoErrors() int64 { return m.protoErrors.Load() }
-
 // AbortsOnDisconnect returns the number of ARUs the server aborted
 // because their owning connection went away mid-unit.
 func (m *Metrics) AbortsOnDisconnect() int64 { return m.abortsOnDisconnect.Load() }

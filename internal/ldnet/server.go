@@ -15,29 +15,62 @@ import (
 	"aru/internal/seg"
 )
 
-// Backend is the disk-side surface the server exposes over the wire.
-// *core.LLD implements it; so does *Client, which makes the server
-// composable (a proxy is a server whose backend is a client).
+// Backend is the LD surface: every operation of the LD API plus the
+// ARU bracket. The server exposes it over the wire; *core.LLD, the
+// sharded disk and *Client implement it, which makes the server
+// composable (a proxy is a server whose backend is a client). The aru
+// facade names it Interface (and NetBackend).
 type Backend interface {
+	// Read copies block b, as seen from the state of aru (the simple
+	// ARU, 0, sees the committed state), into dst (exactly one block).
 	Read(aru core.ARUID, b core.BlockID, dst []byte) error
+	// Write replaces the contents of block b within the state of aru.
 	Write(aru core.ARUID, b core.BlockID, data []byte) error
+	// NewBlock allocates a block and inserts it into lst after pred
+	// (NilBlock = head). The identifier is allocated in the committed
+	// state even inside an ARU; the insertion is shadowed.
 	NewBlock(aru core.ARUID, lst core.ListID, pred core.BlockID) (core.BlockID, error)
+	// NewList allocates a new, empty list.
 	NewList(aru core.ARUID) (core.ListID, error)
+	// DeleteBlock removes block b (the paper's FreeBlock).
 	DeleteBlock(aru core.ARUID, b core.BlockID) error
+	// DeleteList removes list lst and every block on it.
 	DeleteList(aru core.ARUID, lst core.ListID) error
+	// MoveBlock moves block b to list lst after pred as one operation
+	// of the issuing stream.
 	MoveBlock(aru core.ARUID, b core.BlockID, lst core.ListID, pred core.BlockID) error
+	// ListBlocks returns the members of lst, in order.
 	ListBlocks(aru core.ARUID, lst core.ListID) ([]core.BlockID, error)
+	// Lists returns the lists visible in the state of aru.
 	Lists(aru core.ARUID) ([]core.ListID, error)
+	// StatBlock returns the effective record of block b.
 	StatBlock(aru core.ARUID, b core.BlockID) (core.BlockInfo, error)
+	// BeginARU opens a new atomic recovery unit. A Client returns at
+	// once with a handle it chose for the unit, without a round trip; a
+	// begin the server refuses then fails the first call that names the
+	// handle, with the same error (see Client.BeginARU).
 	BeginARU() (core.ARUID, error)
+	// EndARU commits the unit — atomicity, not durability.
 	EndARU(aru core.ARUID) error
+	// AbortARU discards the unit's shadow state; its identifier
+	// allocations are swept by the next consistency check. Returns
+	// ErrAbortUnsupported on the sequential (VariantOld) build.
 	AbortARU(aru core.ARUID) error
+	// CommitDurable is EndARU plus Flush.
+	CommitDurable(aru core.ARUID) error
+	// Flush forces all committed state to stable storage (the paper's
+	// Sync).
 	Flush() error
+	// Stats returns the disk's operation counters (a Client returns the
+	// zero Stats if the RPC fails; see Client.StatsRPC).
 	Stats() core.Stats
+	// BlockSize returns the disk's block size in bytes.
 	BlockSize() int
+	// Close releases the handle: a local disk shuts the engine down; a
+	// Client only closes its connection (the server then aborts its
+	// open ARUs — the remote disk stays up).
+	Close() error
 }
-
-var _ Backend = (*core.LLD)(nil)
 
 // TracedBackend is the optional tracing surface of a Backend: commit
 // and flush entry points that accept the caller's span context, plus

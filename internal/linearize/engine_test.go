@@ -2,8 +2,6 @@ package linearize_test
 
 import (
 	"encoding/binary"
-	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,21 +12,6 @@ import (
 	"aru/internal/linearize"
 	"aru/internal/seg"
 )
-
-// TestMain is the leaked-snapshot detector: any test path that
-// acquires a Snapshot handle and exits without releasing it pins an
-// epoch (and everything that epoch retired) forever, which no test
-// here is entitled to do.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if n := core.LiveSnapshots(); n != 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d snapshot handles leaked by the test suite\n", n)
-		if code == 0 {
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
 
 func historyLayout() seg.Layout {
 	return seg.Layout{
@@ -212,6 +195,10 @@ func runHistory(t *testing.T, seed int64, cfg historyConfig) []linearize.Op {
 		}(r)
 	}
 	wg.Wait()
+	// A leaked handle pins an epoch, and everything it retired, forever.
+	if n := d.OpenSnapshots(); n != 0 {
+		t.Errorf("seed %d: %d snapshot handles leaked", seed, n)
+	}
 	return history
 }
 

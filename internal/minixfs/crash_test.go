@@ -68,7 +68,7 @@ func sweepVariant(t *testing.T, variant core.Variant, policy DeletePolicy, workl
 		if !dev.Crashed() {
 			continue
 		}
-		ld, err := core.Open(dev.Recycle(), core.Params{})
+		ld, err := core.Open(dev.Reopen(dev.Image()), core.Params{})
 		if err != nil {
 			continue // died inside Format
 		}

@@ -215,7 +215,7 @@ func TestCrashDuringCreateIsAtomic(t *testing.T) {
 		}
 	}
 	// Crash without flushing.
-	ld2, err := core.Open(dev.Recycle(), core.Params{})
+	ld2, err := core.Open(dev.Reopen(dev.Image()), core.Params{})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

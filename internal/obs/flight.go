@@ -47,14 +47,6 @@ type FlightDump struct {
 	Spans        []Span         `json:"spans,omitempty"`
 }
 
-// Dumps returns how many artifacts the recorder has written.
-func (f *FlightRecorder) Dumps() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.dumps.Load()
-}
-
 // snapshot assembles the artifact from the tracer's current state.
 func (f *FlightRecorder) snapshot(reason string) FlightDump {
 	return FlightDump{

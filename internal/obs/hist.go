@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -129,29 +128,6 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 		}
 	}
 	return time.Duration(s.Buckets[len(s.Buckets)-1].UpperNs)
-}
-
-// Merge returns the histogram holding both snapshots' samples. Both
-// inputs must come from Histogram.Snapshot (bucket bounds align); the
-// merged snapshot keeps the receiver's name.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	m := HistSnapshot{
-		Name:  s.Name,
-		Count: s.Count + o.Count,
-		SumNs: s.SumNs + o.SumNs,
-	}
-	byBound := make(map[int64]uint64, len(s.Buckets)+len(o.Buckets))
-	for _, b := range s.Buckets {
-		byBound[b.UpperNs] += b.Count
-	}
-	for _, b := range o.Buckets {
-		byBound[b.UpperNs] += b.Count
-	}
-	for ub, n := range byBound {
-		m.Buckets = append(m.Buckets, BucketCount{UpperNs: ub, Count: n})
-	}
-	sort.Slice(m.Buckets, func(i, j int) bool { return m.Buckets[i].UpperNs < m.Buckets[j].UpperNs })
-	return m
 }
 
 // String renders a one-line summary: count, mean and the tail

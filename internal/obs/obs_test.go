@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -191,4 +192,27 @@ func TestNilTracer(t *testing.T) {
 	if s := tr.Histogram(HistRead); s.Count != 0 {
 		t.Fatal("nil tracer histogram not empty")
 	}
+}
+
+// Merge returns the histogram holding both snapshots' samples. Both
+// inputs must come from Histogram.Snapshot (bucket bounds align); the
+// merged snapshot keeps the receiver's name.
+func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
+	m := HistSnapshot{
+		Name:  s.Name,
+		Count: s.Count + o.Count,
+		SumNs: s.SumNs + o.SumNs,
+	}
+	byBound := make(map[int64]uint64, len(s.Buckets)+len(o.Buckets))
+	for _, b := range s.Buckets {
+		byBound[b.UpperNs] += b.Count
+	}
+	for _, b := range o.Buckets {
+		byBound[b.UpperNs] += b.Count
+	}
+	for ub, n := range byBound {
+		m.Buckets = append(m.Buckets, BucketCount{UpperNs: ub, Count: n})
+	}
+	sort.Slice(m.Buckets, func(i, j int) bool { return m.Buckets[i].UpperNs < m.Buckets[j].UpperNs })
+	return m
 }

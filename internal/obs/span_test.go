@@ -348,3 +348,11 @@ func TestFlightRecorderOnPanic(t *testing.T) {
 		t.Fatalf("artifact does not name the panic:\n%s", raw)
 	}
 }
+
+// Dumps returns how many artifacts the recorder has written.
+func (f *FlightRecorder) Dumps() uint64 {
+	if f == nil {
+		return 0
+	}
+	return f.dumps.Load()
+}

@@ -73,22 +73,32 @@ type Options struct {
 	// device). Params.CommitResolver is owned by the composition and
 	// must be left nil.
 	Params core.Params
-	// Sequential2PC runs the prepare, flush and apply fan-outs one
-	// shard at a time in shard order instead of concurrently. The
-	// deterministic schedule is what the crash-state enumerator
-	// replays.
-	Sequential2PC bool
 	// Tracer receives the composition's own events and spans (2PC,
 	// coordinator commits); typically the same tracer as
 	// Params.Tracer. Nil disables, as everywhere.
 	Tracer *obs.Tracer
-	// UnsafeCommitBeforePrepareSync deliberately breaks the protocol:
-	// the coordinator record is made durable *before* the participants
+	// Faults sets the checkers' switches (see FaultHooks). nil — the
+	// default, and the only value a production caller can express: the
+	// aru facade does not export the type — leaves the composition as
+	// designed.
+	Faults *FaultHooks
+}
+
+// FaultHooks are the switches only the crash-state checker
+// (internal/crashenum, `aru-crashcheck`) sets: the deterministic 2PC
+// schedule it replays, and the protocol bug its must-fail run exists to
+// catch. Never set one in production.
+type FaultHooks struct {
+	// Sequential runs the prepare, flush and apply fan-outs one shard at
+	// a time in shard order instead of concurrently. The deterministic
+	// schedule is what the crash-state enumerator replays.
+	Sequential bool
+	// CommitBeforePrepareSync deliberately breaks the protocol: the
+	// coordinator record is made durable *before* the participants
 	// flush their prepares. A crash between the coordinator sync and a
 	// participant's flush then recovers the unit on some shards and not
-	// others — the violation aru-crashcheck's must-fail run exists to
-	// catch.
-	UnsafeCommitBeforePrepareSync bool
+	// others (`-inject commit-before-prepare-sync`).
+	CommitBeforePrepareSync bool
 }
 
 // Stats extends the summed engine counters with the composition's own.
@@ -122,7 +132,7 @@ type Disk struct {
 	shards []*core.LLD
 	every  []int // 0 … N-1: the shards a whole-disk fan-out runs on
 	coord  *coordLog
-	opts   Options
+	faults FaultHooks
 	tr     *obs.Tracer
 
 	nextTxn atomic.Uint64
@@ -160,7 +170,10 @@ type Disk struct {
 // newDisk returns the composition of n shards over coordinator log c,
 // their engines still to be attached.
 func newDisk(c *coordLog, o Options, n int) *Disk {
-	s := &Disk{coord: c, opts: o, tr: o.Tracer, units: make(map[ARUID]*unit), every: make([]int, n)}
+	s := &Disk{coord: c, tr: o.Tracer, units: make(map[ARUID]*unit), every: make([]int, n)}
+	if o.Faults != nil {
+		s.faults = *o.Faults
+	}
 	for i := range s.every {
 		s.every[i] = i
 	}
@@ -352,10 +365,6 @@ func checkList(l ListID) error {
 	}
 	return nil
 }
-
-// ShardOfBlock returns the shard block b lives on (routing is public
-// so tools like aru-inspect can label ids).
-func (s *Disk) ShardOfBlock(b BlockID) int { return s.shardOf(uint64(b)) }
 
 // ShardOfList returns the shard list l lives on.
 func (s *Disk) ShardOfList(l ListID) int { return s.shardOf(uint64(l)) }
@@ -587,10 +596,10 @@ func (s *Disk) FlushTraced(sc obs.SpanContext) error {
 }
 
 // fanOut runs fn on the shards named by idx — one after another in that
-// order under Sequential2PC or for a single shard, concurrently otherwise —
+// order under FaultHooks.Sequential or for a single shard, concurrently otherwise —
 // and returns the first error (every shard runs regardless).
 func (s *Disk) fanOut(idx []int, fn func(i int) error) error {
-	if s.opts.Sequential2PC || len(idx) == 1 {
+	if s.faults.Sequential || len(idx) == 1 {
 		var first error
 		for _, i := range idx {
 			if err := fn(i); err != nil && first == nil {

@@ -10,6 +10,7 @@ import (
 
 	"aru/internal/core"
 	"aru/internal/disk"
+	"aru/internal/obs"
 	"aru/internal/seg"
 )
 
@@ -59,10 +60,10 @@ func (r *rig) recycle(t *testing.T, o Options) []core.RecoveryReport {
 	t.Helper()
 	var devs []disk.Disk
 	for i, dev := range r.devs {
-		r.devs[i] = dev.Recycle()
+		r.devs[i] = dev.Reopen(dev.Image())
 		devs = append(devs, r.devs[i])
 	}
-	r.coord = r.coord.Recycle()
+	r.coord = r.coord.Reopen(r.coord.Image())
 	d, reports, err := OpenReport(devs, r.coord, o)
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +150,8 @@ func TestRoutingRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.ShardOfBlock(b) != si {
-			t.Fatalf("block %d on shard %d, its list %d on shard %d", b, d.ShardOfBlock(b), l, si)
+		if d.shardOf(uint64(b)) != si {
+			t.Fatalf("block %d on shard %d, its list %d on shard %d", b, d.shardOf(uint64(b)), l, si)
 		}
 		if members, err := d.ListBlocks(0, l); err != nil || len(members) != 1 || members[0] != b {
 			t.Fatalf("ListBlocks(%d) = %v (%v), want [%d]", l, members, err, b)
@@ -239,7 +240,7 @@ func TestFastPathSingleShard(t *testing.T) {
 func TestCrossShardCommitAndRecovery(t *testing.T) {
 	for _, seq := range []bool{true, false} {
 		t.Run(fmt.Sprintf("sequential=%v", seq), func(t *testing.T) {
-			o := Options{Sequential2PC: seq}
+			o := Options{Faults: &FaultHooks{Sequential: seq}}
 			r := newRig(t, 2, o)
 			d := r.d
 			l0, l1 := twoShardLists(t, d)
@@ -336,7 +337,7 @@ func TestCrossShardAbortTraceless(t *testing.T) {
 // its consistency sweep must free the unit's allocations on that
 // shard.
 func TestCrossShardLeakSweep(t *testing.T) {
-	o := Options{Sequential2PC: true}
+	o := Options{Faults: &FaultHooks{Sequential: true}}
 	r := newRig(t, 2, o)
 	d := r.d
 	l0, l1 := twoShardLists(t, d)
@@ -366,14 +367,14 @@ func TestCrossShardLeakSweep(t *testing.T) {
 	}
 	txn := d.nextTxn.Add(1) - 1
 	for _, i := range u.order {
-		if err := d.shards[i].PrepareARU(u.locals[i], txn); err != nil {
+		if err := d.shards[i].PrepareARU(u.locals[i], txn, obs.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.shards[i].Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if got := d.shards[i].PreparedARUs(); len(got) != 1 {
-			t.Fatalf("shard %d: %d prepared ARUs, want 1", i, len(got))
+		if got := d.shards[i].Stats().ARUsPrepared; got != 1 {
+			t.Fatalf("shard %d: %d prepared ARUs, want 1", i, got)
 		}
 	}
 
@@ -695,14 +696,14 @@ func TestOpenValidatesShardPlacement(t *testing.T) {
 	}
 
 	// Wrong device count: the coordinator header catches it.
-	two := []disk.Disk{r.devs[0].Recycle(), r.devs[1].Recycle()}
-	if _, err := Open(two, r.coord.Recycle(), o); !errors.Is(err, ErrShardMismatch) {
+	two := []disk.Disk{r.devs[0].Reopen(r.devs[0].Image()), r.devs[1].Reopen(r.devs[1].Image())}
+	if _, err := Open(two, r.coord.Reopen(r.coord.Image()), o); !errors.Is(err, ErrShardMismatch) {
 		t.Errorf("open with 2 of 3 devices: got %v, want ErrShardMismatch", err)
 	}
 
 	// Reordered devices: the per-device placement stamps catch it.
-	swapped := []disk.Disk{r.devs[1].Recycle(), r.devs[0].Recycle(), r.devs[2].Recycle()}
-	if _, err := Open(swapped, r.coord.Recycle(), o); !errors.Is(err, ErrShardMismatch) {
+	swapped := []disk.Disk{r.devs[1].Reopen(r.devs[1].Image()), r.devs[0].Reopen(r.devs[0].Image()), r.devs[2].Reopen(r.devs[2].Image())}
+	if _, err := Open(swapped, r.coord.Reopen(r.coord.Image()), o); !errors.Is(err, ErrShardMismatch) {
 		t.Errorf("open with reordered devices: got %v, want ErrShardMismatch", err)
 	}
 
@@ -711,17 +712,17 @@ func TestOpenValidatesShardPlacement(t *testing.T) {
 	if _, err := core.Format(lone, core.Params{Layout: testLayout()}); err != nil {
 		t.Fatal(err)
 	}
-	mixed := []disk.Disk{lone, r.devs[1].Recycle(), r.devs[2].Recycle()}
-	if _, err := Open(mixed, r.coord.Recycle(), o); !errors.Is(err, ErrShardMismatch) {
+	mixed := []disk.Disk{lone, r.devs[1].Reopen(r.devs[1].Image()), r.devs[2].Reopen(r.devs[2].Image())}
+	if _, err := Open(mixed, r.coord.Reopen(r.coord.Image()), o); !errors.Is(err, ErrShardMismatch) {
 		t.Errorf("open with an unstamped device: got %v, want ErrShardMismatch", err)
 	}
 
 	// The correct placement still mounts, state intact.
 	var devs []disk.Disk
 	for _, dev := range r.devs {
-		devs = append(devs, dev.Recycle())
+		devs = append(devs, dev.Reopen(dev.Image()))
 	}
-	d, err := Open(devs, r.coord.Recycle(), o)
+	d, err := Open(devs, r.coord.Reopen(r.coord.Image()), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -937,10 +938,10 @@ func TestShardSnapshotCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pinned.Release()
-	if !pinned.CrossConsistent() {
+	if pinned.skewed {
 		t.Fatal("quiescent acquisition reported a skewed cut")
 	}
-	if n := len(pinned.Epochs()); n != d.Shards() {
+	if n := len(pinned.snaps); n != d.Shards() {
 		t.Fatalf("cut has %d epochs, want %d", n, d.Shards())
 	}
 
@@ -962,7 +963,7 @@ func TestShardSnapshotCut(t *testing.T) {
 			t.Fatal(err)
 		}
 		cut := readCut(h)
-		consistent := h.CrossConsistent()
+		consistent := !h.skewed
 		h.Release()
 		if consistent {
 			for j := 1; j < len(cut); j++ {

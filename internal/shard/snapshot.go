@@ -18,13 +18,13 @@ const snapAcquireRetries = 16
 // publishes each participant's epoch only after the coordinator commit
 // point, so a cut taken while no apply was in flight can never show a
 // cross-shard unit partially applied. AcquireSnapshot validates that
-// with the commit counters and retries; CrossConsistent reports
-// whether the validation held (it fails only after snapAcquireRetries
-// straight collisions with concurrent 2PC traffic).
+// with the commit counters and retries; it gives up, and takes the cut
+// as it stands, only after snapAcquireRetries straight collisions with
+// concurrent 2PC traffic.
 type Snapshot struct {
 	s      *Disk
 	snaps  []*core.Snapshot
-	skewed bool
+	skewed bool // the retries ran out: the cut may straddle a cross-shard unit
 }
 
 // AcquireSnapshot pins one epoch on every shard and returns the cut.
@@ -56,27 +56,12 @@ func (s *Disk) AcquireSnapshot() (*Snapshot, error) {
 	}
 }
 
-// CrossConsistent reports whether the cut is guaranteed to contain no
-// partially applied cross-shard unit. Per-shard consistency holds
-// either way.
-func (h *Snapshot) CrossConsistent() bool { return !h.skewed }
-
 // Release unpins every shard's epoch. Idempotent (each underlying
 // handle is).
 func (h *Snapshot) Release() {
 	for _, s := range h.snaps {
 		s.Release()
 	}
-}
-
-// Epochs returns the pinned epoch number of each shard, in shard
-// order.
-func (h *Snapshot) Epochs() []uint64 {
-	out := make([]uint64, len(h.snaps))
-	for i, s := range h.snaps {
-		out[i] = s.Epoch()
-	}
-	return out
 }
 
 // Read reads block b as seen from aru's state in the pinned cut,

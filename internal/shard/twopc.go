@@ -108,10 +108,10 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 	// of its own (a crash now resolves the same way).
 	prepare := func(i int) error {
 		pp := s.tr.Start(obs.Span2PCPrepare, csc)
-		if err := s.shards[i].PrepareARUTraced(u.locals[i], txn, pp.Ctx()); err != nil {
+		if err := s.shards[i].PrepareARU(u.locals[i], txn, pp.Ctx()); err != nil {
 			return fmt.Errorf("shard %d: prepare: %w", i, err)
 		}
-		if s.opts.UnsafeCommitBeforePrepareSync {
+		if s.faults.CommitBeforePrepareSync {
 			return nil // flushed (too late) below
 		}
 		if err := s.shards[i].FlushTraced(pp.Ctx()); err != nil {
@@ -137,7 +137,7 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 	}
 	cc.End(uint64(aru), txn, uint64(len(u.order)))
 
-	if s.opts.UnsafeCommitBeforePrepareSync {
+	if s.faults.CommitBeforePrepareSync {
 		// The deliberately broken schedule: prepares reach stable
 		// storage only now, after the decision is already durable.
 		if err := s.fanOut(u.order, func(i int) error { return s.shards[i].FlushTraced(csc) }); err != nil {
@@ -152,7 +152,7 @@ func (s *Disk) commitCrossShard(aru ARUID, u *unit, sc obs.SpanContext) error {
 	// never straddle a half-applied unit (see AcquireSnapshot).
 	s.crossApplying.Add(1)
 	applyErr := s.fanOut(u.order, func(i int) error {
-		if err := s.shards[i].CommitPreparedTraced(u.locals[i], csc); err != nil {
+		if err := s.shards[i].CommitPrepared(u.locals[i], csc); err != nil {
 			return fmt.Errorf("shard %d: commit prepared: %w", i, err)
 		}
 		return nil

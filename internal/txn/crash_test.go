@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"aru/internal/core"
-	"aru/internal/crashenum"
 	"aru/internal/disk"
 	"aru/internal/seg"
 )
@@ -105,7 +104,7 @@ func TestCrashSweepConservation(t *testing.T) {
 		if !dev.Crashed() {
 			continue
 		}
-		d2, err := crashenum.Recover(dev, core.Params{})
+		d2, err := core.Open(dev.Reopen(dev.Image()), core.Params{})
 		if err != nil {
 			continue // crash during Format
 		}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"aru/internal/core"
-	"aru/internal/crashenum"
 	"aru/internal/disk"
 	"aru/internal/seg"
 )
@@ -282,7 +281,7 @@ func TestDurableCommitSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := crashenum.Recover(dev, core.Params{})
+	d2, err := core.Open(dev.Reopen(dev.Image()), core.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

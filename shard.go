@@ -22,17 +22,11 @@ type ShardOptions = shard.Options
 type ShardedStats = shard.Stats
 
 // ShardedSnapshot is a pinned read-only cut of a sharded disk: one
-// epoch per shard, validated against the 2PC apply window so a
-// consistent cut never shows a cross-shard unit partially applied.
-// Acquire one with (*ShardedDisk).AcquireSnapshot.
+// epoch per shard, validated against the 2PC apply window and retried
+// so that it shows no cross-shard unit partially applied; only after a
+// bounded run of collisions with concurrent 2PC traffic is the cut
+// taken as it stands. Acquire one with (*ShardedDisk).AcquireSnapshot.
 type ShardedSnapshot = shard.Snapshot
-
-// A sharded disk serves the same surface as a single-engine disk —
-// local programs and the network server use it interchangeably.
-var (
-	_ Interface  = (*ShardedDisk)(nil)
-	_ NetBackend = (*ShardedDisk)(nil)
-)
 
 // Cross-shard errors, re-exported for errors.Is tests.
 var (
