@@ -30,7 +30,7 @@ var censusAllowlist = map[string]string{
 // TestExportedNamesHaveCallers is the census of exported names: every
 // exported func, method, type, var or const declared in a non-test file
 // under internal/ must be used as an identifier by some non-test file of
-// the module (cmd/, examples/ and benchmark/ included), or be on
+// the module (cmd/ and benchmark/ included), or be on
 // censusAllowlist. A name only tests call belongs in its package's test
 // files. Uses are counted by name, not by type, so a name that shares
 // its spelling with a used one passes: the census is a floor.

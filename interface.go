@@ -8,7 +8,7 @@ import (
 // Interface is the client-side surface of a logical disk: every
 // operation of the LD API plus the ARU bracket, implemented both by
 // the in-process *Disk and by the network client returned by Dial.
-// Programs written against Interface (see examples/kvstore) run
+// Programs written against Interface (see ExampleInterface) run
 // unchanged on a local disk or against a remote aru-serve instance —
 // the LD interface was designed as a disk-level service boundary, and
 // this is that boundary as a Go type.

@@ -112,18 +112,20 @@ func (d *LLD) relocateBatch() (n int, err error) {
 	return n, nil
 }
 
-// cleanable reports whether segment s is a valid cleaning victim: an
-// old (checkpoint-covered), unpinned, written segment that still holds
-// live blocks, every one of which is relocatable (its persistent record
-// is the block's only version — relocating a block with pending shadow
-// or committed updates could resurrect stale data after a crash). Being
-// covered by the checkpoint, it has no chunk still queued for a write or
-// a sync.
+// victimCandidate reports whether segment s is an old (checkpoint-
+// covered, so no chunk of it awaits a write or a sync), unpinned,
+// written segment that still holds live blocks.
+func (d *LLD) victimCandidate(s int) bool {
+	return s != d.curSeg && d.segSeq[s] != 0 && d.segSeq[s] <= d.ckptSeq &&
+		d.segPins[s] == 0 && d.segLive[s] != 0
+}
+
+// cleanable reports whether segment s is a valid cleaning victim: a
+// victimCandidate whose live blocks are all relocatable (its persistent
+// record is the block's only version — relocating a block with pending
+// shadow or committed updates could resurrect stale data after a crash).
 func (d *LLD) cleanable(s int) bool {
-	if s == d.curSeg || d.segSeq[s] == 0 || d.segSeq[s] > d.ckptSeq {
-		return false
-	}
-	if d.segPins[s] != 0 || d.segLive[s] == 0 {
+	if !d.victimCandidate(s) {
 		return false
 	}
 	for _, id := range d.segOwn[s] {
@@ -159,11 +161,9 @@ func (d *LLD) liveIn(s int, id BlockID) *blockLeaf {
 func (d *LLD) pickVictim(exclude map[int]bool) (int, bool) {
 	cands := d.cleanCands[:0]
 	for s := 0; s < d.params.Layout.NumSegs; s++ {
-		if exclude[s] || s == d.curSeg || d.segSeq[s] == 0 || d.segSeq[s] > d.ckptSeq ||
-			d.segPins[s] != 0 || d.segLive[s] == 0 {
-			continue
+		if !exclude[s] && d.victimCandidate(s) {
+			cands = append(cands, s)
 		}
-		cands = append(cands, s)
 	}
 	d.cleanCands = cands
 	// The best candidate is one pass away, and nearly always cleanable,

@@ -19,11 +19,7 @@ func runMixed(seed int64, o Options) (*execution, error) {
 		return nil, err
 	}
 	d, f := e.d, newFacts(e.d, e.now)
-	nPool := o.MixedParams.PoolBlocks
-	if nPool == 0 {
-		nPool = 6 // must match MixedParams default
-	}
-	start, err := f.seedPool(nPool, e.flushAndCheckpoint)
+	start, err := f.seedPool(workload.MixedPoolBlocks, e.flushAndCheckpoint)
 	if err != nil {
 		return nil, err
 	}

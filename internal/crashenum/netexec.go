@@ -28,13 +28,9 @@ func runNet(seed int64, o Options) (*execution, error) {
 		return nil, err
 	}
 	// The pool is created directly on the engine and checkpointed, as
-	// in runMixed.
+	// in runMixed, but holds four blocks.
 	f := newFacts(e.d, e.now)
-	nPool := o.MixedParams.PoolBlocks
-	if nPool == 0 {
-		nPool = 4
-	}
-	start, err := f.seedPool(nPool, e.flushAndCheckpoint)
+	start, err := f.seedPool(4, e.flushAndCheckpoint)
 	if err != nil {
 		return nil, err
 	}

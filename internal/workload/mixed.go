@@ -49,45 +49,30 @@ type MixedOp struct {
 	Arg  int
 }
 
+// The fixed shape of a mixed workload script.
+const (
+	// mixedMaxOpen bounds how many units are open concurrently.
+	mixedMaxOpen = 3
+	// MixedPoolBlocks is the number of pre-created simple-write pool
+	// blocks a script assumes.
+	MixedPoolBlocks = 6
+	// mixedOpsPerUnit is the approximate number of operations inside
+	// each unit before it becomes eligible to close.
+	mixedOpsPerUnit = 6
+	// mixedAbortFrac is the percentage of units that abort instead of
+	// committing.
+	mixedAbortFrac = 20
+)
+
 // MixedParams sizes a mixed workload. Zero fields select defaults.
 type MixedParams struct {
 	// Units is the total number of recovery units the script runs
 	// (default 48).
 	Units int
-	// MaxOpen bounds how many units are open concurrently (default 3).
-	MaxOpen int
-	// PoolBlocks is the number of pre-created simple-write pool blocks
-	// the script assumes (default 6).
-	PoolBlocks int
-	// OpsPerUnit is the approximate number of operations inside each
-	// unit before it becomes eligible to close (default 6).
-	OpsPerUnit int
-	// AbortFrac in percent of units that abort instead of committing
-	// (default 20).
-	AbortFrac int
 	// ConcFlushers, when positive, makes the script include
 	// MixedConcFlush phases of this many concurrent committers
 	// (default 0: no concurrent phases, scripts are fully sequential).
 	ConcFlushers int
-}
-
-func (p MixedParams) withDefaults() MixedParams {
-	if p.Units == 0 {
-		p.Units = 48
-	}
-	if p.MaxOpen == 0 {
-		p.MaxOpen = 3
-	}
-	if p.PoolBlocks == 0 {
-		p.PoolBlocks = 6
-	}
-	if p.OpsPerUnit == 0 {
-		p.OpsPerUnit = 6
-	}
-	if p.AbortFrac == 0 {
-		p.AbortFrac = 20
-	}
-	return p
 }
 
 // mixedUnit is the generator's abstract view of one open unit: it only
@@ -108,7 +93,9 @@ type mixedUnit struct {
 // only rewritten while one is live, checkpoints only appear while no
 // unit is open, as MixedCheckpoint says).
 func MixedScript(seed int64, p MixedParams) []MixedOp {
-	p = p.withDefaults()
+	if p.Units == 0 {
+		p.Units = 48
+	}
 	rng := rand.New(rand.NewSource(seed))
 	var (
 		script  []MixedOp
@@ -119,7 +106,7 @@ func MixedScript(seed int64, p MixedParams) []MixedOp {
 		script = append(script, MixedOp{Kind: k, Unit: unit, Arg: arg})
 	}
 	closeUnit := func(u *mixedUnit, slot int) {
-		if rng.Intn(100) < p.AbortFrac {
+		if rng.Intn(100) < mixedAbortFrac {
 			emit(MixedAbort, u.idx, 0)
 		} else {
 			emit(MixedEnd, u.idx, 0)
@@ -133,7 +120,7 @@ func MixedScript(seed int64, p MixedParams) []MixedOp {
 			do func()
 		}
 		var acts []action
-		if started < p.Units && len(open) < p.MaxOpen {
+		if started < p.Units && len(open) < mixedMaxOpen {
 			acts = append(acts, action{3, func() {
 				u := &mixedUnit{idx: started}
 				emit(MixedBegin, u.idx, 0)
@@ -169,13 +156,13 @@ func MixedScript(seed int64, p MixedParams) []MixedOp {
 				}})
 			}
 			w := 1
-			if u.ops >= p.OpsPerUnit {
+			if u.ops >= mixedOpsPerUnit {
 				w = 6
 			}
 			acts = append(acts, action{w, func() { closeUnit(u, slot) }})
 		}
 		acts = append(acts, action{2, func() {
-			emit(MixedPoolWrite, -1, rng.Intn(p.PoolBlocks))
+			emit(MixedPoolWrite, -1, rng.Intn(MixedPoolBlocks))
 		}})
 		acts = append(acts, action{2, func() { emit(MixedFlush, -1, 0) }})
 		if p.ConcFlushers > 0 {
