@@ -73,6 +73,74 @@ func TestAllocsRead(t *testing.T) {
 	alloctest.Check(t, "read", 0, 200, op)
 }
 
+// TestAllocsReadMiss gates reads the cache cannot serve, in a batch
+// shaped like the read_mostly workload: 15 reads and one one-block
+// commit. The reads are uniform over 4× the cache's capacity, so most
+// miss. A reader's fill takes its buffer from the reserve the engine
+// refills with epoch-retired buffers, and what it evicts is recycled
+// through the next publish (DESIGN.md §12). What is left per miss is
+// the 32-byte cache entry header, against 4 KiB more when each fill
+// allocated its buffer: a batch measured 408 B over about ten misses
+// (42 259 B before the reserve), against a budget of 640. Few fills may
+// find the reserve empty.
+func TestAllocsReadMiss(t *testing.T) {
+	const (
+		cacheBlocks = 256
+		working     = 4 * cacheBlocks
+	)
+	layout := aru.DefaultLayout(64)
+	d, err := aru.Format(aru.NewMemDevice(layout.DiskBytes()), aru.Params{Layout: layout, CacheBlocks: cacheBlocks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lst, _ := d.NewList(aru.Simple)
+	blks := make([]aru.BlockID, working)
+	buf := make([]byte, d.BlockSize())
+	for i := range blks {
+		blks[i], _ = d.NewBlock(aru.Simple, lst, aru.NilBlock)
+		if err := d.Write(aru.Simple, blks[i], buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	op := func() {
+		for i := 0; i < 15; i++ {
+			if err := d.Read(aru.Simple, blks[rng.Intn(working)], buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, err := d.BeginARU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf[0]++
+		if err := d.Write(a, blks[rng.Intn(working)], buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.EndARU(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*working; i++ {
+		op()
+	}
+	const batches = 400
+	before := d.Stats()
+	alloctest.CheckBytes(t, "read miss batch", 640, batches, op)
+	after := d.Stats()
+	misses, allocs := after.CacheMisses-before.CacheMisses, after.CacheFillAllocs-before.CacheFillAllocs
+	t.Logf("%d misses in %d batches, %d of them allocated their fill", misses, batches, allocs)
+	if misses < 8*batches {
+		t.Fatalf("%d misses in %d batches: the gate no longer measures misses", misses, batches)
+	}
+	if allocs*20 > misses {
+		t.Errorf("%d of %d reader fills found the reserve empty, more than 1 in 20", allocs, misses)
+	}
+}
+
 // TestAllocsARUWriteCommit gates the full ARU cycle: begin, write
 // three blocks, commit. The ARU state, its shadow version records and
 // their data buffers all come from the engine free lists, so the

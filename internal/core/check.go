@@ -260,6 +260,16 @@ func (d *LLD) VerifyInternal() error {
 		}
 	}
 	// The buffers the cache table owns, for the one-owner rule (pool.go).
+	// Readers fill beside this walk: a fill takes a buffer out of the
+	// table before it pushes it onto the displaced list, and puts one in
+	// only after taking it from the reserve, so the list is read before
+	// the table and the reserve after it, and no move shows as two owners.
+	var displaced [][]byte
+	if d.cache != nil {
+		for x := d.cache.displaced.head.Load(); x != nil; x = x.next {
+			displaced = append(displaced, x.buf)
+		}
+	}
 	cached := make(map[*byte]physKey)
 	if d.cache != nil {
 		for i := range d.cache.slots {
@@ -278,12 +288,40 @@ func (d *LLD) VerifyInternal() error {
 			}
 		}
 	}
+	// A parked buffer — free, retired or in the reader hand-off — is in
+	// no cache entry and parked once.
+	parked := make(map[*byte]string)
+	park := func(b []byte, where string) {
+		notCached(b, where)
+		if len(b) == 0 {
+			return
+		}
+		if w, dup := parked[&b[0]]; dup {
+			fail("one buffer is both %s and %s", w, where)
+		}
+		parked[&b[0]] = where
+	}
 	for _, b := range d.freeBufs.items {
-		notCached(b, "on the free list")
+		park(b, "on the free list")
 	}
 	for s := d.snapOldest; s != nil; s = s.next {
 		for _, b := range s.ret.bufs {
-			notCached(b, "on a retire-set")
+			park(b, "on a retire-set")
+		}
+	}
+	for _, b := range displaced {
+		park(b, "on the displaced list")
+	}
+	if d.cache != nil {
+		// A reader may write a node it took, so the walk takes each node
+		// too, and puts it back where it was: only the engine stores into
+		// a slot, and it holds d.mu.
+		r := &d.cache.reserve
+		for i := range r.slots {
+			if x := r.slots[i].Swap(nil); x != nil {
+				park(x.buf, "in the reserve")
+				r.slots[i].Store(x)
+			}
 		}
 	}
 
@@ -426,13 +464,20 @@ func (d *LLD) VerifyInternal() error {
 	}
 	// The free lists (pool.go): none past its cap, and a pooled snapshot
 	// is off the purge chain with its retire-set drained.
-	for name, f := range map[string]capped{"buffer": &d.freeBufs, "ARU state": &d.freeStates,
+	for name, f := range map[string]capped{"buffer": &d.freeBufs, "hand-off node": &d.spareNodes, "ARU state": &d.freeStates,
 		"sealed-chunk entry": &d.spareSeals, "snapshot": &d.freeSnaps, "owner table": &d.freeOwn,
 		"builder": &d.spareBuilders, "block-map node": &d.blockTab.nodes, "block-map leaf": &d.blockTab.leaves,
 		"list-table node": &d.listTab.nodes, "list-table leaf": &d.listTab.leaves,
 		"ARU-table node": &d.aruTab.nodes, "ARU-table leaf": &d.aruTab.leaves} {
 		if f.over() {
 			fail("the %s free list is past its cap", name)
+		}
+	}
+	if d.cache != nil {
+		for name, f := range map[string]capped{"reserve": &d.cache.reserve, "displaced list": &d.cache.displaced} {
+			if f.over() {
+				fail("the cache's %s is past its cap", name)
+			}
 		}
 	}
 	for _, s := range d.freeSnaps.items {

@@ -291,12 +291,12 @@ func (d *LLD) isClosed() bool {
 // commit at the commit's, so for an ARU creating k blocks per commit
 // every snapshot satisfies k·ARUsCommitted ≤ NewBlocks ≤ k·ARUsBegun —
 // never a value that implies a torn epoch (TestStatsSnapshotCoherence
-// and TestStatsAllocCommitCoherence pin this). The four counters written
-// off the lock (liveStats) — Reads, CacheHits and CacheMisses, which
-// lock-free readers bump, and Flushes, counted at call entry — are
-// overlaid live: monotone across calls, but they may already include
-// operations newer than the epoch. SnapshotAge is a gauge: current epoch
-// minus oldest unpurged epoch (0 = fully drained).
+// and TestStatsAllocCommitCoherence pin this). The five counters written
+// off the lock (liveStats) — Reads, CacheHits, CacheMisses and
+// CacheFillAllocs, which lock-free readers bump, and Flushes, counted at
+// call entry — are overlaid live: monotone across calls, but they may
+// already include operations newer than the epoch. SnapshotAge is a
+// gauge: current epoch minus oldest unpurged epoch (0 = fully drained).
 func (d *LLD) Stats() Stats {
 	d.publishPending()
 	var st Stats

@@ -284,6 +284,7 @@ type Stats struct {
 	ListOpsReplayed            int64 // list-operation log records re-executed at commit
 	MovesExecuted              int64 // MoveBlock operations
 	CacheHits, CacheMisses     int64
+	CacheFillAllocs            int64 // reader cache fills that found the reserve empty and allocated
 	PredecessorSearchSteps     int64 // total steps of predecessor searches
 	EntriesLogged              int64 // summary entries appended
 	RecoveredEntries           int64 // summary entries replayed at recovery
@@ -439,6 +440,7 @@ type LLD struct {
 	// in-flight batch leader, which extends its use across the device
 	// I/O it performs with d.mu released.
 	freeBufs   freeList[[]byte]
+	spareNodes freeList[*bufNode] // reader hand-off nodes between the displaced list and the reserve
 	freeStates freeList[*aruState]
 	spareSeals freeList[*sealedSeg]
 	freeSnaps  freeList[*snapshot] // drained epochs, each with its emptied retire-set

@@ -613,7 +613,10 @@ func (d *LLD) promoteList(lf *listLeaf, al *listVer) {
 // no builder holds the block. A miss does not fill the cache: the
 // cleaner reads a block to move it, so the key names a location that
 // dies at the next promote, and an entry under it would only evict one
-// a client can still hit.
+// a client can still hit. It copies out of an entry without an epoch
+// pin, which is safe because it holds d.mu: a buffer a reader's fill
+// displaces reaches the reserve only through a publish and a purge,
+// both under d.mu (pool.go).
 func (d *LLD) readPhys(segIdx, slot uint32, dst []byte) error {
 	if d.cache != nil {
 		if d.cache.get(segIdx, slot, dst) {
@@ -673,6 +676,11 @@ type blockCache struct {
 	mask   uint32
 	ring   []atomic.Uint64 // FIFO of packed keys; 0 = empty
 	cursor atomic.Uint64   // next ring position to claim
+
+	// The reader fills' hand-off with the engine (pool.go): recycled
+	// buffers to fill into, and the buffers fills displaced.
+	reserve   bufReserve
+	displaced bufStack
 }
 
 const (
@@ -778,14 +786,38 @@ func (c *blockCache) adopt(segIdx, slot uint32, buf []byte) (out1, out2 []byte) 
 	return out1, buf
 }
 
-// put is the reader-side fill: snapshot readers run outside d.mu, own
-// no pooled buffer and must never touch a retire-set, so they copy the
-// block in and leave whatever the fill displaces to the garbage
-// collector.
-func (c *blockCache) put(segIdx, slot uint32, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.adopt(segIdx, slot, cp)
+// put is the reader-side fill, outside d.mu: it copies the block into
+// a buffer from the reserve — a fresh one if the reserve is empty, and
+// then reports true — and pushes what the fill displaced onto the
+// displaced list, in the taken node where it can, for the engine to
+// retire at its next publish (pool.go).
+func (c *blockCache) put(segIdx, slot uint32, data []byte) (allocated bool) {
+	c.reserve.fills.Add(1)
+	x := c.reserve.take()
+	if x == nil {
+		x = &bufNode{buf: make([]byte, len(data))}
+		allocated = true
+	}
+	copy(x.buf, data)
+	out1, out2 := c.adopt(segIdx, slot, x.buf)
+	x.buf = nil
+	c.park(x, out1)
+	c.park(nil, out2)
+	return allocated
+}
+
+// park pushes b, displaced by a reader's fill, onto the displaced list
+// in node x (a new one if x is nil). Past the list's cap, b goes to
+// the garbage collector.
+func (c *blockCache) park(x *bufNode, b []byte) {
+	if b == nil {
+		return
+	}
+	if x == nil {
+		x = new(bufNode)
+	}
+	x.buf = b
+	c.displaced.push(x)
 }
 
 // drop removes k's table entry and returns its buffer (eviction; one

@@ -1,5 +1,7 @@
 package core
 
+import "sync/atomic"
+
 // Free lists for the engine's steady-state churn (DESIGN.md §12).
 //
 // Every structure the hot paths allocate per operation — block
@@ -36,12 +38,20 @@ package core
 //     copying out of the entry is still pinned to an epoch no younger
 //     than that. Buffers thus circulate free list → version → cache →
 //     retire-set → free list. Reader-side fills (snapshot.readPhys →
-//     blockCache.put) run outside d.mu: they allocate the entry's
-//     buffer, since the free list is not theirs to take from, and leave
-//     what they displace to the garbage collector, since d.ret is not
-//     theirs to append to; such a buffer simply joins the cycle if the
-//     engine later displaces it. purgeSeg leaves what it drops to the
-//     collector too (a burst no fill takes up).
+//     blockCache.put) run outside d.mu and join the same cycle through
+//     a lock-free hand-off: a fill takes its buffer from the cache's
+//     reserve (allocating only when it is empty) and pushes what it
+//     displaced onto the displaced list. The next publish moves that
+//     list, before the head swing, into the closing window's retire-set
+//     (retireDisplaced), so a displaced buffer recycles only after every
+//     epoch a reader could be copying it under has drained. The reserve
+//     is refilled right after each purge (refillReserve), from the free
+//     list only — buffers whose epoch has drained — and with no more
+//     than reader fills took since the last refill, so an engine nobody
+//     reads from parks nothing there. Past the displaced list's cap a
+//     buffer goes to the collector: a stretch of reads with no write
+//     has no publish to drain the list. purgeSeg leaves what it drops
+//     to the collector too (a burst no fill takes up).
 //   - A leaf is mutable only in the window it was born in
 //     (table.edit); once it retires, purge clears its version array so
 //     a pooled leaf pins no buffer.
@@ -102,6 +112,148 @@ func (f *freeList[T]) drain(xs []T, reset func(T)) []T {
 type capped interface{ over() bool }
 
 func (f *freeList[T]) over() bool { return len(f.items) > f.max }
+
+// bufNode carries one block buffer through the reader hand-off: in a
+// reserve slot, on the displaced list, or spare on the LLD. Its fields
+// are written only by the node's one holder — the engine under d.mu, or
+// the reader that took it from the reserve — and before the atomic
+// store that hands it on.
+type bufNode struct {
+	buf  []byte
+	next *bufNode // displaced-list link
+}
+
+// handoffCap sizes the reserve and caps the displaced list: what the
+// hand-off parks is live heap, and a draft that kept the reserve full
+// and capped the list at 256 raised heap_live_mb on every workload
+// (EXPERIMENTS.md, "Reader fills").
+const handoffCap = 64
+
+// bufReserve is the recycled buffers reader fills take from. Only the
+// engine stores into a slot (under d.mu, into an empty one); a reader
+// takes a node with Swap, so each node has exactly one taker and a
+// slot cannot suffer ABA. n counts parked nodes: the engine adds after
+// its store, a taker subtracts after its Swap, so a reader that finds
+// it zero allocates without a scan.
+type bufReserve struct {
+	slots [handoffCap]atomic.Pointer[bufNode]
+	n     atomic.Int32
+	fills atomic.Int64 // reader fills since the last refill: the demand
+}
+
+// take removes and returns a parked node, nil if there is none.
+func (r *bufReserve) take() *bufNode {
+	if r.n.Load() <= 0 {
+		return nil
+	}
+	for i := range r.slots {
+		if r.slots[i].Load() != nil {
+			if x := r.slots[i].Swap(nil); x != nil {
+				r.n.Add(-1)
+				return x
+			}
+		}
+	}
+	return nil
+}
+
+func (r *bufReserve) over() bool { return r.n.Load() > handoffCap }
+
+// bufStack is the displaced list: a push-only Treiber stack that the
+// engine empties whole with one Swap, so no node is ever popped alone
+// and the push's CAS cannot suffer ABA. n is incremented before a push
+// and decremented by the drain, so it never undercounts the list.
+type bufStack struct {
+	head atomic.Pointer[bufNode]
+	n    atomic.Int32
+}
+
+// push links x onto the list unless that would take it past
+// handoffCap.
+func (s *bufStack) push(x *bufNode) {
+	if s.n.Add(1) > handoffCap {
+		s.n.Add(-1)
+		return
+	}
+	for {
+		old := s.head.Load()
+		x.next = old
+		if s.head.CompareAndSwap(old, x) {
+			return
+		}
+	}
+}
+
+// drain detaches the whole list and returns it. Caller holds d.mu.
+func (s *bufStack) drain() *bufNode {
+	if s.head.Load() == nil {
+		return nil
+	}
+	h := s.head.Swap(nil)
+	var k int32
+	for x := h; x != nil; x = x.next {
+		k++
+	}
+	s.n.Add(-k)
+	return h
+}
+
+func (s *bufStack) over() bool {
+	n := 0
+	for x := s.head.Load(); x != nil; x = x.next {
+		n++
+	}
+	return n > handoffCap
+}
+
+// retireDisplaced moves the buffers reader fills displaced since the
+// last publish into the current window's retire-set. It runs before the
+// head swing: each buffer left the cache before the drain, so a reader
+// still copying out of it pinned an epoch no younger than the head the
+// set belongs to. Caller holds d.mu.
+func (d *LLD) retireDisplaced() {
+	if d.cache == nil {
+		return
+	}
+	for x := d.cache.displaced.drain(); x != nil; {
+		next := x.next
+		d.putBuf(x.buf)
+		x.buf, x.next = nil, nil
+		d.spareNodes.put(x)
+		x = next
+	}
+}
+
+// refillReserve parks in the cache's reserve as many free-list buffers
+// as reader fills took since the last refill, as far as the empty slots
+// go. What the free list cannot supply yet — its buffers still wait on
+// a pinned epoch — stays asked for until the next refill. Caller holds
+// d.mu.
+func (d *LLD) refillReserve() {
+	if d.cache == nil {
+		return
+	}
+	r := &d.cache.reserve
+	want := r.fills.Swap(0)
+	for i := 0; i < len(r.slots) && want > 0; i++ {
+		if r.slots[i].Load() != nil {
+			continue
+		}
+		b, ok := d.freeBufs.get()
+		if !ok {
+			r.fills.Add(min(want, handoffCap))
+			return
+		}
+		x, ok := d.spareNodes.get()
+		if !ok {
+			x = new(bufNode)
+		}
+		x.buf = b
+		r.slots[i].Store(x)
+		r.n.Add(1)
+		want--
+	}
+}
 
 // getBuf returns a block-sized buffer. Contents are undefined; every
 // caller overwrites the full block.

@@ -161,8 +161,11 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		// with live blocks, so NumSegs never drops one. The builder pool
 		// peaks at three spares on the benchmark's workloads; four bounds
 		// what a burst of builders released together leaves behind. Eight
-		// pooled snapshots keep eight retire-sets' capacity for reuse.
+		// pooled snapshots keep eight retire-sets' capacity for reuse. A
+		// spare hand-off node waits for a reserve slot, so the reserve's
+		// size bounds them.
 		freeBufs:      freeList[[]byte]{max: 256},
+		spareNodes:    freeList[*bufNode]{max: handoffCap},
 		freeStates:    freeList[*aruState]{max: 64},
 		spareSeals:    freeList[*sealedSeg]{max: 4},
 		freeSnaps:     freeList[*snapshot]{max: 8},

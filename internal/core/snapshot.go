@@ -235,6 +235,9 @@ func (d *LLD) publishLocked() {
 		}
 	}
 	s.stats = d.stats
+	if old != nil {
+		d.retireDisplaced() // into old's set: see retireDisplaced
+	}
 
 	// The head swing is the epoch's linearization point: everything
 	// above happened-before it (release store), and a reader that
@@ -284,6 +287,7 @@ func (d *LLD) purgeLocked() {
 	if d.snapOldest != nil {
 		d.oldestEpoch.Store(d.snapOldest.epoch)
 	}
+	d.refillReserve()
 }
 
 // freeSnapshot drains a fully-retired epoch's retire-set into the
@@ -400,12 +404,14 @@ func (s *snapshot) read(aru ARUID, b BlockID, dst []byte) error {
 // open-segment builder, from a pinned retired one, from the shared
 // lock-free block cache, or from the device through the shared-read
 // interface. Every step is mutex-free — the cache probe is one atomic
-// load, the fill one atomic store of an immutable entry — so the path
-// stays at zero mutex acquisitions while a cached read costs a memcpy
-// instead of a device access. Filling from here is safe: the epoch
-// pins segIdx against reuse, so the device bytes this fill publishes
-// cannot be superseded until every epoch naming them has drained (and
-// purgeSeg has run).
+// load; the fill takes a recycled buffer from the cache's reserve with
+// one Swap, publishes it as an immutable entry with a CAS and pushes
+// what it displaced for the next publish to retire (pool.go) — so the
+// path stays at zero mutex acquisitions while a cached read costs a
+// memcpy instead of a device access. Filling from here is safe: the
+// epoch pins segIdx against reuse, so the device bytes this fill
+// publishes cannot be superseded until every epoch naming them has
+// drained (and purgeSeg has run).
 func (s *snapshot) readPhys(segIdx, slot uint32, dst []byte) error {
 	if segIdx == s.curIdx && s.curBld != nil {
 		copy(dst, s.curBld.BlockData(slot))
@@ -435,8 +441,8 @@ func (s *snapshot) readPhys(segIdx, slot uint32, dst []byte) error {
 	if err != nil {
 		return fmt.Errorf("lld: reading block at seg %d slot %d: %w", segIdx, slot, err)
 	}
-	if d.cache != nil {
-		d.cache.put(segIdx, slot, dst)
+	if d.cache != nil && d.cache.put(segIdx, slot, dst) {
+		d.live.CacheFillAllocs.Add(1)
 	}
 	return nil
 }

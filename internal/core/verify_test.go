@@ -16,9 +16,11 @@ import (
 // block read from a place that is no data slot of its segment's chunks,
 // the open builder pooled, a builder pooled twice, the head snapshot
 // pooled, a pooled snapshot holding a retire-set, a free list past its
-// cap, a freeable segment missing from the free set, a segment in it
-// twice, a segment in it that is not freeable — must fail
-// VerifyInternal, and undoing it must pass again.
+// cap, a cached buffer in the reader fills' reserve or on their
+// displaced list, a buffer parked twice, a displaced list past its cap,
+// a freeable segment missing from the free set, a segment in it twice, a
+// segment in it that is not freeable — must fail VerifyInternal, and
+// undoing it must pass again.
 func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	d, _ := newTestLLD(t, Params{})
 	defer d.Close()
@@ -72,6 +74,9 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 	}
 	if len(d.free) == 0 {
 		t.Fatal("setup left no freeable segment")
+	}
+	if d.cache.reserve.slots[0].Load() != nil || d.cache.displaced.head.Load() != nil {
+		t.Fatal("setup left the reader hand-off in use")
 	}
 	var dropped int // the free-set member the "missing" case takes out
 
@@ -130,6 +135,30 @@ func TestVerifyInternalCatchesCorruption(t *testing.T) {
 		{"free list past its cap", "past its cap",
 			func() { d.freeStates.items = append(d.freeStates.items, make([]*aruState, d.freeStates.max+1)...) },
 			func() { d.freeStates.items = d.freeStates.items[:len(d.freeStates.items)-d.freeStates.max-1] }},
+		{"cached buffer in the reserve", "in the reserve",
+			func() { d.cache.reserve.slots[0].Store(&bufNode{buf: cachedBuf}) },
+			func() { d.cache.reserve.slots[0].Store(nil) }},
+		{"cached buffer displaced", "on the displaced list",
+			func() { d.cache.displaced.push(&bufNode{buf: cachedBuf}) },
+			func() { d.cache.displaced.drain() }},
+		{"buffer parked twice", "is both on the free list and in the reserve",
+			func() {
+				b := d.getBuf()
+				d.freeBufs.items = append(d.freeBufs.items, b)
+				d.cache.reserve.slots[0].Store(&bufNode{buf: b})
+			},
+			func() {
+				d.freeBufs.items = d.freeBufs.items[:len(d.freeBufs.items)-1]
+				d.cache.reserve.slots[0].Store(nil)
+			}},
+		{"displaced list past its cap", "displaced list is past its cap",
+			func() {
+				for i := 0; i <= handoffCap; i++ {
+					x := &bufNode{buf: make([]byte, d.BlockSize()), next: d.cache.displaced.head.Load()}
+					d.cache.displaced.head.Store(x)
+				}
+			},
+			func() { d.cache.displaced.head.Store(nil) }},
 		{"freeable segment missing from the free set", "missing from the free set",
 			func() { dropped, d.free = d.free[len(d.free)-1], d.free[:len(d.free)-1] },
 			func() { d.free = append(d.free, dropped) }},

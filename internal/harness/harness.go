@@ -222,6 +222,7 @@ func subStats(a, b core.Stats) core.Stats {
 		BlocksMaterialized:     a.BlocksMaterialized - b.BlocksMaterialized,
 		CacheHits:              a.CacheHits - b.CacheHits,
 		CacheMisses:            a.CacheMisses - b.CacheMisses,
+		CacheFillAllocs:        a.CacheFillAllocs - b.CacheFillAllocs,
 		PrevVersionsEmitted:    a.PrevVersionsEmitted - b.PrevVersionsEmitted,
 		Checkpoints:            a.Checkpoints - b.Checkpoints,
 		EntriesLogged:          a.EntriesLogged - b.EntriesLogged,
